@@ -103,7 +103,6 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         alpha0=args.lr,
         alpha_min=args.min_lr,
         seed=args.seed,
-        threads=args.threads,
         shuffle=args.shuffle,
         export_class_vectors=args.export_class_vectors,
     )
@@ -229,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-lr", type=float, default=ft_defaults.alpha_min,
                    help="learning rate floor")
     p.add_argument("--seed", type=int, default=ft_defaults.seed)
-    p.add_argument("--threads", type=int, default=ft_defaults.threads,
-                   help="worker threads (>1 is lock-free and nondeterministic)")
     p.add_argument("--multilabel", action="store_true",
                    help="labels are comma-separated; one pass per label")
     p.add_argument("--export-class-vectors", metavar="PATH", default=None,

@@ -12,17 +12,22 @@ and output vectors exist only for corpus tokens, so rows of the merged
 matrix that never occur in the corpus come out bit-identical.
 
 All training arithmetic runs in 64-bit; the exported matrix is cast back
-to 32-bit floats.
+to 32-bit floats. The arithmetic of one label pass runs in the compiled
+kernel of ``_kernel.c`` when it builds on this machine, else in the numpy
+reference pass it is tested against; Python draws every random or
+scheduled value for both.
 """
 from __future__ import annotations
 
 import logging
-import threading
+import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
+from . import _kernel
 from .corpus import Document, LabeledCorpus
 from .embedding_io import EmbeddingSet
 from .vocab import MergedModel, Vocabulary, build_vocab
@@ -53,7 +58,6 @@ class FinetuneConfig:
     alpha0: float = 0.025
     alpha_min: float = 0.0001
     seed: int = 1
-    threads: int = 1
     subsample_threshold: float | None = None
     shuffle: bool = False
     export_class_vectors: str | None = None
@@ -67,8 +71,6 @@ class FinetuneConfig:
             raise ValueError("negative must be >= 1")
         if not (self.alpha0 > self.alpha_min > 0):
             raise ValueError("need alpha0 > alpha_min > 0")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.subsample_threshold is not None and self.subsample_threshold <= 0:
             raise ValueError("subsample_threshold must be positive when set")
 
@@ -98,7 +100,8 @@ class TrainState:
     ``output_matrix`` has one row per corpus token only, and
     ``noise_table`` is the cumulative unigram^0.75 distribution over
     those same rows. ``trainable`` masks which input rows updates may
-    touch. ``alpha`` tracks the last learning rate used.
+    touch. ``alpha`` tracks the last learning rate used. ``kernel`` is the
+    compiled label pass, or None to train with the numpy reference pass.
     """
 
     cfg: FinetuneConfig
@@ -116,6 +119,7 @@ class TrainState:
     keep_prob: np.ndarray | None  # per-output-row keep probability, or None
     positions_done: int = 0
     total_positions: int = 0
+    kernel: Callable[..., tuple[float, int]] | None = None
 
 
 def build_noise_table(vocab: Vocabulary) -> np.ndarray:
@@ -124,25 +128,27 @@ def build_noise_table(vocab: Vocabulary) -> np.ndarray:
     Entry ``i`` holds the probability mass of vocabulary rows ``0..i``;
     the final entry is 1 within 1e-9.
     """
-    freqs = np.zeros(len(vocab), dtype=np.float64)
-    for idx, freq in vocab.entries.values():
-        freqs[idx] = freq
-    probs = freqs ** 0.75
+    probs = vocab.frequencies ** 0.75
     probs /= probs.sum()
     return np.cumsum(probs)
 
 
-def lr_schedule(cfg: FinetuneConfig, progress: float) -> float:
-    """Linearly decayed learning rate, floored at ``alpha_min``."""
-    if not 0.0 <= progress <= 1.0:
+def lr_schedule(
+    cfg: FinetuneConfig, progress: float | np.ndarray
+) -> float | np.ndarray:
+    """Linearly decayed learning rate, floored at ``alpha_min``.
+
+    ``progress`` is a fraction of all positions, or an array of them.
+    """
+    if np.any((progress < 0.0) | (progress > 1.0)):
         raise ValueError(f"progress must be in [0, 1], got {progress}")
-    return max(cfg.alpha_min, cfg.alpha0 * (1.0 - progress))
+    return np.maximum(cfg.alpha_min, cfg.alpha0 * (1.0 - progress))
 
 
 def ns_loss_and_grads(
     context_mean: np.ndarray,
     center: int,
-    negatives: list[int],
+    negatives: list[int] | np.ndarray,
     state: TrainState,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Negative-sampling loss and gradients at one position.
@@ -167,52 +173,53 @@ def ns_loss_and_grads(
 
 
 def _sample_negatives(
-    state: TrainState, center: int, rng: np.random.Generator
-) -> list[int]:
-    table = state.noise_table
-    last = len(table) - 1
-    negatives = []
-    for _ in range(state.cfg.negative):
-        for _ in range(NS_RESAMPLE_ATTEMPTS):
-            j = min(int(np.searchsorted(table, rng.random(), side="right")), last)
-            if j != center:
-                negatives.append(j)
-                break
-    return negatives
+    noise_table: np.ndarray, centers: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """Negatives for a block of positions, from pre-drawn uniforms.
+
+    ``uniforms`` is ``n x negative x NS_RESAMPLE_ATTEMPTS``; each draw maps
+    to a noise row by binary search over the cumulative ``noise_table``
+    (clamped to the last row). Slot ``k`` of position ``p`` takes the first
+    of its draws that differs from ``centers[p]``, or -1 when every attempt
+    hit the center. Returns ``n x negative`` row indices.
+    """
+    draws = np.minimum(
+        np.searchsorted(noise_table, uniforms, side="right"), len(noise_table) - 1
+    )
+    miss = draws != centers[:, None, None]
+    first = np.take_along_axis(draws, miss.argmax(axis=2)[..., None], axis=2)[..., 0]
+    return np.where(miss.any(axis=2), first, -1)
 
 
-def _train_label_pass(
+def _reference_pass(
     state: TrainState,
     in_idx: np.ndarray,
     out_idx: np.ndarray,
     label_id: int,
-    rng: np.random.Generator,
-) -> None:
-    """One pass over a document's positions under one class vector."""
-    cfg = state.cfg
-    if state.keep_prob is not None:
-        keep = rng.random(len(in_idx)) < state.keep_prob[out_idx]
-        # discarded positions still advance the lr schedule
-        state.positions_done += int(len(in_idx) - keep.sum())
-        in_idx, out_idx = in_idx[keep], out_idx[keep]
+    alphas: np.ndarray,
+    uniforms: np.ndarray,
+) -> tuple[float, int]:
+    """Train one label pass position by position in numpy.
+
+    The reference for the compiled pass in ``_kernel.c``, built on the
+    gradient oracle :func:`ns_loss_and_grads`. Returns the summed loss and
+    the number of positions that got fewer than ``negative`` negatives.
+    """
+    window = state.cfg.window
     inp = state.input_matrix
     cls = state.class_vectors
     trainable = state.trainable
-    total = state.total_positions
+    negatives = _sample_negatives(state.noise_table, out_idx, uniforms)
+    loss_sum = 0.0
     for p in range(len(in_idx)):
-        alpha = lr_schedule(cfg, state.positions_done / total)
-        state.positions_done += 1
-        state.alpha = alpha
-        lo = max(0, p - cfg.window)
-        hi = min(len(in_idx), p + cfg.window + 1)
+        alpha = alphas[p]
+        lo = max(0, p - window)
+        hi = min(len(in_idx), p + window + 1)
         ctx = np.concatenate([in_idx[lo:p], in_idx[p + 1:hi]])
         h = (cls[label_id] + inp[ctx].sum(axis=0)) / (1 + len(ctx))
-        center = int(out_idx[p])
-        negatives = _sample_negatives(state, center, rng)
-        _, grad_h, grad_u = ns_loss_and_grads(h, center, negatives, state)
-        rows = np.empty(1 + len(negatives), dtype=np.int64)
-        rows[0] = center
-        rows[1:] = negatives
+        rows = np.concatenate([out_idx[p:p + 1], negatives[p][negatives[p] >= 0]])
+        loss, grad_h, grad_u = ns_loss_and_grads(h, rows[0], rows[1:], state)
+        loss_sum += loss
         np.subtract.at(state.output_matrix, rows, alpha * grad_u)
         # word2vec convention: the full context-side step goes to the class
         # vector and to every trainable context word vector
@@ -221,6 +228,40 @@ def _train_label_pass(
         for ci in ctx:
             if trainable[ci]:
                 inp[ci] += neu1e
+    return loss_sum, int((negatives < 0).any(axis=1).sum())
+
+
+def _train_label_pass(
+    state: TrainState,
+    in_idx: np.ndarray,
+    out_idx: np.ndarray,
+    label_id: int,
+) -> tuple[float, int, int]:
+    """One pass over a document's positions under one class vector.
+
+    Draws everything random or scheduled for the pass (subsampling mask,
+    per-position learning rates, the uniforms behind the negatives), then
+    hands the arithmetic to the compiled kernel or the numpy reference.
+    Returns the summed loss, the positions trained, and the positions short
+    of negatives.
+    """
+    cfg, rng = state.cfg, state.rng
+    if state.keep_prob is not None:
+        keep = rng.random(len(in_idx)) < state.keep_prob[out_idx]
+        # discarded positions still advance the lr schedule
+        state.positions_done += int(len(in_idx) - keep.sum())
+        in_idx, out_idx = in_idx[keep], out_idx[keep]
+    n = len(in_idx)
+    alphas = lr_schedule(
+        cfg, (state.positions_done + np.arange(n)) / state.total_positions
+    )
+    uniforms = rng.random((n, cfg.negative, NS_RESAMPLE_ATTEMPTS))
+    label_pass = state.kernel or _reference_pass
+    loss, shortfall = label_pass(state, in_idx, out_idx, label_id, alphas, uniforms)
+    state.positions_done += n
+    if n:
+        state.alpha = float(alphas[-1])
+    return loss, n, shortfall
 
 
 def _doc_arrays(
@@ -241,12 +282,15 @@ def _doc_arrays(
     return in_idx, out_idx, [state.class_index[l] for l in doc.labels]
 
 
-def train_document(state: TrainState, doc: Document) -> TrainState:
-    """Apply one document's updates (one pass per label) to ``state``."""
+def train_document(state: TrainState, doc: Document) -> tuple[float, int, int]:
+    """Apply one document's updates (one pass per label) to ``state``.
+
+    Returns the summed negative-sampling loss, the positions trained, and
+    the positions that trained with fewer than ``negative`` negatives.
+    """
     in_idx, out_idx, label_ids = _doc_arrays(state, doc)
-    for li in label_ids:
-        _train_label_pass(state, in_idx, out_idx, li, state.rng)
-    return state
+    passes = [_train_label_pass(state, in_idx, out_idx, li) for li in label_ids]
+    return tuple(map(sum, zip(*passes)))
 
 
 def init_state(
@@ -274,10 +318,7 @@ def init_state(
     if cfg.subsample_threshold is not None:
         # word2vec-style downsampling of frequent tokens
         t = cfg.subsample_threshold
-        freqs = np.zeros(len(vocab), dtype=np.float64)
-        for idx, freq in vocab.entries.values():
-            freqs[idx] = freq
-        rel = freqs / vocab.total_tokens
+        rel = vocab.frequencies / vocab.total_tokens
         keep_prob = np.minimum(1.0, np.sqrt(t / rel) + t / rel)
     total = cfg.epochs * sum(
         len(d.tokens) * len(d.labels) for d in corpus.docs
@@ -317,41 +358,28 @@ def finetune(
 
     Returns the tuned input matrix as an :class:`EmbeddingSet` over the
     merged vocabulary (class vectors are excluded from it) together with
-    the per-class vectors. Deterministic and bit-reproducible for
-    ``threads=1`` and a fixed seed; with ``threads > 1`` workers update
-    the shared matrices without locking, so results are run-to-run
-    nondeterministic while every other invariant still holds.
+    the per-class vectors. Bit-reproducible for a fixed seed. Trains with
+    the compiled label pass, built on first use, or with the numpy
+    reference pass where no C compiler is available.
     """
     state = init_state(model, corpus, cfg)
-    docs = [_doc_arrays(state, d) for d in corpus.docs]
+    state.kernel = _kernel.load()
     shuffle_rng = np.random.default_rng((cfg.seed, _SHUFFLE_STREAM))
-    order = np.arange(len(docs))
+    order = np.arange(len(corpus.docs))
     for epoch in range(cfg.epochs):
         if cfg.shuffle:
             shuffle_rng.shuffle(order)
-        if cfg.threads == 1:
-            for di in order:
-                in_idx, out_idx, label_ids = docs[di]
-                for li in label_ids:
-                    _train_label_pass(state, in_idx, out_idx, li, state.rng)
-        else:
-            workers = [
-                threading.Thread(
-                    target=_worker_pass,
-                    args=(state, docs, order[w::cfg.threads],
-                          np.random.default_rng((cfg.seed, epoch, w))),
-                )
-                for w in range(cfg.threads)
-            ]
-            for t in workers:
-                t.start()
-            for t in workers:
-                t.join()
+        started, done_before = time.perf_counter(), state.positions_done
+        docs = [train_document(state, corpus.docs[di]) for di in order]
+        loss, trained, shortfall = map(sum, zip(*docs))
+        seconds = time.perf_counter() - started
         _check_finite(state, epoch)
         logger.info(
-            "epoch %d/%d done: %d/%d positions, alpha %.6f",
-            epoch + 1, cfg.epochs, state.positions_done,
-            state.total_positions, state.alpha,
+            "epoch %d/%d done: %d/%d positions (%d discarded, %d short of "
+            "negatives), mean loss %.4f, alpha %.6f, %.0f positions/s",
+            epoch + 1, cfg.epochs, state.positions_done, state.total_positions,
+            state.positions_done - done_before - trained, shortfall,
+            loss / max(trained, 1), state.alpha, trained / max(seconds, 1e-9),
         )
     tuned = EmbeddingSet(
         model.embedding.words, state.input_matrix.astype(np.float32)
@@ -360,15 +388,3 @@ def finetune(
         state.classes, state.class_vectors.astype(np.float32)
     )
     return tuned, class_vectors
-
-
-def _worker_pass(
-    state: TrainState,
-    docs: list[tuple[np.ndarray, np.ndarray, list[int]]],
-    doc_ids: np.ndarray,
-    rng: np.random.Generator,
-) -> None:
-    for di in doc_ids:
-        in_idx, out_idx, label_ids = docs[di]
-        for li in label_ids:
-            _train_label_pass(state, in_idx, out_idx, li, rng)

@@ -7,6 +7,7 @@ vectors, and a per-row mask records which rows training may touch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,15 @@ class Vocabulary:
 
     def frequency(self, token: str) -> int:
         return self.entries[token][1]
+
+    @cached_property
+    def frequencies(self) -> np.ndarray:
+        """Read-only float64 token counts, indexed by row."""
+        freqs = np.zeros(len(self.entries), dtype=np.float64)
+        for idx, freq in self.entries.values():
+            freqs[idx] = freq
+        freqs.flags.writeable = False
+        return freqs
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,17 @@ from __future__ import annotations
 
 import logging
 import math
+import shlex
+import shutil
+import sysconfig
 
 import numpy as np
 import pytest
 
+from classvec import _kernel, trainer
 from classvec.corpus import Document, from_documents
 from classvec.trainer import (
+    NS_RESAMPLE_ATTEMPTS,
     ClassVectors,
     FinetuneConfig,
     build_noise_table,
@@ -66,7 +71,7 @@ class TestFinetuneConfig:
         cfg = FinetuneConfig()
         assert (cfg.epochs, cfg.window, cfg.negative) == (10, 5, 5)
         assert (cfg.alpha0, cfg.alpha_min, cfg.seed) == (0.025, 0.0001, 1)
-        assert (cfg.threads, cfg.subsample_threshold, cfg.shuffle) == (1, None, False)
+        assert (cfg.subsample_threshold, cfg.shuffle) == (None, False)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -77,7 +82,6 @@ class TestFinetuneConfig:
             dict(alpha0=0.0001, alpha_min=0.0001),
             dict(alpha_min=0.0),
             dict(alpha_min=-1.0),
-            dict(threads=0),
             dict(subsample_threshold=0.0),
         ],
     )
@@ -123,10 +127,15 @@ class TestLrSchedule:
         assert lr_schedule(cfg, 0.999) == 0.0001  # decay hits the floor
         cfg = FinetuneConfig(alpha0=0.01, alpha_min=0.009)
         assert lr_schedule(cfg, 0.5) == 0.009  # floored
+        cfg = FinetuneConfig(alpha0=0.025, alpha_min=0.0001)
+        np.testing.assert_array_equal(
+            lr_schedule(cfg, np.array([0.0, 0.5, 0.999, 1.0])),
+            [0.025, 0.0125, 0.0001, 0.0001],
+        )
 
     def test_rejects_out_of_range_progress(self):
         cfg = FinetuneConfig()
-        for bad in (-0.01, 1.01):
+        for bad in (-0.01, 1.01, np.array([0.5, 1.01])):
             with pytest.raises(ValueError, match="progress"):
                 lr_schedule(cfg, bad)
 
@@ -189,22 +198,38 @@ class TestNsLossAndGrads:
 
 
 class TestSampleNegatives:
+    """The block sampler behind the reference pass (the kernel repeats it)."""
+
+    def _block(self, n_vocab, centers, seed):
+        model, corpus = small_setup(n_vocab=n_vocab)
+        table = init_state(model, corpus, FinetuneConfig()).noise_table
+        uniforms = np.random.default_rng(seed).random(
+            (len(centers), 5, NS_RESAMPLE_ATTEMPTS)
+        )
+        return table, uniforms, _sample_negatives(table, centers, uniforms)
+
     def test_never_returns_center_and_stays_in_range(self):
-        model, corpus = small_setup(n_vocab=10)
-        state = init_state(model, corpus, FinetuneConfig(negative=5))
-        rng = np.random.default_rng(55)
-        for _ in range(400):
-            center = int(rng.integers(0, 10))
-            negs = _sample_negatives(state, center, rng)
-            assert len(negs) <= 5
-            assert all(0 <= j < 10 and j != center for j in negs)
+        centers = np.random.default_rng(55).integers(0, 10, 400)
+        table, _, negs = self._block(10, centers, seed=55)
+        assert negs.shape == (400, 5)
+        drawn = negs >= 0
+        assert np.all(negs[~drawn] == -1)
+        assert np.all(negs[drawn] < len(table))
+        assert not np.any(drawn & (negs == centers[:, None]))
 
     def test_usually_draws_full_count(self):
-        model, corpus = small_setup(n_vocab=30)
-        state = init_state(model, corpus, FinetuneConfig(negative=5))
-        rng = np.random.default_rng(56)
-        counts = [len(_sample_negatives(state, 0, rng)) for _ in range(200)]
-        assert sum(counts) >= 0.97 * 5 * 200
+        _, _, negs = self._block(30, np.zeros(200, dtype=np.int64), seed=56)
+        assert (negs >= 0).sum() >= 0.97 * 5 * 200
+
+    def test_takes_the_first_draw_off_the_center(self):
+        centers = np.random.default_rng(57).integers(0, 4, 300)
+        table, uniforms, negs = self._block(4, centers, seed=57)
+        for p, center in enumerate(centers):
+            for k in range(5):
+                rows = [min(int(np.searchsorted(table, u, side="right")), len(table) - 1)
+                        for u in uniforms[p, k]]
+                off = [r for r in rows if r != center]
+                assert negs[p, k] == (off[0] if off else -1)
 
 
 class TestTrainDocument:
@@ -212,8 +237,9 @@ class TestTrainDocument:
         model, corpus = small_setup()
         state = init_state(model, corpus, FinetuneConfig(epochs=1))
         doc = corpus.docs[0]
-        train_document(state, doc)
-        assert state.positions_done == len(doc.tokens)
+        loss, trained, shortfall = train_document(state, doc)
+        assert state.positions_done == trained == len(doc.tokens)
+        assert loss > 0 and shortfall == 0
 
     def test_multilabel_runs_once_per_label(self):
         rng = np.random.default_rng(60)
@@ -233,7 +259,10 @@ class TestTrainDocument:
         model, corpus = small_setup()
         state = init_state(model, corpus, FinetuneConfig())
         before = state.input_matrix.copy()
-        train_document(state, Document(("t3",), ("one",)))
+        loss, _, shortfall = train_document(state, Document(("t3",), ("one",)))
+        # all-zero output vectors: every logit is 0, each term costs ln 2
+        assert shortfall == 0
+        np.testing.assert_allclose(loss, 6 * math.log(2), rtol=1e-12)
         np.testing.assert_array_equal(state.input_matrix, before)
         assert state.output_matrix.any()
 
@@ -376,6 +405,9 @@ class TestFinetune:
                  if r.name == "classvec.trainer"]
         assert any("epoch 1/2" in l for l in lines)
         assert any("epoch 2/2" in l for l in lines)
+        for field in ("mean loss", "alpha", "positions/s",
+                      "short of negatives", "discarded"):
+            assert all(field in l for l in lines if "epoch" in l)
 
     def test_divergent_run_raises(self):
         model, corpus = small_setup()
@@ -392,21 +424,6 @@ class TestFinetune:
         t3, _ = finetune(model, corpus, FinetuneConfig(epochs=2, seed=4))
         assert t1.matrix.tobytes() == t2.matrix.tobytes()
         assert t1.matrix.tobytes() != t3.matrix.tobytes()
-
-    def test_threaded_run_keeps_invariants(self):
-        rng = np.random.default_rng(64)
-        emb = random_embedding(rng, 15, 5)
-        docs = [Document(tuple(f"t{j}" for j in rng.integers(0, 10, 6)),
-                         ("one" if i % 2 else "two",)) for i in range(8)]
-        corpus = from_documents(docs)
-        model = merge(emb, build_vocab(corpus), seed=1)
-        tuned, cv = finetune(model, corpus, FinetuneConfig(epochs=2, threads=2))
-        assert np.isfinite(tuned.matrix).all() and np.isfinite(cv.matrix).all()
-        assert tuned.words == model.embedding.words
-        used = {t for d in docs for t in d.tokens}
-        for w in emb.words:
-            if w not in used:
-                assert tuned.vector(w).tobytes() == emb.vector(w).tobytes()
 
 
 class TestSubsampling:
@@ -472,3 +489,130 @@ class TestFrequencyMajority:
             a, b = cv.vector("A"), cv.vector("B")
             assert cos(y, a) - cos(y, b) > 0.1
             assert cos(z, b) - cos(z, a) > 0.1
+
+
+def _has_c_compiler() -> bool:
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    return shutil.which(cc[0]) is not None
+
+
+@pytest.fixture()
+def kernel():
+    if not _has_c_compiler():
+        pytest.skip("no C compiler: only the reference pass can run")
+    fn = _kernel.load()
+    assert fn is not None, "a C compiler is present but the kernel did not load"
+    return fn
+
+
+def _kernel_setup(skewed: bool):
+    """Pretrained set with frozen rows, an unseen token, multilabel
+    documents and repeated context tokens; ``skewed`` makes one token
+    dominate the noise distribution so that resampling often runs out."""
+    rng = np.random.default_rng(70)
+    emb = random_embedding(rng, 24, 7)
+    crng = np.random.default_rng(71)
+    docs = []
+    for i in range(16):
+        if skewed:
+            toks = tuple("t0" if crng.random() < 0.9 else f"t{crng.integers(1, 4)}"
+                         for _ in range(12))
+        else:
+            toks = tuple(f"t{j}" for j in crng.integers(0, 16, 11))
+        if i == 3:
+            toks += ("novel",)
+        labels = ("one", "two") if i % 5 == 0 else (("one",) if i % 2 else ("two",))
+        docs.append(Document(toks, labels))
+    corpus = from_documents(docs)
+    return merge(emb, build_vocab(corpus), seed=2), corpus
+
+
+def _train_two_epochs(model, corpus, cfg, label_pass):
+    state = init_state(model, corpus, cfg)
+    state.kernel = label_pass
+    # freeze one corpus row too, so the trainable mask matters in context
+    state.trainable = state.trainable.copy()
+    state.trainable[state.input_index["t1"]] = False
+    stats = [train_document(state, d) for _ in range(2) for d in corpus.docs]
+    return state, np.array(stats)
+
+
+class TestKernel:
+    # 40 negatives over ~17 noise rows: repeated output rows at every step
+    @pytest.mark.parametrize("negative", [4, 40])
+    @pytest.mark.parametrize("skewed", [False, True])
+    @pytest.mark.parametrize("threshold", [None, 0.01])
+    def test_matches_reference_on_identical_draws(
+        self, kernel, negative, skewed, threshold
+    ):
+        model, corpus = _kernel_setup(skewed)
+        cfg = FinetuneConfig(epochs=2, window=3, negative=negative, alpha0=0.05,
+                             subsample_threshold=threshold, seed=8)
+        ref, ref_stats = _train_two_epochs(model, corpus, cfg, None)
+        fast, fast_stats = _train_two_epochs(model, corpus, cfg, kernel)
+        for name in ("input_matrix", "output_matrix", "class_vectors"):
+            np.testing.assert_allclose(
+                getattr(fast, name), getattr(ref, name), rtol=0, atol=1e-10
+            )
+        frozen = ~ref.trainable
+        assert frozen.sum() > (~model.trainable_mask).sum() > 0
+        assert fast.input_matrix[frozen].tobytes() == ref.input_matrix[frozen].tobytes()
+        initial = model.embedding.matrix[frozen].astype(np.float64)
+        assert ref.input_matrix[frozen].tobytes() == initial.tobytes()
+        assert (fast.positions_done, fast.alpha) == (ref.positions_done, ref.alpha)
+        # positions trained and short of negatives agree exactly, losses closely
+        np.testing.assert_array_equal(fast_stats[:, 1:], ref_stats[:, 1:])
+        np.testing.assert_allclose(fast_stats[:, 0], ref_stats[:, 0], rtol=1e-9)
+        trained = ref_stats[:, 1].sum()
+        if threshold:
+            assert 0 < trained < ref.positions_done
+        else:
+            assert trained == ref.positions_done
+        assert (ref_stats[:, 2].sum() > 0) == skewed
+
+    def test_finetune_runs_the_kernel_byte_deterministically(self, kernel, monkeypatch):
+        def no_reference(*args):
+            raise AssertionError("finetune fell back to the reference pass")
+
+        monkeypatch.setattr(trainer, "_reference_pass", no_reference)
+        model, corpus = _kernel_setup(skewed=False)
+        cfg = FinetuneConfig(epochs=2, subsample_threshold=0.01, seed=9)
+        t1, c1 = finetune(model, corpus, cfg)
+        t2, c2 = finetune(model, corpus, cfg)
+        assert t1.matrix.tobytes() == t2.matrix.tobytes()
+        assert c1.matrix.tobytes() == c2.matrix.tobytes()
+
+    def test_rejects_out_of_range_indices(self, kernel):
+        model, corpus = small_setup()
+        state = init_state(model, corpus, FinetuneConfig(negative=2))
+        before = state.output_matrix.copy()
+        idx = np.array([0, len(state.output_matrix)], dtype=np.int64)
+        uniforms = np.full((2, 2, NS_RESAMPLE_ATTEMPTS), 0.5)
+        with pytest.raises(IndexError):
+            kernel(state, idx, idx, 0, np.full(2, 0.025), uniforms)
+        np.testing.assert_array_equal(state.output_matrix, before)
+
+    def test_unavailable_kernel_falls_back_to_the_reference(self, monkeypatch, caplog):
+        def no_library():
+            raise OSError("no C compiler")
+
+        monkeypatch.setattr(_kernel, "open_library", no_library)
+        model, corpus = _kernel_setup(skewed=False)
+        cfg = FinetuneConfig(epochs=2, seed=10)
+        with caplog.at_level(logging.INFO, logger="classvec"):
+            tuned, _ = finetune(model, corpus, cfg)
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "no C compiler" in warnings[0]
+        assert any("epoch 2/2" in r.getMessage() for r in caplog.records)
+        ref = init_state(model, corpus, cfg)
+        for _ in range(2):
+            for doc in corpus.docs:
+                train_document(ref, doc)
+        assert tuned.matrix.tobytes() == ref.input_matrix.astype(np.float32).tobytes()
+
+    def test_failed_build_raises_and_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_kernel.sysconfig, "get_config_var", lambda name: "false")
+        with pytest.raises(OSError, match="false exited 1"):
+            _kernel.compile_library(tmp_path / "kernel.so")
+        assert list(tmp_path.iterdir()) == []

@@ -25,6 +25,10 @@ class TestBuildVocab:
         assert "a" in vocab and "z" not in vocab
         assert vocab.tokens == ["b", "a", "c"]
         assert vocab.frequency("b") == 3
+        np.testing.assert_array_equal(vocab.frequencies, [3.0, 2.0, 1.0])
+        assert vocab.frequencies is vocab.frequencies
+        with pytest.raises(ValueError):
+            vocab.frequencies[0] = 9.0
 
     def test_multilabel_documents_count_tokens_once(self):
         corpus = from_documents([Document(("a", "a"), ("x", "y"))])
