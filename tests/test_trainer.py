@@ -83,6 +83,7 @@ class TestFinetuneConfig:
             dict(alpha_min=0.0),
             dict(alpha_min=-1.0),
             dict(subsample_threshold=0.0),
+            dict(subsample_threshold=-1e-3),
         ],
     )
     def test_rejects_invalid(self, kwargs):
