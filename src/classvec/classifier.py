@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
-from scipy.special import expit
 
 from .corpus import Document, LabeledCorpus
 from .embedding_io import EmbeddingSet
@@ -91,6 +90,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-z)), elementwise.
+
+    Exactly 0 and 1 far out in the tails, where ``exp`` overflows to inf
+    (silenced: that overflow is the intended limit), and exactly 0.5 at 0.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
+
+
 def loss_and_grads(
     x: np.ndarray,
     target,
@@ -115,7 +124,7 @@ def loss_and_grads(
         y = np.asarray(target, dtype=np.float64)
         # -y log sigma(z) - (1-y) log sigma(-z), stable in both tails
         loss = float((y * np.logaddexp(0.0, -z) + (1 - y) * np.logaddexp(0.0, z)).sum())
-        err = expit(z) - y
+        err = sigmoid(z) - y
     else:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if l2:
@@ -178,7 +187,7 @@ def predict(model: ClassifierModel, doc: Document, emb: EmbeddingSet):
     z = embed_doc(doc, emb) @ model.weights + model.bias
     if model.mode == "exclusive":
         return model.classes[int(np.argmax(z))]
-    p = expit(z)
+    p = sigmoid(z)
     return tuple(c for j, c in enumerate(model.classes) if p[j] >= model.threshold)
 
 
@@ -214,6 +223,10 @@ def load_classifier(source: BinaryIO) -> ClassifierModel:
         k, m, threshold = int(header[0]), int(header[1]), float(header[2 + 1])
     except ValueError:
         raise ClassifierFormatError("malformed header numbers") from None
+    if k < 1 or m < 1:
+        raise ClassifierFormatError(
+            f"line 1: K and m must be >= 1, got K={k}, m={m}"
+        )
     mode = header[2]
     if mode not in MODES:
         raise ClassifierFormatError(f"unknown mode {mode!r}")

@@ -104,16 +104,15 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         alpha_min=args.min_lr,
         seed=args.seed,
         shuffle=args.shuffle,
-        export_class_vectors=args.export_class_vectors,
     )
     tuned, class_vectors = finetune(model, corpus, cfg)
     save = save_text if args.format == "text" else save_binary
     _atomic_write(args.out, lambda f: save(tuned, f))
     logger.info("wrote %s", args.out)
-    if cfg.export_class_vectors:
+    if args.export_class_vectors:
         cv_set = EmbeddingSet(list(class_vectors.classes), class_vectors.matrix)
-        _atomic_write(cfg.export_class_vectors, lambda f: save_text(cv_set, f))
-        logger.info("wrote class vectors to %s", cfg.export_class_vectors)
+        _atomic_write(args.export_class_vectors, lambda f: save_text(cv_set, f))
+        logger.info("wrote class vectors to %s", args.export_class_vectors)
     _print_drift_summary(drift(pretrained, tuned))
     return 0
 

@@ -120,6 +120,11 @@ def load_text(source: BinaryIO) -> EmbeddingSet:
         if token in seen:
             raise EmbeddingFormatError(f"line {lineno}: duplicate token {token!r}")
         seen.add(token)
+        # float() also takes '1_0', a stray tab or CR, and non-ASCII digits;
+        # one scan of the whole numeric part keeps this off the per-field path
+        values = line[len(token) + 1:]
+        if not values.isascii() or any(c in values for c in "_\t\v\f\r"):
+            raise EmbeddingFormatError(f"line {lineno}: malformed value")
         try:
             row = np.array([float(x) for x in fields[1:]], dtype=np.float32)
         except ValueError:

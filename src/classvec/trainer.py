@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from . import _kernel
+from .classifier import sigmoid
 from .corpus import Document, LabeledCorpus
 from .embedding_io import EmbeddingSet
 from .vocab import MergedModel, Vocabulary, build_vocab
@@ -44,13 +44,7 @@ _SHUFFLE_STREAM = 0x5F
 
 @dataclass(frozen=True)
 class FinetuneConfig:
-    """Hyperparameters of the fine-tuning run.
-
-    ``export_class_vectors`` is a path consumed by the command-line
-    driver (the trained class vectors are written there as a word2vec
-    text file keyed by class name); :func:`finetune` itself always
-    returns them and performs no I/O.
-    """
+    """Hyperparameters of the fine-tuning run."""
 
     epochs: int = 10
     window: int = 5
@@ -60,7 +54,6 @@ class FinetuneConfig:
     seed: int = 1
     subsample_threshold: float | None = None
     shuffle: bool = False
-    export_class_vectors: str | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -165,7 +158,7 @@ def ns_loss_and_grads(
     z = u @ context_mean
     # -log sigma(z) = log(1 + exp(-z)), stable in both tails
     loss = float(np.logaddexp(0.0, -z[0]) + np.logaddexp(0.0, z[1:]).sum())
-    err = expit(z)
+    err = sigmoid(z)
     err[0] -= 1.0  # dL/dz_i: sigma - 1 for the center, sigma for negatives
     grad_h = err @ u
     grad_u = np.outer(err, context_mean)
@@ -282,15 +275,20 @@ def _doc_arrays(
     return in_idx, out_idx, [state.class_index[l] for l in doc.labels]
 
 
+def _train_mapped(
+    state: TrainState, in_idx: np.ndarray, out_idx: np.ndarray, label_ids: list[int]
+) -> tuple[float, int, int]:
+    passes = [_train_label_pass(state, in_idx, out_idx, li) for li in label_ids]
+    return tuple(map(sum, zip(*passes)))
+
+
 def train_document(state: TrainState, doc: Document) -> tuple[float, int, int]:
     """Apply one document's updates (one pass per label) to ``state``.
 
     Returns the summed negative-sampling loss, the positions trained, and
     the positions that trained with fewer than ``negative`` negatives.
     """
-    in_idx, out_idx, label_ids = _doc_arrays(state, doc)
-    passes = [_train_label_pass(state, in_idx, out_idx, li) for li in label_ids]
-    return tuple(map(sum, zip(*passes)))
+    return _train_mapped(state, *_doc_arrays(state, doc))
 
 
 def init_state(
@@ -366,11 +364,13 @@ def finetune(
     state.kernel = _kernel.load()
     shuffle_rng = np.random.default_rng((cfg.seed, _SHUFFLE_STREAM))
     order = np.arange(len(corpus.docs))
+    # token -> row mapping depends only on the document, so do it once per run
+    mapped = [_doc_arrays(state, doc) for doc in corpus.docs]
     for epoch in range(cfg.epochs):
         if cfg.shuffle:
             shuffle_rng.shuffle(order)
         started, done_before = time.perf_counter(), state.positions_done
-        docs = [train_document(state, corpus.docs[di]) for di in order]
+        docs = [_train_mapped(state, *mapped[di]) for di in order]
         loss, trained, shortfall = map(sum, zip(*docs))
         seconds = time.perf_counter() - started
         _check_finite(state, epoch)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from classvec.classifier import (
     loss_and_grads,
     predict,
     save_classifier,
+    sigmoid,
     softmax,
     train_classifier,
 )
@@ -92,6 +94,37 @@ class TestSoftmax:
         p = softmax(np.array([1000.0, 0.0]))
         assert np.isfinite(p).all()
         np.testing.assert_allclose(p, [1.0, 0.0], atol=1e-12)
+
+
+class TestSigmoid:
+    def test_midpoint_is_exactly_one_half(self):
+        # the multilabel threshold boundary test relies on this
+        assert sigmoid(0.0) == 0.5
+        assert sigmoid(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
+
+    def test_far_tails_are_exact_and_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = sigmoid(np.array([-1000.0, 1000.0]))
+        assert p.tolist() == [0.0, 1.0]
+
+    def test_symmetry(self):
+        z = np.concatenate(
+            [np.linspace(-50, 50, 100001), np.random.default_rng(4).normal(0, 5, 10**5)]
+        )
+        # 1 - sigmoid(z) is exact, but sigmoid(z) above 0.5 lies on a grid of
+        # eps/2 and carries a few roundings; measured worst case: eps
+        np.testing.assert_allclose(
+            sigmoid(-z), 1.0 - sigmoid(z), rtol=0, atol=2 * np.finfo(np.float64).eps
+        )
+
+    def test_matches_scipy_expit(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(5)
+        z = np.concatenate([rng.normal(size=10**5), np.linspace(-700, 700, 100001)])
+        # both sit within 2 ulps of the exact value on normal draws; they
+        # differ by up to 4 ulps where exp(-z) is large (z near -37)
+        np.testing.assert_array_max_ulp(sigmoid(z), special.expit(z), maxulp=4)
 
 
 class TestLossAndGrads:
@@ -302,8 +335,15 @@ class TestPersistence:
             b"2 2 exclusive 0.5\na\tb\n1 1 1\n1 1\n",  # short row
             b"2 2 exclusive 0.5\na\tb\n1 1 1\n1 x 1\n",  # malformed value
             b"2 2 exclusive 2.0\na\tb\n1 1 1\n1 1 1\n",  # bad threshold
+            b"1 -1 exclusive 0.5\na\n1\n",  # negative m
+            b"2 -3 exclusive 0.5\na\tb\n1\n1\n",  # negative m, K > 1
         ],
     )
     def test_load_rejects_malformed_files(self, data):
         with pytest.raises(ClassifierFormatError):
             load_classifier(io.BytesIO(data))
+
+    @pytest.mark.parametrize("header", [b"1 -1 exclusive 0.5", b"0 2 multilabel 0.5"])
+    def test_non_positive_sizes_name_the_header_line(self, header):
+        with pytest.raises(ClassifierFormatError, match="line 1"):
+            load_classifier(io.BytesIO(header + b"\na\n1\n"))

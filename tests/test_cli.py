@@ -309,3 +309,14 @@ class TestSubprocess:
         assert "epoch 1/2" in proc.stderr
         assert "epoch" not in proc.stdout
         assert os.path.exists(out)
+
+    def test_import_loads_no_scipy(self):
+        # scipy.special alone used to be most of every command's start-up
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, classvec.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

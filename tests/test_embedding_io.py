@@ -125,6 +125,18 @@ class TestTextFormat:
         with pytest.raises(EmbeddingFormatError, match="line 2: malformed value"):
             load_text(io.BytesIO(b"1 2\na 1 x\n"))
 
+    @pytest.mark.parametrize(
+        "value", ["1_0", "1.0\t", "\u0663"], ids=["underscore", "tab", "arabic-indic"]
+    )
+    def test_rejects_what_float_takes_but_word2vec_does_not(self, value):
+        data = f"1 2\na 1 {value}\n".encode()
+        with pytest.raises(EmbeddingFormatError, match="line 2: malformed value"):
+            load_text(io.BytesIO(data))
+
+    def test_numeral_check_skips_the_token(self):
+        emb = load_text(io.BytesIO("1 2\nnaïve_ʃ 1 -2.5e-3\n".encode()))
+        assert emb.words == ["naïve_ʃ"]
+
     def test_rejects_duplicate_and_empty_tokens(self):
         with pytest.raises(EmbeddingFormatError, match="duplicate"):
             load_text(io.BytesIO(b"2 1\na 1\na 2\n"))

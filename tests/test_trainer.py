@@ -583,6 +583,23 @@ class TestKernel:
         assert t1.matrix.tobytes() == t2.matrix.tobytes()
         assert c1.matrix.tobytes() == c2.matrix.tobytes()
 
+    def test_finetune_matches_train_document_in_shuffled_order(self, kernel):
+        # finetune maps every document to rows once per run; train_document
+        # maps on each call; both must train the same bytes
+        model, corpus = _kernel_setup(skewed=False)
+        cfg = FinetuneConfig(epochs=2, subsample_threshold=0.01, seed=12, shuffle=True)
+        tuned, classes = finetune(model, corpus, cfg)
+        ref = init_state(model, corpus, cfg)
+        ref.kernel = kernel
+        shuffle_rng = np.random.default_rng((cfg.seed, trainer._SHUFFLE_STREAM))
+        order = np.arange(len(corpus.docs))
+        for _ in range(cfg.epochs):
+            shuffle_rng.shuffle(order)
+            for di in order:
+                train_document(ref, corpus.docs[di])
+        assert tuned.matrix.tobytes() == ref.input_matrix.astype(np.float32).tobytes()
+        assert classes.matrix.tobytes() == ref.class_vectors.astype(np.float32).tobytes()
+
     def test_rejects_out_of_range_indices(self, kernel):
         model, corpus = small_setup()
         state = init_state(model, corpus, FinetuneConfig(negative=2))
