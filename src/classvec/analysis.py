@@ -9,10 +9,11 @@ summaries of both the cosine and the Euclidean shift.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .embedding_io import EmbeddingSet
+from .embedding_io import BLOCK_ROWS, EmbeddingSet
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -73,41 +74,57 @@ class DriftReport:
         )
 
 
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each through the same dot routine as a 1-D
+    ``x[i] @ y[i]`` (a stacked 1xm @ mx1 matmul), so every value is
+    bit-identical to the per-row product."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
 def drift(before: EmbeddingSet, after: EmbeddingSet) -> DriftReport:
     """Compare two embedding sets token by token.
 
     The cosine of a pair with a zero-norm side is defined as 1.0 when
     both rows are identical, else 0.0 (fine-tuning never zeroes a vector;
-    this only pads pathological inputs).
+    this only pads pathological inputs). Rows are compared in float64,
+    ``BLOCK_ROWS`` at a time, so no temporary spans the whole vocabulary.
     """
     if before.dim != after.dim:
         raise ValueError(
             f"dimension mismatch: {before.dim} vs {after.dim}"
         )
-    shared = [t for t in before.words if t in after.index]
-    if not shared:
+    in_after = np.fromiter(
+        map(after.index.get, before.words, repeat(-1)), dtype=np.int64,
+        count=len(before),
+    )
+    shared_b = np.flatnonzero(in_after >= 0)
+    shared_a = in_after[shared_b]
+    if not len(shared_b):
         raise ValueError("the two sets share no tokens")
-    rows = []
-    for t in shared:
-        vb = before.vector(t).astype(np.float64)
-        va = after.vector(t).astype(np.float64)
-        shift = float(np.linalg.norm(va - vb))
-        nb, na = np.linalg.norm(vb), np.linalg.norm(va)
-        if nb == 0.0 or na == 0.0:
-            cos = 1.0 if shift == 0.0 else 0.0
-        else:
-            cos = float(np.clip(vb @ va / (nb * na), -1.0, 1.0))
-        rows.append((t, cos, shift))
-    rows.sort(key=lambda r: r[1])
-    cosines = np.array([r[1] for r in rows])
-    shifts = np.array([r[2] for r in rows])
+    cosines = np.empty(len(shared_b))
+    shifts = np.empty(len(shared_b))
+    for start in range(0, len(shared_b), BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
+        vb = before.matrix[shared_b[start:stop]].astype(np.float64)
+        va = after.matrix[shared_a[start:stop]].astype(np.float64)
+        diff = va - vb
+        shift = np.sqrt(_rowdot(diff, diff))
+        nb, na = np.sqrt(_rowdot(vb, vb)), np.sqrt(_rowdot(va, va))
+        zero = (nb == 0.0) | (na == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = np.clip(_rowdot(vb, va) / (nb * na), -1.0, 1.0)
+        cosines[start:stop] = np.where(zero, np.where(shift == 0.0, 1.0, 0.0), cos)
+        shifts[start:stop] = shift
+    order = np.argsort(cosines, kind="stable")
+    tokens = np.array(before.words, dtype=object)[shared_b[order]]
+    cosines, shifts = cosines[order], shifts[order]
     quantiles: dict[str, float] = {}
     for name, values in (("cosine", cosines), ("shift", shifts)):
         for q, tag in ((0.0, "min"), (0.25, "p25"), (0.5, "median"),
                        (0.75, "p75"), (1.0, "max")):
             quantiles[f"{name}_{tag}"] = float(np.quantile(values, q))
     return DriftReport(
-        entries=tuple(rows),
+        entries=tuple(zip(tokens, cosines.tolist(), shifts.tolist())),
         quantiles=quantiles,
         only_before=tuple(t for t in before.words if t not in after.index),
         only_after=tuple(t for t in after.words if t not in before.index),

@@ -16,7 +16,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .corpus import Document, LabeledCorpus
-from .embedding_io import EmbeddingSet
+from .embedding_io import EmbeddingSet, parse_numerals
 
 MODES = ("exclusive", "multilabel")
 
@@ -208,6 +208,11 @@ def save_classifier(model: ClassifierModel, sink: BinaryIO) -> None:
     sink.write(out.getvalue().encode("utf-8"))
 
 
+def _is_count(field: str) -> bool:
+    """ASCII digits only: int() would also take '1_0', '+1' or '٣'."""
+    return field.isascii() and field.isdigit()
+
+
 def load_classifier(source: BinaryIO) -> ClassifierModel:
     """Parse a file written by :func:`save_classifier`."""
     try:
@@ -219,15 +224,15 @@ def load_classifier(source: BinaryIO) -> ClassifierModel:
     header = lines[0].split(" ")
     if len(header) != 4:
         raise ClassifierFormatError("header must be 'K m mode threshold'")
-    try:
-        k, m, threshold = int(header[0]), int(header[1]), float(header[2 + 1])
-    except ValueError:
-        raise ClassifierFormatError("malformed header numbers") from None
+    k_field, m_field, mode, t_field = header
+    threshold = parse_numerals([t_field.encode()], 1)
+    if not (_is_count(k_field) and _is_count(m_field)) or threshold is None:
+        raise ClassifierFormatError("line 1: malformed header numbers")
+    k, m, threshold = int(k_field), int(m_field), float(threshold[0, 0])
     if k < 1 or m < 1:
         raise ClassifierFormatError(
             f"line 1: K and m must be >= 1, got K={k}, m={m}"
         )
-    mode = header[2]
     if mode not in MODES:
         raise ClassifierFormatError(f"unknown mode {mode!r}")
     classes = tuple(lines[1].split("\t"))
@@ -237,20 +242,19 @@ def load_classifier(source: BinaryIO) -> ClassifierModel:
         )
     if len(lines) != 2 + k:
         raise ClassifierFormatError(f"expected {k} parameter rows, got {len(lines) - 2}")
-    weights = np.empty((m, k), dtype=np.float64)
-    bias = np.empty(k, dtype=np.float64)
-    for j in range(k):
-        fields = lines[2 + j].split(" ")
-        if len(fields) != m + 1:
-            raise ClassifierFormatError(
-                f"row {j + 1}: expected {m + 1} values, got {len(fields)}"
-            )
-        try:
-            values = np.array([float(v) for v in fields], dtype=np.float64)
-        except ValueError:
-            raise ClassifierFormatError(f"row {j + 1}: malformed value") from None
-        weights[:, j] = values[:m]
-        bias[j] = values[m]
+    rows = [line.encode() for line in lines[2:]]
+    values = parse_numerals(rows, m + 1)
+    if values is None:
+        for j, row in enumerate(rows):
+            fields = row.count(b" ") + 1
+            if fields != m + 1:
+                raise ClassifierFormatError(
+                    f"row {j + 1}: expected {m + 1} values, got {fields}"
+                )
+            if parse_numerals([row], m + 1) is None:
+                raise ClassifierFormatError(f"row {j + 1}: malformed value")
+    weights = np.ascontiguousarray(values[:, :m].T)
+    bias = values[:, m].copy()
     try:
         return ClassifierModel(weights, bias, classes, mode, threshold)
     except ValueError as e:

@@ -1,4 +1,5 @@
-"""Shared synthetic fixtures for the trainer and acceptance tests.
+"""Shared synthetic fixtures for the tests, and slow reference readers,
+writers and drift that the block-wise library code is checked against.
 
 Every builder is fully seeded and deterministic. The two-class and
 three-class corpora below are engineered so that token *identity* is
@@ -8,10 +9,13 @@ class-conditioned fine-tuning is supposed to repair.
 """
 from __future__ import annotations
 
+import io
+import re
+
 import numpy as np
 
 from classvec.corpus import Document, LabeledCorpus, from_documents
-from classvec.embedding_io import EmbeddingSet
+from classvec.embedding_io import EmbeddingFormatError, EmbeddingSet
 
 
 def cos(a: np.ndarray, b: np.ndarray) -> float:
@@ -199,3 +203,175 @@ def marker_identity_accuracy(
         found = {owner[t] for t in d.tokens if t in owner}
         hits += len(found) == 1 and next(iter(found)) == d.labels[0]
     return hits / len(corpus.docs)
+
+
+# --- slow references for the block-wise readers and drift ------------------
+#
+# Row-at-a-time implementations of the same specifications, kept only as
+# oracles: every value is parsed by float() after a regular-expression
+# check of the word2vec numeral grammar, binary input is read one byte at a
+# time, and drift compares one token pair per step. Error messages are the
+# library's, so a fast path can be required to fail exactly as they do.
+
+_NUMERAL = re.compile(
+    rb"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)",
+    re.IGNORECASE,
+)
+
+
+def _reference_header(line: bytes, what: str) -> tuple[int, int]:
+    parts = line.split()
+    if len(parts) != 2:
+        raise EmbeddingFormatError(f"{what}: header must be '<vocab_size> <dim>'")
+    if not all(re.fullmatch(rb"[0-9]+", p) for p in parts):
+        raise EmbeddingFormatError(f"{what}: non-integer header fields")
+    n, m = int(parts[0]), int(parts[1])
+    if n < 1:
+        raise EmbeddingFormatError(f"{what}: vocabulary size must be >= 1, got {n}")
+    if m < 1:
+        raise EmbeddingFormatError(f"{what}: dimensionality must be >= 1, got {m}")
+    return n, m
+
+
+def _reference_token(raw: bytes, seen: set[str], where: str) -> str:
+    if not raw:
+        raise EmbeddingFormatError(f"{where}: empty token")
+    if b"\n" in raw:
+        raise EmbeddingFormatError(f"{where}: token contains a newline byte")
+    try:
+        token = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise EmbeddingFormatError(f"{where}: token is not valid UTF-8") from None
+    if any(c.isspace() for c in token):
+        raise EmbeddingFormatError(f"{where}: whitespace in token {token!r}")
+    if token in seen:
+        raise EmbeddingFormatError(f"{where}: duplicate token {token!r}")
+    seen.add(token)
+    return token
+
+
+def reference_load_text(data: bytes) -> EmbeddingSet:
+    """Whole-file, per-field reader of the word2vec text format."""
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()  # single trailing newline
+    if not lines:
+        raise EmbeddingFormatError("empty file")
+    n, m = _reference_header(lines[0], "line 1")
+    if len(lines) - 1 != n:
+        raise EmbeddingFormatError(
+            f"header declares {n} rows but file has {len(lines) - 1}"
+        )
+    words: list[str] = []
+    seen: set[str] = set()
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        fields = line.split(b" ")
+        if len(fields) != m + 1:
+            raise EmbeddingFormatError(
+                f"line {lineno}: expected {m + 1} space-separated fields, "
+                f"got {len(fields)}"
+            )
+        words.append(_reference_token(fields[0], seen, f"line {lineno}"))
+        if not all(_NUMERAL.fullmatch(x) for x in fields[1:]):
+            raise EmbeddingFormatError(f"line {lineno}: malformed value")
+        with np.errstate(over="ignore"):  # beyond float32 range: inf
+            row = np.array([float(x) for x in fields[1:]], dtype=np.float32)
+        if not np.isfinite(row).all():
+            raise EmbeddingFormatError(f"line {lineno}: non-finite value")
+        rows.append(row)
+    return EmbeddingSet(words, np.array(rows, dtype=np.float32))
+
+
+def reference_load_binary(data: bytes) -> EmbeddingSet:
+    """Byte-at-a-time reader of the word2vec binary format."""
+    source = io.BytesIO(data)
+    header = source.readline()
+    if not header.endswith(b"\n"):
+        raise EmbeddingFormatError("byte 0: missing or unterminated header line")
+    n, m = _reference_header(header, "header")
+    offset = len(header)
+    words: list[str] = []
+    seen: set[str] = set()
+    rows = []
+    vec_bytes = 4 * m
+    for i in range(n):
+        token_start = offset
+        buf = bytearray()
+        while True:
+            b = source.read(1)
+            if b == b"":
+                raise EmbeddingFormatError(
+                    f"byte {offset}: truncated stream inside token {i + 1} of {n}"
+                )
+            offset += 1
+            if b == b" ":
+                break
+            buf += b
+        words.append(_reference_token(bytes(buf), seen, f"byte {token_start}"))
+        raw = source.read(vec_bytes)
+        if len(raw) != vec_bytes:
+            raise EmbeddingFormatError(
+                f"byte {offset}: truncated stream mid-vector "
+                f"(word {i + 1} of {n}, got {len(raw)} of {vec_bytes} bytes)"
+            )
+        row = np.frombuffer(raw, dtype="<f4")
+        if not np.isfinite(row).all():
+            raise EmbeddingFormatError(f"byte {offset}: non-finite value")
+        offset += vec_bytes
+        rows.append(row)
+    if source.read(1) != b"":
+        raise EmbeddingFormatError(f"byte {offset}: trailing data after last vector")
+    return EmbeddingSet(words, np.array(rows, dtype=np.float32))
+
+
+def reference_drift(before: EmbeddingSet, after: EmbeddingSet):
+    """Per-token drift: (entries sorted ascending by cosine, quantiles)."""
+    rows = []
+    for t in before.words:
+        if t not in after.index:
+            continue
+        vb = before.vector(t).astype(np.float64)
+        va = after.vector(t).astype(np.float64)
+        shift = float(np.linalg.norm(va - vb))
+        nb, na = np.linalg.norm(vb), np.linalg.norm(va)
+        if nb == 0.0 or na == 0.0:
+            cos = 1.0 if shift == 0.0 else 0.0
+        else:
+            cos = float(np.clip(vb @ va / (nb * na), -1.0, 1.0))
+        rows.append((t, cos, shift))
+    rows.sort(key=lambda r: r[1])
+    quantiles = {}
+    for name, col in (("cosine", 1), ("shift", 2)):
+        values = np.array([r[col] for r in rows])
+        for q, tag in ((0.0, "min"), (0.25, "p25"), (0.5, "median"),
+                       (0.75, "p75"), (1.0, "max")):
+            quantiles[f"{name}_{tag}"] = float(np.quantile(values, q))
+    return rows, quantiles
+
+
+def reference_save_text(emb: EmbeddingSet) -> bytes:
+    """Per-float writer of the word2vec text format."""
+    out = [f"{len(emb)} {emb.dim}\n"]
+    for i, token in enumerate(emb.words):
+        row = " ".join(f"{float(v):.9g}" for v in emb.matrix[i])
+        out.append(f"{token} {row}\n")
+    return "".join(out).encode("utf-8")
+
+
+def reference_save_binary(emb: EmbeddingSet) -> bytes:
+    """Per-row writer of the word2vec binary format."""
+    out = [f"{len(emb)} {emb.dim}\n".encode("ascii")]
+    for i, token in enumerate(emb.words):
+        out.append(token.encode("utf-8") + b" " + emb.matrix[i].astype("<f4").tobytes())
+    return b"".join(out)
+
+
+def bit_random_embedding(rng: np.random.Generator, n: int, dim: int) -> EmbeddingSet:
+    """n vectors of random finite float32 bit patterns (denormals, extremes,
+    signed zeros), every seventh row all zero, and non-ASCII tokens."""
+    bits = rng.integers(0, 2**32, size=(n, dim), dtype=np.uint32)
+    matrix = bits.view(np.float32)
+    matrix[~np.isfinite(matrix)] = 0.0
+    matrix[::7] = 0.0
+    return EmbeddingSet([f"w{i}é" if i % 3 else f"t{i}" for i in range(n)], matrix)

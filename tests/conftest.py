@@ -1,7 +1,25 @@
-"""Pytest hooks: print one verdict line per acceptance criterion."""
+"""Pytest hooks: print one verdict line per acceptance criterion, and the
+Hypothesis profile every property test runs under."""
 from __future__ import annotations
 
 import _report
+
+try:
+    from hypothesis import HealthCheck, settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # derandomized: every run draws the same examples, so the suite stays
+    # deterministic; no example database is written to the checkout
+    settings.register_profile(
+        "classvec",
+        derandomize=True,
+        deadline=None,
+        max_examples=200,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    settings.load_profile("classvec")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,13 +1,15 @@
 """Unit tests for cosine similarity, neighbor search and drift reports."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from classvec.analysis import cosine, drift, nearest_neighbors
-from classvec.embedding_io import EmbeddingSet
+from classvec.embedding_io import BLOCK_ROWS, EmbeddingSet
 
-from _constructions import random_embedding
+from _constructions import random_embedding, reference_drift
 
 
 class TestCosine:
@@ -172,3 +174,60 @@ class TestDrift:
         emb = EmbeddingSet(["a"], np.ones((1, 2), np.float32))
         report = drift(emb, emb)
         assert report.to_tsv() == "a\t1.000000\t0.000000"
+
+
+def _drift_pair(n: int, seed: int) -> tuple[EmbeddingSet, EmbeddingSet]:
+    """Sets sharing most tokens: some rows frozen, some zero on one or
+    both sides, the rest moved, plus tokens only one side has."""
+    rng = np.random.default_rng(seed)
+    before = random_embedding(rng, n, 5)
+    moved = before.matrix + rng.normal(0, 0.3, before.matrix.shape).astype(np.float32)
+    moved[::4] = before.matrix[::4]  # frozen: cosine 1, shift 0
+    moved[1::9] = 0.0  # zeroed after
+    bmat = before.matrix.copy()
+    bmat[2::11] = 0.0  # zero before
+    bmat[3::13] = 0.0
+    moved[3::13] = 0.0  # zero on both sides
+    before = EmbeddingSet(before.words, bmat)
+    keep = rng.random(n) < 0.9
+    words = [w for w, k in zip(before.words, keep) if k] + ["extra0", "extra1"]
+    rows = np.vstack([moved[keep], rng.normal(0, 1, (2, 5)).astype(np.float32)])
+    order = rng.permutation(len(words))
+    after = EmbeddingSet([words[i] for i in order], rows[order])
+    return before, after
+
+
+@pytest.mark.parametrize(
+    "n", sorted({1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 1023, 1024, 1025, 2500})
+)
+def test_drift_matches_per_token_reference(n):
+    before, after = _drift_pair(n, n)
+    report = drift(before, after)
+    entries, quantiles = reference_drift(before, after)
+    assert [t for t, _, _ in report.entries] == [t for t, _, _ in entries]
+    np.testing.assert_allclose(
+        [(c, s) for _, c, s in report.entries], [(c, s) for _, c, s in entries],
+        rtol=0, atol=1e-12,
+    )
+    assert report.quantiles.keys() == quantiles.keys()
+    for key, value in quantiles.items():
+        assert report.quantiles[key] == pytest.approx(value, rel=0, abs=1e-12)
+    assert report.only_before == tuple(t for t in before.words if t not in after)
+    assert report.only_after == tuple(t for t in after.words if t not in before)
+
+
+def test_drift_compares_blocks_not_whole_matrices():
+    """Working memory stays well under one n x m float64 array."""
+    n, m = 20000, 50
+    rng = np.random.default_rng(9)
+    before, after = random_embedding(rng, n, m), random_embedding(rng, n, m)
+    drift(before, before)  # first-call imports are not drift's
+    tracemalloc.start()
+    try:
+        report = drift(before, after)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.entries) == n
+    # peak minus what the returned report holds: the temporaries
+    assert peak - current < n * m * 8 / 4, (peak - current, n * m * 8)

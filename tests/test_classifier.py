@@ -337,6 +337,11 @@ class TestPersistence:
             b"2 2 exclusive 2.0\na\tb\n1 1 1\n1 1 1\n",  # bad threshold
             b"1 -1 exclusive 0.5\na\n1\n",  # negative m
             b"2 -3 exclusive 0.5\na\tb\n1\n1\n",  # negative m, K > 1
+            b"1_0 2 exclusive 0.5\na\tb\n1 1 1\n1 1 1\n",  # underscore in K
+            "2 \u0662 exclusive 0.5\na\tb\n1 1 1\n1 1 1\n".encode(),  # non-ASCII m
+            b"2 2 exclusive 0.5_0\na\tb\n1 1 1\n1 1 1\n",  # underscore in threshold
+            "1 1 multilabel 0.5\na\n1_0 \u0663\n".encode(),  # float() takes both
+            b"1 1 multilabel 0.5\na\n1 1\x1c\n",  # float() strips \x1c
         ],
     )
     def test_load_rejects_malformed_files(self, data):
@@ -347,3 +352,21 @@ class TestPersistence:
     def test_non_positive_sizes_name_the_header_line(self, header):
         with pytest.raises(ClassifierFormatError, match="line 1"):
             load_classifier(io.BytesIO(header + b"\na\n1\n"))
+
+    @pytest.mark.parametrize(
+        "header", ["1_0 1 multilabel 0.5", "1 +1 multilabel 0.5", "1 1 multilabel 0.5_0",
+                   "1 1 multilabel \u0660.5"],
+    )
+    def test_header_numbers_are_word2vec_numerals(self, header):
+        data = header.encode() + b"\na\n1 1\n"
+        with pytest.raises(ClassifierFormatError, match="line 1: malformed header numbers"):
+            load_classifier(io.BytesIO(data))
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [("1_0 \u0663", "row 2: malformed value"), ("1 2 3", "row 2: expected 2 values, got 3")],
+    )
+    def test_row_errors_name_the_row(self, row, message):
+        data = f"2 1 exclusive 0.5\na\tb\n1 1\n{row}\n".encode()
+        with pytest.raises(ClassifierFormatError, match=message):
+            load_classifier(io.BytesIO(data))

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from classvec.embedding_io import (
+    BLOCK_ROWS,
     FORMATS,
     EmbeddingFormatError,
     EmbeddingSet,
@@ -18,7 +21,17 @@ from classvec.embedding_io import (
     save_text,
 )
 
-from _constructions import random_embedding
+from _constructions import (
+    bit_random_embedding,
+    random_embedding,
+    reference_load_binary,
+    reference_load_text,
+    reference_save_binary,
+    reference_save_text,
+)
+
+# one row, both sides of a block boundary, and several blocks
+BLOCK_SIZES = sorted({1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 1023, 1024, 1025, 2500})
 
 
 def _round_trip_text(emb: EmbeddingSet) -> EmbeddingSet:
@@ -70,6 +83,28 @@ class TestEmbeddingSet:
     def test_rejects_invalid_input(self, words, matrix):
         with pytest.raises(ValueError):
             EmbeddingSet(words, matrix)
+
+    @pytest.mark.parametrize(
+        "bad,row,message",
+        [
+            ("w1", 5, "duplicate token at row 5"),
+            ("a b", 3, "invalid token at row 3"),
+            ("a\u00a0b", BLOCK_ROWS + 2, f"invalid token at row {BLOCK_ROWS + 2}"),
+            ("", BLOCK_ROWS, f"invalid token at row {BLOCK_ROWS}"),
+            ("w0", 2 * BLOCK_ROWS + 1, f"duplicate token at row {2 * BLOCK_ROWS + 1}"),
+        ],
+    )
+    def test_token_errors_name_the_first_bad_row(self, bad, row, message):
+        words = [f"w{i}" for i in range(2 * BLOCK_ROWS + 5)]
+        words[row] = bad
+        with pytest.raises(ValueError, match=message):
+            EmbeddingSet(words, np.zeros((len(words), 2)))
+
+    def test_non_finite_value_in_a_later_block(self):
+        matrix = np.zeros((BLOCK_ROWS + 3, 2))
+        matrix[BLOCK_ROWS + 1, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            EmbeddingSet([f"w{i}" for i in range(len(matrix))], matrix)
 
 
 class TestTextFormat:
@@ -133,6 +168,30 @@ class TestTextFormat:
         with pytest.raises(EmbeddingFormatError, match="line 2: malformed value"):
             load_text(io.BytesIO(data))
 
+    @pytest.mark.parametrize(
+        "header", ["1_0 2", "+1 2", "1 \u0663", "-1 2", "1 0x2"],
+        ids=["underscore", "plus", "arabic-indic", "minus", "hex"],
+    )
+    def test_header_takes_ascii_digits_only(self, header):
+        data = f"{header}\n".encode() + b"a 1 2\n" * 10
+        with pytest.raises(EmbeddingFormatError, match="line 1"):
+            load_text(io.BytesIO(data))
+
+    def test_header_larger_than_memory(self):
+        with pytest.raises(EmbeddingFormatError, match="line 1: .* more than memory holds"):
+            load_text(io.BytesIO(b"99999999999999999999 3\na 1 2 3\n"))
+        with pytest.raises(EmbeddingFormatError, match="header: .* more than memory holds"):
+            load_binary(io.BytesIO(b"3 99999999999999999999\na 1234"))
+
+    @pytest.mark.parametrize(
+        "token", ["a\tb", "a\u00a0b", "a\u2003b", "a\x1cb"],
+        ids=["tab", "no-break-space", "em-space", "file-separator"],
+    )
+    def test_whitespace_inside_a_token(self, token):
+        data = f"2 2\nok 1 2\n{token} 1 2\n".encode()
+        with pytest.raises(EmbeddingFormatError, match="line 3: whitespace in token"):
+            load_text(io.BytesIO(data))
+
     def test_numeral_check_skips_the_token(self):
         emb = load_text(io.BytesIO("1 2\nnaïve_ʃ 1 -2.5e-3\n".encode()))
         assert emb.words == ["naïve_ʃ"]
@@ -152,6 +211,27 @@ class TestTextFormat:
     def test_rejects_invalid_utf8(self):
         with pytest.raises(EmbeddingFormatError, match="UTF-8"):
             load_text(io.BytesIO(b"1 1\n\xff\xfe 1\n"))
+        with pytest.raises(EmbeddingFormatError, match="line 3: token is not valid UTF-8"):
+            load_text(io.BytesIO(b"2 1\na 1\n\xc3 1\n"))
+
+    @pytest.mark.parametrize("data", [b"1 1\na \n", b"1 1\na ", b"2 1\na \nb \n"])
+    def test_empty_value_is_malformed_without_warnings(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmbeddingFormatError, match="line 2: malformed value"):
+                load_text(io.BytesIO(data))
+
+    def test_rejects_control_bytes_that_float_strips(self):
+        with pytest.raises(EmbeddingFormatError, match="line 2: malformed value"):
+            load_text(io.BytesIO(b"1 2\na 1 2\x1c\n"))
+
+    def test_row_count_outranks_a_bad_row(self):
+        # a whole-file reader counts rows first; the block reader must agree
+        with pytest.raises(EmbeddingFormatError, match="declares 2 rows but file has 3"):
+            load_text(io.BytesIO(b"2 1\na x\nb 1\nc 1\n"))
+        data = b"3 1\n" + b"".join(b"w%d 1\n" % i for i in range(BLOCK_ROWS + 5))
+        with pytest.raises(EmbeddingFormatError, match=f"file has {BLOCK_ROWS + 5}"):
+            load_text(io.BytesIO(data))
 
     def test_written_layout(self):
         emb = EmbeddingSet(["a", "b"], np.array([[1, 2], [3, 4]], np.float32))
@@ -215,6 +295,18 @@ class TestBinaryFormat:
         with pytest.raises(EmbeddingFormatError, match="non-finite"):
             load_binary(io.BytesIO(b"1 2\na " + bad))
 
+    @pytest.mark.parametrize("header", [b"1_0 2", b"+1 2", "1 \u0663".encode(), b"-1 2"])
+    def test_header_takes_ascii_digits_only(self, header):
+        vec = np.ones(2, np.float32).tobytes()
+        data = header + b"\n" + b"".join(b"w%d " % i + vec for i in range(10))
+        with pytest.raises(EmbeddingFormatError, match="header: non-integer"):
+            load_binary(io.BytesIO(data))
+
+    def test_whitespace_inside_a_token(self):
+        vec = np.ones(2, np.float32).tobytes()
+        with pytest.raises(EmbeddingFormatError, match="byte 4: whitespace in token"):
+            load_binary(io.BytesIO(b"1 2\na\tb " + vec))
+
 
 class TestFileHelpers:
     def test_save_and_load_both_formats(self, tmp_path):
@@ -242,3 +334,136 @@ class TestFileHelpers:
         save_file(emb, path, "text")
         with pytest.raises(EmbeddingFormatError):
             load_file(path, "bin")
+
+
+class TestBlockReadersMatchReferences:
+    """The block readers and writers against row-at-a-time references."""
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_text(self, n):
+        emb = bit_random_embedding(np.random.default_rng(n), n, 3)
+        buf = io.BytesIO()
+        save_text(emb, buf)
+        data = buf.getvalue()
+        assert data == reference_save_text(emb)
+        fast, ref = load_text(io.BytesIO(data)), reference_load_text(data)
+        assert fast.words == ref.words == emb.words
+        assert fast.matrix.tobytes() == ref.matrix.tobytes() == emb.matrix.tobytes()
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_binary(self, n):
+        emb = bit_random_embedding(np.random.default_rng(n), n, 3)
+        buf = io.BytesIO()
+        save_binary(emb, buf)
+        data = buf.getvalue()
+        assert data == reference_save_binary(emb)
+        fast, ref = load_binary(io.BytesIO(data)), reference_load_binary(data)
+        assert fast.words == ref.words == emb.words
+        assert fast.matrix.tobytes() == ref.matrix.tobytes() == emb.matrix.tobytes()
+
+    def test_values_parse_like_float(self):
+        # numerals a writer with another precision or style would emit
+        rng = np.random.default_rng(8)
+        exponents = rng.integers(-46, 38, 3 * 2500)
+        values = (rng.standard_normal(3 * 2500) * 10.0 ** exponents).tolist()
+        styles = ("%.17g", "%.6e", "%.3f", "%r", "%.9G", "%+.12g")
+        rows = [
+            f"w{i} " + " ".join(styles[(i + j) % len(styles)] % values[3 * i + j]
+                                for j in range(3))
+            for i in range(2500)
+        ]
+        data = ("2500 3\n" + "\n".join(rows) + "\n").encode()
+        assert load_text(io.BytesIO(data)).matrix.tobytes() == \
+            reference_load_text(data).matrix.tobytes()
+
+
+def _text_rows(n: int) -> list[bytes]:
+    return [b"w%d 0.5 -1.25e-3" % i for i in range(n)]
+
+
+def _text_file(rows: list[bytes]) -> bytes:
+    return b"%d 2\n" % len(rows) + b"\n".join(rows) + b"\n"
+
+
+@pytest.mark.parametrize(
+    "row", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 7, 2 * BLOCK_ROWS + 3],
+)
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        (b"w{i} 0.5 x", "malformed value"),
+        (b"w{i} 0.5 1e39", "non-finite value"),
+        (b"w{i} 0.5", "expected 3 space-separated fields, got 2"),
+        (b"w{prev} 0.5 1", "duplicate token 'w{prev}'"),
+        (b" 0.5 1", "empty token"),
+        (b"w{i}\t 0.5 1", "whitespace in token"),
+        (b"w{i}\xff 0.5 1", "token is not valid UTF-8"),
+    ],
+    ids=["value", "non-finite", "fields", "duplicate", "empty", "whitespace", "utf8"],
+)
+def test_text_errors_name_their_own_line(row, fault, message):
+    rows = _text_rows(2 * BLOCK_ROWS + 10)
+    rows[row] = fault.replace(b"{i}", b"%d" % row).replace(b"{prev}", b"%d" % (row - 1))
+    rows[-1] = b"last 1 x"  # a later error must not be the one reported
+    data = _text_file(rows)
+    message = message.replace("{prev}", str(row - 1))
+    with pytest.raises(EmbeddingFormatError) as err:
+        load_text(io.BytesIO(data))
+    assert str(err.value).startswith(f"line {row + 2}: {message}")
+    with pytest.raises(EmbeddingFormatError) as ref:
+        reference_load_text(data)
+    assert str(err.value) == str(ref.value)
+
+
+def test_binary_non_finite_row_reports_its_own_offset():
+    n, m = 2 * BLOCK_ROWS + 10, 2
+    emb = random_embedding(np.random.default_rng(4), n, m)
+    buf = io.BytesIO()
+    save_binary(emb, buf)
+    data = bytearray(buf.getvalue())
+    bad = BLOCK_ROWS + 7
+    offset = len(b"%d %d\n" % (n, m)) + sum(len(w.encode()) + 1 + 4 * m for w in emb.words[:bad])
+    offset += len(emb.words[bad]) + 1  # the vector starts after "<token> "
+    data[offset + 4:offset + 8] = np.float32(np.nan).tobytes()
+    data[-4:] = np.float32(np.inf).tobytes()  # a later error must not be the one reported
+    with pytest.raises(EmbeddingFormatError) as err:
+        load_binary(io.BytesIO(bytes(data)))
+    assert str(err.value) == f"byte {offset}: non-finite value"
+    with pytest.raises(EmbeddingFormatError) as ref:
+        reference_load_binary(bytes(data))
+    assert str(err.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("cut", [1, 5, 9])
+@pytest.mark.parametrize("row", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 7])
+def test_binary_truncation_matches_reference(row, cut):
+    emb = random_embedding(np.random.default_rng(5), 2 * BLOCK_ROWS, 2)
+    buf = io.BytesIO()
+    save_binary(emb, buf)
+    data = buf.getvalue()
+    end = len(b"%d 2\n" % len(emb)) + sum(len(w) + 1 + 8 for w in emb.words[:row])
+    data = data[:end + cut]
+    with pytest.raises(EmbeddingFormatError) as err:
+        load_binary(io.BytesIO(data))
+    with pytest.raises(EmbeddingFormatError) as ref:
+        reference_load_binary(data)
+    assert str(err.value) == str(ref.value)
+
+
+def test_text_load_streams_in_bounded_memory():
+    """Peak allocation is the matrix plus a quarter of the file: the reader
+    holds one block of lines at a time, never the whole file."""
+    n, m = 12000, 100
+    emb = random_embedding(np.random.default_rng(6), n, m)
+    buf = io.BytesIO()
+    save_text(emb, buf)
+    data = buf.getvalue()
+    load_text(io.BytesIO(b"1 2\na 1 2\n"))  # first-call imports are not the reader's
+    tracemalloc.start()
+    try:
+        loaded = load_text(io.BytesIO(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.matrix.tobytes() == emb.matrix.tobytes()
+    assert peak <= emb.matrix.nbytes + len(data) / 4, (peak, len(data))
