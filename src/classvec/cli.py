@@ -90,6 +90,15 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     _require_files(args.pretrained, args.corpus)
     pretrained = load_file(args.pretrained, args.format)
     corpus = _load_corpus(args.corpus, args.multilabel)
+    if args.export_class_vectors:
+        # checked before training, so that nothing is written for a class
+        # that cannot become a token of the class-vector file
+        for name in corpus.classes:
+            if name.split() != [name]:
+                raise ValueError(
+                    f"class {name!r} cannot be exported: a token of the "
+                    "class-vector file holds no whitespace"
+                )
     vocab = build_vocab(corpus)
     model = merge(pretrained, vocab, seed=args.seed)
     print(
@@ -155,15 +164,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage_error(message: str) -> int:
+    print(f"usage error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_nn(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        return _usage_error("--k must be at least 1")
     _require_files(args.embeddings)
     emb = load_file(args.embeddings, args.format)
     if args.k >= len(emb):
-        print(
-            f"usage error: --k must be below the vocabulary size {len(emb)}",
-            file=sys.stderr,
-        )
-        return 2
+        return _usage_error(f"--k must be below the vocabulary size {len(emb)}")
     for token, sim in nearest_neighbors(emb, args.word, args.k):
         print(f"{token}\t{sim:.6f}")
     return 0
@@ -180,6 +192,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_drift(args: argparse.Namespace) -> int:
+    if args.top < 0:
+        return _usage_error("--top must be at least 0")
     _require_files(args.before, args.after)
     before = load_file(args.before, args.format)
     after = load_file(args.after, args.format)

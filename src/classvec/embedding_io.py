@@ -12,10 +12,16 @@ never sniffed. Malformed input is a hard error carrying the offending
 line number or byte offset.
 
 Readers and writers work on blocks of ``BLOCK_ROWS`` rows, with one
-array-level call per block for values and tokens. Text files are
-streamed: a load holds the matrix plus one block of lines, never the
-whole file. When a block fails a check, a row-by-row scan of that block
-names its first bad row.
+array-level call per block for values and tokens. Both readers stream:
+a load holds the matrix plus about one block of input, never the whole
+file. When a block fails a check, a row-by-row scan of that block names
+its first bad row.
+
+Text values go through the compiled kernel (``_kernel.c``) where it can
+convert them exactly with one correctly rounded operation, which is
+nearly always; anything it declines, and everything when it is
+unavailable, goes through the Python code here, which gives the same
+bytes, values and errors.
 """
 from __future__ import annotations
 
@@ -23,6 +29,8 @@ from itertools import islice
 from typing import BinaryIO
 
 import numpy as np
+
+from . import _kernel
 
 BLOCK_ROWS = 256
 
@@ -232,7 +240,13 @@ def _read_text_rows(source: BinaryIO, matrix: np.ndarray) -> list[str]:
         values = None
         if block is not None and _add_words(seen, words, block):
             # every value part but the file's last ends in its line's newline
-            values = parse_numerals([p[2] for p in parts], m)
+            value_parts = [p[2] for p in parts]
+            data = b"".join(value_parts)
+            values = _kernel.parse_rows(
+                data if data.endswith(b"\n") else data + b"\n", want, m
+            )
+            if values is None:
+                values = parse_numerals(value_parts, m)
         if values is not None:
             values = _to_float32(values)
         if values is None or not np.isfinite(values).all():
@@ -262,9 +276,12 @@ def load_text(source: BinaryIO) -> EmbeddingSet:
 def save_text(emb: EmbeddingSet, sink: BinaryIO) -> None:
     """Write the word2vec text format.
 
-    Components are printed with 9 significant digits ('.' decimal point,
-    no locale), enough to reconstruct every 32-bit float bit-exactly on
-    reload.
+    Components are printed as ``'%.9g' % value`` prints them: 9
+    significant digits, '.' decimal point, no locale; enough to
+    reconstruct every 32-bit float bit-exactly on reload. The compiled
+    kernel formats every row whose values it can convert exactly; Python
+    formats the rest and every row when the kernel is unavailable, with the
+    same bytes.
     """
     if len(emb) < 1:
         raise ValueError("refusing to write an empty embedding set")
@@ -272,15 +289,21 @@ def save_text(emb: EmbeddingSet, sink: BinaryIO) -> None:
     row_format = " ".join(["%.9g"] * emb.dim)
     for start in range(0, len(emb), BLOCK_ROWS):
         stop = start + BLOCK_ROWS
-        rows = emb.matrix[start:stop].tolist()
-        sink.write("".join([
-            f"{w} {row_format % tuple(r)}\n"
-            for w, r in zip(emb.words[start:stop], rows)
-        ]).encode("utf-8"))
+        block = np.ascontiguousarray(emb.matrix[start:stop])
+        words = emb.words[start:stop]
+        text, ends = _kernel.format_rows(block) or ("", [-1] * len(block))
+        lines, begin = [], 0
+        for i, (w, end) in enumerate(zip(words, ends)):
+            if end < 0:
+                lines.append(f"{w} {row_format % tuple(block[i].tolist())}\n")
+            else:
+                lines.append(f"{w} {text[begin:end]}\n")
+                begin = end
+        sink.write("".join(lines).encode("utf-8"))
 
 
 def _binary_row_error(
-    data: bytes, base: int, tokens: list[bytes], starts: list[int],
+    data: bytearray, base: int, tokens: list[bytes], starts: list[int],
     vec_at: list[int], m: int, seen: set[str], failure: str | None,
 ) -> EmbeddingFormatError:
     """The error of the first bad row in a block that failed a block check:
@@ -302,10 +325,22 @@ def _binary_row_error(
 
 def _read_binary_rows(source: BinaryIO, base: int, matrix: np.ndarray) -> list[str]:
     """Fill ``matrix`` from the binary rows that start at file offset
-    ``base``; return the tokens."""
+    ``base``, reading about one block of rows at a time; return the tokens."""
     n, m = matrix.shape
-    data = source.read()
     vec_bytes = 4 * m
+    chunk = BLOCK_ROWS * (vec_bytes + 16)
+    data = bytearray()  # the stream from file offset base, not yet parsed
+    eof = False
+
+    def read_more() -> bool:
+        """Append the next chunk to ``data``; False at the end of the stream."""
+        nonlocal eof
+        if not eof:
+            got = source.read(chunk)
+            data.extend(got)
+            eof = not got
+        return not eof
+
     words: list[str] = []
     seen: set[str] = set()
     pos = 0
@@ -317,15 +352,22 @@ def _read_binary_rows(source: BinaryIO, base: int, matrix: np.ndarray) -> list[s
         failure = None
         for i in range(row, min(n, row + BLOCK_ROWS)):
             end = data.find(b" ", pos)
+            while end < 0:
+                scanned = len(data)
+                if not read_more():
+                    break
+                end = data.find(b" ", scanned)
             if end < 0:
                 failure = (
                     f"byte {base + len(data)}: truncated stream inside token "
                     f"{i + 1} of {n}"
                 )
                 break
-            tokens.append(data[pos:end])
+            tokens.append(bytes(data[pos:end]))
             starts.append(pos)
             pos = end + 1
+            while pos + vec_bytes > len(data) and read_more():
+                pass
             if pos + vec_bytes > len(data):
                 failure = (
                     f"byte {base + pos}: truncated stream mid-vector "
@@ -345,8 +387,10 @@ def _read_binary_rows(source: BinaryIO, base: int, matrix: np.ndarray) -> list[s
                 data, base, tokens, starts, vec_at, m, set(words[:row]), failure
             )
         matrix[row:row + len(vec_at)] = vectors
-    if pos != len(data):
-        raise EmbeddingFormatError(f"byte {base + pos}: trailing data after last vector")
+        del data[:pos]
+        base, pos = base + pos, 0
+    if data or read_more():
+        raise EmbeddingFormatError(f"byte {base}: trailing data after last vector")
     return words
 
 

@@ -1,5 +1,6 @@
-"""Shared synthetic fixtures for the tests, and slow reference readers,
-writers and drift that the block-wise library code is checked against.
+"""Shared synthetic fixtures for the tests, slow reference readers,
+writers and drift that the block-wise library code is checked against,
+and a switch that makes the compiled kernel unavailable.
 
 Every builder is fully seeded and deterministic. The two-class and
 three-class corpora below are engineered so that token *identity* is
@@ -14,6 +15,7 @@ import re
 
 import numpy as np
 
+from classvec import _kernel
 from classvec.corpus import Document, LabeledCorpus, from_documents
 from classvec.embedding_io import EmbeddingFormatError, EmbeddingSet
 
@@ -375,3 +377,14 @@ def bit_random_embedding(rng: np.random.Generator, n: int, dim: int) -> Embeddin
     matrix[~np.isfinite(matrix)] = 0.0
     matrix[::7] = 0.0
     return EmbeddingSet([f"w{i}é" if i % 3 else f"t{i}" for i in range(n)], matrix)
+
+
+def disable_kernel(mp) -> None:
+    """Through the pytest MonkeyPatch ``mp``: make the kernel library fail
+    to open, as on a machine without a C compiler, and forget the library
+    this process has already opened."""
+    def no_library():
+        raise OSError("no C compiler")
+
+    mp.setattr(_kernel, "open_library", no_library)
+    mp.setattr(_kernel, "_library", _kernel._UNOPENED)

@@ -1,8 +1,17 @@
-"""Pytest hooks: print one verdict line per acceptance criterion, and the
-Hypothesis profile every property test runs under."""
+"""Pytest hooks: print one verdict line per acceptance criterion, the
+Hypothesis profile every property test runs under, and fixtures that run
+code with the compiled kernel unavailable."""
 from __future__ import annotations
 
+import shlex
+import shutil
+import sysconfig
+
+import pytest
+
 import _report
+from _constructions import disable_kernel
+from classvec import _kernel
 
 try:
     from hypothesis import HealthCheck, settings
@@ -20,6 +29,23 @@ else:
         suppress_health_check=[HealthCheck.too_slow],
     )
     settings.load_profile("classvec")
+
+
+@pytest.fixture()
+def no_kernel(monkeypatch):
+    """Run as on a machine where the kernel library cannot be built."""
+    disable_kernel(monkeypatch)
+
+
+@pytest.fixture()
+def kernel_library():
+    """The opened kernel library; skips where no C compiler is installed."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler: only the reference paths can run")
+    lib = _kernel.library()
+    assert lib is not None, "a C compiler is present but the kernel did not load"
+    return lib
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

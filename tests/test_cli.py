@@ -91,6 +91,25 @@ class TestFinetuneCommand:
         assert cv.words == ["spam", "ham"]
         assert cv.dim == 6
 
+    def test_unexportable_class_name_fails_before_writing(self, workspace, capsys):
+        tmp_path, pre, _ = workspace
+        corpus = tmp_path / "spaced.tsv"
+        corpus.write_text("sports news\tspam0 spam1\nham\tham0 ham1\n")
+        out, cv_path = tmp_path / "tuned.txt", tmp_path / "classes.txt"
+        rc = main([
+            "finetune", "--pretrained", pre, "--corpus", str(corpus),
+            "--out", str(out), "--epochs", "1",
+            "--export-class-vectors", str(cv_path),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "'sports news'" in captured.err
+        assert captured.out == ""
+        assert not out.exists() and not cv_path.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "corpus.tsv", "pretrained.txt", "spaced.tsv",
+        ]
+
     def test_multilabel_corpus(self, workspace, capsys):
         tmp_path, pre, _ = workspace
         corpus = str(tmp_path / "ml.tsv")
@@ -232,6 +251,15 @@ class TestInspectionCommands:
         assert rc == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_nn_k_below_one_is_a_usage_error(self, workspace, capsys, k):
+        tmp_path, pre, _ = workspace
+        rc = main(["nn", "--embeddings", pre, "--word", "spam0", "--k", k])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "usage error: --k must be at least 1" in captured.err
+        assert captured.out == ""
+
     def test_nn_unknown_word(self, workspace, capsys):
         tmp_path, pre, _ = workspace
         rc = main(["nn", "--embeddings", pre, "--word", "nope", "--k", "2"])
@@ -265,6 +293,22 @@ class TestInspectionCommands:
         assert lines[1] == "shared=20\tonly_before=0\tonly_after=1"
         assert lines[2].startswith("token")
         assert len(lines) == 3 + 5  # summary + counts + header + top 5
+
+
+    def test_drift_negative_top_is_a_usage_error(self, workspace, capsys):
+        tmp_path, pre, _ = workspace
+        rc = main(["drift", "--before", pre, "--after", pre, "--top", "-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "usage error: --top must be at least 0" in captured.err
+        assert captured.out == ""
+
+    def test_drift_top_zero_lists_no_entries(self, workspace, capsys):
+        tmp_path, pre, _ = workspace
+        rc = main(["drift", "--before", pre, "--after", pre, "--top", "0"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 3 and lines[2].startswith("token")
 
 
 class TestParser:

@@ -467,3 +467,26 @@ def test_text_load_streams_in_bounded_memory():
         tracemalloc.stop()
     assert loaded.matrix.tobytes() == emb.matrix.tobytes()
     assert peak <= emb.matrix.nbytes + len(data) / 4, (peak, len(data))
+
+
+def test_binary_load_streams_in_bounded_memory():
+    """Beyond what the loaded set keeps, a load allocates at most a quarter
+    of the file at its peak: the reader holds about one block of the stream
+    at a time, never the whole file. (The kept words and index are measured
+    rather than bounded: a binary file is dense, so they alone come to a
+    third of it at dim 100.)"""
+    n, m = 12000, 100
+    emb = random_embedding(np.random.default_rng(7), n, m)
+    buf = io.BytesIO()
+    save_binary(emb, buf)
+    data = buf.getvalue()
+    load_binary(io.BytesIO(b"1 1\na \x00\x00\x80\x3f"))  # first-call imports
+    tracemalloc.start()
+    try:
+        loaded = load_binary(io.BytesIO(data))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.matrix.tobytes() == emb.matrix.tobytes()
+    assert kept >= emb.matrix.nbytes
+    assert peak - kept <= len(data) / 4, (peak, kept, len(data))

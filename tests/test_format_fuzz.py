@@ -3,7 +3,9 @@
 Arbitrary bytes and mutated valid files must give a parsed value or the
 parser's typed format error, nothing else. The embedding readers must
 also agree with the slow references in ``_constructions``: the same words
-and bit-identical matrix, or the same error message.
+and bit-identical matrix, or the same error message. The text reader and
+writer are checked twice per example, through the compiled kernel and
+with it unavailable.
 """
 from __future__ import annotations
 
@@ -33,8 +35,10 @@ from classvec.embedding_io import (  # noqa: E402
 
 from _constructions import (  # noqa: E402
     _NUMERAL,
+    disable_kernel,
     reference_load_binary,
     reference_load_text,
+    reference_save_text,
 )
 
 
@@ -47,8 +51,17 @@ def _outcome(load, data: bytes):
     return emb.words, emb.matrix.tobytes()
 
 
+def _without_kernel(fn, *args):
+    """``fn(*args)`` with the compiled kernel unavailable."""
+    with pytest.MonkeyPatch.context() as mp:
+        disable_kernel(mp)
+        return fn(*args)
+
+
 def _assert_matches_reference(load, reference, data: bytes) -> None:
     fast = _outcome(lambda d: load(io.BytesIO(d)), data)
+    if load is load_text:
+        assert _without_kernel(_outcome, lambda d: load(io.BytesIO(d)), data) == fast
     if isinstance(fast, str) and "more than memory holds" in fast:
         # the references build the matrix row by row and never allocate
         # from the header; they must still reject the file
@@ -126,6 +139,31 @@ class TestTextReader:
             assert parsed is None
 
 
+class TestTextWriter:
+    @given(st.data())
+    def test_matches_reference_with_and_without_kernel(self, data):
+        emb = data.draw(_embedding_sets())
+        expected = reference_save_text(emb)
+        assert _saved(save_text, emb) == expected
+        assert _without_kernel(_saved, save_text, emb) == expected
+
+
+class _Trickle(io.RawIOBase):
+    """A stream that returns at most ``step`` bytes per read, as a pipe may."""
+
+    def __init__(self, data: bytes, step: int):
+        self._data, self._pos, self._step = data, 0, step
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        got = self._data[self._pos:self._pos + min(len(buf), self._step)]
+        buf[:len(got)] = got
+        self._pos += len(got)
+        return len(got)
+
+
 class TestBinaryReader:
     @given(st.binary(max_size=64))
     def test_arbitrary_bytes(self, data):
@@ -144,6 +182,17 @@ class TestBinaryReader:
         _assert_matches_reference(load_binary, reference_load_binary, valid)
         _assert_matches_reference(
             load_binary, reference_load_binary, data.draw(_mutated(valid))
+        )
+
+    @given(st.data())
+    def test_short_reads(self, data):
+        """Chunk boundaries may fall anywhere in a token or a vector."""
+        emb = data.draw(_embedding_sets())
+        raw = data.draw(_mutated(_saved(save_binary, emb)))
+        step = data.draw(st.integers(1, 7))
+        _assert_matches_reference(
+            lambda source: load_binary(_Trickle(source.read(), step)),
+            reference_load_binary, raw,
         )
 
 

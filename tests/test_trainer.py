@@ -3,9 +3,6 @@ from __future__ import annotations
 
 import logging
 import math
-import shlex
-import shutil
-import sysconfig
 
 import numpy as np
 import pytest
@@ -492,18 +489,9 @@ class TestFrequencyMajority:
             assert cos(z, b) - cos(z, a) > 0.1
 
 
-def _has_c_compiler() -> bool:
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    return shutil.which(cc[0]) is not None
-
-
 @pytest.fixture()
-def kernel():
-    if not _has_c_compiler():
-        pytest.skip("no C compiler: only the reference pass can run")
-    fn = _kernel.load()
-    assert fn is not None, "a C compiler is present but the kernel did not load"
-    return fn
+def kernel(kernel_library):
+    return _kernel.load()
 
 
 def _kernel_setup(skewed: bool):
@@ -610,11 +598,41 @@ class TestKernel:
             kernel(state, idx, idx, 0, np.full(2, 0.025), uniforms)
         np.testing.assert_array_equal(state.output_matrix, before)
 
-    def test_unavailable_kernel_falls_back_to_the_reference(self, monkeypatch, caplog):
-        def no_library():
-            raise OSError("no C compiler")
+    @pytest.mark.parametrize("name, spoil", [
+        ("input_matrix", lambda a: a.astype(np.float32)),
+        ("output_matrix", np.asfortranarray),
+        ("class_vectors", lambda a: np.lib.stride_tricks.as_strided(a, writeable=False)),
+        ("noise_table", lambda a: np.repeat(a, 2)[::2]),
+    ])
+    def test_checks_dtype_layout_and_writeability_before_the_call(
+        self, kernel, name, spoil
+    ):
+        model, corpus = small_setup()
+        state = init_state(model, corpus, FinetuneConfig(negative=2))
+        setattr(state, name, spoil(getattr(state, name)))
+        before = [a.copy() for a in (state.input_matrix, state.output_matrix,
+                                     state.class_vectors)]
+        idx = np.arange(2, dtype=np.int64)
+        uniforms = np.full((2, 2, NS_RESAMPLE_ATTEMPTS), 0.5)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernel(state, idx, idx, 0, np.full(2, 0.025), uniforms)
+        after = (state.input_matrix, state.output_matrix, state.class_vectors)
+        for a, b in zip(after, before):
+            assert a.tobytes() == b.tobytes()
+        # the same call on intact arrays trains
+        state = init_state(model, corpus, FinetuneConfig(negative=2))
+        kernel(state, idx, idx, 0, np.full(2, 0.025), uniforms)
+        assert state.output_matrix.tobytes() != before[1].tobytes()
 
-        monkeypatch.setattr(_kernel, "open_library", no_library)
+    @pytest.mark.parametrize("spoil", [
+        lambda a: a.astype(np.float64),
+        lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+    ])
+    def test_format_rows_checks_dtype_and_layout(self, kernel_library, spoil):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _kernel.format_rows(spoil(np.ones((3, 2), dtype=np.float32)))
+
+    def test_unavailable_kernel_falls_back_to_the_reference(self, no_kernel, caplog):
         model, corpus = _kernel_setup(skewed=False)
         cfg = FinetuneConfig(epochs=2, seed=10)
         with caplog.at_level(logging.INFO, logger="classvec"):
