@@ -3,6 +3,9 @@
 A CBOW-style Doc2Vec trainer where each document's class label supplies the
 auxiliary context vector, plus the I/O, linear-probe classifier, metrics and
 embedding-space analysis needed to measure its effect on text classification.
+
+``__all__`` is the documented surface; the trainer's internals (its state,
+noise table, schedule and per-document steps) live in ``classvec.trainer``.
 """
 from .analysis import DriftReport, cosine, drift, nearest_neighbors
 from .classifier import (
@@ -28,16 +31,7 @@ from .embedding_io import (
     save_text,
 )
 from .metrics import EvalReport, evaluate_exclusive, evaluate_multilabel
-from .trainer import (
-    ClassVectors,
-    FinetuneConfig,
-    TrainState,
-    build_noise_table,
-    finetune,
-    lr_schedule,
-    ns_loss_and_grads,
-    train_document,
-)
+from .trainer import ClassVectors, FinetuneConfig, finetune
 from .vocab import MergedModel, Vocabulary, build_vocab, init_unseen, merge, unseen_words
 
 __all__ = [
@@ -54,9 +48,7 @@ __all__ = [
     "FinetuneConfig",
     "LabeledCorpus",
     "MergedModel",
-    "TrainState",
     "Vocabulary",
-    "build_noise_table",
     "build_vocab",
     "cosine",
     "drift",
@@ -71,10 +63,8 @@ __all__ = [
     "load_file",
     "load_text",
     "load_tsv",
-    "lr_schedule",
     "merge",
     "nearest_neighbors",
-    "ns_loss_and_grads",
     "predict",
     "save_binary",
     "save_classifier",
@@ -83,7 +73,6 @@ __all__ = [
     "softmax",
     "tokenize",
     "train_classifier",
-    "train_document",
     "unseen_words",
 ]
 

@@ -1,11 +1,17 @@
-/* One label pass of class-conditioned CBOW with negative sampling, and
-   the fast paths of the word2vec text reader and writer.
+/* One label pass of class-conditioned CBOW with negative sampling, one
+   epoch of the linear probe's SGD, and the fast paths of the word2vec
+   text reader and writer.
 
    The numpy pass in trainer.py (_reference_pass) is the reference for
    label_pass, which repeats it step for step, in place, on the float64
    matrices of a TrainState. Every random or scheduled value (kept positions, per-position
    learning rates, the uniform draws behind the negatives) is drawn by the
    caller and passed in, so the two passes see identical inputs.
+
+   probe_epoch repeats the per-example loop over loss_and_grads in
+   classifier.py (_reference_epoch) in the example order the caller drew.
+   It differs from numpy only by rounding, mostly because numpy leaves the
+   order of the sums behind x @ weights to BLAS.
 
    format_rows and parse_rows handle only the values they can convert
    exactly with one correctly rounded multiply or divide by a power of ten
@@ -158,6 +164,105 @@ int64_t label_pass(
     }
     *loss += loss_sum;
     return shortfall;
+}
+
+/* One epoch of per-example SGD on the linear probe, in place.
+
+   x         n x m document features
+   labels    n class indices (exclusive mode; unused in multilabel mode)
+   y         n x k 0/1 targets (multilabel mode; unused in exclusive mode)
+   order     n_order example rows, visited in this order
+   weights   m x k, bias k: logits z = x @ weights + bias
+   scratch   k entries
+
+   Each step repeats loss_and_grads in classifier.py, the reference: from
+   the parameters before the step it takes the cross-entropy of the
+   softmax (exclusive) or the summed per-class sigmoid cross-entropy
+   (multilabel), plus 0.5 * l2 * ||weights||^2, and the gradient
+   err = dL/dz; then weights -= lr * (outer(x, err) + l2 * weights) and
+   bias -= lr * err. Sums run in index order.
+
+   Stores the summed pre-update loss in *loss and returns 0, or returns -1
+   (touching nothing) when a row or label index is out of range. */
+int64_t probe_epoch(
+    const double *x, int64_t n, int64_t m,
+    const int64_t *labels, const double *y, int64_t multilabel,
+    const int64_t *order, int64_t n_order,
+    double *weights, double *bias, int64_t k,
+    double lr, double l2, double *scratch, double *loss)
+{
+    double *err = scratch;
+    double loss_sum = 0.0;
+
+    for (int64_t s = 0; s < n_order; s++)
+        if (order[s] < 0 || order[s] >= n
+                || (!multilabel && (labels[order[s]] < 0 || labels[order[s]] >= k)))
+            return -1;
+
+    for (int64_t s = 0; s < n_order; s++) {
+        const int64_t r = order[s];
+        const double *xr = x + r * m;
+        double step_loss;
+
+        /* logits from the parameters before this step */
+        for (int64_t j = 0; j < k; j++)
+            err[j] = 0.0;
+        for (int64_t i = 0; i < m; i++) {
+            const double *w = weights + i * k;
+            for (int64_t j = 0; j < k; j++)
+                err[j] += xr[i] * w[j];
+        }
+        for (int64_t j = 0; j < k; j++)
+            err[j] += bias[j];
+
+        if (multilabel) {
+            /* -y log sigma(z) - (1 - y) log sigma(-z); err = sigma(z) - y */
+            const double *yr = y + r * k;
+            step_loss = 0.0;
+            for (int64_t j = 0; j < k; j++) {
+                /* softplus(+-z) share log1p(exp(-|z|)), and exp(-|z|) is
+                   exp(-z) when z >= 0: the values of the plain formulas,
+                   from fewer calls */
+                const double z = err[j], e = exp(-fabs(z)), tail = log1p(e);
+                step_loss += yr[j] * (fmax(-z, 0.0) + tail)
+                             + (1.0 - yr[j]) * (fmax(z, 0.0) + tail);
+                err[j] = 1.0 / (1.0 + (z >= 0.0 ? e : exp(-z))) - yr[j];
+            }
+        } else {
+            /* log sum exp(z - max) - (z - max)[label]; err = softmax - onehot */
+            const int64_t t = labels[r];
+            double top = err[0], total = 0.0, shifted_t;
+            for (int64_t j = 1; j < k; j++)
+                if (err[j] > top)
+                    top = err[j];
+            shifted_t = err[t] - top;
+            for (int64_t j = 0; j < k; j++) {
+                err[j] = exp(err[j] - top);
+                total += err[j];
+            }
+            step_loss = log(total) - shifted_t;
+            for (int64_t j = 0; j < k; j++)
+                err[j] = err[j] / total;
+            err[t] -= 1.0;
+        }
+        if (l2 != 0.0) {
+            double sq = 0.0;
+            for (int64_t i = 0; i < m * k; i++)
+                sq += weights[i] * weights[i];
+            step_loss += 0.5 * l2 * sq;
+        }
+        loss_sum += step_loss;
+
+        for (int64_t i = 0; i < m; i++) {
+            double *w = weights + i * k;
+            for (int64_t j = 0; j < k; j++)
+                w[j] -= lr * (xr[i] * err[j] + l2 * w[j]);
+        }
+        for (int64_t j = 0; j < k; j++)
+            bias[j] -= lr * err[j];
+    }
+    *loss = loss_sum;
+    return 0;
 }
 
 /* 10^0 .. 10^22, every one exactly representable as a double */

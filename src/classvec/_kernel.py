@@ -1,10 +1,11 @@
-"""Build and bind ``_kernel.c``: the compiled label pass and the fast
-paths of the word2vec text writer and reader.
+"""Build and bind ``_kernel.c``: the compiled label pass, the linear
+probe's SGD epoch, and the fast paths of the word2vec text writer and
+reader.
 
 The shared library is opened once per process, on the first ``finetune``,
-text load or text save, and shared by all three. It is compiled on first
-use with the C compiler Python was built with (``sysconfig``'s ``CC``,
-else ``cc``) and fixed flags, and cached as
+``train_classifier``, text load or text save, and shared by all of them.
+It is compiled on first use with the C compiler Python was built with
+(``sysconfig``'s ``CC``, else ``cc``) and fixed flags, and cached as
 ``__pycache__/_kernel-<digest>.so`` next to the source, keyed by the
 sha256 of source and flags. It is written through a temporary file and
 an atomic rename, so concurrent processes may build it at the same time.
@@ -33,7 +34,7 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 LIBS = ("-lm",)
 COMPILE_TIMEOUT_S = 120
 
-_P, _I = ctypes.c_void_p, ctypes.c_int64
+_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # the parameter lists of the entry points in _kernel.c
 _SIGNATURES = {
     "label_pass": [
@@ -44,6 +45,13 @@ _SIGNATURES = {
         _P, _P,                 # alphas, uniforms
         _I, _I, _I, _I,         # dim, window, negative, attempts
         _P, _P, _P,             # rows, scratch, loss
+    ],
+    "probe_epoch": [
+        _P, _I, _I,             # x, n, m
+        _P, _P, _I,             # labels, y, multilabel
+        _P, _I,                 # order, n_order
+        _P, _P, _I,             # weights, bias, k
+        _D, _D, _P, _P,         # lr, l2, scratch, loss
     ],
     "format_rows": [_P, _I, _I, _P, _P],    # values, rows, m, out, ends
     "parse_rows": [_P, _I, _I, _I, _P],     # data, len, n, m, out
@@ -103,8 +111,8 @@ def library() -> ctypes.CDLL | None:
             lib = open_library()
         except OSError as e:  # no compiler, a failed build, or a failed dlopen
             logger.warning(
-                "compiled kernel unavailable, training and text I/O run the "
-                "numpy and Python reference paths: %s", e,
+                "compiled kernel unavailable, training, the probe and text I/O "
+                "run the numpy and Python reference paths: %s", e,
             )
             lib = None
         else:
@@ -172,6 +180,46 @@ def load() -> Callable | None:
         return float(loss[0]), shortfall
 
     return label_pass
+
+
+def probe_epoch(
+    x: np.ndarray, targets: np.ndarray, order: np.ndarray,
+    weights: np.ndarray, bias: np.ndarray, lr: float, l2: float,
+) -> float | None:
+    """One epoch of the probe's per-example SGD, in place on ``weights``
+    (m x K) and ``bias`` (K), visiting the rows of ``x`` (n x m) in
+    ``order``; None if the library is unavailable.
+
+    ``targets`` holds a class index per row (int64, exclusive mode) or a
+    0/1 row over the classes (float64 n x K, multilabel mode). Returns the
+    epoch's summed pre-update loss, the sum of ``loss_and_grads`` losses.
+    """
+    lib = library()
+    if lib is None:
+        return None
+    n, m = x.shape
+    k = len(bias)
+    multilabel = targets.ndim == 2
+    # the C side trusts these sizes; index ranges it checks itself
+    if not (weights.shape == (m, k) and len(targets) == n
+            and (not multilabel or targets.shape == (n, k))):
+        raise ValueError("probe arrays disagree in shape")
+    labels = y = None  # NULL for the mode's unused argument
+    if multilabel:
+        y = _address(targets, _F64)
+    else:
+        labels = _address(targets, _I64)
+    scratch = np.empty(k, dtype=np.float64)
+    loss = np.zeros(1)
+    status = lib.probe_epoch(
+        _address(x, _F64), n, m, labels, y, int(multilabel),
+        _address(order, _I64), len(order),
+        _address(weights, _F64, write=True), _address(bias, _F64, write=True), k,
+        lr, l2, scratch.ctypes.data, loss.ctypes.data,
+    )
+    if status < 0:
+        raise IndexError("probe example or class index out of range")
+    return float(loss[0])
 
 
 def format_rows(block: np.ndarray) -> tuple[str, list[int]] | None:

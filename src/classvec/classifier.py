@@ -4,19 +4,27 @@ Documents are embedded by mean-pooling their in-vocabulary token vectors
 (zero vector if none survive), then classified by a single fully
 connected layer: softmax over classes in exclusive mode, independent
 per-class sigmoids with a decision threshold in multilabel mode. Trained
-by plain seeded SGD on (binary) cross-entropy; embeddings are never
-updated here.
+by plain seeded SGD on (binary) cross-entropy, one epoch per call of the
+compiled kernel of ``_kernel.c`` when it builds on this machine, else with
+the numpy reference loop over :func:`loss_and_grads`; embeddings are
+never updated here.
 """
 from __future__ import annotations
 
 import io
+import logging
+import math
+import time
 from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
 
+from . import _kernel
 from .corpus import Document, LabeledCorpus
 from .embedding_io import EmbeddingSet, parse_numerals
+
+logger = logging.getLogger(__name__)
 
 MODES = ("exclusive", "multilabel")
 
@@ -35,10 +43,17 @@ class ClassifierConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.l2 < 0:
-            raise ValueError("l2 coefficient must be >= 0")
+        # written so that NaN fails too: every comparison with NaN is False
+        if not (0 < self.lr < math.inf):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not (0 <= self.l2 < math.inf):
+            raise ValueError(f"l2 must be >= 0 and finite, got {self.l2}")
+
+
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless the multilabel threshold lies in (0, 1)."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -67,8 +82,7 @@ class ClassifierModel:
             raise ValueError("bias must have one entry per class")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ValueError("non-finite parameters")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must be in (0, 1)")
+        check_threshold(self.threshold)
 
     @property
     def dim(self) -> int:
@@ -133,7 +147,9 @@ def loss_and_grads(
     return loss, grad_w, err
 
 
-def _targets(corpus: LabeledCorpus, mode: str) -> list:
+def _targets(corpus: LabeledCorpus, mode: str) -> np.ndarray:
+    """A class index per document (int64, exclusive mode) or a 0/1 row over
+    the classes (float64 n x K, multilabel mode)."""
     class_index = {c: i for i, c in enumerate(corpus.classes)}
     if mode == "exclusive":
         for d in corpus.docs:
@@ -142,14 +158,28 @@ def _targets(corpus: LabeledCorpus, mode: str) -> list:
                     f"exclusive mode requires single-label documents, "
                     f"got {d.labels!r}"
                 )
-        return [class_index[d.labels[0]] for d in corpus.docs]
-    targets = []
-    for d in corpus.docs:
-        y = np.zeros(len(corpus.classes))
+        return np.array([class_index[d.labels[0]] for d in corpus.docs], dtype=np.int64)
+    targets = np.zeros((len(corpus.docs), len(corpus.classes)))
+    for i, d in enumerate(corpus.docs):
         for l in d.labels:
-            y[class_index[l]] = 1.0
-        targets.append(y)
+            targets[i, class_index[l]] = 1.0
     return targets
+
+
+def _reference_epoch(
+    xs: np.ndarray, targets: np.ndarray, order: np.ndarray,
+    weights: np.ndarray, bias: np.ndarray, mode: str, lr: float, l2: float,
+) -> float:
+    """One epoch of per-example SGD with :func:`loss_and_grads`, in place;
+    returns the summed pre-update loss. The reference for the compiled
+    ``probe_epoch`` and the fallback where it cannot be built."""
+    total = 0.0
+    for i in order:
+        loss, grad_w, grad_b = loss_and_grads(xs[i], targets[i], weights, bias, mode, l2)
+        weights -= lr * grad_w
+        bias -= lr * grad_b
+        total += loss
+    return total
 
 
 def train_classifier(
@@ -159,24 +189,40 @@ def train_classifier(
     mode: str = "exclusive",
     threshold: float = 0.5,
 ) -> ClassifierModel:
-    """Fit the probe by seeded per-example SGD from zero-initialized parameters."""
+    """Fit the probe by seeded per-example SGD from zero-initialized parameters.
+
+    Each epoch visits the documents in a fresh permutation drawn from
+    ``default_rng(cfg.seed)``. Logs one line with the epochs, SGD steps,
+    first- and last-epoch mean loss, steps per second and the path that ran.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "exclusive" and len(corpus.classes) < 2:
         raise ValueError("exclusive mode needs at least 2 classes in the corpus")
+    n, k = len(corpus.docs), len(corpus.classes)
     xs = np.array([embed_doc(d, emb) for d in corpus.docs])
     targets = _targets(corpus, mode)
-    k = len(corpus.classes)
     weights = np.zeros((emb.dim, k), dtype=np.float64)
     bias = np.zeros(k, dtype=np.float64)
     rng = np.random.default_rng(cfg.seed)
+    compiled = _kernel.library() is not None
+    losses = []
+    started = time.perf_counter()
     for _ in range(cfg.epochs):
-        for i in rng.permutation(len(xs)):
-            _, grad_w, grad_b = loss_and_grads(
-                xs[i], targets[i], weights, bias, mode, cfg.l2
-            )
-            weights -= cfg.lr * grad_w
-            bias -= cfg.lr * grad_b
+        order = rng.permutation(n)
+        if compiled:
+            loss = _kernel.probe_epoch(xs, targets, order, weights, bias, cfg.lr, cfg.l2)
+        else:
+            loss = _reference_epoch(xs, targets, order, weights, bias, mode, cfg.lr, cfg.l2)
+        losses.append(loss / n)
+    seconds = time.perf_counter() - started
+    logger.info(
+        "probe done: %d epochs, %d SGD steps, mean loss %.4f first epoch, "
+        "%.4f last epoch, %.0f steps/s (%s)",
+        cfg.epochs, cfg.epochs * n, losses[0], losses[-1],
+        cfg.epochs * n / max(seconds, 1e-9),
+        "compiled kernel" if compiled else "numpy reference",
+    )
     return ClassifierModel(weights, bias, tuple(corpus.classes), mode, threshold)
 
 

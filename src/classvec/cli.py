@@ -24,6 +24,7 @@ from typing import Callable
 from .analysis import cosine, drift, nearest_neighbors
 from .classifier import (
     ClassifierConfig,
+    check_threshold,
     load_classifier,
     predict,
     save_classifier,
@@ -127,10 +128,12 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 
 def cmd_train_clf(args: argparse.Namespace) -> int:
+    # the settings are checked before any file is read
+    cfg = ClassifierConfig(epochs=args.epochs, lr=args.lr, seed=args.seed)
+    check_threshold(args.threshold)
     _require_files(args.embeddings, args.corpus)
     emb = load_file(args.embeddings, args.format)
     corpus = _load_corpus(args.corpus, args.multilabel)
-    cfg = ClassifierConfig(epochs=args.epochs, lr=args.lr, seed=args.seed)
     mode = "multilabel" if args.multilabel else "exclusive"
     model = train_classifier(corpus, emb, cfg, mode, threshold=args.threshold)
     _atomic_write(args.out, lambda f: save_classifier(model, f))

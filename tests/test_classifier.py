@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import io
+import logging
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from classvec import _kernel, classifier
 from classvec.classifier import (
     ClassifierConfig,
     ClassifierFormatError,
@@ -24,7 +27,7 @@ from classvec.classifier import (
 from classvec.corpus import Document, from_documents
 from classvec.embedding_io import EmbeddingSet
 
-from _constructions import random_embedding
+from _constructions import disable_kernel, random_embedding
 
 
 def _cluster_corpus(rng, n_per_class=20, dim=6, sep=4.0):
@@ -48,11 +51,19 @@ class TestClassifierConfig:
         assert (cfg.epochs, cfg.lr, cfg.seed, cfg.l2) == (50, 0.05, 1, 0.0)
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(epochs=0), dict(lr=0.0), dict(lr=-1.0), dict(l2=-0.1)]
+        "kwargs", [dict(epochs=0), dict(lr=0.0), dict(lr=-1.0), dict(l2=-0.1),
+                   dict(lr=math.nan), dict(lr=math.inf), dict(l2=math.nan),
+                   dict(l2=math.inf)]
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ClassifierConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["lr", "l2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ClassifierConfig(**{field: value})
 
 
 class TestEmbedDoc:
@@ -370,3 +381,191 @@ class TestPersistence:
         data = f"2 1 exclusive 0.5\na\tb\n1 1\n{row}\n".encode()
         with pytest.raises(ClassifierFormatError, match=message):
             load_classifier(io.BytesIO(data))
+
+
+def _probe_setup(mode: str):
+    """A three-class corpus of 15 documents, the last one all out of
+    vocabulary (a zero feature row), with its features and targets laid
+    out as train_classifier hands them to the kernel."""
+    rng = np.random.default_rng(30)
+    emb = random_embedding(rng, 12, 5)
+    classes = ("a", "b", "c")
+    docs = []
+    for i in range(14):
+        tokens = tuple(f"t{j}" for j in rng.integers(0, 12, 4))
+        if mode == "exclusive":
+            labels = (classes[i % 3],)
+        else:
+            labels = tuple(c for c in classes if rng.random() < 0.5) or (classes[i % 3],)
+        docs.append(Document(tokens, labels))
+    docs.append(Document(("oov1", "oov2"), ("b",)))
+    corpus = from_documents(docs)
+    xs = np.array([embed_doc(d, emb) for d in corpus.docs])
+    return corpus, emb, xs, classifier._targets(corpus, mode)
+
+
+def _loop_before_the_kernel(corpus, emb, cfg, mode):
+    """train_classifier as it was before the compiled epoch: targets as a
+    list, one numpy step per example in each epoch's seeded permutation."""
+    xs = np.array([embed_doc(d, emb) for d in corpus.docs])
+    class_index = {c: i for i, c in enumerate(corpus.classes)}
+    if mode == "exclusive":
+        targets = [class_index[d.labels[0]] for d in corpus.docs]
+    else:
+        targets = []
+        for d in corpus.docs:
+            y = np.zeros(len(corpus.classes))
+            for label in d.labels:
+                y[class_index[label]] = 1.0
+            targets.append(y)
+    weights = np.zeros((emb.dim, len(corpus.classes)))
+    bias = np.zeros(len(corpus.classes))
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        for i in rng.permutation(len(xs)):
+            _, grad_w, grad_b = loss_and_grads(xs[i], targets[i], weights, bias, mode, cfg.l2)
+            weights -= cfg.lr * grad_w
+            bias -= cfg.lr * grad_b
+    return weights, bias
+
+
+class TestProbeKernel:
+    @pytest.mark.parametrize("mode", ["exclusive", "multilabel"])
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_matches_reference_after_several_epochs(self, kernel_library, mode, l2):
+        corpus, emb, xs, targets = _probe_setup(mode)
+        assert not xs[-1].any()
+        k = len(corpus.classes)
+        ref_w, ref_b = np.zeros((emb.dim, k)), np.zeros(k)
+        w, b = ref_w.copy(), ref_b.copy()
+        rng = np.random.default_rng(31)
+        for _ in range(6):
+            order = rng.permutation(len(xs))
+            ref_loss = classifier._reference_epoch(
+                xs, targets, order, ref_w, ref_b, mode, 0.3, l2
+            )
+            loss = _kernel.probe_epoch(xs, targets, order, w, b, 0.3, l2)
+            assert abs(loss - ref_loss) <= 1e-10
+        np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(b, ref_b, rtol=0, atol=1e-10)
+        assert np.abs(ref_w).max() > 0.1  # the parameters moved
+
+    @pytest.mark.parametrize("mode, name, spoil", [
+        ("exclusive", "xs", lambda a: a.astype(np.float32)),
+        ("exclusive", "targets", lambda a: a.astype(np.int32)),
+        ("multilabel", "targets", lambda a: a.astype(np.float32)),
+        ("multilabel", "targets", np.asfortranarray),
+        ("exclusive", "weights", np.asfortranarray),
+        ("exclusive", "bias", lambda a: np.lib.stride_tricks.as_strided(a, writeable=False)),
+        ("exclusive", "order", lambda a: np.repeat(a, 2)[::2]),
+    ])
+    def test_checks_dtype_layout_and_writeability_before_the_call(
+        self, kernel_library, mode, name, spoil
+    ):
+        corpus, emb, xs, targets = _probe_setup(mode)
+        k = len(corpus.classes)
+        args = dict(xs=xs, targets=targets, order=np.arange(len(xs)),
+                    weights=np.full((emb.dim, k), 0.5), bias=np.full(k, 0.25))
+        intact = {key: a.copy() for key, a in args.items()}
+        args[name] = spoil(args[name])
+        before = args["weights"].tobytes(), args["bias"].tobytes()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _kernel.probe_epoch(*args.values(), 0.3, 0.0)
+        assert (args["weights"].tobytes(), args["bias"].tobytes()) == before
+        # the same call on intact arrays trains
+        _kernel.probe_epoch(*intact.values(), 0.3, 0.0)
+        assert intact["weights"].tobytes() != before[0]
+
+    @pytest.mark.parametrize("mode, target", [("exclusive", 0), ("multilabel", [1.0, 0.0, 1.0])])
+    def test_extreme_logits_match_the_reference(self, kernel_library, mode, target):
+        # logits -1000, 0, 1000: softmax needs the shift by the last, largest one
+        xs = np.array([[1000.0]])
+        targets = np.array([target], dtype=np.int64 if mode == "exclusive" else np.float64)
+        order = np.zeros(1, dtype=np.int64)
+        ref_w, ref_b = np.array([[-1.0, 0.0, 1.0]]), np.zeros(3)
+        w, b = ref_w.copy(), ref_b.copy()
+        ref_loss = classifier._reference_epoch(xs, targets, order, ref_w, ref_b, mode, 1e-3, 0.0)
+        loss = _kernel.probe_epoch(xs, targets, order, w, b, 1e-3, 0.0)
+        assert math.isfinite(loss) and abs(loss - ref_loss) <= 1e-10
+        np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(b, ref_b, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("mode, spoil", [
+        ("exclusive", lambda a: a.update(weights=np.full((5, 4), 0.5))),
+        ("exclusive", lambda a: a.update(targets=a["targets"][:-1])),
+        ("multilabel", lambda a: a.update(targets=np.zeros((15, 4)))),
+    ])
+    def test_checks_shapes_before_the_call(self, kernel_library, mode, spoil):
+        corpus, emb, xs, targets = _probe_setup(mode)
+        args = dict(xs=xs, targets=targets, order=np.arange(len(xs)),
+                    weights=np.full((emb.dim, 3), 0.5), bias=np.full(3, 0.25))
+        spoil(args)
+        with pytest.raises(ValueError, match="disagree in shape"):
+            _kernel.probe_epoch(*args.values(), 0.3, 0.0)
+        assert (args["weights"] == 0.5).all() and (args["bias"] == 0.25).all()
+
+    @pytest.mark.parametrize("mode, order, label", [
+        ("exclusive", [0, 1, 15], None),     # row past the end
+        ("exclusive", [0, -1], None),        # negative row
+        ("multilabel", [2, 15], None),
+        ("exclusive", [0, 1, 3], 3),         # class index past K, last step
+        ("exclusive", [3], -1),              # negative class index
+    ])
+    def test_out_of_range_index_writes_nothing(self, kernel_library, mode, order, label):
+        corpus, emb, xs, targets = _probe_setup(mode)
+        if label is not None:
+            targets[3] = label
+        k = len(corpus.classes)
+        w, b = np.full((emb.dim, k), 0.5), np.full(k, 0.25)
+        with pytest.raises(IndexError):
+            _kernel.probe_epoch(xs, targets, np.array(order, dtype=np.int64), w, b, 0.3, 0.0)
+        assert (w == 0.5).all() and (b == 0.25).all()
+
+    @pytest.mark.parametrize("mode", ["exclusive", "multilabel"])
+    def test_train_classifier_runs_the_kernel(self, kernel_library, monkeypatch, mode):
+        def no_reference(*args):
+            raise AssertionError("train_classifier fell back to the reference loop")
+
+        monkeypatch.setattr(classifier, "_reference_epoch", no_reference)
+        corpus, emb, _, _ = _probe_setup(mode)
+        cfg = ClassifierConfig(epochs=7, lr=0.3, seed=5, l2=0.01)
+        model = train_classifier(corpus, emb, cfg, mode)
+        w, b = _loop_before_the_kernel(corpus, emb, cfg, mode)
+        np.testing.assert_allclose(model.weights, w, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(model.bias, b, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("mode", ["exclusive", "multilabel"])
+    def test_fallback_gives_the_bytes_of_the_reference_loop(self, no_kernel, mode):
+        corpus, emb, _, _ = _probe_setup(mode)
+        cfg = ClassifierConfig(epochs=7, lr=0.3, seed=5, l2=0.01)
+        model = train_classifier(corpus, emb, cfg, mode)
+        w, b = _loop_before_the_kernel(corpus, emb, cfg, mode)
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.bias.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("path", ["kernel_library", "no_kernel"])
+    @pytest.mark.parametrize("mode", ["exclusive", "multilabel"])
+    def test_reruns_give_identical_bytes(self, request, path, mode):
+        request.getfixturevalue(path)
+        corpus, emb, _, _ = _probe_setup(mode)
+        cfg = ClassifierConfig(epochs=5, lr=0.3, seed=9)
+        m1 = train_classifier(corpus, emb, cfg, mode)
+        m2 = train_classifier(corpus, emb, cfg, mode)
+        assert m1.weights.tobytes() == m2.weights.tobytes()
+        assert m1.bias.tobytes() == m2.bias.tobytes()
+
+    def test_logs_the_same_run_summary_on_both_paths(self, kernel_library, monkeypatch,
+                                                     caplog):
+        corpus, emb, _, _ = _probe_setup("multilabel")
+        cfg = ClassifierConfig(epochs=4, lr=0.3, seed=2)
+        with caplog.at_level(logging.INFO, logger="classvec"):
+            train_classifier(corpus, emb, cfg, "multilabel")
+            disable_kernel(monkeypatch)
+            train_classifier(corpus, emb, cfg, "multilabel")
+        lines = [r.getMessage() for r in caplog.records if r.name == "classvec.classifier"]
+        pattern = (r"probe done: 4 epochs, 60 SGD steps, mean loss (\d+\.\d{4}) first "
+                   r"epoch, (\d+\.\d{4}) last epoch, \d+ steps/s \((.+)\)")
+        runs = [re.fullmatch(pattern, line).groups() for line in lines]
+        assert [r[2] for r in runs] == ["compiled kernel", "numpy reference"]
+        assert runs[0][:2] == runs[1][:2]
+        assert float(runs[0][1]) < float(runs[0][0])

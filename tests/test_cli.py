@@ -1,15 +1,23 @@
 """End-to-end tests of the command-line driver."""
 from __future__ import annotations
 
+import argparse
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from classvec.cli import main
+import classvec
+from classvec import _kernel
+from classvec.cli import build_parser, main
 from classvec.embedding_io import EmbeddingSet, load_file, save_file
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _write_pretrained(path: str, fmt: str = "text") -> EmbeddingSet:
@@ -229,6 +237,24 @@ class TestClassifierCommands:
         assert rc == 1
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--threshold", "2"], "threshold must be in (0, 1)"),
+        (["--threshold", "nan"], "threshold must be in (0, 1)"),
+        (["--epochs", "0"], "epochs must be >= 1"),
+        (["--lr", "nan"], "lr must be positive and finite, got nan"),
+        (["--lr", "inf"], "lr must be positive and finite, got inf"),
+    ])
+    def test_settings_are_checked_before_any_file_is_read(self, tmp_path, capsys,
+                                                          flags, message):
+        missing = str(tmp_path / "missing.txt")
+        rc = main(["train-clf", "--embeddings", missing, "--corpus", missing,
+                   "--out", str(tmp_path / "probe.clf"), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "no such file" not in err
+        assert not (tmp_path / "probe.clf").exists()
+
 
 class TestInspectionCommands:
     def test_nn_output_and_bounds(self, workspace, capsys):
@@ -331,6 +357,70 @@ class TestParser:
         text = capsys.readouterr().out
         assert "machine-readable" in text
         assert "weighted_f1" in text
+
+
+    def test_help_opens_no_library(self, monkeypatch, capsys):
+        def no_library():
+            raise AssertionError("--help opened the kernel library")
+
+        monkeypatch.setattr(_kernel, "open_library", no_library)
+        monkeypatch.setattr(_kernel, "_library", _kernel._UNOPENED)
+        for argv in ([], ["finetune"], ["train-clf"], ["eval"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--help"])
+            assert exc.value.code == 0
+        assert _kernel._library is _kernel._UNOPENED
+
+
+def _readme_section(title: str) -> str:
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end]
+
+
+def _code_block(section: str, language: str) -> str:
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    actions = build_parser()._subparsers._group_actions
+    return dict(actions[0].choices)
+
+
+class TestReadme:
+    """README's "Command line" and "Library use" sections against the code."""
+
+    def test_command_lines_parse(self):
+        block = _code_block(_readme_section("Command line"), "sh").replace("\\\n", " ")
+        commands = [shlex.split(line) for line in block.splitlines()
+                    if line.startswith("classvec ")]
+        assert {argv[1] for argv in commands} == set(_subcommands())
+        for argv in commands:
+            build_parser().parse_args(argv[1:])  # exits 2 on a line it rejects
+
+    def test_every_option_is_documented(self):
+        text = README.read_text(encoding="utf-8")
+        undocumented = [
+            f"{name} {option}"
+            for name, sub in _subcommands().items()
+            for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+            and not re.search(re.escape(option) + r"(?![\w-])", text)
+        ]
+        assert undocumented == []
+
+    def test_library_snippet_runs(self, tmp_path, monkeypatch, capsys):
+        snippet = _code_block(_readme_section("Library use"), "python")
+        imported = re.search(r"from classvec import \((.*?)\)", snippet, re.S)[1]
+        assert set(imported.replace(",", " ").split()) <= set(classvec.__all__)
+        monkeypatch.chdir(tmp_path)
+        _write_pretrained("vectors.txt")
+        _write_corpus("train.tsv")
+        _write_corpus("test.tsv")
+        exec(compile(snippet, "README.md", "exec"), {})
+        assert 0.0 <= float(capsys.readouterr().out) <= 1.0
 
 
 class TestSubprocess:
