@@ -1,12 +1,15 @@
-/* One label pass of class-conditioned CBOW with negative sampling, one
-   epoch of the linear probe's SGD, and the fast paths of the word2vec
-   text reader and writer.
+/* Chunks of label passes of class-conditioned CBOW with negative
+   sampling, one epoch of the linear probe's SGD, and the fast paths of
+   the word2vec text reader and writer.
 
    The numpy pass in trainer.py (_reference_pass) is the reference for
    label_pass, which repeats it step for step, in place, on the float64
-   matrices of a TrainState. Every random or scheduled value (kept positions, per-position
-   learning rates, the uniform draws behind the negatives) is drawn by the
-   caller and passed in, so the two passes see identical inputs.
+   matrices of a TrainState; train_chunk runs it over a chunk of passes.
+   Every random or scheduled value (kept positions, per-position learning
+   rates, the uniform draws behind the negatives) is drawn by the caller
+   and passed in, so the two passes see identical inputs. They differ only
+   by rounding: the logits are summed in four fixed partial sums, where
+   numpy leaves the order to BLAS.
 
    probe_epoch repeats the per-example loop over loss_and_grads in
    classifier.py (_reference_epoch) in the example order the caller drew.
@@ -21,69 +24,71 @@
    process locale.
 
    Pure C99 with no Python headers; called through ctypes, which releases
-   the interpreter lock. Compiled with -ffp-contract=off so that no
-   multiply-add is fused and the rounding follows the written order.
+   the interpreter lock. Compiled with -O3 -march=native, which vectorises
+   the loops over a row, and -ffp-contract=off, so that no multiply-add is
+   fused and the rounding follows the written order. Pointers marked
+   restrict are to arrays that do not overlap.
 */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 
-/* np.searchsorted(table, u, side="right"), clamped to the last row */
-static int64_t draw_row(const double *table, int64_t rows, double u)
+/* np.searchsorted(table, u, side="right"), clamped to the last row, for
+   rows >= 1. Branchless: the loop runs ceil(log2(rows)) times whatever u
+   is, and a comparison moves base by an arithmetic step, not a jump. The
+   answer stays in base[0 .. len - 1]: an entry <= u puts it past that
+   entry, and an entry > u puts it at or before it, within the first
+   half. */
+static int64_t draw_row(const double *restrict table, int64_t rows, double u)
 {
-    int64_t lo = 0, hi = rows;
-    while (lo < hi) {
-        int64_t mid = lo + (hi - lo) / 2;
-        if (table[mid] <= u)
-            lo = mid + 1;
-        else
-            hi = mid;
+    const double *base = table;
+    int64_t len = rows;
+
+    while (len > 1) {
+        const int64_t half = len / 2;
+        base += (base[half - 1] <= u) * half;
+        len -= half;
     }
-    return lo < rows ? lo : rows - 1;
+    return base - table;
 }
 
-/* log(1 + exp(x)), stable in both tails */
-static double softplus(double x)
+/* sum of a[j] * b[j] in four partial sums s0..s3 over j mod 4 (the last
+   n mod 4 terms go to s0), added as (s0 + s1) + (s2 + s3): a fixed order,
+   so results are deterministic, and one the compiler can keep in a single
+   vector register */
+static double dot(const double *restrict a, const double *restrict b, int64_t n)
 {
-    return fmax(x, 0.0) + log1p(exp(-fabs(x)));
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    int64_t j = 0;
+
+    for (; j + 4 <= n; j += 4) {
+        s0 += a[j] * b[j];
+        s1 += a[j + 1] * b[j + 1];
+        s2 += a[j + 2] * b[j + 2];
+        s3 += a[j + 3] * b[j + 3];
+    }
+    for (; j < n; j++)
+        s0 += a[j] * b[j];
+    return (s0 + s1) + (s2 + s3);
 }
 
-/* Train positions 0..n-1 of one document under class vector `label`.
-
-   input     n_input x dim, updated on rows with trainable[row] != 0
-   output    n_output x dim, one row per corpus token
-   classes   n_classes x dim
-   noise     n_output cumulative noise probabilities
-   alphas    n learning rates, one per position
-   uniforms  n x negative x attempts draws in [0, 1)
-   rows      scratch, 1 + negative entries
-   scratch   scratch, 1 + negative + 2 * dim entries
-
-   Adds the summed negative-sampling loss to *loss and returns the number
-   of positions that got fewer than `negative` negatives, or -1 (touching
-   nothing) when an index is out of range. */
-int64_t label_pass(
-    double *input, int64_t n_input, const uint8_t *trainable,
-    double *output, int64_t n_output, const double *noise,
-    double *classes, int64_t n_classes, int64_t label,
-    const int64_t *in_idx, const int64_t *out_idx, int64_t n,
-    const double *alphas, const double *uniforms,
+/* Train positions 0..n-1 of one label pass under the class vector cls;
+   the arguments are those of train_chunk, offset to this pass. Adds the
+   summed loss to *loss and returns the positions short of negatives. */
+static int64_t label_pass(
+    double *restrict input, const uint8_t *restrict trainable,
+    double *restrict output, int64_t n_output, const double *restrict noise,
+    double *restrict cls,
+    const int64_t *restrict in_idx, const int64_t *restrict out_idx, int64_t n,
+    const double *restrict alphas, const double *restrict uniforms,
     int64_t dim, int64_t window, int64_t negative, int64_t attempts,
-    int64_t *rows, double *scratch, double *loss)
+    int64_t *restrict rows, double *restrict scratch, double *restrict loss)
 {
-    double *err = scratch;              /* 1 + negative */
-    double *h = err + 1 + negative;     /* dim */
-    double *neu1e = h + dim;            /* dim */
-    double *cls = classes + label * dim;
+    double *restrict err = scratch;             /* 1 + negative */
+    double *restrict h = err + 1 + negative;    /* dim */
+    double *restrict neu1e = h + dim;           /* dim */
     double loss_sum = 0.0;
     int64_t shortfall = 0;
-
-    if (label < 0 || label >= n_classes)
-        return -1;
-    for (int64_t p = 0; p < n; p++)
-        if (in_idx[p] < 0 || in_idx[p] >= n_input
-                || out_idx[p] < 0 || out_idx[p] >= n_output)
-            return -1;
 
     for (int64_t p = 0; p < n; p++) {
         const double alpha = alphas[p];
@@ -98,7 +103,7 @@ int64_t label_pass(
         for (int64_t c = lo; c < hi; c++) {
             if (c == p)
                 continue;
-            const double *row = input + in_idx[c] * dim;
+            const double *restrict row = input + in_idx[c] * dim;
             for (int64_t j = 0; j < dim; j++)
                 h[j] += row[j];
             n_ctx++;
@@ -121,14 +126,16 @@ int64_t label_pass(
         if (k < 1 + negative)
             shortfall++;
 
-        /* logits and dL/dz from the output rows as they were before this step */
+        /* logits and dL/dz from the output rows as they were before this
+           step. The loss is log(1 + exp(-z)) for the center and
+           log(1 + exp(z)) for a negative, both max(+-z, 0) + log1p(e) with
+           e = exp(-|z|); the sigmoid reuses e, which is exp(-z), when
+           z >= 0: the values of the plain formulas, from fewer calls */
         for (int64_t i = 0; i < k; i++) {
-            const double *u = output + rows[i] * dim;
-            double z = 0.0;
-            for (int64_t j = 0; j < dim; j++)
-                z += u[j] * h[j];
-            loss_sum += softplus(i == 0 ? -z : z);
-            err[i] = 1.0 / (1.0 + exp(-z));
+            const double z = dot(output + rows[i] * dim, h, dim);
+            const double e = exp(-fabs(z));
+            loss_sum += fmax(i == 0 ? -z : z, 0.0) + log1p(e);
+            err[i] = 1.0 / (1.0 + (z >= 0.0 ? e : exp(-z)));
         }
         err[0] -= 1.0;
 
@@ -136,18 +143,20 @@ int64_t label_pass(
         for (int64_t j = 0; j < dim; j++)
             neu1e[j] = 0.0;
         for (int64_t i = 0; i < k; i++) {
-            const double *u = output + rows[i] * dim;
+            const double *restrict u = output + rows[i] * dim;
+            const double e = err[i];
             for (int64_t j = 0; j < dim; j++)
-                neu1e[j] += err[i] * u[j];
+                neu1e[j] += e * u[j];
         }
         for (int64_t j = 0; j < dim; j++)
             neu1e[j] = -alpha * neu1e[j];
 
         /* output rows one after another, so a repeated row takes every step */
         for (int64_t i = 0; i < k; i++) {
-            double *u = output + rows[i] * dim;
+            double *restrict u = output + rows[i] * dim;
+            const double e = err[i];
             for (int64_t j = 0; j < dim; j++)
-                u[j] -= alpha * (err[i] * h[j]);
+                u[j] -= alpha * (e * h[j]);
         }
 
         /* the full context-side step to the class vector and to every
@@ -157,12 +166,66 @@ int64_t label_pass(
         for (int64_t c = lo; c < hi; c++) {
             if (c == p || !trainable[in_idx[c]])
                 continue;
-            double *row = input + in_idx[c] * dim;
+            double *restrict row = input + in_idx[c] * dim;
             for (int64_t j = 0; j < dim; j++)
                 row[j] += neu1e[j];
         }
     }
     *loss += loss_sum;
+    return shortfall;
+}
+
+/* Train a chunk of label passes of class-conditioned CBOW, in pass order.
+
+   input     n_input x dim, updated on rows with trainable[row] != 0
+   output    n_output x dim, one row per corpus token
+   classes   n_classes x dim
+   noise     n_output cumulative noise probabilities
+   in_idx, out_idx, alphas
+             n_positions entries: the positions of every pass back to back
+             (input and output rows, learning rates)
+   uniforms  n_positions x negative x attempts draws in [0, 1)
+   starts, lengths, labels
+             n_passes entries: pass i trains positions starts[i] ..
+             starts[i] + lengths[i] - 1 under class vector labels[i]
+   rows      scratch, 1 + negative entries
+   scratch   scratch, 1 + negative + 2 * dim entries
+
+   The five matrices must not overlap. Stores the summed negative-sampling
+   loss in *loss and returns the number of positions that got fewer than
+   `negative` negatives, or -1, touching nothing, when any index of the
+   chunk is out of range. */
+int64_t train_chunk(
+    double *input, int64_t n_input, const uint8_t *trainable,
+    double *output, int64_t n_output, const double *noise,
+    double *classes, int64_t n_classes,
+    const int64_t *in_idx, const int64_t *out_idx, int64_t n_positions,
+    const double *alphas, const double *uniforms,
+    const int64_t *starts, const int64_t *lengths, const int64_t *labels,
+    int64_t n_passes,
+    int64_t dim, int64_t window, int64_t negative, int64_t attempts,
+    int64_t *rows, double *scratch, double *loss)
+{
+    int64_t shortfall = 0;
+
+    for (int64_t p = 0; p < n_positions; p++)
+        if (in_idx[p] < 0 || in_idx[p] >= n_input
+                || out_idx[p] < 0 || out_idx[p] >= n_output)
+            return -1;
+    for (int64_t i = 0; i < n_passes; i++)
+        if (labels[i] < 0 || labels[i] >= n_classes || starts[i] < 0
+                || lengths[i] < 0 || lengths[i] > n_positions - starts[i])
+            return -1;
+
+    *loss = 0.0;
+    for (int64_t i = 0; i < n_passes; i++) {
+        const int64_t s = starts[i];
+        shortfall += label_pass(
+            input, trainable, output, n_output, noise, classes + labels[i] * dim,
+            in_idx + s, out_idx + s, lengths[i],
+            alphas + s, uniforms + s * negative * attempts,
+            dim, window, negative, attempts, rows, scratch, loss);
+    }
     return shortfall;
 }
 

@@ -1,16 +1,19 @@
-"""Build and bind ``_kernel.c``: the compiled label pass, the linear
-probe's SGD epoch, and the fast paths of the word2vec text writer and
-reader.
+"""Build and bind ``_kernel.c``: the compiled trainer of chunks of label
+passes, the linear probe's SGD epoch, and the fast paths of the word2vec
+text writer and reader.
 
 The shared library is opened once per process, on the first ``finetune``,
 ``train_classifier``, text load or text save, and shared by all of them.
 It is compiled on first use with the C compiler Python was built with
-(``sysconfig``'s ``CC``, else ``cc``) and fixed flags, and cached as
-``__pycache__/_kernel-<digest>.so`` next to the source, keyed by the
-sha256 of source and flags. It is written through a temporary file and
-an atomic rename, so concurrent processes may build it at the same time.
+(``sysconfig``'s ``CC``, else ``cc``) and fixed flags, among them
+``-march=native``, and cached as ``__pycache__/_kernel-<digest>.so`` next
+to the source, keyed by the sha256 of source, flags and the host's CPU
+model and instruction-set flags, since the library runs only on CPUs like
+the one it was built on. It is written through a temporary file and an
+atomic rename, so concurrent processes may build it at the same time.
 Every entry point takes plain addresses; the wrappers check the dtype,
-layout and writeability of each array before the call.
+layout and writeability of each array before the call. Training makes one
+call per chunk of whole label passes, not one per pass.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import ctypes
 import hashlib
 import logging
 import os
+import platform
 import shlex
 import subprocess
 import sysconfig
@@ -30,19 +34,20 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 SOURCE = Path(__file__).with_name("_kernel.c")
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
 LIBS = ("-lm",)
 COMPILE_TIMEOUT_S = 120
 
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # the parameter lists of the entry points in _kernel.c
 _SIGNATURES = {
-    "label_pass": [
+    "train_chunk": [
         _P, _I, _P,             # input, n_input, trainable
         _P, _I, _P,             # output, n_output, noise
-        _P, _I, _I,             # classes, n_classes, label
-        _P, _P, _I,             # in_idx, out_idx, n
+        _P, _I,                 # classes, n_classes
+        _P, _P, _I,             # in_idx, out_idx, n_positions
         _P, _P,                 # alphas, uniforms
+        _P, _P, _P, _I,         # starts, lengths, labels, n_passes
         _I, _I, _I, _I,         # dim, window, negative, attempts
         _P, _P, _P,             # rows, scratch, loss
     ],
@@ -65,10 +70,38 @@ _UNOPENED = object()
 _library: ctypes.CDLL | None | object = _UNOPENED
 
 
+# the /proc/cpuinfo fields that name a CPU and its instruction sets (x86
+# and ARM spellings); the first processor's are taken
+_CPUINFO_KEYS = ("model name", "flags", "CPU implementer", "CPU part", "Features")
+
+
+def host_cpu() -> str:
+    """This host's CPU model and instruction-set flags, which -march=native
+    compiles for: from /proc/cpuinfo where it has them, else the machine
+    and processor names of ``platform``."""
+    fields: dict[str, str] = {}
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as f:
+            for line in f:
+                if not line.strip() and fields:
+                    break  # the end of the first processor's block
+                key, _, value = line.partition(":")
+                key = key.strip()
+                if key in _CPUINFO_KEYS and key not in fields:
+                    fields[key] = value.strip()
+    except OSError:
+        pass
+    if not fields:
+        return f"{platform.machine()} {platform.processor()}"
+    return "\n".join(f"{k}: {v}" for k, v in sorted(fields.items()))
+
+
 def library_path() -> Path:
-    """Where the library for the current source and flags is cached."""
+    """Where the library for the current source, flags and host CPU is
+    cached; -march=native makes it specific to the CPU."""
     digest = hashlib.sha256(
         SOURCE.read_bytes() + " ".join(FLAGS + LIBS).encode()
+        + host_cpu().encode()
     ).hexdigest()
     return SOURCE.parent / "__pycache__" / f"_kernel-{digest[:16]}.so"
 
@@ -139,28 +172,34 @@ def _address(arr: np.ndarray, dtype: np.dtype, write: bool = False) -> int:
 
 
 def load() -> Callable | None:
-    """The compiled label pass, or None if the library is unavailable.
+    """The compiled chunk trainer, or None if the library is unavailable.
 
-    The returned function has the signature of ``trainer._reference_pass``:
-    ``(state, in_idx, out_idx, label_id, alphas, uniforms)`` and returns
-    ``(summed loss, positions short of negatives)``.
+    The returned function has the signature of ``trainer._reference_chunk``:
+    ``(state, chunk)``, trains the chunk's label passes in order, and
+    returns ``(summed loss, positions short of negatives)``.
     """
     lib = library()
     if lib is None:
         return None
-    fn = lib.label_pass
+    fn = lib.train_chunk
 
-    def label_pass(state, in_idx, out_idx, label_id, alphas, uniforms):
+    def train_chunk(state, chunk):
         inp, out, cls = state.input_matrix, state.output_matrix, state.class_vectors
         dim, negative = inp.shape[1], state.cfg.negative
-        n, attempts = len(in_idx), uniforms.shape[-1]
+        n, n_passes = len(chunk.in_idx), len(chunk.labels)
+        attempts = chunk.uniforms.shape[-1]
         # the C side trusts these sizes; index ranges it checks itself
         if not (out.shape[1] == dim and cls.shape[1] == dim
                 and len(state.trainable) == len(inp)
                 and len(state.noise_table) == len(out) > 0
-                and len(out_idx) == len(alphas) == n
-                and uniforms.shape == (n, negative, attempts)):
-            raise ValueError("label pass arrays disagree in shape")
+                and len(chunk.out_idx) == len(chunk.alphas) == n
+                and chunk.uniforms.shape == (n, negative, attempts)
+                and len(chunk.starts) == len(chunk.lengths) == n_passes):
+            raise ValueError("training chunk arrays disagree in shape")
+        matrices = (inp, out, cls, state.noise_table, state.trainable)
+        if any(np.may_share_memory(a, b)
+               for i, a in enumerate(matrices) for b in matrices[i + 1:]):
+            raise ValueError("training matrices must not overlap")
         rows = np.empty(1 + negative, dtype=np.int64)
         scratch = np.empty(1 + negative + 2 * dim, dtype=np.float64)
         loss = np.zeros(1)
@@ -169,17 +208,19 @@ def load() -> Callable | None:
             _address(state.trainable.view(np.uint8), _U8),
             _address(out, _F64, write=True), len(out),
             _address(state.noise_table, _F64),
-            _address(cls, _F64, write=True), len(cls), label_id,
-            _address(in_idx, _I64), _address(out_idx, _I64), n,
-            _address(alphas, _F64), _address(uniforms, _F64),
+            _address(cls, _F64, write=True), len(cls),
+            _address(chunk.in_idx, _I64), _address(chunk.out_idx, _I64), n,
+            _address(chunk.alphas, _F64), _address(chunk.uniforms, _F64),
+            _address(chunk.starts, _I64), _address(chunk.lengths, _I64),
+            _address(chunk.labels, _I64), n_passes,
             dim, state.cfg.window, negative, attempts,
             rows.ctypes.data, scratch.ctypes.data, loss.ctypes.data,
         )
         if shortfall < 0:
-            raise IndexError("label pass index out of range")
+            raise IndexError("training chunk index out of range")
         return float(loss[0]), shortfall
 
-    return label_pass
+    return train_chunk
 
 
 def probe_epoch(

@@ -194,6 +194,8 @@ def train_classifier(
     Each epoch visits the documents in a fresh permutation drawn from
     ``default_rng(cfg.seed)``. Logs one line with the epochs, SGD steps,
     first- and last-epoch mean loss, steps per second and the path that ran.
+    Raises ``FloatingPointError`` after the first epoch whose loss or
+    parameters are not finite (the learning rate was too high).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -208,12 +210,14 @@ def train_classifier(
     compiled = _kernel.library() is not None
     losses = []
     started = time.perf_counter()
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         if compiled:
             loss = _kernel.probe_epoch(xs, targets, order, weights, bias, cfg.lr, cfg.l2)
         else:
             loss = _reference_epoch(xs, targets, order, weights, bias, mode, cfg.lr, cfg.l2)
+        if not (np.isfinite(loss) and np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise FloatingPointError(f"non-finite probe parameters after epoch {epoch}")
         losses.append(loss / n)
     seconds = time.perf_counter() - started
     logger.info(

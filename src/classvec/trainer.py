@@ -12,17 +12,18 @@ and output vectors exist only for corpus tokens, so rows of the merged
 matrix that never occur in the corpus come out bit-identical.
 
 All training arithmetic runs in 64-bit; the exported matrix is cast back
-to 32-bit floats. The arithmetic of one label pass runs in the compiled
-kernel of ``_kernel.c`` when it builds on this machine, else in the numpy
-reference pass it is tested against; Python draws every random or
-scheduled value for both.
+to 32-bit floats. Python draws every random or scheduled value pass by
+pass, in pass order, and gathers whole passes into chunks; each chunk is
+one call of the compiled kernel of ``_kernel.c`` when it builds on this
+machine, else of the numpy reference pass it is tested against, pass by
+pass. ``finetune`` and ``train_document`` share that one path.
 """
 from __future__ import annotations
 
 import logging
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -36,6 +37,11 @@ logger = logging.getLogger(__name__)
 
 # attempts to draw a noise word different from the center before giving up
 NS_RESAMPLE_ATTEMPTS = 8
+
+# the uniforms one chunk of label passes may hold, 2^15 float64 (256 KiB):
+# passes are trained a chunk per kernel call, and a pass that needs more
+# is a chunk of its own
+CHUNK_UNIFORMS = 1 << 15
 
 # rng stream label for the per-epoch document shuffle, kept separate from
 # the update stream so `shuffle=False` runs are unaffected by its existence
@@ -94,7 +100,7 @@ class TrainState:
     ``noise_table`` is the cumulative unigram^0.75 distribution over
     those same rows. ``trainable`` masks which input rows updates may
     touch. ``alpha`` tracks the last learning rate used. ``kernel`` is the
-    compiled label pass, or None to train with the numpy reference pass.
+    compiled chunk trainer, or None to train with the numpy reference.
     """
 
     cfg: FinetuneConfig
@@ -112,7 +118,7 @@ class TrainState:
     keep_prob: np.ndarray | None  # per-output-row keep probability, or None
     positions_done: int = 0
     total_positions: int = 0
-    kernel: Callable[..., tuple[float, int]] | None = None
+    kernel: Callable[[TrainState, Chunk], tuple[float, int]] | None = None
 
 
 def build_noise_table(vocab: Vocabulary) -> np.ndarray:
@@ -224,45 +230,124 @@ def _reference_pass(
     return loss_sum, int((negatives < 0).any(axis=1).sum())
 
 
-def _train_label_pass(
-    state: TrainState,
-    in_idx: np.ndarray,
-    out_idx: np.ndarray,
-    label_id: int,
-) -> tuple[float, int, int]:
-    """One pass over a document's positions under one class vector.
+@dataclass
+class Chunk:
+    """Whole label passes trained by one call of the kernel or the reference.
 
-    Draws everything random or scheduled for the pass (subsampling mask,
-    per-position learning rates, the uniforms behind the negatives), then
-    hands the arithmetic to the compiled kernel or the numpy reference.
+    The positions of every pass lie back to back in ``in_idx``, ``out_idx``,
+    ``alphas`` and ``uniforms``; pass ``i`` trains positions
+    ``starts[i]:starts[i] + lengths[i]`` under class ``labels[i]``.
+    """
+
+    in_idx: np.ndarray    # positions, int64 input rows
+    out_idx: np.ndarray   # positions, int64 output rows
+    alphas: np.ndarray    # positions, float64 learning rates
+    uniforms: np.ndarray  # positions x negative x NS_RESAMPLE_ATTEMPTS, float64
+    starts: np.ndarray    # passes, int64
+    lengths: np.ndarray   # passes, int64
+    labels: np.ndarray    # passes, int64 class ids
+
+
+def _reference_chunk(state: TrainState, chunk: Chunk) -> tuple[float, int]:
+    """Train a chunk pass by pass with :func:`_reference_pass`; the
+    reference for ``_kernel.load()``'s chunk trainer and its fallback."""
+    loss, shortfall = 0.0, 0
+    for start, n, label_id in zip(
+        chunk.starts.tolist(), chunk.lengths.tolist(), chunk.labels.tolist()
+    ):
+        part = slice(start, start + n)
+        pass_loss, pass_shortfall = _reference_pass(
+            state, chunk.in_idx[part], chunk.out_idx[part], label_id,
+            chunk.alphas[part], chunk.uniforms[part],
+        )
+        loss += pass_loss
+        shortfall += pass_shortfall
+    return loss, shortfall
+
+
+def _draw_chunks(
+    state: TrainState, passes: list[tuple[np.ndarray, np.ndarray, int]]
+) -> Iterator[Chunk]:
+    """Draw the random and scheduled values of label passes
+    ``(in_idx, out_idx, label_id)`` in order, and yield them as chunks.
+
+    Each pass draws exactly what it would alone: its subsampling mask, then
+    its learning rates, then the uniforms behind its negatives. A chunk
+    holds whole passes and at most CHUNK_UNIFORMS uniforms, unless a single
+    pass needs more and is a chunk of its own. Chunks are views of buffers
+    that the next chunk reuses, so each is trained before the next is drawn.
+    """
+    cfg, rng = state.cfg, state.rng
+    width = cfg.negative * NS_RESAMPLE_ATTEMPTS
+    limit = max(CHUNK_UNIFORMS // width, 1)  # positions in a chunk
+    lengths = [len(in_idx) for in_idx, _, _ in passes]
+    size = max(min(limit, sum(lengths)), max(lengths, default=0))
+    in_buf, out_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    steps, uniforms = np.empty(size), np.empty(size * width)
+    spans: list[tuple[int, int, int]] = []  # start, length and class of each pass
+    fill = 0
+
+    def chunk() -> Chunk:
+        starts, lens, labels = np.array(spans, dtype=np.int64).T.copy()
+        # elementwise, so each pass gets the rates it would get alone
+        alphas = lr_schedule(cfg, steps[:fill] / state.total_positions)
+        state.alpha = float(alphas[-1])
+        return Chunk(
+            in_buf[:fill], out_buf[:fill], alphas,
+            uniforms[:fill * width].reshape(fill, cfg.negative, NS_RESAMPLE_ATTEMPTS),
+            starts, lens, labels,
+        )
+
+    for in_idx, out_idx, label_id in passes:
+        if state.keep_prob is not None:
+            keep = rng.random(len(in_idx)) < state.keep_prob[out_idx]
+            # discarded positions still advance the lr schedule
+            state.positions_done += int(len(in_idx) - keep.sum())
+            in_idx, out_idx = in_idx[keep], out_idx[keep]
+        n = len(in_idx)
+        if n == 0:
+            continue
+        if spans and fill + n > limit:
+            yield chunk()
+            spans.clear()
+            fill = 0
+        in_buf[fill:fill + n] = in_idx
+        out_buf[fill:fill + n] = out_idx
+        steps[fill:fill + n] = np.arange(state.positions_done, state.positions_done + n)
+        rng.random(out=uniforms[fill * width:(fill + n) * width])
+        spans.append((fill, n, label_id))
+        state.positions_done += n
+        fill += n
+    if spans:
+        yield chunk()
+
+
+def _train_passes(
+    state: TrainState, passes: list[tuple[np.ndarray, np.ndarray, int]]
+) -> tuple[float, int, int]:
+    """Train label passes ``(in_idx, out_idx, label_id)`` in order, one call
+    of the compiled kernel or of the numpy reference per chunk.
+
     Returns the summed loss, the positions trained, and the positions short
     of negatives.
     """
-    cfg, rng = state.cfg, state.rng
-    if state.keep_prob is not None:
-        keep = rng.random(len(in_idx)) < state.keep_prob[out_idx]
-        # discarded positions still advance the lr schedule
-        state.positions_done += int(len(in_idx) - keep.sum())
-        in_idx, out_idx = in_idx[keep], out_idx[keep]
-    n = len(in_idx)
-    alphas = lr_schedule(
-        cfg, (state.positions_done + np.arange(n)) / state.total_positions
-    )
-    uniforms = rng.random((n, cfg.negative, NS_RESAMPLE_ATTEMPTS))
-    label_pass = state.kernel or _reference_pass
-    loss, shortfall = label_pass(state, in_idx, out_idx, label_id, alphas, uniforms)
-    state.positions_done += n
-    if n:
-        state.alpha = float(alphas[-1])
-    return loss, n, shortfall
+    train = state.kernel or _reference_chunk
+    loss, trained, shortfall = 0.0, 0, 0
+    for chunk in _draw_chunks(state, passes):
+        chunk_loss, chunk_shortfall = train(state, chunk)
+        loss += chunk_loss
+        trained += len(chunk.in_idx)
+        shortfall += chunk_shortfall
+    return loss, trained, shortfall
 
 
-def _doc_arrays(
+def _doc_passes(
     state: TrainState, doc: Document
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """One ``(in_idx, out_idx, label_id)`` pass per label of ``doc``."""
     try:
         in_idx = np.fromiter(
-            (state.input_index[t] for t in doc.tokens), np.int64, len(doc.tokens)
+            map(state.input_index.__getitem__, doc.tokens), np.int64, len(doc.tokens)
         )
     except KeyError as e:
         raise ValueError(
@@ -270,16 +355,9 @@ def _doc_arrays(
             "merge() must precede finetune()"
         ) from None
     out_idx = np.fromiter(
-        (state.output_index[t] for t in doc.tokens), np.int64, len(doc.tokens)
+        map(state.output_index.__getitem__, doc.tokens), np.int64, len(doc.tokens)
     )
-    return in_idx, out_idx, [state.class_index[l] for l in doc.labels]
-
-
-def _train_mapped(
-    state: TrainState, in_idx: np.ndarray, out_idx: np.ndarray, label_ids: list[int]
-) -> tuple[float, int, int]:
-    passes = [_train_label_pass(state, in_idx, out_idx, li) for li in label_ids]
-    return tuple(map(sum, zip(*passes)))
+    return [(in_idx, out_idx, state.class_index[l]) for l in doc.labels]
 
 
 def train_document(state: TrainState, doc: Document) -> tuple[float, int, int]:
@@ -288,7 +366,7 @@ def train_document(state: TrainState, doc: Document) -> tuple[float, int, int]:
     Returns the summed negative-sampling loss, the positions trained, and
     the positions that trained with fewer than ``negative`` negatives.
     """
-    return _train_mapped(state, *_doc_arrays(state, doc))
+    return _train_passes(state, _doc_passes(state, doc))
 
 
 def init_state(
@@ -365,13 +443,14 @@ def finetune(
     shuffle_rng = np.random.default_rng((cfg.seed, _SHUFFLE_STREAM))
     order = np.arange(len(corpus.docs))
     # token -> row mapping depends only on the document, so do it once per run
-    mapped = [_doc_arrays(state, doc) for doc in corpus.docs]
+    doc_passes = [_doc_passes(state, doc) for doc in corpus.docs]
     for epoch in range(cfg.epochs):
         if cfg.shuffle:
             shuffle_rng.shuffle(order)
         started, done_before = time.perf_counter(), state.positions_done
-        docs = [_train_mapped(state, *mapped[di]) for di in order]
-        loss, trained, shortfall = map(sum, zip(*docs))
+        loss, trained, shortfall = _train_passes(
+            state, [p for di in order for p in doc_passes[di]]
+        )
         seconds = time.perf_counter() - started
         _check_finite(state, epoch)
         logger.info(

@@ -534,6 +534,22 @@ class TestProbeKernel:
         np.testing.assert_allclose(model.weights, w, rtol=0, atol=1e-10)
         np.testing.assert_allclose(model.bias, b, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("path", ["kernel_library", "no_kernel"])
+    @pytest.mark.parametrize("mode", ["exclusive", "multilabel"])
+    def test_divergence_stops_after_the_epoch_it_shows_in(self, request, monkeypatch,
+                                                         path, mode):
+        request.getfixturevalue(path)
+        corpus, emb, _, _ = _probe_setup(mode)
+        epochs = []
+        for owner, name in ((_kernel, "probe_epoch"), (classifier, "_reference_epoch")):
+            epoch = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, epoch=epoch: epochs.append(1) or epoch(*a))
+        with pytest.raises(FloatingPointError,
+                           match="^non-finite probe parameters after epoch 1$"):
+            train_classifier(corpus, emb, ClassifierConfig(epochs=50, lr=1e308), mode)
+        assert len(epochs) == 1
+
     @pytest.mark.parametrize("mode", ["exclusive", "multilabel"])
     def test_fallback_gives_the_bytes_of_the_reference_loop(self, no_kernel, mode):
         corpus, emb, _, _ = _probe_setup(mode)

@@ -237,6 +237,23 @@ class TestClassifierCommands:
         assert rc == 1
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("multilabel", [False, True])
+    def test_divergent_probe_fails_after_the_first_epoch(self, workspace, capsys,
+                                                         multilabel):
+        tmp_path, pre, corpus = workspace
+        if multilabel:
+            corpus = str(tmp_path / "ml.tsv")
+            _write_corpus(corpus, multilabel=True)
+        model = tmp_path / "probe.clf"
+        rc = main(["train-clf", "--embeddings", pre, "--corpus", corpus,
+                   "--out", str(model), "--lr", "1e308",
+                   *(["--multilabel"] if multilabel else [])])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: non-finite probe parameters after epoch 1" in err
+        assert "probe done" not in err
+        assert not model.exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--threshold", "2"], "threshold must be in (0, 1)"),
         (["--threshold", "nan"], "threshold must be in (0, 1)"),
@@ -363,7 +380,11 @@ class TestParser:
         def no_library():
             raise AssertionError("--help opened the kernel library")
 
+        def no_path():
+            raise AssertionError("--help computed the kernel library's path")
+
         monkeypatch.setattr(_kernel, "open_library", no_library)
+        monkeypatch.setattr(_kernel, "library_path", no_path)
         monkeypatch.setattr(_kernel, "_library", _kernel._UNOPENED)
         for argv in ([], ["finetune"], ["train-clf"], ["eval"]):
             with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,11 @@ from __future__ import annotations
 
 import logging
 import math
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -526,6 +531,80 @@ def _train_two_epochs(model, corpus, cfg, label_pass):
     return state, np.array(stats)
 
 
+def _varied_setup(skewed: bool):
+    """Like ``_kernel_setup``, with documents of 1 to 30 tokens, one in
+    three of them with two or three labels."""
+    rng = np.random.default_rng(80)
+    emb = random_embedding(rng, 24, 7)
+    crng = np.random.default_rng(81)
+    docs = []
+    for i in range(30):
+        n = int(crng.integers(1, 31))
+        if skewed:
+            toks = tuple("t0" if crng.random() < 0.9 else f"t{crng.integers(1, 4)}"
+                         for _ in range(n))
+        else:
+            toks = tuple(f"t{j}" for j in crng.integers(0, 16, n))
+        if i == 3:
+            toks += ("novel",)
+        labels = ("one", "two", "three")[:1 + (i % 3 == 0) + (i % 6 == 0)]
+        docs.append(Document(toks, labels[i % 2:] + labels[:i % 2]))
+    corpus = from_documents(docs)
+    return merge(emb, build_vocab(corpus), seed=2), corpus
+
+
+def _chunked_epochs(model, corpus, cfg, train):
+    """Train ``cfg.epochs`` epochs of ``corpus`` in chunks through ``train``;
+    returns the state, the per-epoch stats and per chunk its pass lengths."""
+    state = init_state(model, corpus, cfg)
+    chunks = []
+
+    def recording(state, chunk):
+        assert chunk.uniforms.size <= trainer.CHUNK_UNIFORMS or len(chunk.labels) == 1
+        chunks.append(chunk.lengths.tolist())
+        return train(state, chunk)
+
+    state.kernel = recording
+    passes = [p for doc in corpus.docs for p in trainer._doc_passes(state, doc)]
+    stats = [trainer._train_passes(state, passes) for _ in range(cfg.epochs)]
+    return state, np.array(stats), chunks
+
+
+def _one_pass(in_idx, out_idx, label_id, alphas, uniforms):
+    """A chunk holding one label pass over every position."""
+    return trainer.Chunk(in_idx, out_idx, alphas, uniforms,
+                         *np.array([[0], [len(in_idx)], [label_id]], dtype=np.int64))
+
+
+def _per_pass_epoch(state, corpus):
+    """One epoch drawn and trained label pass by label pass with
+    ``_reference_pass``: the training loop as it was before passes were
+    trained in chunks, kept verbatim as the reference for the draws."""
+    cfg, rng = state.cfg, state.rng
+    stats = []
+    for doc in corpus.docs:
+        for label in doc.labels:
+            in_idx = np.array([state.input_index[t] for t in doc.tokens], dtype=np.int64)
+            out_idx = np.array([state.output_index[t] for t in doc.tokens], dtype=np.int64)
+            if state.keep_prob is not None:
+                keep = rng.random(len(in_idx)) < state.keep_prob[out_idx]
+                state.positions_done += int(len(in_idx) - keep.sum())
+                in_idx, out_idx = in_idx[keep], out_idx[keep]
+            n = len(in_idx)
+            alphas = lr_schedule(
+                cfg, (state.positions_done + np.arange(n)) / state.total_positions
+            )
+            uniforms = rng.random((n, cfg.negative, NS_RESAMPLE_ATTEMPTS))
+            loss, shortfall = trainer._reference_pass(
+                state, in_idx, out_idx, state.class_index[label], alphas, uniforms
+            )
+            state.positions_done += n
+            if n:
+                state.alpha = float(alphas[-1])
+            stats.append((loss, n, shortfall))
+    return np.array(stats).sum(axis=0)
+
+
 class TestKernel:
     # 40 negatives over ~17 noise rows: repeated output rows at every step
     @pytest.mark.parametrize("negative", [4, 40])
@@ -558,6 +637,64 @@ class TestKernel:
         else:
             assert trained == ref.positions_done
         assert (ref_stats[:, 2].sum() > 0) == skewed
+
+    # positions per chunk: the module's cap (one chunk per epoch here), a
+    # few passes per chunk, and a cap most passes exceed
+    @pytest.mark.parametrize("limit", [None, 24, 6])
+    @pytest.mark.parametrize("skewed", [False, True])
+    @pytest.mark.parametrize("threshold", [None, 0.01])
+    def test_chunks_match_the_reference_pass_by_pass(
+        self, kernel, monkeypatch, limit, skewed, threshold
+    ):
+        model, corpus = _varied_setup(skewed)
+        cfg = FinetuneConfig(epochs=2, window=3, negative=4, alpha0=0.05,
+                             subsample_threshold=threshold, seed=8)
+        if limit:
+            monkeypatch.setattr(trainer, "CHUNK_UNIFORMS",
+                                limit * cfg.negative * NS_RESAMPLE_ATTEMPTS)
+        ref = init_state(model, corpus, cfg)
+        ref_stats = np.array([_per_pass_epoch(ref, corpus) for _ in range(cfg.epochs)])
+        fast, fast_stats, chunks = _chunked_epochs(model, corpus, cfg, kernel)
+        for name in ("input_matrix", "output_matrix", "class_vectors"):
+            np.testing.assert_allclose(
+                getattr(fast, name), getattr(ref, name), rtol=0, atol=1e-10
+            )
+        assert (fast.positions_done, fast.alpha) == (ref.positions_done, ref.alpha)
+        np.testing.assert_array_equal(fast_stats[:, 1:], ref_stats[:, 1:])
+        np.testing.assert_allclose(fast_stats[:, 0], ref_stats[:, 0], rtol=1e-9)
+        assert (ref_stats[:, 2].sum() > 0) == skewed
+        assert sum(map(sum, chunks)) == fast_stats[:, 1].sum()
+        if limit is None:
+            assert len(chunks) == cfg.epochs
+        else:
+            assert any(len(c) > 1 for c in chunks)
+        if limit is not None and threshold is None:
+            # passes longer than the cap train alone, and some chunk
+            # boundary falls between two passes of one document
+            assert any(len(c) == 1 and c[0] > limit for c in chunks)
+            doc_of_pass = [i for i, d in enumerate(corpus.docs) for _ in d.labels]
+            bounds = np.cumsum([len(c) for c in chunks]) % len(doc_of_pass)
+            assert any(0 < b and doc_of_pass[b - 1] == doc_of_pass[b] for b in bounds)
+
+    @pytest.mark.parametrize("limit", [None, 24, 6])
+    @pytest.mark.parametrize("threshold", [None, 0.01])
+    def test_fallback_writes_the_bytes_of_single_passes(self, monkeypatch, limit, threshold):
+        # the numpy reference sees every pass's draws as it would alone, so
+        # chunking changes no byte of its result
+        model, corpus = _varied_setup(skewed=True)
+        cfg = FinetuneConfig(epochs=2, window=3, negative=4, alpha0=0.05,
+                             subsample_threshold=threshold, seed=8)
+        if limit:
+            monkeypatch.setattr(trainer, "CHUNK_UNIFORMS",
+                                limit * cfg.negative * NS_RESAMPLE_ATTEMPTS)
+        ref = init_state(model, corpus, cfg)
+        ref_stats = np.array([_per_pass_epoch(ref, corpus) for _ in range(cfg.epochs)])
+        slow, slow_stats, _ = _chunked_epochs(model, corpus, cfg, trainer._reference_chunk)
+        for name in ("input_matrix", "output_matrix", "class_vectors"):
+            assert getattr(slow, name).tobytes() == getattr(ref, name).tobytes()
+        assert (slow.positions_done, slow.alpha) == (ref.positions_done, ref.alpha)
+        np.testing.assert_array_equal(slow_stats[:, 1:], ref_stats[:, 1:])
+        np.testing.assert_allclose(slow_stats[:, 0], ref_stats[:, 0], rtol=1e-12)
 
     def test_finetune_runs_the_kernel_byte_deterministically(self, kernel, monkeypatch):
         def no_reference(*args):
@@ -595,8 +732,65 @@ class TestKernel:
         idx = np.array([0, len(state.output_matrix)], dtype=np.int64)
         uniforms = np.full((2, 2, NS_RESAMPLE_ATTEMPTS), 0.5)
         with pytest.raises(IndexError):
-            kernel(state, idx, idx, 0, np.full(2, 0.025), uniforms)
+            kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025), uniforms))
         np.testing.assert_array_equal(state.output_matrix, before)
+
+    @pytest.mark.parametrize("field, value", [
+        ("in_idx", -1), ("in_idx", 10**6), ("out_idx", -1), ("out_idx", 10**6),
+        ("labels", 2), ("labels", -1), ("starts", -1), ("lengths", 99),
+    ])
+    def test_bad_index_in_the_last_pass_writes_nothing(self, kernel, field, value):
+        # three passes of three positions; the fault sits in the last one,
+        # after two passes the kernel could already have trained
+        model, corpus = small_setup()
+        state = init_state(model, corpus, FinetuneConfig(negative=2, seed=4))
+        train_document(state, corpus.docs[0])  # nonzero outputs: every step writes
+        idx = np.arange(9, dtype=np.int64)
+        chunk = trainer.Chunk(
+            idx.copy(), idx.copy(), np.full(9, 0.025),
+            np.random.default_rng(5).random((9, 2, NS_RESAMPLE_ATTEMPTS)),
+            np.array([0, 3, 6]), np.array([3, 3, 3]), np.array([0, 1, 0]),
+        )
+        getattr(chunk, field)[-1] = value
+        before = [a.copy() for a in (state.input_matrix, state.output_matrix,
+                                     state.class_vectors)]
+        with pytest.raises(IndexError, match="out of range"):
+            kernel(state, chunk)
+        after = (state.input_matrix, state.output_matrix, state.class_vectors)
+        for a, b in zip(after, before):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8, 13, 16, 17])
+    def test_noise_search_matches_searchsorted(self, kernel, rows):
+        # a table with ties, probed on every entry, at 0.0, between entries
+        # and at or above the last entry
+        rng = np.random.default_rng(rows)
+        table = np.cumsum(rng.integers(0, 3, rows) / 2.0)
+        table = np.append(table[:-1], table[-1] + 1.0) / (table[-1] + 1.0)
+        probes = np.concatenate([[0.0], table, (table[:-1] + table[1:]) / 2,
+                                 [table[-1], 1.0, 1.5]])
+        k = len(probes)
+        dim = 3
+        center = 0 if rows == 1 else int(np.argmax(np.diff(table) == 0))
+        state = SimpleNamespace(
+            cfg=FinetuneConfig(negative=k, window=1),
+            input_matrix=np.ones((1, dim)), trainable=np.zeros(1, dtype=bool),
+            output_matrix=np.zeros((rows, dim)), noise_table=table,
+            class_vectors=np.array([[1.0, 2.0, 4.0]]),
+        )
+        one = np.zeros(1, dtype=np.int64)
+        uniforms = np.repeat(probes, NS_RESAMPLE_ATTEMPTS).reshape(1, k, NS_RESAMPLE_ATTEMPTS)
+        alpha = 0.5
+        kernel(state, _one_pass(one, one + center, 0, np.full(1, alpha), uniforms))
+        # all-zero outputs: every logit is 0, so each draw of row r moves it
+        # by -alpha * sigmoid(0) * h, and the center by +alpha * (1 - sigmoid(0)) * h
+        drawn = np.minimum(np.searchsorted(table, probes, side="right"), rows - 1)
+        counts = np.bincount(drawn[drawn != center], minlength=rows).astype(float)
+        counts[center] = -1.0
+        h = state.class_vectors[0]
+        np.testing.assert_array_equal(
+            state.output_matrix, -alpha * 0.5 * counts[:, None] * h[None, :]
+        )
 
     @pytest.mark.parametrize("name, spoil", [
         ("input_matrix", lambda a: a.astype(np.float32)),
@@ -615,14 +809,26 @@ class TestKernel:
         idx = np.arange(2, dtype=np.int64)
         uniforms = np.full((2, 2, NS_RESAMPLE_ATTEMPTS), 0.5)
         with pytest.raises(ValueError, match="C-contiguous"):
-            kernel(state, idx, idx, 0, np.full(2, 0.025), uniforms)
+            kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025), uniforms))
         after = (state.input_matrix, state.output_matrix, state.class_vectors)
         for a, b in zip(after, before):
             assert a.tobytes() == b.tobytes()
         # the same call on intact arrays trains
         state = init_state(model, corpus, FinetuneConfig(negative=2))
-        kernel(state, idx, idx, 0, np.full(2, 0.025), uniforms)
+        kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025), uniforms))
         assert state.output_matrix.tobytes() != before[1].tobytes()
+
+    def test_rejects_overlapping_matrices(self, kernel):
+        # the C side takes the matrices as restrict pointers
+        model, corpus = small_setup()
+        state = init_state(model, corpus, FinetuneConfig(negative=2))
+        state.class_vectors = state.input_matrix[:2]
+        before = state.input_matrix.copy()
+        idx = np.arange(2, dtype=np.int64)
+        uniforms = np.full((2, 2, NS_RESAMPLE_ATTEMPTS), 0.5)
+        with pytest.raises(ValueError, match="must not overlap"):
+            kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025), uniforms))
+        assert state.input_matrix.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("spoil", [
         lambda a: a.astype(np.float64),
@@ -652,3 +858,37 @@ class TestKernel:
         with pytest.raises(OSError, match="false exited 1"):
             _kernel.compile_library(tmp_path / "kernel.so")
         assert list(tmp_path.iterdir()) == []
+
+    def test_library_path_is_keyed_by_the_host_cpu(self, monkeypatch):
+        # -march=native builds for this CPU: another CPU gets another file
+        first = _kernel.library_path()
+        assert _kernel.library_path() == first
+        assert _kernel.host_cpu()
+        monkeypatch.setattr(_kernel, "host_cpu", lambda: "another cpu")
+        other = _kernel.library_path()
+        assert other != first and other.parent == first.parent
+
+    def test_compiles_clean_and_imports_only_math_and_memory(self, tmp_path):
+        # README promises no strtod or printf: nothing locale-dependent, and
+        # no vector math library under -march=native
+        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+        if shutil.which(cc[0]) is None or shutil.which("nm") is None:
+            pytest.skip("needs a C compiler and nm")
+        target = tmp_path / "kernel.so"
+        build = subprocess.run(
+            [*cc, *_kernel.FLAGS, "-std=c99", "-Wall", "-Wextra", "-pedantic",
+             "-Werror", "-o", str(target), str(_kernel.SOURCE), *_kernel.LIBS],
+            capture_output=True, text=True, timeout=_kernel.COMPILE_TIMEOUT_S,
+        )
+        assert build.returncode == 0, build.stderr
+        listing = subprocess.run(
+            ["nm", "-D", "--undefined-only", str(target)],
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        imported = {line.split()[-1].split("@")[0] for line in listing.splitlines()
+                    if line.strip()}
+        allowed = {"exp", "log", "log1p", "fmax", "frexp", "memcpy", "memset",
+                   # weak symbols every shared object refers to for the loader
+                   "__cxa_finalize", "__gmon_start__",
+                   "_ITM_deregisterTMCloneTable", "_ITM_registerTMCloneTable"}
+        assert imported and imported <= allowed, sorted(imported - allowed)
