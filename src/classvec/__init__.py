@@ -6,74 +6,68 @@ embedding-space analysis needed to measure its effect on text classification.
 
 ``__all__`` is the documented surface; the trainer's internals (its state,
 noise table, schedule and per-document steps) live in ``classvec.trainer``.
+Each public name is imported from its module on first access (PEP 562), so
+``import classvec`` loads no module of the package and no numpy, and a
+program loads only the modules whose names it uses.
 """
-from .analysis import DriftReport, cosine, drift, nearest_neighbors
-from .classifier import (
-    ClassifierConfig,
-    ClassifierFormatError,
-    ClassifierModel,
-    embed_doc,
-    load_classifier,
-    predict,
-    save_classifier,
-    softmax,
-    train_classifier,
-)
-from .corpus import CorpusFormatError, Document, LabeledCorpus, from_documents, load_tsv, tokenize
-from .embedding_io import (
-    EmbeddingFormatError,
-    EmbeddingSet,
-    load_binary,
-    load_file,
-    load_text,
-    save_binary,
-    save_file,
-    save_text,
-)
-from .metrics import EvalReport, evaluate_exclusive, evaluate_multilabel
-from .trainer import ClassVectors, FinetuneConfig, finetune
-from .vocab import MergedModel, Vocabulary, build_vocab, init_unseen, merge, unseen_words
+from importlib import import_module
 
-__all__ = [
-    "ClassVectors",
-    "ClassifierConfig",
-    "ClassifierFormatError",
-    "ClassifierModel",
-    "CorpusFormatError",
-    "Document",
-    "DriftReport",
-    "EmbeddingFormatError",
-    "EmbeddingSet",
-    "EvalReport",
-    "FinetuneConfig",
-    "LabeledCorpus",
-    "MergedModel",
-    "Vocabulary",
-    "build_vocab",
-    "cosine",
-    "drift",
-    "embed_doc",
-    "evaluate_exclusive",
-    "evaluate_multilabel",
-    "finetune",
-    "from_documents",
-    "init_unseen",
-    "load_binary",
-    "load_classifier",
-    "load_file",
-    "load_text",
-    "load_tsv",
-    "merge",
-    "nearest_neighbors",
-    "predict",
-    "save_binary",
-    "save_classifier",
-    "save_file",
-    "save_text",
-    "softmax",
-    "tokenize",
-    "train_classifier",
-    "unseen_words",
-]
+# every public name, with the module that defines it
+_MODULE_OF = {
+    "ClassVectors": "trainer",
+    "ClassifierConfig": "classifier",
+    "ClassifierFormatError": "classifier",
+    "ClassifierModel": "classifier",
+    "CorpusFormatError": "corpus",
+    "Document": "corpus",
+    "DriftReport": "analysis",
+    "EmbeddingFormatError": "embedding_io",
+    "EmbeddingSet": "embedding_io",
+    "EvalReport": "metrics",
+    "FinetuneConfig": "trainer",
+    "LabeledCorpus": "corpus",
+    "MergedModel": "vocab",
+    "Vocabulary": "vocab",
+    "build_vocab": "vocab",
+    "cosine": "analysis",
+    "drift": "analysis",
+    "embed_doc": "classifier",
+    "evaluate_exclusive": "metrics",
+    "evaluate_multilabel": "metrics",
+    "finetune": "trainer",
+    "from_documents": "corpus",
+    "init_unseen": "vocab",
+    "load_binary": "embedding_io",
+    "load_classifier": "classifier",
+    "load_file": "embedding_io",
+    "load_text": "embedding_io",
+    "load_tsv": "corpus",
+    "merge": "vocab",
+    "nearest_neighbors": "analysis",
+    "predict": "classifier",
+    "save_binary": "embedding_io",
+    "save_classifier": "classifier",
+    "save_file": "embedding_io",
+    "save_text": "embedding_io",
+    "softmax": "classifier",
+    "tokenize": "corpus",
+    "train_classifier": "classifier",
+    "unseen_words": "vocab",
+}
+
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups do not come back here
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

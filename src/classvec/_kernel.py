@@ -6,11 +6,13 @@ The shared library is opened once per process, on the first ``finetune``,
 ``train_classifier``, text load or text save, and shared by all of them.
 It is compiled on first use with the C compiler Python was built with
 (``sysconfig``'s ``CC``, else ``cc``) and fixed flags, among them
-``-march=native``, and cached as ``__pycache__/_kernel-<digest>.so`` next
-to the source, keyed by the sha256 of source, flags and the host's CPU
-model and instruction-set flags, since the library runs only on CPUs like
-the one it was built on. It is written through a temporary file and an
-atomic rename, so concurrent processes may build it at the same time.
+``-march=native``, and cached next to the source as
+``__pycache__/_kernel-<CPU digest>-<build digest>.so``: sha256 digests of
+the host's CPU model and instruction-set flags, since the library runs only
+on CPUs like the one it was built on, and of the source and flags. A build
+removes the libraries of older builds for the same CPU. It is written
+through a temporary file and an atomic rename, so concurrent processes may
+build it at the same time.
 Every entry point takes plain addresses; the wrappers check the dtype,
 layout and writeability of each array before the call. Training makes one
 call per chunk of whole label passes, not one per pass.
@@ -22,10 +24,6 @@ import hashlib
 import logging
 import os
 import platform
-import shlex
-import subprocess
-import sysconfig
-import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -96,18 +94,28 @@ def host_cpu() -> str:
     return "\n".join(f"{k}: {v}" for k, v in sorted(fields.items()))
 
 
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def library_path() -> Path:
     """Where the library for the current source, flags and host CPU is
-    cached; -march=native makes it specific to the CPU."""
-    digest = hashlib.sha256(
-        SOURCE.read_bytes() + " ".join(FLAGS + LIBS).encode()
-        + host_cpu().encode()
-    ).hexdigest()
-    return SOURCE.parent / "__pycache__" / f"_kernel-{digest[:16]}.so"
+    cached, as ``_kernel-<CPU digest>-<source and flags digest>.so``;
+    -march=native makes it specific to the CPU."""
+    cpu = _digest(host_cpu().encode())
+    build = _digest(SOURCE.read_bytes() + " ".join(FLAGS + LIBS).encode())
+    return SOURCE.parent / "__pycache__" / f"_kernel-{cpu}-{build}.so"
 
 
 def compile_library(target: Path) -> None:
     """Compile ``_kernel.c`` to ``target``; raises OSError on failure."""
+    # needed only to build, so a process that finds the library cached
+    # does not import them
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     target.parent.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".tmp-kernel-", suffix=".so")
@@ -128,10 +136,16 @@ def compile_library(target: Path) -> None:
 
 
 def open_library() -> ctypes.CDLL:
-    """Load the cached library, compiling it first if it is missing."""
+    """Load the cached library, compiling it first if it is missing. A
+    build removes the libraries of older sources or flags for the same
+    CPU; those built for other CPUs stay."""
     path = library_path()
     if not path.exists():
         compile_library(path)
+        cpu = path.name.split("-")[1]
+        for stale in path.parent.glob(f"_kernel-{cpu}-*.so"):
+            if stale != path:
+                stale.unlink(missing_ok=True)
     return ctypes.CDLL(str(path))
 
 

@@ -11,6 +11,15 @@ an atomic rename: on any failure no partial artifact is left behind, and
 the exit status is 0 exactly when the requested artifact was fully
 written or printed. Embedding file format is always named explicitly
 with ``--format``; files are never sniffed.
+
+Each process starts lean. Every library function and class a command
+calls is bound here to a stand-in that imports its module on first call,
+so ``--help`` and usage errors load no numpy, and ``drift`` and ``nn``
+load only the embedding reader, the kernel binding and the analysis
+module. Option defaults live in the library's config classes, not here.
+``run``, the ``classvec`` entry point, ends the process with ``os._exit``
+after flushing, skipping the interpreter's teardown; ``main`` returns
+the exit status for in-process callers.
 """
 from __future__ import annotations
 
@@ -19,28 +28,50 @@ import logging
 import os
 import sys
 import tempfile
-from typing import Callable
+from importlib import import_module
+from typing import Callable, NoReturn
 
-from .analysis import cosine, drift, nearest_neighbors
-from .classifier import (
-    ClassifierConfig,
-    check_threshold,
-    load_classifier,
-    predict,
-    save_classifier,
-    train_classifier,
-)
-from .corpus import load_tsv
-from .embedding_io import (
-    FORMATS,
-    EmbeddingSet,
-    load_file,
-    save_binary,
-    save_text,
-)
-from .metrics import MACHINE_FIELDS, evaluate_exclusive, evaluate_multilabel
-from .trainer import FinetuneConfig, finetune
-from .vocab import build_vocab, merge
+from ._names import FORMATS, MACHINE_FIELDS
+
+
+def _lazy(module: str, name: str) -> Callable:
+    """``classvec.<module>.<name>``, imported on its first call, so that a
+    command loads only the modules it runs. The name stays bound to this
+    stand-in: a wrapper set in its place (a test's patch, a tracer) keeps
+    working."""
+    target = None
+
+    def call(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(import_module(f"{__package__}.{module}"), name)
+        return target(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# every library function and class the commands call
+cosine = _lazy("analysis", "cosine")
+drift = _lazy("analysis", "drift")
+nearest_neighbors = _lazy("analysis", "nearest_neighbors")
+ClassifierConfig = _lazy("classifier", "ClassifierConfig")
+check_threshold = _lazy("classifier", "check_threshold")
+load_classifier = _lazy("classifier", "load_classifier")
+predict = _lazy("classifier", "predict")
+save_classifier = _lazy("classifier", "save_classifier")
+train_classifier = _lazy("classifier", "train_classifier")
+load_tsv = _lazy("corpus", "load_tsv")
+EmbeddingSet = _lazy("embedding_io", "EmbeddingSet")
+load_file = _lazy("embedding_io", "load_file")
+save_binary = _lazy("embedding_io", "save_binary")
+save_text = _lazy("embedding_io", "save_text")
+evaluate_exclusive = _lazy("metrics", "evaluate_exclusive")
+evaluate_multilabel = _lazy("metrics", "evaluate_multilabel")
+FinetuneConfig = _lazy("trainer", "FinetuneConfig")
+finetune = _lazy("trainer", "finetune")
+build_vocab = _lazy("vocab", "build_vocab")
+merge = _lazy("vocab", "merge")
 
 logger = logging.getLogger("classvec")
 
@@ -87,7 +118,18 @@ def _print_drift_summary(report) -> None:
     )
 
 
+def _given(args: argparse.Namespace, *fields: str) -> dict:
+    """The config fields whose options were given; the config's own
+    defaults fill in the rest."""
+    return {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
+
+
 def cmd_finetune(args: argparse.Namespace) -> int:
+    # the settings are checked before any file is read
+    cfg = FinetuneConfig(
+        **_given(args, "epochs", "window", "negative", "alpha0", "alpha_min", "seed"),
+        shuffle=args.shuffle,
+    )
     _require_files(args.pretrained, args.corpus)
     pretrained = load_file(args.pretrained, args.format)
     corpus = _load_corpus(args.corpus, args.multilabel)
@@ -101,19 +143,10 @@ def cmd_finetune(args: argparse.Namespace) -> int:
                     "class-vector file holds no whitespace"
                 )
     vocab = build_vocab(corpus)
-    model = merge(pretrained, vocab, seed=args.seed)
+    model = merge(pretrained, vocab, seed=cfg.seed)
     print(
         f"vocab\tV={len(pretrained)}\tV_T={len(vocab)}"
         f"\tV_unseen={len(model.unseen)}"
-    )
-    cfg = FinetuneConfig(
-        epochs=args.epochs,
-        window=args.window,
-        negative=args.negative,
-        alpha0=args.lr,
-        alpha_min=args.min_lr,
-        seed=args.seed,
-        shuffle=args.shuffle,
     )
     tuned, class_vectors = finetune(model, corpus, cfg)
     save = save_text if args.format == "text" else save_binary
@@ -129,13 +162,14 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 def cmd_train_clf(args: argparse.Namespace) -> int:
     # the settings are checked before any file is read
-    cfg = ClassifierConfig(epochs=args.epochs, lr=args.lr, seed=args.seed)
-    check_threshold(args.threshold)
+    cfg = ClassifierConfig(**_given(args, "epochs", "lr", "seed"))
+    if args.threshold is not None:
+        check_threshold(args.threshold)
     _require_files(args.embeddings, args.corpus)
     emb = load_file(args.embeddings, args.format)
     corpus = _load_corpus(args.corpus, args.multilabel)
     mode = "multilabel" if args.multilabel else "exclusive"
-    model = train_classifier(corpus, emb, cfg, mode, threshold=args.threshold)
+    model = train_classifier(corpus, emb, cfg, mode, **_given(args, "threshold"))
     _atomic_write(args.out, lambda f: save_classifier(model, f))
     logger.info("wrote %s", args.out)
     print(f"model\tclasses={len(model.classes)}\tmode={model.mode}\tout={args.out}")
@@ -230,20 +264,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ft_defaults = FinetuneConfig()
+    # the options of a config default to None: the config holds the defaults
     p = sub.add_parser("finetune", help="fine-tune embeddings on a labeled corpus")
     p.add_argument("--pretrained", required=True, help="input embedding file")
     _add_format(p)
     p.add_argument("--corpus", required=True, help="TSV corpus: <label>\\t<text>")
     p.add_argument("--out", required=True, help="output embedding file (same format)")
-    p.add_argument("--epochs", type=int, default=ft_defaults.epochs)
-    p.add_argument("--window", type=int, default=ft_defaults.window)
-    p.add_argument("--negative", type=int, default=ft_defaults.negative)
-    p.add_argument("--lr", type=float, default=ft_defaults.alpha0,
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--window", type=int)
+    p.add_argument("--negative", type=int)
+    p.add_argument("--lr", type=float, dest="alpha0", metavar="LR",
                    help="initial learning rate")
-    p.add_argument("--min-lr", type=float, default=ft_defaults.alpha_min,
+    p.add_argument("--min-lr", type=float, dest="alpha_min", metavar="MIN_LR",
                    help="learning rate floor")
-    p.add_argument("--seed", type=int, default=ft_defaults.seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--multilabel", action="store_true",
                    help="labels are comma-separated; one pass per label")
     p.add_argument("--export-class-vectors", metavar="PATH", default=None,
@@ -252,18 +286,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shuffle document order each epoch (seeded)")
     p.set_defaults(func=cmd_finetune)
 
-    clf_defaults = ClassifierConfig()
     p = sub.add_parser("train-clf", help="train the mean-pool linear probe")
     p.add_argument("--embeddings", required=True)
     _add_format(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--epochs", type=int, default=clf_defaults.epochs)
-    p.add_argument("--lr", type=float, default=clf_defaults.lr)
-    p.add_argument("--seed", type=int, default=clf_defaults.seed)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--multilabel", action="store_true",
                    help="sigmoid per class instead of softmax")
-    p.add_argument("--threshold", type=float, default=0.5,
+    p.add_argument("--threshold", type=float,
                    help="multilabel decision threshold")
     p.set_defaults(func=cmd_train_clf)
 
@@ -315,5 +348,26 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The ``classvec`` command: ``main`` on the process's arguments, then
+    an exit that skips the interpreter's teardown (about 20 ms of freeing
+    modules) once the logs and the standard streams are flushed. A stream
+    that cannot be flushed, such as a closed pipe, makes the exit status
+    non-zero."""
+    try:
+        code = main()
+    except SystemExit as e:  # --help and usage errors, from argparse
+        code = e.code
+    logging.shutdown()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # started with the descriptor closed
+            continue
+        try:
+            stream.flush()
+        except (OSError, ValueError):
+            code = code or 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -31,6 +31,7 @@ from typing import BinaryIO
 import numpy as np
 
 from . import _kernel
+from ._names import FORMATS
 
 BLOCK_ROWS = 256
 
@@ -409,17 +410,16 @@ def save_binary(emb: EmbeddingSet, sink: BinaryIO) -> None:
     if len(emb) < 1:
         raise ValueError("refusing to write an empty embedding set")
     sink.write(f"{len(emb)} {emb.dim}\n".encode("ascii"))
-    row_bytes = 4 * emb.dim
+    row = np.dtype(f"V{4 * emb.dim}")  # one row's bytes, as one bytes object
     for start in range(0, len(emb), BLOCK_ROWS):
-        stop = start + BLOCK_ROWS
-        raw = np.ascontiguousarray(emb.matrix[start:stop], dtype="<f4").tobytes()
-        sink.write(b"".join([
-            w.encode("utf-8") + b" " + raw[j:j + row_bytes]
-            for w, j in zip(emb.words[start:stop], range(0, len(raw), row_bytes))
-        ]))
-
-
-FORMATS = ("text", "bin")
+        words = emb.words[start:start + BLOCK_ROWS]
+        block = np.ascontiguousarray(emb.matrix[start:start + BLOCK_ROWS], dtype="<f4")
+        # token, space, vector per row: tokens hold no whitespace, so one
+        # encode and split gives every token's bytes
+        parts = [b" "] * (3 * len(words))
+        parts[0::3] = " ".join(words).encode("utf-8").split(b" ")
+        parts[2::3] = block.view(row).ravel().tolist()
+        sink.write(b"".join(parts))
 
 
 def load_file(path: str, fmt: str) -> EmbeddingSet:

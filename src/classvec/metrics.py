@@ -14,18 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-MACHINE_FIELDS = (
-    "mode",
-    "n",
-    "accuracy",
-    "weighted_precision",
-    "weighted_recall",
-    "weighted_f1",
-    "avg_recall",
-    "jaccard",
-    "micro_f1",
-    "macro_f1",
-)
+from ._names import MACHINE_FIELDS
 
 
 @dataclass(frozen=True)

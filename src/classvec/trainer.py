@@ -31,7 +31,7 @@ from . import _kernel
 from .classifier import sigmoid
 from .corpus import Document, LabeledCorpus
 from .embedding_io import EmbeddingSet
-from .vocab import MergedModel, Vocabulary, build_vocab
+from .vocab import MergedModel, Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -349,14 +349,14 @@ def _doc_passes(
         in_idx = np.fromiter(
             map(state.input_index.__getitem__, doc.tokens), np.int64, len(doc.tokens)
         )
+        out_idx = np.fromiter(
+            map(state.output_index.__getitem__, doc.tokens), np.int64, len(doc.tokens)
+        )
     except KeyError as e:
         raise ValueError(
             f"corpus token {e.args[0]!r} is missing from the model; "
             "merge() must precede finetune()"
         ) from None
-    out_idx = np.fromiter(
-        map(state.output_index.__getitem__, doc.tokens), np.int64, len(doc.tokens)
-    )
     return [(in_idx, out_idx, state.class_index[l]) for l in doc.labels]
 
 
@@ -374,12 +374,20 @@ def init_state(
 ) -> TrainState:
     """Build the initial training state for ``finetune``.
 
-    Consumes the head of the seeded rng stream for the class-vector
-    initialization (uniform [-0.5/m, +0.5/m), the same scheme used for
-    unseen words).
+    The counts come from the vocabulary ``model`` was merged over, which
+    must be that of ``corpus`` (``merge(pretrained, build_vocab(corpus))``):
+    a corpus of another token total is rejected. Consumes the head of the
+    seeded rng stream for the class-vector initialization (uniform
+    [-0.5/m, +0.5/m), the same scheme used for unseen words).
     """
-    vocab = build_vocab(corpus)
+    vocab = model.vocab
     emb = model.embedding
+    if vocab.total_tokens != sum(len(d.tokens) for d in corpus.docs):
+        raise ValueError(
+            f"the model was merged over a vocabulary of {vocab.total_tokens} "
+            "corpus tokens, not this corpus's: merge() must precede "
+            "finetune() on the same corpus"
+        )
     missing = [t for t in vocab.entries if t not in emb.index]
     if missing:
         raise ValueError(

@@ -51,12 +51,14 @@ class MergedModel:
 
     ``trainable_mask[i]`` is True exactly when ``embedding.words[i]`` occurs
     in the corpus; all other rows stay frozen through training. ``unseen``
-    lists the corpus tokens that had no pretrained vector.
+    lists the corpus tokens that had no pretrained vector, and ``vocab`` is
+    the corpus vocabulary the model was merged over, which training reuses.
     """
 
     embedding: EmbeddingSet
     trainable_mask: np.ndarray
     unseen: tuple[str, ...]
+    vocab: Vocabulary
 
 
 def build_vocab(corpus: LabeledCorpus) -> Vocabulary:
@@ -100,4 +102,4 @@ def merge(pretrained: EmbeddingSet, vocab: Vocabulary, seed: int) -> MergedModel
     matrix = np.vstack([pretrained.matrix, new_rows]) if unseen else pretrained.matrix.copy()
     merged = EmbeddingSet(words, matrix)
     mask = np.fromiter((w in vocab for w in words), dtype=bool, count=len(words))
-    return MergedModel(merged, mask, tuple(unseen))
+    return MergedModel(merged, mask, tuple(unseen), vocab)

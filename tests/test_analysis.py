@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from classvec.analysis import cosine, drift, nearest_neighbors
+from classvec.analysis import _QUANTILES, _quantile, cosine, drift, nearest_neighbors
 from classvec.embedding_io import BLOCK_ROWS, EmbeddingSet
 
 from _constructions import random_embedding, reference_drift
@@ -153,13 +153,34 @@ class TestDrift:
             before.matrix + rng.normal(0, 0.1, before.matrix.shape).astype(np.float32),
         )
         report = drift(before, after)
-        shifts = np.array([s for _, _, s in report.entries])
-        np.testing.assert_allclose(
-            report.quantiles["shift_median"], np.quantile(shifts, 0.5), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            report.quantiles["shift_p75"], np.quantile(shifts, 0.75), rtol=1e-12
-        )
+        for col, name in ((1, "cosine"), (2, "shift")):
+            values = np.array([e[col] for e in report.entries])
+            for q, tag in _QUANTILES:
+                assert report.quantiles[f"{name}_{tag}"] == float(np.quantile(values, q))
+
+    def test_quantile_is_numpys_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        sizes = [*range(1, 65), *rng.integers(65, 10_000, 40)]
+        for n in sizes:
+            for values in (
+                rng.normal(size=n),
+                rng.integers(-3, 4, n).astype(np.float64),  # ties
+                rng.random(n) * 10.0 ** rng.integers(-300, 300, n),
+                np.full(n, -0.0),
+            ):
+                ascending = np.sort(values)
+                for q, _ in _QUANTILES:
+                    ours, numpys = _quantile(ascending, q), float(np.quantile(values, q))
+                    assert np.float64(ours).tobytes() == np.float64(numpys).tobytes()
+
+    def test_quantile_of_mixed_zeros_has_numpys_value(self):
+        # numpy's partial sort may order +0.0 and -0.0 otherwise: same value,
+        # perhaps the other sign
+        rng = np.random.default_rng(5)
+        for n in range(1, 40):
+            values = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+            for q, _ in _QUANTILES:
+                assert _quantile(np.sort(values), q) == np.quantile(values, q) == 0.0
 
     def test_errors(self):
         a = EmbeddingSet(["x"], np.ones((1, 2), np.float32))

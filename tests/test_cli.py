@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import shlex
@@ -152,6 +153,33 @@ class TestFinetuneCommand:
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
         assert leftovers == []
 
+    def test_default_runs_are_byte_identical_and_match_readme(self, workspace, capsys):
+        # the defaults come from FinetuneConfig, the merge seed among them
+        tmp_path, pre, corpus = workspace
+        readme_defaults = ["--epochs", "10", "--window", "5", "--negative", "5",
+                           "--lr", "0.025", "--min-lr", "0.0001", "--seed", "1"]
+        outputs = []
+        for name, flags in (("a", []), ("b", []), ("c", readme_defaults)):
+            out = tmp_path / f"{name}.txt"
+            assert main(["finetune", "--pretrained", pre, "--corpus", corpus,
+                         "--out", str(out), *flags]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--epochs", "0"], "epochs must be >= 1"),
+        (["--lr", "0.001", "--min-lr", "0.01"], "need alpha0 > alpha_min > 0"),
+    ])
+    def test_settings_are_checked_before_any_file_is_read(self, tmp_path, capsys,
+                                                          flags, message):
+        missing = str(tmp_path / "missing.txt")
+        rc = main(["finetune", "--pretrained", missing, "--corpus", missing,
+                   "--out", str(tmp_path / "tuned.txt"), *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
     def test_malformed_corpus_reports_line(self, workspace, capsys):
         tmp_path, pre, _ = workspace
         bad = tmp_path / "bad.tsv"
@@ -287,6 +315,21 @@ class TestInspectionCommands:
             sims.append(float(sim))
         assert sims == sorted(sims, reverse=True)
         assert sims[0] > 0.9  # same-cluster neighbor
+
+    def test_nn_calls_the_name_bound_in_the_cli_module(self, workspace, monkeypatch,
+                                                       capsys):
+        # a wrapper set on classvec.cli (a tracer, a test's patch) is what runs
+        tmp_path, pre, _ = workspace
+        loaded = []
+
+        def load_file(path, fmt):
+            loaded.append(path)
+            return EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32))
+
+        monkeypatch.setattr(classvec.cli, "load_file", load_file)
+        assert main(["nn", "--embeddings", pre, "--word", "a", "--k", "1"]) == 0
+        assert loaded == [pre]
+        assert capsys.readouterr().out == "b\t0.000000\n"
 
     def test_nn_k_too_large_is_a_usage_error(self, workspace, capsys):
         tmp_path, pre, _ = workspace
@@ -475,3 +518,138 @@ class TestSubprocess:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+# runs the CLI in a fresh process, then writes its exit code and the
+# modules it loaded to the file named by the first argument
+_MODULES_AFTER = """\
+import json, sys
+from classvec.cli import main
+try:
+    code = main(sys.argv[2:])
+except SystemExit as e:
+    code = e.code
+with open(sys.argv[1], "w") as f:
+    json.dump([code, sorted(sys.modules)], f)
+"""
+
+
+def _modules_after(tmp_path, argv: list[str]) -> tuple[int, set[str]]:
+    listing = tmp_path / "modules.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER, str(listing), *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert listing.exists(), proc.stderr
+    code, modules = json.loads(listing.read_text())
+    return code, set(modules)
+
+
+def _buffered_env() -> dict[str, str]:
+    """The environment with stdout block-buffered, as by default, so that
+    output the hard exit did not flush would be lost."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _classvec(*argv: str) -> subprocess.CompletedProcess:
+    """The ``classvec`` command, through its hard exit."""
+    return subprocess.run([sys.executable, "-m", "classvec.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=_buffered_env())
+
+
+class TestStartup:
+    """Each command imports only what it runs and exits without teardown."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["nn", "--help"], 0), (["nn"], 2), (["bogus"], 2),
+    ])
+    def test_help_and_usage_errors_load_no_numpy(self, tmp_path, argv, code):
+        got, loaded = _modules_after(tmp_path, argv)
+        assert got == code
+        assert "classvec.cli" in loaded
+        assert "numpy" not in loaded
+
+    def test_import_classvec_loads_no_module_of_it(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, classvec; "
+             "print(sorted(m for m in sys.modules if m.startswith(('classvec', 'numpy'))))"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.stdout.strip() == "['classvec']", proc.stderr
+
+    def test_stages_load_only_their_modules(self, workspace, kernel_library):
+        # the library is cached, so no stage needs the compiler's modules
+        tmp_path, pre, corpus = workspace
+        tuned, probe = str(tmp_path / "tuned.txt"), str(tmp_path / "probe.clf")
+        stages = {
+            "finetune": ["finetune", "--pretrained", pre, "--corpus", corpus,
+                         "--out", tuned, "--epochs", "1"],
+            "train-clf": ["train-clf", "--embeddings", tuned, "--corpus", corpus,
+                          "--out", probe, "--epochs", "2"],
+            "eval": ["eval", "--model", probe, "--embeddings", tuned, "--corpus", corpus],
+            "drift": ["drift", "--before", pre, "--after", tuned],
+            "nn": ["nn", "--embeddings", tuned, "--word", "spam0", "--k", "2"],
+        }
+        loaded = {}
+        for stage, argv in stages.items():
+            code, loaded[stage] = _modules_after(tmp_path, argv)
+            assert code == 0, stage
+        for stage in ("drift", "nn"):
+            mine = {m for m in loaded[stage] if m.startswith("classvec.")}
+            assert mine == {"classvec.cli", "classvec._names", "classvec._kernel",
+                            "classvec.embedding_io", "classvec.analysis"}, stage
+        for stage, modules in loaded.items():
+            assert "numpy.ma" not in modules, stage
+            assert "subprocess" not in modules, stage
+
+    def test_exit_codes_through_the_hard_exit(self, workspace):
+        tmp_path, pre, _ = workspace
+        ok = _classvec("nn", "--embeddings", pre, "--word", "spam0", "--k", "2")
+        assert ok.returncode == 0 and len(ok.stdout.splitlines()) == 2
+        unknown = _classvec("nn", "--embeddings", pre, "--word", "nope", "--k", "2")
+        assert unknown.returncode == 1
+        assert "unknown word 'nope'" in unknown.stderr
+        for argv in (["nn", "--embeddings", pre, "--word", "spam0", "--k", "0"],
+                     ["nn", "--embeddings", pre]):
+            usage = _classvec(*argv)
+            assert usage.returncode == 2 and "usage" in usage.stderr
+        assert _classvec("--help").returncode == 0
+
+    def test_large_output_arrives_complete_through_a_pipe(self, tmp_path):
+        rows = 20000
+        rng = np.random.default_rng(5)
+        words = [f"t{i}" for i in range(rows)]
+        before, after = str(tmp_path / "before.txt"), str(tmp_path / "after.txt")
+        matrix = rng.normal(size=(rows, 4)).astype(np.float32)
+        save_file(EmbeddingSet(words, matrix), before, "text")
+        save_file(EmbeddingSet(words, matrix + np.float32(0.5)), after, "text")
+        proc = _classvec("drift", "--before", before, "--after", after,
+                         "--top", str(rows))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.split("\n")
+        assert len(proc.stdout) > 2**16  # far more than a pipe buffer holds
+        assert lines[-1] == "" and len(lines) == 3 + rows + 1
+        assert sorted(line.split()[0] for line in lines[3:-1]) == sorted(words)
+
+    def test_closed_stdout_fails_without_a_traceback(self):
+        # the help text waits in stdout's buffer for the final flush
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "classvec.cli", "--help"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_buffered_env(),
+        )
+        proc.stdout.close()  # the help text cannot be delivered
+        err = proc.communicate(timeout=120)[1].decode()
+        assert proc.returncode not in (0, None)
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_no_stdout_at_start_is_no_error(self):
+        # with descriptor 1 closed, sys.stdout is None and argparse writes
+        # the help text to stderr
+        proc = subprocess.run(
+            f"{shlex.quote(sys.executable)} -m classvec.cli --help >&-",
+            shell=True, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.startswith("usage: classvec")

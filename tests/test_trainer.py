@@ -26,6 +26,7 @@ from classvec.trainer import (
     train_document,
 )
 from classvec.trainer import _sample_negatives
+from classvec import vocab as vocab_module
 from classvec.vocab import build_vocab, merge
 
 from _constructions import cos, frequency_corpus, random_embedding
@@ -324,10 +325,31 @@ class TestInitState:
         corpus = from_documents([Document(("t0", "novel"), ("c",))])
         with pytest.raises(ValueError, match="merge\\(\\) must precede"):
             init_state(
-                type("M", (), {"embedding": emb, "trainable_mask": None})(),
+                type("M", (), {"embedding": emb, "trainable_mask": None,
+                               "vocab": build_vocab(corpus)})(),
                 corpus,
                 FinetuneConfig(),
             )
+
+
+    def test_counts_come_from_the_merged_vocabulary(self, monkeypatch):
+        model, corpus = small_setup()
+
+        def count_again(corpus):
+            raise AssertionError("the corpus was counted again")
+
+        monkeypatch.setattr(vocab_module, "build_vocab", count_again)
+        state = init_state(model, corpus, FinetuneConfig())
+        assert state.output_index == {
+            t: idx for t, (idx, _) in model.vocab.entries.items()
+        }
+        assert state.noise_table.tobytes() == build_noise_table(model.vocab).tobytes()
+
+    def test_corpus_other_than_the_merged_one_is_rejected(self):
+        model, corpus = small_setup()
+        shorter = from_documents(corpus.docs[:-1])
+        with pytest.raises(ValueError, match="merge\\(\\) must precede"):
+            init_state(model, shorter, FinetuneConfig())
 
 
 class TestFinetune:
@@ -854,10 +876,25 @@ class TestKernel:
         assert tuned.matrix.tobytes() == ref.input_matrix.astype(np.float32).tobytes()
 
     def test_failed_build_raises_and_leaves_no_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(_kernel.sysconfig, "get_config_var", lambda name: "false")
+        monkeypatch.setattr(sysconfig, "get_config_var", lambda name: "false")
         with pytest.raises(OSError, match="false exited 1"):
             _kernel.compile_library(tmp_path / "kernel.so")
         assert list(tmp_path.iterdir()) == []
+
+    def test_build_removes_older_builds_for_this_cpu_only(self, tmp_path, monkeypatch,
+                                                          kernel_library):
+        source = tmp_path / "_kernel.c"
+        source.write_bytes(_kernel.SOURCE.read_bytes())
+        monkeypatch.setattr(_kernel, "SOURCE", source)
+        built = _kernel.library_path()
+        cpu = built.name.split("-")[1]
+        built.parent.mkdir()
+        older = built.parent / f"_kernel-{cpu}-{'0' * 16}.so"
+        other_cpu = built.parent / f"_kernel-{'f' * 16}-{'0' * 16}.so"
+        for path in (older, other_cpu):
+            path.write_bytes(b"")
+        _kernel.open_library()
+        assert sorted(built.parent.iterdir()) == sorted([built, other_cpu])
 
     def test_library_path_is_keyed_by_the_host_cpu(self, monkeypatch):
         # -march=native builds for this CPU: another CPU gets another file
