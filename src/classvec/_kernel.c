@@ -5,11 +5,11 @@
    The numpy pass in trainer.py (_reference_pass) is the reference for
    label_pass, which repeats it step for step, in place, on the float64
    matrices of a TrainState; train_chunk runs it over a chunk of passes.
-   Every random or scheduled value (kept positions, per-position learning
-   rates, the uniform draws behind the negatives) is drawn by the caller
-   and passed in, so the two passes see identical inputs. They differ only
-   by rounding: the logits are summed in four fixed partial sums, where
-   numpy leaves the order to BLAS.
+   Every random or scheduled value (per-position learning rates, the
+   uniform draws behind the negatives) is drawn by the caller and passed
+   in, so the two passes see identical inputs. They differ only by
+   rounding: the logits are summed in four fixed partial sums, where numpy
+   leaves the order to BLAS.
 
    probe_epoch repeats the per-example loop over loss_and_grads in
    classifier.py (_reference_epoch) in the example order the caller drew.
@@ -185,46 +185,51 @@ static int64_t label_pass(
              n_positions entries: the positions of every pass back to back
              (input and output rows, learning rates)
    uniforms  n_positions x negative x attempts draws in [0, 1)
-   starts, lengths, labels
-             n_passes entries: pass i trains positions starts[i] ..
-             starts[i] + lengths[i] - 1 under class vector labels[i]
+   lengths, labels
+             n_passes entries: pass i trains the next lengths[i]
+             positions under class vector labels[i]; the lengths add up
+             to n_positions
    rows      scratch, 1 + negative entries
    scratch   scratch, 1 + negative + 2 * dim entries
 
    The five matrices must not overlap. Stores the summed negative-sampling
    loss in *loss and returns the number of positions that got fewer than
    `negative` negatives, or -1, touching nothing, when any index of the
-   chunk is out of range. */
+   chunk is out of range or the lengths do not add up to n_positions. */
 int64_t train_chunk(
     double *input, int64_t n_input, const uint8_t *trainable,
     double *output, int64_t n_output, const double *noise,
     double *classes, int64_t n_classes,
     const int64_t *in_idx, const int64_t *out_idx, int64_t n_positions,
     const double *alphas, const double *uniforms,
-    const int64_t *starts, const int64_t *lengths, const int64_t *labels,
-    int64_t n_passes,
+    const int64_t *lengths, const int64_t *labels, int64_t n_passes,
     int64_t dim, int64_t window, int64_t negative, int64_t attempts,
     int64_t *rows, double *scratch, double *loss)
 {
-    int64_t shortfall = 0;
+    int64_t shortfall = 0, s = 0;
 
     for (int64_t p = 0; p < n_positions; p++)
         if (in_idx[p] < 0 || in_idx[p] >= n_input
                 || out_idx[p] < 0 || out_idx[p] >= n_output)
             return -1;
-    for (int64_t i = 0; i < n_passes; i++)
-        if (labels[i] < 0 || labels[i] >= n_classes || starts[i] < 0
-                || lengths[i] < 0 || lengths[i] > n_positions - starts[i])
+    for (int64_t i = 0; i < n_passes; i++) {
+        if (labels[i] < 0 || labels[i] >= n_classes
+                || lengths[i] < 0 || lengths[i] > n_positions - s)
             return -1;
+        s += lengths[i];
+    }
+    if (s != n_positions)
+        return -1;
 
     *loss = 0.0;
+    s = 0;
     for (int64_t i = 0; i < n_passes; i++) {
-        const int64_t s = starts[i];
         shortfall += label_pass(
             input, trainable, output, n_output, noise, classes + labels[i] * dim,
             in_idx + s, out_idx + s, lengths[i],
             alphas + s, uniforms + s * negative * attempts,
             dim, window, negative, attempts, rows, scratch, loss);
+        s += lengths[i];
     }
     return shortfall;
 }

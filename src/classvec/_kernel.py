@@ -45,7 +45,7 @@ _SIGNATURES = {
         _P, _I,                 # classes, n_classes
         _P, _P, _I,             # in_idx, out_idx, n_positions
         _P, _P,                 # alphas, uniforms
-        _P, _P, _P, _I,         # starts, lengths, labels, n_passes
+        _P, _P, _I,             # lengths, labels, n_passes
         _I, _I, _I, _I,         # dim, window, negative, attempts
         _P, _P, _P,             # rows, scratch, loss
     ],
@@ -202,13 +202,14 @@ def load() -> Callable | None:
         dim, negative = inp.shape[1], state.cfg.negative
         n, n_passes = len(chunk.in_idx), len(chunk.labels)
         attempts = chunk.uniforms.shape[-1]
-        # the C side trusts these sizes; index ranges it checks itself
+        # the C side trusts these sizes; index ranges and that the pass
+        # lengths add up to the positions it checks itself
         if not (out.shape[1] == dim and cls.shape[1] == dim
                 and len(state.trainable) == len(inp)
                 and len(state.noise_table) == len(out) > 0
                 and len(chunk.out_idx) == len(chunk.alphas) == n
                 and chunk.uniforms.shape == (n, negative, attempts)
-                and len(chunk.starts) == len(chunk.lengths) == n_passes):
+                and len(chunk.lengths) == n_passes):
             raise ValueError("training chunk arrays disagree in shape")
         matrices = (inp, out, cls, state.noise_table, state.trainable)
         if any(np.may_share_memory(a, b)
@@ -225,13 +226,12 @@ def load() -> Callable | None:
             _address(cls, _F64, write=True), len(cls),
             _address(chunk.in_idx, _I64), _address(chunk.out_idx, _I64), n,
             _address(chunk.alphas, _F64), _address(chunk.uniforms, _F64),
-            _address(chunk.starts, _I64), _address(chunk.lengths, _I64),
-            _address(chunk.labels, _I64), n_passes,
+            _address(chunk.lengths, _I64), _address(chunk.labels, _I64), n_passes,
             dim, state.cfg.window, negative, attempts,
             rows.ctypes.data, scratch.ctypes.data, loss.ctypes.data,
         )
         if shortfall < 0:
-            raise IndexError("training chunk index out of range")
+            raise IndexError("training chunk index or pass length out of range")
         return float(loss[0]), shortfall
 
     return train_chunk

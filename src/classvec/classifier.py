@@ -172,13 +172,16 @@ def _reference_epoch(
 ) -> float:
     """One epoch of per-example SGD with :func:`loss_and_grads`, in place;
     returns the summed pre-update loss. The reference for the compiled
-    ``probe_epoch`` and the fallback where it cannot be built."""
+    ``probe_epoch`` and the fallback where it cannot be built. Like the
+    kernel, it warns of no overflow when a run diverges: ``train_classifier``
+    checks every epoch's result."""
     total = 0.0
-    for i in order:
-        loss, grad_w, grad_b = loss_and_grads(xs[i], targets[i], weights, bias, mode, l2)
-        weights -= lr * grad_w
-        bias -= lr * grad_b
-        total += loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in order:
+            loss, grad_w, grad_b = loss_and_grads(xs[i], targets[i], weights, bias, mode, l2)
+            weights -= lr * grad_w
+            bias -= lr * grad_b
+            total += loss
     return total
 
 

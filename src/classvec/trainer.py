@@ -12,9 +12,10 @@ and output vectors exist only for corpus tokens, so rows of the merged
 matrix that never occur in the corpus come out bit-identical.
 
 All training arithmetic runs in 64-bit; the exported matrix is cast back
-to 32-bit floats. Python draws every random or scheduled value pass by
-pass, in pass order, and gathers whole passes into chunks; each chunk is
-one call of the compiled kernel of ``_kernel.c`` when it builds on this
+to 32-bit floats. Label passes are trained in chunks of whole passes;
+Python draws each chunk's learning rates and uniforms in one call each,
+the values that drawing pass by pass would give, and the chunk is one
+call of the compiled kernel of ``_kernel.c`` when it builds on this
 machine, else of the numpy reference pass it is tested against, pass by
 pass. ``finetune`` and ``train_document`` share that one path.
 """
@@ -28,7 +29,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import _kernel
-from .classifier import sigmoid
 from .corpus import Document, LabeledCorpus
 from .embedding_io import EmbeddingSet
 from .vocab import MergedModel, Vocabulary
@@ -58,7 +58,6 @@ class FinetuneConfig:
     alpha0: float = 0.025
     alpha_min: float = 0.0001
     seed: int = 1
-    subsample_threshold: float | None = None
     shuffle: bool = False
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class FinetuneConfig:
             raise ValueError("negative must be >= 1")
         if not (self.alpha0 > self.alpha_min > 0):
             raise ValueError("need alpha0 > alpha_min > 0")
-        if self.subsample_threshold is not None and self.subsample_threshold <= 0:
-            raise ValueError("subsample_threshold must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,6 @@ class TrainState:
     class_index: dict[str, int]
     input_index: dict[str, int]
     output_index: dict[str, int]
-    keep_prob: np.ndarray | None  # per-output-row keep probability, or None
     positions_done: int = 0
     total_positions: int = 0
     kernel: Callable[[TrainState, Chunk], tuple[float, int]] | None = None
@@ -157,6 +153,9 @@ def ns_loss_and_grads(
     Returns ``(loss, dL/dh, dL/du)`` where the gradient rows of ``dL/du``
     align with ``[center, *negatives]``.
     """
+    # imported here, so that a run on the compiled kernel loads no probe code
+    from .classifier import sigmoid
+
     rows = np.empty(1 + len(negatives), dtype=np.int64)
     rows[0] = center
     rows[1:] = negatives
@@ -235,91 +234,84 @@ class Chunk:
     """Whole label passes trained by one call of the kernel or the reference.
 
     The positions of every pass lie back to back in ``in_idx``, ``out_idx``,
-    ``alphas`` and ``uniforms``; pass ``i`` trains positions
-    ``starts[i]:starts[i] + lengths[i]`` under class ``labels[i]``.
+    ``alphas`` and ``uniforms``: pass ``i`` trains the next ``lengths[i]``
+    positions under class ``labels[i]``, and the lengths add up to all of
+    them.
     """
 
     in_idx: np.ndarray    # positions, int64 input rows
     out_idx: np.ndarray   # positions, int64 output rows
     alphas: np.ndarray    # positions, float64 learning rates
     uniforms: np.ndarray  # positions x negative x NS_RESAMPLE_ATTEMPTS, float64
-    starts: np.ndarray    # passes, int64
     lengths: np.ndarray   # passes, int64
     labels: np.ndarray    # passes, int64 class ids
 
 
 def _reference_chunk(state: TrainState, chunk: Chunk) -> tuple[float, int]:
     """Train a chunk pass by pass with :func:`_reference_pass`; the
-    reference for ``_kernel.load()``'s chunk trainer and its fallback."""
-    loss, shortfall = 0.0, 0
-    for start, n, label_id in zip(
-        chunk.starts.tolist(), chunk.lengths.tolist(), chunk.labels.tolist()
-    ):
-        part = slice(start, start + n)
-        pass_loss, pass_shortfall = _reference_pass(
-            state, chunk.in_idx[part], chunk.out_idx[part], label_id,
-            chunk.alphas[part], chunk.uniforms[part],
-        )
-        loss += pass_loss
-        shortfall += pass_shortfall
+    reference for ``_kernel.load()``'s chunk trainer and its fallback.
+    Like the kernel, it warns of no overflow when a run diverges: the
+    per-epoch finiteness check reports that."""
+    loss, shortfall, start = 0.0, 0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, label_id in zip(chunk.lengths.tolist(), chunk.labels.tolist()):
+            part = slice(start, start + n)
+            pass_loss, pass_shortfall = _reference_pass(
+                state, chunk.in_idx[part], chunk.out_idx[part], label_id,
+                chunk.alphas[part], chunk.uniforms[part],
+            )
+            loss += pass_loss
+            shortfall += pass_shortfall
+            start += n
     return loss, shortfall
 
 
 def _draw_chunks(
     state: TrainState, passes: list[tuple[np.ndarray, np.ndarray, int]]
 ) -> Iterator[Chunk]:
-    """Draw the random and scheduled values of label passes
-    ``(in_idx, out_idx, label_id)`` in order, and yield them as chunks.
+    """Group label passes ``(in_idx, out_idx, label_id)`` into chunks, in
+    order, and draw each chunk's learning rates and uniforms as it is taken.
 
-    Each pass draws exactly what it would alone: its subsampling mask, then
-    its learning rates, then the uniforms behind its negatives. A chunk
-    holds whole passes and at most CHUNK_UNIFORMS uniforms, unless a single
-    pass needs more and is a chunk of its own. Chunks are views of buffers
-    that the next chunk reuses, so each is trained before the next is drawn.
+    A chunk holds whole passes and at most CHUNK_UNIFORMS uniforms, unless
+    a single pass needs more and is a chunk of its own. Its rates come from
+    one schedule call over its positions, and its uniforms from one
+    ``rng.random`` call: PCG64 makes one double of each 64-bit output, so
+    they are the values that drawing pass by pass would give.
     """
-    cfg, rng = state.cfg, state.rng
-    width = cfg.negative * NS_RESAMPLE_ATTEMPTS
-    limit = max(CHUNK_UNIFORMS // width, 1)  # positions in a chunk
-    lengths = [len(in_idx) for in_idx, _, _ in passes]
-    size = max(min(limit, sum(lengths)), max(lengths, default=0))
-    in_buf, out_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    steps, uniforms = np.empty(size), np.empty(size * width)
-    spans: list[tuple[int, int, int]] = []  # start, length and class of each pass
+    limit = max(CHUNK_UNIFORMS // (state.cfg.negative * NS_RESAMPLE_ATTEMPTS), 1)
+    group: list[tuple[np.ndarray, np.ndarray, int]] = []
     fill = 0
-
-    def chunk() -> Chunk:
-        starts, lens, labels = np.array(spans, dtype=np.int64).T.copy()
-        # elementwise, so each pass gets the rates it would get alone
-        alphas = lr_schedule(cfg, steps[:fill] / state.total_positions)
-        state.alpha = float(alphas[-1])
-        return Chunk(
-            in_buf[:fill], out_buf[:fill], alphas,
-            uniforms[:fill * width].reshape(fill, cfg.negative, NS_RESAMPLE_ATTEMPTS),
-            starts, lens, labels,
-        )
-
-    for in_idx, out_idx, label_id in passes:
-        if state.keep_prob is not None:
-            keep = rng.random(len(in_idx)) < state.keep_prob[out_idx]
-            # discarded positions still advance the lr schedule
-            state.positions_done += int(len(in_idx) - keep.sum())
-            in_idx, out_idx = in_idx[keep], out_idx[keep]
-        n = len(in_idx)
+    for p in passes:
+        n = len(p[0])
         if n == 0:
-            continue
-        if spans and fill + n > limit:
-            yield chunk()
-            spans.clear()
-            fill = 0
-        in_buf[fill:fill + n] = in_idx
-        out_buf[fill:fill + n] = out_idx
-        steps[fill:fill + n] = np.arange(state.positions_done, state.positions_done + n)
-        rng.random(out=uniforms[fill * width:(fill + n) * width])
-        spans.append((fill, n, label_id))
-        state.positions_done += n
+            continue  # an empty pass draws and trains nothing
+        if group and fill + n > limit:
+            yield _draw_chunk(state, group)
+            group, fill = [], 0
+        group.append(p)
         fill += n
-    if spans:
-        yield chunk()
+    if group:
+        yield _draw_chunk(state, group)
+
+
+def _draw_chunk(
+    state: TrainState, group: list[tuple[np.ndarray, np.ndarray, int]]
+) -> Chunk:
+    """The chunk of the non-empty label passes ``group``, with its learning
+    rates and uniforms drawn; advances the position counter past it."""
+    cfg = state.cfg
+    in_idx, out_idx, labels = zip(*group)
+    lengths = np.fromiter(map(len, in_idx), np.int64, len(group))
+    n = int(lengths.sum())
+    done = state.positions_done
+    alphas = lr_schedule(cfg, np.arange(done, done + n) / state.total_positions)
+    state.positions_done = done + n
+    state.alpha = float(alphas[-1])
+    return Chunk(
+        np.concatenate(in_idx), np.concatenate(out_idx), alphas,
+        state.rng.random((n, cfg.negative, NS_RESAMPLE_ATTEMPTS)),
+        lengths, np.array(labels, dtype=np.int64),
+    )
 
 
 def _train_passes(
@@ -398,12 +390,6 @@ def init_state(
     rng = np.random.default_rng(cfg.seed)
     classes = tuple(corpus.classes)
     class_vectors = (rng.random((len(classes), m)) - 0.5) / m
-    keep_prob = None
-    if cfg.subsample_threshold is not None:
-        # word2vec-style downsampling of frequent tokens
-        t = cfg.subsample_threshold
-        rel = vocab.frequencies / vocab.total_tokens
-        keep_prob = np.minimum(1.0, np.sqrt(t / rel) + t / rel)
     total = cfg.epochs * sum(
         len(d.tokens) * len(d.labels) for d in corpus.docs
     )
@@ -420,7 +406,6 @@ def init_state(
         class_index={c: i for i, c in enumerate(classes)},
         input_index=emb.index,
         output_index={t: idx for t, (idx, _) in vocab.entries.items()},
-        keep_prob=keep_prob,
         positions_done=0,
         total_positions=total,
     )
@@ -452,21 +437,21 @@ def finetune(
     order = np.arange(len(corpus.docs))
     # token -> row mapping depends only on the document, so do it once per run
     doc_passes = [_doc_passes(state, doc) for doc in corpus.docs]
-    for epoch in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         if cfg.shuffle:
             shuffle_rng.shuffle(order)
-        started, done_before = time.perf_counter(), state.positions_done
+        started = time.perf_counter()
         loss, trained, shortfall = _train_passes(
             state, [p for di in order for p in doc_passes[di]]
         )
         seconds = time.perf_counter() - started
         _check_finite(state, epoch)
         logger.info(
-            "epoch %d/%d done: %d/%d positions (%d discarded, %d short of "
-            "negatives), mean loss %.4f, alpha %.6f, %.0f positions/s",
-            epoch + 1, cfg.epochs, state.positions_done, state.total_positions,
-            state.positions_done - done_before - trained, shortfall,
-            loss / max(trained, 1), state.alpha, trained / max(seconds, 1e-9),
+            "epoch %d/%d done: %d/%d positions (%d short of negatives), "
+            "mean loss %.4f, alpha %.6f, %.0f positions/s",
+            epoch, cfg.epochs, state.positions_done, state.total_positions,
+            shortfall, loss / max(trained, 1), state.alpha,
+            trained / max(seconds, 1e-9),
         )
     tuned = EmbeddingSet(
         model.embedding.words, state.input_matrix.astype(np.float32)

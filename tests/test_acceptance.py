@@ -87,7 +87,6 @@ def _ns_state(rng: np.random.Generator, n_out: int, m: int, k: int) -> TrainStat
         class_index={"c": 0},
         input_index={},
         output_index={},
-        keep_prob=None,
     )
 
 

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ import classvec
 from classvec import _kernel
 from classvec.cli import build_parser, main
 from classvec.embedding_io import EmbeddingSet, load_file, save_file
+
+from _constructions import disable_kernel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -153,6 +156,23 @@ class TestFinetuneCommand:
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("path", ["kernel_library", "no_kernel"])
+    def test_divergent_run_fails_after_the_first_epoch(self, workspace, capsys,
+                                                       request, path):
+        # the numpy fallback warns of no overflow on the way: the error says it
+        request.getfixturevalue(path)
+        tmp_path, pre, corpus = workspace
+        out = tmp_path / "tuned.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["finetune", "--pretrained", pre, "--corpus", corpus,
+                       "--out", str(out), "--lr", "1e30", "--min-lr", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: non-finite values after epoch 1\n" in err
+        assert "epoch 1/" not in err
+        assert not out.exists()
+
     def test_default_runs_are_byte_identical_and_match_readme(self, workspace, capsys):
         # the defaults come from FinetuneConfig, the merge seed among them
         tmp_path, pre, corpus = workspace
@@ -267,20 +287,26 @@ class TestClassifierCommands:
 
     @pytest.mark.parametrize("multilabel", [False, True])
     def test_divergent_probe_fails_after_the_first_epoch(self, workspace, capsys,
-                                                         multilabel):
+                                                         monkeypatch, multilabel):
         tmp_path, pre, corpus = workspace
         if multilabel:
             corpus = str(tmp_path / "ml.tsv")
             _write_corpus(corpus, multilabel=True)
         model = tmp_path / "probe.clf"
-        rc = main(["train-clf", "--embeddings", pre, "--corpus", corpus,
-                   "--out", str(model), "--lr", "1e308",
-                   *(["--multilabel"] if multilabel else [])])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "error: non-finite probe parameters after epoch 1" in err
-        assert "probe done" not in err
-        assert not model.exists()
+        # on the kernel, then on the fallback, which warns of nothing either
+        for fallback in (False, True):
+            if fallback:
+                disable_kernel(monkeypatch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(["train-clf", "--embeddings", pre, "--corpus", corpus,
+                           "--out", str(model), "--lr", "1e308",
+                           *(["--multilabel"] if multilabel else [])])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "error: non-finite probe parameters after epoch 1" in err
+            assert "probe done" not in err
+            assert not model.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--threshold", "2"], "threshold must be in (0, 1)"),
@@ -600,6 +626,8 @@ class TestStartup:
             mine = {m for m in loaded[stage] if m.startswith("classvec.")}
             assert mine == {"classvec.cli", "classvec._names", "classvec._kernel",
                             "classvec.embedding_io", "classvec.analysis"}, stage
+        # the trainer takes the probe's sigmoid only on its numpy fallback
+        assert not {"classvec.classifier", "classvec.metrics"} & loaded["finetune"]
         for stage, modules in loaded.items():
             assert "numpy.ma" not in modules, stage
             assert "subprocess" not in modules, stage

@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sysconfig
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +30,7 @@ from classvec.trainer import _sample_negatives
 from classvec import vocab as vocab_module
 from classvec.vocab import build_vocab, merge
 
-from _constructions import cos, frequency_corpus, random_embedding
+from _constructions import cos, disable_kernel, frequency_corpus, random_embedding
 
 
 def small_setup(n_docs=20, doc_len=9, n_vocab=30, dim=8, emb_seed=100,
@@ -74,7 +75,7 @@ class TestFinetuneConfig:
         cfg = FinetuneConfig()
         assert (cfg.epochs, cfg.window, cfg.negative) == (10, 5, 5)
         assert (cfg.alpha0, cfg.alpha_min, cfg.seed) == (0.025, 0.0001, 1)
-        assert (cfg.subsample_threshold, cfg.shuffle) == (None, False)
+        assert cfg.shuffle is False
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -85,8 +86,8 @@ class TestFinetuneConfig:
             dict(alpha0=0.0001, alpha_min=0.0001),
             dict(alpha_min=0.0),
             dict(alpha_min=-1.0),
-            dict(subsample_threshold=0.0),
-            dict(subsample_threshold=-1e-3),
+            dict(alpha0=0.001, alpha_min=0.01),
+            dict(alpha0=float("nan")),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -430,16 +431,22 @@ class TestFinetune:
                  if r.name == "classvec.trainer"]
         assert any("epoch 1/2" in l for l in lines)
         assert any("epoch 2/2" in l for l in lines)
-        for field in ("mean loss", "alpha", "positions/s",
-                      "short of negatives", "discarded"):
+        for field in ("mean loss", "alpha", "positions/s", "short of negatives"):
             assert all(field in l for l in lines if "epoch" in l)
 
-    def test_divergent_run_raises(self):
+    def test_divergent_run_raises(self, monkeypatch):
+        # on the kernel, then on the fallback: the epoch is 1-based, as in
+        # the log line, and no numpy warning comes first
         model, corpus = small_setup()
-        cfg = FinetuneConfig(epochs=1, alpha0=1e30, alpha_min=1.0)
-        with np.errstate(all="ignore"):
-            with pytest.raises(FloatingPointError, match="non-finite"):
-                finetune(model, corpus, cfg)
+        cfg = FinetuneConfig(epochs=2, alpha0=1e30, alpha_min=1.0)
+        for fallback in (False, True):
+            if fallback:
+                disable_kernel(monkeypatch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FloatingPointError,
+                                   match="^non-finite values after epoch 1$"):
+                    finetune(model, corpus, cfg)
 
     def test_shuffle_is_seeded_and_changes_the_run(self):
         model, corpus = small_setup()
@@ -449,41 +456,6 @@ class TestFinetune:
         t3, _ = finetune(model, corpus, FinetuneConfig(epochs=2, seed=4))
         assert t1.matrix.tobytes() == t2.matrix.tobytes()
         assert t1.matrix.tobytes() != t3.matrix.tobytes()
-
-
-class TestSubsampling:
-    def test_keep_probability_formula(self):
-        # keep = min(1, sqrt(t/f) + t/f) with f the relative frequency
-        toks = ("a",) * 90 + ("b",) * 10
-        corpus = from_documents([Document(toks, ("c",))])
-        rng = np.random.default_rng(65)
-        emb = random_embedding(rng, 2, 4)
-        model = merge(emb, build_vocab(corpus), seed=1)
-        t = 0.01
-        state = init_state(model, corpus, FinetuneConfig(subsample_threshold=t))
-        f = np.array([0.9, 0.1])
-        expected = np.minimum(1.0, np.sqrt(t / f) + t / f)
-        np.testing.assert_allclose(state.keep_prob, expected, rtol=1e-12)
-
-    def test_huge_threshold_keeps_everything(self):
-        model, corpus = small_setup()
-        state = init_state(model, corpus, FinetuneConfig(subsample_threshold=1e6))
-        np.testing.assert_array_equal(state.keep_prob, np.ones(len(state.keep_prob)))
-
-    def test_discarded_positions_still_advance_the_schedule(self):
-        model, corpus = small_setup()
-        cfg = FinetuneConfig(epochs=1, subsample_threshold=1e-9)
-        state = init_state(model, corpus, cfg)
-        for doc in corpus.docs:
-            train_document(state, doc)
-        assert state.positions_done == state.total_positions
-
-    def test_subsampled_run_is_deterministic(self):
-        model, corpus = small_setup()
-        cfg = FinetuneConfig(epochs=2, subsample_threshold=0.05, seed=2)
-        t1, _ = finetune(model, corpus, cfg)
-        t2, _ = finetune(model, corpus, cfg)
-        assert t1.matrix.tobytes() == t2.matrix.tobytes()
 
 
 class TestClassVectors:
@@ -595,7 +567,7 @@ def _chunked_epochs(model, corpus, cfg, train):
 def _one_pass(in_idx, out_idx, label_id, alphas, uniforms):
     """A chunk holding one label pass over every position."""
     return trainer.Chunk(in_idx, out_idx, alphas, uniforms,
-                         *np.array([[0], [len(in_idx)], [label_id]], dtype=np.int64))
+                         *np.array([[len(in_idx)], [label_id]], dtype=np.int64))
 
 
 def _per_pass_epoch(state, corpus):
@@ -608,10 +580,6 @@ def _per_pass_epoch(state, corpus):
         for label in doc.labels:
             in_idx = np.array([state.input_index[t] for t in doc.tokens], dtype=np.int64)
             out_idx = np.array([state.output_index[t] for t in doc.tokens], dtype=np.int64)
-            if state.keep_prob is not None:
-                keep = rng.random(len(in_idx)) < state.keep_prob[out_idx]
-                state.positions_done += int(len(in_idx) - keep.sum())
-                in_idx, out_idx = in_idx[keep], out_idx[keep]
             n = len(in_idx)
             alphas = lr_schedule(
                 cfg, (state.positions_done + np.arange(n)) / state.total_positions
@@ -631,13 +599,9 @@ class TestKernel:
     # 40 negatives over ~17 noise rows: repeated output rows at every step
     @pytest.mark.parametrize("negative", [4, 40])
     @pytest.mark.parametrize("skewed", [False, True])
-    @pytest.mark.parametrize("threshold", [None, 0.01])
-    def test_matches_reference_on_identical_draws(
-        self, kernel, negative, skewed, threshold
-    ):
+    def test_matches_reference_on_identical_draws(self, kernel, negative, skewed):
         model, corpus = _kernel_setup(skewed)
-        cfg = FinetuneConfig(epochs=2, window=3, negative=negative, alpha0=0.05,
-                             subsample_threshold=threshold, seed=8)
+        cfg = FinetuneConfig(epochs=2, window=3, negative=negative, alpha0=0.05, seed=8)
         ref, ref_stats = _train_two_epochs(model, corpus, cfg, None)
         fast, fast_stats = _train_two_epochs(model, corpus, cfg, kernel)
         for name in ("input_matrix", "output_matrix", "class_vectors"):
@@ -653,24 +617,18 @@ class TestKernel:
         # positions trained and short of negatives agree exactly, losses closely
         np.testing.assert_array_equal(fast_stats[:, 1:], ref_stats[:, 1:])
         np.testing.assert_allclose(fast_stats[:, 0], ref_stats[:, 0], rtol=1e-9)
-        trained = ref_stats[:, 1].sum()
-        if threshold:
-            assert 0 < trained < ref.positions_done
-        else:
-            assert trained == ref.positions_done
+        assert ref_stats[:, 1].sum() == ref.positions_done
         assert (ref_stats[:, 2].sum() > 0) == skewed
 
     # positions per chunk: the module's cap (one chunk per epoch here), a
     # few passes per chunk, and a cap most passes exceed
     @pytest.mark.parametrize("limit", [None, 24, 6])
     @pytest.mark.parametrize("skewed", [False, True])
-    @pytest.mark.parametrize("threshold", [None, 0.01])
     def test_chunks_match_the_reference_pass_by_pass(
-        self, kernel, monkeypatch, limit, skewed, threshold
+        self, kernel, monkeypatch, limit, skewed
     ):
         model, corpus = _varied_setup(skewed)
-        cfg = FinetuneConfig(epochs=2, window=3, negative=4, alpha0=0.05,
-                             subsample_threshold=threshold, seed=8)
+        cfg = FinetuneConfig(epochs=2, window=3, negative=4, alpha0=0.05, seed=8)
         if limit:
             monkeypatch.setattr(trainer, "CHUNK_UNIFORMS",
                                 limit * cfg.negative * NS_RESAMPLE_ATTEMPTS)
@@ -690,7 +648,7 @@ class TestKernel:
             assert len(chunks) == cfg.epochs
         else:
             assert any(len(c) > 1 for c in chunks)
-        if limit is not None and threshold is None:
+        if limit is not None:
             # passes longer than the cap train alone, and some chunk
             # boundary falls between two passes of one document
             assert any(len(c) == 1 and c[0] > limit for c in chunks)
@@ -699,13 +657,11 @@ class TestKernel:
             assert any(0 < b and doc_of_pass[b - 1] == doc_of_pass[b] for b in bounds)
 
     @pytest.mark.parametrize("limit", [None, 24, 6])
-    @pytest.mark.parametrize("threshold", [None, 0.01])
-    def test_fallback_writes_the_bytes_of_single_passes(self, monkeypatch, limit, threshold):
+    def test_fallback_writes_the_bytes_of_single_passes(self, monkeypatch, limit):
         # the numpy reference sees every pass's draws as it would alone, so
         # chunking changes no byte of its result
         model, corpus = _varied_setup(skewed=True)
-        cfg = FinetuneConfig(epochs=2, window=3, negative=4, alpha0=0.05,
-                             subsample_threshold=threshold, seed=8)
+        cfg = FinetuneConfig(epochs=2, window=3, negative=4, alpha0=0.05, seed=8)
         if limit:
             monkeypatch.setattr(trainer, "CHUNK_UNIFORMS",
                                 limit * cfg.negative * NS_RESAMPLE_ATTEMPTS)
@@ -724,7 +680,7 @@ class TestKernel:
 
         monkeypatch.setattr(trainer, "_reference_pass", no_reference)
         model, corpus = _kernel_setup(skewed=False)
-        cfg = FinetuneConfig(epochs=2, subsample_threshold=0.01, seed=9)
+        cfg = FinetuneConfig(epochs=2, seed=9)
         t1, c1 = finetune(model, corpus, cfg)
         t2, c2 = finetune(model, corpus, cfg)
         assert t1.matrix.tobytes() == t2.matrix.tobytes()
@@ -734,7 +690,7 @@ class TestKernel:
         # finetune maps every document to rows once per run; train_document
         # maps on each call; both must train the same bytes
         model, corpus = _kernel_setup(skewed=False)
-        cfg = FinetuneConfig(epochs=2, subsample_threshold=0.01, seed=12, shuffle=True)
+        cfg = FinetuneConfig(epochs=2, seed=12, shuffle=True)
         tuned, classes = finetune(model, corpus, cfg)
         ref = init_state(model, corpus, cfg)
         ref.kernel = kernel
@@ -759,7 +715,9 @@ class TestKernel:
 
     @pytest.mark.parametrize("field, value", [
         ("in_idx", -1), ("in_idx", 10**6), ("out_idx", -1), ("out_idx", 10**6),
-        ("labels", 2), ("labels", -1), ("starts", -1), ("lengths", 99),
+        ("labels", 2), ("labels", -1), ("lengths", 99),
+        # lengths that add up to fewer or more than the chunk's positions
+        ("lengths", 2), ("lengths", 4),
     ])
     def test_bad_index_in_the_last_pass_writes_nothing(self, kernel, field, value):
         # three passes of three positions; the fault sits in the last one,
@@ -771,7 +729,7 @@ class TestKernel:
         chunk = trainer.Chunk(
             idx.copy(), idx.copy(), np.full(9, 0.025),
             np.random.default_rng(5).random((9, 2, NS_RESAMPLE_ATTEMPTS)),
-            np.array([0, 3, 6]), np.array([3, 3, 3]), np.array([0, 1, 0]),
+            np.array([3, 3, 3]), np.array([0, 1, 0]),
         )
         getattr(chunk, field)[-1] = value
         before = [a.copy() for a in (state.input_matrix, state.output_matrix,
