@@ -4,8 +4,9 @@ A CBOW-style Doc2Vec trainer where each document's class label supplies the
 auxiliary context vector, plus the I/O, linear-probe classifier, metrics and
 embedding-space analysis needed to measure its effect on text classification.
 
-``__all__`` is the documented surface; the trainer's internals (its state,
-noise table, schedule and per-document steps) live in ``classvec.trainer``.
+``__all__`` is the surface the CLI and README use; the helpers behind it
+(tokenizing, unseen-word initialization, the trainer's state, noise table
+and schedule) live in their modules.
 Each public name is imported from its module on first access (PEP 562), so
 ``import classvec`` loads no module of the package and no numpy, and a
 program loads only the modules whose names it uses.
@@ -31,12 +32,9 @@ _MODULE_OF = {
     "build_vocab": "vocab",
     "cosine": "analysis",
     "drift": "analysis",
-    "embed_doc": "classifier",
     "evaluate_exclusive": "metrics",
     "evaluate_multilabel": "metrics",
     "finetune": "trainer",
-    "from_documents": "corpus",
-    "init_unseen": "vocab",
     "load_binary": "embedding_io",
     "load_classifier": "classifier",
     "load_file": "embedding_io",
@@ -47,12 +45,9 @@ _MODULE_OF = {
     "predict": "classifier",
     "save_binary": "embedding_io",
     "save_classifier": "classifier",
-    "save_file": "embedding_io",
     "save_text": "embedding_io",
     "softmax": "classifier",
-    "tokenize": "corpus",
     "train_classifier": "classifier",
-    "unseen_words": "vocab",
 }
 
 __all__ = list(_MODULE_OF)

@@ -1,15 +1,17 @@
-/* Chunks of label passes of class-conditioned CBOW with negative
-   sampling, one epoch of the linear probe's SGD, and the fast paths of
-   the word2vec text reader and writer.
+/* Label passes of class-conditioned CBOW with negative sampling, one
+   epoch of the linear probe's SGD, and the fast paths of the word2vec
+   text reader and writer.
 
    The numpy pass in trainer.py (_reference_pass) is the reference for
    label_pass, which repeats it step for step, in place, on the float64
-   matrices of a TrainState; train_chunk runs it over a chunk of passes.
-   Every random or scheduled value (per-position learning rates, the
-   uniform draws behind the negatives) is drawn by the caller and passed
-   in, so the two passes see identical inputs. They differ only by
-   rounding: the logits are summed in four fixed partial sums, where numpy
-   leaves the order to BLAS.
+   matrices of a TrainState; train_chunk runs it over the label passes of
+   one call, normally a whole epoch. The caller passes the learning rates
+   in. Each noise draw is a pure function of the run's key and its
+   counter (position, slot, attempt), computed here only when the attempt
+   before it hit the center, and by the reference with numpy: so the two
+   passes see identical draws, however the passes are grouped into calls.
+   They differ only by rounding: the logits are summed in four fixed
+   partial sums, where numpy leaves the order to BLAS.
 
    probe_epoch repeats the per-example loop over loss_and_grads in
    classifier.py (_reference_epoch) in the example order the caller drew.
@@ -52,6 +54,21 @@ static int64_t draw_row(const double *restrict table, int64_t rows, double u)
     return base - table;
 }
 
+/* The uniform of noise draw `counter` of the run keyed by `key`, in
+   [0, 1): the SplitMix64 finaliser (Steele, Lea and Flood, "Fast
+   Splittable Pseudorandom Number Generators", OOPSLA 2014) of the
+   counter's point on the key's Weyl sequence, its top 53 bits scaled
+   exactly by 2^-53. trainer._noise_uniforms is the same function. */
+static double noise_uniform(uint64_t key, uint64_t counter)
+{
+    uint64_t z = key + (counter + 1) * UINT64_C(0x9E3779B97F4A7C15);
+
+    z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
+    z ^= z >> 31;
+    return (double)(z >> 11) * 0x1p-53;
+}
+
 /* sum of a[j] * b[j] in four partial sums s0..s3 over j mod 4 (the last
    n mod 4 terms go to s0), added as (s0 + s1) + (s2 + s3): a fixed order,
    so results are deterministic, and one the compiler can keep in a single
@@ -73,14 +90,15 @@ static double dot(const double *restrict a, const double *restrict b, int64_t n)
 }
 
 /* Train positions 0..n-1 of one label pass under the class vector cls;
-   the arguments are those of train_chunk, offset to this pass. Adds the
-   summed loss to *loss and returns the positions short of negatives. */
+   the arguments are those of train_chunk, offset to this pass, whose
+   first position has the run-wide index `first`. Adds the summed loss to
+   *loss and returns the positions short of negatives. */
 static int64_t label_pass(
     double *restrict input, const uint8_t *restrict trainable,
     double *restrict output, int64_t n_output, const double *restrict noise,
     double *restrict cls,
     const int64_t *restrict in_idx, const int64_t *restrict out_idx, int64_t n,
-    const double *restrict alphas, const double *restrict uniforms,
+    const double *restrict alphas, uint64_t key, uint64_t first,
     int64_t dim, int64_t window, int64_t negative, int64_t attempts,
     int64_t *restrict rows, double *restrict scratch, double *restrict loss)
 {
@@ -111,12 +129,17 @@ static int64_t label_pass(
         for (int64_t j = 0; j < dim; j++)
             h[j] = (cls[j] + h[j]) / (double)(1 + n_ctx);
 
-        /* negatives: first draw of each slot that misses the center */
+        /* negatives: first draw of each slot that misses the center; the
+           draw of attempt a of slot s has counter
+           ((first + p) * negative + s) * attempts + a */
         rows[k++] = center;
         for (int64_t s = 0; s < negative; s++) {
-            const double *u = uniforms + (p * negative + s) * attempts;
+            const uint64_t counter =
+                ((first + (uint64_t)p) * (uint64_t)negative + (uint64_t)s)
+                * (uint64_t)attempts;
             for (int64_t a = 0; a < attempts; a++) {
-                int64_t row = draw_row(noise, n_output, u[a]);
+                int64_t row = draw_row(noise, n_output,
+                                       noise_uniform(key, counter + (uint64_t)a));
                 if (row != center) {
                     rows[k++] = row;
                     break;
@@ -175,7 +198,7 @@ static int64_t label_pass(
     return shortfall;
 }
 
-/* Train a chunk of label passes of class-conditioned CBOW, in pass order.
+/* Train label passes of class-conditioned CBOW, in pass order.
 
    input     n_input x dim, updated on rows with trainable[row] != 0
    output    n_output x dim, one row per corpus token
@@ -184,7 +207,9 @@ static int64_t label_pass(
    in_idx, out_idx, alphas
              n_positions entries: the positions of every pass back to back
              (input and output rows, learning rates)
-   uniforms  n_positions x negative x attempts draws in [0, 1)
+   key, first
+             the run's noise key and the run-wide index of position 0,
+             which fix every noise draw (noise_uniform)
    lengths, labels
              n_passes entries: pass i trains the next lengths[i]
              positions under class vector labels[i]; the lengths add up
@@ -194,20 +219,23 @@ static int64_t label_pass(
 
    The five matrices must not overlap. Stores the summed negative-sampling
    loss in *loss and returns the number of positions that got fewer than
-   `negative` negatives, or -1, touching nothing, when any index of the
-   chunk is out of range or the lengths do not add up to n_positions. */
+   `negative` negatives, or -1, touching nothing, when any index is out
+   of range, first is negative, or the lengths do not add up to
+   n_positions. */
 int64_t train_chunk(
     double *input, int64_t n_input, const uint8_t *trainable,
     double *output, int64_t n_output, const double *noise,
     double *classes, int64_t n_classes,
     const int64_t *in_idx, const int64_t *out_idx, int64_t n_positions,
-    const double *alphas, const double *uniforms,
+    const double *alphas, uint64_t key, int64_t first,
     const int64_t *lengths, const int64_t *labels, int64_t n_passes,
     int64_t dim, int64_t window, int64_t negative, int64_t attempts,
     int64_t *rows, double *scratch, double *loss)
 {
     int64_t shortfall = 0, s = 0;
 
+    if (first < 0)
+        return -1;
     for (int64_t p = 0; p < n_positions; p++)
         if (in_idx[p] < 0 || in_idx[p] >= n_input
                 || out_idx[p] < 0 || out_idx[p] >= n_output)
@@ -227,7 +255,7 @@ int64_t train_chunk(
         shortfall += label_pass(
             input, trainable, output, n_output, noise, classes + labels[i] * dim,
             in_idx + s, out_idx + s, lengths[i],
-            alphas + s, uniforms + s * negative * attempts,
+            alphas + s, key, (uint64_t)(first + s),
             dim, window, negative, attempts, rows, scratch, loss);
         s += lengths[i];
     }

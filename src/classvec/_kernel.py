@@ -1,6 +1,6 @@
-"""Build and bind ``_kernel.c``: the compiled trainer of chunks of label
-passes, the linear probe's SGD epoch, and the fast paths of the word2vec
-text writer and reader.
+"""Build and bind ``_kernel.c``: the compiled trainer of label passes, the
+linear probe's SGD epoch, and the fast paths of the word2vec text writer
+and reader.
 
 The shared library is opened once per process, on the first ``finetune``,
 ``train_classifier``, text load or text save, and shared by all of them.
@@ -14,8 +14,9 @@ removes the libraries of older builds for the same CPU. It is written
 through a temporary file and an atomic rename, so concurrent processes may
 build it at the same time.
 Every entry point takes plain addresses; the wrappers check the dtype,
-layout and writeability of each array before the call. Training makes one
-call per chunk of whole label passes, not one per pass.
+layout and writeability of each array before the call. ``finetune`` makes
+one training call per epoch; the kernel computes the noise draws itself,
+from the run's key and each draw's counter.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ FLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
 LIBS = ("-lm",)
 COMPILE_TIMEOUT_S = 120
 
-_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+_P, _I, _U, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
 # the parameter lists of the entry points in _kernel.c
 _SIGNATURES = {
     "train_chunk": [
@@ -44,7 +45,7 @@ _SIGNATURES = {
         _P, _I, _P,             # output, n_output, noise
         _P, _I,                 # classes, n_classes
         _P, _P, _I,             # in_idx, out_idx, n_positions
-        _P, _P,                 # alphas, uniforms
+        _P, _U, _I,             # alphas, key, first
         _P, _P, _I,             # lengths, labels, n_passes
         _I, _I, _I, _I,         # dim, window, negative, attempts
         _P, _P, _P,             # rows, scratch, loss
@@ -186,29 +187,29 @@ def _address(arr: np.ndarray, dtype: np.dtype, write: bool = False) -> int:
 
 
 def load() -> Callable | None:
-    """The compiled chunk trainer, or None if the library is unavailable.
+    """The compiled trainer, or None if the library is unavailable.
 
     The returned function has the signature of ``trainer._reference_chunk``:
-    ``(state, chunk)``, trains the chunk's label passes in order, and
+    ``(state, chunk)``, trains the chunk's label passes in order with the
+    noise draws of ``state.key`` from position ``chunk.first`` on, and
     returns ``(summed loss, positions short of negatives)``.
     """
     lib = library()
     if lib is None:
         return None
     fn = lib.train_chunk
+    from .trainer import NS_RESAMPLE_ATTEMPTS  # loaded by the caller already
 
     def train_chunk(state, chunk):
         inp, out, cls = state.input_matrix, state.output_matrix, state.class_vectors
         dim, negative = inp.shape[1], state.cfg.negative
         n, n_passes = len(chunk.in_idx), len(chunk.labels)
-        attempts = chunk.uniforms.shape[-1]
         # the C side trusts these sizes; index ranges and that the pass
         # lengths add up to the positions it checks itself
         if not (out.shape[1] == dim and cls.shape[1] == dim
                 and len(state.trainable) == len(inp)
                 and len(state.noise_table) == len(out) > 0
                 and len(chunk.out_idx) == len(chunk.alphas) == n
-                and chunk.uniforms.shape == (n, negative, attempts)
                 and len(chunk.lengths) == n_passes):
             raise ValueError("training chunk arrays disagree in shape")
         matrices = (inp, out, cls, state.noise_table, state.trainable)
@@ -225,9 +226,9 @@ def load() -> Callable | None:
             _address(state.noise_table, _F64),
             _address(cls, _F64, write=True), len(cls),
             _address(chunk.in_idx, _I64), _address(chunk.out_idx, _I64), n,
-            _address(chunk.alphas, _F64), _address(chunk.uniforms, _F64),
+            _address(chunk.alphas, _F64), state.key, chunk.first,
             _address(chunk.lengths, _I64), _address(chunk.labels, _I64), n_passes,
-            dim, state.cfg.window, negative, attempts,
+            dim, state.cfg.window, negative, NS_RESAMPLE_ATTEMPTS,
             rows.ctypes.data, scratch.ctypes.data, loss.ctypes.data,
         )
         if shortfall < 0:

@@ -68,12 +68,6 @@ class DriftReport:
     only_before: tuple[str, ...]
     only_after: tuple[str, ...]
 
-    def to_tsv(self) -> str:
-        """Tab-separated records, one ``token cosine shift`` per line."""
-        return "\n".join(
-            f"{t}\t{c:.6f}\t{s:.6f}" for t, c, s in self.entries
-        )
-
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise dot products, each through the same dot routine as a 1-D

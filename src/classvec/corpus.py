@@ -1,13 +1,13 @@
 """Labeled-corpus ingestion: TSV records of ``<label>\\t<text>``.
 
 In multilabel mode the label field holds comma-separated class names.
-Tokenization is pluggable; the default lowercases and splits on Unicode
-whitespace, nothing more. Class order is first appearance.
+Text is lowercased and split on Unicode whitespace, nothing more. Class
+order is first appearance.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO, Callable
+from typing import BinaryIO
 
 
 class CorpusFormatError(ValueError):
@@ -78,11 +78,7 @@ def _parse_labels(field: str, multilabel: bool, lineno: int) -> tuple[str, ...]:
     return (label,)
 
 
-def load_tsv(
-    source: BinaryIO,
-    multilabel: bool = False,
-    tokenizer: Callable[[str], list[str]] = tokenize,
-) -> LabeledCorpus:
+def load_tsv(source: BinaryIO, multilabel: bool = False) -> LabeledCorpus:
     """Parse a UTF-8 TSV stream of ``<label>\\t<text>`` records.
 
     Blank lines are skipped; every other malformed line is a hard error
@@ -101,7 +97,7 @@ def load_tsv(
             raise CorpusFormatError(f"line {lineno}: no tab separator")
         label_field, doc_text = line.split("\t", 1)
         labels = _parse_labels(label_field, multilabel, lineno)
-        tokens = tokenizer(doc_text)
+        tokens = tokenize(doc_text)
         if not tokens:
             raise CorpusFormatError(f"line {lineno}: no tokens after tokenization")
         docs.append(Document(tuple(tokens), labels))

@@ -12,19 +12,20 @@ and output vectors exist only for corpus tokens, so rows of the merged
 matrix that never occur in the corpus come out bit-identical.
 
 All training arithmetic runs in 64-bit; the exported matrix is cast back
-to 32-bit floats. Label passes are trained in chunks of whole passes;
-Python draws each chunk's learning rates and uniforms in one call each,
-the values that drawing pass by pass would give, and the chunk is one
-call of the compiled kernel of ``_kernel.c`` when it builds on this
-machine, else of the numpy reference pass it is tested against, pass by
-pass. ``finetune`` and ``train_document`` share that one path.
+to 32-bit floats. Each epoch is one call of the compiled kernel of
+``_kernel.c`` when it builds on this machine, else of the numpy reference
+pass it is tested against, pass by pass, with the epoch's learning rates
+from one schedule call. Every noise draw is a pure function of the run's
+key and of its position, slot and attempt (a counter-based generator), so
+the draws do not depend on how passes are grouped into calls, and the
+seeded rng is used only by ``init_state``.
 """
 from __future__ import annotations
 
 import logging
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -37,11 +38,6 @@ logger = logging.getLogger(__name__)
 
 # attempts to draw a noise word different from the center before giving up
 NS_RESAMPLE_ATTEMPTS = 8
-
-# the uniforms one chunk of label passes may hold, 2^15 float64 (256 KiB):
-# passes are trained a chunk per kernel call, and a pass that needs more
-# is a chunk of its own
-CHUNK_UNIFORMS = 1 << 15
 
 # rng stream label for the per-epoch document shuffle, kept separate from
 # the update stream so `shuffle=False` runs are unaffected by its existence
@@ -96,8 +92,9 @@ class TrainState:
     ``output_matrix`` has one row per corpus token only, and
     ``noise_table`` is the cumulative unigram^0.75 distribution over
     those same rows. ``trainable`` masks which input rows updates may
-    touch. ``alpha`` tracks the last learning rate used. ``kernel`` is the
-    compiled chunk trainer, or None to train with the numpy reference.
+    touch. ``alpha`` tracks the last learning rate used. ``key`` fixes the
+    run's noise draws. ``kernel`` is the compiled trainer, or None to train
+    with the numpy reference.
     """
 
     cfg: FinetuneConfig
@@ -106,7 +103,7 @@ class TrainState:
     class_vectors: np.ndarray  # |C| x m, float64
     noise_table: np.ndarray    # |V_T| cumulative probabilities
     alpha: float
-    rng: np.random.Generator
+    key: int                   # uint64 noise key
     trainable: np.ndarray      # bool per input row
     classes: tuple[str, ...]
     class_index: dict[str, int]
@@ -170,23 +167,46 @@ def ns_loss_and_grads(
     return loss, grad_h, grad_u
 
 
-def _sample_negatives(
-    noise_table: np.ndarray, centers: np.ndarray, uniforms: np.ndarray
-) -> np.ndarray:
-    """Negatives for a block of positions, from pre-drawn uniforms.
+def _noise_uniforms(key: int, counters: np.ndarray) -> np.ndarray:
+    """The values in [0, 1) of the noise draws ``counters`` (uint64) of the
+    run keyed by ``key``: the SplitMix64 finaliser (Steele, Lea and Flood,
+    OOPSLA 2014) of ``key + (counter + 1) * 0x9E3779B97F4A7C15``, whose top
+    53 bits scale exactly to a double. ``noise_uniform`` in ``_kernel.c``
+    is the same function."""
+    # array arithmetic in uint64 wraps mod 2^64, as in C
+    z = np.uint64(key) + (counters + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53
 
-    ``uniforms`` is ``n x negative x NS_RESAMPLE_ATTEMPTS``; each draw maps
-    to a noise row by binary search over the cumulative ``noise_table``
-    (clamped to the last row). Slot ``k`` of position ``p`` takes the first
-    of its draws that differs from ``centers[p]``, or -1 when every attempt
-    hit the center. Returns ``n x negative`` row indices.
+
+def _sample_negatives(
+    noise_table: np.ndarray, centers: np.ndarray, key: int, first: int,
+    negative: int,
+) -> np.ndarray:
+    """Negatives for the positions ``first, first + 1, ...`` of a run, one
+    per center in ``centers``.
+
+    Attempt ``a`` of slot ``k`` at position ``p`` draws the uniform of
+    counter ``(p * negative + k) * NS_RESAMPLE_ATTEMPTS + a`` and maps it to
+    a noise row by binary search over the cumulative ``noise_table``
+    (clamped to the last row). A slot takes the first of its draws that
+    differs from the position's center, or -1 when every attempt hit the
+    center. Returns ``len(centers) x negative`` row indices.
     """
+    counters = np.arange(
+        first * negative * NS_RESAMPLE_ATTEMPTS,
+        (first + len(centers)) * negative * NS_RESAMPLE_ATTEMPTS,
+        dtype=np.uint64,
+    ).reshape(len(centers), negative, NS_RESAMPLE_ATTEMPTS)
     draws = np.minimum(
-        np.searchsorted(noise_table, uniforms, side="right"), len(noise_table) - 1
+        np.searchsorted(noise_table, _noise_uniforms(key, counters), side="right"),
+        len(noise_table) - 1,
     )
     miss = draws != centers[:, None, None]
-    first = np.take_along_axis(draws, miss.argmax(axis=2)[..., None], axis=2)[..., 0]
-    return np.where(miss.any(axis=2), first, -1)
+    taken = np.take_along_axis(draws, miss.argmax(axis=2)[..., None], axis=2)[..., 0]
+    return np.where(miss.any(axis=2), taken, -1)
 
 
 def _reference_pass(
@@ -195,9 +215,10 @@ def _reference_pass(
     out_idx: np.ndarray,
     label_id: int,
     alphas: np.ndarray,
-    uniforms: np.ndarray,
+    first: int,
 ) -> tuple[float, int]:
-    """Train one label pass position by position in numpy.
+    """Train one label pass position by position in numpy; ``first`` is the
+    run-wide index of its first position, which fixes its noise draws.
 
     The reference for the compiled pass in ``_kernel.c``, built on the
     gradient oracle :func:`ns_loss_and_grads`. Returns the summed loss and
@@ -207,7 +228,9 @@ def _reference_pass(
     inp = state.input_matrix
     cls = state.class_vectors
     trainable = state.trainable
-    negatives = _sample_negatives(state.noise_table, out_idx, uniforms)
+    negatives = _sample_negatives(
+        state.noise_table, out_idx, state.key, first, state.cfg.negative
+    )
     loss_sum = 0.0
     for p in range(len(in_idx)):
         alpha = alphas[p]
@@ -233,23 +256,23 @@ def _reference_pass(
 class Chunk:
     """Whole label passes trained by one call of the kernel or the reference.
 
-    The positions of every pass lie back to back in ``in_idx``, ``out_idx``,
-    ``alphas`` and ``uniforms``: pass ``i`` trains the next ``lengths[i]``
-    positions under class ``labels[i]``, and the lengths add up to all of
-    them.
+    The positions of every pass lie back to back in ``in_idx``, ``out_idx``
+    and ``alphas``: pass ``i`` trains the next ``lengths[i]`` positions under
+    class ``labels[i]``, and the lengths add up to all of them. ``first`` is
+    the run-wide index of the first position.
     """
 
     in_idx: np.ndarray    # positions, int64 input rows
     out_idx: np.ndarray   # positions, int64 output rows
     alphas: np.ndarray    # positions, float64 learning rates
-    uniforms: np.ndarray  # positions x negative x NS_RESAMPLE_ATTEMPTS, float64
     lengths: np.ndarray   # passes, int64
     labels: np.ndarray    # passes, int64 class ids
+    first: int
 
 
 def _reference_chunk(state: TrainState, chunk: Chunk) -> tuple[float, int]:
     """Train a chunk pass by pass with :func:`_reference_pass`; the
-    reference for ``_kernel.load()``'s chunk trainer and its fallback.
+    reference for ``_kernel.load()``'s trainer and its fallback.
     Like the kernel, it warns of no overflow when a run diverges: the
     per-epoch finiteness check reports that."""
     loss, shortfall, start = 0.0, 0, 0
@@ -258,7 +281,7 @@ def _reference_chunk(state: TrainState, chunk: Chunk) -> tuple[float, int]:
             part = slice(start, start + n)
             pass_loss, pass_shortfall = _reference_pass(
                 state, chunk.in_idx[part], chunk.out_idx[part], label_id,
-                chunk.alphas[part], chunk.uniforms[part],
+                chunk.alphas[part], chunk.first + start,
             )
             loss += pass_loss
             shortfall += pass_shortfall
@@ -266,71 +289,27 @@ def _reference_chunk(state: TrainState, chunk: Chunk) -> tuple[float, int]:
     return loss, shortfall
 
 
-def _draw_chunks(
-    state: TrainState, passes: list[tuple[np.ndarray, np.ndarray, int]]
-) -> Iterator[Chunk]:
-    """Group label passes ``(in_idx, out_idx, label_id)`` into chunks, in
-    order, and draw each chunk's learning rates and uniforms as it is taken.
-
-    A chunk holds whole passes and at most CHUNK_UNIFORMS uniforms, unless
-    a single pass needs more and is a chunk of its own. Its rates come from
-    one schedule call over its positions, and its uniforms from one
-    ``rng.random`` call: PCG64 makes one double of each 64-bit output, so
-    they are the values that drawing pass by pass would give.
-    """
-    limit = max(CHUNK_UNIFORMS // (state.cfg.negative * NS_RESAMPLE_ATTEMPTS), 1)
-    group: list[tuple[np.ndarray, np.ndarray, int]] = []
-    fill = 0
-    for p in passes:
-        n = len(p[0])
-        if n == 0:
-            continue  # an empty pass draws and trains nothing
-        if group and fill + n > limit:
-            yield _draw_chunk(state, group)
-            group, fill = [], 0
-        group.append(p)
-        fill += n
-    if group:
-        yield _draw_chunk(state, group)
-
-
-def _draw_chunk(
-    state: TrainState, group: list[tuple[np.ndarray, np.ndarray, int]]
-) -> Chunk:
-    """The chunk of the non-empty label passes ``group``, with its learning
-    rates and uniforms drawn; advances the position counter past it."""
-    cfg = state.cfg
-    in_idx, out_idx, labels = zip(*group)
-    lengths = np.fromiter(map(len, in_idx), np.int64, len(group))
-    n = int(lengths.sum())
-    done = state.positions_done
-    alphas = lr_schedule(cfg, np.arange(done, done + n) / state.total_positions)
-    state.positions_done = done + n
-    state.alpha = float(alphas[-1])
-    return Chunk(
-        np.concatenate(in_idx), np.concatenate(out_idx), alphas,
-        state.rng.random((n, cfg.negative, NS_RESAMPLE_ATTEMPTS)),
-        lengths, np.array(labels, dtype=np.int64),
-    )
-
-
 def _train_passes(
     state: TrainState, passes: list[tuple[np.ndarray, np.ndarray, int]]
 ) -> tuple[float, int, int]:
-    """Train label passes ``(in_idx, out_idx, label_id)`` in order, one call
-    of the compiled kernel or of the numpy reference per chunk.
+    """Train label passes ``(in_idx, out_idx, label_id)`` in order, in one
+    call of the compiled kernel or of the numpy reference, and advance the
+    position counter past them.
 
     Returns the summed loss, the positions trained, and the positions short
     of negatives.
     """
-    train = state.kernel or _reference_chunk
-    loss, trained, shortfall = 0.0, 0, 0
-    for chunk in _draw_chunks(state, passes):
-        chunk_loss, chunk_shortfall = train(state, chunk)
-        loss += chunk_loss
-        trained += len(chunk.in_idx)
-        shortfall += chunk_shortfall
-    return loss, trained, shortfall
+    in_idx, out_idx, labels = zip(*passes)
+    lengths = np.fromiter(map(len, in_idx), np.int64, len(passes))
+    first = state.positions_done
+    n = int(lengths.sum())
+    alphas = lr_schedule(state.cfg, np.arange(first, first + n) / state.total_positions)
+    chunk = Chunk(np.concatenate(in_idx), np.concatenate(out_idx), alphas,
+                  lengths, np.array(labels, dtype=np.int64), first)
+    loss, shortfall = (state.kernel or _reference_chunk)(state, chunk)
+    state.positions_done = first + n
+    state.alpha = float(alphas[-1])
+    return loss, n, shortfall
 
 
 def _doc_passes(
@@ -352,15 +331,6 @@ def _doc_passes(
     return [(in_idx, out_idx, state.class_index[l]) for l in doc.labels]
 
 
-def train_document(state: TrainState, doc: Document) -> tuple[float, int, int]:
-    """Apply one document's updates (one pass per label) to ``state``.
-
-    Returns the summed negative-sampling loss, the positions trained, and
-    the positions that trained with fewer than ``negative`` negatives.
-    """
-    return _train_passes(state, _doc_passes(state, doc))
-
-
 def init_state(
     model: MergedModel, corpus: LabeledCorpus, cfg: FinetuneConfig
 ) -> TrainState:
@@ -370,7 +340,8 @@ def init_state(
     must be that of ``corpus`` (``merge(pretrained, build_vocab(corpus))``):
     a corpus of another token total is rejected. Consumes the head of the
     seeded rng stream for the class-vector initialization (uniform
-    [-0.5/m, +0.5/m), the same scheme used for unseen words).
+    [-0.5/m, +0.5/m), the same scheme used for unseen words), then one
+    uint64 of it for the noise key.
     """
     vocab = model.vocab
     emb = model.embedding
@@ -390,6 +361,7 @@ def init_state(
     rng = np.random.default_rng(cfg.seed)
     classes = tuple(corpus.classes)
     class_vectors = (rng.random((len(classes), m)) - 0.5) / m
+    key = int(rng.integers(2**64, dtype=np.uint64))
     total = cfg.epochs * sum(
         len(d.tokens) * len(d.labels) for d in corpus.docs
     )
@@ -400,7 +372,7 @@ def init_state(
         class_vectors=class_vectors,
         noise_table=build_noise_table(vocab),
         alpha=cfg.alpha0,
-        rng=rng,
+        key=key,
         trainable=model.trainable_mask,
         classes=classes,
         class_index={c: i for i, c in enumerate(classes)},
@@ -427,9 +399,9 @@ def finetune(
 
     Returns the tuned input matrix as an :class:`EmbeddingSet` over the
     merged vocabulary (class vectors are excluded from it) together with
-    the per-class vectors. Bit-reproducible for a fixed seed. Trains with
-    the compiled label pass, built on first use, or with the numpy
-    reference pass where no C compiler is available.
+    the per-class vectors. Bit-reproducible for a fixed seed. Trains each
+    epoch in one call of the compiled kernel, built on first use, or of the
+    numpy reference where no C compiler is available.
     """
     state = init_state(model, corpus, cfg)
     state.kernel = _kernel.load()
@@ -450,7 +422,7 @@ def finetune(
             "epoch %d/%d done: %d/%d positions (%d short of negatives), "
             "mean loss %.4f, alpha %.6f, %.0f positions/s",
             epoch, cfg.epochs, state.positions_done, state.total_positions,
-            shortfall, loss / max(trained, 1), state.alpha,
+            shortfall, loss / trained, state.alpha,
             trained / max(seconds, 1e-9),
         )
     tuned = EmbeddingSet(

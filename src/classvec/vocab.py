@@ -32,9 +32,6 @@ class Vocabulary:
     def tokens(self) -> list[str]:
         return list(self.entries)
 
-    def frequency(self, token: str) -> int:
-        return self.entries[token][1]
-
     @cached_property
     def frequencies(self) -> np.ndarray:
         """Read-only float64 token counts, indexed by row."""

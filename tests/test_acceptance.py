@@ -81,7 +81,7 @@ def _ns_state(rng: np.random.Generator, n_out: int, m: int, k: int) -> TrainStat
         class_vectors=np.zeros((1, m)),
         noise_table=np.array([1.0]),
         alpha=0.025,
-        rng=rng,
+        key=0,
         trainable=np.ones(1, dtype=bool),
         classes=("c",),
         class_index={"c": 0},

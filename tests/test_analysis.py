@@ -191,11 +191,6 @@ class TestDrift:
         with pytest.raises(ValueError, match="share no tokens"):
             drift(a, c)
 
-    def test_to_tsv(self):
-        emb = EmbeddingSet(["a"], np.ones((1, 2), np.float32))
-        report = drift(emb, emb)
-        assert report.to_tsv() == "a\t1.000000\t0.000000"
-
 
 def _drift_pair(n: int, seed: int) -> tuple[EmbeddingSet, EmbeddingSet]:
     """Sets sharing most tokens: some rows frozen, some zero on one or

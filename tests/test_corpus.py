@@ -119,10 +119,3 @@ class TestLoadTsv:
     def test_single_label_mode_keeps_commas_verbatim(self):
         corpus = _load("a,b\tx\n", multilabel=False)
         assert corpus.docs[0].labels == ("a,b",)
-
-    def test_custom_tokenizer(self):
-        corpus = load_tsv(
-            io.BytesIO(b"pos\tAB-CD\n"),
-            tokenizer=lambda s: s.strip().split("-"),
-        )
-        assert corpus.docs[0].tokens == ("AB", "CD")

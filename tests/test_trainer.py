@@ -24,9 +24,8 @@ from classvec.trainer import (
     init_state,
     lr_schedule,
     ns_loss_and_grads,
-    train_document,
 )
-from classvec.trainer import _sample_negatives
+from classvec.trainer import _noise_uniforms, _sample_negatives
 from classvec import vocab as vocab_module
 from classvec.vocab import build_vocab, merge
 
@@ -46,6 +45,20 @@ def small_setup(n_docs=20, doc_len=9, n_vocab=30, dim=8, emb_seed=100,
     corpus = from_documents(docs)
     model = merge(emb, build_vocab(corpus), seed=merge_seed)
     return model, corpus
+
+
+def _train_doc(state, doc):
+    """Train one document's label passes in a call of their own."""
+    return trainer._train_passes(state, trainer._doc_passes(state, doc))
+
+
+def _splitmix_uniform(key, counter):
+    """The uniform of noise draw ``counter`` under ``key``, in Python
+    integers: the SplitMix64 finaliser, top 53 bits times 2^-53."""
+    z = (key + (counter + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
 
 def _position_mean_loss(state, corpus, eval_negs):
@@ -202,20 +215,36 @@ class TestNsLossAndGrads:
             assert loss1 < loss0
 
 
+class TestNoiseUniforms:
+    """The counter-based generator behind every noise draw (the kernel
+    repeats it in C)."""
+
+    KEYS = [0, 1, 0x5EED, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_matches_pure_python_splitmix64(self, key):
+        counters = [0, 1, 2**32 - 1, 2**32, 2**53]
+        got = _noise_uniforms(key, np.array(counters, dtype=np.uint64))
+        assert got.tolist() == [_splitmix_uniform(key, c) for c in counters]
+
+    def test_uniforms_lie_in_the_unit_interval(self):
+        for key in self.KEYS:
+            u = _noise_uniforms(key, np.arange(100_000, dtype=np.uint64))
+            assert u.min() >= 0.0 and u.max() < 1.0
+            assert abs(u.mean() - 0.5) < 0.01
+
+
 class TestSampleNegatives:
     """The block sampler behind the reference pass (the kernel repeats it)."""
 
-    def _block(self, n_vocab, centers, seed):
+    def _block(self, n_vocab, centers, key, first=0):
         model, corpus = small_setup(n_vocab=n_vocab)
         table = init_state(model, corpus, FinetuneConfig()).noise_table
-        uniforms = np.random.default_rng(seed).random(
-            (len(centers), 5, NS_RESAMPLE_ATTEMPTS)
-        )
-        return table, uniforms, _sample_negatives(table, centers, uniforms)
+        return table, _sample_negatives(table, centers, key, first, 5)
 
     def test_never_returns_center_and_stays_in_range(self):
         centers = np.random.default_rng(55).integers(0, 10, 400)
-        table, _, negs = self._block(10, centers, seed=55)
+        table, negs = self._block(10, centers, key=55)
         assert negs.shape == (400, 5)
         drawn = negs >= 0
         assert np.all(negs[~drawn] == -1)
@@ -223,26 +252,38 @@ class TestSampleNegatives:
         assert not np.any(drawn & (negs == centers[:, None]))
 
     def test_usually_draws_full_count(self):
-        _, _, negs = self._block(30, np.zeros(200, dtype=np.int64), seed=56)
+        _, negs = self._block(30, np.zeros(200, dtype=np.int64), key=56)
         assert (negs >= 0).sum() >= 0.97 * 5 * 200
 
     def test_takes_the_first_draw_off_the_center(self):
         centers = np.random.default_rng(57).integers(0, 4, 300)
-        table, uniforms, negs = self._block(4, centers, seed=57)
+        first = 2**32 + 7
+        table, negs = self._block(4, centers, key=57, first=first)
         for p, center in enumerate(centers):
             for k in range(5):
-                rows = [min(int(np.searchsorted(table, u, side="right")), len(table) - 1)
-                        for u in uniforms[p, k]]
+                counter = ((first + p) * 5 + k) * NS_RESAMPLE_ATTEMPTS
+                rows = [min(int(np.searchsorted(table, _splitmix_uniform(57, counter + a),
+                                                side="right")), len(table) - 1)
+                        for a in range(NS_RESAMPLE_ATTEMPTS)]
                 off = [r for r in rows if r != center]
                 assert negs[p, k] == (off[0] if off else -1)
 
+    def test_draws_depend_on_the_position_not_the_block(self):
+        centers = np.random.default_rng(58).integers(0, 10, 50)
+        _, whole = self._block(10, centers, key=58, first=100)
+        _, head = self._block(10, centers[:17], key=58, first=100)
+        _, tail = self._block(10, centers[17:], key=58, first=117)
+        np.testing.assert_array_equal(whole, np.concatenate([head, tail]))
+
 
 class TestTrainDocument:
+    """One document's label passes trained in a call of their own."""
+
     def test_position_accounting(self):
         model, corpus = small_setup()
         state = init_state(model, corpus, FinetuneConfig(epochs=1))
         doc = corpus.docs[0]
-        loss, trained, shortfall = train_document(state, doc)
+        loss, trained, shortfall = _train_doc(state, doc)
         assert state.positions_done == trained == len(doc.tokens)
         assert loss > 0 and shortfall == 0
 
@@ -255,7 +296,7 @@ class TestTrainDocument:
         model = merge(emb, build_vocab(corpus), seed=1)
         state = init_state(model, corpus, FinetuneConfig(epochs=1))
         assert state.total_positions == 3 * 2 + 2
-        train_document(state, docs[0])
+        _train_doc(state, docs[0])
         assert state.positions_done == 6
 
     def test_empty_context_leaves_input_matrix_untouched(self):
@@ -264,7 +305,7 @@ class TestTrainDocument:
         model, corpus = small_setup()
         state = init_state(model, corpus, FinetuneConfig())
         before = state.input_matrix.copy()
-        loss, _, shortfall = train_document(state, Document(("t3",), ("one",)))
+        loss, _, shortfall = _train_doc(state, Document(("t3",), ("one",)))
         # all-zero output vectors: every logit is 0, each term costs ln 2
         assert shortfall == 0
         np.testing.assert_allclose(loss, 6 * math.log(2), rtol=1e-12)
@@ -278,15 +319,15 @@ class TestTrainDocument:
         state = init_state(model, corpus, FinetuneConfig())
         doc = Document(("t3",), ("one",))
         before = state.class_vectors.copy()
-        train_document(state, doc)
+        _train_doc(state, doc)
         np.testing.assert_array_equal(state.class_vectors, before)
-        train_document(state, doc)
+        _train_doc(state, doc)
         assert not np.array_equal(state.class_vectors, before)
 
     def test_alpha_follows_schedule(self):
         model, corpus = small_setup(n_docs=1, doc_len=2)
         state = init_state(model, corpus, FinetuneConfig(epochs=1))
-        train_document(state, corpus.docs[0])
+        _train_doc(state, corpus.docs[0])
         # two total positions: the last one trains at alpha0 * (1 - 1/2)
         assert state.total_positions == 2
         assert state.alpha == 0.0125
@@ -295,7 +336,7 @@ class TestTrainDocument:
         model, corpus = small_setup()
         state = init_state(model, corpus, FinetuneConfig())
         with pytest.raises(ValueError, match="merge\\(\\) must precede"):
-            train_document(state, Document(("never-seen",), ("one",)))
+            _train_doc(state, Document(("never-seen",), ("one",)))
 
 
 class TestInitState:
@@ -305,6 +346,10 @@ class TestInitState:
         rng = np.random.default_rng(9)
         expected = (rng.random((2, 8)) - 0.5) / 8
         np.testing.assert_array_equal(state.class_vectors, expected)
+        # the noise key is the next uint64 of the stream, and the state
+        # keeps no generator to draw from later
+        assert state.key == int(rng.integers(2**64, dtype=np.uint64))
+        assert not hasattr(state, "rng")
 
     def test_matrices_and_totals(self):
         model, corpus = small_setup()
@@ -398,7 +443,7 @@ class TestFinetune:
         losses = [_position_mean_loss(state, corpus, eval_negs)]
         for _ in range(epochs):
             for doc in corpus.docs:
-                train_document(state, doc)
+                _train_doc(state, doc)
             losses.append(_position_mean_loss(state, corpus, eval_negs))
         # all-zero outputs score (1 + 5) ln 2 per position before training
         np.testing.assert_allclose(losses[0], 6 * math.log(2), rtol=1e-12)
@@ -521,7 +566,7 @@ def _train_two_epochs(model, corpus, cfg, label_pass):
     # freeze one corpus row too, so the trainable mask matters in context
     state.trainable = state.trainable.copy()
     state.trainable[state.input_index["t1"]] = False
-    stats = [train_document(state, d) for _ in range(2) for d in corpus.docs]
+    stats = [_train_doc(state, d) for _ in range(2) for d in corpus.docs]
     return state, np.array(stats)
 
 
@@ -547,34 +592,49 @@ def _varied_setup(skewed: bool):
     return merge(emb, build_vocab(corpus), seed=2), corpus
 
 
-def _chunked_epochs(model, corpus, cfg, train):
-    """Train ``cfg.epochs`` epochs of ``corpus`` in chunks through ``train``;
-    returns the state, the per-epoch stats and per chunk its pass lengths."""
+def _split_epochs(model, corpus, cfg, train, split=None, first=0):
+    """Train ``cfg.epochs`` epochs of ``corpus`` through ``train``, each in
+    one call, or with ``split`` in two: cut at the first pass boundary at or
+    after position ``split`` that lies between two passes of one document.
+    Training starts at run-wide position ``first``. Returns the state, the
+    per-epoch stats and per call its pass lengths."""
     state = init_state(model, corpus, cfg)
-    chunks = []
+    state.positions_done = first
+    state.total_positions += first
+    calls = []
 
     def recording(state, chunk):
-        assert chunk.uniforms.size <= trainer.CHUNK_UNIFORMS or len(chunk.labels) == 1
-        chunks.append(chunk.lengths.tolist())
+        calls.append(chunk.lengths.tolist())
         return train(state, chunk)
 
     state.kernel = recording
-    passes = [p for doc in corpus.docs for p in trainer._doc_passes(state, doc)]
-    stats = [trainer._train_passes(state, passes) for _ in range(cfg.epochs)]
-    return state, np.array(stats), chunks
+    doc_passes = [trainer._doc_passes(state, doc) for doc in corpus.docs]
+    passes = [p for ps in doc_passes for p in ps]
+    cut = len(passes)
+    if split is not None:
+        doc_of_pass = [i for i, ps in enumerate(doc_passes) for _ in ps]
+        ends = np.cumsum([len(p[0]) for p in passes])
+        cut = min(j for j in range(1, len(passes))
+                  if ends[j - 1] >= split and doc_of_pass[j - 1] == doc_of_pass[j])
+    stats = [
+        np.sum([trainer._train_passes(state, part)
+                for part in (passes[:cut], passes[cut:]) if part], axis=0)
+        for _ in range(cfg.epochs)
+    ]
+    return state, np.array(stats), calls
 
 
-def _one_pass(in_idx, out_idx, label_id, alphas, uniforms):
+def _one_pass(in_idx, out_idx, label_id, alphas, first=0):
     """A chunk holding one label pass over every position."""
-    return trainer.Chunk(in_idx, out_idx, alphas, uniforms,
-                         *np.array([[len(in_idx)], [label_id]], dtype=np.int64))
+    return trainer.Chunk(in_idx, out_idx, alphas,
+                         *np.array([[len(in_idx)], [label_id]], dtype=np.int64), first)
 
 
 def _per_pass_epoch(state, corpus):
-    """One epoch drawn and trained label pass by label pass with
-    ``_reference_pass``: the training loop as it was before passes were
-    trained in chunks, kept verbatim as the reference for the draws."""
-    cfg, rng = state.cfg, state.rng
+    """One epoch trained label pass by label pass with ``_reference_pass``,
+    each pass with the rates of its own schedule call: the reference for
+    training an epoch, or any run of passes, in one call."""
+    cfg = state.cfg
     stats = []
     for doc in corpus.docs:
         for label in doc.labels:
@@ -584,15 +644,22 @@ def _per_pass_epoch(state, corpus):
             alphas = lr_schedule(
                 cfg, (state.positions_done + np.arange(n)) / state.total_positions
             )
-            uniforms = rng.random((n, cfg.negative, NS_RESAMPLE_ATTEMPTS))
             loss, shortfall = trainer._reference_pass(
-                state, in_idx, out_idx, state.class_index[label], alphas, uniforms
+                state, in_idx, out_idx, state.class_index[label], alphas,
+                state.positions_done,
             )
             state.positions_done += n
-            if n:
-                state.alpha = float(alphas[-1])
+            state.alpha = float(alphas[-1])
             stats.append((loss, n, shortfall))
     return np.array(stats).sum(axis=0)
+
+
+def _assert_close_states(fast, ref):
+    for name in ("input_matrix", "output_matrix", "class_vectors"):
+        np.testing.assert_allclose(
+            getattr(fast, name), getattr(ref, name), rtol=0, atol=1e-10
+        )
+    assert (fast.positions_done, fast.alpha) == (ref.positions_done, ref.alpha)
 
 
 class TestKernel:
@@ -620,59 +687,92 @@ class TestKernel:
         assert ref_stats[:, 1].sum() == ref.positions_done
         assert (ref_stats[:, 2].sum() > 0) == skewed
 
-    # positions per chunk: the module's cap (one chunk per epoch here), a
-    # few passes per chunk, and a cap most passes exceed
-    @pytest.mark.parametrize("limit", [None, 24, 6])
     @pytest.mark.parametrize("skewed", [False, True])
-    def test_chunks_match_the_reference_pass_by_pass(
-        self, kernel, monkeypatch, limit, skewed
-    ):
+    def test_matches_reference_past_2_to_the_32nd_position(self, kernel, skewed):
+        # draw counters pass 2^40 here: a 32-bit counter anywhere in C
+        # would give other draws than the reference's
         model, corpus = _varied_setup(skewed)
         cfg = FinetuneConfig(epochs=2, window=3, negative=4, alpha0=0.05, seed=8)
-        if limit:
-            monkeypatch.setattr(trainer, "CHUNK_UNIFORMS",
-                                limit * cfg.negative * NS_RESAMPLE_ATTEMPTS)
-        ref = init_state(model, corpus, cfg)
-        ref_stats = np.array([_per_pass_epoch(ref, corpus) for _ in range(cfg.epochs)])
-        fast, fast_stats, chunks = _chunked_epochs(model, corpus, cfg, kernel)
-        for name in ("input_matrix", "output_matrix", "class_vectors"):
-            np.testing.assert_allclose(
-                getattr(fast, name), getattr(ref, name), rtol=0, atol=1e-10
-            )
-        assert (fast.positions_done, fast.alpha) == (ref.positions_done, ref.alpha)
+        first = 2**32 + 5
+        ref, ref_stats, _ = _split_epochs(model, corpus, cfg, trainer._reference_chunk,
+                                          first=first)
+        fast, fast_stats, _ = _split_epochs(model, corpus, cfg, kernel, first=first)
+        _assert_close_states(fast, ref)
+        assert fast.positions_done > 2**32
         np.testing.assert_array_equal(fast_stats[:, 1:], ref_stats[:, 1:])
         np.testing.assert_allclose(fast_stats[:, 0], ref_stats[:, 0], rtol=1e-9)
         assert (ref_stats[:, 2].sum() > 0) == skewed
-        assert sum(map(sum, chunks)) == fast_stats[:, 1].sum()
-        if limit is None:
-            assert len(chunks) == cfg.epochs
-        else:
-            assert any(len(c) > 1 for c in chunks)
-        if limit is not None:
-            # passes longer than the cap train alone, and some chunk
-            # boundary falls between two passes of one document
-            assert any(len(c) == 1 and c[0] > limit for c in chunks)
-            doc_of_pass = [i for i, d in enumerate(corpus.docs) for _ in d.labels]
-            bounds = np.cumsum([len(c) for c in chunks]) % len(doc_of_pass)
-            assert any(0 < b and doc_of_pass[b - 1] == doc_of_pass[b] for b in bounds)
 
-    @pytest.mark.parametrize("limit", [None, 24, 6])
-    def test_fallback_writes_the_bytes_of_single_passes(self, monkeypatch, limit):
-        # the numpy reference sees every pass's draws as it would alone, so
-        # chunking changes no byte of its result
-        model, corpus = _varied_setup(skewed=True)
+    # an epoch in one call, or in two cut inside a multilabel document at
+    # or after position 24, or 6
+    @pytest.mark.parametrize("split", [None, 24, 6])
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_chunks_match_the_reference_pass_by_pass(self, kernel, split, skewed):
+        model, corpus = _varied_setup(skewed)
         cfg = FinetuneConfig(epochs=2, window=3, negative=4, alpha0=0.05, seed=8)
-        if limit:
-            monkeypatch.setattr(trainer, "CHUNK_UNIFORMS",
-                                limit * cfg.negative * NS_RESAMPLE_ATTEMPTS)
         ref = init_state(model, corpus, cfg)
         ref_stats = np.array([_per_pass_epoch(ref, corpus) for _ in range(cfg.epochs)])
-        slow, slow_stats, _ = _chunked_epochs(model, corpus, cfg, trainer._reference_chunk)
+        fast, fast_stats, calls = _split_epochs(model, corpus, cfg, kernel, split)
+        _assert_close_states(fast, ref)
+        np.testing.assert_array_equal(fast_stats[:, 1:], ref_stats[:, 1:])
+        np.testing.assert_allclose(fast_stats[:, 0], ref_stats[:, 0], rtol=1e-9)
+        assert (ref_stats[:, 2].sum() > 0) == skewed
+        assert sum(map(sum, calls)) == fast_stats[:, 1].sum()
+        assert len(calls) == cfg.epochs * (1 if split is None else 2)
+        if split is not None:
+            # the draws do not depend on the grouping: the bytes are those
+            # of one call per epoch
+            whole, _, _ = _split_epochs(model, corpus, cfg, kernel)
+            for name in ("input_matrix", "output_matrix", "class_vectors"):
+                assert getattr(fast, name).tobytes() == getattr(whole, name).tobytes()
+
+    @pytest.mark.parametrize("split", [None, 24, 6])
+    def test_fallback_writes_the_bytes_of_single_passes(self, split):
+        # the numpy reference trains pass by pass with the draws of each
+        # pass's positions, so grouping changes no byte of its result
+        model, corpus = _varied_setup(skewed=True)
+        cfg = FinetuneConfig(epochs=2, window=3, negative=4, alpha0=0.05, seed=8)
+        ref = init_state(model, corpus, cfg)
+        ref_stats = np.array([_per_pass_epoch(ref, corpus) for _ in range(cfg.epochs)])
+        slow, slow_stats, _ = _split_epochs(
+            model, corpus, cfg, trainer._reference_chunk, split
+        )
         for name in ("input_matrix", "output_matrix", "class_vectors"):
             assert getattr(slow, name).tobytes() == getattr(ref, name).tobytes()
         assert (slow.positions_done, slow.alpha) == (ref.positions_done, ref.alpha)
         np.testing.assert_array_equal(slow_stats[:, 1:], ref_stats[:, 1:])
         np.testing.assert_allclose(slow_stats[:, 0], ref_stats[:, 0], rtol=1e-12)
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_finetune_trains_each_epoch_in_one_call_and_draws_nothing_after_init(
+        self, kernel, monkeypatch, fallback
+    ):
+        model, corpus = _kernel_setup(skewed=False)
+        calls, generator_calls = [], []
+        train = trainer._reference_chunk if fallback else kernel
+
+        def counting(state, chunk):
+            calls.append(len(chunk.in_idx))
+            return train(state, chunk)
+
+        class Recording:
+            def __init__(self, generator):
+                self._generator = generator
+
+            def __getattr__(self, name):
+                generator_calls.append(name)
+                return getattr(self._generator, name)
+
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: Recording(default_rng(*a)))
+        monkeypatch.setattr(_kernel, "load", lambda: counting)
+        cfg = FinetuneConfig(epochs=3, seed=9, shuffle=True)
+        finetune(model, corpus, cfg)
+        positions = sum(len(d.tokens) * len(d.labels) for d in corpus.docs)
+        assert calls == [positions] * cfg.epochs
+        # init_state draws the class vectors and the key; then only the
+        # document order is drawn, once per epoch
+        assert generator_calls == ["random", "integers"] + ["shuffle"] * cfg.epochs
 
     def test_finetune_runs_the_kernel_byte_deterministically(self, kernel, monkeypatch):
         def no_reference(*args):
@@ -687,8 +787,8 @@ class TestKernel:
         assert c1.matrix.tobytes() == c2.matrix.tobytes()
 
     def test_finetune_matches_train_document_in_shuffled_order(self, kernel):
-        # finetune maps every document to rows once per run; train_document
-        # maps on each call; both must train the same bytes
+        # finetune trains each epoch in one call; training each document in
+        # a call of its own must give the same bytes
         model, corpus = _kernel_setup(skewed=False)
         cfg = FinetuneConfig(epochs=2, seed=12, shuffle=True)
         tuned, classes = finetune(model, corpus, cfg)
@@ -699,7 +799,7 @@ class TestKernel:
         for _ in range(cfg.epochs):
             shuffle_rng.shuffle(order)
             for di in order:
-                train_document(ref, corpus.docs[di])
+                _train_doc(ref, corpus.docs[di])
         assert tuned.matrix.tobytes() == ref.input_matrix.astype(np.float32).tobytes()
         assert classes.matrix.tobytes() == ref.class_vectors.astype(np.float32).tobytes()
 
@@ -708,30 +808,31 @@ class TestKernel:
         state = init_state(model, corpus, FinetuneConfig(negative=2))
         before = state.output_matrix.copy()
         idx = np.array([0, len(state.output_matrix)], dtype=np.int64)
-        uniforms = np.full((2, 2, NS_RESAMPLE_ATTEMPTS), 0.5)
         with pytest.raises(IndexError):
-            kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025), uniforms))
+            kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025)))
         np.testing.assert_array_equal(state.output_matrix, before)
 
     @pytest.mark.parametrize("field, value", [
         ("in_idx", -1), ("in_idx", 10**6), ("out_idx", -1), ("out_idx", 10**6),
         ("labels", 2), ("labels", -1), ("lengths", 99),
         # lengths that add up to fewer or more than the chunk's positions
-        ("lengths", 2), ("lengths", 4),
+        ("lengths", 2), ("lengths", 4), ("first", -1),
     ])
     def test_bad_index_in_the_last_pass_writes_nothing(self, kernel, field, value):
         # three passes of three positions; the fault sits in the last one,
         # after two passes the kernel could already have trained
         model, corpus = small_setup()
         state = init_state(model, corpus, FinetuneConfig(negative=2, seed=4))
-        train_document(state, corpus.docs[0])  # nonzero outputs: every step writes
+        _train_doc(state, corpus.docs[0])  # nonzero outputs: every step writes
         idx = np.arange(9, dtype=np.int64)
         chunk = trainer.Chunk(
             idx.copy(), idx.copy(), np.full(9, 0.025),
-            np.random.default_rng(5).random((9, 2, NS_RESAMPLE_ATTEMPTS)),
-            np.array([3, 3, 3]), np.array([0, 1, 0]),
+            np.array([3, 3, 3]), np.array([0, 1, 0]), 2**33,
         )
-        getattr(chunk, field)[-1] = value
+        if field == "first":
+            chunk.first = value
+        else:
+            getattr(chunk, field)[-1] = value
         before = [a.copy() for a in (state.input_matrix, state.output_matrix,
                                      state.class_vectors)]
         with pytest.raises(IndexError, match="out of range"):
@@ -742,31 +843,43 @@ class TestKernel:
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8, 13, 16, 17])
     def test_noise_search_matches_searchsorted(self, kernel, rows):
-        # a table with ties, probed on every entry, at 0.0, between entries
-        # and at or above the last entry
+        # one position with k slots, whose noise table holds first-attempt
+        # draws of that very position, some of them twice: those draws fall
+        # exactly on an entry (a tie, which side="right" puts past it), and
+        # the largest draw lies above the last entry and clamps to it
+        key, first, k = 0x5EED + rows, 2**40 + rows, 4 * rows + 4
+        draws = np.array([[_splitmix_uniform(key, (first * k + s) * NS_RESAMPLE_ATTEMPTS + a)
+                           for a in range(NS_RESAMPLE_ATTEMPTS)] for s in range(k)])
+        firsts = np.sort(draws[:, 0])
         rng = np.random.default_rng(rows)
-        table = np.cumsum(rng.integers(0, 3, rows) / 2.0)
-        table = np.append(table[:-1], table[-1] + 1.0) / (table[-1] + 1.0)
-        probes = np.concatenate([[0.0], table, (table[:-1] + table[1:]) / 2,
-                                 [table[-1], 1.0, 1.5]])
-        k = len(probes)
+        table = np.sort(np.append(rng.choice(firsts[:-1], rows - 1), firsts[0])
+                        if rows > 1 else firsts[:1])
+        if rows > 2:
+            table[1] = table[0]  # a repeated entry, a row of zero mass
+
+        def row_of(u):
+            return min(int(np.searchsorted(table, u, side="right")), rows - 1)
+
+        center = row_of(draws[0, 0])  # slot 0 resamples at least once
+        counts = np.zeros(rows)
+        for s in range(k):
+            drawn = [row_of(u) for u in draws[s] if row_of(u) != center]
+            if drawn:
+                counts[drawn[0]] += 1
+        assert np.isin(table, firsts).all() and firsts[-1] > table[-1]
+        counts[center] = -1.0
         dim = 3
-        center = 0 if rows == 1 else int(np.argmax(np.diff(table) == 0))
         state = SimpleNamespace(
-            cfg=FinetuneConfig(negative=k, window=1),
+            cfg=FinetuneConfig(negative=k, window=1), key=key,
             input_matrix=np.ones((1, dim)), trainable=np.zeros(1, dtype=bool),
             output_matrix=np.zeros((rows, dim)), noise_table=table,
             class_vectors=np.array([[1.0, 2.0, 4.0]]),
         )
         one = np.zeros(1, dtype=np.int64)
-        uniforms = np.repeat(probes, NS_RESAMPLE_ATTEMPTS).reshape(1, k, NS_RESAMPLE_ATTEMPTS)
         alpha = 0.5
-        kernel(state, _one_pass(one, one + center, 0, np.full(1, alpha), uniforms))
+        kernel(state, _one_pass(one, one + center, 0, np.full(1, alpha), first))
         # all-zero outputs: every logit is 0, so each draw of row r moves it
         # by -alpha * sigmoid(0) * h, and the center by +alpha * (1 - sigmoid(0)) * h
-        drawn = np.minimum(np.searchsorted(table, probes, side="right"), rows - 1)
-        counts = np.bincount(drawn[drawn != center], minlength=rows).astype(float)
-        counts[center] = -1.0
         h = state.class_vectors[0]
         np.testing.assert_array_equal(
             state.output_matrix, -alpha * 0.5 * counts[:, None] * h[None, :]
@@ -787,15 +900,14 @@ class TestKernel:
         before = [a.copy() for a in (state.input_matrix, state.output_matrix,
                                      state.class_vectors)]
         idx = np.arange(2, dtype=np.int64)
-        uniforms = np.full((2, 2, NS_RESAMPLE_ATTEMPTS), 0.5)
         with pytest.raises(ValueError, match="C-contiguous"):
-            kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025), uniforms))
+            kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025)))
         after = (state.input_matrix, state.output_matrix, state.class_vectors)
         for a, b in zip(after, before):
             assert a.tobytes() == b.tobytes()
         # the same call on intact arrays trains
         state = init_state(model, corpus, FinetuneConfig(negative=2))
-        kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025), uniforms))
+        kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025)))
         assert state.output_matrix.tobytes() != before[1].tobytes()
 
     def test_rejects_overlapping_matrices(self, kernel):
@@ -805,9 +917,8 @@ class TestKernel:
         state.class_vectors = state.input_matrix[:2]
         before = state.input_matrix.copy()
         idx = np.arange(2, dtype=np.int64)
-        uniforms = np.full((2, 2, NS_RESAMPLE_ATTEMPTS), 0.5)
         with pytest.raises(ValueError, match="must not overlap"):
-            kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025), uniforms))
+            kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025)))
         assert state.input_matrix.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("spoil", [
@@ -830,7 +941,7 @@ class TestKernel:
         ref = init_state(model, corpus, cfg)
         for _ in range(2):
             for doc in corpus.docs:
-                train_document(ref, doc)
+                _train_doc(ref, doc)
         assert tuned.matrix.tobytes() == ref.input_matrix.astype(np.float32).tobytes()
 
     def test_failed_build_raises_and_leaves_no_file(self, tmp_path, monkeypatch):

@@ -24,7 +24,6 @@ class TestBuildVocab:
         assert len(vocab) == 3
         assert "a" in vocab and "z" not in vocab
         assert vocab.tokens == ["b", "a", "c"]
-        assert vocab.frequency("b") == 3
         np.testing.assert_array_equal(vocab.frequencies, [3.0, 2.0, 1.0])
         assert vocab.frequencies is vocab.frequencies
         with pytest.raises(ValueError):
