@@ -1,6 +1,6 @@
 /* Label passes of class-conditioned CBOW with negative sampling, one
-   epoch of the linear probe's SGD, and the fast paths of the word2vec
-   text reader and writer.
+   epoch of the linear probe's SGD, the fast path of the word2vec text
+   writer, and the row scanners of both word2vec readers.
 
    The numpy pass in trainer.py (_reference_pass) is the reference for
    label_pass, which repeats it step for step, in place, on the float64
@@ -18,12 +18,14 @@
    It differs from numpy only by rounding, mostly because numpy leaves the
    order of the sums behind x @ weights to BLAS.
 
-   format_rows and parse_rows handle only the values they can convert
+   format_rows and scan_text handle only the values they can convert
    exactly with one correctly rounded multiply or divide by a power of ten
-   (Clinger's fast path) and decline the rest row by row or block by
-   block; the Python code in embedding_io.py is their reference and their
-   fallback. They call no strtod or printf, whose behaviour depends on the
-   process locale.
+   (Clinger's fast path) and decline the rest row by row. scan_text and
+   scan_binary each read one chunk of a file's rows in one call: values
+   straight into the float32 matrix, tokens into one buffer. The Python
+   code in embedding_io.py is their reference, their fallback for any row
+   they decline, and the only source of error messages. They call no
+   strtod or printf, whose behaviour depends on the process locale.
 
    Pure C99 with no Python headers; called through ctypes, which releases
    the interpreter lock. Compiled with -O3 -march=native, which vectorises
@@ -34,6 +36,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* np.searchsorted(table, u, side="right"), clamped to the last row, for
    rows >= 1. Branchless: the loop runs ceil(log2(rows)) times whatever u
@@ -490,6 +493,103 @@ int64_t format_rows(const float *values, int64_t rows, int64_t m,
     return pos;
 }
 
+/* The eight bytes at p as a little-endian integer: p[0] in the low byte */
+static uint64_t load_le64(const unsigned char *p)
+{
+    uint64_t v;
+
+    memcpy(&v, p, 8);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    return v;
+}
+
+/* The index of the lowest byte of x with bit 7 set, for x != 0 whose
+   bytes have no other bit set: x & -x is 2^(8i + 7), and multiplying
+   2^(8i) by the byte string 7 6 5 4 3 2 1 0 leaves i in the top byte */
+static int lowest_flagged_byte(uint64_t x)
+{
+    return (int)((((x & -x) >> 7) * UINT64_C(0x0001020304050607)) >> 56);
+}
+
+/* How many of the eight bytes of v (load_le64), from the first on, are
+   ASCII digits, 0 to 8. With the SWAR steps of D. Lemire, "Number Parsing
+   at a Gigabyte per Second", arXiv:2101.11408: a byte below '0' borrows
+   into its bit 7 in the subtraction and one above '9' carries into it in
+   the addition. Carries and borrows also cross into higher bytes, but the
+   lowest byte that is not a digit gets none from below, so it shows. */
+static int leading_digits(uint64_t v)
+{
+    const uint64_t other = ((v + UINT64_C(0x4646464646464646))
+                            | (v - UINT64_C(0x3030303030303030)))
+                           & UINT64_C(0x8080808080808080);
+    return other ? lowest_flagged_byte(other) : 8;
+}
+
+/* The value of the first d (0 to 8) bytes of v, ASCII digits, as a
+   decimal number: they move up to the top bytes, with '0' bytes below
+   them (each shift is split in two, so none is by 64 bits), and the
+   eight digits are combined in three multiplications (Lemire, as above) */
+static uint64_t digits_value(uint64_t v, int d)
+{
+    const uint64_t zeros = UINT64_C(0x3030303030303030);
+    const uint64_t mask = UINT64_C(0x000000FF000000FF);
+    const int up = 32 - 4 * d;
+
+    v = ((v << up) << up) | ((zeros >> 4 * d) >> 4 * d);
+    v -= zeros;
+    v = v * 10 + (v >> 8);      /* pairs of digits in every other byte */
+    return ((v & mask) * UINT64_C(0x000F424000000064)            /* 100, 10^6 << 32 */
+            + ((v >> 16) & mask) * UINT64_C(0x0000271000000001))  /* 1, 10^4 << 32 */
+           >> 32;
+}
+
+static int is_digit(unsigned char c)
+{
+    return (unsigned)(c - '0') < 10u;
+}
+
+/* a numeral's sign as a factor, exact in any product */
+static const double SIGN[2] = {1.0, -1.0};
+
+static const uint64_t POW10_INT[9] = {
+    1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, 100000000,
+};
+
+/* 10^(15 - d): a significand below it stays below 10^15 with d more digits */
+static const uint64_t TAKES[9] = {
+    1000000000000000u, 100000000000000u, 10000000000000u, 1000000000000u,
+    100000000000u, 10000000000u, 1000000000u, 100000000u, 10000000u,
+};
+
+/* Append the run of digits at p to the significand *w; return the byte
+   after the run, or NULL when *w would reach 10^15. Eight digits at a time
+   while eight bytes remain before end, then one at a time. */
+static inline const unsigned char *take_digits(const unsigned char *p,
+                                               const unsigned char *end,
+                                               uint64_t *w)
+{
+    for (;;) {
+        if (end - p >= 8) {
+            const uint64_t v = load_le64(p);
+            const int d = leading_digits(v);
+            if (*w >= TAKES[d])
+                return NULL;
+            *w = *w * POW10_INT[d] + digits_value(v, d);
+            p += d;
+            if (d < 8)
+                return p;
+        } else {
+            if (p == end || !is_digit(*p))
+                return p;
+            if (*w >= TAKES[1])
+                return NULL;
+            *w = *w * 10 + (uint64_t)(*p++ - '0');
+        }
+    }
+}
+
 /* Parse one numeral [+-]digits[.digits][(e|E)[+-]digits], with at least
    one mantissa digit, from p (before end) into *value; return the byte
    after it, or NULL to decline (any other syntax, more than 15
@@ -497,39 +597,44 @@ int64_t format_rows(const float *values, int64_t rows, int64_t m,
    +-22 after moving what W can take of a larger one into W). With W the
    significand as an integer (W < 10^15 < 2^53, exact) and e its
    exponent, W * 10^e is one correctly rounded operation, so the result
-   equals the correctly rounded value of the numeral. */
-static const char *parse_numeral(const char *p, const char *end, double *value)
+   equals the correctly rounded value of the numeral. Leading zeros add
+   nothing to W, so "more than 15 significant digits" is W >= 10^15. */
+static const unsigned char *parse_numeral(const unsigned char *p,
+                                          const unsigned char *end, double *value)
 {
+    const unsigned char *first;
     uint64_t w = 0;
-    int64_t scale = 0, exp10 = 0;
-    int negative = 0, digits = 0, significant = 0;
+    int64_t scale = 0, exp10 = 0, digits;
+    int negative = p < end && *p == '-';
 
-    if (p < end && (*p == '+' || *p == '-'))
-        negative = *p++ == '-';
-    for (int fraction = 0; ; fraction = 1) {
-        for (; p < end && *p >= '0' && *p <= '9'; p++) {
-            digits++;
-            scale -= fraction;
-            if (w == 0 && *p == '0')
-                continue;       /* a leading zero is not significant */
-            if (++significant > 15)
-                return NULL;
-            w = w * 10 + (uint64_t)(*p - '0');
-        }
-        if (fraction || p == end || *p != '.')
-            break;
+    p += p < end && (*p == '-' || *p == '+');  /* no branch: signs are random */
+    first = p;
+    if (end - p >= 2 && is_digit(p[0]) && p[1] == '.') {
+        w = (uint64_t)(p[0] - '0');   /* the common one-digit integer part */
         p++;
+    } else {
+        p = take_digits(p, end, &w);
+        if (p == NULL)
+            return NULL;
+    }
+    digits = p - first;
+    if (p < end && *p == '.') {
+        first = ++p;
+        p = take_digits(p, end, &w);
+        if (p == NULL)
+            return NULL;
+        scale = first - p;
+        digits -= scale;
     }
     if (digits == 0)
         return NULL;
     if (p < end && (*p == 'e' || *p == 'E')) {
         int exp_negative = 0;
-        const char *first;
         p++;
         if (p < end && (*p == '+' || *p == '-'))
             exp_negative = *p++ == '-';
         first = p;
-        for (; p < end && *p >= '0' && *p <= '9'; p++)
+        for (; p < end && is_digit(*p); p++)
             if (exp10 < 100000)
                 exp10 = exp10 * 10 + (*p - '0');
         if (p == first)
@@ -544,27 +649,126 @@ static const char *parse_numeral(const char *p, const char *end, double *value)
         w *= 10;                /* exact while W stays below 10^15 */
     if (scale < -22 || scale > 22)
         return NULL;
-    *value = scale10((double)w, (int)scale);
-    if (negative)
-        *value = -*value;
+    *value = scale10((double)w, (int)scale) * SIGN[negative];
     return p;
 }
 
-/* Parse n rows of m numerals from data[0..len) into out (n x m). Every row
-   holds exactly m numerals separated by single spaces and ends in '\n'.
-   Returns -1 when every row parsed and the data ends after row n, else
-   the first row declined (n when bytes are left over). */
-int64_t parse_rows(const char *data, int64_t len, int64_t n, int64_t m,
-                   double *out)
-{
-    const char *p = data, *end = data + len;
+/* The word2vec readers' scanners. Each scans up to n rows from
+   data[0..len) and, row by row, writes the row's m values as float32 to
+   out + r * m and its token to tokens, the tokens back to back with one
+   space between them (tokens has room for len bytes: a row's token and
+   separator are never longer than the row). It stops at n rows, at the
+   first row that does not end within data, or at the first row it
+   declines, and returns the number of rows scanned. state[0] is the
+   offset after them, state[1] the bytes written to tokens, and state[2]
+   is 1 when it stopped at a row it declines, else 0. A declined row may
+   leave values in its row of out.
 
-    for (int64_t r = 0; r < n; r++)
-        for (int64_t j = 0; j < m; j++) {
-            p = parse_numeral(p, end, out + r * m + j);
-            if (p == NULL || p == end || *p != (j + 1 < m ? ' ' : '\n'))
-                return r;
-            p++;
+   A row's token is every byte before its first space (text: or newline);
+   the Python caller checks the tokens of each call (UTF-8, whitespace,
+   repeats). */
+
+/* Append token[0..size), the token of row r, at t, the end of what the
+   token buffer holds, after a space unless r is 0; return the new end */
+static char *put_token(char *t, int64_t r, const unsigned char *token, int64_t size)
+{
+    if (r > 0)
+        *t++ = ' ';
+    for (int64_t i = 0; i < size; i++)
+        t[i] = (char)token[i];
+    return t + size;
+}
+
+/* Whether data[p..end) holds a newline: a text row that starts at p ends
+   within data */
+static int holds_newline(const unsigned char *p, const unsigned char *end)
+{
+    for (; p < end; p++)
+        if (*p == '\n')
+            return 1;
+    return 0;
+}
+
+/* Text rows: the token, then m numerals each after one space, then '\n'.
+   A row is declined when its layout differs, when parse_numeral declines
+   a numeral, or when a value is not finite as float32 (every numeral
+   parse_numeral accepts is below 1e37, so this last is a safeguard). */
+int64_t scan_text(const char *data, int64_t len, int64_t n, int64_t m,
+                  float *out, char *tokens, int64_t *state)
+{
+    const unsigned char *p = (const unsigned char *)data, *end = p + len;
+    char *t = tokens;
+    int64_t r = 0;
+    int declined = 0;
+
+    for (; r < n; r++) {
+        const unsigned char *q = p, *token_end;
+        float *row = out + r * m;
+        int64_t j = 0;
+
+        while (q < end && *q != ' ' && *q != '\n')
+            q++;
+        token_end = q;
+        for (; j < m && q < end && *q == ' '; j++) {
+            double v;
+            q = parse_numeral(q + 1, end, &v);
+            if (q == NULL)
+                break;
+            row[j] = (float)v;
+            if (!isfinite(row[j]))
+                break;
         }
-    return p == end ? -1 : n;
+        if (j < m || q == end || *q != '\n') {
+            declined = holds_newline(p, end);
+            break;
+        }
+        t = put_token(t, r, p, token_end - p);
+        p = q + 1;
+    }
+    state[0] = (const char *)p - data;
+    state[1] = t - tokens;
+    state[2] = declined;
+    return r;
+}
+
+/* The four bytes at p as a little-endian integer */
+static uint32_t load_le32(const unsigned char *p)
+{
+    return (uint32_t)p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16
+           | (uint32_t)p[3] << 24;
+}
+
+/* Binary rows: the token, one space, then m little-endian float32 values.
+   A row is declined when a value is not finite. */
+int64_t scan_binary(const char *data, int64_t len, int64_t n, int64_t m,
+                    float *out, char *tokens, int64_t *state)
+{
+    const unsigned char *p = (const unsigned char *)data, *end = p + len;
+    char *t = tokens;
+    int64_t r = 0;
+    int declined = 0;
+
+    for (; r < n; r++) {
+        const unsigned char *q = p, *v;
+        float *row = out + r * m;
+
+        while (q < end && *q != ' ')
+            q++;
+        if (q == end || end - (q + 1) < 4 * m)
+            break;
+        v = q + 1;
+        for (int64_t j = 0; j < m; j++) {
+            const uint32_t bits = load_le32(v + 4 * j);
+            declined |= (bits & 0x7F800000u) == 0x7F800000u;
+            memcpy(row + j, &bits, 4);
+        }
+        if (declined)
+            break;
+        t = put_token(t, r, p, q - p);
+        p = v + 4 * m;
+    }
+    state[0] = (const char *)p - data;
+    state[1] = t - tokens;
+    state[2] = declined;
+    return r;
 }

@@ -1,30 +1,32 @@
 """Build and bind ``_kernel.c``: the compiled trainer of label passes, the
-linear probe's SGD epoch, and the fast paths of the word2vec text writer
-and reader.
+linear probe's SGD epoch, the fast path of the word2vec text writer and
+the row scanners of both word2vec readers.
 
 The shared library is opened once per process, on the first ``finetune``,
-``train_classifier``, text load or text save, and shared by all of them.
-It is compiled on first use with the C compiler Python was built with
-(``sysconfig``'s ``CC``, else ``cc``) and fixed flags, among them
+``train_classifier``, embedding load or text save, and shared by all of
+them. It is compiled on first use with the C compiler Python was built
+with (``sysconfig``'s ``CC``, else ``cc``) and fixed flags, among them
 ``-march=native``, and cached next to the source as
-``__pycache__/_kernel-<CPU digest>-<build digest>.so``: sha256 digests of
-the host's CPU model and instruction-set flags, since the library runs only
-on CPUs like the one it was built on, and of the source and flags. A build
-removes the libraries of older builds for the same CPU. It is written
-through a temporary file and an atomic rename, so concurrent processes may
-build it at the same time.
+``__pycache__/_kernel-<CPU digest>-<build digest>.so``: 64-bit digests
+(``zlib``'s CRC-32 and Adler-32, which numpy has loaded already) of the
+host's CPU model and instruction-set flags, since the library runs only
+on CPUs like the one it was built on, and of the source and flags. A
+build removes the libraries of older builds for the same CPU. It is
+written through a temporary file and an atomic rename, so concurrent
+processes may build it at the same time.
 Every entry point takes plain addresses; the wrappers check the dtype,
 layout and writeability of each array before the call. ``finetune`` makes
 one training call per epoch; the kernel computes the noise draws itself,
-from the run's key and each draw's counter.
+from the run's key and each draw's counter. A reader makes one scanner
+call per chunk of about ``BLOCK_ROWS`` rows.
 """
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import logging
 import os
 import platform
+import zlib
 from pathlib import Path
 from typing import Callable
 
@@ -58,7 +60,9 @@ _SIGNATURES = {
         _D, _D, _P, _P,         # lr, l2, scratch, loss
     ],
     "format_rows": [_P, _I, _I, _P, _P],    # values, rows, m, out, ends
-    "parse_rows": [_P, _I, _I, _I, _P],     # data, len, n, m, out
+    # data, len, n, m, out, tokens, state
+    "scan_text": [_P, _I, _I, _I, _P, _P, _P],
+    "scan_binary": [_P, _I, _I, _I, _P, _P, _P],
 }
 # bytes format_rows may write per value: 15 for '-0.000123456789' or
 # '-1.23456789e-05', plus a separator
@@ -96,7 +100,7 @@ def host_cpu() -> str:
 
 
 def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:16]
+    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
 
 
 def library_path() -> Path:
@@ -159,8 +163,8 @@ def library() -> ctypes.CDLL | None:
             lib = open_library()
         except OSError as e:  # no compiler, a failed build, or a failed dlopen
             logger.warning(
-                "compiled kernel unavailable, training, the probe and text I/O "
-                "run the numpy and Python reference paths: %s", e,
+                "compiled kernel unavailable, training, the probe and embedding "
+                "I/O run the numpy and Python reference paths: %s", e,
             )
             lib = None
         else:
@@ -298,14 +302,41 @@ def format_rows(block: np.ndarray) -> tuple[str, list[int]] | None:
     return out[:size].tobytes().decode("ascii"), ends.tolist()
 
 
-def parse_rows(data: bytes, n: int, m: int) -> np.ndarray | None:
-    """Parse ``n`` rows of ``m`` single-space-separated numerals, each row
-    ending in a newline, into float64; None if the library is unavailable
-    or it declines any row (the caller parses the block itself)."""
+def _scan(name: str, data: bytes | bytearray, start: int, out: np.ndarray):
+    """Call scanner ``name`` on ``data[start:]``; see :func:`scan_text`."""
     lib = library()
     if lib is None:
         return None
-    values = np.empty((n, m), dtype=np.float64)
-    if lib.parse_rows(data, len(data), n, m, values.ctypes.data) != -1:
-        return None
-    return values
+    rows, m = out.shape
+    buffer = np.frombuffer(data, dtype=np.uint8)
+    tokens = np.empty(len(buffer) - start, dtype=np.uint8)
+    state = np.empty(3, dtype=np.int64)
+    scanned = getattr(lib, name)(
+        buffer.ctypes.data + start, len(tokens), rows, m,
+        _address(out, _F32, write=True), tokens.ctypes.data, state.ctypes.data,
+    )
+    end, size, declined = state.tolist()
+    return scanned, start + end, tokens[:size].tobytes(), bool(declined)
+
+
+def scan_text(data: bytes, start: int, out: np.ndarray) -> tuple[int, int, bytes, bool] | None:
+    """Scan word2vec text rows from ``data[start:]`` into the rows of ``out``
+    (float32, one row per text row, at most ``len(out)`` of them); None if
+    the library is unavailable.
+
+    Returns ``(rows, end, tokens, declined)``: the rows scanned, the offset
+    in ``data`` after them, their tokens joined by single spaces, and
+    whether the scan stopped at a whole line that the kernel declines (a
+    numeral outside the exact fast path, another layout). A scan also stops
+    at ``len(out)`` rows and at a last line without its newline.
+    """
+    return _scan("scan_text", data, start, out)
+
+
+def scan_binary(data: bytes | bytearray, start: int, out: np.ndarray
+                ) -> tuple[int, int, bytes, bool] | None:
+    """Scan word2vec binary rows from ``data[start:]`` into the rows of
+    ``out``, as :func:`scan_text` does; a declined row is one whose vector
+    holds a non-finite value, and a scan also stops at a row that runs
+    past the end of ``data``."""
+    return _scan("scan_binary", data, start, out)

@@ -11,22 +11,25 @@ Format selection is always explicit (see :func:`load_file`); files are
 never sniffed. Malformed input is a hard error carrying the offending
 line number or byte offset.
 
-Readers and writers work on blocks of ``BLOCK_ROWS`` rows, with one
-array-level call per block for values and tokens. Both readers stream:
-a load holds the matrix plus about one block of input, never the whole
-file. When a block fails a check, a row-by-row scan of that block names
-its first bad row.
-
-Text values go through the compiled kernel (``_kernel.c``) where it can
-convert them exactly with one correctly rounded operation, which is
-nearly always; anything it declines, and everything when it is
-unavailable, goes through the Python code here, which gives the same
-bytes, values and errors.
+Readers and writers work on blocks of ``BLOCK_ROWS`` rows. Both readers
+stream: a load holds the matrix plus about one block of input, never the
+whole file. A reader hands each chunk of raw bytes to a scanner of the
+compiled kernel (``_kernel.c``), which in one call writes the chunk's
+values straight into the matrix and its tokens, joined by single spaces,
+into one buffer; Python then decodes, splits and checks those tokens once
+per chunk. Text numerals take the kernel's exact fast path (one correctly
+rounded operation), which accepts nearly every numeral a writer emits.
+A row the scanner declines, and every row when the kernel is unavailable,
+goes through the Python block code here, with one array-level call per
+block for values and tokens; it is the reference and the only source of
+error messages. When a block fails a check, a row-by-row scan of that
+block names its first bad row.
 """
 from __future__ import annotations
 
+import io
 from itertools import islice
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -131,17 +134,6 @@ def _allocate(n: int, m: int, what: str) -> np.ndarray:
         ) from None
 
 
-def _decode_tokens(tokens: list[bytes]) -> list[str] | None:
-    """Decode a block of tokens at once; None if any of them is empty,
-    holds whitespace or is not UTF-8 (:func:`_token_error` says which)."""
-    try:
-        text = b" ".join(tokens).decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    words = text.split(" ")
-    return words if text.split() == words else None
-
-
 def _token_error(token: bytes, seen: set[str]) -> str | None:
     """What is wrong with one token, or None after adding it to ``seen``."""
     if not token:
@@ -160,11 +152,26 @@ def _token_error(token: bytes, seen: set[str]) -> str | None:
     return None
 
 
-def _add_words(seen: set[str], words: list[str], block: list[str]) -> bool:
-    """Append a decoded block to ``words``; False if a token repeats."""
+def _add_words(seen: set[str], words: list[str], joined: bytes) -> bool:
+    """Decode a block's tokens, joined by single spaces, and append them to
+    ``words`` and ``seen`` (which holds the same tokens); False, changing
+    nothing, if any of them is empty, holds whitespace, is not UTF-8 or
+    repeats (:func:`_token_error` says which)."""
+    try:
+        text = joined.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    block = text.split(" ")
+    # str.split() drops empty tokens and splits at every whitespace character
+    if text.split() != block:
+        return False
     seen.update(block)
+    if len(seen) != len(words) + len(block):
+        seen.clear()  # a repeat: put seen back as it was
+        seen.update(words)
+        return False
     words.extend(block)
-    return len(seen) == len(words)
+    return True
 
 
 def parse_numerals(rows: list[bytes], m: int) -> np.ndarray | None:
@@ -225,40 +232,61 @@ def _text_line_error(
     raise RuntimeError("a text block failed its checks but none of its lines did")
 
 
+def _line_chunks(source: BinaryIO, size: int) -> Iterator[bytes]:
+    """The rest of a text stream in chunks of about ``size`` bytes of whole
+    lines, each ending in a newline (an unterminated last line gets one)."""
+    while chunk := source.read(size):
+        if not chunk.endswith(b"\n"):
+            chunk += source.readline()
+            if not chunk.endswith(b"\n"):
+                chunk += b"\n"
+        yield chunk
+
+
+def _lines_left(lines: io.BytesIO, chunks: Iterator[bytes]) -> int:
+    """The lines not yet read of the current chunk and of the rest."""
+    return sum(1 for _ in lines) + sum(chunk.count(b"\n") for chunk in chunks)
+
+
 def _read_text_rows(source: BinaryIO, matrix: np.ndarray) -> list[str]:
-    """Fill ``matrix`` from the text rows after the header, one block of
-    lines at a time; return the tokens."""
+    """Fill ``matrix`` from the text rows after the header, one chunk of
+    whole lines at a time; return the tokens."""
     n, m = matrix.shape
     words: list[str] = []
     seen: set[str] = set()
+    # room for BLOCK_ROWS rows of the widest '%.9g' numerals
+    chunks = _line_chunks(source, BLOCK_ROWS * (_kernel.FORMAT_BYTES * m + 16))
+    chunk = b""
+    lines = io.BytesIO(chunk)  # the chunk, read up to the first unparsed line
     while len(words) < n:
         row = len(words)
         want = min(BLOCK_ROWS, n - row)
-        parts = [line.partition(b" ") for line in islice(source, want)]
-        if len(parts) < want:
-            raise _row_count_error(n, row + len(parts))
-        block = _decode_tokens([p[0] for p in parts])
+        pos = lines.tell()
+        if pos == len(chunk):
+            chunk = next(chunks, b"")
+            if not chunk:
+                raise _row_count_error(n, row)
+            lines, pos = io.BytesIO(chunk), 0
+        scanned = _kernel.scan_text(chunk, pos, matrix[row:row + want])
+        if scanned and scanned[0] and _add_words(seen, words, scanned[2]):
+            lines.seek(scanned[1])
+            continue
+        # the Python block, from the first line the scanner did not take
+        parts = [line.partition(b" ") for line in islice(lines, want)]
         values = None
-        if block is not None and _add_words(seen, words, block):
-            # every value part but the file's last ends in its line's newline
-            value_parts = [p[2] for p in parts]
-            data = b"".join(value_parts)
-            values = _kernel.parse_rows(
-                data if data.endswith(b"\n") else data + b"\n", want, m
-            )
-            if values is None:
-                values = parse_numerals(value_parts, m)
+        if _add_words(seen, words, b" ".join([p[0] for p in parts])):
+            values = parse_numerals([p[2] for p in parts], m)
         if values is not None:
             values = _to_float32(values)
         if values is None or not np.isfinite(values).all():
-            lines = [b"".join(p).rstrip(b"\n") for p in parts]
-            error = _text_line_error(lines, row + 2, m, set(words[:row]))
+            bad = [b"".join(p).rstrip(b"\n") for p in parts]
+            error = _text_line_error(bad, row + 2, m, set(words[:row]))
             # a wrong row count outranks any row's error, as a whole-file
             # reader would find it first
-            rows = row + want + sum(1 for _ in source)
+            rows = row + len(parts) + _lines_left(lines, chunks)
             raise _row_count_error(n, rows) if rows != n else error
-        matrix[row:row + want] = values
-    extra = sum(1 for _ in source)
+        matrix[row:row + len(parts)] = values
+    extra = _lines_left(lines, chunks)
     if extra:
         raise _row_count_error(n, n + extra)
     return words
@@ -344,20 +372,31 @@ def _read_binary_rows(source: BinaryIO, base: int, matrix: np.ndarray) -> list[s
 
     words: list[str] = []
     seen: set[str] = set()
-    pos = 0
     while len(words) < n:
         row = len(words)
+        stop = min(n, row + BLOCK_ROWS)
+        if len(data) < chunk:
+            read_more()  # so that most scans take BLOCK_ROWS rows
+        scanned = _kernel.scan_binary(data, 0, matrix[row:stop])
+        if scanned and scanned[0] and _add_words(seen, words, scanned[2]):
+            del data[:scanned[1]]
+            base += scanned[1]
+            continue
+        if scanned and not scanned[0] and not scanned[3] and read_more():
+            continue  # the row runs past the bytes read so far
+        # the Python block, from the first row the scanner did not take
         tokens: list[bytes] = []
         starts: list[int] = []
         vec_at: list[int] = []
         failure = None
-        for i in range(row, min(n, row + BLOCK_ROWS)):
+        pos = 0
+        for i in range(row, stop):
             end = data.find(b" ", pos)
             while end < 0:
-                scanned = len(data)
+                searched = len(data)
                 if not read_more():
                     break
-                end = data.find(b" ", scanned)
+                end = data.find(b" ", searched)
             if end < 0:
                 failure = (
                     f"byte {base + len(data)}: truncated stream inside token "
@@ -378,9 +417,8 @@ def _read_binary_rows(source: BinaryIO, base: int, matrix: np.ndarray) -> list[s
                 break
             vec_at.append(pos)
             pos += vec_bytes
-        block = _decode_tokens(tokens)
         vectors = None
-        if failure is None and block is not None and _add_words(seen, words, block):
+        if failure is None and _add_words(seen, words, b" ".join(tokens)):
             raw = b"".join([data[a:a + vec_bytes] for a in vec_at])
             vectors = np.frombuffer(raw, dtype="<f4").reshape(len(vec_at), m)
         if vectors is None or not np.isfinite(vectors).all():
@@ -389,7 +427,7 @@ def _read_binary_rows(source: BinaryIO, base: int, matrix: np.ndarray) -> list[s
             )
         matrix[row:row + len(vec_at)] = vectors
         del data[:pos]
-        base, pos = base + pos, 0
+        base += pos
     if data or read_more():
         raise EmbeddingFormatError(f"byte {base}: trailing data after last vector")
     return words

@@ -1,6 +1,7 @@
 """Shared synthetic fixtures for the tests, slow reference readers,
 writers and drift that the block-wise library code is checked against,
-and a switch that makes the compiled kernel unavailable.
+a stream with short reads, and a switch that makes the compiled kernel
+unavailable.
 
 Every builder is fully seeded and deterministic. The two-class and
 three-class corpora below are engineered so that token *identity* is
@@ -377,6 +378,22 @@ def bit_random_embedding(rng: np.random.Generator, n: int, dim: int) -> Embeddin
     matrix[~np.isfinite(matrix)] = 0.0
     matrix[::7] = 0.0
     return EmbeddingSet([f"w{i}é" if i % 3 else f"t{i}" for i in range(n)], matrix)
+
+
+class ShortReads(io.RawIOBase):
+    """A stream that returns at most ``step`` bytes per read, as a pipe may."""
+
+    def __init__(self, data: bytes, step: int):
+        self._data, self._pos, self._step = data, 0, step
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        got = self._data[self._pos:self._pos + min(len(buf), self._step)]
+        buf[:len(got)] = got
+        self._pos += len(got)
+        return len(got)
 
 
 def disable_kernel(mp) -> None:

@@ -3,8 +3,9 @@
 Usage: ``python _sanitizer_child.py LIBRARY {run,control}``, with the
 sanitizer runtimes preloaded (``tests/test_kernel_sanitizers.py`` sets up
 the build and the environment). ``run`` calls the epoch trainer, the probe
-epoch in both modes, ``format_rows`` and ``parse_rows`` on Hypothesis
-bytes, and exits 0 if no sanitizer stopped it. ``control`` makes one
+epoch in both modes, ``format_rows``, and ``scan_text`` and
+``scan_binary`` on Hypothesis bytes, and exits 0 if no sanitizer stopped
+it. ``control`` makes one
 deliberate out-of-bounds write, which AddressSanitizer must report.
 
 Every byte the kernel reads comes from a buffer of exactly the size it is
@@ -100,39 +101,69 @@ def format_blocks() -> None:
         _kernel.format_rows(np.ascontiguousarray(block))
 
 
-def parse_bytes() -> None:
+def scan_bytes() -> None:
+    """Both scanners on arbitrary bytes and on rows cut at every byte, so
+    that a chunk ends inside a token, a numeral or a vector, each asked for
+    more rows than the bytes hold."""
     from hypothesis import given, settings, strategies as st
 
-    parse = _kernel.library().parse_rows
+    lib = _kernel.library()
 
-    def check(data: bytes, n: int, m: int) -> None:
-        out = np.empty((n, m), dtype=np.float64)
-        address = _exact_buffer(data)
+    def check(name: str, data: bytes, n: int, m: int) -> None:
+        out = np.empty((n, m), dtype=np.float32)
+        state = np.empty(3, dtype=np.int64)
+        address, tokens = _exact_buffer(data), _libc.malloc(len(data))
         try:
-            parse(address, len(data), n, m, out.ctypes.data)
+            rows = getattr(lib, name)(address, len(data), n, m, out.ctypes.data,
+                                      tokens, state.ctypes.data)
         finally:
             _libc.free(address)
+            _libc.free(tokens)
+        assert 0 <= rows <= n and 0 <= state[1] <= state[0] <= len(data)
 
-    numerals = st.text(alphabet="0123456789.eE+- \n", max_size=40).map(str.encode)
-    rows = st.lists(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False)
-                             .map(lambda v: "%.9g" % v), min_size=1, max_size=3),
-                    min_size=1, max_size=3)
+    def cuts(name: str, data: bytes, n: int, m: int) -> None:
+        for cut in range(len(data) + 1):
+            check(name, data[:cut], n, m)
 
-    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
-    @given(st.one_of(st.binary(max_size=40), numerals), st.integers(1, 3), st.integers(1, 3))
+    once = settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    every_cut = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    tokens = st.binary(min_size=0, max_size=4)
+    numerals = st.one_of(
+        st.floats(width=32, allow_nan=False, allow_infinity=False).map(lambda v: "%.9g" % v),
+        st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
+        st.text(alphabet="0123456789.eE+-", max_size=20),
+    )
+    text_rows = st.lists(st.tuples(tokens, st.lists(numerals, min_size=1, max_size=3)),
+                         min_size=1, max_size=3)
+    vectors = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3)
+    binary_rows = st.lists(st.tuples(tokens, vectors), min_size=1, max_size=3)
+
+    @once
+    @given(st.one_of(st.binary(max_size=40),
+                     st.text(alphabet="0123456789.eE+- \nab", max_size=40).map(str.encode)),
+           st.integers(1, 4), st.integers(1, 3))
     def any_bytes(data, n, m):
-        check(data, n, m)
+        check("scan_text", data, n, m)
+        check("scan_binary", data, n, m)
 
-    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
-    @given(rows, st.data())
-    def cut_rows(rows, data):
-        text = "".join(" ".join(r) + "\n" for r in rows).encode()
-        cut = data.draw(st.integers(0, len(text)))
-        # a numeral cut at the end of the buffer, read as far as the parser goes
-        check(text[:cut], len(rows), len(rows[0]))
+    @every_cut
+    @given(text_rows, st.integers(1, 3))
+    def cut_text(rows, more):
+        m = len(rows[0][1])
+        data = b"".join(t + b" " + " ".join(v).encode() + b"\n" for t, v in rows)
+        cuts("scan_text", data, len(rows) + more, m)
+
+    @every_cut
+    @given(binary_rows, st.integers(1, 3))
+    def cut_binary(rows, more):
+        m = len(rows[0][1])
+        data = b"".join(t + b" " + np.array(v[:m] + [0] * (m - len(v)), dtype="<u4").tobytes()
+                        for t, v in rows)
+        cuts("scan_binary", data, len(rows) + more, m)
 
     any_bytes()
-    cut_rows()
+    cut_text()
+    cut_binary()
 
 
 def control() -> None:
@@ -153,7 +184,7 @@ def main(library: str, mode: str) -> None:
     train_epochs()
     probe_epochs()
     format_blocks()
-    parse_bytes()
+    scan_bytes()
     print("all entry points ran")
 
 

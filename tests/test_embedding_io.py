@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from classvec import _kernel
 from classvec.embedding_io import (
     BLOCK_ROWS,
     FORMATS,
@@ -22,7 +23,9 @@ from classvec.embedding_io import (
 )
 
 from _constructions import (
+    ShortReads,
     bit_random_embedding,
+    disable_kernel,
     random_embedding,
     reference_load_binary,
     reference_load_text,
@@ -448,6 +451,139 @@ def test_binary_truncation_matches_reference(row, cut):
     with pytest.raises(EmbeddingFormatError) as ref:
         reference_load_binary(data)
     assert str(err.value) == str(ref.value)
+
+
+# --- chunk boundaries ---------------------------------------------------------
+#
+# Each reader takes its input in chunks of about BLOCK_ROWS rows (text:
+# whole lines, binary: raw bytes) and scans each chunk in one kernel call.
+# Rows that cross a chunk's end, rows the scanner declines and the Python
+# block code after them must give what the row-by-row references give.
+
+def _text_chunk(m: int) -> int:
+    """The bytes a text load reads at a time at dimension m."""
+    return BLOCK_ROWS * (_kernel.FORMAT_BYTES * m + 16)
+
+
+def _binary_chunk(m: int) -> int:
+    """The bytes a binary load reads at a time at dimension m."""
+    return BLOCK_ROWS * (4 * m + 16)
+
+
+@pytest.fixture(params=["kernel", "no_kernel"])
+def kernel_or_not(request, monkeypatch):
+    """Run once with the compiled scanners and once with the Python code."""
+    if request.param == "no_kernel":
+        disable_kernel(monkeypatch)
+
+
+def _outcome(load, data: bytes, step: int | None = None):
+    """(words, matrix bytes) of a load, or its error message."""
+    source = io.BytesIO(data) if step is None else ShortReads(data, step)
+    try:
+        emb = load(source)
+    except EmbeddingFormatError as e:
+        return str(e)
+    return emb.words, emb.matrix.tobytes()
+
+
+def _assert_text_like_reference(data: bytes, steps=(None, 7)) -> None:
+    expected = _outcome(lambda source: reference_load_text(source.read()), data)
+    for step in steps:
+        assert _outcome(load_text, data, step) == expected
+
+
+def _assert_binary_like_reference(data: bytes, steps=(None, 5)) -> None:
+    expected = _outcome(lambda source: reference_load_binary(source.read()), data)
+    for step in steps:
+        assert _outcome(load_binary, data, step) == expected
+
+
+def _text_data(n: int, m: int, seed: int) -> bytes:
+    buf = io.BytesIO()
+    save_text(random_embedding(np.random.default_rng(seed), n, m), buf)
+    return buf.getvalue()
+
+
+@pytest.mark.usefixtures("kernel_or_not")
+class TestChunkBoundaries:
+    def test_text_rows_straddle_chunk_edges(self):
+        data = _text_data(4 * BLOCK_ROWS, 2, 30)
+        # the first read ends inside a row; the reader completes its line
+        edge = data.index(b"\n") + 1 + _text_chunk(2)
+        assert edge < len(data) - _text_chunk(2) and data[edge - 1] != ord("\n")
+        _assert_text_like_reference(data, steps=(None, 1, 7, 4096))
+        assert isinstance(_outcome(load_text, data), tuple)
+
+    def test_text_last_row_without_its_newline(self):
+        data = _text_data(BLOCK_ROWS + 3, 2, 31)
+        assert data.endswith(b"\n")
+        _assert_text_like_reference(data[:-1])
+        assert _outcome(load_text, data[:-1]) == _outcome(load_text, data)
+
+    def test_text_declined_numeral_mid_chunk(self):
+        data = _text_data(2 * BLOCK_ROWS, 3, 32)
+        lines = data.split(b"\n")
+        row = 100  # on line row + 2, with accepted rows after it in its chunk
+        token = lines[row + 1].split(b" ")[0]
+        lines[row + 1] = token + b" %.17g 0.5 %.17g" % (0.1, -2.5e-30)
+        data = b"\n".join(lines)
+        _assert_text_like_reference(data)
+        words, matrix = _outcome(load_text, data)
+        values = np.frombuffer(matrix, dtype=np.float32).reshape(-1, 3)
+        assert values[row].tolist() == np.array([0.1, 0.5, -2.5e-30], np.float32).tolist()
+
+    @pytest.mark.parametrize("where", ["every", "one"])
+    def test_text_crlf_line_endings(self, where):
+        data = _text_data(2 * BLOCK_ROWS, 2, 33)
+        if where == "every":
+            data = data.replace(b"\n", b"\r\n")
+        else:
+            at = data.index(b"\n", len(data) // 2)
+            data = data[:at] + b"\r" + data[at:]
+        message = _outcome(load_text, data)
+        assert isinstance(message, str) and message.endswith("malformed value")
+        _assert_text_like_reference(data)
+
+    def test_binary_token_split_across_chunks(self):
+        m = 2
+        rows = [(b"t%d" % i, [float(i), -0.5]) for i in range(3 * BLOCK_ROWS)]
+        header = b"%d %d\n" % (len(rows), m)
+        # lengthen one token until the first chunk edge falls inside it
+        edge = len(header) + _binary_chunk(m)
+        offset = len(header)
+        for i, (token, _) in enumerate(rows):
+            if offset + len(token) + 1 > edge - 3:
+                rows[i] = (b"x" * (edge - offset + 3), rows[i][1])
+                break
+            offset += len(token) + 1 + 4 * m
+        emb = EmbeddingSet([t.decode() for t, _ in rows],
+                           np.array([v for _, v in rows], dtype=np.float32))
+        buf = io.BytesIO()
+        save_binary(emb, buf)
+        data = buf.getvalue()
+        token_at = data.index(b" ", offset)
+        assert offset < edge < token_at  # the edge is inside the token
+        _assert_binary_like_reference(data, steps=(None, 1, 5, 4096))
+        assert _outcome(load_binary, data) == (emb.words, emb.matrix.tobytes())
+
+    def test_binary_vectors_straddle_chunk_edges(self):
+        emb = random_embedding(np.random.default_rng(34), 3 * BLOCK_ROWS, 3)
+        buf = io.BytesIO()
+        save_binary(emb, buf)
+        _assert_binary_like_reference(buf.getvalue(), steps=(None, 1, 5, 4096))
+
+    @pytest.mark.parametrize("row", [3, BLOCK_ROWS + 3])
+    def test_binary_truncated_mid_vector(self, row):
+        emb = random_embedding(np.random.default_rng(35), 2 * BLOCK_ROWS, 2)
+        buf = io.BytesIO()
+        save_binary(emb, buf)
+        data = buf.getvalue()
+        start = len(b"%d 2\n" % len(emb)) + sum(len(w) + 1 + 8 for w in emb.words[:row])
+        data = data[:start + len(emb.words[row]) + 1 + 5]
+        message = _outcome(load_binary, data)
+        assert isinstance(message, str) and "truncated stream mid-vector" in message
+        _assert_binary_like_reference(data)
 
 
 def test_text_load_streams_in_bounded_memory():

@@ -35,6 +35,7 @@ from classvec.embedding_io import (  # noqa: E402
 
 from _constructions import (  # noqa: E402
     _NUMERAL,
+    ShortReads,
     disable_kernel,
     reference_load_binary,
     reference_load_text,
@@ -148,22 +149,6 @@ class TestTextWriter:
         assert _without_kernel(_saved, save_text, emb) == expected
 
 
-class _Trickle(io.RawIOBase):
-    """A stream that returns at most ``step`` bytes per read, as a pipe may."""
-
-    def __init__(self, data: bytes, step: int):
-        self._data, self._pos, self._step = data, 0, step
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        got = self._data[self._pos:self._pos + min(len(buf), self._step)]
-        buf[:len(got)] = got
-        self._pos += len(got)
-        return len(got)
-
-
 class TestBinaryReader:
     @given(st.binary(max_size=64))
     def test_arbitrary_bytes(self, data):
@@ -191,7 +176,7 @@ class TestBinaryReader:
         raw = data.draw(_mutated(_saved(save_binary, emb)))
         step = data.draw(st.integers(1, 7))
         _assert_matches_reference(
-            lambda source: load_binary(_Trickle(source.read(), step)),
+            lambda source: load_binary(ShortReads(source.read(), step)),
             reference_load_binary, raw,
         )
 

@@ -1,11 +1,12 @@
-"""The compiled text I/O fast paths against slow references.
+"""The compiled I/O fast paths against slow references.
 
 ``format_rows`` must write what Python's ``'%.9g' % value`` writes and
-``parse_rows`` must read what ``float()`` reads, bit for bit, or decline.
-A decline is allowed only where the exact fast path cannot decide: a
-non-finite value, a magnitude beyond the exact powers of ten, a rounding
-tie for the writer; a long significand, a large exponent or any other
-syntax for the reader.
+``scan_text`` must read what ``np.float32(float(text))`` reads, bit for
+bit, or decline. A decline is allowed only where the exact fast path
+cannot decide: a non-finite value, a magnitude beyond the exact powers of
+ten, a rounding tie for the writer; a long significand, a large exponent
+or any other syntax for the reader. ``scan_binary`` must copy every
+finite vector and decline the rest.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import pytest
 
 from classvec import _kernel, embedding_io
 from classvec.embedding_io import (
+    EmbeddingFormatError,
     EmbeddingSet,
     load_text,
     parse_numerals,
@@ -77,17 +79,27 @@ def _check_formatting(values: np.ndarray) -> list[str]:
     return accepted
 
 
-def _parse(numerals: list[str]) -> np.ndarray | None:
-    """parse_rows on one numeral per row."""
-    data = "".join(f"{s}\n" for s in numerals).encode("ascii")
-    return _kernel.parse_rows(data, len(numerals), 1)
+def _scan(numerals: list[str]) -> np.ndarray | None:
+    """scan_text on one row per numeral; None if it declines any of them."""
+    lines = [f"w {s}\n".encode() for s in numerals]
+    out = np.empty((len(numerals), 1), dtype=np.float32)
+    rows, end, tokens, declined = _kernel.scan_text(b"".join(lines), 0, out)
+    # a scan stops at the start of the first row it declines, or after the last
+    assert end == sum(len(line) for line in lines[:rows])
+    assert tokens == b" ".join([b"w"] * rows)
+    assert declined == (rows < len(numerals))
+    return out if rows == len(numerals) else None
+
+
+def _float32(numerals: list[str]) -> np.ndarray:
+    """np.float32(float(s)) of each numeral, the reader's reference."""
+    return np.array([float(s) for s in numerals]).astype(np.float32)
 
 
 def _assert_parses_like_float(numerals: list[str]) -> None:
-    parsed = _parse(numerals)
+    parsed = _scan(numerals)
     assert parsed is not None
-    expected = np.array([float(s) for s in numerals])
-    assert parsed[:, 0].tobytes() == expected.tobytes()
+    assert parsed[:, 0].tobytes() == _float32(numerals).tobytes()
 
 
 class TestFormatRows:
@@ -202,6 +214,8 @@ def _parser_must_accept(s: str) -> bool:
 
 
 class TestParseRows:
+    """``scan_text``: its numerals against ``float()``, then its rows."""
+
     @given(st.text("0123456789+-.eE", min_size=1, max_size=24))
     def test_numeral_alphabet(self, s):
         self._check(s)
@@ -214,42 +228,68 @@ class TestParseRows:
 
     @staticmethod
     def _check(s: str) -> None:
-        parsed = _parse([s])
-        if parsed is None:
-            assert not _parser_must_accept(s)
-            return
-        assert _parser_must_accept(s)
-        assert parsed[0, 0].tobytes() == np.float64(float(s)).tobytes()
-        # never accept what the Python reader rejects
-        reference = parse_numerals([s.encode()], 1)
-        assert reference is not None and reference.tobytes() == parsed.tobytes()
+        # alone, a numeral's last digits are read one at a time, as fewer
+        # than eight bytes are left; with rows after it, eight at a time
+        for numerals in ([s], [s, "0", "0"]):
+            parsed = _scan(numerals)
+            if parsed is None:
+                assert not _parser_must_accept(s)
+                continue
+            assert _parser_must_accept(s)
+            assert parsed[0, 0].tobytes() == _float32([s]).tobytes()
+            # never accept what the Python reader rejects
+            reference = parse_numerals([s.encode()], 1)
+            assert reference is not None
+            assert reference.astype(np.float32).tobytes() == parsed[0, 0].tobytes()
 
     @pytest.mark.parametrize("s", [
         "0", "-0", "+0.000", "1.", ".5", "+1", "-.5e3", "1E5", "1e+05", "00012",
         "1e22", "1e-22", "123456789012345", "-0.123456789012345",
         "0.000000000000000000001", "1.5e22", "12e22", "0e999",
         "-0e-99999999999999999999", "900719925474099e-5", "1e23", "1e36",
-        "4.0326604e+30", "12345678901234e23",
+        "4.0326604e+30", "12345678901234e23", "0.000000000000000123",
     ])
     def test_accepts(self, s):
         assert _parser_must_accept(s)
         _assert_parses_like_float([s])
+        self._check(s)
 
     @pytest.mark.parametrize("s", [
         "1234567890123456", "-0.1234567890123456", "1.0000000000000000",
         "1234567890123450e-1", "1e37", "123456789012345e23", "1e-23", "1.5e-22", "1e99999999999999999999",
         "nan", "inf", "-Infinity", "1_0", "0x1", "", ".", "-", "e5", ".e1",
-        "1e", "1e+", "--1", "1..2", "1.2.3", "1e5.5", "٣",
+        "1e", "1e+", "--1", "1..2", "1.2.3", "1e5.5", "٣", "1.0000000000000001",
+        "3.5e38",
     ])
     def test_declines(self, s):
         assert not _parser_must_accept(s)
-        assert _kernel.parse_rows(f"{s}\n".encode(), 1, 1) is None
+        assert _scan([s]) is None
+        assert _scan([s, "0", "0"]) is None
+
+    @pytest.mark.parametrize("digits", [7, 8, 9, 15, 16])
+    def test_fraction_digits(self, digits):
+        """Runs shorter than, as long as and longer than one eight-digit
+        step, up to the 15 significant digits the fast path takes."""
+        fraction = "918273645546372819"[:digits]
+        for s in (f"0.{fraction}", f"-0.{fraction}", f"0.000{fraction}", f"4.{fraction}"):
+            significant = digits + s.startswith("4")
+            assert _parser_must_accept(s) == (significant <= 15)
+            self._check(s)
+
+    def test_signed_zero(self):
+        parsed = _scan(["-0", "0", "-0.000e5"])
+        assert parsed[:, 0].tobytes() == np.array([-0.0, 0.0, -0.0], np.float32).tobytes()
 
     def test_rows(self):
-        data = b"1 -2.5 3e-3\n+4 5. .6\n"
-        parsed = _kernel.parse_rows(data, 2, 3)
-        assert parsed.tolist() == [[1.0, -2.5, 3e-3], [4.0, 5.0, 0.6]]
+        data = b"a 1 -2.5 3e-3\nb +4 5. .6\n"
+        out = np.empty((2, 3), dtype=np.float32)
+        assert _kernel.scan_text(data, 0, out) == (2, len(data), b"a b", False)
+        assert out.tolist() == np.array([[1.0, -2.5, 3e-3], [4.0, 5.0, 0.6]],
+                                        dtype=np.float32).tolist()
+        # from an offset, into fewer rows than the data holds
+        assert _kernel.scan_text(data, 14, out[:1]) == (1, len(data), b"b", False)
 
+    # each row of the data below is given a token ("w ") before the scan
     @pytest.mark.parametrize("data, n, m", [
         (b"1 2\n3\n", 2, 2),        # a short row
         (b"1 2\n3 4 5\n", 2, 2),    # a long row
@@ -267,13 +307,58 @@ class TestParseRows:
         (b"", 1, 1),
     ])
     def test_declines_malformed_rows(self, data, n, m):
-        assert _kernel.parse_rows(data, n, m) is None
+        """The scan never takes all n rows up to the end of such data. It
+        stops at a malformed row that ends in a newline as declined, and
+        at a row without one, or after n rows, as not declined."""
+        pieces = data.split(b"\n")
+        pieces = [b"w " + p if p or i < len(pieces) - 1 else p
+                  for i, p in enumerate(pieces)]
+        data = b"\n".join(pieces)
+        out = np.zeros((n, m), dtype=np.float32)
+        rows, end, tokens, declined = _kernel.scan_text(data, 0, out)
+        assert not (rows == n and end == len(data))
+        assert end == sum(len(p) + 1 for p in pieces[:rows])
+        assert tokens == b" ".join([b"w"] * rows)
+        bad = data[end:].partition(b"\n")
+        assert declined == (rows < n and bad[1] == b"\n")
 
-    def test_declines_a_block_from_its_first_bad_row(self, kernel_library):
-        values = np.empty((3, 1))
-        assert kernel_library.parse_rows(b"1\n2\nnan\n", 9, 3, 1, values.ctypes.data) == 2
-        assert kernel_library.parse_rows(b"1\n1e99\n3\n", 10, 3, 1, values.ctypes.data) == 1
-        assert kernel_library.parse_rows(b"1\n2\n3\n", 6, 3, 1, values.ctypes.data) == -1
+    def test_declines_a_block_from_its_first_bad_row(self):
+        out = np.empty((3, 1), dtype=np.float32)
+        assert _kernel.scan_text(b"a 1\nb 2\nc nan\n", 0, out) == (2, 8, b"a b", True)
+        assert _kernel.scan_text(b"a 1\nb 1e99\nc 3\n", 0, out) == (1, 4, b"a", True)
+        # a token that ends its line
+        assert _kernel.scan_text(b"a 1\nb\nc 3\n", 0, out) == (1, 4, b"a", True)
+        assert _kernel.scan_text(b"a 1\nb 2\nc 3\n", 0, out) == (3, 12, b"a b c", False)
+
+
+def _binary_rows(rows: list[tuple[bytes, list[float]]]) -> bytes:
+    return b"".join(t + b" " + np.array(v, dtype="<f4").tobytes() for t, v in rows)
+
+
+class TestScanBinary:
+    def test_rows(self):
+        data = _binary_rows([(b"ab", [1.5, -2.0]), ("é".encode(), [0.0, 3e38])])
+        out = np.empty((2, 2), dtype=np.float32)
+        assert _kernel.scan_binary(data, 0, out) == (2, len(data), "ab é".encode(), False)
+        assert out.tolist() == np.array([[1.5, -2.0], [0.0, 3e38]], np.float32).tolist()
+
+    def test_a_cut_row_is_left_for_more_data(self):
+        data = _binary_rows([(b"ab", [1.5, -2.0]), (b"cd\n", [4.0, 5.0])])
+        out = np.empty((2, 2), dtype=np.float32)
+        for cut in range(len(data) + 1):
+            rows = (cut >= 11) + (cut == len(data))
+            assert _kernel.scan_binary(data[:cut], 0, out) == (
+                rows, 11 * (rows > 0) + 12 * (rows > 1),
+                b" ".join([b"ab", b"cd\n"][:rows]), False,
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_declines_a_non_finite_row(self, bad):
+        data = _binary_rows([(b"a", [1.0]), (b"b", [bad]), (b"c", [2.0])])
+        out = np.empty((3, 1), dtype=np.float32)
+        assert _kernel.scan_binary(data, 0, out) == (1, 6, b"a", True)
+        assert _kernel.scan_binary(data, 6, out) == (0, 6, b"", True)
+        assert _kernel.scan_binary(data, 12, out) == (1, 18, b"c", False)
 
 
 def _hard_embedding() -> EmbeddingSet:
@@ -336,3 +421,12 @@ def test_declined_numerals_fall_back_for_the_whole_block():
     assert loaded.matrix[20].tolist() == [1.0, np.float32(-2e-30), 0.5]
     others = np.delete(np.arange(40), 20)
     assert loaded.matrix[others].tobytes() == emb.matrix[others].tobytes()
+
+
+def test_a_value_beyond_float32_is_named_by_the_python_reader():
+    """3.5e38 parses as a double but overflows float32: the scanner
+    declines its row and the Python block names it."""
+    data = b"3 2\na 1 2\nb 3.5e38 1\nc 1 2\n"
+    with pytest.raises(EmbeddingFormatError) as err:
+        load_text(io.BytesIO(data))
+    assert str(err.value) == "line 3: non-finite value"
