@@ -14,11 +14,12 @@ on CPUs like the one it was built on, and of the source and flags. A
 build removes the libraries of older builds for the same CPU. It is
 written through a temporary file and an atomic rename, so concurrent
 processes may build it at the same time.
-Every entry point takes plain addresses; the wrappers check the dtype,
-layout and writeability of each array before the call. ``finetune`` makes
-one training call per epoch; the kernel computes the noise draws itself,
-from the run's key and each draw's counter. A reader makes one scanner
-call per chunk of about ``BLOCK_ROWS`` rows.
+Each entry point has a wrapper here that returns None when the library is
+unavailable, so that its caller runs the Python reference; the wrappers
+check each array's dtype, layout and writeability before passing its
+address. ``finetune`` makes one training call per epoch; the kernel
+computes the noise draws itself, from the run's key and each draw's
+counter. A reader makes one scanner call per chunk of about ``BLOCK_ROWS`` rows.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ import os
 import platform
 import zlib
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -38,6 +38,8 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
 LIBS = ("-lm",)
 COMPILE_TIMEOUT_S = 120
+# attempts to draw a noise word different from the center before giving up
+NS_RESAMPLE_ATTEMPTS = 8
 
 _P, _I, _U, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
 # the parameter lists of the entry points in _kernel.c
@@ -123,21 +125,19 @@ def compile_library(target: Path) -> None:
 
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     target.parent.mkdir(exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".tmp-kernel-", suffix=".so")
-    os.close(fd)
-    try:
-        proc = subprocess.run(
-            [*cc, *FLAGS, "-o", tmp, str(SOURCE), *LIBS],
-            capture_output=True, text=True, timeout=COMPILE_TIMEOUT_S,
-        )
+    # a new file in a private directory gets the compiler's mode, not 0600
+    with tempfile.TemporaryDirectory(dir=target.parent, prefix=".tmp-kernel-") as tmp:
+        built = os.path.join(tmp, target.name)
+        try:
+            proc = subprocess.run(
+                [*cc, *FLAGS, "-o", built, str(SOURCE), *LIBS],
+                capture_output=True, text=True, timeout=COMPILE_TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired as e:
+            raise OSError(f"{cc[0]} ran over {COMPILE_TIMEOUT_S} s") from e
         if proc.returncode != 0:
             raise OSError(f"{cc[0]} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
-        os.replace(tmp, target)
-    except subprocess.TimeoutExpired as e:
-        raise OSError(f"{cc[0]} ran over {COMPILE_TIMEOUT_S} s") from e
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.replace(built, target)
 
 
 def open_library() -> ctypes.CDLL:
@@ -190,56 +190,49 @@ def _address(arr: np.ndarray, dtype: np.dtype, write: bool = False) -> int:
     return arr.ctypes.data
 
 
-def load() -> Callable | None:
-    """The compiled trainer, or None if the library is unavailable.
+def train_chunk(state, chunk) -> tuple[float, int] | None:
+    """Train ``chunk``'s label passes in order with the noise draws of
+    ``state.key`` from position ``chunk.first`` on, as
+    ``trainer._reference_chunk`` does; None if the library is unavailable.
 
-    The returned function has the signature of ``trainer._reference_chunk``:
-    ``(state, chunk)``, trains the chunk's label passes in order with the
-    noise draws of ``state.key`` from position ``chunk.first`` on, and
-    returns ``(summed loss, positions short of negatives)``.
+    Returns ``(summed loss, positions short of negatives)``.
     """
     lib = library()
     if lib is None:
         return None
-    fn = lib.train_chunk
-    from .trainer import NS_RESAMPLE_ATTEMPTS  # loaded by the caller already
-
-    def train_chunk(state, chunk):
-        inp, out, cls = state.input_matrix, state.output_matrix, state.class_vectors
-        dim, negative = inp.shape[1], state.cfg.negative
-        n, n_passes = len(chunk.in_idx), len(chunk.labels)
-        # the C side trusts these sizes; index ranges and that the pass
-        # lengths add up to the positions it checks itself
-        if not (out.shape[1] == dim and cls.shape[1] == dim
-                and len(state.trainable) == len(inp)
-                and len(state.noise_table) == len(out) > 0
-                and len(chunk.out_idx) == len(chunk.alphas) == n
-                and len(chunk.lengths) == n_passes):
-            raise ValueError("training chunk arrays disagree in shape")
-        matrices = (inp, out, cls, state.noise_table, state.trainable)
-        if any(np.may_share_memory(a, b)
-               for i, a in enumerate(matrices) for b in matrices[i + 1:]):
-            raise ValueError("training matrices must not overlap")
-        rows = np.empty(1 + negative, dtype=np.int64)
-        scratch = np.empty(1 + negative + 2 * dim, dtype=np.float64)
-        loss = np.zeros(1)
-        shortfall = fn(
-            _address(inp, _F64, write=True), len(inp),
-            _address(state.trainable.view(np.uint8), _U8),
-            _address(out, _F64, write=True), len(out),
-            _address(state.noise_table, _F64),
-            _address(cls, _F64, write=True), len(cls),
-            _address(chunk.in_idx, _I64), _address(chunk.out_idx, _I64), n,
-            _address(chunk.alphas, _F64), state.key, chunk.first,
-            _address(chunk.lengths, _I64), _address(chunk.labels, _I64), n_passes,
-            dim, state.cfg.window, negative, NS_RESAMPLE_ATTEMPTS,
-            rows.ctypes.data, scratch.ctypes.data, loss.ctypes.data,
-        )
-        if shortfall < 0:
-            raise IndexError("training chunk index or pass length out of range")
-        return float(loss[0]), shortfall
-
-    return train_chunk
+    inp, out, cls = state.input_matrix, state.output_matrix, state.class_vectors
+    dim, negative = inp.shape[1], state.cfg.negative
+    n, n_passes = len(chunk.in_idx), len(chunk.labels)
+    # the C side trusts these sizes; index ranges and that the pass
+    # lengths add up to the positions it checks itself
+    if not (out.shape[1] == dim and cls.shape[1] == dim
+            and len(state.trainable) == len(inp)
+            and len(state.noise_table) == len(out) > 0
+            and len(chunk.out_idx) == len(chunk.alphas) == n
+            and len(chunk.lengths) == n_passes):
+        raise ValueError("training chunk arrays disagree in shape")
+    matrices = (inp, out, cls, state.noise_table, state.trainable)
+    if any(np.may_share_memory(a, b)
+           for i, a in enumerate(matrices) for b in matrices[i + 1:]):
+        raise ValueError("training matrices must not overlap")
+    rows = np.empty(1 + negative, dtype=np.int64)
+    scratch = np.empty(1 + negative + 2 * dim, dtype=np.float64)
+    loss = np.zeros(1)
+    shortfall = lib.train_chunk(
+        _address(inp, _F64, write=True), len(inp),
+        _address(state.trainable.view(np.uint8), _U8),
+        _address(out, _F64, write=True), len(out),
+        _address(state.noise_table, _F64),
+        _address(cls, _F64, write=True), len(cls),
+        _address(chunk.in_idx, _I64), _address(chunk.out_idx, _I64), n,
+        _address(chunk.alphas, _F64), state.key, chunk.first,
+        _address(chunk.lengths, _I64), _address(chunk.labels, _I64), n_passes,
+        dim, state.cfg.window, negative, NS_RESAMPLE_ATTEMPTS,
+        rows.ctypes.data, scratch.ctypes.data, loss.ctypes.data,
+    )
+    if shortfall < 0:
+        raise IndexError("training chunk index or pass length out of range")
+    return float(loss[0]), shortfall
 
 
 def probe_epoch(

@@ -34,24 +34,30 @@ def nearest_neighbors(
 
     Exact ties rank in vocabulary order. Zero-norm candidate rows have no
     defined cosine and are skipped, so the result may hold fewer than k
-    entries when such rows exist.
+    entries when such rows exist. Rows are scored in float64, ``BLOCK_ROWS``
+    at a time and each on its own, so no cosine depends on its block.
     """
     if token not in emb.index:
         raise KeyError(token)
     if not 1 <= k < len(emb):
         raise ValueError(f"k must be in [1, {len(emb) - 1}], got {k}")
-    q = emb.matrix[emb.index[token]].astype(np.float64)
-    qn = np.linalg.norm(q)
+    qi = emb.index[token]
+    q = emb.matrix[qi].astype(np.float64)
+    qn = math.sqrt(q @ q)
     if qn == 0.0:
         raise ValueError("cosine of a zero vector is undefined")
-    matrix = emb.matrix.astype(np.float64)
-    norms = np.linalg.norm(matrix, axis=1)
-    keep = norms > 0.0
-    keep[emb.index[token]] = False
-    candidates = np.flatnonzero(keep)
-    sims = np.clip(matrix[candidates] @ q / (norms[candidates] * qn), -1.0, 1.0)
+    # -inf marks the rows without a cosine: the query and zero rows
+    sims = np.empty(len(emb))
+    for start in range(0, len(emb), BLOCK_ROWS):
+        block = emb.matrix[start:start + BLOCK_ROWS].astype(np.float64)
+        norms = np.sqrt(_rowdot(block, block))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = np.clip(_rowdot(block, np.broadcast_to(q, block.shape)) / (norms * qn),
+                          -1.0, 1.0)
+        sims[start:start + BLOCK_ROWS] = np.where(norms > 0.0, cos, -np.inf)
+    sims[qi] = -np.inf
     order = np.argsort(-sims, kind="stable")[:k]
-    return [(emb.words[candidates[i]], float(sims[i])) for i in order]
+    return [(emb.words[i], float(sims[i])) for i in order if sims[i] > -np.inf]
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ Documents are embedded by mean-pooling their in-vocabulary token vectors
 connected layer: softmax over classes in exclusive mode, independent
 per-class sigmoids with a decision threshold in multilabel mode. Trained
 by plain seeded SGD on (binary) cross-entropy, one epoch per call of the
-compiled kernel of ``_kernel.c`` when it builds on this machine, else with
-the numpy reference loop over :func:`loss_and_grads`; embeddings are
-never updated here.
+compiled kernel of ``_kernel.c``, or with the numpy reference loop over
+:func:`loss_and_grads` where that call returns None because the kernel
+does not build; embeddings are never updated here.
 """
 from __future__ import annotations
 
@@ -210,14 +210,13 @@ def train_classifier(
     weights = np.zeros((emb.dim, k), dtype=np.float64)
     bias = np.zeros(k, dtype=np.float64)
     rng = np.random.default_rng(cfg.seed)
-    compiled = _kernel.library() is not None
     losses = []
     started = time.perf_counter()
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
-        if compiled:
-            loss = _kernel.probe_epoch(xs, targets, order, weights, bias, cfg.lr, cfg.l2)
-        else:
+        loss = _kernel.probe_epoch(xs, targets, order, weights, bias, cfg.lr, cfg.l2)
+        compiled = loss is not None
+        if not compiled:
             loss = _reference_epoch(xs, targets, order, weights, bias, mode, cfg.lr, cfg.l2)
         if not (np.isfinite(loss) and np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise FloatingPointError(f"non-finite probe parameters after epoch {epoch}")
@@ -267,9 +266,10 @@ def _is_count(field: str) -> bool:
 
 
 def load_classifier(source: BinaryIO) -> ClassifierModel:
-    """Parse a file written by :func:`save_classifier`."""
+    """Parse a file written by :func:`save_classifier`. Lines end at '\\n'
+    only, so a class name may hold any other line break."""
     try:
-        lines = source.read().decode("utf-8").splitlines()
+        lines = source.read().decode("utf-8").removesuffix("\n").split("\n")
     except UnicodeDecodeError as e:
         raise ClassifierFormatError(f"not valid UTF-8: {e}") from None
     if len(lines) < 2:

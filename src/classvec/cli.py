@@ -84,11 +84,15 @@ _EVAL_EPILOG = (
 
 
 def _atomic_write(path: str, write: Callable) -> None:
-    """Write through a temp file and rename, so failures leave nothing."""
+    """Write through a temp file and rename, so failures leave nothing; the
+    file gets the mode of a new file (0o666 less the umask), not 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-classvec-")
     try:
         with os.fdopen(fd, "wb") as f:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             write(f)
         os.replace(tmp, path)
     except BaseException:

@@ -12,32 +12,29 @@ and output vectors exist only for corpus tokens, so rows of the merged
 matrix that never occur in the corpus come out bit-identical.
 
 All training arithmetic runs in 64-bit; the exported matrix is cast back
-to 32-bit floats. Each epoch is one call of the compiled kernel of
-``_kernel.c`` when it builds on this machine, else of the numpy reference
-pass it is tested against, pass by pass, with the epoch's learning rates
-from one schedule call. Every noise draw is a pure function of the run's
-key and of its position, slot and attempt (a counter-based generator), so
-the draws do not depend on how passes are grouped into calls, and the
-seeded rng is used only by ``init_state``.
+to 32-bit floats. Each epoch is one call of ``_kernel.train_chunk``, with
+the epoch's learning rates from one schedule call; where the kernel does
+not build, that call returns None and the numpy reference it is tested
+against trains the epoch, pass by pass. Every noise draw is a pure
+function of the run's key and of its position, slot and attempt (a
+counter-based generator), so the draws do not depend on how passes are
+grouped into calls, and the seeded rng is used only by ``init_state``.
 """
 from __future__ import annotations
 
 import logging
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import _kernel
+from ._kernel import NS_RESAMPLE_ATTEMPTS
 from .corpus import Document, LabeledCorpus
 from .embedding_io import EmbeddingSet
 from .vocab import MergedModel, Vocabulary
 
 logger = logging.getLogger(__name__)
-
-# attempts to draw a noise word different from the center before giving up
-NS_RESAMPLE_ATTEMPTS = 8
 
 # rng stream label for the per-epoch document shuffle, kept separate from
 # the update stream so `shuffle=False` runs are unaffected by its existence
@@ -93,8 +90,7 @@ class TrainState:
     ``noise_table`` is the cumulative unigram^0.75 distribution over
     those same rows. ``trainable`` masks which input rows updates may
     touch. ``alpha`` tracks the last learning rate used. ``key`` fixes the
-    run's noise draws. ``kernel`` is the compiled trainer, or None to train
-    with the numpy reference.
+    run's noise draws.
     """
 
     cfg: FinetuneConfig
@@ -111,7 +107,6 @@ class TrainState:
     output_index: dict[str, int]
     positions_done: int = 0
     total_positions: int = 0
-    kernel: Callable[[TrainState, Chunk], tuple[float, int]] | None = None
 
 
 def build_noise_table(vocab: Vocabulary) -> np.ndarray:
@@ -272,7 +267,7 @@ class Chunk:
 
 def _reference_chunk(state: TrainState, chunk: Chunk) -> tuple[float, int]:
     """Train a chunk pass by pass with :func:`_reference_pass`; the
-    reference for ``_kernel.load()``'s trainer and its fallback.
+    reference for ``_kernel.train_chunk`` and its fallback.
     Like the kernel, it warns of no overflow when a run diverges: the
     per-epoch finiteness check reports that."""
     loss, shortfall, start = 0.0, 0, 0
@@ -293,8 +288,8 @@ def _train_passes(
     state: TrainState, passes: list[tuple[np.ndarray, np.ndarray, int]]
 ) -> tuple[float, int, int]:
     """Train label passes ``(in_idx, out_idx, label_id)`` in order, in one
-    call of the compiled kernel or of the numpy reference, and advance the
-    position counter past them.
+    call of the compiled kernel or, where it is unavailable, of the numpy
+    reference, and advance the position counter past them.
 
     Returns the summed loss, the positions trained, and the positions short
     of negatives.
@@ -306,7 +301,7 @@ def _train_passes(
     alphas = lr_schedule(state.cfg, np.arange(first, first + n) / state.total_positions)
     chunk = Chunk(np.concatenate(in_idx), np.concatenate(out_idx), alphas,
                   lengths, np.array(labels, dtype=np.int64), first)
-    loss, shortfall = (state.kernel or _reference_chunk)(state, chunk)
+    loss, shortfall = _kernel.train_chunk(state, chunk) or _reference_chunk(state, chunk)
     state.positions_done = first + n
     state.alpha = float(alphas[-1])
     return loss, n, shortfall
@@ -404,7 +399,6 @@ def finetune(
     numpy reference where no C compiler is available.
     """
     state = init_state(model, corpus, cfg)
-    state.kernel = _kernel.load()
     shuffle_rng = np.random.default_rng((cfg.seed, _SHUFFLE_STREAM))
     order = np.arange(len(corpus.docs))
     # token -> row mapping depends only on the document, so do it once per run

@@ -52,22 +52,23 @@ def train_epochs() -> None:
     corpus = from_documents(docs)
     model = merge(emb, build_vocab(corpus), seed=1)
     cfg = trainer.FinetuneConfig(epochs=2, window=2, negative=5, alpha0=0.05, seed=3)
-    states = []
-    for kernel in (_kernel.load(), None):
+    kernel, states = _kernel.train_chunk, []
+    for train in (kernel, trainer._reference_chunk):
+        _kernel.train_chunk = train
         state = trainer.init_state(model, corpus, cfg)
-        state.kernel = kernel
         state.positions_done = 2**32 + 1
         state.total_positions += 2**32 + 1
         passes = [p for d in corpus.docs for p in trainer._doc_passes(state, d)]
         for _ in range(cfg.epochs):
             trainer._train_passes(state, passes)
         states.append(state)
+    _kernel.train_chunk = kernel
     fast, ref = states
     assert np.allclose(fast.input_matrix, ref.input_matrix, rtol=0, atol=1e-10)
     idx = np.zeros(3, dtype=np.int64)
     bad = trainer.Chunk(idx, idx, np.full(3, 0.01), np.array([3]), np.array([7]), 0)
     try:
-        fast.kernel(fast, bad)
+        kernel(fast, bad)
     except IndexError:
         pass
     else:

@@ -102,6 +102,20 @@ class TestNearestNeighbors:
         with pytest.raises(KeyError):
             nearest_neighbors(self._emb(), "missing", 1)
 
+    def test_clones_tie_across_block_boundaries(self):
+        # identical rows at every offset in a block get one cosine, bit for
+        # bit, so they rank in vocabulary order wherever the blocks fall
+        rng = np.random.default_rng(3)
+        n, m = 3 * BLOCK_ROWS + 5, 7
+        matrix = rng.normal(0, 1, (n, m)).astype(np.float32)
+        clones = [5, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3, n - 1]
+        matrix[clones] = rng.normal(0, 1, m).astype(np.float32)
+        matrix[1] = matrix[5] + np.float32(0.01)
+        emb = EmbeddingSet([f"t{i}" for i in range(n)], matrix)
+        result = nearest_neighbors(emb, "t1", len(clones))
+        assert [t for t, _ in result] == [f"t{i}" for i in clones]
+        assert len({s for _, s in result}) == 1
+
     def test_zero_norm_query_is_an_error(self):
         emb = EmbeddingSet(
             ["q", "a"], np.array([[0.0, 0.0], [1.0, 0.0]], np.float32)
@@ -246,4 +260,19 @@ def test_drift_compares_blocks_not_whole_matrices():
         tracemalloc.stop()
     assert len(report.entries) == n
     # peak minus what the returned report holds: the temporaries
+    assert peak - current < n * m * 8 / 4, (peak - current, n * m * 8)
+
+
+def test_nearest_neighbors_scores_blocks_not_the_whole_matrix():
+    """Working memory stays well under one n x m float64 array."""
+    n, m = 20000, 50
+    emb = random_embedding(np.random.default_rng(10), n, m)
+    nearest_neighbors(emb, emb.words[0], 10)  # first-call imports are not its
+    tracemalloc.start()
+    try:
+        result = nearest_neighbors(emb, emb.words[1], 10)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 10
     assert peak - current < n * m * 8 / 4, (peak - current, n * m * 8)

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import warnings
@@ -155,6 +156,22 @@ class TestFinetuneCommand:
         assert "error:" in capsys.readouterr().err
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_artifacts_get_the_mode_of_a_new_file(self, workspace, capsys, umask):
+        tmp_path, pre, corpus = workspace
+        tuned, classes, probe = (tmp_path / n for n in ("tuned.txt", "classes.txt", "probe.clf"))
+        old = os.umask(umask)
+        try:
+            assert main(["finetune", "--pretrained", pre, "--corpus", corpus,
+                         "--out", str(tuned), "--epochs", "1",
+                         "--export-class-vectors", str(classes)]) == 0
+            assert main(["train-clf", "--embeddings", str(tuned), "--corpus", corpus,
+                         "--out", str(probe), "--epochs", "1"]) == 0
+        finally:
+            os.umask(old)
+        for path in (tuned, classes, probe):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
 
     @pytest.mark.parametrize("path", ["kernel_library", "no_kernel"])
     def test_divergent_run_fails_after_the_first_epoch(self, workspace, capsys,

@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import shlex
 import shutil
+import stat
 import subprocess
 import sysconfig
 import warnings
@@ -535,7 +537,7 @@ class TestFrequencyMajority:
 
 @pytest.fixture()
 def kernel(kernel_library):
-    return _kernel.load()
+    return _kernel.train_chunk
 
 
 def _kernel_setup(skewed: bool):
@@ -560,13 +562,15 @@ def _kernel_setup(skewed: bool):
     return merge(emb, build_vocab(corpus), seed=2), corpus
 
 
-def _train_two_epochs(model, corpus, cfg, label_pass):
+def _train_two_epochs(model, corpus, cfg, train):
+    """Two epochs, each document in a call of ``train`` of its own."""
     state = init_state(model, corpus, cfg)
-    state.kernel = label_pass
     # freeze one corpus row too, so the trainable mask matters in context
     state.trainable = state.trainable.copy()
     state.trainable[state.input_index["t1"]] = False
-    stats = [_train_doc(state, d) for _ in range(2) for d in corpus.docs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "train_chunk", train)
+        stats = [_train_doc(state, d) for _ in range(2) for d in corpus.docs]
     return state, np.array(stats)
 
 
@@ -607,7 +611,6 @@ def _split_epochs(model, corpus, cfg, train, split=None, first=0):
         calls.append(chunk.lengths.tolist())
         return train(state, chunk)
 
-    state.kernel = recording
     doc_passes = [trainer._doc_passes(state, doc) for doc in corpus.docs]
     passes = [p for ps in doc_passes for p in ps]
     cut = len(passes)
@@ -616,11 +619,13 @@ def _split_epochs(model, corpus, cfg, train, split=None, first=0):
         ends = np.cumsum([len(p[0]) for p in passes])
         cut = min(j for j in range(1, len(passes))
                   if ends[j - 1] >= split and doc_of_pass[j - 1] == doc_of_pass[j])
-    stats = [
-        np.sum([trainer._train_passes(state, part)
-                for part in (passes[:cut], passes[cut:]) if part], axis=0)
-        for _ in range(cfg.epochs)
-    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "train_chunk", recording)
+        stats = [
+            np.sum([trainer._train_passes(state, part)
+                    for part in (passes[:cut], passes[cut:]) if part], axis=0)
+            for _ in range(cfg.epochs)
+        ]
     return state, np.array(stats), calls
 
 
@@ -669,7 +674,7 @@ class TestKernel:
     def test_matches_reference_on_identical_draws(self, kernel, negative, skewed):
         model, corpus = _kernel_setup(skewed)
         cfg = FinetuneConfig(epochs=2, window=3, negative=negative, alpha0=0.05, seed=8)
-        ref, ref_stats = _train_two_epochs(model, corpus, cfg, None)
+        ref, ref_stats = _train_two_epochs(model, corpus, cfg, trainer._reference_chunk)
         fast, fast_stats = _train_two_epochs(model, corpus, cfg, kernel)
         for name in ("input_matrix", "output_matrix", "class_vectors"):
             np.testing.assert_allclose(
@@ -765,7 +770,7 @@ class TestKernel:
 
         default_rng = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda *a: Recording(default_rng(*a)))
-        monkeypatch.setattr(_kernel, "load", lambda: counting)
+        monkeypatch.setattr(_kernel, "train_chunk", counting)
         cfg = FinetuneConfig(epochs=3, seed=9, shuffle=True)
         finetune(model, corpus, cfg)
         positions = sum(len(d.tokens) * len(d.labels) for d in corpus.docs)
@@ -793,7 +798,6 @@ class TestKernel:
         cfg = FinetuneConfig(epochs=2, seed=12, shuffle=True)
         tuned, classes = finetune(model, corpus, cfg)
         ref = init_state(model, corpus, cfg)
-        ref.kernel = kernel
         shuffle_rng = np.random.default_rng((cfg.seed, trainer._SHUFFLE_STREAM))
         order = np.arange(len(corpus.docs))
         for _ in range(cfg.epochs):
@@ -949,6 +953,26 @@ class TestKernel:
         with pytest.raises(OSError, match="false exited 1"):
             _kernel.compile_library(tmp_path / "kernel.so")
         assert list(tmp_path.iterdir()) == []
+
+    def test_build_gets_the_mode_of_a_new_compiler_output(self, tmp_path, monkeypatch):
+        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+        if shutil.which(cc[0]) is None:
+            pytest.skip("no C compiler")
+        source = tmp_path / "tiny.c"
+        source.write_text("int one(void) { return 1; }\n")
+        monkeypatch.setattr(_kernel, "SOURCE", source)
+        built, direct = tmp_path / "cache" / "kernel.so", tmp_path / "direct.so"
+        old = os.umask(0o022)
+        try:
+            _kernel.compile_library(built)
+            subprocess.run([*cc, *_kernel.FLAGS, "-o", str(direct), str(source), *_kernel.LIBS],
+                           check=True, capture_output=True, timeout=_kernel.COMPILE_TIMEOUT_S)
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE(built.stat().st_mode)
+        assert mode == stat.S_IMODE(direct.stat().st_mode)
+        assert mode & 0o055 == 0o055  # other users can load it
+        assert [p.name for p in built.parent.iterdir()] == ["kernel.so"]
 
     def test_build_removes_older_builds_for_this_cpu_only(self, tmp_path, monkeypatch,
                                                           kernel_library):
