@@ -4,12 +4,14 @@
 
    The numpy pass in trainer.py (_reference_pass) is the reference for
    label_pass, which repeats it step for step, in place, on the float64
-   matrices of a TrainState; train_chunk runs it over the label passes of
-   one call, normally a whole epoch. The caller passes the learning rates
-   in. Each noise draw is a pure function of the run's key and its
-   counter (position, slot, attempt), computed here only when the attempt
-   before it hit the center, and by the reference with numpy: so the two
-   passes see identical draws, however the passes are grouped into calls.
+   matrices of a TrainState: the input and output vectors of the corpus
+   tokens alone, whose rows one index per position names. train_chunk
+   runs it over the label passes of one call, normally a whole epoch.
+   The caller passes the learning rates in. Each noise draw is a pure
+   function of the run's key and its counter (position, slot, attempt),
+   computed here only when the attempt before it hit the center, and by
+   the reference with numpy: so the two passes see identical draws,
+   however the passes are grouped into calls.
    They differ only by rounding: the logits are summed in four fixed
    partial sums, where numpy leaves the order to BLAS.
 
@@ -97,10 +99,9 @@ static double dot(const double *restrict a, const double *restrict b, int64_t n)
    first position has the run-wide index `first`. Adds the summed loss to
    *loss and returns the positions short of negatives. */
 static int64_t label_pass(
-    double *restrict input, const uint8_t *restrict trainable,
-    double *restrict output, int64_t n_output, const double *restrict noise,
-    double *restrict cls,
-    const int64_t *restrict in_idx, const int64_t *restrict out_idx, int64_t n,
+    double *restrict input, double *restrict output, int64_t n_rows,
+    const double *restrict noise, double *restrict cls,
+    const int64_t *restrict idx, int64_t n,
     const double *restrict alphas, uint64_t key, uint64_t first,
     int64_t dim, int64_t window, int64_t negative, int64_t attempts,
     int64_t *restrict rows, double *restrict scratch, double *restrict loss)
@@ -115,7 +116,7 @@ static int64_t label_pass(
         const double alpha = alphas[p];
         const int64_t lo = p - window > 0 ? p - window : 0;
         const int64_t hi = p + window + 1 < n ? p + window + 1 : n;
-        const int64_t center = out_idx[p];
+        const int64_t center = idx[p];
         int64_t k = 0, n_ctx = 0;
 
         /* context mean: class vector plus the window rows, center excluded */
@@ -124,7 +125,7 @@ static int64_t label_pass(
         for (int64_t c = lo; c < hi; c++) {
             if (c == p)
                 continue;
-            const double *restrict row = input + in_idx[c] * dim;
+            const double *restrict row = input + idx[c] * dim;
             for (int64_t j = 0; j < dim; j++)
                 h[j] += row[j];
             n_ctx++;
@@ -141,7 +142,7 @@ static int64_t label_pass(
                 ((first + (uint64_t)p) * (uint64_t)negative + (uint64_t)s)
                 * (uint64_t)attempts;
             for (int64_t a = 0; a < attempts; a++) {
-                int64_t row = draw_row(noise, n_output,
+                int64_t row = draw_row(noise, n_rows,
                                        noise_uniform(key, counter + (uint64_t)a));
                 if (row != center) {
                     rows[k++] = row;
@@ -186,13 +187,13 @@ static int64_t label_pass(
         }
 
         /* the full context-side step to the class vector and to every
-           trainable context row, once per occurrence */
+           context row, once per occurrence */
         for (int64_t j = 0; j < dim; j++)
             cls[j] += neu1e[j];
         for (int64_t c = lo; c < hi; c++) {
-            if (c == p || !trainable[in_idx[c]])
+            if (c == p)
                 continue;
-            double *restrict row = input + in_idx[c] * dim;
+            double *restrict row = input + idx[c] * dim;
             for (int64_t j = 0; j < dim; j++)
                 row[j] += neu1e[j];
         }
@@ -203,13 +204,13 @@ static int64_t label_pass(
 
 /* Train label passes of class-conditioned CBOW, in pass order.
 
-   input     n_input x dim, updated on rows with trainable[row] != 0
-   output    n_output x dim, one row per corpus token
+   input     n_rows x dim, one row per corpus token
+   output    n_rows x dim, the same tokens' output vectors
    classes   n_classes x dim
-   noise     n_output cumulative noise probabilities
-   in_idx, out_idx, alphas
+   noise     n_rows cumulative noise probabilities
+   idx, alphas
              n_positions entries: the positions of every pass back to back
-             (input and output rows, learning rates)
+             (row of the token in input and output, learning rate)
    key, first
              the run's noise key and the run-wide index of position 0,
              which fix every noise draw (noise_uniform)
@@ -220,16 +221,15 @@ static int64_t label_pass(
    rows      scratch, 1 + negative entries
    scratch   scratch, 1 + negative + 2 * dim entries
 
-   The five matrices must not overlap. Stores the summed negative-sampling
+   The four matrices must not overlap. Stores the summed negative-sampling
    loss in *loss and returns the number of positions that got fewer than
    `negative` negatives, or -1, touching nothing, when any index is out
    of range, first is negative, or the lengths do not add up to
    n_positions. */
 int64_t train_chunk(
-    double *input, int64_t n_input, const uint8_t *trainable,
-    double *output, int64_t n_output, const double *noise,
+    double *input, double *output, int64_t n_rows, const double *noise,
     double *classes, int64_t n_classes,
-    const int64_t *in_idx, const int64_t *out_idx, int64_t n_positions,
+    const int64_t *idx, int64_t n_positions,
     const double *alphas, uint64_t key, int64_t first,
     const int64_t *lengths, const int64_t *labels, int64_t n_passes,
     int64_t dim, int64_t window, int64_t negative, int64_t attempts,
@@ -240,8 +240,7 @@ int64_t train_chunk(
     if (first < 0)
         return -1;
     for (int64_t p = 0; p < n_positions; p++)
-        if (in_idx[p] < 0 || in_idx[p] >= n_input
-                || out_idx[p] < 0 || out_idx[p] >= n_output)
+        if (idx[p] < 0 || idx[p] >= n_rows)
             return -1;
     for (int64_t i = 0; i < n_passes; i++) {
         if (labels[i] < 0 || labels[i] >= n_classes
@@ -256,9 +255,8 @@ int64_t train_chunk(
     s = 0;
     for (int64_t i = 0; i < n_passes; i++) {
         shortfall += label_pass(
-            input, trainable, output, n_output, noise, classes + labels[i] * dim,
-            in_idx + s, out_idx + s, lengths[i],
-            alphas + s, key, (uint64_t)(first + s),
+            input, output, n_rows, noise, classes + labels[i] * dim,
+            idx + s, lengths[i], alphas + s, key, (uint64_t)(first + s),
             dim, window, negative, attempts, rows, scratch, loss);
         s += lengths[i];
     }

@@ -17,9 +17,10 @@ processes may build it at the same time.
 Each entry point has a wrapper here that returns None when the library is
 unavailable, so that its caller runs the Python reference; the wrappers
 check each array's dtype, layout and writeability before passing its
-address. ``finetune`` makes one training call per epoch; the kernel
-computes the noise draws itself, from the run's key and each draw's
-counter. A reader makes one scanner call per chunk of about ``BLOCK_ROWS`` rows.
+address. ``finetune`` makes one training call per epoch, on matrices of
+the corpus rows alone, one row index per position; the kernel computes
+the noise draws itself, from the run's key and each draw's counter. A
+reader makes one scanner call per chunk of about ``BLOCK_ROWS`` rows.
 """
 from __future__ import annotations
 
@@ -45,10 +46,9 @@ _P, _I, _U, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_doub
 # the parameter lists of the entry points in _kernel.c
 _SIGNATURES = {
     "train_chunk": [
-        _P, _I, _P,             # input, n_input, trainable
-        _P, _I, _P,             # output, n_output, noise
+        _P, _P, _I, _P,         # input, output, n_rows, noise
         _P, _I,                 # classes, n_classes
-        _P, _P, _I,             # in_idx, out_idx, n_positions
+        _P, _I,                 # idx, n_positions
         _P, _U, _I,             # alphas, key, first
         _P, _P, _I,             # lengths, labels, n_passes
         _I, _I, _I, _I,         # dim, window, negative, attempts
@@ -70,7 +70,7 @@ _SIGNATURES = {
 # '-1.23456789e-05', plus a separator
 FORMAT_BYTES = 16
 
-_F64, _I64, _U8, _F32 = (np.dtype(t) for t in (np.float64, np.int64, np.uint8, np.float32))
+_F64, _I64, _F32 = (np.dtype(t) for t in (np.float64, np.int64, np.float32))
 _UNOPENED = object()
 _library: ctypes.CDLL | None | object = _UNOPENED
 
@@ -195,6 +195,8 @@ def train_chunk(state, chunk) -> tuple[float, int] | None:
     ``state.key`` from position ``chunk.first`` on, as
     ``trainer._reference_chunk`` does; None if the library is unavailable.
 
+    The input and output matrices and the noise table share their rows,
+    one per corpus token, and a position's row index names all three.
     Returns ``(summed loss, positions short of negatives)``.
     """
     lib = library()
@@ -202,16 +204,14 @@ def train_chunk(state, chunk) -> tuple[float, int] | None:
         return None
     inp, out, cls = state.input_matrix, state.output_matrix, state.class_vectors
     dim, negative = inp.shape[1], state.cfg.negative
-    n, n_passes = len(chunk.in_idx), len(chunk.labels)
+    n, n_passes = len(chunk.idx), len(chunk.labels)
     # the C side trusts these sizes; index ranges and that the pass
     # lengths add up to the positions it checks itself
     if not (out.shape[1] == dim and cls.shape[1] == dim
-            and len(state.trainable) == len(inp)
-            and len(state.noise_table) == len(out) > 0
-            and len(chunk.out_idx) == len(chunk.alphas) == n
-            and len(chunk.lengths) == n_passes):
+            and len(inp) == len(out) == len(state.noise_table) > 0
+            and len(chunk.alphas) == n and len(chunk.lengths) == n_passes):
         raise ValueError("training chunk arrays disagree in shape")
-    matrices = (inp, out, cls, state.noise_table, state.trainable)
+    matrices = (inp, out, cls, state.noise_table)
     if any(np.may_share_memory(a, b)
            for i, a in enumerate(matrices) for b in matrices[i + 1:]):
         raise ValueError("training matrices must not overlap")
@@ -219,12 +219,10 @@ def train_chunk(state, chunk) -> tuple[float, int] | None:
     scratch = np.empty(1 + negative + 2 * dim, dtype=np.float64)
     loss = np.zeros(1)
     shortfall = lib.train_chunk(
-        _address(inp, _F64, write=True), len(inp),
-        _address(state.trainable.view(np.uint8), _U8),
-        _address(out, _F64, write=True), len(out),
+        _address(inp, _F64, write=True), _address(out, _F64, write=True), len(out),
         _address(state.noise_table, _F64),
         _address(cls, _F64, write=True), len(cls),
-        _address(chunk.in_idx, _I64), _address(chunk.out_idx, _I64), n,
+        _address(chunk.idx, _I64), n,
         _address(chunk.alphas, _F64), state.key, chunk.first,
         _address(chunk.lengths, _I64), _address(chunk.labels, _I64), n_passes,
         dim, state.cfg.window, negative, NS_RESAMPLE_ATTEMPTS,

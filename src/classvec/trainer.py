@@ -7,18 +7,21 @@ predicts the center word through a negative-sampling objective trained
 by SGD. Multilabel documents are presented once per label.
 
 Gradients are applied word2vec-style: the full context-side update is
-added to the class vector and to each (trainable) context word vector,
-and output vectors exist only for corpus tokens, so rows of the merged
-matrix that never occur in the corpus come out bit-identical.
+added to the class vector and to each context word vector. Training
+works on the corpus rows alone, one row per corpus token for both input
+and output vectors, so one row index names both at a position. The
+export writes the tuned rows back into a copy of the merged matrix, so
+the rows of words that never occur in the corpus come out bit-identical.
 
-All training arithmetic runs in 64-bit; the exported matrix is cast back
-to 32-bit floats. Each epoch is one call of ``_kernel.train_chunk``, with
-the epoch's learning rates from one schedule call; where the kernel does
-not build, that call returns None and the numpy reference it is tested
-against trains the epoch, pass by pass. Every noise draw is a pure
-function of the run's key and of its position, slot and attempt (a
-counter-based generator), so the draws do not depend on how passes are
-grouped into calls, and the seeded rng is used only by ``init_state``.
+All training arithmetic runs in 64-bit; the tuned rows are cast back to
+32-bit floats at export. Each epoch is one call of
+``_kernel.train_chunk``, with the epoch's learning rates from one
+schedule call; where the kernel does not build, that call returns None
+and the numpy reference it is tested against trains the epoch, pass by
+pass. Every noise draw is a pure function of the run's key and of its
+position, slot and attempt (a counter-based generator), so the draws do
+not depend on how passes are grouped into calls, and the seeded rng is
+used only by ``init_state``.
 """
 from __future__ import annotations
 
@@ -85,26 +88,24 @@ class ClassVectors:
 class TrainState:
     """Mutable state shared by every update of one fine-tuning run.
 
-    ``input_matrix``/``class_vectors`` are 64-bit working copies;
-    ``output_matrix`` has one row per corpus token only, and
-    ``noise_table`` is the cumulative unigram^0.75 distribution over
-    those same rows. ``trainable`` masks which input rows updates may
-    touch. ``alpha`` tracks the last learning rate used. ``key`` fixes the
-    run's noise draws.
+    ``input_matrix``, ``output_matrix`` and ``noise_table`` have one row
+    per corpus token, in vocabulary order, and ``index`` maps a token to
+    its row in all three. ``input_matrix`` and ``class_vectors`` are 64-bit
+    working copies, the former of the tokens' rows of the merged matrix;
+    ``noise_table`` is the cumulative unigram^0.75 distribution. ``alpha``
+    tracks the last learning rate used. ``key`` fixes the run's noise draws.
     """
 
     cfg: FinetuneConfig
-    input_matrix: np.ndarray   # |V ∪ V_T| x m, float64
+    input_matrix: np.ndarray   # |V_T| x m, float64
     output_matrix: np.ndarray  # |V_T| x m, float64
     class_vectors: np.ndarray  # |C| x m, float64
     noise_table: np.ndarray    # |V_T| cumulative probabilities
     alpha: float
     key: int                   # uint64 noise key
-    trainable: np.ndarray      # bool per input row
     classes: tuple[str, ...]
     class_index: dict[str, int]
-    input_index: dict[str, int]
-    output_index: dict[str, int]
+    index: dict[str, int]      # token -> row
     positions_done: int = 0
     total_positions: int = 0
 
@@ -206,8 +207,7 @@ def _sample_negatives(
 
 def _reference_pass(
     state: TrainState,
-    in_idx: np.ndarray,
-    out_idx: np.ndarray,
+    idx: np.ndarray,
     label_id: int,
     alphas: np.ndarray,
     first: int,
@@ -222,28 +222,26 @@ def _reference_pass(
     window = state.cfg.window
     inp = state.input_matrix
     cls = state.class_vectors
-    trainable = state.trainable
     negatives = _sample_negatives(
-        state.noise_table, out_idx, state.key, first, state.cfg.negative
+        state.noise_table, idx, state.key, first, state.cfg.negative
     )
     loss_sum = 0.0
-    for p in range(len(in_idx)):
+    for p in range(len(idx)):
         alpha = alphas[p]
         lo = max(0, p - window)
-        hi = min(len(in_idx), p + window + 1)
-        ctx = np.concatenate([in_idx[lo:p], in_idx[p + 1:hi]])
+        hi = min(len(idx), p + window + 1)
+        ctx = np.concatenate([idx[lo:p], idx[p + 1:hi]])
         h = (cls[label_id] + inp[ctx].sum(axis=0)) / (1 + len(ctx))
-        rows = np.concatenate([out_idx[p:p + 1], negatives[p][negatives[p] >= 0]])
+        rows = np.concatenate([idx[p:p + 1], negatives[p][negatives[p] >= 0]])
         loss, grad_h, grad_u = ns_loss_and_grads(h, rows[0], rows[1:], state)
         loss_sum += loss
         np.subtract.at(state.output_matrix, rows, alpha * grad_u)
         # word2vec convention: the full context-side step goes to the class
-        # vector and to every trainable context word vector
+        # vector and to every context word vector
         neu1e = -alpha * grad_h
         cls[label_id] += neu1e
         for ci in ctx:
-            if trainable[ci]:
-                inp[ci] += neu1e
+            inp[ci] += neu1e
     return loss_sum, int((negatives < 0).any(axis=1).sum())
 
 
@@ -251,14 +249,13 @@ def _reference_pass(
 class Chunk:
     """Whole label passes trained by one call of the kernel or the reference.
 
-    The positions of every pass lie back to back in ``in_idx``, ``out_idx``
-    and ``alphas``: pass ``i`` trains the next ``lengths[i]`` positions under
-    class ``labels[i]``, and the lengths add up to all of them. ``first`` is
-    the run-wide index of the first position.
+    The positions of every pass lie back to back in ``idx`` and ``alphas``:
+    pass ``i`` trains the next ``lengths[i]`` positions under class
+    ``labels[i]``, and the lengths add up to all of them. ``first`` is the
+    run-wide index of the first position.
     """
 
-    in_idx: np.ndarray    # positions, int64 input rows
-    out_idx: np.ndarray   # positions, int64 output rows
+    idx: np.ndarray       # positions, int64 rows
     alphas: np.ndarray    # positions, float64 learning rates
     lengths: np.ndarray   # passes, int64
     labels: np.ndarray    # passes, int64 class ids
@@ -275,8 +272,8 @@ def _reference_chunk(state: TrainState, chunk: Chunk) -> tuple[float, int]:
         for n, label_id in zip(chunk.lengths.tolist(), chunk.labels.tolist()):
             part = slice(start, start + n)
             pass_loss, pass_shortfall = _reference_pass(
-                state, chunk.in_idx[part], chunk.out_idx[part], label_id,
-                chunk.alphas[part], chunk.first + start,
+                state, chunk.idx[part], label_id, chunk.alphas[part],
+                chunk.first + start,
             )
             loss += pass_loss
             shortfall += pass_shortfall
@@ -285,45 +282,48 @@ def _reference_chunk(state: TrainState, chunk: Chunk) -> tuple[float, int]:
 
 
 def _train_passes(
-    state: TrainState, passes: list[tuple[np.ndarray, np.ndarray, int]]
+    state: TrainState, passes: list[tuple[np.ndarray, int]]
 ) -> tuple[float, int, int]:
-    """Train label passes ``(in_idx, out_idx, label_id)`` in order, in one
-    call of the compiled kernel or, where it is unavailable, of the numpy
-    reference, and advance the position counter past them.
+    """Train label passes ``(idx, label_id)`` in order, in one call of the
+    compiled kernel or, where it is unavailable, of the numpy reference,
+    and advance the position counter past them.
 
     Returns the summed loss, the positions trained, and the positions short
     of negatives.
     """
-    in_idx, out_idx, labels = zip(*passes)
-    lengths = np.fromiter(map(len, in_idx), np.int64, len(passes))
+    idx, labels = zip(*passes)
+    lengths = np.fromiter(map(len, idx), np.int64, len(passes))
     first = state.positions_done
     n = int(lengths.sum())
     alphas = lr_schedule(state.cfg, np.arange(first, first + n) / state.total_positions)
-    chunk = Chunk(np.concatenate(in_idx), np.concatenate(out_idx), alphas,
-                  lengths, np.array(labels, dtype=np.int64), first)
+    chunk = Chunk(np.concatenate(idx), alphas, lengths,
+                  np.array(labels, dtype=np.int64), first)
     loss, shortfall = _kernel.train_chunk(state, chunk) or _reference_chunk(state, chunk)
     state.positions_done = first + n
     state.alpha = float(alphas[-1])
     return loss, n, shortfall
 
 
-def _doc_passes(
-    state: TrainState, doc: Document
-) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """One ``(in_idx, out_idx, label_id)`` pass per label of ``doc``."""
+def _doc_passes(state: TrainState, doc: Document) -> list[tuple[np.ndarray, int]]:
+    """One ``(idx, label_id)`` pass per label of ``doc``."""
     try:
-        in_idx = np.fromiter(
-            map(state.input_index.__getitem__, doc.tokens), np.int64, len(doc.tokens)
-        )
-        out_idx = np.fromiter(
-            map(state.output_index.__getitem__, doc.tokens), np.int64, len(doc.tokens)
+        idx = np.fromiter(
+            map(state.index.__getitem__, doc.tokens), np.int64, len(doc.tokens)
         )
     except KeyError as e:
         raise ValueError(
             f"corpus token {e.args[0]!r} is missing from the model; "
             "merge() must precede finetune()"
         ) from None
-    return [(in_idx, out_idx, state.class_index[l]) for l in doc.labels]
+    return [(idx, state.class_index[l]) for l in doc.labels]
+
+
+def _merged_rows(model: MergedModel) -> np.ndarray:
+    """The row of the merged matrix that holds each vocabulary row's token."""
+    rows = np.empty(len(model.vocab), dtype=np.int64)
+    for token, (row, _) in model.vocab.entries.items():
+        rows[row] = model.embedding.index[token]
+    return rows
 
 
 def init_state(
@@ -362,17 +362,15 @@ def init_state(
     )
     return TrainState(
         cfg=cfg,
-        input_matrix=emb.matrix.astype(np.float64),
+        input_matrix=emb.matrix[_merged_rows(model)].astype(np.float64),
         output_matrix=np.zeros((len(vocab), m), dtype=np.float64),
         class_vectors=class_vectors,
         noise_table=build_noise_table(vocab),
         alpha=cfg.alpha0,
         key=key,
-        trainable=model.trainable_mask,
         classes=classes,
         class_index={c: i for i, c in enumerate(classes)},
-        input_index=emb.index,
-        output_index={t: idx for t, (idx, _) in vocab.entries.items()},
+        index={t: i for t, (i, _) in vocab.entries.items()},
         positions_done=0,
         total_positions=total,
     )
@@ -392,11 +390,12 @@ def finetune(
 ) -> tuple[EmbeddingSet, ClassVectors]:
     """Run the full fine-tuning loop and export the tuned embeddings.
 
-    Returns the tuned input matrix as an :class:`EmbeddingSet` over the
-    merged vocabulary (class vectors are excluded from it) together with
-    the per-class vectors. Bit-reproducible for a fixed seed. Trains each
-    epoch in one call of the compiled kernel, built on first use, or of the
-    numpy reference where no C compiler is available.
+    Returns a copy of the merged matrix with the tuned corpus rows written
+    back, as an :class:`EmbeddingSet` over the merged vocabulary (class
+    vectors are excluded from it), together with the per-class vectors.
+    Bit-reproducible for a fixed seed. Trains each epoch in one call of the
+    compiled kernel, built on first use, or of the numpy reference where no
+    C compiler is available.
     """
     state = init_state(model, corpus, cfg)
     shuffle_rng = np.random.default_rng((cfg.seed, _SHUFFLE_STREAM))
@@ -419,9 +418,9 @@ def finetune(
             shortfall, loss / trained, state.alpha,
             trained / max(seconds, 1e-9),
         )
-    tuned = EmbeddingSet(
-        model.embedding.words, state.input_matrix.astype(np.float32)
-    )
+    matrix = model.embedding.matrix.copy()
+    matrix[_merged_rows(model)] = state.input_matrix
+    tuned = EmbeddingSet(model.embedding.words, matrix)
     class_vectors = ClassVectors(
         state.classes, state.class_vectors.astype(np.float32)
     )

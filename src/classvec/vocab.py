@@ -1,8 +1,8 @@
 """Training vocabulary extraction and pretrained/corpus vocabulary merging.
 
 The merged matrix seeds fine-tuning: pretrained rows are copied verbatim,
-corpus words missing from the pretrained set get small seeded random
-vectors, and a per-row mask records which rows training may touch.
+and corpus words missing from the pretrained set get small seeded random
+vectors. Training touches only the rows of corpus words.
 """
 from __future__ import annotations
 
@@ -46,14 +46,13 @@ class Vocabulary:
 class MergedModel:
     """Pretrained vectors extended over the corpus vocabulary.
 
-    ``trainable_mask[i]`` is True exactly when ``embedding.words[i]`` occurs
-    in the corpus; all other rows stay frozen through training. ``unseen``
-    lists the corpus tokens that had no pretrained vector, and ``vocab`` is
-    the corpus vocabulary the model was merged over, which training reuses.
+    ``vocab`` is the corpus vocabulary the model was merged over, which
+    training reuses: it tunes the rows of ``vocab``'s tokens, and every
+    other row of ``embedding`` stays frozen. ``unseen`` lists the corpus
+    tokens that had no pretrained vector.
     """
 
     embedding: EmbeddingSet
-    trainable_mask: np.ndarray
     unseen: tuple[str, ...]
     vocab: Vocabulary
 
@@ -97,6 +96,4 @@ def merge(pretrained: EmbeddingSet, vocab: Vocabulary, seed: int) -> MergedModel
     new_rows = init_unseen(unseen, pretrained.dim, seed)
     words = pretrained.words + unseen
     matrix = np.vstack([pretrained.matrix, new_rows]) if unseen else pretrained.matrix.copy()
-    merged = EmbeddingSet(words, matrix)
-    mask = np.fromiter((w in vocab for w in words), dtype=bool, count=len(words))
-    return MergedModel(merged, mask, tuple(unseen), vocab)
+    return MergedModel(EmbeddingSet(words, matrix), tuple(unseen), vocab)

@@ -39,15 +39,20 @@ def _exact_buffer(data: bytes) -> int:
 
 def train_epochs() -> None:
     """Two epochs of multilabel, resampling-heavy documents, starting past
-    position 2^32, on the kernel and on the reference; then a chunk with a
-    bad label, which the kernel must reject."""
+    position 2^32, on the kernel and on the reference; then chunks with a
+    bad label and with a row index one past the last row, which the kernel
+    must reject. The pretrained set has rows outside the corpus and misses
+    one corpus token, so the kernel trains matrices of fewer rows than the
+    merged one."""
     rng = np.random.default_rng(1)
-    words = [f"t{i}" for i in range(12)]
-    emb = EmbeddingSet(words, rng.normal(0, 0.5, (12, 6)).astype(np.float32))
+    words = [f"t{i}" for i in range(20)]
+    emb = EmbeddingSet(words, rng.normal(0, 0.5, (20, 6)).astype(np.float32))
     docs = []
     for i in range(12):
         toks = tuple("t0" if rng.random() < 0.7 else words[int(rng.integers(1, 14)) % 12]
                      for _ in range(int(rng.integers(1, 15))))
+        if i == 5:
+            toks += ("unseen",)
         docs.append(Document(toks, ("a", "b")[: 1 + (i % 3 == 0)]))
     corpus = from_documents(docs)
     model = merge(emb, build_vocab(corpus), seed=1)
@@ -64,15 +69,24 @@ def train_epochs() -> None:
         states.append(state)
     _kernel.train_chunk = kernel
     fast, ref = states
+    assert len(fast.input_matrix) == len(model.vocab) < len(model.embedding)
     assert np.allclose(fast.input_matrix, ref.input_matrix, rtol=0, atol=1e-10)
-    idx = np.zeros(3, dtype=np.int64)
-    bad = trainer.Chunk(idx, idx, np.full(3, 0.01), np.array([3]), np.array([7]), 0)
-    try:
-        kernel(fast, bad)
-    except IndexError:
-        pass
-    else:
-        raise AssertionError("a bad label was trained")
+    n_rows = len(fast.input_matrix)
+    bad_label = trainer.Chunk(np.zeros(3, dtype=np.int64), np.full(3, 0.01),
+                              np.array([3]), np.array([7]), 0)
+    past_last_row = trainer.Chunk(np.array([0, 1, n_rows]), np.full(3, 0.01),
+                                  np.array([3]), np.array([0]), 0)
+    for what, bad in (("label", bad_label), ("row index", past_last_row)):
+        before = [a.copy() for a in (fast.input_matrix, fast.output_matrix,
+                                     fast.class_vectors)]
+        try:
+            kernel(fast, bad)
+        except IndexError:
+            pass
+        else:
+            raise AssertionError(f"a bad {what} was trained")
+        after = (fast.input_matrix, fast.output_matrix, fast.class_vectors)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
 
 
 def probe_epochs() -> None:

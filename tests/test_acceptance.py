@@ -82,11 +82,9 @@ def _ns_state(rng: np.random.Generator, n_out: int, m: int, k: int) -> TrainStat
         noise_table=np.array([1.0]),
         alpha=0.025,
         key=0,
-        trainable=np.ones(1, dtype=bool),
         classes=("c",),
         class_index={"c": 0},
-        input_index={},
-        output_index={},
+        index={},
     )
 
 

@@ -9,6 +9,7 @@ import shutil
 import stat
 import subprocess
 import sysconfig
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -68,18 +69,17 @@ def _position_mean_loss(state, corpus, eval_negs):
     cfg = state.cfg
     total, i = 0.0, 0
     for doc in corpus.docs:
-        in_idx = np.array([state.input_index[t] for t in doc.tokens])
-        out_idx = np.array([state.output_index[t] for t in doc.tokens])
+        idx = np.array([state.index[t] for t in doc.tokens])
         for label in doc.labels:
             li = state.class_index[label]
-            for p in range(len(in_idx)):
+            for p in range(len(idx)):
                 lo = max(0, p - cfg.window)
-                hi = min(len(in_idx), p + cfg.window + 1)
-                ctx = np.concatenate([in_idx[lo:p], in_idx[p + 1:hi]])
+                hi = min(len(idx), p + cfg.window + 1)
+                ctx = np.concatenate([idx[lo:p], idx[p + 1:hi]])
                 h = (state.class_vectors[li] + state.input_matrix[ctx].sum(axis=0)) / (
                     1 + len(ctx)
                 )
-                loss, _, _ = ns_loss_and_grads(h, int(out_idx[p]), eval_negs[i], state)
+                loss, _, _ = ns_loss_and_grads(h, int(idx[p]), eval_negs[i], state)
                 total += loss
                 i += 1
     return total / i
@@ -354,16 +354,18 @@ class TestInitState:
         assert not hasattr(state, "rng")
 
     def test_matrices_and_totals(self):
-        model, corpus = small_setup()
+        model, corpus = small_setup(n_vocab=60)  # some pretrained rows unused
         cfg = FinetuneConfig(epochs=4)
         state = init_state(model, corpus, cfg)
         vocab = build_vocab(corpus)
         assert state.output_matrix.shape == (len(vocab), 8)
         assert not state.output_matrix.any()  # zero-initialized
         assert state.input_matrix.dtype == np.float64
-        np.testing.assert_array_equal(
-            state.input_matrix, model.embedding.matrix.astype(np.float64)
-        )
+        # the corpus rows alone, in vocabulary order: each the token's merged row
+        assert len(state.input_matrix) == len(model.vocab) < len(model.embedding)
+        for token, (row, _) in model.vocab.entries.items():
+            merged = model.embedding.matrix[model.embedding.index[token]]
+            assert state.input_matrix[row].tobytes() == merged.astype(np.float64).tobytes()
         expected_total = 4 * sum(len(d.tokens) * len(d.labels) for d in corpus.docs)
         assert state.total_positions == expected_total
 
@@ -373,8 +375,7 @@ class TestInitState:
         corpus = from_documents([Document(("t0", "novel"), ("c",))])
         with pytest.raises(ValueError, match="merge\\(\\) must precede"):
             init_state(
-                type("M", (), {"embedding": emb, "trainable_mask": None,
-                               "vocab": build_vocab(corpus)})(),
+                type("M", (), {"embedding": emb, "vocab": build_vocab(corpus)})(),
                 corpus,
                 FinetuneConfig(),
             )
@@ -388,7 +389,7 @@ class TestInitState:
 
         monkeypatch.setattr(vocab_module, "build_vocab", count_again)
         state = init_state(model, corpus, FinetuneConfig())
-        assert state.output_index == {
+        assert state.index == {
             t: idx for t, (idx, _) in model.vocab.entries.items()
         }
         assert state.noise_table.tobytes() == build_noise_table(model.vocab).tobytes()
@@ -423,6 +424,29 @@ class TestFinetune:
             if w not in {"t0", "t1", "t2"}:
                 assert tuned.vector(w).tobytes() == emb.vector(w).tobytes()
         assert tuned.matrix[:3].tobytes() != emb.matrix[:3].tobytes()
+
+    def test_runs_in_bounded_memory(self):
+        """A run allocates less than twice the merged matrix at its peak:
+        one float32 copy for the export, and 64-bit working copies of the
+        corpus rows alone. (A 64-bit copy of the whole matrix, cast back to
+        32 bits at export, would take three times it.)"""
+        emb = random_embedding(np.random.default_rng(64), 20000, 100)
+        crng = np.random.default_rng(65)
+        docs = [Document(tuple(f"t{j}" for j in crng.integers(0, 40, 20)) + ("novel",),
+                         ("one" if i % 2 else "two",)) for i in range(10)]
+        corpus = from_documents(docs)
+        model = merge(emb, build_vocab(corpus), seed=1)
+        cfg = FinetuneConfig(epochs=2, seed=3)
+        finetune(*small_setup(), cfg)  # first-call imports and the kernel's load
+        tracemalloc.start()
+        try:
+            tuned, _ = finetune(model, corpus, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        merged = model.embedding.matrix
+        assert tuned.matrix.tobytes() != merged.tobytes()
+        assert peak < 2 * merged.nbytes, (peak, merged.nbytes)
 
     def test_vanishing_learning_rate_changes_nothing(self):
         model, corpus = small_setup()
@@ -565,9 +589,6 @@ def _kernel_setup(skewed: bool):
 def _train_two_epochs(model, corpus, cfg, train):
     """Two epochs, each document in a call of ``train`` of its own."""
     state = init_state(model, corpus, cfg)
-    # freeze one corpus row too, so the trainable mask matters in context
-    state.trainable = state.trainable.copy()
-    state.trainable[state.input_index["t1"]] = False
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "train_chunk", train)
         stats = [_train_doc(state, d) for _ in range(2) for d in corpus.docs]
@@ -629,10 +650,19 @@ def _split_epochs(model, corpus, cfg, train, split=None, first=0):
     return state, np.array(stats), calls
 
 
-def _one_pass(in_idx, out_idx, label_id, alphas, first=0):
+def _one_pass(idx, label_id, alphas, first=0):
     """A chunk holding one label pass over every position."""
-    return trainer.Chunk(in_idx, out_idx, alphas,
-                         *np.array([[len(in_idx)], [label_id]], dtype=np.int64), first)
+    return trainer.Chunk(idx, alphas,
+                         *np.array([[len(idx)], [label_id]], dtype=np.int64), first)
+
+
+def _exported(model, state):
+    """The merged matrix with each corpus token's row replaced, token by
+    token, by its trained row of ``state`` cast to float32."""
+    matrix = model.embedding.matrix.copy()
+    for token, (row, _) in model.vocab.entries.items():
+        matrix[model.embedding.index[token]] = state.input_matrix[row].astype(np.float32)
+    return matrix
 
 
 def _per_pass_epoch(state, corpus):
@@ -643,15 +673,13 @@ def _per_pass_epoch(state, corpus):
     stats = []
     for doc in corpus.docs:
         for label in doc.labels:
-            in_idx = np.array([state.input_index[t] for t in doc.tokens], dtype=np.int64)
-            out_idx = np.array([state.output_index[t] for t in doc.tokens], dtype=np.int64)
-            n = len(in_idx)
+            idx = np.array([state.index[t] for t in doc.tokens], dtype=np.int64)
+            n = len(idx)
             alphas = lr_schedule(
                 cfg, (state.positions_done + np.arange(n)) / state.total_positions
             )
             loss, shortfall = trainer._reference_pass(
-                state, in_idx, out_idx, state.class_index[label], alphas,
-                state.positions_done,
+                state, idx, state.class_index[label], alphas, state.positions_done,
             )
             state.positions_done += n
             state.alpha = float(alphas[-1])
@@ -680,11 +708,8 @@ class TestKernel:
             np.testing.assert_allclose(
                 getattr(fast, name), getattr(ref, name), rtol=0, atol=1e-10
             )
-        frozen = ~ref.trainable
-        assert frozen.sum() > (~model.trainable_mask).sum() > 0
-        assert fast.input_matrix[frozen].tobytes() == ref.input_matrix[frozen].tobytes()
-        initial = model.embedding.matrix[frozen].astype(np.float64)
-        assert ref.input_matrix[frozen].tobytes() == initial.tobytes()
+        # the kernel ran on the corpus rows, fewer than the merged ones
+        assert len(fast.input_matrix) == len(model.vocab) < len(model.embedding)
         assert (fast.positions_done, fast.alpha) == (ref.positions_done, ref.alpha)
         # positions trained and short of negatives agree exactly, losses closely
         np.testing.assert_array_equal(fast_stats[:, 1:], ref_stats[:, 1:])
@@ -757,7 +782,7 @@ class TestKernel:
         train = trainer._reference_chunk if fallback else kernel
 
         def counting(state, chunk):
-            calls.append(len(chunk.in_idx))
+            calls.append(len(chunk.idx))
             return train(state, chunk)
 
         class Recording:
@@ -804,7 +829,7 @@ class TestKernel:
             shuffle_rng.shuffle(order)
             for di in order:
                 _train_doc(ref, corpus.docs[di])
-        assert tuned.matrix.tobytes() == ref.input_matrix.astype(np.float32).tobytes()
+        assert tuned.matrix.tobytes() == _exported(model, ref).tobytes()
         assert classes.matrix.tobytes() == ref.class_vectors.astype(np.float32).tobytes()
 
     def test_rejects_out_of_range_indices(self, kernel):
@@ -813,12 +838,11 @@ class TestKernel:
         before = state.output_matrix.copy()
         idx = np.array([0, len(state.output_matrix)], dtype=np.int64)
         with pytest.raises(IndexError):
-            kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025)))
+            kernel(state, _one_pass(idx, 0, np.full(2, 0.025)))
         np.testing.assert_array_equal(state.output_matrix, before)
 
     @pytest.mark.parametrize("field, value", [
-        ("in_idx", -1), ("in_idx", 10**6), ("out_idx", -1), ("out_idx", 10**6),
-        ("labels", 2), ("labels", -1), ("lengths", 99),
+        ("idx", -1), ("idx", 10**6), ("labels", 2), ("labels", -1), ("lengths", 99),
         # lengths that add up to fewer or more than the chunk's positions
         ("lengths", 2), ("lengths", 4), ("first", -1),
     ])
@@ -830,7 +854,7 @@ class TestKernel:
         _train_doc(state, corpus.docs[0])  # nonzero outputs: every step writes
         idx = np.arange(9, dtype=np.int64)
         chunk = trainer.Chunk(
-            idx.copy(), idx.copy(), np.full(9, 0.025),
+            idx, np.full(9, 0.025),
             np.array([3, 3, 3]), np.array([0, 1, 0]), 2**33,
         )
         if field == "first":
@@ -875,13 +899,12 @@ class TestKernel:
         dim = 3
         state = SimpleNamespace(
             cfg=FinetuneConfig(negative=k, window=1), key=key,
-            input_matrix=np.ones((1, dim)), trainable=np.zeros(1, dtype=bool),
+            input_matrix=np.ones((rows, dim)),
             output_matrix=np.zeros((rows, dim)), noise_table=table,
             class_vectors=np.array([[1.0, 2.0, 4.0]]),
         )
-        one = np.zeros(1, dtype=np.int64)
         alpha = 0.5
-        kernel(state, _one_pass(one, one + center, 0, np.full(1, alpha), first))
+        kernel(state, _one_pass(np.array([center]), 0, np.full(1, alpha), first))
         # all-zero outputs: every logit is 0, so each draw of row r moves it
         # by -alpha * sigmoid(0) * h, and the center by +alpha * (1 - sigmoid(0)) * h
         h = state.class_vectors[0]
@@ -905,13 +928,13 @@ class TestKernel:
                                      state.class_vectors)]
         idx = np.arange(2, dtype=np.int64)
         with pytest.raises(ValueError, match="C-contiguous"):
-            kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025)))
+            kernel(state, _one_pass(idx, 0, np.full(2, 0.025)))
         after = (state.input_matrix, state.output_matrix, state.class_vectors)
         for a, b in zip(after, before):
             assert a.tobytes() == b.tobytes()
         # the same call on intact arrays trains
         state = init_state(model, corpus, FinetuneConfig(negative=2))
-        kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025)))
+        kernel(state, _one_pass(idx, 0, np.full(2, 0.025)))
         assert state.output_matrix.tobytes() != before[1].tobytes()
 
     def test_rejects_overlapping_matrices(self, kernel):
@@ -922,7 +945,7 @@ class TestKernel:
         before = state.input_matrix.copy()
         idx = np.arange(2, dtype=np.int64)
         with pytest.raises(ValueError, match="must not overlap"):
-            kernel(state, _one_pass(idx, idx, 0, np.full(2, 0.025)))
+            kernel(state, _one_pass(idx, 0, np.full(2, 0.025)))
         assert state.input_matrix.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("spoil", [
@@ -946,7 +969,7 @@ class TestKernel:
         for _ in range(2):
             for doc in corpus.docs:
                 _train_doc(ref, doc)
-        assert tuned.matrix.tobytes() == ref.input_matrix.astype(np.float32).tobytes()
+        assert tuned.matrix.tobytes() == _exported(model, ref).tobytes()
 
     def test_failed_build_raises_and_leaves_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sysconfig, "get_config_var", lambda name: "false")

@@ -72,14 +72,6 @@ class TestMerge:
         assert model.unseen == ("new_a", "new_b")
         assert merged.words[10:] == ["new_a", "new_b"]
 
-    def test_trainable_mask_marks_exactly_corpus_words(self):
-        rng = np.random.default_rng(18)
-        pretrained = random_embedding(rng, 5, 3)
-        corpus = _corpus(("t0", "t2", "fresh"),)
-        model = merge(pretrained, build_vocab(corpus), seed=1)
-        expected = [w in {"t0", "t2", "fresh"} for w in model.embedding.words]
-        np.testing.assert_array_equal(model.trainable_mask, expected)
-
     def test_unseen_rows_use_seeded_initializer(self):
         rng = np.random.default_rng(19)
         pretrained = random_embedding(rng, 3, 4)
