@@ -841,8 +841,12 @@ class TestKernel:
             kernel(state, _one_pass(idx, 0, np.full(2, 0.025)))
         np.testing.assert_array_equal(state.output_matrix, before)
 
+    # in_idx puts the bad row at the last pass's last position, which a step
+    # reads as a context input before it is a target; out_idx puts it at the
+    # pass's first position, which is a target first
     @pytest.mark.parametrize("field, value", [
-        ("idx", -1), ("idx", 10**6), ("labels", 2), ("labels", -1), ("lengths", 99),
+        ("in_idx", -1), ("in_idx", 10**6), ("out_idx", -1), ("out_idx", 10**6),
+        ("labels", 2), ("labels", -1), ("lengths", 99),
         # lengths that add up to fewer or more than the chunk's positions
         ("lengths", 2), ("lengths", 4), ("first", -1),
     ])
@@ -859,6 +863,8 @@ class TestKernel:
         )
         if field == "first":
             chunk.first = value
+        elif field in ("in_idx", "out_idx"):
+            chunk.idx[-1 if field == "in_idx" else -3] = value
         else:
             getattr(chunk, field)[-1] = value
         before = [a.copy() for a in (state.input_matrix, state.output_matrix,
