@@ -10,8 +10,8 @@ Gradients are applied word2vec-style: the full context-side update is
 added to the class vector and to each context word vector. Training
 works on the corpus rows alone, one row per corpus token for both input
 and output vectors, so one row index names both at a position. The
-export writes the tuned rows back into a copy of the merged matrix, so
-the rows of words that never occur in the corpus come out bit-identical.
+export writes the tuned rows back into a copy of the merged matrix, at
+``MergedModel.rows``, so the rows of other words come out bit-identical.
 
 All training arithmetic runs in 64-bit; the tuned rows are cast back to
 32-bit floats at export. Each epoch is one call of
@@ -28,6 +28,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -89,11 +90,12 @@ class TrainState:
     """Mutable state shared by every update of one fine-tuning run.
 
     ``input_matrix``, ``output_matrix`` and ``noise_table`` have one row
-    per corpus token, in vocabulary order, and ``index`` maps a token to
-    its row in all three. ``input_matrix`` and ``class_vectors`` are 64-bit
-    working copies, the former of the tokens' rows of the merged matrix;
-    ``noise_table`` is the cumulative unigram^0.75 distribution. ``alpha``
-    tracks the last learning rate used. ``key`` fixes the run's noise draws.
+    per corpus token, in vocabulary order, and ``index``, the vocabulary's
+    own, maps a token to its row in all three. ``input_matrix`` and
+    ``class_vectors`` are 64-bit working copies, the former of the tokens'
+    rows of the merged matrix; ``noise_table`` is the cumulative
+    unigram^0.75 distribution. ``alpha`` tracks the last learning rate
+    used. ``key`` fixes the run's noise draws.
     """
 
     cfg: FinetuneConfig
@@ -116,7 +118,7 @@ def build_noise_table(vocab: Vocabulary) -> np.ndarray:
     Entry ``i`` holds the probability mass of vocabulary rows ``0..i``;
     the final entry is 1 within 1e-9.
     """
-    probs = vocab.frequencies ** 0.75
+    probs = vocab.counts ** 0.75
     probs /= probs.sum()
     return np.cumsum(probs)
 
@@ -305,25 +307,12 @@ def _train_passes(
 
 
 def _doc_passes(state: TrainState, doc: Document) -> list[tuple[np.ndarray, int]]:
-    """One ``(idx, label_id)`` pass per label of ``doc``."""
-    try:
-        idx = np.fromiter(
-            map(state.index.__getitem__, doc.tokens), np.int64, len(doc.tokens)
-        )
-    except KeyError as e:
-        raise ValueError(
-            f"corpus token {e.args[0]!r} is missing from the model; "
-            "merge() must precede finetune()"
-        ) from None
+    """One ``(idx, label_id)`` pass per label of ``doc``, sharing one row
+    array; a token outside the vocabulary gets row -1."""
+    idx = np.fromiter(
+        map(state.index.get, doc.tokens, repeat(-1)), np.int64, len(doc.tokens)
+    )
     return [(idx, state.class_index[l]) for l in doc.labels]
-
-
-def _merged_rows(model: MergedModel) -> np.ndarray:
-    """The row of the merged matrix that holds each vocabulary row's token."""
-    rows = np.empty(len(model.vocab), dtype=np.int64)
-    for token, (row, _) in model.vocab.entries.items():
-        rows[row] = model.embedding.index[token]
-    return rows
 
 
 def init_state(
@@ -331,27 +320,16 @@ def init_state(
 ) -> TrainState:
     """Build the initial training state for ``finetune``.
 
-    The counts come from the vocabulary ``model`` was merged over, which
-    must be that of ``corpus`` (``merge(pretrained, build_vocab(corpus))``):
-    a corpus of another token total is rejected. Consumes the head of the
-    seeded rng stream for the class-vector initialization (uniform
+    The rows, their index and the counts come from the vocabulary
+    ``model`` was merged over, which must be that of ``corpus``
+    (``merge(pretrained, build_vocab(corpus))``): ``finetune`` checks
+    that exactly, token by token and count by count. Consumes the head of
+    the seeded rng stream for the class-vector initialization (uniform
     [-0.5/m, +0.5/m), the same scheme used for unseen words), then one
     uint64 of it for the noise key.
     """
     vocab = model.vocab
     emb = model.embedding
-    if vocab.total_tokens != sum(len(d.tokens) for d in corpus.docs):
-        raise ValueError(
-            f"the model was merged over a vocabulary of {vocab.total_tokens} "
-            "corpus tokens, not this corpus's: merge() must precede "
-            "finetune() on the same corpus"
-        )
-    missing = [t for t in vocab.entries if t not in emb.index]
-    if missing:
-        raise ValueError(
-            f"corpus tokens missing from the model (merge() must precede "
-            f"finetune()): {missing[:5]!r}"
-        )
     m = emb.dim
     rng = np.random.default_rng(cfg.seed)
     classes = tuple(corpus.classes)
@@ -362,7 +340,7 @@ def init_state(
     )
     return TrainState(
         cfg=cfg,
-        input_matrix=emb.matrix[_merged_rows(model)].astype(np.float64),
+        input_matrix=emb.matrix[model.rows].astype(np.float64),
         output_matrix=np.zeros((len(vocab), m), dtype=np.float64),
         class_vectors=class_vectors,
         noise_table=build_noise_table(vocab),
@@ -370,7 +348,7 @@ def init_state(
         key=key,
         classes=classes,
         class_index={c: i for i, c in enumerate(classes)},
-        index={t: i for t, (i, _) in vocab.entries.items()},
+        index=vocab.index,
         positions_done=0,
         total_positions=total,
     )
@@ -393,15 +371,24 @@ def finetune(
     Returns a copy of the merged matrix with the tuned corpus rows written
     back, as an :class:`EmbeddingSet` over the merged vocabulary (class
     vectors are excluded from it), together with the per-class vectors.
-    Bit-reproducible for a fixed seed. Trains each epoch in one call of the
-    compiled kernel, built on first use, or of the numpy reference where no
-    C compiler is available.
+    Bit-reproducible for a fixed seed. Raises ``ValueError`` unless
+    ``corpus`` is exactly the one ``model`` was merged over. Trains each
+    epoch in one call of the compiled kernel, built on first use, or of
+    the numpy reference where no C compiler is available.
     """
     state = init_state(model, corpus, cfg)
     shuffle_rng = np.random.default_rng((cfg.seed, _SHUFFLE_STREAM))
     order = np.arange(len(corpus.docs))
     # token -> row mapping depends only on the document, so do it once per run
     doc_passes = [_doc_passes(state, doc) for doc in corpus.docs]
+    # the corpus merged over: every token has a row, and each row occurs
+    # as often as the vocabulary counted it, once per document
+    rows = np.concatenate([passes[0][0] for passes in doc_passes])
+    if rows.min() < 0 or not np.array_equal(
+        np.bincount(rows, minlength=len(model.vocab)), model.vocab.counts
+    ):
+        raise ValueError("the model was merged over another corpus: merge() "
+                         "must precede finetune() on the same corpus")
     for epoch in range(1, cfg.epochs + 1):
         if cfg.shuffle:
             shuffle_rng.shuffle(order)
@@ -419,7 +406,7 @@ def finetune(
             trained / max(seconds, 1e-9),
         )
     matrix = model.embedding.matrix.copy()
-    matrix[_merged_rows(model)] = state.input_matrix
+    matrix[model.rows] = state.input_matrix
     tuned = EmbeddingSet(model.embedding.words, matrix)
     class_vectors = ClassVectors(
         state.classes, state.class_vectors.astype(np.float32)

@@ -2,12 +2,15 @@
 
 The merged matrix seeds fine-tuning: pretrained rows are copied verbatim,
 and corpus words missing from the pretrained set get small seeded random
-vectors. Training touches only the rows of corpus words.
+vectors. Training touches only the rows of corpus words, which
+``MergedModel.rows`` alone maps from vocabulary rows.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -17,29 +20,21 @@ from .embedding_io import EmbeddingSet
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Corpus vocabulary: token -> (row index, frequency), plus totals."""
+    """Corpus tokens: ``index`` maps each to its row, in order of first
+    appearance, and ``counts`` (read-only int64) holds each row's count."""
 
-    entries: dict[str, tuple[int, int]]
-    total_tokens: int
+    index: dict[str, int]
+    counts: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.index)
 
     def __contains__(self, token: str) -> bool:
-        return token in self.entries
+        return token in self.index
 
     @property
-    def tokens(self) -> list[str]:
-        return list(self.entries)
-
-    @cached_property
-    def frequencies(self) -> np.ndarray:
-        """Read-only float64 token counts, indexed by row."""
-        freqs = np.zeros(len(self.entries), dtype=np.float64)
-        for idx, freq in self.entries.values():
-            freqs[idx] = freq
-        freqs.flags.writeable = False
-        return freqs
+    def total_tokens(self) -> int:
+        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -47,34 +42,42 @@ class MergedModel:
     """Pretrained vectors extended over the corpus vocabulary.
 
     ``vocab`` is the corpus vocabulary the model was merged over, which
-    training reuses: it tunes the rows of ``vocab``'s tokens, and every
-    other row of ``embedding`` stays frozen. ``unseen`` lists the corpus
-    tokens that had no pretrained vector.
+    training reuses: it tunes the rows of ``vocab``'s tokens, found through
+    :attr:`rows`, and every other row of ``embedding`` stays frozen.
+    ``unseen`` lists the corpus tokens that had no pretrained vector.
     """
 
     embedding: EmbeddingSet
     unseen: tuple[str, ...]
     vocab: Vocabulary
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The ``embedding`` row of each vocabulary row, read-only int64."""
+        index = self.embedding.index
+        try:
+            rows = np.fromiter(map(index.__getitem__, self.vocab.index), np.int64)
+        except KeyError as e:
+            raise ValueError(
+                f"corpus token {e.args[0]!r} is missing from the model; "
+                "merge() must precede finetune()"
+            ) from None
+        rows.flags.writeable = False
+        return rows
+
 
 def build_vocab(corpus: LabeledCorpus) -> Vocabulary:
-    """Count every distinct corpus token; indices follow first appearance."""
-    entries: dict[str, tuple[int, int]] = {}
-    total = 0
-    for doc in corpus.docs:
-        for tok in doc.tokens:
-            total += 1
-            if tok in entries:
-                idx, freq = entries[tok]
-                entries[tok] = (idx, freq + 1)
-            else:
-                entries[tok] = (len(entries), 1)
-    return Vocabulary(entries, total)
+    """Count every distinct corpus token, each document once whatever its
+    label count; rows follow first appearance."""
+    counts = Counter(chain.from_iterable(d.tokens for d in corpus.docs))
+    array = np.fromiter(counts.values(), np.int64, len(counts))
+    array.flags.writeable = False
+    return Vocabulary({t: i for i, t in enumerate(counts)}, array)
 
 
 def unseen_words(vocab: Vocabulary, pretrained: EmbeddingSet) -> list[str]:
     """Corpus tokens absent from the pretrained set, in vocabulary order."""
-    return [t for t in vocab.entries if t not in pretrained]
+    return [t for t in vocab.index if t not in pretrained]
 
 
 def init_unseen(unseen: list[str], dim: int, seed: int) -> np.ndarray:
@@ -87,7 +90,8 @@ def init_unseen(unseen: list[str], dim: int, seed: int) -> np.ndarray:
 
 
 def merge(pretrained: EmbeddingSet, vocab: Vocabulary, seed: int) -> MergedModel:
-    """Extend ``pretrained`` with seeded rows for the unseen corpus tokens.
+    """Extend ``pretrained`` with seeded rows for the unseen corpus tokens,
+    appended in vocabulary order after the pretrained rows.
 
     Pretrained rows are copied bit-for-bit; the result is deterministic in
     (pretrained, vocab, seed).

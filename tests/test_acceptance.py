@@ -24,6 +24,7 @@ from __future__ import annotations
 import io
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,7 +307,7 @@ def test_criterion_5_pipeline_is_byte_deterministic(tmp_path, capsys):
             "train-clf", "--embeddings", out, "--corpus", corpus,
             "--out", clf, "--seed", "9",
         ]) == 0
-        return tuple(open(p, "rb").read() for p in (out, cv, clf))
+        return tuple(Path(p).read_bytes() for p in (out, cv, clf))
 
     first, second = run("a"), run("b")
     capsys.readouterr()

@@ -30,7 +30,7 @@ from classvec.trainer import (
 )
 from classvec.trainer import _noise_uniforms, _sample_negatives
 from classvec import vocab as vocab_module
-from classvec.vocab import build_vocab, merge
+from classvec.vocab import MergedModel, build_vocab, merge
 
 from _constructions import cos, disable_kernel, frequency_corpus, random_embedding
 
@@ -335,10 +335,16 @@ class TestTrainDocument:
         assert state.alpha == 0.0125
 
     def test_unmerged_token_is_an_error(self):
+        # a token outside the vocabulary maps to row -1; a document of such
+        # tokens alone leaves every counted row's count as it was, so the
+        # check must catch the row itself
         model, corpus = small_setup()
         state = init_state(model, corpus, FinetuneConfig())
+        [(idx, _)] = trainer._doc_passes(state, Document(("t3", "never-seen"), ("one",)))
+        assert idx.tolist() == [state.index["t3"], -1]
+        extra = from_documents(corpus.docs + (Document(("never-seen",), ("one",)),))
         with pytest.raises(ValueError, match="merge\\(\\) must precede"):
-            _train_doc(state, Document(("never-seen",), ("one",)))
+            finetune(model, extra, FinetuneConfig(epochs=1))
 
 
 class TestInitState:
@@ -363,23 +369,20 @@ class TestInitState:
         assert state.input_matrix.dtype == np.float64
         # the corpus rows alone, in vocabulary order: each the token's merged row
         assert len(state.input_matrix) == len(model.vocab) < len(model.embedding)
-        for token, (row, _) in model.vocab.entries.items():
+        for token, row in model.vocab.index.items():
             merged = model.embedding.matrix[model.embedding.index[token]]
             assert state.input_matrix[row].tobytes() == merged.astype(np.float64).tobytes()
         expected_total = 4 * sum(len(d.tokens) * len(d.labels) for d in corpus.docs)
         assert state.total_positions == expected_total
 
     def test_requires_merged_model(self):
+        # a model whose embedding lacks a corpus token, as merge() never makes
         rng = np.random.default_rng(61)
         emb = random_embedding(rng, 3, 4)
         corpus = from_documents([Document(("t0", "novel"), ("c",))])
+        model = MergedModel(emb, (), build_vocab(corpus))
         with pytest.raises(ValueError, match="merge\\(\\) must precede"):
-            init_state(
-                type("M", (), {"embedding": emb, "vocab": build_vocab(corpus)})(),
-                corpus,
-                FinetuneConfig(),
-            )
-
+            init_state(model, corpus, FinetuneConfig())
 
     def test_counts_come_from_the_merged_vocabulary(self, monkeypatch):
         model, corpus = small_setup()
@@ -389,16 +392,24 @@ class TestInitState:
 
         monkeypatch.setattr(vocab_module, "build_vocab", count_again)
         state = init_state(model, corpus, FinetuneConfig())
-        assert state.index == {
-            t: idx for t, (idx, _) in model.vocab.entries.items()
-        }
+        assert state.index is model.vocab.index
         assert state.noise_table.tobytes() == build_noise_table(model.vocab).tobytes()
 
     def test_corpus_other_than_the_merged_one_is_rejected(self):
         model, corpus = small_setup()
         shorter = from_documents(corpus.docs[:-1])
         with pytest.raises(ValueError, match="merge\\(\\) must precede"):
-            init_state(model, shorter, FinetuneConfig())
+            finetune(model, shorter, FinetuneConfig(epochs=1))
+        # the same tokens and token total, in other counts
+        merged_over = from_documents([Document(("a", "a", "b"), ("x",)),
+                                      Document(("b", "c"), ("y",))])
+        other = from_documents([Document(("a", "b", "b"), ("x",)),
+                                Document(("c", "c"), ("y",))])
+        emb = random_embedding(np.random.default_rng(66), 3, 4)
+        model = merge(emb, build_vocab(merged_over), seed=1)
+        finetune(model, merged_over, FinetuneConfig(epochs=1))
+        with pytest.raises(ValueError, match="merge\\(\\) must precede"):
+            finetune(model, other, FinetuneConfig(epochs=1))
 
 
 class TestFinetune:
@@ -660,7 +671,7 @@ def _exported(model, state):
     """The merged matrix with each corpus token's row replaced, token by
     token, by its trained row of ``state`` cast to float32."""
     matrix = model.embedding.matrix.copy()
-    for token, (row, _) in model.vocab.entries.items():
+    for token, row in model.vocab.index.items():
         matrix[model.embedding.index[token]] = state.input_matrix[row].astype(np.float32)
     return matrix
 

@@ -19,15 +19,13 @@ class TestBuildVocab:
     def test_counts_and_first_appearance_indices(self):
         corpus = _corpus(("b", "a", "b"), ("c", "a", "b"))
         vocab = build_vocab(corpus)
-        assert vocab.entries == {"b": (0, 3), "a": (1, 2), "c": (2, 1)}
+        assert vocab.index == {"b": 0, "a": 1, "c": 2}
+        assert list(vocab.index) == ["b", "a", "c"]
+        assert vocab.counts.dtype == np.int64
+        np.testing.assert_array_equal(vocab.counts, [3, 2, 1])
         assert vocab.total_tokens == 6
         assert len(vocab) == 3
         assert "a" in vocab and "z" not in vocab
-        assert vocab.tokens == ["b", "a", "c"]
-        np.testing.assert_array_equal(vocab.frequencies, [3.0, 2.0, 1.0])
-        assert vocab.frequencies is vocab.frequencies
-        with pytest.raises(ValueError):
-            vocab.frequencies[0] = 9.0
 
     def test_multilabel_documents_count_tokens_once(self):
         corpus = from_documents([Document(("a", "a"), ("x", "y"))])
@@ -90,6 +88,22 @@ class TestMerge:
         c = merge(pretrained, build_vocab(corpus), seed=6)
         assert a.embedding.matrix.tobytes() == b.embedding.matrix.tobytes()
         assert a.embedding.matrix.tobytes() != c.embedding.matrix.tobytes()
+
+    def test_rows_name_the_merged_row_of_each_vocabulary_row(self):
+        pretrained = random_embedding(np.random.default_rng(22), 10, 3)
+        vocab = build_vocab(_corpus(("new_a", "t7", "t2"), ("t7", "new_b", "t0")))
+        model = merge(pretrained, vocab, seed=1)
+        # pretrained tokens keep their rows; unseen ones follow, in
+        # vocabulary order
+        assert list(vocab.index) == ["new_a", "t7", "t2", "new_b", "t0"]
+        assert model.rows.tolist() == [10, pretrained.index["t7"],
+                                       pretrained.index["t2"], 11,
+                                       pretrained.index["t0"]]
+        assert model.rows.dtype == np.int64
+        assert model.rows is model.rows
+        for array in (model.rows, vocab.counts):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 9
 
     def test_no_unseen_words(self):
         rng = np.random.default_rng(21)
