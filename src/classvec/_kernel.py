@@ -225,7 +225,9 @@ def train_chunk(state, chunk) -> tuple[float, int] | None:
         _address(chunk.idx, _I64), n,
         _address(chunk.alphas, _F64), state.key, chunk.first,
         _address(chunk.lengths, _I64), _address(chunk.labels, _I64), n_passes,
-        dim, state.cfg.window, negative, NS_RESAMPLE_ATTEMPTS,
+        # no pass is longer than the chunk, so a wider window changes nothing,
+        # and a clamped one cannot overflow int64 in C
+        dim, min(state.cfg.window, n), negative, NS_RESAMPLE_ATTEMPTS,
         rows.ctypes.data, scratch.ctypes.data, loss.ctypes.data,
     )
     if shortfall < 0:

@@ -152,7 +152,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         f"vocab\tV={len(pretrained)}\tV_T={len(vocab)}"
         f"\tV_unseen={len(model.unseen)}"
     )
-    tuned, class_vectors = finetune(model, corpus, cfg)
+    tuned, class_vectors = finetune(model, cfg)
     save = save_text if args.format == "text" else save_binary
     _atomic_write(args.out, lambda f: save(tuned, f))
     logger.info("wrote %s", args.out)

@@ -466,11 +466,3 @@ def load_file(path: str, fmt: str) -> EmbeddingSet:
         raise ValueError(f"unknown embedding format {fmt!r}")
     with open(path, "rb") as f:
         return load_text(f) if fmt == "text" else load_binary(f)
-
-
-def save_file(emb: EmbeddingSet, path: str, fmt: str) -> None:
-    """Save embeddings to ``path`` in the explicitly named format."""
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown embedding format {fmt!r}")
-    with open(path, "wb") as f:
-        save_text(emb, f) if fmt == "text" else save_binary(emb, f)

@@ -11,7 +11,7 @@ tab-separated machine line with a fixed field order (see
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from ._names import MACHINE_FIELDS
@@ -104,27 +104,11 @@ def evaluate_exclusive(
     pred: Sequence[str],
     classes: Sequence[str] | None = None,
 ) -> EvalReport:
-    """Score single-label predictions against single-label gold."""
-    if len(gold) != len(pred):
-        raise ValueError(f"{len(gold)} gold labels vs {len(pred)} predictions")
-    if len(gold) < 1:
-        raise ValueError("need at least one instance")
-    order = _resolve_classes(gold, pred, classes)
-    n = len(gold)
-    accuracy = sum(g == p for g, p in zip(gold, pred)) / n
-    per_class: dict[str, ClassScores] = {}
-    for c in order:
-        tp = sum(1 for g, p in zip(gold, pred) if g == c and p == c)
-        fp = sum(1 for g, p in zip(gold, pred) if g != c and p == c)
-        fn = sum(1 for g, p in zip(gold, pred) if g == c and p != c)
-        p, r, f1 = _prf(tp, fp, fn)
-        per_class[c] = ClassScores(p, r, f1, tp + fn)
-    return EvalReport(
-        mode="exclusive",
-        n=n,
-        accuracy=accuracy,
-        **_weighted(per_class, n),
-    )
+    """Score single-label predictions against single-label gold: the
+    multilabel scores of one-label sets, whose weighted averages weight by
+    the same supports, without the set-only fields."""
+    report = evaluate_multilabel([(g,) for g in gold], [(p,) for p in pred], classes)
+    return replace(report, mode="exclusive", jaccard=None, micro_f1=None, macro_f1=None)
 
 
 def evaluate_multilabel(

@@ -7,10 +7,11 @@ predicts the center word through a negative-sampling objective trained
 by SGD. Multilabel documents are presented once per label.
 
 Gradients are applied word2vec-style: the full context-side update is
-added to the class vector and to each context word vector. Training
-works on the corpus rows alone, one row per corpus token for both input
-and output vectors, so one row index names both at a position. The
-export writes the tuned rows back into a copy of the merged matrix, at
+added to the class vector and to each context word vector. A run trains
+on the corpus the merged model's vocabulary counted, and works on the
+corpus rows alone, one row per corpus token for both input and output
+vectors, so one row index names both at a position. The export writes
+the tuned rows back into a copy of the merged matrix, at
 ``MergedModel.rows``, so the rows of other words come out bit-identical.
 
 All training arithmetic runs in 64-bit; the tuned rows are cast back to
@@ -28,13 +29,12 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from . import _kernel
 from ._kernel import NS_RESAMPLE_ATTEMPTS
-from .corpus import Document, LabeledCorpus
+from .corpus import Document
 from .embedding_io import EmbeddingSet
 from .vocab import MergedModel, Vocabulary
 
@@ -308,27 +308,22 @@ def _train_passes(
 
 def _doc_passes(state: TrainState, doc: Document) -> list[tuple[np.ndarray, int]]:
     """One ``(idx, label_id)`` pass per label of ``doc``, sharing one row
-    array; a token outside the vocabulary gets row -1."""
-    idx = np.fromiter(
-        map(state.index.get, doc.tokens, repeat(-1)), np.int64, len(doc.tokens)
-    )
+    array."""
+    idx = np.fromiter(map(state.index.__getitem__, doc.tokens), np.int64, len(doc.tokens))
     return [(idx, state.class_index[l]) for l in doc.labels]
 
 
-def init_state(
-    model: MergedModel, corpus: LabeledCorpus, cfg: FinetuneConfig
-) -> TrainState:
+def init_state(model: MergedModel, cfg: FinetuneConfig) -> TrainState:
     """Build the initial training state for ``finetune``.
 
-    The rows, their index and the counts come from the vocabulary
-    ``model`` was merged over, which must be that of ``corpus``
-    (``merge(pretrained, build_vocab(corpus))``): ``finetune`` checks
-    that exactly, token by token and count by count. Consumes the head of
-    the seeded rng stream for the class-vector initialization (uniform
-    [-0.5/m, +0.5/m), the same scheme used for unseen words), then one
-    uint64 of it for the noise key.
+    The rows, their index, the counts and the corpus come from the
+    vocabulary ``model`` was merged over. Consumes the head of the seeded
+    rng stream for the class-vector initialization (uniform [-0.5/m,
+    +0.5/m), the same scheme used for unseen words), then one uint64 of it
+    for the noise key.
     """
     vocab = model.vocab
+    corpus = vocab.corpus
     emb = model.embedding
     m = emb.dim
     rng = np.random.default_rng(cfg.seed)
@@ -364,31 +359,24 @@ def _check_finite(state: TrainState, epoch: int) -> None:
 
 
 def finetune(
-    model: MergedModel, corpus: LabeledCorpus, cfg: FinetuneConfig = FinetuneConfig()
+    model: MergedModel, cfg: FinetuneConfig = FinetuneConfig()
 ) -> tuple[EmbeddingSet, ClassVectors]:
-    """Run the full fine-tuning loop and export the tuned embeddings.
+    """Run the full fine-tuning loop over the corpus ``model`` was merged
+    over, ``model.vocab.corpus``, and export the tuned embeddings.
 
     Returns a copy of the merged matrix with the tuned corpus rows written
     back, as an :class:`EmbeddingSet` over the merged vocabulary (class
     vectors are excluded from it), together with the per-class vectors.
-    Bit-reproducible for a fixed seed. Raises ``ValueError`` unless
-    ``corpus`` is exactly the one ``model`` was merged over. Trains each
-    epoch in one call of the compiled kernel, built on first use, or of
-    the numpy reference where no C compiler is available.
+    Bit-reproducible for a fixed seed. Trains each epoch in one call of
+    the compiled kernel, built on first use, or of the numpy reference
+    where no C compiler is available.
     """
-    state = init_state(model, corpus, cfg)
+    state = init_state(model, cfg)
+    docs = model.vocab.corpus.docs
     shuffle_rng = np.random.default_rng((cfg.seed, _SHUFFLE_STREAM))
-    order = np.arange(len(corpus.docs))
+    order = np.arange(len(docs))
     # token -> row mapping depends only on the document, so do it once per run
-    doc_passes = [_doc_passes(state, doc) for doc in corpus.docs]
-    # the corpus merged over: every token has a row, and each row occurs
-    # as often as the vocabulary counted it, once per document
-    rows = np.concatenate([passes[0][0] for passes in doc_passes])
-    if rows.min() < 0 or not np.array_equal(
-        np.bincount(rows, minlength=len(model.vocab)), model.vocab.counts
-    ):
-        raise ValueError("the model was merged over another corpus: merge() "
-                         "must precede finetune() on the same corpus")
+    doc_passes = [_doc_passes(state, doc) for doc in docs]
     for epoch in range(1, cfg.epochs + 1):
         if cfg.shuffle:
             shuffle_rng.shuffle(order)

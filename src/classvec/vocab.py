@@ -3,12 +3,14 @@
 The merged matrix seeds fine-tuning: pretrained rows are copied verbatim,
 and corpus words missing from the pretrained set get small seeded random
 vectors. Training touches only the rows of corpus words, which
-``MergedModel.rows`` alone maps from vocabulary rows.
+``MergedModel.rows`` alone maps from vocabulary rows. The vocabulary keeps
+the corpus it counted, so a merged model carries the documents it is
+tuned on.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -21,10 +23,12 @@ from .embedding_io import EmbeddingSet
 @dataclass(frozen=True)
 class Vocabulary:
     """Corpus tokens: ``index`` maps each to its row, in order of first
-    appearance, and ``counts`` (read-only int64) holds each row's count."""
+    appearance, and ``counts`` (read-only int64) holds each row's count.
+    ``corpus`` is the corpus counted."""
 
     index: dict[str, int]
     counts: np.ndarray
+    corpus: LabeledCorpus = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.index)
@@ -42,8 +46,9 @@ class MergedModel:
     """Pretrained vectors extended over the corpus vocabulary.
 
     ``vocab`` is the corpus vocabulary the model was merged over, which
-    training reuses: it tunes the rows of ``vocab``'s tokens, found through
-    :attr:`rows`, and every other row of ``embedding`` stays frozen.
+    training reuses: it trains on ``vocab.corpus`` and tunes the rows of
+    ``vocab``'s tokens, found through :attr:`rows`; every other row of
+    ``embedding`` stays frozen.
     ``unseen`` lists the corpus tokens that had no pretrained vector.
     """
 
@@ -68,11 +73,12 @@ class MergedModel:
 
 def build_vocab(corpus: LabeledCorpus) -> Vocabulary:
     """Count every distinct corpus token, each document once whatever its
-    label count; rows follow first appearance."""
+    label count; rows follow first appearance. The vocabulary keeps
+    ``corpus``."""
     counts = Counter(chain.from_iterable(d.tokens for d in corpus.docs))
     array = np.fromiter(counts.values(), np.int64, len(counts))
     array.flags.writeable = False
-    return Vocabulary({t: i for i, t in enumerate(counts)}, array)
+    return Vocabulary({t: i for i, t in enumerate(counts)}, array, corpus)
 
 
 def unseen_words(vocab: Vocabulary, pretrained: EmbeddingSet) -> list[str]:
@@ -99,5 +105,5 @@ def merge(pretrained: EmbeddingSet, vocab: Vocabulary, seed: int) -> MergedModel
     unseen = unseen_words(vocab, pretrained)
     new_rows = init_unseen(unseen, pretrained.dim, seed)
     words = pretrained.words + unseen
-    matrix = np.vstack([pretrained.matrix, new_rows]) if unseen else pretrained.matrix.copy()
+    matrix = np.vstack([pretrained.matrix, new_rows])
     return MergedModel(EmbeddingSet(words, matrix), tuple(unseen), vocab)

@@ -60,7 +60,7 @@ def train_epochs() -> None:
     kernel, states = _kernel.train_chunk, []
     for train in (kernel, trainer._reference_chunk):
         _kernel.train_chunk = train
-        state = trainer.init_state(model, corpus, cfg)
+        state = trainer.init_state(model, cfg)
         state.positions_done = 2**32 + 1
         state.total_positions += 2**32 + 1
         passes = [p for d in corpus.docs for p in trainer._doc_passes(state, d)]

@@ -201,7 +201,7 @@ def test_criterion_2_unused_pretrained_rows_are_bit_frozen():
     corpus = from_documents(docs)
     model = merge(pretrained, build_vocab(corpus), seed=7)
     assert set(model.unseen) == set(unseen)
-    tuned, _ = finetune(model, corpus, FinetuneConfig(epochs=10, seed=1))
+    tuned, _ = finetune(model, FinetuneConfig(epochs=10, seed=1))
 
     frozen = [f"pre{i}" for i in range(20, 50)]
     frozen_ok = all(
@@ -224,7 +224,7 @@ def test_criterion_3_exclusive_markers_diverge_toward_their_class():
     emb, corpus = divergence_corpus()
     pre = cos(emb.vector("good"), emb.vector("bad"))
     model = merge(emb, build_vocab(corpus), seed=11)
-    tuned, cv = finetune(model, corpus, FinetuneConfig(seed=1))
+    tuned, cv = finetune(model, FinetuneConfig(seed=1))
     post = cos(tuned.vector("good"), tuned.vector("bad"))
     g_own = cos(tuned.vector("good"), cv.vector("pos"))
     g_other = cos(tuned.vector("good"), cv.vector("neg"))
@@ -258,7 +258,7 @@ def test_criterion_4_finetuning_beats_frozen_features_downstream():
     wins = 0
     frozen_accs, tuned_accs = [], []
     for seed in range(10):
-        tuned, _ = finetune(model, train, FinetuneConfig(seed=seed))
+        tuned, _ = finetune(model, FinetuneConfig(seed=seed))
         cfg = ClassifierConfig(seed=seed)
         a_frozen = accuracy(train_classifier(train, emb, cfg), emb)
         a_tuned = accuracy(train_classifier(train, tuned, cfg), tuned)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -16,9 +17,9 @@ import numpy as np
 import pytest
 
 import classvec
-from classvec import _kernel
+from classvec import _kernel, cli
 from classvec.cli import build_parser, main
-from classvec.embedding_io import EmbeddingSet, load_file, save_file
+from classvec.embedding_io import EmbeddingSet, load_file, save_binary, save_text
 
 from _constructions import disable_kernel
 
@@ -36,7 +37,8 @@ def _write_pretrained(path: str, fmt: str = "text") -> EmbeddingSet:
             words.append(f"{label}{i}")
             rows.append(center + rng.normal(0, 0.3, 6))
     emb = EmbeddingSet(words, np.array(rows, dtype=np.float32))
-    save_file(emb, path, fmt)
+    with open(path, "wb") as f:
+        (save_text if fmt == "text" else save_binary)(emb, f)
     return emb
 
 
@@ -294,9 +296,8 @@ class TestClassifierCommands:
             "--out", model,
         ]) == 0
         other = str(tmp_path / "other.txt")
-        save_file(
-            EmbeddingSet(["spam0"], np.ones((1, 3), np.float32)), other, "text"
-        )
+        with open(other, "wb") as f:
+            save_text(EmbeddingSet(["spam0"], np.ones((1, 3), np.float32)), f)
         rc = main(["eval", "--model", model, "--embeddings", other,
                    "--corpus", corpus])
         assert rc == 1
@@ -530,6 +531,30 @@ class TestReadme:
         assert 0.0 <= float(capsys.readouterr().out) <= 1.0
 
 
+class TestTracer:
+    """The benchmark's tracer, read from ``perfbench/tracing.py``, wraps the
+    names it spans in ``classvec.cli``; a rename there breaks traced runs."""
+
+    def test_spans_the_stages_of_a_finetune(self, workspace, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "tracing", tracing)  # for its dataclass
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer(cli)
+        tmp_path, pre, corpus = workspace
+        with tracer.installed():
+            code, _ = tracer.run_stage("finetune", [
+                "finetune", "--pretrained", pre, "--corpus", corpus,
+                "--out", str(tmp_path / "tuned.txt"), "--epochs", "1",
+            ])
+        assert code == 0
+        names = [span.name for span in tracer.spans]
+        for name in ("load_file", "load_tsv", "build_vocab", "merge", "finetune",
+                     "save_text", "drift", "cli"):
+            assert name in names
+
+
 class TestSubprocess:
     def test_streams_and_exit_code(self, tmp_path):
         pre = str(tmp_path / "pre.txt")
@@ -668,8 +693,10 @@ class TestStartup:
         words = [f"t{i}" for i in range(rows)]
         before, after = str(tmp_path / "before.txt"), str(tmp_path / "after.txt")
         matrix = rng.normal(size=(rows, 4)).astype(np.float32)
-        save_file(EmbeddingSet(words, matrix), before, "text")
-        save_file(EmbeddingSet(words, matrix + np.float32(0.5)), after, "text")
+        with open(before, "wb") as f:
+            save_text(EmbeddingSet(words, matrix), f)
+        with open(after, "wb") as f:
+            save_text(EmbeddingSet(words, matrix + np.float32(0.5)), f)
         proc = _classvec("drift", "--before", before, "--after", after,
                          "--top", str(rows))
         assert proc.returncode == 0, proc.stderr

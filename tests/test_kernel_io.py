@@ -392,8 +392,7 @@ def test_unavailable_kernel_gives_the_same_text_io(monkeypatch, caplog):
         assert _save(emb) == data
         assert load_text(io.BytesIO(data)).matrix.tobytes() == emb.matrix.tobytes()
         assert load_text(io.BytesIO(data[:-1])).matrix.tobytes() == emb.matrix.tobytes()
-        finetune(merge(pretrained, build_vocab(corpus), seed=1), corpus,
-                 FinetuneConfig(epochs=1))
+        finetune(merge(pretrained, build_vocab(corpus), seed=1), FinetuneConfig(epochs=1))
     # one warning per process, however many callers find the library missing
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and "no C compiler" in warnings[0]

@@ -163,7 +163,7 @@ class TestLrSchedule:
 class TestNsLossAndGrads:
     def _state(self, n_out=12, dim=6, negative=5, out_seed=None):
         model, corpus = small_setup(n_vocab=n_out, dim=dim)
-        state = init_state(model, corpus, FinetuneConfig(negative=negative))
+        state = init_state(model, FinetuneConfig(negative=negative))
         if out_seed is not None:
             rng = np.random.default_rng(out_seed)
             state.output_matrix = rng.normal(0, 1, state.output_matrix.shape)
@@ -241,7 +241,7 @@ class TestSampleNegatives:
 
     def _block(self, n_vocab, centers, key, first=0):
         model, corpus = small_setup(n_vocab=n_vocab)
-        table = init_state(model, corpus, FinetuneConfig()).noise_table
+        table = init_state(model, FinetuneConfig()).noise_table
         return table, _sample_negatives(table, centers, key, first, 5)
 
     def test_never_returns_center_and_stays_in_range(self):
@@ -283,7 +283,7 @@ class TestTrainDocument:
 
     def test_position_accounting(self):
         model, corpus = small_setup()
-        state = init_state(model, corpus, FinetuneConfig(epochs=1))
+        state = init_state(model, FinetuneConfig(epochs=1))
         doc = corpus.docs[0]
         loss, trained, shortfall = _train_doc(state, doc)
         assert state.positions_done == trained == len(doc.tokens)
@@ -296,7 +296,7 @@ class TestTrainDocument:
                 Document(("t3", "t4"), ("x",))]
         corpus = from_documents(docs)
         model = merge(emb, build_vocab(corpus), seed=1)
-        state = init_state(model, corpus, FinetuneConfig(epochs=1))
+        state = init_state(model, FinetuneConfig(epochs=1))
         assert state.total_positions == 3 * 2 + 2
         _train_doc(state, docs[0])
         assert state.positions_done == 6
@@ -305,7 +305,7 @@ class TestTrainDocument:
         # a single-token document has no context words, so only the class
         # vector and the center's output row may receive updates
         model, corpus = small_setup()
-        state = init_state(model, corpus, FinetuneConfig())
+        state = init_state(model, FinetuneConfig())
         before = state.input_matrix.copy()
         loss, _, shortfall = _train_doc(state, Document(("t3",), ("one",)))
         # all-zero output vectors: every logit is 0, each term costs ln 2
@@ -318,7 +318,7 @@ class TestTrainDocument:
         # the very first update sees all-zero output vectors, so dL/dh = 0;
         # from the second pass on the class vector must move
         model, corpus = small_setup()
-        state = init_state(model, corpus, FinetuneConfig())
+        state = init_state(model, FinetuneConfig())
         doc = Document(("t3",), ("one",))
         before = state.class_vectors.copy()
         _train_doc(state, doc)
@@ -328,29 +328,17 @@ class TestTrainDocument:
 
     def test_alpha_follows_schedule(self):
         model, corpus = small_setup(n_docs=1, doc_len=2)
-        state = init_state(model, corpus, FinetuneConfig(epochs=1))
+        state = init_state(model, FinetuneConfig(epochs=1))
         _train_doc(state, corpus.docs[0])
         # two total positions: the last one trains at alpha0 * (1 - 1/2)
         assert state.total_positions == 2
         assert state.alpha == 0.0125
 
-    def test_unmerged_token_is_an_error(self):
-        # a token outside the vocabulary maps to row -1; a document of such
-        # tokens alone leaves every counted row's count as it was, so the
-        # check must catch the row itself
-        model, corpus = small_setup()
-        state = init_state(model, corpus, FinetuneConfig())
-        [(idx, _)] = trainer._doc_passes(state, Document(("t3", "never-seen"), ("one",)))
-        assert idx.tolist() == [state.index["t3"], -1]
-        extra = from_documents(corpus.docs + (Document(("never-seen",), ("one",)),))
-        with pytest.raises(ValueError, match="merge\\(\\) must precede"):
-            finetune(model, extra, FinetuneConfig(epochs=1))
-
 
 class TestInitState:
     def test_class_vectors_use_rng_head(self):
         model, corpus = small_setup(dim=8)
-        state = init_state(model, corpus, FinetuneConfig(seed=9))
+        state = init_state(model, FinetuneConfig(seed=9))
         rng = np.random.default_rng(9)
         expected = (rng.random((2, 8)) - 0.5) / 8
         np.testing.assert_array_equal(state.class_vectors, expected)
@@ -362,7 +350,7 @@ class TestInitState:
     def test_matrices_and_totals(self):
         model, corpus = small_setup(n_vocab=60)  # some pretrained rows unused
         cfg = FinetuneConfig(epochs=4)
-        state = init_state(model, corpus, cfg)
+        state = init_state(model, cfg)
         vocab = build_vocab(corpus)
         assert state.output_matrix.shape == (len(vocab), 8)
         assert not state.output_matrix.any()  # zero-initialized
@@ -382,7 +370,7 @@ class TestInitState:
         corpus = from_documents([Document(("t0", "novel"), ("c",))])
         model = MergedModel(emb, (), build_vocab(corpus))
         with pytest.raises(ValueError, match="merge\\(\\) must precede"):
-            init_state(model, corpus, FinetuneConfig())
+            init_state(model, FinetuneConfig())
 
     def test_counts_come_from_the_merged_vocabulary(self, monkeypatch):
         model, corpus = small_setup()
@@ -391,34 +379,18 @@ class TestInitState:
             raise AssertionError("the corpus was counted again")
 
         monkeypatch.setattr(vocab_module, "build_vocab", count_again)
-        state = init_state(model, corpus, FinetuneConfig())
+        state = init_state(model, FinetuneConfig())
         assert state.index is model.vocab.index
         assert state.noise_table.tobytes() == build_noise_table(model.vocab).tobytes()
-
-    def test_corpus_other_than_the_merged_one_is_rejected(self):
-        model, corpus = small_setup()
-        shorter = from_documents(corpus.docs[:-1])
-        with pytest.raises(ValueError, match="merge\\(\\) must precede"):
-            finetune(model, shorter, FinetuneConfig(epochs=1))
-        # the same tokens and token total, in other counts
-        merged_over = from_documents([Document(("a", "a", "b"), ("x",)),
-                                      Document(("b", "c"), ("y",))])
-        other = from_documents([Document(("a", "b", "b"), ("x",)),
-                                Document(("c", "c"), ("y",))])
-        emb = random_embedding(np.random.default_rng(66), 3, 4)
-        model = merge(emb, build_vocab(merged_over), seed=1)
-        finetune(model, merged_over, FinetuneConfig(epochs=1))
-        with pytest.raises(ValueError, match="merge\\(\\) must precede"):
-            finetune(model, other, FinetuneConfig(epochs=1))
 
 
 class TestFinetune:
     def test_deterministic_in_seed(self):
         model, corpus = small_setup()
         cfg = FinetuneConfig(epochs=2, seed=5)
-        t1, c1 = finetune(model, corpus, cfg)
-        t2, c2 = finetune(model, corpus, cfg)
-        t3, _ = finetune(model, corpus, FinetuneConfig(epochs=2, seed=6))
+        t1, c1 = finetune(model, cfg)
+        t2, c2 = finetune(model, cfg)
+        t3, _ = finetune(model, FinetuneConfig(epochs=2, seed=6))
         assert t1.matrix.tobytes() == t2.matrix.tobytes()
         assert c1.matrix.tobytes() == c2.matrix.tobytes()
         assert t1.matrix.tobytes() != t3.matrix.tobytes()
@@ -430,7 +402,7 @@ class TestFinetune:
                 Document(("t2", "t0", "extra"), ("d",))]
         corpus = from_documents(docs)
         model = merge(emb, build_vocab(corpus), seed=1)
-        tuned, _ = finetune(model, corpus, FinetuneConfig(epochs=3))
+        tuned, _ = finetune(model, FinetuneConfig(epochs=3))
         for w in emb.words:
             if w not in {"t0", "t1", "t2"}:
                 assert tuned.vector(w).tobytes() == emb.vector(w).tobytes()
@@ -448,10 +420,10 @@ class TestFinetune:
         corpus = from_documents(docs)
         model = merge(emb, build_vocab(corpus), seed=1)
         cfg = FinetuneConfig(epochs=2, seed=3)
-        finetune(*small_setup(), cfg)  # first-call imports and the kernel's load
+        finetune(small_setup()[0], cfg)  # first-call imports and the kernel's load
         tracemalloc.start()
         try:
-            tuned, _ = finetune(model, corpus, cfg)
+            tuned, _ = finetune(model, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -462,13 +434,13 @@ class TestFinetune:
     def test_vanishing_learning_rate_changes_nothing(self):
         model, corpus = small_setup()
         cfg = FinetuneConfig(epochs=1, alpha0=2e-12, alpha_min=1e-12)
-        tuned, _ = finetune(model, corpus, cfg)
+        tuned, _ = finetune(model, cfg)
         assert tuned.matrix.tobytes() == model.embedding.matrix.tobytes()
 
     def test_mean_position_loss_decreases_over_epochs(self):
         model, corpus = small_setup()
         epochs = 6
-        state = init_state(model, corpus, FinetuneConfig(
+        state = init_state(model, FinetuneConfig(
             epochs=epochs, alpha0=0.003, alpha_min=1e-5, seed=1
         ))
         n_pos = sum(len(d.tokens) * len(d.labels) for d in corpus.docs)
@@ -488,27 +460,17 @@ class TestFinetune:
 
     def test_returns_float32_over_merged_vocabulary(self):
         model, corpus = small_setup()
-        tuned, cv = finetune(model, corpus, FinetuneConfig(epochs=1))
+        tuned, cv = finetune(model, FinetuneConfig(epochs=1))
         assert tuned.words == model.embedding.words
         assert tuned.matrix.dtype == np.float32
         assert cv.classes == corpus.classes
         assert cv.matrix.dtype == np.float32
         assert cv.matrix.shape == (2, 8)
 
-    def test_unmerged_corpus_is_an_error(self):
-        rng = np.random.default_rng(63)
-        emb = random_embedding(rng, 3, 4)
-        corpus = from_documents([Document(("t0", "novel"), ("c",))])
-        bad_model = merge(emb, build_vocab(from_documents(
-            [Document(("t0",), ("c",))]
-        )), seed=1)
-        with pytest.raises(ValueError, match="merge\\(\\) must precede"):
-            finetune(bad_model, corpus, FinetuneConfig(epochs=1))
-
     def test_logs_one_line_per_epoch(self, caplog):
         model, corpus = small_setup(n_docs=4)
         with caplog.at_level(logging.INFO, logger="classvec.trainer"):
-            finetune(model, corpus, FinetuneConfig(epochs=2))
+            finetune(model, FinetuneConfig(epochs=2))
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "classvec.trainer"]
         assert any("epoch 1/2" in l for l in lines)
@@ -528,14 +490,14 @@ class TestFinetune:
                 warnings.simplefilter("error")
                 with pytest.raises(FloatingPointError,
                                    match="^non-finite values after epoch 1$"):
-                    finetune(model, corpus, cfg)
+                    finetune(model, cfg)
 
     def test_shuffle_is_seeded_and_changes_the_run(self):
         model, corpus = small_setup()
         cfg = FinetuneConfig(epochs=2, shuffle=True, seed=4)
-        t1, _ = finetune(model, corpus, cfg)
-        t2, _ = finetune(model, corpus, cfg)
-        t3, _ = finetune(model, corpus, FinetuneConfig(epochs=2, seed=4))
+        t1, _ = finetune(model, cfg)
+        t2, _ = finetune(model, cfg)
+        t3, _ = finetune(model, FinetuneConfig(epochs=2, seed=4))
         assert t1.matrix.tobytes() == t2.matrix.tobytes()
         assert t1.matrix.tobytes() != t3.matrix.tobytes()
 
@@ -563,7 +525,7 @@ class TestFrequencyMajority:
         model = merge(emb, build_vocab(corpus), seed=11)
         for seed in (0, 1, 2):
             cfg = FinetuneConfig(seed=seed, alpha0=0.0025, alpha_min=1e-5)
-            tuned, cv = finetune(model, corpus, cfg)
+            tuned, cv = finetune(model, cfg)
             y, z = tuned.vector("y"), tuned.vector("z")
             a, b = cv.vector("A"), cv.vector("B")
             assert cos(y, a) - cos(y, b) > 0.1
@@ -599,7 +561,7 @@ def _kernel_setup(skewed: bool):
 
 def _train_two_epochs(model, corpus, cfg, train):
     """Two epochs, each document in a call of ``train`` of its own."""
-    state = init_state(model, corpus, cfg)
+    state = init_state(model, cfg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "train_chunk", train)
         stats = [_train_doc(state, d) for _ in range(2) for d in corpus.docs]
@@ -634,7 +596,7 @@ def _split_epochs(model, corpus, cfg, train, split=None, first=0):
     after position ``split`` that lies between two passes of one document.
     Training starts at run-wide position ``first``. Returns the state, the
     per-epoch stats and per call its pass lengths."""
-    state = init_state(model, corpus, cfg)
+    state = init_state(model, cfg)
     state.positions_done = first
     state.total_positions += first
     calls = []
@@ -707,12 +669,17 @@ def _assert_close_states(fast, ref):
 
 
 class TestKernel:
-    # 40 negatives over ~17 noise rows: repeated output rows at every step
-    @pytest.mark.parametrize("negative", [4, 40])
+    # 40 negatives over ~17 noise rows: repeated output rows at every step;
+    # windows past 2^63 - n overflow p + window + 1 in int64, and windows
+    # past 2^64 wrap in ctypes, unless they are clamped to the positions
+    @pytest.mark.parametrize("negative, window", [
+        (4, 3), (40, 3), (4, 2**63 - 3), (4, 2**64 + 7),
+    ], ids=["4", "40", "4-window9223372036854775805", "4-window18446744073709551623"])
     @pytest.mark.parametrize("skewed", [False, True])
-    def test_matches_reference_on_identical_draws(self, kernel, negative, skewed):
+    def test_matches_reference_on_identical_draws(self, kernel, negative, window, skewed):
         model, corpus = _kernel_setup(skewed)
-        cfg = FinetuneConfig(epochs=2, window=3, negative=negative, alpha0=0.05, seed=8)
+        cfg = FinetuneConfig(epochs=2, window=window, negative=negative, alpha0=0.05,
+                             seed=8)
         ref, ref_stats = _train_two_epochs(model, corpus, cfg, trainer._reference_chunk)
         fast, fast_stats = _train_two_epochs(model, corpus, cfg, kernel)
         for name in ("input_matrix", "output_matrix", "class_vectors"):
@@ -751,7 +718,7 @@ class TestKernel:
     def test_chunks_match_the_reference_pass_by_pass(self, kernel, split, skewed):
         model, corpus = _varied_setup(skewed)
         cfg = FinetuneConfig(epochs=2, window=3, negative=4, alpha0=0.05, seed=8)
-        ref = init_state(model, corpus, cfg)
+        ref = init_state(model, cfg)
         ref_stats = np.array([_per_pass_epoch(ref, corpus) for _ in range(cfg.epochs)])
         fast, fast_stats, calls = _split_epochs(model, corpus, cfg, kernel, split)
         _assert_close_states(fast, ref)
@@ -773,7 +740,7 @@ class TestKernel:
         # pass's positions, so grouping changes no byte of its result
         model, corpus = _varied_setup(skewed=True)
         cfg = FinetuneConfig(epochs=2, window=3, negative=4, alpha0=0.05, seed=8)
-        ref = init_state(model, corpus, cfg)
+        ref = init_state(model, cfg)
         ref_stats = np.array([_per_pass_epoch(ref, corpus) for _ in range(cfg.epochs)])
         slow, slow_stats, _ = _split_epochs(
             model, corpus, cfg, trainer._reference_chunk, split
@@ -808,7 +775,7 @@ class TestKernel:
         monkeypatch.setattr(np.random, "default_rng", lambda *a: Recording(default_rng(*a)))
         monkeypatch.setattr(_kernel, "train_chunk", counting)
         cfg = FinetuneConfig(epochs=3, seed=9, shuffle=True)
-        finetune(model, corpus, cfg)
+        finetune(model, cfg)
         positions = sum(len(d.tokens) * len(d.labels) for d in corpus.docs)
         assert calls == [positions] * cfg.epochs
         # init_state draws the class vectors and the key; then only the
@@ -822,8 +789,8 @@ class TestKernel:
         monkeypatch.setattr(trainer, "_reference_pass", no_reference)
         model, corpus = _kernel_setup(skewed=False)
         cfg = FinetuneConfig(epochs=2, seed=9)
-        t1, c1 = finetune(model, corpus, cfg)
-        t2, c2 = finetune(model, corpus, cfg)
+        t1, c1 = finetune(model, cfg)
+        t2, c2 = finetune(model, cfg)
         assert t1.matrix.tobytes() == t2.matrix.tobytes()
         assert c1.matrix.tobytes() == c2.matrix.tobytes()
 
@@ -832,8 +799,8 @@ class TestKernel:
         # a call of its own must give the same bytes
         model, corpus = _kernel_setup(skewed=False)
         cfg = FinetuneConfig(epochs=2, seed=12, shuffle=True)
-        tuned, classes = finetune(model, corpus, cfg)
-        ref = init_state(model, corpus, cfg)
+        tuned, classes = finetune(model, cfg)
+        ref = init_state(model, cfg)
         shuffle_rng = np.random.default_rng((cfg.seed, trainer._SHUFFLE_STREAM))
         order = np.arange(len(corpus.docs))
         for _ in range(cfg.epochs):
@@ -845,7 +812,7 @@ class TestKernel:
 
     def test_rejects_out_of_range_indices(self, kernel):
         model, corpus = small_setup()
-        state = init_state(model, corpus, FinetuneConfig(negative=2))
+        state = init_state(model, FinetuneConfig(negative=2))
         before = state.output_matrix.copy()
         idx = np.array([0, len(state.output_matrix)], dtype=np.int64)
         with pytest.raises(IndexError):
@@ -865,7 +832,7 @@ class TestKernel:
         # three passes of three positions; the fault sits in the last one,
         # after two passes the kernel could already have trained
         model, corpus = small_setup()
-        state = init_state(model, corpus, FinetuneConfig(negative=2, seed=4))
+        state = init_state(model, FinetuneConfig(negative=2, seed=4))
         _train_doc(state, corpus.docs[0])  # nonzero outputs: every step writes
         idx = np.arange(9, dtype=np.int64)
         chunk = trainer.Chunk(
@@ -939,7 +906,7 @@ class TestKernel:
         self, kernel, name, spoil
     ):
         model, corpus = small_setup()
-        state = init_state(model, corpus, FinetuneConfig(negative=2))
+        state = init_state(model, FinetuneConfig(negative=2))
         setattr(state, name, spoil(getattr(state, name)))
         before = [a.copy() for a in (state.input_matrix, state.output_matrix,
                                      state.class_vectors)]
@@ -950,14 +917,14 @@ class TestKernel:
         for a, b in zip(after, before):
             assert a.tobytes() == b.tobytes()
         # the same call on intact arrays trains
-        state = init_state(model, corpus, FinetuneConfig(negative=2))
+        state = init_state(model, FinetuneConfig(negative=2))
         kernel(state, _one_pass(idx, 0, np.full(2, 0.025)))
         assert state.output_matrix.tobytes() != before[1].tobytes()
 
     def test_rejects_overlapping_matrices(self, kernel):
         # the C side takes the matrices as restrict pointers
         model, corpus = small_setup()
-        state = init_state(model, corpus, FinetuneConfig(negative=2))
+        state = init_state(model, FinetuneConfig(negative=2))
         state.class_vectors = state.input_matrix[:2]
         before = state.input_matrix.copy()
         idx = np.arange(2, dtype=np.int64)
@@ -977,12 +944,12 @@ class TestKernel:
         model, corpus = _kernel_setup(skewed=False)
         cfg = FinetuneConfig(epochs=2, seed=10)
         with caplog.at_level(logging.INFO, logger="classvec"):
-            tuned, _ = finetune(model, corpus, cfg)
+            tuned, _ = finetune(model, cfg)
         warnings = [r.getMessage() for r in caplog.records
                     if r.levelno == logging.WARNING]
         assert len(warnings) == 1 and "no C compiler" in warnings[0]
         assert any("epoch 2/2" in r.getMessage() for r in caplog.records)
-        ref = init_state(model, corpus, cfg)
+        ref = init_state(model, cfg)
         for _ in range(2):
             for doc in corpus.docs:
                 _train_doc(ref, doc)

@@ -26,6 +26,9 @@ class TestBuildVocab:
         assert vocab.total_tokens == 6
         assert len(vocab) == 3
         assert "a" in vocab and "z" not in vocab
+        # the counted corpus, which training reads, stays out of the repr
+        assert vocab.corpus is corpus
+        assert "corpus" not in repr(vocab)
 
     def test_multilabel_documents_count_tokens_once(self):
         corpus = from_documents([Document(("a", "a"), ("x", "y"))])
@@ -113,3 +116,4 @@ class TestMerge:
         assert model.unseen == ()
         assert model.embedding.words == pretrained.words
         assert model.embedding.matrix.tobytes() == pretrained.matrix.tobytes()
+        assert not np.shares_memory(model.embedding.matrix, pretrained.matrix)
