@@ -28,6 +28,7 @@ _MODULE_OF = {
     "FinetuneConfig": "trainer",
     "LabeledCorpus": "corpus",
     "MergedModel": "vocab",
+    "TunedEmbedding": "vocab",
     "Vocabulary": "vocab",
     "build_vocab": "vocab",
     "cosine": "analysis",

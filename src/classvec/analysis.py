@@ -106,6 +106,30 @@ def _quantile(ascending: np.ndarray, q: float) -> float:
     return float(b - d * (1 - t) if t >= 0.5 else a + d * t)
 
 
+def _pair_stats(vb: np.ndarray, va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine and the shift of each row pair of two blocks, compared
+    in float64. The cosine of a pair with a zero-norm side is 1.0 when both
+    rows are identical, else 0.0."""
+    vb, va = vb.astype(np.float64), va.astype(np.float64)
+    diff = va - vb
+    shift = np.sqrt(_rowdot(diff, diff))
+    nb, na = np.sqrt(_rowdot(vb, vb)), np.sqrt(_rowdot(va, va))
+    zero = (nb == 0.0) | (na == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.clip(_rowdot(vb, va) / (nb * na), -1.0, 1.0)
+    return np.where(zero, np.where(shift == 0.0, 1.0, 0.0), cos), shift
+
+
+def _summary(cosines: np.ndarray, shifts: np.ndarray) -> dict[str, float]:
+    """The quantiles of a drift report, from both statistics sorted
+    ascending."""
+    return {
+        f"{name}_{tag}": _quantile(ascending, q)
+        for name, ascending in (("cosine", cosines), ("shift", shifts))
+        for q, tag in _QUANTILES
+    }
+
+
 def drift(before: EmbeddingSet, after: EmbeddingSet) -> DriftReport:
     """Compare two embedding sets token by token.
 
@@ -130,27 +154,36 @@ def drift(before: EmbeddingSet, after: EmbeddingSet) -> DriftReport:
     shifts = np.empty(len(shared_b))
     for start in range(0, len(shared_b), BLOCK_ROWS):
         stop = start + BLOCK_ROWS
-        vb = before.matrix[shared_b[start:stop]].astype(np.float64)
-        va = after.matrix[shared_a[start:stop]].astype(np.float64)
-        diff = va - vb
-        shift = np.sqrt(_rowdot(diff, diff))
-        nb, na = np.sqrt(_rowdot(vb, vb)), np.sqrt(_rowdot(va, va))
-        zero = (nb == 0.0) | (na == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cos = np.clip(_rowdot(vb, va) / (nb * na), -1.0, 1.0)
-        cosines[start:stop] = np.where(zero, np.where(shift == 0.0, 1.0, 0.0), cos)
-        shifts[start:stop] = shift
+        cosines[start:stop], shifts[start:stop] = _pair_stats(
+            before.matrix[shared_b[start:stop]], after.matrix[shared_a[start:stop]]
+        )
     order = np.argsort(cosines, kind="stable")
     tokens = np.array(before.words, dtype=object)[shared_b[order]]
     cosines, shifts = cosines[order], shifts[order]
-    quantiles = {
-        f"{name}_{tag}": _quantile(ascending, q)
-        for name, ascending in (("cosine", cosines), ("shift", np.sort(shifts)))
-        for q, tag in _QUANTILES
-    }
     return DriftReport(
         entries=tuple(zip(tokens, cosines.tolist(), shifts.tolist())),
-        quantiles=quantiles,
+        quantiles=_summary(cosines, np.sort(shifts)),
         only_before=tuple(t for t in before.words if t not in after.index),
         only_after=tuple(t for t in after.words if t not in before.index),
     )
+
+
+def drift_summary(
+    before: np.ndarray, after: np.ndarray, unchanged: int = 0
+) -> dict[str, float]:
+    """The quantiles of :func:`drift` over the row pairs ``before[i]``,
+    ``after[i]`` and ``unchanged`` pairs of identical rows, which are not
+    compared: each enters as cosine exactly 1 and shift 0. For a caller
+    that knows which rows it left alone, such as ``finetune``."""
+    if len(before) + unchanged == 0:
+        raise ValueError("no row pairs to compare")
+    cosines = np.empty(len(before))
+    shifts = np.empty(len(before))
+    for start in range(0, len(before), BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
+        cosines[start:stop], shifts[start:stop] = _pair_stats(
+            before[start:stop], after[start:stop]
+        )
+    # cosines are at most 1 and shifts at least 0: the unchanged pairs sort last and first
+    return _summary(np.concatenate([np.sort(cosines), np.ones(unchanged)]),
+                    np.concatenate([np.zeros(unchanged), np.sort(shifts)]))

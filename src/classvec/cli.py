@@ -54,6 +54,7 @@ def _lazy(module: str, name: str) -> Callable:
 # every library function and class the commands call
 cosine = _lazy("analysis", "cosine")
 drift = _lazy("analysis", "drift")
+drift_summary = _lazy("analysis", "drift_summary")
 nearest_neighbors = _lazy("analysis", "nearest_neighbors")
 ClassifierConfig = _lazy("classifier", "ClassifierConfig")
 check_threshold = _lazy("classifier", "check_threshold")
@@ -70,6 +71,7 @@ evaluate_exclusive = _lazy("metrics", "evaluate_exclusive")
 evaluate_multilabel = _lazy("metrics", "evaluate_multilabel")
 FinetuneConfig = _lazy("trainer", "FinetuneConfig")
 finetune = _lazy("trainer", "finetune")
+TunedEmbedding = _lazy("vocab", "TunedEmbedding")
 build_vocab = _lazy("vocab", "build_vocab")
 merge = _lazy("vocab", "merge")
 
@@ -112,8 +114,7 @@ def _load_corpus(path: str, multilabel: bool):
         return load_tsv(f, multilabel=multilabel)
 
 
-def _print_drift_summary(report) -> None:
-    q = report.quantiles
+def _print_drift_summary(q: dict[str, float]) -> None:
     print(
         "drift\tcosine[min={cosine_min:.6f} p25={cosine_p25:.6f} "
         "median={cosine_median:.6f} p75={cosine_p75:.6f} "
@@ -154,13 +155,19 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     )
     tuned, class_vectors = finetune(model, cfg)
     save = save_text if args.format == "text" else save_binary
-    _atomic_write(args.out, lambda f: save(tuned, f))
+    _atomic_write(args.out, lambda f: save(TunedEmbedding(model, tuned), f))
     logger.info("wrote %s", args.out)
     if args.export_class_vectors:
         cv_set = EmbeddingSet(list(class_vectors.classes), class_vectors.matrix)
         _atomic_write(args.export_class_vectors, lambda f: save_text(cv_set, f))
         logger.info("wrote class vectors to %s", args.export_class_vectors)
-    _print_drift_summary(drift(pretrained, tuned))
+    # the corpus tokens with a pretrained row; the other pretrained rows
+    # are unchanged, and the unseen tokens have no row before
+    shared = model.rows < len(pretrained)
+    _print_drift_summary(drift_summary(
+        pretrained.matrix[model.rows[shared]], tuned[shared],
+        len(pretrained) - int(shared.sum()),
+    ))
     return 0
 
 
@@ -239,7 +246,7 @@ def cmd_drift(args: argparse.Namespace) -> int:
     before = load_file(args.before, args.format)
     after = load_file(args.after, args.format)
     report = drift(before, after)
-    _print_drift_summary(report)
+    _print_drift_summary(report.quantiles)
     print(
         f"shared={len(report.entries)}\tonly_before={len(report.only_before)}"
         f"\tonly_after={len(report.only_after)}"

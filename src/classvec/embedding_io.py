@@ -106,6 +106,12 @@ class EmbeddingSet:
         """Return the (read-only) vector for ``token``; KeyError if absent."""
         return self.matrix[self.index[token]]
 
+    def blocks(self) -> Iterator[tuple[list[str], np.ndarray]]:
+        """The tokens and rows of each block of ``BLOCK_ROWS`` rows, in
+        order, as the writers take them."""
+        for start in range(0, len(self), BLOCK_ROWS):
+            yield self.words[start:start + BLOCK_ROWS], self.matrix[start:start + BLOCK_ROWS]
+
 
 def _parse_header(line: bytes, what: str) -> tuple[int, int]:
     parts = line.split()
@@ -303,7 +309,9 @@ def load_text(source: BinaryIO) -> EmbeddingSet:
 
 
 def save_text(emb: EmbeddingSet, sink: BinaryIO) -> None:
-    """Write the word2vec text format.
+    """Write the word2vec text format of ``emb``: an :class:`EmbeddingSet`,
+    or anything else with its ``len``, ``dim`` and ``blocks()``, such as
+    ``vocab.TunedEmbedding``.
 
     Components are printed as ``'%.9g' % value`` prints them: 9
     significant digits, '.' decimal point, no locale; enough to
@@ -316,10 +324,8 @@ def save_text(emb: EmbeddingSet, sink: BinaryIO) -> None:
         raise ValueError("refusing to write an empty embedding set")
     sink.write(f"{len(emb)} {emb.dim}\n".encode("utf-8"))
     row_format = " ".join(["%.9g"] * emb.dim)
-    for start in range(0, len(emb), BLOCK_ROWS):
-        stop = start + BLOCK_ROWS
-        block = np.ascontiguousarray(emb.matrix[start:stop])
-        words = emb.words[start:stop]
+    for words, block in emb.blocks():
+        block = np.ascontiguousarray(block)
         text, ends = _kernel.format_rows(block) or ("", [-1] * len(block))
         lines, begin = [], 0
         for i, (w, end) in enumerate(zip(words, ends)):
@@ -444,14 +450,14 @@ def load_binary(source: BinaryIO) -> EmbeddingSet:
 
 
 def save_binary(emb: EmbeddingSet, sink: BinaryIO) -> None:
-    """Write the word2vec binary format; round trips bit-exactly."""
+    """Write the word2vec binary format of ``emb``, taken as
+    :func:`save_text` takes it; round trips bit-exactly."""
     if len(emb) < 1:
         raise ValueError("refusing to write an empty embedding set")
     sink.write(f"{len(emb)} {emb.dim}\n".encode("ascii"))
     row = np.dtype(f"V{4 * emb.dim}")  # one row's bytes, as one bytes object
-    for start in range(0, len(emb), BLOCK_ROWS):
-        words = emb.words[start:start + BLOCK_ROWS]
-        block = np.ascontiguousarray(emb.matrix[start:start + BLOCK_ROWS], dtype="<f4")
+    for words, block in emb.blocks():
+        block = np.ascontiguousarray(block, dtype="<f4")
         # token, space, vector per row: tokens hold no whitespace, so one
         # encode and split gives every token's bytes
         parts = [b" "] * (3 * len(words))

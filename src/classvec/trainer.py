@@ -10,12 +10,11 @@ Gradients are applied word2vec-style: the full context-side update is
 added to the class vector and to each context word vector. A run trains
 on the corpus the merged model's vocabulary counted, and works on the
 corpus rows alone, one row per corpus token for both input and output
-vectors, so one row index names both at a position. The export writes
-the tuned rows back into a copy of the merged matrix, at
-``MergedModel.rows``, so the rows of other words come out bit-identical.
+vectors, so one row index names both at a position. ``finetune`` returns
+those rows alone; the rows of other words stay the merged model's own.
 
 All training arithmetic runs in 64-bit; the tuned rows are cast back to
-32-bit floats at export. Each epoch is one call of
+32-bit floats at the end. Each epoch is one call of
 ``_kernel.train_chunk``, with the epoch's learning rates from one
 schedule call; where the kernel does not build, that call returns None
 and the numpy reference it is tested against trains the epoch, pass by
@@ -35,7 +34,6 @@ import numpy as np
 from . import _kernel
 from ._kernel import NS_RESAMPLE_ATTEMPTS
 from .corpus import Document
-from .embedding_io import EmbeddingSet
 from .vocab import MergedModel, Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -324,8 +322,7 @@ def init_state(model: MergedModel, cfg: FinetuneConfig) -> TrainState:
     """
     vocab = model.vocab
     corpus = vocab.corpus
-    emb = model.embedding
-    m = emb.dim
+    m = model.dim
     rng = np.random.default_rng(cfg.seed)
     classes = tuple(corpus.classes)
     class_vectors = (rng.random((len(classes), m)) - 0.5) / m
@@ -335,7 +332,7 @@ def init_state(model: MergedModel, cfg: FinetuneConfig) -> TrainState:
     )
     return TrainState(
         cfg=cfg,
-        input_matrix=emb.matrix[model.rows].astype(np.float64),
+        input_matrix=model.gather(model.rows).astype(np.float64),
         output_matrix=np.zeros((len(vocab), m), dtype=np.float64),
         class_vectors=class_vectors,
         noise_table=build_noise_table(vocab),
@@ -360,16 +357,16 @@ def _check_finite(state: TrainState, epoch: int) -> None:
 
 def finetune(
     model: MergedModel, cfg: FinetuneConfig = FinetuneConfig()
-) -> tuple[EmbeddingSet, ClassVectors]:
+) -> tuple[np.ndarray, ClassVectors]:
     """Run the full fine-tuning loop over the corpus ``model`` was merged
-    over, ``model.vocab.corpus``, and export the tuned embeddings.
+    over, ``model.vocab.corpus``.
 
-    Returns a copy of the merged matrix with the tuned corpus rows written
-    back, as an :class:`EmbeddingSet` over the merged vocabulary (class
-    vectors are excluded from it), together with the per-class vectors.
-    Bit-reproducible for a fixed seed. Trains each epoch in one call of
-    the compiled kernel, built on first use, or of the numpy reference
-    where no C compiler is available.
+    Returns the tuned rows of the corpus tokens (``|V_T| x m`` float32, in
+    vocabulary order) and the per-class vectors; every other merged row is
+    unchanged, and :class:`~classvec.vocab.TunedEmbedding` puts the two
+    together. Bit-reproducible for a fixed seed. Trains each epoch in one
+    call of the compiled kernel, built on first use, or of the numpy
+    reference where no C compiler is available.
     """
     state = init_state(model, cfg)
     docs = model.vocab.corpus.docs
@@ -393,9 +390,13 @@ def finetune(
             shortfall, loss / trained, state.alpha,
             trained / max(seconds, 1e-9),
         )
-    matrix = model.embedding.matrix.copy()
-    matrix[model.rows] = state.input_matrix
-    tuned = EmbeddingSet(model.embedding.words, matrix)
+    # rows finite in 64 bits can still lie beyond the 32-bit range
+    with np.errstate(over="ignore"):
+        tuned = state.input_matrix.astype(np.float32)
+    if not np.isfinite(tuned).all():
+        raise FloatingPointError(
+            f"tuned vectors exceed the float32 range after epoch {cfg.epochs}"
+        )
     class_vectors = ClassVectors(
         state.classes, state.class_vectors.astype(np.float32)
     )

@@ -1,23 +1,26 @@
 """Training vocabulary extraction and pretrained/corpus vocabulary merging.
 
-The merged matrix seeds fine-tuning: pretrained rows are copied verbatim,
-and corpus words missing from the pretrained set get small seeded random
-vectors. Training touches only the rows of corpus words, which
-``MergedModel.rows`` alone maps from vocabulary rows. The vocabulary keeps
-the corpus it counted, so a merged model carries the documents it is
-tuned on.
+A merged model seeds fine-tuning without copying the pretrained matrix:
+it holds the pretrained set and a small block of seeded random rows for
+the corpus words missing from it, and its row space is the pretrained
+rows followed by that block. Training touches only the rows of corpus
+words, which ``MergedModel.rows`` alone maps from vocabulary rows, and
+:class:`TunedEmbedding` writes the tuned rows back over them a block of
+rows at a time. The vocabulary keeps the corpus it counted, so a merged
+model carries the documents it is tuned on.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import ChainMap, Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
 from .corpus import LabeledCorpus
-from .embedding_io import EmbeddingSet
+from .embedding_io import BLOCK_ROWS, EmbeddingSet
 
 
 @dataclass(frozen=True)
@@ -45,21 +48,38 @@ class Vocabulary:
 class MergedModel:
     """Pretrained vectors extended over the corpus vocabulary.
 
-    ``vocab`` is the corpus vocabulary the model was merged over, which
-    training reuses: it trains on ``vocab.corpus`` and tunes the rows of
-    ``vocab``'s tokens, found through :attr:`rows`; every other row of
-    ``embedding`` stays frozen.
-    ``unseen`` lists the corpus tokens that had no pretrained vector.
+    The merged rows are those of ``pretrained`` followed by
+    ``unseen_matrix`` (read-only float32), the seeded rows of the corpus
+    tokens ``unseen`` that had no pretrained vector, in vocabulary order;
+    neither block is copied. ``vocab`` is the corpus vocabulary the model
+    was merged over, which training reuses: it trains on ``vocab.corpus``
+    and tunes the rows of ``vocab``'s tokens, found through :attr:`rows`;
+    every other row stays frozen.
     """
 
-    embedding: EmbeddingSet
+    pretrained: EmbeddingSet
     unseen: tuple[str, ...]
+    unseen_matrix: np.ndarray
     vocab: Vocabulary
+
+    def __len__(self) -> int:
+        return len(self.pretrained) + len(self.unseen)
+
+    @property
+    def dim(self) -> int:
+        return self.pretrained.dim
+
+    @property
+    def words(self) -> list[str]:
+        """The merged tokens, in row order."""
+        return self.pretrained.words + list(self.unseen)
 
     @cached_property
     def rows(self) -> np.ndarray:
-        """The ``embedding`` row of each vocabulary row, read-only int64."""
-        index = self.embedding.index
+        """The merged row of each vocabulary row, read-only int64."""
+        first = len(self.pretrained)
+        index = ChainMap(self.pretrained.index,
+                         dict(zip(self.unseen, range(first, first + len(self.unseen)))))
         try:
             rows = np.fromiter(map(index.__getitem__, self.vocab.index), np.int64)
         except KeyError as e:
@@ -69,6 +89,65 @@ class MergedModel:
             ) from None
         rows.flags.writeable = False
         return rows
+
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """The float32 merged rows ``rows`` (int64), taken from the
+        pretrained matrix or the unseen block."""
+        first = len(self.pretrained)
+        out = np.empty((len(rows), self.dim), dtype=np.float32)
+        pretrained = rows < first
+        out[pretrained] = self.pretrained.matrix[rows[pretrained]]
+        out[~pretrained] = self.unseen_matrix[rows[~pretrained] - first]
+        return out
+
+
+@dataclass(frozen=True)
+class TunedEmbedding:
+    """A merged model with the row of each corpus token replaced by its
+    row of ``rows`` (``|V_T| x m`` float32, in vocabulary order), as
+    ``save_text`` and ``save_binary`` take it.
+
+    :meth:`blocks` builds ``BLOCK_ROWS`` rows at a time from the pretrained
+    matrix, the unseen block and ``rows``, so a write makes no copy of the
+    merged matrix; :meth:`embedding_set` makes one, for a caller that wants
+    the tuned vectors as an :class:`EmbeddingSet`.
+    """
+
+    model: MergedModel
+    rows: np.ndarray
+
+    def __post_init__(self):
+        if self.rows.shape != (len(self.model.vocab), self.model.dim):
+            raise ValueError(
+                f"need one row of {self.model.dim} values per vocabulary token, "
+                f"{len(self.model.vocab)} in all; got shape {self.rows.shape}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.model)
+
+    @property
+    def dim(self) -> int:
+        return self.model.dim
+
+    def blocks(self) -> Iterator[tuple[list[str], np.ndarray]]:
+        """The tokens and float32 rows of each block of merged rows, in order."""
+        model = self.model
+        order = np.argsort(model.rows)  # vocabulary rows by merged row
+        at = model.rows[order]
+        words, first = model.pretrained.words, len(model.pretrained)
+        for start in range(0, len(model), BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, len(model))
+            block = model.gather(np.arange(start, stop))
+            lo, hi = np.searchsorted(at, (start, stop))
+            block[at[lo:hi] - start] = self.rows[order[lo:hi]]
+            unseen = model.unseen[max(start - first, 0):max(stop - first, 0)]
+            yield words[start:stop] + list(unseen), block
+
+    def embedding_set(self) -> EmbeddingSet:
+        """The tuned vectors as one validated set over the merged tokens."""
+        return EmbeddingSet(self.model.words,
+                            np.concatenate([block for _, block in self.blocks()]))
 
 
 def build_vocab(corpus: LabeledCorpus) -> Vocabulary:
@@ -97,13 +176,12 @@ def init_unseen(unseen: list[str], dim: int, seed: int) -> np.ndarray:
 
 def merge(pretrained: EmbeddingSet, vocab: Vocabulary, seed: int) -> MergedModel:
     """Extend ``pretrained`` with seeded rows for the unseen corpus tokens,
-    appended in vocabulary order after the pretrained rows.
+    which follow the pretrained rows in vocabulary order.
 
-    Pretrained rows are copied bit-for-bit; the result is deterministic in
-    (pretrained, vocab, seed).
+    The model shares ``pretrained``'s matrix; the result is deterministic
+    in (pretrained, vocab, seed).
     """
     unseen = unseen_words(vocab, pretrained)
-    new_rows = init_unseen(unseen, pretrained.dim, seed)
-    words = pretrained.words + unseen
-    matrix = np.vstack([pretrained.matrix, new_rows])
-    return MergedModel(EmbeddingSet(words, matrix), tuple(unseen), vocab)
+    rows = init_unseen(unseen, pretrained.dim, seed)
+    rows.flags.writeable = False
+    return MergedModel(pretrained, tuple(unseen), rows, vocab)

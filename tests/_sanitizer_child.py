@@ -69,7 +69,7 @@ def train_epochs() -> None:
         states.append(state)
     _kernel.train_chunk = kernel
     fast, ref = states
-    assert len(fast.input_matrix) == len(model.vocab) < len(model.embedding)
+    assert len(fast.input_matrix) == len(model.vocab) < len(model)
     assert np.allclose(fast.input_matrix, ref.input_matrix, rtol=0, atol=1e-10)
     n_rows = len(fast.input_matrix)
     bad_label = trainer.Chunk(np.zeros(3, dtype=np.int64), np.full(3, 0.01),

@@ -53,7 +53,7 @@ from classvec.trainer import (
     finetune,
     ns_loss_and_grads,
 )
-from classvec.vocab import build_vocab, merge
+from classvec.vocab import TunedEmbedding, build_vocab, merge
 
 from _constructions import (
     confusable_corpus,
@@ -201,7 +201,8 @@ def test_criterion_2_unused_pretrained_rows_are_bit_frozen():
     corpus = from_documents(docs)
     model = merge(pretrained, build_vocab(corpus), seed=7)
     assert set(model.unseen) == set(unseen)
-    tuned, _ = finetune(model, FinetuneConfig(epochs=10, seed=1))
+    rows, _ = finetune(model, FinetuneConfig(epochs=10, seed=1))
+    tuned = TunedEmbedding(model, rows).embedding_set()
 
     frozen = [f"pre{i}" for i in range(20, 50)]
     frozen_ok = all(
@@ -224,7 +225,8 @@ def test_criterion_3_exclusive_markers_diverge_toward_their_class():
     emb, corpus = divergence_corpus()
     pre = cos(emb.vector("good"), emb.vector("bad"))
     model = merge(emb, build_vocab(corpus), seed=11)
-    tuned, cv = finetune(model, FinetuneConfig(seed=1))
+    rows, cv = finetune(model, FinetuneConfig(seed=1))
+    tuned = TunedEmbedding(model, rows).embedding_set()
     post = cos(tuned.vector("good"), tuned.vector("bad"))
     g_own = cos(tuned.vector("good"), cv.vector("pos"))
     g_other = cos(tuned.vector("good"), cv.vector("neg"))
@@ -258,7 +260,8 @@ def test_criterion_4_finetuning_beats_frozen_features_downstream():
     wins = 0
     frozen_accs, tuned_accs = [], []
     for seed in range(10):
-        tuned, _ = finetune(model, FinetuneConfig(seed=seed))
+        tuned = TunedEmbedding(model, finetune(model, FinetuneConfig(seed=seed))[0]
+                               ).embedding_set()
         cfg = ClassifierConfig(seed=seed)
         a_frozen = accuracy(train_classifier(train, emb, cfg), emb)
         a_tuned = accuracy(train_classifier(train, tuned, cfg), tuned)

@@ -21,7 +21,7 @@ from classvec import _kernel, cli
 from classvec.cli import build_parser, main
 from classvec.embedding_io import EmbeddingSet, load_file, save_binary, save_text
 
-from _constructions import disable_kernel
+from _constructions import disable_kernel, random_embedding
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -218,6 +218,28 @@ class TestFinetuneCommand:
         captured = capsys.readouterr()
         assert f"error: {message}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("fmt", ["text", "bin"])
+    def test_drift_line_is_the_drift_command_summary(self, tmp_path, capsys, fmt):
+        # finetune compares the corpus rows alone and counts every other
+        # pretrained row as unchanged, cosine exactly 1 and shift 0; at the
+        # printed precision that is the summary of comparing the two files
+        pre, corpus, out = (str(tmp_path / n) for n in ("pre", "corpus.tsv", "tuned"))
+        clusters = _write_pretrained(pre)
+        rng = np.random.default_rng(91)
+        words = clusters.words + [f"other{i}" for i in range(30)]
+        matrix = np.concatenate([clusters.matrix,
+                                 rng.normal(0, 1, (30, 6)).astype(np.float32)])
+        with open(pre, "wb") as f:
+            (save_text if fmt == "text" else save_binary)(EmbeddingSet(words, matrix), f)
+        _write_corpus(corpus)
+        assert main(["finetune", "--pretrained", pre, "--corpus", corpus, "--out", out,
+                     "--format", fmt, "--epochs", "3"]) == 0
+        printed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("drift\t")]
+        assert main(["drift", "--before", pre, "--after", out, "--format", fmt]) == 0
+        report = capsys.readouterr().out.splitlines()
+        assert printed == report[:1]
+        assert "shared=50\t" in report[1]  # the 30 frozen rows count
 
     def test_malformed_corpus_reports_line(self, workspace, capsys):
         tmp_path, pre, _ = workspace
@@ -550,8 +572,10 @@ class TestTracer:
             ])
         assert code == 0
         names = [span.name for span in tracer.spans]
+        # the closing drift summary compares the corpus rows alone, not two
+        # sets through analysis.drift
         for name in ("load_file", "load_tsv", "build_vocab", "merge", "finetune",
-                     "save_text", "drift", "cli"):
+                     "save_text", "cli"):
             assert name in names
 
 
@@ -611,6 +635,27 @@ def _modules_after(tmp_path, argv: list[str]) -> tuple[int, set[str]]:
     assert listing.exists(), proc.stderr
     code, modules = json.loads(listing.read_text())
     return code, set(modules)
+
+
+# runs the command given as its arguments and prints its exit code and
+# ru_maxrss; run under -S, it holds little memory itself
+_PEAK_RSS = """\
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_kb(*argv: str) -> tuple[int, int]:
+    """The exit code and peak RSS in KiB of a command. A child's ru_maxrss
+    starts from the RSS of the process that forked it, so the command is
+    started from a small launcher, not from this process."""
+    proc = subprocess.run([sys.executable, "-S", "-c", _PEAK_RSS, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, kb = proc.stdout.split()
+    return int(code), int(kb)
 
 
 def _buffered_env() -> dict[str, str]:

@@ -1,6 +1,7 @@
 """Unit tests for class-conditioned CBOW fine-tuning."""
 from __future__ import annotations
 
+import io
 import logging
 import math
 import os
@@ -18,6 +19,7 @@ import pytest
 
 from classvec import _kernel, trainer
 from classvec.corpus import Document, from_documents
+from classvec.embedding_io import save_binary
 from classvec.trainer import (
     NS_RESAMPLE_ATTEMPTS,
     ClassVectors,
@@ -30,7 +32,7 @@ from classvec.trainer import (
 )
 from classvec.trainer import _noise_uniforms, _sample_negatives
 from classvec import vocab as vocab_module
-from classvec.vocab import MergedModel, build_vocab, merge
+from classvec.vocab import MergedModel, TunedEmbedding, build_vocab, merge
 
 from _constructions import cos, disable_kernel, frequency_corpus, random_embedding
 
@@ -48,6 +50,21 @@ def small_setup(n_docs=20, doc_len=9, n_vocab=30, dim=8, emb_seed=100,
     corpus = from_documents(docs)
     model = merge(emb, build_vocab(corpus), seed=merge_seed)
     return model, corpus
+
+
+class _Discard(io.RawIOBase):
+    """A sink that keeps nothing of what is written to it."""
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        return len(data)
+
+
+def _tuned_set(model, rows):
+    """The merged vectors with the tuned corpus ``rows`` in place."""
+    return TunedEmbedding(model, rows).embedding_set()
 
 
 def _train_doc(state, doc):
@@ -356,9 +373,10 @@ class TestInitState:
         assert not state.output_matrix.any()  # zero-initialized
         assert state.input_matrix.dtype == np.float64
         # the corpus rows alone, in vocabulary order: each the token's merged row
-        assert len(state.input_matrix) == len(model.vocab) < len(model.embedding)
+        assert len(state.input_matrix) == len(model.vocab) < len(model)
         for token, row in model.vocab.index.items():
-            merged = model.embedding.matrix[model.embedding.index[token]]
+            merged = (model.pretrained.vector(token) if token in model.pretrained
+                      else model.unseen_matrix[model.unseen.index(token)])
             assert state.input_matrix[row].tobytes() == merged.astype(np.float64).tobytes()
         expected_total = 4 * sum(len(d.tokens) * len(d.labels) for d in corpus.docs)
         assert state.total_positions == expected_total
@@ -368,7 +386,7 @@ class TestInitState:
         rng = np.random.default_rng(61)
         emb = random_embedding(rng, 3, 4)
         corpus = from_documents([Document(("t0", "novel"), ("c",))])
-        model = MergedModel(emb, (), build_vocab(corpus))
+        model = MergedModel(emb, (), np.empty((0, 4), np.float32), build_vocab(corpus))
         with pytest.raises(ValueError, match="merge\\(\\) must precede"):
             init_state(model, FinetuneConfig())
 
@@ -391,9 +409,9 @@ class TestFinetune:
         t1, c1 = finetune(model, cfg)
         t2, c2 = finetune(model, cfg)
         t3, _ = finetune(model, FinetuneConfig(epochs=2, seed=6))
-        assert t1.matrix.tobytes() == t2.matrix.tobytes()
+        assert t1.tobytes() == t2.tobytes()
         assert c1.matrix.tobytes() == c2.matrix.tobytes()
-        assert t1.matrix.tobytes() != t3.matrix.tobytes()
+        assert t1.tobytes() != t3.tobytes()
 
     def test_rows_outside_corpus_stay_frozen(self):
         rng = np.random.default_rng(62)
@@ -402,40 +420,47 @@ class TestFinetune:
                 Document(("t2", "t0", "extra"), ("d",))]
         corpus = from_documents(docs)
         model = merge(emb, build_vocab(corpus), seed=1)
-        tuned, _ = finetune(model, FinetuneConfig(epochs=3))
+        tuned = _tuned_set(model, finetune(model, FinetuneConfig(epochs=3))[0])
         for w in emb.words:
             if w not in {"t0", "t1", "t2"}:
                 assert tuned.vector(w).tobytes() == emb.vector(w).tobytes()
         assert tuned.matrix[:3].tobytes() != emb.matrix[:3].tobytes()
 
     def test_runs_in_bounded_memory(self):
-        """A run allocates less than twice the merged matrix at its peak:
-        one float32 copy for the export, and 64-bit working copies of the
-        corpus rows alone. (A 64-bit copy of the whole matrix, cast back to
-        32 bits at export, would take three times it.)"""
+        """A run holds the pretrained matrix plus the corpus rows: merging
+        shares the pretrained matrix, and merging and training together
+        allocate less than four 64-bit copies of the corpus rows (the input
+        and output rows, the float32 result and the per-epoch arrays). The
+        export writes a block of rows at a time, so it holds no copy of the
+        merged matrix either."""
         emb = random_embedding(np.random.default_rng(64), 20000, 100)
         crng = np.random.default_rng(65)
         docs = [Document(tuple(f"t{j}" for j in crng.integers(0, 40, 20)) + ("novel",),
                          ("one" if i % 2 else "two",)) for i in range(10)]
         corpus = from_documents(docs)
-        model = merge(emb, build_vocab(corpus), seed=1)
         cfg = FinetuneConfig(epochs=2, seed=3)
         finetune(small_setup()[0], cfg)  # first-call imports and the kernel's load
+        vocab = build_vocab(corpus)
         tracemalloc.start()
         try:
+            model = merge(emb, vocab, seed=1)
             tuned, _ = finetune(model, cfg)
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            save_binary(TunedEmbedding(model, tuned), _Discard())
+            write_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        merged = model.embedding.matrix
-        assert tuned.matrix.tobytes() != merged.tobytes()
-        assert peak < 2 * merged.nbytes, (peak, merged.nbytes)
+        corpus_rows = len(vocab) * emb.dim * 8
+        assert tuned.tobytes() != model.gather(model.rows).tobytes()
+        assert peak < 4 * corpus_rows, (peak, corpus_rows)
+        assert write_peak < emb.matrix.nbytes // 8, write_peak
 
     def test_vanishing_learning_rate_changes_nothing(self):
         model, corpus = small_setup()
         cfg = FinetuneConfig(epochs=1, alpha0=2e-12, alpha_min=1e-12)
         tuned, _ = finetune(model, cfg)
-        assert tuned.matrix.tobytes() == model.embedding.matrix.tobytes()
+        assert tuned.tobytes() == model.gather(model.rows).tobytes()
 
     def test_mean_position_loss_decreases_over_epochs(self):
         model, corpus = small_setup()
@@ -458,11 +483,11 @@ class TestFinetune:
         np.testing.assert_allclose(losses[0], 6 * math.log(2), rtol=1e-12)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
-    def test_returns_float32_over_merged_vocabulary(self):
-        model, corpus = small_setup()
+    def test_returns_float32_corpus_rows(self):
+        model, corpus = small_setup(n_vocab=60)  # some pretrained rows unused
         tuned, cv = finetune(model, FinetuneConfig(epochs=1))
-        assert tuned.words == model.embedding.words
-        assert tuned.matrix.dtype == np.float32
+        assert tuned.shape == (len(model.vocab), 8) and len(model.vocab) < len(model)
+        assert tuned.dtype == np.float32
         assert cv.classes == corpus.classes
         assert cv.matrix.dtype == np.float32
         assert cv.matrix.shape == (2, 8)
@@ -492,14 +517,30 @@ class TestFinetune:
                                    match="^non-finite values after epoch 1$"):
                     finetune(model, cfg)
 
+    def test_rows_beyond_the_float32_range_are_an_error(self, monkeypatch):
+        # finite in float64, so every epoch's check passes, but the export
+        # would write inf, which no reader takes
+        model, corpus = small_setup()
+
+        def overflowing(state, chunk):
+            state.input_matrix[0, 0] = 1e39
+            return 1.0, 0
+
+        monkeypatch.setattr(_kernel, "train_chunk", overflowing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match="^tuned vectors exceed the float32 range after epoch 2$"):
+                finetune(model, FinetuneConfig(epochs=2))
+
     def test_shuffle_is_seeded_and_changes_the_run(self):
         model, corpus = small_setup()
         cfg = FinetuneConfig(epochs=2, shuffle=True, seed=4)
         t1, _ = finetune(model, cfg)
         t2, _ = finetune(model, cfg)
         t3, _ = finetune(model, FinetuneConfig(epochs=2, seed=4))
-        assert t1.matrix.tobytes() == t2.matrix.tobytes()
-        assert t1.matrix.tobytes() != t3.matrix.tobytes()
+        assert t1.tobytes() == t2.tobytes()
+        assert t1.tobytes() != t3.tobytes()
 
 
 class TestClassVectors:
@@ -525,7 +566,8 @@ class TestFrequencyMajority:
         model = merge(emb, build_vocab(corpus), seed=11)
         for seed in (0, 1, 2):
             cfg = FinetuneConfig(seed=seed, alpha0=0.0025, alpha_min=1e-5)
-            tuned, cv = finetune(model, cfg)
+            rows, cv = finetune(model, cfg)
+            tuned = _tuned_set(model, rows)
             y, z = tuned.vector("y"), tuned.vector("z")
             a, b = cv.vector("A"), cv.vector("B")
             assert cos(y, a) - cos(y, b) > 0.1
@@ -629,15 +671,6 @@ def _one_pass(idx, label_id, alphas, first=0):
                          *np.array([[len(idx)], [label_id]], dtype=np.int64), first)
 
 
-def _exported(model, state):
-    """The merged matrix with each corpus token's row replaced, token by
-    token, by its trained row of ``state`` cast to float32."""
-    matrix = model.embedding.matrix.copy()
-    for token, row in model.vocab.index.items():
-        matrix[model.embedding.index[token]] = state.input_matrix[row].astype(np.float32)
-    return matrix
-
-
 def _per_pass_epoch(state, corpus):
     """One epoch trained label pass by label pass with ``_reference_pass``,
     each pass with the rates of its own schedule call: the reference for
@@ -687,7 +720,7 @@ class TestKernel:
                 getattr(fast, name), getattr(ref, name), rtol=0, atol=1e-10
             )
         # the kernel ran on the corpus rows, fewer than the merged ones
-        assert len(fast.input_matrix) == len(model.vocab) < len(model.embedding)
+        assert len(fast.input_matrix) == len(model.vocab) < len(model)
         assert (fast.positions_done, fast.alpha) == (ref.positions_done, ref.alpha)
         # positions trained and short of negatives agree exactly, losses closely
         np.testing.assert_array_equal(fast_stats[:, 1:], ref_stats[:, 1:])
@@ -791,7 +824,7 @@ class TestKernel:
         cfg = FinetuneConfig(epochs=2, seed=9)
         t1, c1 = finetune(model, cfg)
         t2, c2 = finetune(model, cfg)
-        assert t1.matrix.tobytes() == t2.matrix.tobytes()
+        assert t1.tobytes() == t2.tobytes()
         assert c1.matrix.tobytes() == c2.matrix.tobytes()
 
     def test_finetune_matches_train_document_in_shuffled_order(self, kernel):
@@ -807,7 +840,7 @@ class TestKernel:
             shuffle_rng.shuffle(order)
             for di in order:
                 _train_doc(ref, corpus.docs[di])
-        assert tuned.matrix.tobytes() == _exported(model, ref).tobytes()
+        assert tuned.tobytes() == ref.input_matrix.astype(np.float32).tobytes()
         assert classes.matrix.tobytes() == ref.class_vectors.astype(np.float32).tobytes()
 
     def test_rejects_out_of_range_indices(self, kernel):
@@ -953,7 +986,7 @@ class TestKernel:
         for _ in range(2):
             for doc in corpus.docs:
                 _train_doc(ref, doc)
-        assert tuned.matrix.tobytes() == _exported(model, ref).tobytes()
+        assert tuned.tobytes() == ref.input_matrix.astype(np.float32).tobytes()
 
     def test_failed_build_raises_and_leaves_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sysconfig, "get_config_var", lambda name: "false")

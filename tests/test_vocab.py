@@ -1,12 +1,14 @@
 """Unit tests for vocabulary extraction and pretrained/corpus merging."""
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
 from classvec.corpus import Document, from_documents
-from classvec.embedding_io import EmbeddingSet
-from classvec.vocab import build_vocab, init_unseen, merge, unseen_words
+from classvec.embedding_io import BLOCK_ROWS, EmbeddingSet, save_binary, save_text
+from classvec.vocab import TunedEmbedding, build_vocab, init_unseen, merge, unseen_words
 
 from _constructions import random_embedding
 
@@ -67,11 +69,13 @@ class TestMerge:
         pretrained = random_embedding(rng, 10, 6)
         corpus = _corpus(("t1", "t3", "new_a"), ("t3", "new_b"))
         model = merge(pretrained, build_vocab(corpus), seed=2)
-        merged = model.embedding
-        assert merged.words[:10] == pretrained.words
-        assert merged.matrix[:10].tobytes() == pretrained.matrix.tobytes()
+        merged = model.gather(np.arange(len(model)))
+        assert len(model) == 12 and model.dim == 6
+        assert model.words[:10] == pretrained.words
+        assert merged[:10].tobytes() == pretrained.matrix.tobytes()
         assert model.unseen == ("new_a", "new_b")
-        assert merged.words[10:] == ["new_a", "new_b"]
+        assert model.words[10:] == ["new_a", "new_b"]
+        assert merged[10:].tobytes() == model.unseen_matrix.tobytes()
 
     def test_unseen_rows_use_seeded_initializer(self):
         rng = np.random.default_rng(19)
@@ -79,8 +83,10 @@ class TestMerge:
         corpus = _corpus(("u1", "u2"),)
         model = merge(pretrained, build_vocab(corpus), seed=42)
         np.testing.assert_array_equal(
-            model.embedding.matrix[3:], init_unseen(["u1", "u2"], 4, seed=42)
+            model.unseen_matrix, init_unseen(["u1", "u2"], 4, seed=42)
         )
+        with pytest.raises(ValueError, match="read-only"):
+            model.unseen_matrix[0, 0] = 1.0
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(20)
@@ -89,8 +95,8 @@ class TestMerge:
         a = merge(pretrained, build_vocab(corpus), seed=5)
         b = merge(pretrained, build_vocab(corpus), seed=5)
         c = merge(pretrained, build_vocab(corpus), seed=6)
-        assert a.embedding.matrix.tobytes() == b.embedding.matrix.tobytes()
-        assert a.embedding.matrix.tobytes() != c.embedding.matrix.tobytes()
+        assert a.unseen_matrix.tobytes() == b.unseen_matrix.tobytes()
+        assert a.unseen_matrix.tobytes() != c.unseen_matrix.tobytes()
 
     def test_rows_name_the_merged_row_of_each_vocabulary_row(self):
         pretrained = random_embedding(np.random.default_rng(22), 10, 3)
@@ -113,7 +119,59 @@ class TestMerge:
         pretrained = random_embedding(rng, 4, 3)
         corpus = _corpus(("t0", "t1"),)
         model = merge(pretrained, build_vocab(corpus), seed=1)
-        assert model.unseen == ()
-        assert model.embedding.words == pretrained.words
-        assert model.embedding.matrix.tobytes() == pretrained.matrix.tobytes()
-        assert not np.shares_memory(model.embedding.matrix, pretrained.matrix)
+        assert model.unseen == () and model.unseen_matrix.shape == (0, 3)
+        assert model.words == pretrained.words
+        assert model.pretrained is pretrained
+
+    def test_shares_the_pretrained_matrix(self):
+        # the model holds the pretrained set itself, not a copy of its rows
+        pretrained = random_embedding(np.random.default_rng(23), 50, 4)
+        model = merge(pretrained, build_vocab(_corpus(("t3", "new_a"),)), seed=1)
+        assert model.pretrained is pretrained
+        assert model.pretrained.matrix is pretrained.matrix
+        assert not np.shares_memory(model.unseen_matrix, pretrained.matrix)
+        np.testing.assert_array_equal(
+            model.gather(model.rows), [pretrained.vector("t3"), model.unseen_matrix[0]]
+        )
+
+
+class TestTunedEmbedding:
+    def _tuned(self, n_pretrained):
+        """A merged model whose corpus rows are spread over several blocks,
+        with unseen rows on both sides of a block boundary, and tuned rows
+        for it."""
+        rng = np.random.default_rng(24)
+        pretrained = random_embedding(rng, n_pretrained, 3)
+        tokens = [f"t{j}" for j in rng.choice(n_pretrained, 40, replace=False)]
+        tokens += [f"new{i}" for i in range(300)]
+        rng.shuffle(tokens)
+        model = merge(pretrained, build_vocab(_corpus(tuple(tokens))), seed=1)
+        rows = rng.normal(size=(len(model.vocab), 3)).astype(np.float32)
+        return model, rows
+
+    @pytest.mark.parametrize("n_pretrained", [1000, 200])
+    def test_blocks_write_each_corpus_row_over_its_merged_row(self, n_pretrained):
+        model, rows = self._tuned(n_pretrained)
+        expected = np.concatenate([model.pretrained.matrix, model.unseen_matrix])
+        expected[model.rows] = rows  # the V-row copy the blocks avoid
+        tuned = TunedEmbedding(model, rows)
+        blocks = list(tuned.blocks())
+        assert [len(w) for w, _ in blocks] == [len(b) for _, b in blocks]
+        assert all(len(w) == BLOCK_ROWS for w, _ in blocks[:-1])
+        assert [t for w, _ in blocks for t in w] == model.words
+        assert np.concatenate([b for _, b in blocks]).tobytes() == expected.tobytes()
+        emb = tuned.embedding_set()
+        assert emb.words == model.words and emb.matrix.tobytes() == expected.tobytes()
+        assert (len(tuned), tuned.dim) == (len(model), 3)
+        for bad in (rows[1:], rows[:, 1:]):
+            with pytest.raises(ValueError, match="one row of 3 values per vocabulary token"):
+                TunedEmbedding(model, bad)
+
+    @pytest.mark.parametrize("save", [save_text, save_binary])
+    def test_writers_take_it_as_the_set_it_stands_for(self, save):
+        model, rows = self._tuned(600)
+        tuned = TunedEmbedding(model, rows)
+        direct, via_set = io.BytesIO(), io.BytesIO()
+        save(tuned, direct)
+        save(tuned.embedding_set(), via_set)
+        assert direct.getvalue() == via_set.getvalue()
