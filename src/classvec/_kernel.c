@@ -63,7 +63,7 @@ static int64_t draw_row(const double *restrict table, int64_t rows, double u)
    [0, 1): the SplitMix64 finaliser (Steele, Lea and Flood, "Fast
    Splittable Pseudorandom Number Generators", OOPSLA 2014) of the
    counter's point on the key's Weyl sequence, its top 53 bits scaled
-   exactly by 2^-53. trainer._noise_uniforms is the same function. */
+   exactly by 2^-53. _kernel.uniforms is the same function. */
 static double noise_uniform(uint64_t key, uint64_t counter)
 {
     uint64_t z = key + (counter + 1) * UINT64_C(0x9E3779B97F4A7C15);

@@ -21,6 +21,13 @@ address. ``finetune`` makes one training call per epoch, on matrices of
 the corpus rows alone, one row index per position; the kernel computes
 the noise draws itself, from the run's key and each draw's counter. A
 reader makes one scanner call per chunk of about ``BLOCK_ROWS`` rows.
+
+The same module holds the library's one definition of random numbers,
+SplitMix64 in numpy (:func:`uniforms`), which ``noise_uniform`` in
+``_kernel.c`` repeats for the negatives: every seeded draw of the
+package, the negatives, the unseen rows, the class vectors and the
+document and example orders, is a pure function of a key and a counter,
+with one key per use derived from the seed (:func:`stream_key`).
 """
 from __future__ import annotations
 
@@ -41,6 +48,10 @@ LIBS = ("-lm",)
 COMPILE_TIMEOUT_S = 120
 # attempts to draw a noise word different from the center before giving up
 NS_RESAMPLE_ATTEMPTS = 8
+# the streams of a seed, one per use, so that no two uses share draws:
+# the unseen rows, the class vectors, the negatives' key, the document
+# order of --shuffle and the probe's example order
+STREAM_UNSEEN, STREAM_CLASSES, STREAM_NOISE, STREAM_SHUFFLE, STREAM_PROBE = range(5)
 
 _P, _I, _U, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
 # the parameter lists of the entry points in _kernel.c
@@ -333,3 +344,43 @@ def scan_binary(data: bytes | bytearray, start: int, out: np.ndarray
     holds a non-finite value, and a scan also stops at a row that runs
     past the end of ``data``."""
     return _scan("scan_binary", data, start, out)
+
+
+def splitmix64(key: int, counters: np.ndarray) -> np.ndarray:
+    """Outputs ``counters`` (uint64 array) of SplitMix64 (Steele, Lea and
+    Flood, OOPSLA 2014) seeded with ``key``: the finaliser of
+    ``key + (counter + 1) * 0x9E3779B97F4A7C15``."""
+    # array arithmetic in uint64 wraps mod 2^64, as in C
+    z = np.uint64(key) + (counters + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def uniforms(key: int, counters: np.ndarray) -> np.ndarray:
+    """The values in [0, 1) of draws ``counters`` (uint64) under ``key``:
+    the top 53 bits of :func:`splitmix64`, which scale exactly to a double.
+    ``noise_uniform`` in ``_kernel.c`` is the same function."""
+    return (splitmix64(key, counters) >> np.uint64(11)) * 2.0**-53
+
+
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` can seed SplitMix64: an integer in
+    [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
+def stream_key(seed: int, stream: int) -> int:
+    """The key of stream ``stream`` (one of the ``STREAM_*`` numbers) of
+    ``seed``: output ``stream`` of SplitMix64 seeded with ``seed``."""
+    check_seed(seed)
+    return int(splitmix64(seed, np.array([stream], dtype=np.uint64))[0])
+
+
+def permutation(key: int, n: int, draw: int) -> np.ndarray:
+    """Permutation ``draw`` of ``range(n)`` under ``key`` (int64): the
+    stable argsort of the uniforms of counters ``draw * n`` to
+    ``draw * n + n - 1``."""
+    counters = np.arange(draw * n, (draw + 1) * n, dtype=np.uint64)
+    return np.argsort(uniforms(key, counters), kind="stable")

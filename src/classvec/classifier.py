@@ -48,6 +48,7 @@ class ClassifierConfig:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not (0 <= self.l2 < math.inf):
             raise ValueError(f"l2 must be >= 0 and finite, got {self.l2}")
+        _kernel.check_seed(self.seed)
 
 
 def check_threshold(threshold: float) -> None:
@@ -194,9 +195,10 @@ def train_classifier(
 ) -> ClassifierModel:
     """Fit the probe by seeded per-example SGD from zero-initialized parameters.
 
-    Each epoch visits the documents in a fresh permutation drawn from
-    ``default_rng(cfg.seed)``. Logs one line with the epochs, SGD steps,
-    first- and last-epoch mean loss, steps per second and the path that ran.
+    Epoch ``e`` visits the documents in permutation ``e - 1`` of the
+    seed's probe stream (``_kernel.permutation``). Logs one line with the
+    epochs, SGD steps, first- and last-epoch mean loss, steps per second
+    and the path that ran.
     Raises ``FloatingPointError`` after the first epoch whose loss or
     parameters are not finite (the learning rate was too high).
     """
@@ -209,11 +211,11 @@ def train_classifier(
     targets = _targets(corpus, mode)
     weights = np.zeros((emb.dim, k), dtype=np.float64)
     bias = np.zeros(k, dtype=np.float64)
-    rng = np.random.default_rng(cfg.seed)
+    key = _kernel.stream_key(cfg.seed, _kernel.STREAM_PROBE)
     losses = []
     started = time.perf_counter()
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
+        order = _kernel.permutation(key, n, epoch - 1)
         loss = _kernel.probe_epoch(xs, targets, order, weights, bias, cfg.lr, cfg.l2)
         compiled = loss is not None
         if not compiled:

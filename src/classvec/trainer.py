@@ -19,9 +19,10 @@ All training arithmetic runs in 64-bit; the tuned rows are cast back to
 schedule call; where the kernel does not build, that call returns None
 and the numpy reference it is tested against trains the epoch, pass by
 pass. Every noise draw is a pure function of the run's key and of its
-position, slot and attempt (a counter-based generator), so the draws do
-not depend on how passes are grouped into calls, and the seeded rng is
-used only by ``init_state``.
+position, slot and attempt (the counter-based generator
+``_kernel.uniforms``), so the draws do not depend on how passes are
+grouped into calls. The class vectors, the key and the ``shuffle``
+order come from streams of the seed of their own.
 """
 from __future__ import annotations
 
@@ -37,10 +38,6 @@ from .corpus import Document
 from .vocab import MergedModel, Vocabulary
 
 logger = logging.getLogger(__name__)
-
-# rng stream label for the per-epoch document shuffle, kept separate from
-# the update stream so `shuffle=False` runs are unaffected by its existence
-_SHUFFLE_STREAM = 0x5F
 
 
 @dataclass(frozen=True)
@@ -64,6 +61,7 @@ class FinetuneConfig:
             raise ValueError("negative must be >= 1")
         if not (self.alpha0 > self.alpha_min > 0):
             raise ValueError("need alpha0 > alpha_min > 0")
+        _kernel.check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -163,20 +161,6 @@ def ns_loss_and_grads(
     return loss, grad_h, grad_u
 
 
-def _noise_uniforms(key: int, counters: np.ndarray) -> np.ndarray:
-    """The values in [0, 1) of the noise draws ``counters`` (uint64) of the
-    run keyed by ``key``: the SplitMix64 finaliser (Steele, Lea and Flood,
-    OOPSLA 2014) of ``key + (counter + 1) * 0x9E3779B97F4A7C15``, whose top
-    53 bits scale exactly to a double. ``noise_uniform`` in ``_kernel.c``
-    is the same function."""
-    # array arithmetic in uint64 wraps mod 2^64, as in C
-    z = np.uint64(key) + (counters + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)) * 2.0**-53
-
-
 def _sample_negatives(
     noise_table: np.ndarray, centers: np.ndarray, key: int, first: int,
     negative: int,
@@ -197,7 +181,7 @@ def _sample_negatives(
         dtype=np.uint64,
     ).reshape(len(centers), negative, NS_RESAMPLE_ATTEMPTS)
     draws = np.minimum(
-        np.searchsorted(noise_table, _noise_uniforms(key, counters), side="right"),
+        np.searchsorted(noise_table, _kernel.uniforms(key, counters), side="right"),
         len(noise_table) - 1,
     )
     miss = draws != centers[:, None, None]
@@ -315,18 +299,18 @@ def init_state(model: MergedModel, cfg: FinetuneConfig) -> TrainState:
     """Build the initial training state for ``finetune``.
 
     The rows, their index, the counts and the corpus come from the
-    vocabulary ``model`` was merged over. Consumes the head of the seeded
-    rng stream for the class-vector initialization (uniform [-0.5/m,
-    +0.5/m), the same scheme used for unseen words), then one uint64 of it
-    for the noise key.
+    vocabulary ``model`` was merged over. The class vectors are uniform on
+    [-0.5/m, +0.5/m), the scheme of the unseen words, from the seed's
+    class-vector stream, row by row; the noise key is the seed's noise
+    stream key.
     """
     vocab = model.vocab
     corpus = vocab.corpus
     m = model.dim
-    rng = np.random.default_rng(cfg.seed)
     classes = tuple(corpus.classes)
-    class_vectors = (rng.random((len(classes), m)) - 0.5) / m
-    key = int(rng.integers(2**64, dtype=np.uint64))
+    key = _kernel.stream_key(cfg.seed, _kernel.STREAM_CLASSES)
+    counters = np.arange(len(classes) * m, dtype=np.uint64).reshape(len(classes), m)
+    class_vectors = (_kernel.uniforms(key, counters) - 0.5) / m
     total = cfg.epochs * sum(
         len(d.tokens) * len(d.labels) for d in corpus.docs
     )
@@ -337,7 +321,7 @@ def init_state(model: MergedModel, cfg: FinetuneConfig) -> TrainState:
         class_vectors=class_vectors,
         noise_table=build_noise_table(vocab),
         alpha=cfg.alpha0,
-        key=key,
+        key=_kernel.stream_key(cfg.seed, _kernel.STREAM_NOISE),
         classes=classes,
         class_index={c: i for i, c in enumerate(classes)},
         index=vocab.index,
@@ -370,13 +354,13 @@ def finetune(
     """
     state = init_state(model, cfg)
     docs = model.vocab.corpus.docs
-    shuffle_rng = np.random.default_rng((cfg.seed, _SHUFFLE_STREAM))
-    order = np.arange(len(docs))
+    order = range(len(docs))
+    shuffle_key = _kernel.stream_key(cfg.seed, _kernel.STREAM_SHUFFLE)
     # token -> row mapping depends only on the document, so do it once per run
     doc_passes = [_doc_passes(state, doc) for doc in docs]
     for epoch in range(1, cfg.epochs + 1):
         if cfg.shuffle:
-            shuffle_rng.shuffle(order)
+            order = _kernel.permutation(shuffle_key, len(docs), epoch - 1).tolist()
         started = time.perf_counter()
         loss, trained, shortfall = _train_passes(
             state, [p for di in order for p in doc_passes[di]]

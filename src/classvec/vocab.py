@@ -19,6 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import _kernel
 from .corpus import LabeledCorpus
 from .embedding_io import BLOCK_ROWS, EmbeddingSet
 
@@ -166,12 +167,13 @@ def unseen_words(vocab: Vocabulary, pretrained: EmbeddingSet) -> list[str]:
 
 
 def init_unseen(unseen: list[str], dim: int, seed: int) -> np.ndarray:
-    """Seeded uniform rows on [-0.5/dim, +0.5/dim), one per unseen token."""
+    """Seeded uniform rows on [-0.5/dim, +0.5/dim), one per unseen token,
+    from the seed's unseen-row stream, row by row."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    rows = (rng.random((len(unseen), dim)) - 0.5) / dim
-    return rows.astype(np.float32)
+    key = _kernel.stream_key(seed, _kernel.STREAM_UNSEEN)
+    counters = np.arange(len(unseen) * dim, dtype=np.uint64).reshape(len(unseen), dim)
+    return ((_kernel.uniforms(key, counters) - 0.5) / dim).astype(np.float32)
 
 
 def merge(pretrained: EmbeddingSet, vocab: Vocabulary, seed: int) -> MergedModel:

@@ -1,7 +1,7 @@
 """Shared synthetic fixtures for the tests, slow reference readers,
 writers and drift that the block-wise library code is checked against,
-a stream with short reads, and a switch that makes the compiled kernel
-unavailable.
+SplitMix64 in Python integers, a stream with short reads, and a switch
+that makes the compiled kernel unavailable.
 
 Every builder is fully seeded and deterministic. The two-class and
 three-class corpora below are engineered so that token *identity* is
@@ -25,6 +25,21 @@ def cos(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def splitmix64(key: int, counter: int) -> int:
+    """Output ``counter`` of SplitMix64 seeded with ``key``, in Python
+    integers: the finaliser of ``key + (counter + 1) * 0x9E3779B97F4A7C15``."""
+    z = (key + (counter + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def splitmix_uniform(key: int, counter: int) -> float:
+    """The uniform of draw ``counter`` under ``key``: the top 53 bits of
+    :func:`splitmix64` times 2^-53."""
+    return (splitmix64(key, counter) >> 11) * 2.0**-53
 
 
 def random_embedding(

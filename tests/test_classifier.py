@@ -53,7 +53,7 @@ class TestClassifierConfig:
     @pytest.mark.parametrize(
         "kwargs", [dict(epochs=0), dict(lr=0.0), dict(lr=-1.0), dict(l2=-0.1),
                    dict(lr=math.nan), dict(lr=math.inf), dict(l2=math.nan),
-                   dict(l2=math.inf)]
+                   dict(l2=math.inf), dict(seed=-1), dict(seed=2**64)]
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -199,6 +199,23 @@ class TestTrainClassifier:
         np.testing.assert_array_equal(m1.weights, m2.weights)
         np.testing.assert_array_equal(m1.bias, m2.bias)
         assert not np.array_equal(m1.weights, m3.weights)
+
+    def test_epochs_visit_seeded_permutations_that_differ(self, monkeypatch):
+        corpus, emb = _cluster_corpus(np.random.default_rng(11), n_per_class=8)
+        orders = []
+        probe_epoch = _kernel.probe_epoch
+
+        def recording(x, targets, order, *args):
+            orders.append(order.tolist())
+            return probe_epoch(x, targets, order, *args)
+
+        monkeypatch.setattr(_kernel, "probe_epoch", recording)
+        for seed in (3, 3, 4):
+            train_classifier(corpus, emb, ClassifierConfig(epochs=4, seed=seed))
+        assert all(sorted(o) == list(range(len(corpus.docs))) for o in orders)
+        first, again, other = orders[:4], orders[4:8], orders[8:]
+        assert len(set(map(tuple, first))) == 4
+        assert first == again and first != other
 
     def test_exclusive_rejects_multilabel_documents(self):
         emb = EmbeddingSet(["a"], np.ones((1, 2), np.float32))
@@ -432,9 +449,9 @@ def _loop_before_the_kernel(corpus, emb, cfg, mode):
             targets.append(y)
     weights = np.zeros((emb.dim, len(corpus.classes)))
     bias = np.zeros(len(corpus.classes))
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.epochs):
-        for i in rng.permutation(len(xs)):
+    key = _kernel.stream_key(cfg.seed, _kernel.STREAM_PROBE)
+    for epoch in range(cfg.epochs):
+        for i in _kernel.permutation(key, len(xs), epoch):
             _, grad_w, grad_b = loss_and_grads(xs[i], targets[i], weights, bias, mode, cfg.l2)
             weights -= cfg.lr * grad_w
             bias -= cfg.lr * grad_b

@@ -208,6 +208,7 @@ class TestFinetuneCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--epochs", "0"], "epochs must be >= 1"),
         (["--lr", "0.001", "--min-lr", "0.01"], "need alpha0 > alpha_min > 0"),
+        (["--seed", "-1"], "seed must be in [0, 2**64), got -1"),
     ])
     def test_settings_are_checked_before_any_file_is_read(self, tmp_path, capsys,
                                                           flags, message):
@@ -354,6 +355,7 @@ class TestClassifierCommands:
         (["--epochs", "0"], "epochs must be >= 1"),
         (["--lr", "nan"], "lr must be positive and finite, got nan"),
         (["--lr", "inf"], "lr must be positive and finite, got inf"),
+        (["--seed", str(2**64)], f"seed must be in [0, 2**64), got {2**64}"),
     ])
     def test_settings_are_checked_before_any_file_is_read(self, tmp_path, capsys,
                                                           flags, message):
@@ -600,6 +602,31 @@ class TestSubprocess:
         assert "epoch" not in proc.stdout
         assert os.path.exists(out)
 
+    def test_finetune_holds_one_copy_of_the_pretrained_matrix(self, tmp_path,
+                                                             kernel_library):
+        # the merged model shares the pretrained matrix and the export writes
+        # a block of rows at a time: over the start-up of a process that has
+        # imported numpy and the CLI, finetune's peak RSS grows by the loaded
+        # matrix and what the corpus rows need, well under two matrices
+        pre, corpus = str(tmp_path / "pre.bin"), str(tmp_path / "c.tsv")
+        emb = random_embedding(np.random.default_rng(92), 20000, 100)
+        with open(pre, "wb") as f:
+            save_binary(emb, f)
+        rng = np.random.default_rng(93)
+        with open(corpus, "w") as f:
+            for i in range(20):
+                tokens = " ".join(f"t{j}" for j in rng.integers(0, 400, 30))
+                f.write(f"{'ab'[i % 2]}\t{tokens} novel{i}\n")
+        code, startup = _peak_rss_kb(sys.executable, "-c", "import numpy, classvec.cli")
+        assert code == 0
+        code, run = _peak_rss_kb(
+            sys.executable, "-m", "classvec.cli", "finetune", "--pretrained", pre,
+            "--format", "bin", "--corpus", corpus, "--out", str(tmp_path / "tuned.bin"),
+            "--epochs", "1",
+        )
+        assert code == 0
+        assert (run - startup) * 1024 < 2 * emb.matrix.nbytes, (run, startup)
+
     def test_import_loads_no_scipy(self):
         # scipy.special alone used to be most of every command's start-up
         proc = subprocess.run(
@@ -718,6 +745,9 @@ class TestStartup:
         for stage, modules in loaded.items():
             assert "numpy.ma" not in modules, stage
             assert "subprocess" not in modules, stage
+            # every seeded draw is the package's own SplitMix64, so no stage
+            # loads numpy's generators, nor the OpenSSL they pull in
+            assert not {"numpy.random", "secrets", "_hashlib"} & modules, stage
 
     def test_exit_codes_through_the_hard_exit(self, workspace):
         tmp_path, pre, _ = workspace

@@ -30,11 +30,18 @@ from classvec.trainer import (
     lr_schedule,
     ns_loss_and_grads,
 )
-from classvec.trainer import _noise_uniforms, _sample_negatives
+from classvec.trainer import _sample_negatives
 from classvec import vocab as vocab_module
 from classvec.vocab import MergedModel, TunedEmbedding, build_vocab, merge
 
-from _constructions import cos, disable_kernel, frequency_corpus, random_embedding
+from _constructions import (
+    cos,
+    disable_kernel,
+    frequency_corpus,
+    random_embedding,
+    splitmix64,
+    splitmix_uniform,
+)
 
 
 def small_setup(n_docs=20, doc_len=9, n_vocab=30, dim=8, emb_seed=100,
@@ -70,15 +77,6 @@ def _tuned_set(model, rows):
 def _train_doc(state, doc):
     """Train one document's label passes in a call of their own."""
     return trainer._train_passes(state, trainer._doc_passes(state, doc))
-
-
-def _splitmix_uniform(key, counter):
-    """The uniform of noise draw ``counter`` under ``key``, in Python
-    integers: the SplitMix64 finaliser, top 53 bits times 2^-53."""
-    z = (key + (counter + 1) * 0x9E3779B97F4A7C15) % 2**64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
-    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
 
 def _position_mean_loss(state, corpus, eval_negs):
@@ -120,6 +118,8 @@ class TestFinetuneConfig:
             dict(alpha_min=-1.0),
             dict(alpha0=0.001, alpha_min=0.01),
             dict(alpha0=float("nan")),
+            dict(seed=-1),
+            dict(seed=2**64),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -235,22 +235,54 @@ class TestNsLossAndGrads:
 
 
 class TestNoiseUniforms:
-    """The counter-based generator behind every noise draw (the kernel
-    repeats it in C)."""
+    """The counter-based generator behind every seeded draw of the package
+    (the kernel repeats it in C for the negatives)."""
 
     KEYS = [0, 1, 0x5EED, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
 
     @pytest.mark.parametrize("key", KEYS)
     def test_matches_pure_python_splitmix64(self, key):
         counters = [0, 1, 2**32 - 1, 2**32, 2**53]
-        got = _noise_uniforms(key, np.array(counters, dtype=np.uint64))
-        assert got.tolist() == [_splitmix_uniform(key, c) for c in counters]
+        got = _kernel.uniforms(key, np.array(counters, dtype=np.uint64))
+        assert got.tolist() == [splitmix_uniform(key, c) for c in counters]
 
     def test_uniforms_lie_in_the_unit_interval(self):
         for key in self.KEYS:
-            u = _noise_uniforms(key, np.arange(100_000, dtype=np.uint64))
+            u = _kernel.uniforms(key, np.arange(100_000, dtype=np.uint64))
             assert u.min() >= 0.0 and u.max() < 1.0
             assert abs(u.mean() - 0.5) < 0.01
+
+
+class TestStreams:
+    """One key per use of a seed, and the permutations drawn under a key."""
+
+    STREAMS = (_kernel.STREAM_UNSEEN, _kernel.STREAM_CLASSES, _kernel.STREAM_NOISE,
+               _kernel.STREAM_SHUFFLE, _kernel.STREAM_PROBE)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_keys_are_splitmix64_outputs_of_the_seed(self, seed):
+        keys = [_kernel.stream_key(seed, s) for s in self.STREAMS]
+        assert keys == [splitmix64(seed, s) for s in self.STREAMS]
+        assert len(set(keys)) == len(self.STREAMS)
+        assert all(type(k) is int for k in keys)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seeds_outside_64_bits_are_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            _kernel.stream_key(seed, _kernel.STREAM_NOISE)
+
+    def test_permutations_are_seeded_and_differ_from_draw_to_draw(self):
+        n = 50
+        orders = [_kernel.permutation(0x5EED, n, draw) for draw in range(4)]
+        for order in orders:
+            assert order.dtype == np.int64 and sorted(order.tolist()) == list(range(n))
+        assert len({tuple(o.tolist()) for o in orders}) == 4
+        assert _kernel.permutation(0x5EED, n, 2).tolist() == orders[2].tolist()
+        assert _kernel.permutation(0x5EEE, n, 2).tolist() != orders[2].tolist()
+        # the stable argsort of the uniforms of counters draw * n onwards
+        u = [splitmix_uniform(0x5EED, 2 * n + i) for i in range(n)]
+        assert orders[2].tolist() == sorted(range(n), key=u.__getitem__)
+        assert _kernel.permutation(1, 0, 3).tolist() == []
 
 
 class TestSampleNegatives:
@@ -281,7 +313,7 @@ class TestSampleNegatives:
         for p, center in enumerate(centers):
             for k in range(5):
                 counter = ((first + p) * 5 + k) * NS_RESAMPLE_ATTEMPTS
-                rows = [min(int(np.searchsorted(table, _splitmix_uniform(57, counter + a),
+                rows = [min(int(np.searchsorted(table, splitmix_uniform(57, counter + a),
                                                 side="right")), len(table) - 1)
                         for a in range(NS_RESAMPLE_ATTEMPTS)]
                 off = [r for r in rows if r != center]
@@ -353,15 +385,18 @@ class TestTrainDocument:
 
 
 class TestInitState:
-    def test_class_vectors_use_rng_head(self):
+    def test_class_vectors_and_key_come_from_their_streams(self):
         model, corpus = small_setup(dim=8)
         state = init_state(model, FinetuneConfig(seed=9))
-        rng = np.random.default_rng(9)
-        expected = (rng.random((2, 8)) - 0.5) / 8
-        np.testing.assert_array_equal(state.class_vectors, expected)
-        # the noise key is the next uint64 of the stream, and the state
-        # keeps no generator to draw from later
-        assert state.key == int(rng.integers(2**64, dtype=np.uint64))
+        # uniform on [-1/16, 1/16), row by row from counter 0 of the
+        # seed's class-vector stream
+        key = splitmix64(9, _kernel.STREAM_CLASSES)
+        expected = [[(splitmix_uniform(key, 8 * c + j) - 0.5) / 8 for j in range(8)]
+                    for c in range(2)]
+        assert state.class_vectors.tolist() == expected
+        # the noise key is the key of the noise stream, and the state keeps
+        # no generator to draw from later
+        assert state.key == splitmix64(9, _kernel.STREAM_NOISE)
         assert not hasattr(state, "rng")
 
     def test_matrices_and_totals(self):
@@ -542,6 +577,18 @@ class TestFinetune:
         assert t1.tobytes() == t2.tobytes()
         assert t1.tobytes() != t3.tobytes()
 
+    def test_only_a_shuffled_run_reads_the_shuffle_stream(self, monkeypatch):
+        model, corpus = small_setup()
+        runs = {}
+        for stream in (_kernel.STREAM_SHUFFLE, 99):
+            monkeypatch.setattr(_kernel, "STREAM_SHUFFLE", stream)
+            runs[stream] = [finetune(model, FinetuneConfig(epochs=2, seed=4,
+                                                           shuffle=shuffle))[0].tobytes()
+                            for shuffle in (False, True)]
+        plain, shuffled = zip(*runs.values())
+        assert plain[0] == plain[1]
+        assert shuffled[0] != shuffled[1]
+
 
 class TestClassVectors:
     def test_accessor_and_validation(self):
@@ -694,9 +741,15 @@ def _per_pass_epoch(state, corpus):
 
 
 def _assert_close_states(fast, ref):
+    """The kernel's state against the reference's. They round differently
+    (the kernel's dot products sum four partial sums), and a run whose
+    values grow into the hundreds amplifies those last bits: the absolute
+    tolerance 1e-10 holds up to magnitude 100 and grows with the largest
+    value beyond it, at 1e-12 of it."""
     for name in ("input_matrix", "output_matrix", "class_vectors"):
+        a, b = getattr(fast, name), getattr(ref, name)
         np.testing.assert_allclose(
-            getattr(fast, name), getattr(ref, name), rtol=0, atol=1e-10
+            a, b, rtol=0, atol=max(1e-10, 1e-12 * float(np.abs(b).max()))
         )
     assert (fast.positions_done, fast.alpha) == (ref.positions_done, ref.alpha)
 
@@ -715,13 +768,9 @@ class TestKernel:
                              seed=8)
         ref, ref_stats = _train_two_epochs(model, corpus, cfg, trainer._reference_chunk)
         fast, fast_stats = _train_two_epochs(model, corpus, cfg, kernel)
-        for name in ("input_matrix", "output_matrix", "class_vectors"):
-            np.testing.assert_allclose(
-                getattr(fast, name), getattr(ref, name), rtol=0, atol=1e-10
-            )
+        _assert_close_states(fast, ref)
         # the kernel ran on the corpus rows, fewer than the merged ones
         assert len(fast.input_matrix) == len(model.vocab) < len(model)
-        assert (fast.positions_done, fast.alpha) == (ref.positions_done, ref.alpha)
         # positions trained and short of negatives agree exactly, losses closely
         np.testing.assert_array_equal(fast_stats[:, 1:], ref_stats[:, 1:])
         np.testing.assert_allclose(fast_stats[:, 0], ref_stats[:, 0], rtol=1e-9)
@@ -789,31 +838,42 @@ class TestKernel:
         self, kernel, monkeypatch, fallback
     ):
         model, corpus = _kernel_setup(skewed=False)
-        calls, generator_calls = [], []
+        calls, draws = [], []
         train = trainer._reference_chunk if fallback else kernel
+        uniforms, permutation = _kernel.uniforms, _kernel.permutation
 
         def counting(state, chunk):
             calls.append(len(chunk.idx))
             return train(state, chunk)
 
-        class Recording:
-            def __init__(self, generator):
-                self._generator = generator
+        inside = []  # set while a permutation draws its uniforms
 
-            def __getattr__(self, name):
-                generator_calls.append(name)
-                return getattr(self._generator, name)
+        def counting_uniforms(key, counters):
+            if not inside:
+                draws.append(("uniforms", counters.size))
+            return uniforms(key, counters)
 
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng", lambda *a: Recording(default_rng(*a)))
+        def counting_permutation(key, n, draw):
+            draws.append(("permutation", draw))
+            inside.append(draw)
+            try:
+                return permutation(key, n, draw)
+            finally:
+                inside.pop()
+
         monkeypatch.setattr(_kernel, "train_chunk", counting)
+        monkeypatch.setattr(_kernel, "uniforms", counting_uniforms)
+        monkeypatch.setattr(_kernel, "permutation", counting_permutation)
         cfg = FinetuneConfig(epochs=3, seed=9, shuffle=True)
         finetune(model, cfg)
         positions = sum(len(d.tokens) * len(d.labels) for d in corpus.docs)
         assert calls == [positions] * cfg.epochs
-        # init_state draws the class vectors and the key; then only the
-        # document order is drawn, once per epoch
-        assert generator_calls == ["random", "integers"] + ["shuffle"] * cfg.epochs
+        # init_state draws the class vectors (2 x 7); then only the document
+        # order is drawn, once per epoch, and on the fallback the negatives
+        assert draws[0] == ("uniforms", 2 * 7)
+        orders = [d for d in draws[1:] if d[0] == "permutation"]
+        assert orders == [("permutation", e) for e in range(cfg.epochs)]
+        assert fallback or len(draws) == 1 + cfg.epochs
 
     def test_finetune_runs_the_kernel_byte_deterministically(self, kernel, monkeypatch):
         def no_reference(*args):
@@ -834,11 +894,11 @@ class TestKernel:
         cfg = FinetuneConfig(epochs=2, seed=12, shuffle=True)
         tuned, classes = finetune(model, cfg)
         ref = init_state(model, cfg)
-        shuffle_rng = np.random.default_rng((cfg.seed, trainer._SHUFFLE_STREAM))
-        order = np.arange(len(corpus.docs))
-        for _ in range(cfg.epochs):
-            shuffle_rng.shuffle(order)
-            for di in order:
+        key = splitmix64(cfg.seed, _kernel.STREAM_SHUFFLE)
+        n = len(corpus.docs)
+        for epoch in range(cfg.epochs):
+            u = [splitmix_uniform(key, epoch * n + i) for i in range(n)]
+            for di in sorted(range(n), key=u.__getitem__):
                 _train_doc(ref, corpus.docs[di])
         assert tuned.tobytes() == ref.input_matrix.astype(np.float32).tobytes()
         assert classes.matrix.tobytes() == ref.class_vectors.astype(np.float32).tobytes()
@@ -893,7 +953,7 @@ class TestKernel:
         # exactly on an entry (a tie, which side="right" puts past it), and
         # the largest draw lies above the last entry and clamps to it
         key, first, k = 0x5EED + rows, 2**40 + rows, 4 * rows + 4
-        draws = np.array([[_splitmix_uniform(key, (first * k + s) * NS_RESAMPLE_ATTEMPTS + a)
+        draws = np.array([[splitmix_uniform(key, (first * k + s) * NS_RESAMPLE_ATTEMPTS + a)
                            for a in range(NS_RESAMPLE_ATTEMPTS)] for s in range(k)])
         firsts = np.sort(draws[:, 0])
         rng = np.random.default_rng(rows)

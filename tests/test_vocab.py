@@ -6,11 +6,12 @@ import io
 import numpy as np
 import pytest
 
+from classvec import _kernel
 from classvec.corpus import Document, from_documents
 from classvec.embedding_io import BLOCK_ROWS, EmbeddingSet, save_binary, save_text
 from classvec.vocab import TunedEmbedding, build_vocab, init_unseen, merge, unseen_words
 
-from _constructions import random_embedding
+from _constructions import random_embedding, splitmix64, splitmix_uniform
 
 
 def _corpus(*token_lists: tuple[str, ...]):
@@ -46,16 +47,20 @@ class TestUnseenWords:
 
 class TestInitUnseen:
     def test_range_shape_and_dtype(self):
-        rows = init_unseen(["x", "y", "z"], 8, seed=3)
-        assert rows.shape == (3, 8)
-        assert rows.dtype == np.float32
-        assert np.all(rows >= -0.5 / 8) and np.all(rows < 0.5 / 8)
+        for dim in (3, 8, 300):
+            rows = init_unseen([f"w{i}" for i in range(2000)], dim, seed=3)
+            assert rows.shape == (2000, dim)
+            assert rows.dtype == np.float32
+            assert np.all(rows >= -0.5 / dim) and np.all(rows < 0.5 / dim)
+            assert abs(rows.mean()) < 0.01 / dim
 
     def test_matches_seeded_generator(self):
+        # row by row from counter 0 of the seed's unseen-row stream
         rows = init_unseen(["x", "y"], 4, seed=7)
-        rng = np.random.default_rng(7)
-        expected = ((rng.random((2, 4)) - 0.5) / 4).astype(np.float32)
-        np.testing.assert_array_equal(rows, expected)
+        key = splitmix64(7, _kernel.STREAM_UNSEEN)
+        expected = [[np.float32((splitmix_uniform(key, 4 * i + j) - 0.5) / 4)
+                     for j in range(4)] for i in range(2)]
+        assert rows.tolist() == expected
 
     def test_empty_and_invalid(self):
         assert init_unseen([], 4, seed=0).shape == (0, 4)
