@@ -12,8 +12,9 @@
    computed here only when the attempt before it hit the center, and by
    the reference with numpy: so the two passes see identical draws,
    however the passes are grouped into calls.
-   They differ only by rounding: the logits are summed in four fixed
-   partial sums, where numpy leaves the order to BLAS.
+   The reference also rounds as this pass does: it sums each logit in
+   dot's four partial sums and takes the sigmoid through libm's exp, so
+   the two write the same bits.
 
    probe_epoch repeats the per-example loop over loss_and_grads in
    classifier.py (_reference_epoch) in the example order the caller drew.

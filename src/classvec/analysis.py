@@ -86,10 +86,13 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 _QUANTILES = ((0.0, "min"), (0.25, "p25"), (0.5, "median"), (0.75, "p75"), (1.0, "max"))
 
 
-def _quantile(ascending: np.ndarray, q: float) -> float:
+def _quantile(ascending: np.ndarray, q: float, zeros: int = 0, ones: int = 0) -> float:
     """``np.quantile(values, q)`` of numpy's default linear method, read
     off the values sorted ascending, without the ``numpy.ma`` import (about
-    17 ms) that ``np.quantile`` makes on its first call.
+    17 ms) that ``np.quantile`` makes on its first call. The values are
+    ``zeros`` values 0.0, then ``ascending``, then ``ones`` values 1.0,
+    which must be in ascending order too; the 0s and 1s are counted, not
+    stored.
 
     The formula and rounding are numpy's: between the values ``a`` at the
     floor of ``(n-1)*q`` and ``b`` above it, ``a + d*t``, or ``b - d*(1-t)``
@@ -98,9 +101,17 @@ def _quantile(ascending: np.ndarray, q: float) -> float:
     bit-identical, except that where +0.0 and -0.0 both occur, numpy's
     partial sort may leave the other of the two at an index.
     """
-    index = (len(ascending) - 1) * q
-    below = math.floor(index) if index < len(ascending) - 1 else -1
-    a, b = ascending[below], ascending[below + 1 if below >= 0 else -1]
+    n = zeros + len(ascending) + ones
+
+    def at(i: int) -> float:
+        i %= n
+        if i < zeros:
+            return 0.0
+        return ascending[i - zeros] if i - zeros < len(ascending) else 1.0
+
+    index = (n - 1) * q
+    below = math.floor(index) if index < n - 1 else -1
+    a, b = at(below), at(below + 1 if below >= 0 else -1)
     t = index - below
     d = b - a
     return float(b - d * (1 - t) if t >= 0.5 else a + d * t)
@@ -120,13 +131,16 @@ def _pair_stats(vb: np.ndarray, va: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.where(zero, np.where(shift == 0.0, 1.0, 0.0), cos), shift
 
 
-def _summary(cosines: np.ndarray, shifts: np.ndarray) -> dict[str, float]:
+def _summary(
+    cosines: np.ndarray, shifts: np.ndarray, unchanged: int = 0
+) -> dict[str, float]:
     """The quantiles of a drift report, from both statistics sorted
-    ascending."""
+    ascending, and ``unchanged`` more pairs at cosine 1 and shift 0.
+    Cosines are at most 1 and shifts at least 0, so those pairs sort
+    last and first."""
     return {
-        f"{name}_{tag}": _quantile(ascending, q)
-        for name, ascending in (("cosine", cosines), ("shift", shifts))
-        for q, tag in _QUANTILES
+        **{f"cosine_{tag}": _quantile(cosines, q, ones=unchanged) for q, tag in _QUANTILES},
+        **{f"shift_{tag}": _quantile(shifts, q, zeros=unchanged) for q, tag in _QUANTILES},
     }
 
 
@@ -184,6 +198,4 @@ def drift_summary(
         cosines[start:stop], shifts[start:stop] = _pair_stats(
             before[start:stop], after[start:stop]
         )
-    # cosines are at most 1 and shifts at least 0: the unchanged pairs sort last and first
-    return _summary(np.concatenate([np.sort(cosines), np.ones(unchanged)]),
-                    np.concatenate([np.zeros(unchanged), np.sort(shifts)]))
+    return _summary(np.sort(cosines), np.sort(shifts), unchanged)

@@ -27,6 +27,7 @@ order come from streams of the seed of their own.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -144,21 +145,40 @@ def ns_loss_and_grads(
     Returns ``(loss, dL/dh, dL/du)`` where the gradient rows of ``dL/du``
     align with ``[center, *negatives]``.
     """
-    # imported here, so that a run on the compiled kernel loads no probe code
-    from .classifier import sigmoid
-
     rows = np.empty(1 + len(negatives), dtype=np.int64)
     rows[0] = center
     rows[1:] = negatives
     u = state.output_matrix[rows]
-    z = u @ context_mean
+    z = _dot_rows(u, context_mean)
     # -log sigma(z) = log(1 + exp(-z)), stable in both tails
     loss = float(np.logaddexp(0.0, -z[0]) + np.logaddexp(0.0, z[1:]).sum())
-    err = sigmoid(z)
+    err = np.array([_logistic(v) for v in z.tolist()])
     err[0] -= 1.0  # dL/dz_i: sigma - 1 for the center, sigma for negatives
-    grad_h = err @ u
+    grad_h = np.add.reduce(err[:, None] * u, axis=0)  # row by row, in order
     grad_u = np.outer(err, context_mean)
     return loss, grad_h, grad_u
+
+
+def _dot_rows(u: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``u @ h`` summed as the kernel's ``dot`` sums it: four partial sums
+    over the columns ``j mod 4``, each in column order, the last
+    ``m mod 4`` products added to the first one by one, then
+    ``(s0 + s1) + (s2 + s3)``. (``u @ h`` leaves the order to BLAS.)"""
+    prod = u * h
+    q = prod.shape[1] // 4
+    s = np.add.reduce(prod[:, :4 * q].reshape(len(u), q, 4), axis=1)
+    for j in range(4 * q, prod.shape[1]):
+        s[:, 0] += prod[:, j]
+    return (s[:, 0] + s[:, 1]) + (s[:, 2] + s[:, 3])
+
+
+def _logistic(z: float) -> float:
+    """``1 / (1 + exp(-z))`` with libm's ``exp``, which the kernel calls
+    (numpy's own ``exp`` may round differently); 0 where it overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:
+        return 0.0
 
 
 def _sample_negatives(

@@ -105,7 +105,7 @@ class MergedModel:
 @dataclass(frozen=True)
 class TunedEmbedding:
     """A merged model with the row of each corpus token replaced by its
-    row of ``rows`` (``|V_T| x m`` float32, in vocabulary order), as
+    row of ``rows`` (``|V_T| x m`` finite float32, in vocabulary order), as
     ``save_text`` and ``save_binary`` take it.
 
     :meth:`blocks` builds ``BLOCK_ROWS`` rows at a time from the pretrained
@@ -123,6 +123,10 @@ class TunedEmbedding:
                 f"need one row of {self.model.dim} values per vocabulary token, "
                 f"{len(self.model.vocab)} in all; got shape {self.rows.shape}"
             )
+        if self.rows.dtype != np.float32:
+            raise ValueError(f"rows must be float32, got {self.rows.dtype}")
+        if not np.isfinite(self.rows).all():
+            raise ValueError("rows contain non-finite values")
 
     def __len__(self) -> int:
         return len(self.model)

@@ -6,7 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from classvec.analysis import _QUANTILES, _quantile, cosine, drift, nearest_neighbors
+from classvec.analysis import (
+    _QUANTILES,
+    _quantile,
+    cosine,
+    drift,
+    drift_summary,
+    nearest_neighbors,
+)
 from classvec.embedding_io import BLOCK_ROWS, EmbeddingSet
 
 from _constructions import random_embedding, reference_drift
@@ -195,6 +202,36 @@ class TestDrift:
             values = np.where(rng.random(n) < 0.5, -0.0, 0.0)
             for q, _ in _QUANTILES:
                 assert _quantile(np.sort(values), q) == np.quantile(values, q) == 0.0
+
+    def test_counted_zeros_and_ones_read_as_stored_ones(self):
+        # 0s before shifts and 1s after cosines, as drift_summary counts
+        # its unchanged pairs: the quantiles of the run they stand for
+        rng = np.random.default_rng(6)
+        for n in range(0, 30):
+            shifts, cosines = np.sort(rng.random(n) * 3), np.sort(rng.uniform(-1, 1, n))
+            for k in (0, 1, 2, 7, 1000):
+                if n + k == 0:
+                    continue
+                for q, _ in _QUANTILES:
+                    stored = _quantile(np.concatenate([np.zeros(k), shifts]), q)
+                    assert _quantile(shifts, q, zeros=k) == stored
+                    stored = _quantile(np.concatenate([cosines, np.ones(k)]), q)
+                    assert _quantile(cosines, q, ones=k) == stored
+
+    def test_summary_allocates_nothing_per_unchanged_pair(self):
+        rng = np.random.default_rng(7)
+        before = rng.normal(size=(50, 4)).astype(np.float32)
+        after = before + np.float32(0.5)
+        drift_summary(before, after, 3)  # first-call imports
+        tracemalloc.start()
+        try:
+            q = drift_summary(before, after, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
+        assert (q["cosine_p25"], q["shift_p75"]) == (1.0, 0.0)
+        assert q["cosine_min"] < 1.0 and q["shift_max"] > 0.0
 
     def test_errors(self):
         a = EmbeddingSet(["x"], np.ones((1, 2), np.float32))

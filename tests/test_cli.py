@@ -740,7 +740,7 @@ class TestStartup:
             mine = {m for m in loaded[stage] if m.startswith("classvec.")}
             assert mine == {"classvec.cli", "classvec._names", "classvec._kernel",
                             "classvec.embedding_io", "classvec.analysis"}, stage
-        # the trainer takes the probe's sigmoid only on its numpy fallback
+        # the trainer loads no probe code
         assert not {"classvec.classifier", "classvec.metrics"} & loaded["finetune"]
         for stage, modules in loaded.items():
             assert "numpy.ma" not in modules, stage

@@ -198,6 +198,17 @@ class TestNsLossAndGrads:
         err = np.array([-0.5, 0.5, 0.5, 0.5, 0.5])
         np.testing.assert_allclose(grad_u, np.outer(err, h), rtol=1e-12)
 
+    def test_saturated_logits(self):
+        # exp(-z) overflows at the center's z = -1000: its sigmoid is 0
+        # there, as in the kernel, and the negative's at z = 1000 is 1
+        state = self._state(dim=2)
+        state.output_matrix[3] = [-500.0, 0.0]
+        state.output_matrix[7] = [500.0, 0.0]
+        loss, grad_h, grad_u = ns_loss_and_grads(np.array([2.0, 0.0]), 3, [7], state)
+        assert loss == 2000.0
+        assert grad_h.tolist() == [1000.0, 0.0]
+        assert grad_u.tolist() == [[-2.0, 0.0], [2.0, 0.0]]
+
     def test_hand_computed_instance(self):
         state = self._state(dim=2, out_seed=None)
         state.output_matrix = np.zeros_like(state.output_matrix)
@@ -741,15 +752,9 @@ def _per_pass_epoch(state, corpus):
 
 
 def _assert_close_states(fast, ref):
-    """The kernel's state against the reference's. They round differently
-    (the kernel's dot products sum four partial sums), and a run whose
-    values grow into the hundreds amplifies those last bits: the absolute
-    tolerance 1e-10 holds up to magnitude 100 and grows with the largest
-    value beyond it, at 1e-12 of it."""
     for name in ("input_matrix", "output_matrix", "class_vectors"):
-        a, b = getattr(fast, name), getattr(ref, name)
         np.testing.assert_allclose(
-            a, b, rtol=0, atol=max(1e-10, 1e-12 * float(np.abs(b).max()))
+            getattr(fast, name), getattr(ref, name), rtol=0, atol=1e-10
         )
     assert (fast.positions_done, fast.alpha) == (ref.positions_done, ref.alpha)
 
@@ -886,6 +891,26 @@ class TestKernel:
         t2, c2 = finetune(model, cfg)
         assert t1.tobytes() == t2.tobytes()
         assert c1.matrix.tobytes() == c2.matrix.tobytes()
+
+    # 40 negatives on the skewed corpus grow the values to about 1e3, where
+    # any difference in rounding shows in the low bits
+    @pytest.mark.parametrize("skewed, negative", [(False, 5), (True, 40)])
+    def test_reference_writes_the_bits_of_the_kernel(self, kernel, skewed, negative):
+        # the reference sums the logits in the kernel's order and takes its
+        # sigmoid through libm's exp, so it trains the same 64-bit state,
+        # and a run without the kernel tunes the same bytes
+        model, corpus = _kernel_setup(skewed)
+        cfg = FinetuneConfig(epochs=2, negative=negative, alpha0=0.05, seed=8)
+        ref, _ = _train_two_epochs(model, corpus, cfg, trainer._reference_chunk)
+        fast, _ = _train_two_epochs(model, corpus, cfg, kernel)
+        for name in ("input_matrix", "output_matrix", "class_vectors"):
+            assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes(), name
+        tuned, classes = finetune(model, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            disable_kernel(mp)
+            slow, slow_classes = finetune(model, cfg)
+        assert tuned.tobytes() == slow.tobytes()
+        assert classes.matrix.tobytes() == slow_classes.matrix.tobytes()
 
     def test_finetune_matches_train_document_in_shuffled_order(self, kernel):
         # finetune trains each epoch in one call; training each document in

@@ -168,8 +168,13 @@ class TestTunedEmbedding:
         emb = tuned.embedding_set()
         assert emb.words == model.words and emb.matrix.tobytes() == expected.tobytes()
         assert (len(tuned), tuned.dim) == (len(model), 3)
-        for bad in (rows[1:], rows[:, 1:]):
-            with pytest.raises(ValueError, match="one row of 3 values per vocabulary token"):
+        nan, inf = rows.copy(), rows.copy()
+        nan[5, 1], inf[7, 0] = np.nan, -np.inf
+        for bad, problem in ((rows[1:], "one row of 3 values per vocabulary token"),
+                             (rows[:, 1:], "one row of 3 values per vocabulary token"),
+                             (rows.astype(np.float64), "rows must be float32"),
+                             (nan, "non-finite"), (inf, "non-finite")):
+            with pytest.raises(ValueError, match=problem):
                 TunedEmbedding(model, bad)
 
     @pytest.mark.parametrize("save", [save_text, save_binary])
