@@ -15,6 +15,7 @@ from importlib import import_module
 
 # every public name, with the module that defines it
 _MODULE_OF = {
+    "BlockFile": "embedding_io",
     "ClassVectors": "trainer",
     "ClassifierConfig": "classifier",
     "ClassifierFormatError": "classifier",

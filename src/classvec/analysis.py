@@ -5,16 +5,24 @@ Cosines are clamped to [-1, 1] against rounding. Neighbor ties break by
 vocabulary order. The drift report covers the shared vocabulary, sorted
 ascending by cosine (most-changed tokens first), with five-number
 summaries of both the cosine and the Euclidean shift.
+
+:func:`drift` reads the ``before`` side block by block, so it can stream
+a file (an ``embedding_io.BlockFile``) against a loaded ``after`` set. A
+:class:`DriftReport` stores three arrays for the shared pairs, 24 bytes a
+pair: the pair's row in ``after``, its cosine and its shift, with the
+``after`` set's token list; its ``(token, cosine, shift)`` entries are
+built from them on demand.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
-from .embedding_io import BLOCK_ROWS, EmbeddingSet
+from .embedding_io import BLOCK_ROWS, BlockFile, EmbeddingSet
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -60,19 +68,50 @@ def nearest_neighbors(
     return [(emb.words[i], float(sims[i])) for i in order if sims[i] > -np.inf]
 
 
-@dataclass(frozen=True)
+class _Entries(Sequence):
+    """The (token, cosine, shift) tuples of a :class:`DriftReport`, each
+    built when it is read."""
+
+    def __init__(self, report: DriftReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.rows)
+
+    def __getitem__(self, i):
+        r = self._report
+        if isinstance(i, slice):
+            return tuple(zip(map(r.words.__getitem__, r.rows[i].tolist()),
+                             r.cosines[i].tolist(), r.shifts[i].tolist()))
+        return r.words[r.rows[i]], float(r.cosines[i]), float(r.shifts[i])
+
+    def __iter__(self):
+        return iter(self[:])
+
+
+@dataclass(frozen=True, eq=False)
 class DriftReport:
     """Per-token change between two embedding sets over shared tokens.
 
-    ``entries`` are (token, cosine, shift) sorted ascending by cosine;
-    ``quantiles`` holds min/p25/median/p75/max for both statistics.
-    Tokens present in only one set are listed separately.
+    The shared pairs are sorted ascending by cosine, ties in ``before``
+    order: ``rows`` holds each pair's row in ``after``, whose tokens are
+    ``words``, and ``cosines`` and ``shifts`` its statistics. ``entries``
+    gives them as (token, cosine, shift); ``quantiles`` holds min/p25/
+    median/p75/max for both statistics. Tokens present in only one set are
+    listed separately.
     """
 
-    entries: tuple[tuple[str, float, float], ...]
+    words: Sequence[str]
+    rows: np.ndarray
+    cosines: np.ndarray
+    shifts: np.ndarray
     quantiles: dict[str, float]
     only_before: tuple[str, ...]
     only_after: tuple[str, ...]
+
+    @property
+    def entries(self) -> Sequence[tuple[str, float, float]]:
+        return _Entries(self)
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -144,41 +183,69 @@ def _summary(
     }
 
 
-def drift(before: EmbeddingSet, after: EmbeddingSet) -> DriftReport:
+def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet) -> DriftReport:
     """Compare two embedding sets token by token.
 
-    The cosine of a pair with a zero-norm side is defined as 1.0 when
-    both rows are identical, else 0.0 (fine-tuning never zeroes a vector;
-    this only pads pathological inputs). Rows are compared in float64,
-    ``BLOCK_ROWS`` at a time, so no temporary spans the whole vocabulary.
+    ``before`` is read block by block, once: a ``BlockFile`` streams its
+    file, and its reader records each block's tokens through this
+    comparison, so that no token of ``before`` is kept beyond its block
+    but the ones ``after`` lacks. The cosine of a pair with a zero-norm
+    side is defined as 1.0 when both rows are identical, else 0.0
+    (fine-tuning never zeroes a vector; this only pads pathological
+    inputs). Rows are compared in float64, a block at a time, so no
+    temporary spans the whole vocabulary.
     """
     if before.dim != after.dim:
         raise ValueError(
             f"dimension mismatch: {before.dim} vs {after.dim}"
         )
-    in_after = np.fromiter(
-        map(after.index.get, before.words, repeat(-1)), dtype=np.int64,
-        count=len(before),
-    )
-    shared_b = np.flatnonzero(in_after >= 0)
-    shared_a = in_after[shared_b]
-    if not len(shared_b):
-        raise ValueError("the two sets share no tokens")
-    cosines = np.empty(len(shared_b))
-    shifts = np.empty(len(shared_b))
-    for start in range(0, len(shared_b), BLOCK_ROWS):
-        stop = start + BLOCK_ROWS
-        cosines[start:stop], shifts[start:stop] = _pair_stats(
-            before.matrix[shared_b[start:stop]], after.matrix[shared_a[start:stop]]
+    size = min(len(before), len(after))
+    rows = np.empty(size, dtype=np.int64)
+    cosines = np.empty(size)
+    shifts = np.empty(size)
+    matched = np.zeros(len(after), dtype=bool)
+    only_before: dict[str, None] = {}
+    # the after row of each token of the block recorded last, -1 where
+    # after lacks it: the reader records a block just before yielding it
+    found = rows[:0]
+
+    def add(tokens: list[str], row: int) -> bool:
+        """The reader's record of ``before`` tokens: a token ``after`` has
+        is recorded by its row there, any other by itself."""
+        nonlocal found
+        at = np.fromiter(map(after.index.get, tokens, repeat(-1)),
+                         dtype=np.int64, count=len(tokens))
+        hits = at[at >= 0]
+        missing = list(compress(tokens, (at < 0).tolist()))
+        if (len(set(tokens)) != len(tokens) or matched[hits].any()
+                or not only_before.keys().isdisjoint(missing)):
+            return False
+        matched[hits] = True
+        only_before.update(dict.fromkeys(missing))
+        found = at
+        return True
+
+    shared = 0
+    for _, block in before.blocks(add):
+        hit = found >= 0
+        stop = shared + int(hit.sum())
+        rows[shared:stop] = found[hit]
+        cosines[shared:stop], shifts[shared:stop] = _pair_stats(
+            block[hit], after.matrix[found[hit]]
         )
-    order = np.argsort(cosines, kind="stable")
-    tokens = np.array(before.words, dtype=object)[shared_b[order]]
-    cosines, shifts = cosines[order], shifts[order]
+        shared = stop
+    if not shared:
+        raise ValueError("the two sets share no tokens")
+    # one array at a time, so the sort holds one more array, not three
+    order = np.argsort(cosines[:shared], kind="stable")
+    rows = rows[order]
+    cosines = cosines[order]
+    shifts = shifts[order]
     return DriftReport(
-        entries=tuple(zip(tokens, cosines.tolist(), shifts.tolist())),
+        words=after.words, rows=rows, cosines=cosines, shifts=shifts,
         quantiles=_summary(cosines, np.sort(shifts)),
-        only_before=tuple(t for t in before.words if t not in after.index),
-        only_after=tuple(t for t in after.words if t not in before.index),
+        only_before=tuple(only_before),
+        only_after=tuple(compress(after.words, (~matched).tolist())),
     )
 
 

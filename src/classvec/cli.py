@@ -63,6 +63,7 @@ predict = _lazy("classifier", "predict")
 save_classifier = _lazy("classifier", "save_classifier")
 train_classifier = _lazy("classifier", "train_classifier")
 load_tsv = _lazy("corpus", "load_tsv")
+BlockFile = _lazy("embedding_io", "BlockFile")
 EmbeddingSet = _lazy("embedding_io", "EmbeddingSet")
 load_file = _lazy("embedding_io", "load_file")
 save_binary = _lazy("embedding_io", "save_binary")
@@ -243,9 +244,11 @@ def cmd_drift(args: argparse.Namespace) -> int:
     if args.top < 0:
         return _usage_error("--top must be at least 0")
     _require_files(args.before, args.after)
-    before = load_file(args.before, args.format)
-    after = load_file(args.after, args.format)
-    report = drift(before, after)
+    # --before is read a block at a time against the loaded --after, so the
+    # command holds one set; its header is checked before --after is read
+    with BlockFile(args.before, args.format) as before:
+        after = load_file(args.after, args.format)
+        report = drift(before, after)
     _print_drift_summary(report.quantiles)
     print(
         f"shared={len(report.entries)}\tonly_before={len(report.only_before)}"

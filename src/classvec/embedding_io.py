@@ -11,25 +11,34 @@ Format selection is always explicit (see :func:`load_file`); files are
 never sniffed. Malformed input is a hard error carrying the offending
 line number or byte offset.
 
-Readers and writers work on blocks of ``BLOCK_ROWS`` rows. Both readers
-stream: a load holds the matrix plus about one block of input, never the
-whole file. A reader hands each chunk of raw bytes to a scanner of the
-compiled kernel (``_kernel.c``), which in one call writes the chunk's
-values straight into the matrix and its tokens, joined by single spaces,
-into one buffer; Python then decodes, splits and checks those tokens once
-per chunk. Text numerals take the kernel's exact fast path (one correctly
-rounded operation), which accepts nearly every numeral a writer emits.
-A row the scanner declines, and every row when the kernel is unavailable,
-goes through the Python block code here, with one array-level call per
-block for values and tokens; it is the reference and the only source of
-error messages. When a block fails a check, a row-by-row scan of that
-block names its first bad row.
+Readers and writers work on blocks of ``BLOCK_ROWS`` rows. A reader is a
+stream of blocks: it reads the file one chunk at a time, writes each
+block's values into a target its caller gives, records the block's tokens
+and yields them. A load is that stream collected into the matrix: each
+target is a slice of the matrix, so the load holds the matrix plus about
+one block of input, never the whole file, and it builds the set's index as
+it reads, so no token is hashed or checked twice. :class:`BlockFile`
+gives the same stream through one reused block of rows, for a caller that
+compares a file with a set block by block and never needs its matrix.
+
+A reader hands each chunk of raw bytes to a scanner of the compiled kernel
+(``_kernel.c``), which in one call writes the chunk's values straight into
+the target and its tokens, joined by single spaces, into one buffer;
+Python then decodes, splits and checks those tokens once per chunk. Text
+numerals take the kernel's exact fast path (one correctly rounded
+operation), which accepts nearly every numeral a writer emits. A row the
+scanner declines, and every row when the kernel is unavailable, goes
+through the Python block code here, with one array-level call per block
+for values and tokens; it is the reference and the only source of error
+messages. When a block fails a check, a row-by-row scan of that block
+names its first bad row.
 """
 from __future__ import annotations
 
 import io
+from functools import partial
 from itertools import islice
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -42,6 +51,15 @@ BLOCK_ROWS = 256
 # letters of inf, infinity and nan. float() would also take '1_0', padding
 # whitespace and non-ASCII digits; no word2vec writer emits those.
 _NUMERAL_BYTES = b"0123456789+-.eEinfatyINFATY"
+
+# Records the tokens a reader reads, block by block: add(tokens, row) takes
+# the tokens of the rows from ``row`` on, or returns False, recording
+# nothing, if one of them repeats a recorded token or another of them
+Record = Callable[[list[str], int], bool]
+
+# Where a reader writes the rows from row ``row`` on: target(row) has room
+# for at least the next min(BLOCK_ROWS, rows left) of them
+Target = Callable[[int], np.ndarray]
 
 
 class EmbeddingFormatError(ValueError):
@@ -106,11 +124,31 @@ class EmbeddingSet:
         """Return the (read-only) vector for ``token``; KeyError if absent."""
         return self.matrix[self.index[token]]
 
-    def blocks(self) -> Iterator[tuple[list[str], np.ndarray]]:
+    @classmethod
+    def _read(cls, words: list[str], index: dict[str, int], matrix: np.ndarray
+              ) -> EmbeddingSet:
+        """The set a reader has checked: every token and value, and ``index``
+        built as it went. Nothing is checked or hashed again."""
+        emb = cls.__new__(cls)
+        emb.words, emb.index, emb.matrix = words, index, matrix
+        matrix.setflags(write=False)
+        return emb
+
+    def blocks(self, add: Record | None = None
+               ) -> Iterator[tuple[list[str], np.ndarray]]:
         """The tokens and rows of each block of ``BLOCK_ROWS`` rows, in
-        order, as the writers take them."""
+        order, as the writers take them. ``add``, if given, records each
+        block's tokens before the block is yielded, as
+        :meth:`BlockFile.blocks` does."""
         for start in range(0, len(self), BLOCK_ROWS):
-            yield self.words[start:start + BLOCK_ROWS], self.matrix[start:start + BLOCK_ROWS]
+            words = self.words[start:start + BLOCK_ROWS]
+            if add is not None and not add(words, start):
+                raise ValueError(f"a token of rows {start}+ is recorded already")
+            yield words, self.matrix[start:start + BLOCK_ROWS]
+
+
+# Values a header may declare: numpy cannot shape a float32 array of more
+_MAX_VALUES = np.iinfo(np.intp).max // 4
 
 
 def _parse_header(line: bytes, what: str) -> tuple[int, int]:
@@ -125,7 +163,28 @@ def _parse_header(line: bytes, what: str) -> tuple[int, int]:
         raise EmbeddingFormatError(f"{what}: vocabulary size must be >= 1, got {n}")
     if m < 1:
         raise EmbeddingFormatError(f"{what}: dimensionality must be >= 1, got {m}")
+    if n * m > _MAX_VALUES:
+        raise _too_large(n, m, what)
     return n, m
+
+
+def _too_large(n: int, m: int, what: str) -> EmbeddingFormatError:
+    return EmbeddingFormatError(f"{what}: {n} x {m} values are more than memory holds")
+
+
+def _read_header(source: BinaryIO, fmt: str) -> tuple[int, int, str, int]:
+    """Read and check the header line of a ``fmt`` file; return the rows and
+    the dimension it declares, how errors name it and its length in bytes."""
+    header = source.readline()
+    if fmt == "text":
+        if not header:
+            raise EmbeddingFormatError("empty file")
+        what = "line 1"
+    else:
+        if not header.endswith(b"\n"):
+            raise EmbeddingFormatError("byte 0: missing or unterminated header line")
+        what = "header"
+    return (*_parse_header(header, what), what, len(header))
 
 
 def _allocate(n: int, m: int, what: str) -> np.ndarray:
@@ -134,14 +193,27 @@ def _allocate(n: int, m: int, what: str) -> np.ndarray:
     large to allocate at all is a format error, not a MemoryError."""
     try:
         return np.empty((n, m), dtype=np.float32)
-    except (MemoryError, ValueError):
-        raise EmbeddingFormatError(
-            f"{what}: {n} x {m} values are more than memory holds"
-        ) from None
+    except MemoryError:
+        raise _too_large(n, m, what) from None
 
 
-def _token_error(token: bytes, seen: set[str]) -> str | None:
-    """What is wrong with one token, or None after adding it to ``seen``."""
+def _index_tokens(index: dict[str, int], tokens: list[str], row: int) -> bool:
+    """Record ``tokens`` in ``index`` as the rows from ``row`` on; False,
+    recording nothing, if one repeats a token of ``index`` or of
+    ``tokens``. The record a load builds its index with."""
+    size = len(index)
+    if index.keys().isdisjoint(tokens):
+        index.update(zip(tokens, range(row, row + len(tokens))))
+        if len(index) == size + len(tokens):
+            return True
+        for token in tokens:  # a repeat within tokens: take them out again
+            index.pop(token, None)
+    return False
+
+
+def _token_error(token: bytes, add: Record, row: int) -> str | None:
+    """What is wrong with the token of row ``row``, or None after recording
+    it."""
     if not token:
         return "empty token"
     if b"\n" in token:
@@ -152,32 +224,25 @@ def _token_error(token: bytes, seen: set[str]) -> str | None:
         return "token is not valid UTF-8"
     if word.split() != [word]:
         return f"whitespace in token {word!r}"
-    if word in seen:
+    if not add([word], row):
         return f"duplicate token {word!r}"
-    seen.add(word)
     return None
 
 
-def _add_words(seen: set[str], words: list[str], joined: bytes) -> bool:
-    """Decode a block's tokens, joined by single spaces, and append them to
-    ``words`` and ``seen`` (which holds the same tokens); False, changing
-    nothing, if any of them is empty, holds whitespace, is not UTF-8 or
-    repeats (:func:`_token_error` says which)."""
+def _add_words(add: Record, row: int, joined: bytes) -> list[str] | None:
+    """Decode a block's tokens, joined by single spaces, and record them as
+    the rows from ``row`` on; None, recording nothing, if any of them is
+    empty, holds whitespace, is not UTF-8 or repeats (:func:`_token_error`
+    says which)."""
     try:
         text = joined.decode("utf-8")
     except UnicodeDecodeError:
-        return False
+        return None
     block = text.split(" ")
     # str.split() drops empty tokens and splits at every whitespace character
-    if text.split() != block:
-        return False
-    seen.update(block)
-    if len(seen) != len(words) + len(block):
-        seen.clear()  # a repeat: put seen back as it was
-        seen.update(words)
-        return False
-    words.extend(block)
-    return True
+    if text.split() != block or not add(block, row):
+        return None
+    return block
 
 
 def parse_numerals(rows: list[bytes], m: int) -> np.ndarray | None:
@@ -215,10 +280,12 @@ def _row_count_error(n: int, rows: int) -> EmbeddingFormatError:
 
 
 def _text_line_error(
-    lines: list[bytes], lineno: int, m: int, seen: set[str]
+    lines: list[bytes], row: int, m: int, add: Record
 ) -> EmbeddingFormatError:
-    """The error of the first bad line in a block that failed a block check."""
-    for lineno, line in enumerate(lines, lineno):
+    """The error of the first bad line in a block, from row ``row`` on, that
+    failed a block check; ``add`` has recorded the rows before it."""
+    for row, line in enumerate(lines, row):
+        lineno = row + 2  # after the header, counted from 1
         fields = line.count(b" ") + 1
         if fields != m + 1:
             return EmbeddingFormatError(
@@ -226,12 +293,12 @@ def _text_line_error(
                 f"got {fields}"
             )
         token, _, values = line.partition(b" ")
-        problem = _token_error(token, seen)
+        problem = _token_error(token, add, row)
         if problem is None:
-            row = parse_numerals([values], m)
-            if row is None:
+            parsed = parse_numerals([values], m)
+            if parsed is None:
                 problem = "malformed value"
-            elif not np.isfinite(_to_float32(row)).all():
+            elif not np.isfinite(_to_float32(parsed)).all():
                 problem = "non-finite value"
         if problem is not None:
             return EmbeddingFormatError(f"line {lineno}: {problem}")
@@ -254,58 +321,60 @@ def _lines_left(lines: io.BytesIO, chunks: Iterator[bytes]) -> int:
     return sum(1 for _ in lines) + sum(chunk.count(b"\n") for chunk in chunks)
 
 
-def _read_text_rows(source: BinaryIO, matrix: np.ndarray) -> list[str]:
-    """Fill ``matrix`` from the text rows after the header, one chunk of
-    whole lines at a time; return the tokens."""
-    n, m = matrix.shape
-    words: list[str] = []
-    seen: set[str] = set()
+def _read_text_rows(
+    source: BinaryIO, n: int, m: int, target: Target, add: Record
+) -> Iterator[list[str]]:
+    """Read the ``n`` text rows of ``m`` values after the header, one chunk
+    of whole lines at a time; for each block, write its values into
+    ``target``, record its tokens through ``add`` and yield them."""
+    row = 0
     # room for BLOCK_ROWS rows of the widest '%.9g' numerals
     chunks = _line_chunks(source, BLOCK_ROWS * (_kernel.FORMAT_BYTES * m + 16))
     chunk = b""
     lines = io.BytesIO(chunk)  # the chunk, read up to the first unparsed line
-    while len(words) < n:
-        row = len(words)
-        want = min(BLOCK_ROWS, n - row)
+    while row < n:
+        out = target(row)[:min(BLOCK_ROWS, n - row)]
         pos = lines.tell()
         if pos == len(chunk):
             chunk = next(chunks, b"")
             if not chunk:
                 raise _row_count_error(n, row)
             lines, pos = io.BytesIO(chunk), 0
-        scanned = _kernel.scan_text(chunk, pos, matrix[row:row + want])
-        if scanned and scanned[0] and _add_words(seen, words, scanned[2]):
+        scanned = _kernel.scan_text(chunk, pos, out)
+        block = None
+        if scanned and scanned[0]:
+            block = _add_words(add, row, scanned[2])
+        if block is not None:
             lines.seek(scanned[1])
+            row += len(block)
+            yield block
             continue
-        # the Python block, from the first line the scanner did not take
-        parts = [line.partition(b" ") for line in islice(lines, want)]
-        values = None
-        if _add_words(seen, words, b" ".join([p[0] for p in parts])):
-            values = parse_numerals([p[2] for p in parts], m)
+        # the Python block, from the first line the scanner did not take;
+        # its tokens are recorded last, so that a failed block records none
+        parts = [line.partition(b" ") for line in islice(lines, len(out))]
+        values = parse_numerals([p[2] for p in parts], m)
         if values is not None:
             values = _to_float32(values)
-        if values is None or not np.isfinite(values).all():
+            if np.isfinite(values).all():
+                block = _add_words(add, row, b" ".join([p[0] for p in parts]))
+        if block is None:
             bad = [b"".join(p).rstrip(b"\n") for p in parts]
-            error = _text_line_error(bad, row + 2, m, set(words[:row]))
+            error = _text_line_error(bad, row, m, add)
             # a wrong row count outranks any row's error, as a whole-file
             # reader would find it first
             rows = row + len(parts) + _lines_left(lines, chunks)
             raise _row_count_error(n, rows) if rows != n else error
-        matrix[row:row + len(parts)] = values
+        out[:len(block)] = values
+        row += len(block)
+        yield block
     extra = _lines_left(lines, chunks)
     if extra:
         raise _row_count_error(n, n + extra)
-    return words
 
 
 def load_text(source: BinaryIO) -> EmbeddingSet:
     """Parse the word2vec text format from a binary stream."""
-    header = source.readline()
-    if not header:
-        raise EmbeddingFormatError("empty file")
-    n, m = _parse_header(header, "line 1")
-    matrix = _allocate(n, m, "line 1")
-    return EmbeddingSet(_read_text_rows(source, matrix), matrix)
+    return _load(source, "text")
 
 
 def save_text(emb: EmbeddingSet, sink: BinaryIO) -> None:
@@ -339,13 +408,14 @@ def save_text(emb: EmbeddingSet, sink: BinaryIO) -> None:
 
 def _binary_row_error(
     data: bytearray, base: int, tokens: list[bytes], starts: list[int],
-    vec_at: list[int], m: int, seen: set[str], failure: str | None,
+    vec_at: list[int], m: int, add: Record, row: int, failure: str | None,
 ) -> EmbeddingFormatError:
-    """The error of the first bad row in a block that failed a block check:
-    rows are checked token first, then vector, and a truncation (``failure``)
-    comes after the checks of every row read in full before it."""
+    """The error of the first bad row in a block, from row ``row`` on, that
+    failed a block check (``add`` has recorded the rows before it): rows are
+    checked token first, then vector, and a truncation (``failure``) comes
+    after the checks of every row read in full before it."""
     for r, token in enumerate(tokens):
-        problem = _token_error(token, seen)
+        problem = _token_error(token, add, row + r)
         if problem is not None:
             return EmbeddingFormatError(f"byte {base + starts[r]}: {problem}")
         if r < len(vec_at):
@@ -358,10 +428,12 @@ def _binary_row_error(
     return EmbeddingFormatError(failure)
 
 
-def _read_binary_rows(source: BinaryIO, base: int, matrix: np.ndarray) -> list[str]:
-    """Fill ``matrix`` from the binary rows that start at file offset
-    ``base``, reading about one block of rows at a time; return the tokens."""
-    n, m = matrix.shape
+def _read_binary_rows(
+    source: BinaryIO, base: int, n: int, m: int, target: Target, add: Record
+) -> Iterator[list[str]]:
+    """Read the ``n`` binary rows of ``m`` values that start at file offset
+    ``base``, about one block of rows at a time, as :func:`_read_text_rows`
+    reads text rows."""
     vec_bytes = 4 * m
     chunk = BLOCK_ROWS * (vec_bytes + 16)
     data = bytearray()  # the stream from file offset base, not yet parsed
@@ -376,27 +448,31 @@ def _read_binary_rows(source: BinaryIO, base: int, matrix: np.ndarray) -> list[s
             eof = not got
         return not eof
 
-    words: list[str] = []
-    seen: set[str] = set()
-    while len(words) < n:
-        row = len(words)
-        stop = min(n, row + BLOCK_ROWS)
+    row = 0
+    while row < n:
+        out = target(row)[:min(BLOCK_ROWS, n - row)]
         if len(data) < chunk:
             read_more()  # so that most scans take BLOCK_ROWS rows
-        scanned = _kernel.scan_binary(data, 0, matrix[row:stop])
-        if scanned and scanned[0] and _add_words(seen, words, scanned[2]):
+        scanned = _kernel.scan_binary(data, 0, out)
+        block = None
+        if scanned and scanned[0]:
+            block = _add_words(add, row, scanned[2])
+        if block is not None:
             del data[:scanned[1]]
             base += scanned[1]
+            row += len(block)
+            yield block
             continue
         if scanned and not scanned[0] and not scanned[3] and read_more():
             continue  # the row runs past the bytes read so far
-        # the Python block, from the first row the scanner did not take
+        # the Python block, from the first row the scanner did not take;
+        # its tokens are recorded last, so that a failed block records none
         tokens: list[bytes] = []
         starts: list[int] = []
         vec_at: list[int] = []
         failure = None
         pos = 0
-        for i in range(row, stop):
+        for i in range(row, row + len(out)):
             end = data.find(b" ", pos)
             while end < 0:
                 searched = len(data)
@@ -423,30 +499,50 @@ def _read_binary_rows(source: BinaryIO, base: int, matrix: np.ndarray) -> list[s
                 break
             vec_at.append(pos)
             pos += vec_bytes
-        vectors = None
-        if failure is None and _add_words(seen, words, b" ".join(tokens)):
+        if failure is None:
             raw = b"".join([data[a:a + vec_bytes] for a in vec_at])
             vectors = np.frombuffer(raw, dtype="<f4").reshape(len(vec_at), m)
-        if vectors is None or not np.isfinite(vectors).all():
+            if np.isfinite(vectors).all():
+                block = _add_words(add, row, b" ".join(tokens))
+        if block is None:
             raise _binary_row_error(
-                data, base, tokens, starts, vec_at, m, set(words[:row]), failure
+                data, base, tokens, starts, vec_at, m, add, row, failure
             )
-        matrix[row:row + len(vec_at)] = vectors
+        out[:len(block)] = vectors
         del data[:pos]
         base += pos
+        row += len(block)
+        yield block
     if data or read_more():
         raise EmbeddingFormatError(f"byte {base}: trailing data after last vector")
-    return words
 
 
 def load_binary(source: BinaryIO) -> EmbeddingSet:
     """Parse the word2vec binary format from a binary stream."""
-    header = source.readline()
-    if not header.endswith(b"\n"):
-        raise EmbeddingFormatError("byte 0: missing or unterminated header line")
-    n, m = _parse_header(header, "header")
-    matrix = _allocate(n, m, "header")
-    return EmbeddingSet(_read_binary_rows(source, len(header), matrix), matrix)
+    return _load(source, "bin")
+
+
+def _read_rows(
+    source: BinaryIO, fmt: str, base: int, n: int, m: int, target: Target,
+    add: Record,
+) -> Iterator[list[str]]:
+    """The reader of ``fmt``, on the rows after a header of ``base`` bytes."""
+    if fmt == "text":
+        return _read_text_rows(source, n, m, target, add)
+    return _read_binary_rows(source, base, n, m, target, add)
+
+
+def _load(source: BinaryIO, fmt: str) -> EmbeddingSet:
+    """The stream of a ``fmt`` file collected into its matrix and index."""
+    n, m, what, base = _read_header(source, fmt)
+    matrix = _allocate(n, m, what)
+    index: dict[str, int] = {}
+    words: list[str] = []
+    for block in _read_rows(source, fmt, base, n, m,
+                            lambda row: matrix[row:row + BLOCK_ROWS],
+                            partial(_index_tokens, index)):
+        words.extend(block)
+    return EmbeddingSet._read(words, index, matrix)
 
 
 def save_binary(emb: EmbeddingSet, sink: BinaryIO) -> None:
@@ -466,9 +562,62 @@ def save_binary(emb: EmbeddingSet, sink: BinaryIO) -> None:
         sink.write(b"".join(parts))
 
 
-def load_file(path: str, fmt: str) -> EmbeddingSet:
-    """Load embeddings from ``path`` in the explicitly named format."""
+def _check_format(fmt: str) -> None:
     if fmt not in FORMATS:
         raise ValueError(f"unknown embedding format {fmt!r}")
+
+
+def load_file(path: str, fmt: str) -> EmbeddingSet:
+    """Load embeddings from ``path`` in the explicitly named format."""
+    _check_format(fmt)
     with open(path, "rb") as f:
-        return load_text(f) if fmt == "text" else load_binary(f)
+        return _load(f, fmt)
+
+
+class BlockFile:
+    """An embedding file read as a stream of blocks, never as a whole.
+
+    Opening it reads and checks the header; :meth:`blocks` reads the rows,
+    with the checks and errors of :func:`load_file`, into one block of
+    ``BLOCK_ROWS`` rows that each block overwrites. It has the ``len``,
+    ``dim`` and ``blocks()`` that the writers take. Close it, or use it as
+    a context manager.
+    """
+
+    def __init__(self, path: str, fmt: str):
+        _check_format(fmt)
+        self._fmt = fmt
+        self._file = open(path, "rb")
+        try:
+            self._rows, self.dim, _, self._base = _read_header(self._file, fmt)
+        except BaseException:
+            self._file.close()
+            raise
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def blocks(self, add: Record | None = None
+               ) -> Iterator[tuple[list[str], np.ndarray]]:
+        """The tokens and rows of each block, in order; the rows are valid
+        until the next block is read. Each block's tokens are recorded
+        through ``add`` before it is yielded, by default in an index of
+        this read, and a token that ``add`` finds recorded already is a
+        duplicate; a failed check raises :class:`EmbeddingFormatError`,
+        as a load does."""
+        if add is None:
+            add = partial(_index_tokens, {})
+        self._file.seek(self._base)
+        buffer = np.empty((BLOCK_ROWS, self.dim), dtype=np.float32)
+        for tokens in _read_rows(self._file, self._fmt, self._base, len(self),
+                                 self.dim, lambda row: buffer, add):
+            yield tokens, buffer[:len(tokens)]
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> BlockFile:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

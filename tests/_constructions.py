@@ -1,7 +1,8 @@
 """Shared synthetic fixtures for the tests, slow reference readers,
 writers and drift that the block-wise library code is checked against,
-SplitMix64 in Python integers, a stream with short reads, and a switch
-that makes the compiled kernel unavailable.
+SplitMix64 in Python integers, a stream with short reads, a switch
+that makes the compiled kernel unavailable, and the check that a file
+streams as it loads.
 
 Every builder is fully seeded and deterministic. The two-class and
 three-class corpora below are engineered so that token *identity* is
@@ -12,13 +13,21 @@ class-conditioned fine-tuning is supposed to repair.
 from __future__ import annotations
 
 import io
+import os
 import re
+import tempfile
 
 import numpy as np
 
 from classvec import _kernel
+from classvec.analysis import drift
 from classvec.corpus import Document, LabeledCorpus, from_documents
-from classvec.embedding_io import EmbeddingFormatError, EmbeddingSet
+from classvec.embedding_io import (
+    BlockFile,
+    EmbeddingFormatError,
+    EmbeddingSet,
+    load_file,
+)
 
 
 def cos(a: np.ndarray, b: np.ndarray) -> float:
@@ -420,3 +429,65 @@ def disable_kernel(mp) -> None:
 
     mp.setattr(_kernel, "open_library", no_library)
     mp.setattr(_kernel, "_library", _kernel._UNOPENED)
+
+
+def _outcome(call):
+    """("ok", what ``call()`` returns), or the type and message of the
+    ValueError (a format error among them) that it raises."""
+    try:
+        return "ok", call()
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def assert_streams_as_it_loads(
+    data: bytes, fmt: str, after_tokens: list[str] | None = None
+) -> None:
+    """A ``BlockFile`` of ``data`` yields the tokens and rows that a load
+    of it holds, or fails with the load's error type and message. Given
+    ``after_tokens``, ``drift`` streaming the file against a set of those
+    tokens, at the dimension the header declares, reports or fails as
+    ``drift`` of the loaded file does; at another dimension it fails on
+    the headers alone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "vectors")
+        with open(path, "wb") as f:
+            f.write(data)
+
+        def streamed():
+            with BlockFile(path, fmt) as source:
+                blocks = [(tokens, rows.tobytes()) for tokens, rows in source.blocks()]
+            return ([t for tokens, _ in blocks for t in tokens],
+                    b"".join(rows for _, rows in blocks))
+
+        def loaded():
+            emb = load_file(path, fmt)
+            return emb.words, emb.matrix.tobytes()
+
+        expected = _outcome(loaded)
+        assert _outcome(streamed) == expected
+        if after_tokens is None:
+            return
+        header = _outcome(lambda: BlockFile(path, fmt).close())
+        if header != ("ok", None):
+            assert header == expected
+            return
+        with BlockFile(path, fmt) as source:
+            dim = source.dim
+        k = len(after_tokens)
+        values = (np.arange(k * dim) % 7 - 3).reshape(k, dim).astype(np.float32)
+        after = EmbeddingSet(after_tokens, values)
+
+        def report(before):
+            r = drift(before, after)
+            return tuple(r.entries), r.quantiles, r.only_before, r.only_after
+
+        def drift_streamed():
+            with BlockFile(path, fmt) as source:
+                return report(source)
+
+        assert _outcome(drift_streamed) == _outcome(lambda: report(load_file(path, fmt)))
+        mismatch = EmbeddingSet(after_tokens, np.ones((k, dim + 1), np.float32))
+        with BlockFile(path, fmt) as source:
+            assert _outcome(lambda: drift(source, mismatch)) == (
+                ValueError, f"dimension mismatch: {dim} vs {dim + 1}")

@@ -37,6 +37,13 @@ def no_kernel(monkeypatch):
     disable_kernel(monkeypatch)
 
 
+@pytest.fixture(params=["kernel", "no_kernel"])
+def kernel_or_not(request, monkeypatch):
+    """Run once with the compiled kernel and once with the Python code."""
+    if request.param == "no_kernel":
+        disable_kernel(monkeypatch)
+
+
 @pytest.fixture()
 def kernel_library():
     """The opened kernel library; skips where no C compiler is installed."""

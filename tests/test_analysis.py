@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from classvec.cli import main
+
 from classvec.analysis import (
     _QUANTILES,
     _quantile,
@@ -14,7 +16,15 @@ from classvec.analysis import (
     drift_summary,
     nearest_neighbors,
 )
-from classvec.embedding_io import BLOCK_ROWS, EmbeddingSet
+from classvec.embedding_io import (
+    BLOCK_ROWS,
+    FORMATS,
+    BlockFile,
+    EmbeddingSet,
+    load_file,
+    save_binary,
+    save_text,
+)
 
 from _constructions import random_embedding, reference_drift
 
@@ -283,6 +293,67 @@ def test_drift_matches_per_token_reference(n):
     assert report.only_after == tuple(t for t in after.words if t not in before)
 
 
+def _write(emb: EmbeddingSet, path, fmt: str) -> str:
+    with open(path, "wb") as f:
+        (save_text if fmt == "text" else save_binary)(emb, f)
+    return str(path)
+
+
+def _printed(report, top: int) -> str:
+    """What ``classvec drift --top top`` prints for ``report``."""
+    q = report.quantiles
+    lines = [
+        "drift\tcosine[min={cosine_min:.6f} p25={cosine_p25:.6f} "
+        "median={cosine_median:.6f} p75={cosine_p75:.6f} "
+        "max={cosine_max:.6f}]\tshift[min={shift_min:.6f} "
+        "median={shift_median:.6f} max={shift_max:.6f}]".format(**q),
+        f"shared={len(report.entries)}\tonly_before={len(report.only_before)}"
+        f"\tonly_after={len(report.only_after)}",
+        f"{'token':<24}{'cosine':>10}{'shift':>12}",
+        *(f"{t:<24}{c:>10.6f}{s:>12.6f}" for t, c, s in list(report.entries)[:top]),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.usefixtures("kernel_or_not")
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 1025])
+def test_drift_streamed_from_files_matches_in_memory_and_reference(tmp_path, capsys, fmt, n):
+    before, after = _drift_pair(n, n)
+    pre = _write(before, tmp_path / "before", fmt)
+    post = _write(after, tmp_path / "after", fmt)
+    in_memory = drift(before, after)
+    with BlockFile(pre, fmt) as source:
+        streamed = drift(source, load_file(post, fmt))
+    assert tuple(streamed.entries) == tuple(in_memory.entries)
+    assert streamed.quantiles == in_memory.quantiles
+    assert streamed.only_before == in_memory.only_before
+    assert streamed.only_after == in_memory.only_after
+    entries, quantiles = reference_drift(before, after)
+    assert [t for t, _, _ in streamed.entries] == [t for t, _, _ in entries]
+    np.testing.assert_allclose([(c, s) for _, c, s in streamed.entries],
+                               [(c, s) for _, c, s in entries], rtol=0, atol=1e-12)
+    for key, value in quantiles.items():
+        assert streamed.quantiles[key] == pytest.approx(value, rel=0, abs=1e-12)
+    shared = len(entries)
+    for top in (0, 5, shared, shared + 1):
+        argv = ["drift", "--before", pre, "--after", post, "--format", fmt, "--top", str(top)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == _printed(in_memory, top)
+
+
+def test_entries_are_built_from_the_report_arrays():
+    before, after = _drift_pair(300, 1)
+    report = drift(before, after)
+    entries = tuple(report.entries)
+    assert len(report.entries) == len(entries) == len(report.rows)
+    assert report.entries[3] == entries[3] and report.entries[-1] == entries[-1]
+    assert report.entries[2:9] == entries[2:9] and report.entries[:0] == ()
+    assert [after.words[r] for r in report.rows.tolist()] == [t for t, _, _ in entries]
+    assert report.rows.dtype == np.int64
+    assert report.cosines.dtype == report.shifts.dtype == np.float64
+
+
 def test_drift_compares_blocks_not_whole_matrices():
     """Working memory stays well under one n x m float64 array."""
     n, m = 20000, 50
@@ -298,6 +369,30 @@ def test_drift_compares_blocks_not_whole_matrices():
     assert len(report.entries) == n
     # peak minus what the returned report holds: the temporaries
     assert peak - current < n * m * 8 / 4, (peak - current, n * m * 8)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_drift_streams_before_in_a_block_of_memory(tmp_path, fmt):
+    """Streaming --before, drift holds less than a quarter of its float32
+    matrix beyond the after set and the returned report: no second matrix,
+    no before token but those after lacks, 24 bytes a shared pair."""
+    n, m = 20000, 50
+    rng = np.random.default_rng(11)
+    before = random_embedding(rng, n, m)
+    after = EmbeddingSet(before.words, before.matrix + np.float32(0.25))
+    path = _write(before, tmp_path / "before", fmt)
+    del before
+    with BlockFile(path, fmt) as source:
+        drift(source, after)  # first-call imports are not drift's
+    tracemalloc.start()
+    try:
+        with BlockFile(path, fmt) as source:
+            report = drift(source, after)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.entries) == n
+    assert peak - current < n * m * 4 / 4, (peak - current, n * m * 4)
 
 
 def test_nearest_neighbors_scores_blocks_not_the_whole_matrix():

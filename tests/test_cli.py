@@ -457,6 +457,31 @@ class TestInspectionCommands:
         assert "usage error: --top must be at least 0" in captured.err
         assert captured.out == ""
 
+    def test_drift_errors_come_in_order_and_print_nothing(self, workspace, capsys):
+        # the --before header, then --after, then the dimension mismatch of
+        # the headers, then a --before row; each with the loader's message
+        tmp_path, pre, _ = workspace
+        lines = Path(pre).read_bytes().split(b"\n")
+        files = {
+            "bad_header": b"2 x\n",
+            "bad_row": b"\n".join(lines[:5] + [lines[5].replace(b" ", b" x", 1)] + lines[6:]),
+            "bad_after": b"\n".join(lines[:3] + [b"spam0 1 2 3 4 5 6"] + lines[4:]),
+            "wide": b"1 7\nspam0 1 2 3 4 5 6 7\n",
+        }
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        for before, after, message in (
+            ("bad_header", "bad_after", "line 1: non-integer header fields"),
+            ("bad_row", "bad_after", "line 4: duplicate token 'spam0'"),
+            ("bad_row", "wide", "dimension mismatch: 6 vs 7"),
+            ("bad_row", pre, "line 6: malformed value"),
+        ):
+            rc = main(["drift", "--before", str(tmp_path / before),
+                       "--after", str(tmp_path / after), "--top", "3"])
+            captured = capsys.readouterr()
+            assert (rc, captured.out) == (1, "")
+            assert captured.err == f"error: {message}\n"
+
     def test_drift_top_zero_lists_no_entries(self, workspace, capsys):
         tmp_path, pre, _ = workspace
         rc = main(["drift", "--before", pre, "--after", pre, "--top", "0"])
@@ -626,6 +651,33 @@ class TestSubprocess:
         )
         assert code == 0
         assert (run - startup) * 1024 < 2 * emb.matrix.nbytes, (run, startup)
+
+    def test_drift_holds_one_set_as_nn_does(self, tmp_path, kernel_library):
+        # drift streams --before against the loaded --after, so its peak RSS
+        # is nn's on the same --after plus well under half a matrix; read
+        # whole, --before would add a matrix
+        rng = np.random.default_rng(94)
+        before = random_embedding(rng, 20000, 100)
+        after = EmbeddingSet(before.words, before.matrix * np.float32(1.5))
+        pre, post = str(tmp_path / "pre.bin"), str(tmp_path / "post.bin")
+        for emb, path in ((before, pre), (after, post)):
+            with open(path, "wb") as f:
+                save_binary(emb, f)
+        launch = Path(__file__).resolve().parents[1] / "perfbench" / "launch.py"
+
+        def peak_kb(*argv: str) -> int:
+            proc = subprocess.run(
+                [sys.executable, "-S", str(launch), "120", os.devnull, os.devnull,
+                 "--", sys.executable, "-m", "classvec.cli", *argv],
+                capture_output=True, text=True, timeout=180,
+            )
+            record = json.loads(proc.stdout)
+            assert record["returncode"] == 0, proc.stderr
+            return record["maxrss_kb"]
+
+        nn = peak_kb("nn", "--embeddings", post, "--format", "bin", "--word", "t0", "--k", "10")
+        held = peak_kb("drift", "--before", pre, "--after", post, "--format", "bin")
+        assert (held - nn) * 1024 <= before.matrix.nbytes / 2, (held, nn)
 
     def test_import_loads_no_scipy(self):
         # scipy.special alone used to be most of every command's start-up

@@ -12,6 +12,7 @@ from classvec import _kernel
 from classvec.embedding_io import (
     BLOCK_ROWS,
     FORMATS,
+    BlockFile,
     EmbeddingFormatError,
     EmbeddingSet,
     load_binary,
@@ -23,8 +24,8 @@ from classvec.embedding_io import (
 
 from _constructions import (
     ShortReads,
+    assert_streams_as_it_loads,
     bit_random_embedding,
-    disable_kernel,
     random_embedding,
     reference_load_binary,
     reference_load_text,
@@ -468,13 +469,6 @@ def _binary_chunk(m: int) -> int:
     return BLOCK_ROWS * (4 * m + 16)
 
 
-@pytest.fixture(params=["kernel", "no_kernel"])
-def kernel_or_not(request, monkeypatch):
-    """Run once with the compiled scanners and once with the Python code."""
-    if request.param == "no_kernel":
-        disable_kernel(monkeypatch)
-
-
 def _outcome(load, data: bytes, step: int | None = None):
     """(words, matrix bytes) of a load, or its error message."""
     source = io.BytesIO(data) if step is None else ShortReads(data, step)
@@ -624,3 +618,124 @@ def test_binary_load_streams_in_bounded_memory():
     assert loaded.matrix.tobytes() == emb.matrix.tobytes()
     assert kept >= emb.matrix.nbytes
     assert peak - kept <= len(data) / 4, (peak, kept, len(data))
+
+
+# --- a file read as a stream of blocks ----------------------------------------
+
+def _saved(save, emb: EmbeddingSet) -> bytes:
+    buf = io.BytesIO()
+    save(emb, buf)
+    return buf.getvalue()
+
+
+def _malformed_files() -> list[tuple[str, bytes]]:
+    """(format, file) for the malformed inputs the tests above load."""
+    text = [
+        b"", b"abc\n", b"2\n", b"2 3 4\n", b"x 3\n", b"0 3\n", b"2 0\n",
+        b"2 2\na 1 2\n", b"1 2\na 1 2\n\n", b"2 2\na 1 2\nb 1\n", b"1 2\na 1 x\n",
+        *(f"1 2\na 1 {v}\n".encode() for v in ("1_0", "1.0\t", "\u0663")),
+        *(f"{h}\n".encode() + b"a 1 2\n" * 10
+          for h in ("1_0 2", "+1 2", "1 \u0663", "-1 2", "1 0x2")),
+        b"99999999999999999999 3\na 1 2 3\n",
+        *(f"2 2\nok 1 2\n{t} 1 2\n".encode() for t in ("a\tb", "a\u00a0b", "a\u2003b", "a\x1cb")),
+        b"2 1\na 1\na 2\n", b"1 1\n 1\n", b"1 2\na nan 1\n", b"1 2\na 1 inf\n",
+        b"1 1\n\xff\xfe 1\n", b"2 1\na 1\n\xc3 1\n", b"1 1\na \n", b"1 1\na ",
+        b"2 1\na \nb \n", b"1 2\na 1 2\x1c\n", b"2 1\na x\nb 1\nc 1\n",
+        b"3 1\n" + b"".join(b"w%d 1\n" % i for i in range(BLOCK_ROWS + 5)),
+        _text_data(2 * BLOCK_ROWS, 2, 33).replace(b"\n", b"\r\n"),
+    ]
+    for row in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 7, 2 * BLOCK_ROWS + 3):
+        for fault in (b"w{i} 0.5 x", b"w{i} 0.5 1e39", b"w{i} 0.5", b"w{prev} 0.5 1",
+                      b" 0.5 1", b"w{i}\t 0.5 1", b"w{i}\xff 0.5 1"):
+            rows = _text_rows(2 * BLOCK_ROWS + 10)
+            rows[row] = fault.replace(b"{i}", b"%d" % row).replace(b"{prev}", b"%d" % (row - 1))
+            rows[-1] = b"last 1 x"
+            text.append(_text_file(rows))
+
+    vec = np.ones(2, np.float32).tobytes()
+    two = _saved(save_binary, EmbeddingSet(["abc", "de"], np.ones((2, 3), np.float32)))
+    binary = [
+        b"1 2", b"3 99999999999999999999\na 1234", two[:-4], two[:len(b"2 3\nabc ") + 13],
+        _saved(save_binary, EmbeddingSet(["a"], np.ones((1, 2), np.float32))) + b"x",
+        b"1 2\n " + vec, b"1 2\na\nb " + vec, b"2 2\na " + vec + b"a " + vec,
+        b"1 2\n\xff\xfe " + vec, b"1 2\na " + np.array([np.inf, 1], np.float32).tobytes(),
+        *(h + b"\n" + b"".join(b"w%d " % i + vec for i in range(10))
+          for h in (b"1_0 2", b"+1 2", "1 \u0663".encode(), b"-1 2")),
+        b"1 2\na\tb " + vec,
+    ]
+    n = 2 * BLOCK_ROWS + 10
+    for row in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 7):
+        words = [b"w%d" % i for i in range(n)]
+        words[row] = b"w%d" % (row - 1)  # a repeat, within a block or across two
+        binary.append(b"%d 2\n" % n + b"".join(w + b" " + vec for w in words))
+        data = bytearray(_saved(save_binary, random_embedding(np.random.default_rng(4), n, 2)))
+        at = data.index(b"t%d " % row) + len(b"t%d " % row)
+        data[at + 4:at + 8] = np.float32(np.nan).tobytes()
+        data[-4:] = np.float32(np.inf).tobytes()
+        binary.append(bytes(data))
+        valid = _saved(save_binary, random_embedding(np.random.default_rng(5), n, 2))
+        start = len(b"%d 2\n" % n) + sum(len(b"t%d" % i) + 9 for i in range(row))
+        binary += [valid[:start + cut] for cut in (1, 5, 9)]
+    return [("text", d) for d in text] + [("bin", d) for d in binary]
+
+
+# drift's after set in the cases below: every other wN token, so that a
+# streamed file's tokens are recorded both by their after row and by name
+_AFTER_TOKENS = [f"w{i}" for i in range(0, 3 * BLOCK_ROWS, 2)] + ["a", "ok", "abc", "t3"]
+
+
+@pytest.mark.usefixtures("kernel_or_not")
+@pytest.mark.parametrize("fmt,data", _malformed_files())
+def test_block_file_fails_as_load_file_does(fmt, data):
+    assert_streams_as_it_loads(data, fmt, _AFTER_TOKENS)
+
+
+@pytest.mark.usefixtures("kernel_or_not")
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 1025])
+def test_block_file_yields_what_a_load_holds(fmt, n):
+    emb = bit_random_embedding(np.random.default_rng(n), n, 3)
+    data = _saved(save_text if fmt == "text" else save_binary, emb)
+    assert_streams_as_it_loads(data, fmt, emb.words[::3] + ["elsewhere"])
+
+
+def test_block_file_reads_its_header_on_open_and_rereads_its_blocks(tmp_path):
+    path = str(tmp_path / "v.bin")
+    emb = random_embedding(np.random.default_rng(8), BLOCK_ROWS + 3, 4)
+    with open(path, "wb") as f:
+        save_binary(emb, f)
+    with BlockFile(path, "bin") as source:
+        assert (len(source), source.dim) == (BLOCK_ROWS + 3, 4)
+        for _ in range(2):
+            blocks = [(tokens, rows.copy()) for tokens, rows in source.blocks()]
+            assert [len(t) for t, _ in blocks] == [BLOCK_ROWS, 3]
+            assert sum((t for t, _ in blocks), []) == emb.words
+            assert np.concatenate([r for _, r in blocks]).tobytes() == emb.matrix.tobytes()
+    with open(path, "wb") as f:
+        f.write(b"2 x\n")
+    with pytest.raises(EmbeddingFormatError, match="header: non-integer"):
+        BlockFile(path, "bin")
+    with pytest.raises(ValueError, match="unknown embedding format"):
+        BlockFile(path, "json")
+
+
+def test_load_checks_each_token_once(monkeypatch):
+    """A load hands its index to the set; the set's constructor, which
+    checks every token and value again, is for library callers."""
+    files = ((load_binary, _saved(save_binary, random_embedding(np.random.default_rng(9), 600, 2))),
+             (load_text, _text_data(600, 2, 9)))
+    monkeypatch.setattr(EmbeddingSet, "__init__", None)  # a call would fail
+    for load, raw in files:
+        emb = load(io.BytesIO(raw))
+        assert emb.index == {w: i for i, w in enumerate(emb.words)}
+        assert not emb.matrix.flags.writeable
+
+
+def test_set_blocks_record_each_block_before_yielding_it():
+    emb = random_embedding(np.random.default_rng(10), BLOCK_ROWS + 1, 2)
+    calls = []
+    for tokens, _ in emb.blocks(lambda tokens, row: calls.append((row, tokens)) or True):
+        assert calls[-1] == (emb.index[tokens[0]], tokens)
+    assert [row for row, _ in calls] == [0, BLOCK_ROWS]
+    with pytest.raises(ValueError, match="rows 0\\+ is recorded already"):
+        next(emb.blocks(lambda tokens, row: False))

@@ -5,7 +5,8 @@ parser's typed format error, nothing else. The embedding readers must
 also agree with the slow references in ``_constructions``: the same words
 and bit-identical matrix, or the same error message. The text reader and
 writer are checked twice per example, through the compiled kernel and
-with it unavailable.
+with it unavailable. A file read as a stream of blocks (``BlockFile``),
+and ``drift`` streaming it, must give what a load of it gives.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from classvec.embedding_io import (  # noqa: E402
 from _constructions import (  # noqa: E402
     _NUMERAL,
     ShortReads,
+    assert_streams_as_it_loads,
     disable_kernel,
     reference_load_binary,
     reference_load_text,
@@ -117,15 +119,17 @@ class TestTextReader:
     @given(st.binary(max_size=64))
     def test_arbitrary_bytes(self, data):
         _assert_matches_reference(load_text, reference_load_text, data)
+        assert_streams_as_it_loads(data, "text")
 
     @given(st.data())
     def test_mutated_files(self, data):
         emb = data.draw(_embedding_sets())
         valid = _saved(save_text, emb)
+        mutated = data.draw(_mutated(valid))
         _assert_matches_reference(load_text, reference_load_text, valid)
-        _assert_matches_reference(
-            load_text, reference_load_text, data.draw(_mutated(valid))
-        )
+        _assert_matches_reference(load_text, reference_load_text, mutated)
+        assert_streams_as_it_loads(mutated, "text", emb.words[::2])
+        _without_kernel(assert_streams_as_it_loads, mutated, "text", emb.words[::2])
 
     @given(st.text("0123456789+-.eEinfatyINFATY_ \t\x1c٣", max_size=12))
     def test_numerals_agree_with_float(self, value):
@@ -153,21 +157,24 @@ class TestBinaryReader:
     @given(st.binary(max_size=64))
     def test_arbitrary_bytes(self, data):
         _assert_matches_reference(load_binary, reference_load_binary, data)
+        assert_streams_as_it_loads(data, "bin")
 
     @given(st.binary(max_size=48))
     def test_arbitrary_body_after_valid_header(self, body):
         _assert_matches_reference(
             load_binary, reference_load_binary, b"2 2\n" + body
         )
+        assert_streams_as_it_loads(b"2 2\n" + body, "bin")
 
     @given(st.data())
     def test_mutated_files(self, data):
         emb = data.draw(_embedding_sets())
         valid = _saved(save_binary, emb)
+        mutated = data.draw(_mutated(valid))
         _assert_matches_reference(load_binary, reference_load_binary, valid)
-        _assert_matches_reference(
-            load_binary, reference_load_binary, data.draw(_mutated(valid))
-        )
+        _assert_matches_reference(load_binary, reference_load_binary, mutated)
+        assert_streams_as_it_loads(mutated, "bin", emb.words[::2])
+        _without_kernel(assert_streams_as_it_loads, mutated, "bin", emb.words[::2])
 
     @given(st.data())
     def test_short_reads(self, data):
