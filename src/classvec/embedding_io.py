@@ -579,9 +579,11 @@ class BlockFile:
 
     Opening it reads and checks the header; :meth:`blocks` reads the rows,
     with the checks and errors of :func:`load_file`, into one block of
-    ``BLOCK_ROWS`` rows that each block overwrites. It has the ``len``,
-    ``dim`` and ``blocks()`` that the writers take. Close it, or use it as
-    a context manager.
+    ``BLOCK_ROWS`` rows that each block overwrites. (A header whose matrix
+    numpy could shape but this machine could not allocate fails a load,
+    not a stream, which allocates no matrix.) It has the ``len``, ``dim``
+    and ``blocks()`` that the writers take. Close it, or use it as a
+    context manager.
     """
 
     def __init__(self, path: str, fmt: str):
