@@ -306,27 +306,28 @@ def format_rows(block: np.ndarray) -> tuple[str, list[int]] | None:
     return out[:size].tobytes().decode("ascii"), ends.tolist()
 
 
-def _scan(name: str, data: bytes | bytearray, start: int, out: np.ndarray):
-    """Call scanner ``name`` on ``data[start:]``; see :func:`scan_text`."""
+def _scan(name: str, data: bytes | bytearray, out: np.ndarray):
+    """Call scanner ``name`` on ``data``; see :func:`scan_text`."""
     lib = library()
     if lib is None:
         return None
     rows, m = out.shape
     buffer = np.frombuffer(data, dtype=np.uint8)
-    tokens = np.empty(len(buffer) - start, dtype=np.uint8)
+    tokens = np.empty(len(buffer), dtype=np.uint8)
     state = np.empty(3, dtype=np.int64)
     scanned = getattr(lib, name)(
-        buffer.ctypes.data + start, len(tokens), rows, m,
+        buffer.ctypes.data, len(buffer), rows, m,
         _address(out, _F32, write=True), tokens.ctypes.data, state.ctypes.data,
     )
     end, size, declined = state.tolist()
-    return scanned, start + end, tokens[:size].tobytes(), bool(declined)
+    return scanned, end, tokens[:size].tobytes(), bool(declined)
 
 
-def scan_text(data: bytes, start: int, out: np.ndarray) -> tuple[int, int, bytes, bool] | None:
-    """Scan word2vec text rows from ``data[start:]`` into the rows of ``out``
-    (float32, one row per text row, at most ``len(out)`` of them); None if
-    the library is unavailable.
+def scan_text(data: bytes | bytearray, out: np.ndarray
+              ) -> tuple[int, int, bytes, bool] | None:
+    """Scan word2vec text rows from the start of ``data`` into the rows of
+    ``out`` (float32, one row per text row, at most ``len(out)`` of them);
+    None if the library is unavailable.
 
     Returns ``(rows, end, tokens, declined)``: the rows scanned, the offset
     in ``data`` after them, their tokens joined by single spaces, and
@@ -334,16 +335,16 @@ def scan_text(data: bytes, start: int, out: np.ndarray) -> tuple[int, int, bytes
     numeral outside the exact fast path, another layout). A scan also stops
     at ``len(out)`` rows and at a last line without its newline.
     """
-    return _scan("scan_text", data, start, out)
+    return _scan("scan_text", data, out)
 
 
-def scan_binary(data: bytes | bytearray, start: int, out: np.ndarray
+def scan_binary(data: bytes | bytearray, out: np.ndarray
                 ) -> tuple[int, int, bytes, bool] | None:
-    """Scan word2vec binary rows from ``data[start:]`` into the rows of
-    ``out``, as :func:`scan_text` does; a declined row is one whose vector
-    holds a non-finite value, and a scan also stops at a row that runs
-    past the end of ``data``."""
-    return _scan("scan_binary", data, start, out)
+    """Scan word2vec binary rows from the start of ``data`` into the rows
+    of ``out``, as :func:`scan_text` does; a declined row is one whose
+    vector holds a non-finite value, and a scan also stops at a row that
+    runs past the end of ``data``."""
+    return _scan("scan_binary", data, out)
 
 
 def splitmix64(key: int, counters: np.ndarray) -> np.ndarray:

@@ -81,11 +81,11 @@ def _parse_labels(field: str, multilabel: bool, lineno: int) -> tuple[str, ...]:
 def load_tsv(source: BinaryIO, multilabel: bool = False) -> LabeledCorpus:
     """Parse a UTF-8 TSV stream of ``<label>\\t<text>`` records.
 
-    Blank lines are skipped; every other malformed line is a hard error
-    reported with its line number.
+    A leading byte-order mark and blank lines are skipped; every other
+    malformed line is a hard error reported with its line number.
     """
     try:
-        text = source.read().decode("utf-8")
+        text = source.read().decode("utf-8-sig")
     except UnicodeDecodeError as e:
         raise CorpusFormatError(f"not valid UTF-8: {e}") from None
     docs: list[Document] = []

@@ -11,20 +11,22 @@ Format selection is always explicit (see :func:`load_file`); files are
 never sniffed. Malformed input is a hard error carrying the offending
 line number or byte offset.
 
-Readers and writers work on blocks of ``BLOCK_ROWS`` rows. A reader is a
-stream of blocks: it reads the file one chunk at a time, writes each
-block's values into a target its caller gives, records the block's tokens
-and yields them. A load is that stream collected into the matrix: each
-target is a slice of the matrix, so the load holds the matrix plus about
-one block of input, never the whole file, and it builds the set's index as
-it reads, so no token is hashed or checked twice. :class:`BlockFile`
-gives the same stream through one reused block of rows, for a caller that
-compares a file with a set block by block and never needs its matrix.
+Readers and writers work on blocks of ``BLOCK_ROWS`` rows. The reader, one
+for both formats, is a stream of blocks: it reads the file a chunk at a
+time, writes each block's values into a target its caller gives, records
+the block's tokens and yields them. A load is that stream collected into
+the matrix: each target is a slice of the matrix, so the load holds the
+matrix plus about one block of input, never the whole file, and it builds
+the set's index as it reads, so no token is hashed or checked twice.
+:class:`BlockFile` gives the same stream through one reused block of rows,
+for a caller that compares a file with a set block by block and never
+needs its matrix.
 
-A reader hands each chunk of raw bytes to a scanner of the compiled kernel
-(``_kernel.c``), which in one call writes the chunk's values straight into
+The reader tops the unparsed input up to a chunk of raw bytes with room
+for a block and hands it to the format's scanner of the compiled kernel
+(``_kernel.c``), which in one call writes a block's values straight into
 the target and its tokens, joined by single spaces, into one buffer;
-Python then decodes, splits and checks those tokens once per chunk. Text
+Python then decodes, splits and checks those tokens once per block. Text
 numerals take the kernel's exact fast path (one correctly rounded
 operation), which accepts nearly every numeral a writer emits. A row the
 scanner declines, and every row when the kernel is unavailable, goes
@@ -35,9 +37,7 @@ names its first bad row.
 """
 from __future__ import annotations
 
-import io
 from functools import partial
-from itertools import islice
 from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
@@ -279,97 +279,74 @@ def _row_count_error(n: int, rows: int) -> EmbeddingFormatError:
     return EmbeddingFormatError(f"header declares {n} rows but file has {rows}")
 
 
-def _text_line_error(
-    lines: list[bytes], row: int, m: int, add: Record
-) -> EmbeddingFormatError:
-    """The error of the first bad line in a block, from row ``row`` on, that
-    failed a block check; ``add`` has recorded the rows before it."""
-    for row, line in enumerate(lines, row):
+def _find(data: bytearray, byte: bytes, pos: int, more: Callable[[], bool]) -> int:
+    """The offset of the first ``byte`` in ``data`` from ``pos`` on, reading
+    more of the stream into ``data`` as it needs to; -1 if the rest of the
+    stream holds none."""
+    while (at := data.find(byte, pos)) < 0:
+        pos = len(data)
+        if not more():
+            return -1
+    return at
+
+
+def _lines_after(data: bytearray, pos: int, more: Callable[[], bool]) -> int:
+    """The lines of a text stream from ``data[pos:]`` to its end, read a
+    chunk at a time, each dropped once counted."""
+    lines = 0
+    while True:
+        lines += data.count(b"\n", pos)
+        del data[:-1]  # the last byte, for more() to see the last line's end
+        pos = len(data)
+        if not more():
+            return lines
+
+
+def _text_block(
+    data: bytearray, more: Callable[[], bool], base: int, row: int, n: int,
+    m: int, rows: int, add: Record,
+) -> tuple[list[str], np.ndarray, int]:
+    """The Python block of up to ``rows`` text rows, row ``row`` on, at the
+    start of ``data``: its tokens, recorded through ``add``, its values and
+    the bytes it takes, or the error a row-by-row reader reports first;
+    ``more()`` reads more of the stream into ``data``."""
+    end = 0
+    for _ in range(rows):
+        if (at := _find(data, b"\n", end, more)) < 0:
+            break
+        end = at + 1
+    parts = [line.partition(b" ") for line in bytes(data[:end]).split(b"\n")[:-1]]
+    values = parse_numerals([p[2] for p in parts], m) if parts else None
+    if values is not None:
+        values = _to_float32(values)
+        if np.isfinite(values).all():
+            block = _add_words(add, row, b" ".join([p[0] for p in parts]))
+            if block is not None:
+                return block, values, end
+    # a wrong row count outranks any row's error, as a whole-file reader
+    # would find it first
+    rows = row + len(parts) + _lines_after(data, end, more)
+    if rows != n:
+        raise _row_count_error(n, rows)
+    # the first bad line; add has recorded the rows before it
+    for row, (token, space, numerals) in enumerate(parts, row):
         lineno = row + 2  # after the header, counted from 1
-        fields = line.count(b" ") + 1
+        fields = numerals.count(b" ") + 2 if space else 1
         if fields != m + 1:
-            return EmbeddingFormatError(
+            raise EmbeddingFormatError(
                 f"line {lineno}: expected {m + 1} space-separated fields, "
                 f"got {fields}"
             )
-        token, _, values = line.partition(b" ")
         problem = _token_error(token, add, row)
         if problem is None:
-            parsed = parse_numerals([values], m)
+            parsed = parse_numerals([numerals], m)
             if parsed is None:
                 problem = "malformed value"
             elif not np.isfinite(_to_float32(parsed)).all():
                 problem = "non-finite value"
         if problem is not None:
-            return EmbeddingFormatError(f"line {lineno}: {problem}")
+            raise EmbeddingFormatError(f"line {lineno}: {problem}")
     raise RuntimeError("a text block failed its checks but none of its lines did")
-
-
-def _line_chunks(source: BinaryIO, size: int) -> Iterator[bytes]:
-    """The rest of a text stream in chunks of about ``size`` bytes of whole
-    lines, each ending in a newline (an unterminated last line gets one)."""
-    while chunk := source.read(size):
-        if not chunk.endswith(b"\n"):
-            chunk += source.readline()
-            if not chunk.endswith(b"\n"):
-                chunk += b"\n"
-        yield chunk
-
-
-def _lines_left(lines: io.BytesIO, chunks: Iterator[bytes]) -> int:
-    """The lines not yet read of the current chunk and of the rest."""
-    return sum(1 for _ in lines) + sum(chunk.count(b"\n") for chunk in chunks)
-
-
-def _read_text_rows(
-    source: BinaryIO, n: int, m: int, target: Target, add: Record
-) -> Iterator[list[str]]:
-    """Read the ``n`` text rows of ``m`` values after the header, one chunk
-    of whole lines at a time; for each block, write its values into
-    ``target``, record its tokens through ``add`` and yield them."""
-    row = 0
-    # room for BLOCK_ROWS rows of the widest '%.9g' numerals
-    chunks = _line_chunks(source, BLOCK_ROWS * (_kernel.FORMAT_BYTES * m + 16))
-    chunk = b""
-    lines = io.BytesIO(chunk)  # the chunk, read up to the first unparsed line
-    while row < n:
-        out = target(row)[:min(BLOCK_ROWS, n - row)]
-        pos = lines.tell()
-        if pos == len(chunk):
-            chunk = next(chunks, b"")
-            if not chunk:
-                raise _row_count_error(n, row)
-            lines, pos = io.BytesIO(chunk), 0
-        scanned = _kernel.scan_text(chunk, pos, out)
-        block = None
-        if scanned and scanned[0]:
-            block = _add_words(add, row, scanned[2])
-        if block is not None:
-            lines.seek(scanned[1])
-            row += len(block)
-            yield block
-            continue
-        # the Python block, from the first line the scanner did not take;
-        # its tokens are recorded last, so that a failed block records none
-        parts = [line.partition(b" ") for line in islice(lines, len(out))]
-        values = parse_numerals([p[2] for p in parts], m)
-        if values is not None:
-            values = _to_float32(values)
-            if np.isfinite(values).all():
-                block = _add_words(add, row, b" ".join([p[0] for p in parts]))
-        if block is None:
-            bad = [b"".join(p).rstrip(b"\n") for p in parts]
-            error = _text_line_error(bad, row, m, add)
-            # a wrong row count outranks any row's error, as a whole-file
-            # reader would find it first
-            rows = row + len(parts) + _lines_left(lines, chunks)
-            raise _row_count_error(n, rows) if rows != n else error
-        out[:len(block)] = values
-        row += len(block)
-        yield block
-    extra = _lines_left(lines, chunks)
-    if extra:
-        raise _row_count_error(n, n + extra)
 
 
 def load_text(source: BinaryIO) -> EmbeddingSet:
@@ -406,115 +383,58 @@ def save_text(emb: EmbeddingSet, sink: BinaryIO) -> None:
         sink.write("".join(lines).encode("utf-8"))
 
 
-def _binary_row_error(
-    data: bytearray, base: int, tokens: list[bytes], starts: list[int],
-    vec_at: list[int], m: int, add: Record, row: int, failure: str | None,
-) -> EmbeddingFormatError:
-    """The error of the first bad row in a block, from row ``row`` on, that
-    failed a block check (``add`` has recorded the rows before it): rows are
-    checked token first, then vector, and a truncation (``failure``) comes
-    after the checks of every row read in full before it."""
+def _binary_block(
+    data: bytearray, more: Callable[[], bool], base: int, row: int, n: int,
+    m: int, rows: int, add: Record,
+) -> tuple[list[str], np.ndarray, int]:
+    """The Python block of up to ``rows`` binary rows, as :func:`_text_block`
+    takes text rows; ``data`` starts at file offset ``base``."""
+    vec_bytes = 4 * m
+    tokens: list[bytes] = []
+    starts: list[int] = []
+    vec_at: list[int] = []
+    failure = None
+    pos = 0
+    for i in range(row, row + rows):
+        if (end := _find(data, b" ", pos, more)) < 0:
+            failure = (
+                f"byte {base + len(data)}: truncated stream inside token "
+                f"{i + 1} of {n}"
+            )
+            break
+        tokens.append(bytes(data[pos:end]))
+        starts.append(pos)
+        pos = end + 1
+        while pos + vec_bytes > len(data) and more():
+            pass
+        if pos + vec_bytes > len(data):
+            failure = (
+                f"byte {base + pos}: truncated stream mid-vector "
+                f"(word {i + 1} of {n}, got {len(data) - pos} of "
+                f"{vec_bytes} bytes)"
+            )
+            break
+        vec_at.append(pos)
+        pos += vec_bytes
+    if failure is None:
+        raw = b"".join([data[a:a + vec_bytes] for a in vec_at])
+        vectors = np.frombuffer(raw, dtype="<f4").reshape(len(vec_at), m)
+        if np.isfinite(vectors).all():
+            block = _add_words(add, row, b" ".join(tokens))
+            if block is not None:
+                return block, vectors, pos
+    # the first bad row: rows are checked token first, then vector, and a
+    # truncation comes after the checks of every row read in full before it
     for r, token in enumerate(tokens):
-        problem = _token_error(token, add, row + r)
-        if problem is not None:
-            return EmbeddingFormatError(f"byte {base + starts[r]}: {problem}")
-        if r < len(vec_at):
-            if not np.isfinite(np.frombuffer(data, "<f4", m, vec_at[r])).all():
-                return EmbeddingFormatError(
-                    f"byte {base + vec_at[r]}: non-finite value"
-                )
+        if (problem := _token_error(token, add, row + r)) is not None:
+            raise EmbeddingFormatError(f"byte {base + starts[r]}: {problem}")
+        if r < len(vec_at) and not np.isfinite(
+            np.frombuffer(data, "<f4", m, vec_at[r])
+        ).all():
+            raise EmbeddingFormatError(f"byte {base + vec_at[r]}: non-finite value")
     if failure is None:
         raise RuntimeError("a binary block failed its checks but none of its rows did")
-    return EmbeddingFormatError(failure)
-
-
-def _read_binary_rows(
-    source: BinaryIO, base: int, n: int, m: int, target: Target, add: Record
-) -> Iterator[list[str]]:
-    """Read the ``n`` binary rows of ``m`` values that start at file offset
-    ``base``, about one block of rows at a time, as :func:`_read_text_rows`
-    reads text rows."""
-    vec_bytes = 4 * m
-    chunk = BLOCK_ROWS * (vec_bytes + 16)
-    data = bytearray()  # the stream from file offset base, not yet parsed
-    eof = False
-
-    def read_more() -> bool:
-        """Append the next chunk to ``data``; False at the end of the stream."""
-        nonlocal eof
-        if not eof:
-            got = source.read(chunk)
-            data.extend(got)
-            eof = not got
-        return not eof
-
-    row = 0
-    while row < n:
-        out = target(row)[:min(BLOCK_ROWS, n - row)]
-        if len(data) < chunk:
-            read_more()  # so that most scans take BLOCK_ROWS rows
-        scanned = _kernel.scan_binary(data, 0, out)
-        block = None
-        if scanned and scanned[0]:
-            block = _add_words(add, row, scanned[2])
-        if block is not None:
-            del data[:scanned[1]]
-            base += scanned[1]
-            row += len(block)
-            yield block
-            continue
-        if scanned and not scanned[0] and not scanned[3] and read_more():
-            continue  # the row runs past the bytes read so far
-        # the Python block, from the first row the scanner did not take;
-        # its tokens are recorded last, so that a failed block records none
-        tokens: list[bytes] = []
-        starts: list[int] = []
-        vec_at: list[int] = []
-        failure = None
-        pos = 0
-        for i in range(row, row + len(out)):
-            end = data.find(b" ", pos)
-            while end < 0:
-                searched = len(data)
-                if not read_more():
-                    break
-                end = data.find(b" ", searched)
-            if end < 0:
-                failure = (
-                    f"byte {base + len(data)}: truncated stream inside token "
-                    f"{i + 1} of {n}"
-                )
-                break
-            tokens.append(bytes(data[pos:end]))
-            starts.append(pos)
-            pos = end + 1
-            while pos + vec_bytes > len(data) and read_more():
-                pass
-            if pos + vec_bytes > len(data):
-                failure = (
-                    f"byte {base + pos}: truncated stream mid-vector "
-                    f"(word {i + 1} of {n}, got {len(data) - pos} of "
-                    f"{vec_bytes} bytes)"
-                )
-                break
-            vec_at.append(pos)
-            pos += vec_bytes
-        if failure is None:
-            raw = b"".join([data[a:a + vec_bytes] for a in vec_at])
-            vectors = np.frombuffer(raw, dtype="<f4").reshape(len(vec_at), m)
-            if np.isfinite(vectors).all():
-                block = _add_words(add, row, b" ".join(tokens))
-        if block is None:
-            raise _binary_row_error(
-                data, base, tokens, starts, vec_at, m, add, row, failure
-            )
-        out[:len(block)] = vectors
-        del data[:pos]
-        base += pos
-        row += len(block)
-        yield block
-    if data or read_more():
-        raise EmbeddingFormatError(f"byte {base}: trailing data after last vector")
+    raise EmbeddingFormatError(failure)
 
 
 def load_binary(source: BinaryIO) -> EmbeddingSet:
@@ -526,10 +446,57 @@ def _read_rows(
     source: BinaryIO, fmt: str, base: int, n: int, m: int, target: Target,
     add: Record,
 ) -> Iterator[list[str]]:
-    """The reader of ``fmt``, on the rows after a header of ``base`` bytes."""
-    if fmt == "text":
-        return _read_text_rows(source, n, m, target, add)
-    return _read_binary_rows(source, base, n, m, target, add)
+    """Read the ``n`` rows of ``m`` values of a ``fmt`` stream that start at
+    file offset ``base``, about one block at a time; for each block, write
+    its values into ``target``, record its tokens through ``add`` and yield
+    them."""
+    text = fmt == "text"
+    # a chunk holds BLOCK_ROWS rows of tokens of up to 15 bytes (text: and
+    # of the widest '%.9g' numerals)
+    scan, parse, size = (
+        (_kernel.scan_text, _text_block, BLOCK_ROWS * (_kernel.FORMAT_BYTES * m + 16))
+        if text else (_kernel.scan_binary, _binary_block, BLOCK_ROWS * (4 * m + 16))
+    )
+    data = bytearray()  # the stream from file offset base, not yet parsed
+
+    def more(count: int = size) -> bool:
+        """Read ``count`` more bytes of the stream into ``data``, or as many
+        as are left; False if none are. At the end of the stream, an
+        unterminated last text line gets its newline."""
+        held = len(data)
+        while len(data) < held + count:
+            got = source.read(held + count - len(data))
+            if not got and text and data and not data.endswith(b"\n"):
+                got = b"\n"
+            if not got:
+                break
+            data.extend(got)
+        return len(data) > held
+
+    row = 0
+    while row < n:
+        out = target(row)[:min(BLOCK_ROWS, n - row)]
+        more(size - len(data))  # a full chunk, so that a scan takes BLOCK_ROWS rows
+        scanned = scan(data, out)
+        if scanned and scanned[0] and (block := _add_words(add, row, scanned[2])):
+            used = scanned[1]
+        elif scanned and not scanned[0] and not scanned[3] and more(len(data)):
+            continue  # the row runs past the bytes read: read as much again
+        else:
+            # the Python block, from the first row the scanner did not take;
+            # its tokens are recorded last, so that a failed block records none
+            block, values, used = parse(data, more, base, row, n, m, len(out), add)
+            out[:len(block)] = values
+        del data[:used]
+        base += used
+        row += len(block)
+        yield block
+    if text:
+        extra = _lines_after(data, 0, more)
+        if extra:
+            raise _row_count_error(n, n + extra)
+    elif data or more():
+        raise EmbeddingFormatError(f"byte {base}: trailing data after last vector")
 
 
 def _load(source: BinaryIO, fmt: str) -> EmbeddingSet:

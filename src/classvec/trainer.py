@@ -92,7 +92,9 @@ class TrainState:
     ``class_vectors`` are 64-bit working copies, the former of the tokens'
     rows of the merged matrix; ``noise_table`` is the cumulative
     unigram^0.75 distribution. ``alpha`` tracks the last learning rate
-    used. ``key`` fixes the run's noise draws.
+    used, and ``compiled`` whether the compiled kernel, not the numpy
+    reference, trained the last passes. ``key`` fixes the run's noise
+    draws.
     """
 
     cfg: FinetuneConfig
@@ -107,6 +109,7 @@ class TrainState:
     index: dict[str, int]      # token -> row
     positions_done: int = 0
     total_positions: int = 0
+    compiled: bool = False
 
 
 def build_noise_table(vocab: Vocabulary) -> np.ndarray:
@@ -302,7 +305,9 @@ def _train_passes(
     alphas = lr_schedule(state.cfg, np.arange(first, first + n) / state.total_positions)
     chunk = Chunk(np.concatenate(idx), alphas, lengths,
                   np.array(labels, dtype=np.int64), first)
-    loss, shortfall = _kernel.train_chunk(state, chunk) or _reference_chunk(state, chunk)
+    stats = _kernel.train_chunk(state, chunk)
+    state.compiled = stats is not None
+    loss, shortfall = stats or _reference_chunk(state, chunk)
     state.positions_done = first + n
     state.alpha = float(alphas[-1])
     return loss, n, shortfall
@@ -389,10 +394,11 @@ def finetune(
         _check_finite(state, epoch)
         logger.info(
             "epoch %d/%d done: %d/%d positions (%d short of negatives), "
-            "mean loss %.4f, alpha %.6f, %.0f positions/s",
+            "mean loss %.4f, alpha %.6f, %.0f positions/s (%s)",
             epoch, cfg.epochs, state.positions_done, state.total_positions,
             shortfall, loss / trained, state.alpha,
             trained / max(seconds, 1e-9),
+            "compiled kernel" if state.compiled else "numpy reference",
         )
     # rows finite in 64 bits can still lie beyond the 32-bit range
     with np.errstate(over="ignore"):

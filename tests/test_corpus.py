@@ -103,6 +103,13 @@ class TestLoadTsv:
         with pytest.raises(CorpusFormatError, match="UTF-8"):
             load_tsv(io.BytesIO(b"pos\t\xff\xfe\n"))
 
+    @pytest.mark.parametrize("multilabel", [False, True])
+    def test_a_byte_order_mark_is_skipped(self, multilabel):
+        data = b"pos\tgood film\nneg\tbad film\npos\tfine film\n"
+        corpus = load_tsv(io.BytesIO(b"\xef\xbb\xbf" + data), multilabel=multilabel)
+        assert corpus == load_tsv(io.BytesIO(data), multilabel=multilabel)
+        assert corpus.classes == ("pos", "neg")
+
     def test_multilabel_parsing(self):
         corpus = _load("a, b ,c\tsome text\nb\tmore text\n", multilabel=True)
         assert corpus.docs[0].labels == ("a", "b", "c")

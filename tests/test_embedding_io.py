@@ -454,8 +454,8 @@ def test_binary_truncation_matches_reference(row, cut):
 
 # --- chunk boundaries ---------------------------------------------------------
 #
-# Each reader takes its input in chunks of about BLOCK_ROWS rows (text:
-# whole lines, binary: raw bytes) and scans each chunk in one kernel call.
+# The reader tops its input up to a chunk of raw bytes with room for
+# BLOCK_ROWS rows and scans each block in one kernel call.
 # Rows that cross a chunk's end, rows the scanner declines and the Python
 # block code after them must give what the row-by-row references give.
 
@@ -501,7 +501,7 @@ def _text_data(n: int, m: int, seed: int) -> bytes:
 class TestChunkBoundaries:
     def test_text_rows_straddle_chunk_edges(self):
         data = _text_data(4 * BLOCK_ROWS, 2, 30)
-        # the first read ends inside a row; the reader completes its line
+        # the first read ends inside a row; a later read completes it
         edge = data.index(b"\n") + 1 + _text_chunk(2)
         assert edge < len(data) - _text_chunk(2) and data[edge - 1] != ord("\n")
         _assert_text_like_reference(data, steps=(None, 1, 7, 4096))
@@ -576,6 +576,57 @@ class TestChunkBoundaries:
         message = _outcome(load_binary, data)
         assert isinstance(message, str) and "truncated stream mid-vector" in message
         _assert_binary_like_reference(data)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("m", [2, 100])
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 6000])
+def test_every_scan_but_the_last_takes_a_full_block(
+    n, m, fmt, tmp_path, kernel_library, monkeypatch
+):
+    """A written file with tokens of up to 15 bytes is read, by a load and
+    by a stream, in ceil(n / BLOCK_ROWS) scans, each of BLOCK_ROWS rows
+    but the last."""
+    rng = np.random.default_rng(41)
+    words = [f"t{i:014d}" for i in range(n)]  # 15 bytes each
+    # +-[1, 10) x 1e-14 prints as the widest '%.9g' numerals the kernel
+    # parses, such as -1.23456789e-14 (its fast path takes 10^-22 at most)
+    signs = rng.choice([-1.0, 1.0], (n, m))
+    matrix = (signs * rng.uniform(1, 10, (n, m)) * 1e-14).astype(np.float32)
+    path = str(tmp_path / "vectors")
+    with open(path, "wb") as f:
+        (save_text if fmt == "text" else save_binary)(EmbeddingSet(words, matrix), f)
+    scanned = []
+    scan = _kernel._scan
+
+    def counted(*args):
+        scanned.append(scan(*args))
+        return scanned[-1]
+
+    monkeypatch.setattr(_kernel, "_scan", counted)
+    full = [BLOCK_ROWS] * (n // BLOCK_ROWS) + [n % BLOCK_ROWS] * (n % BLOCK_ROWS > 0)
+    assert load_file(path, fmt).matrix.tobytes() == matrix.tobytes()
+    assert [rows for rows, *_ in scanned] == full
+    scanned.clear()
+    with BlockFile(path, fmt) as stream:
+        assert [len(tokens) for tokens, _ in stream.blocks()] == full
+    assert [rows for rows, *_ in scanned] == full
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_row_longer_than_a_chunk_takes_few_scans(fmt, kernel_library, monkeypatch):
+    """Each scan that stops inside a row reads as much again as the reader
+    holds, so a row of 1 MB, read 4096 bytes at a time, takes a dozen
+    scans, not one per read."""
+    emb = EmbeddingSet(["x" * 2**20, "y"], np.array([[1, 2], [3, 4]], np.float32))
+    buf = io.BytesIO()
+    (save_text if fmt == "text" else save_binary)(emb, buf)
+    calls = []
+    scan = _kernel._scan
+    monkeypatch.setattr(_kernel, "_scan", lambda *args: calls.append(1) or scan(*args))
+    load = load_text if fmt == "text" else load_binary
+    assert load(ShortReads(buf.getvalue(), 4096)).words == emb.words
+    assert len(calls) <= 12
 
 
 def test_text_load_streams_in_bounded_memory():

@@ -83,7 +83,7 @@ def _scan(numerals: list[str]) -> np.ndarray | None:
     """scan_text on one row per numeral; None if it declines any of them."""
     lines = [f"w {s}\n".encode() for s in numerals]
     out = np.empty((len(numerals), 1), dtype=np.float32)
-    rows, end, tokens, declined = _kernel.scan_text(b"".join(lines), 0, out)
+    rows, end, tokens, declined = _kernel.scan_text(b"".join(lines), out)
     # a scan stops at the start of the first row it declines, or after the last
     assert end == sum(len(line) for line in lines[:rows])
     assert tokens == b" ".join([b"w"] * rows)
@@ -283,11 +283,11 @@ class TestParseRows:
     def test_rows(self):
         data = b"a 1 -2.5 3e-3\nb +4 5. .6\n"
         out = np.empty((2, 3), dtype=np.float32)
-        assert _kernel.scan_text(data, 0, out) == (2, len(data), b"a b", False)
+        assert _kernel.scan_text(data, out) == (2, len(data), b"a b", False)
         assert out.tolist() == np.array([[1.0, -2.5, 3e-3], [4.0, 5.0, 0.6]],
                                         dtype=np.float32).tolist()
         # from an offset, into fewer rows than the data holds
-        assert _kernel.scan_text(data, 14, out[:1]) == (1, len(data), b"b", False)
+        assert _kernel.scan_text(data[14:], out[:1]) == (1, len(data) - 14, b"b", False)
 
     # each row of the data below is given a token ("w ") before the scan
     @pytest.mark.parametrize("data, n, m", [
@@ -315,7 +315,7 @@ class TestParseRows:
                   for i, p in enumerate(pieces)]
         data = b"\n".join(pieces)
         out = np.zeros((n, m), dtype=np.float32)
-        rows, end, tokens, declined = _kernel.scan_text(data, 0, out)
+        rows, end, tokens, declined = _kernel.scan_text(data, out)
         assert not (rows == n and end == len(data))
         assert end == sum(len(p) + 1 for p in pieces[:rows])
         assert tokens == b" ".join([b"w"] * rows)
@@ -324,11 +324,11 @@ class TestParseRows:
 
     def test_declines_a_block_from_its_first_bad_row(self):
         out = np.empty((3, 1), dtype=np.float32)
-        assert _kernel.scan_text(b"a 1\nb 2\nc nan\n", 0, out) == (2, 8, b"a b", True)
-        assert _kernel.scan_text(b"a 1\nb 1e99\nc 3\n", 0, out) == (1, 4, b"a", True)
+        assert _kernel.scan_text(b"a 1\nb 2\nc nan\n", out) == (2, 8, b"a b", True)
+        assert _kernel.scan_text(b"a 1\nb 1e99\nc 3\n", out) == (1, 4, b"a", True)
         # a token that ends its line
-        assert _kernel.scan_text(b"a 1\nb\nc 3\n", 0, out) == (1, 4, b"a", True)
-        assert _kernel.scan_text(b"a 1\nb 2\nc 3\n", 0, out) == (3, 12, b"a b c", False)
+        assert _kernel.scan_text(b"a 1\nb\nc 3\n", out) == (1, 4, b"a", True)
+        assert _kernel.scan_text(b"a 1\nb 2\nc 3\n", out) == (3, 12, b"a b c", False)
 
 
 def _binary_rows(rows: list[tuple[bytes, list[float]]]) -> bytes:
@@ -339,7 +339,7 @@ class TestScanBinary:
     def test_rows(self):
         data = _binary_rows([(b"ab", [1.5, -2.0]), ("é".encode(), [0.0, 3e38])])
         out = np.empty((2, 2), dtype=np.float32)
-        assert _kernel.scan_binary(data, 0, out) == (2, len(data), "ab é".encode(), False)
+        assert _kernel.scan_binary(data, out) == (2, len(data), "ab é".encode(), False)
         assert out.tolist() == np.array([[1.5, -2.0], [0.0, 3e38]], np.float32).tolist()
 
     def test_a_cut_row_is_left_for_more_data(self):
@@ -347,7 +347,7 @@ class TestScanBinary:
         out = np.empty((2, 2), dtype=np.float32)
         for cut in range(len(data) + 1):
             rows = (cut >= 11) + (cut == len(data))
-            assert _kernel.scan_binary(data[:cut], 0, out) == (
+            assert _kernel.scan_binary(data[:cut], out) == (
                 rows, 11 * (rows > 0) + 12 * (rows > 1),
                 b" ".join([b"ab", b"cd\n"][:rows]), False,
             )
@@ -356,9 +356,9 @@ class TestScanBinary:
     def test_declines_a_non_finite_row(self, bad):
         data = _binary_rows([(b"a", [1.0]), (b"b", [bad]), (b"c", [2.0])])
         out = np.empty((3, 1), dtype=np.float32)
-        assert _kernel.scan_binary(data, 0, out) == (1, 6, b"a", True)
-        assert _kernel.scan_binary(data, 6, out) == (0, 6, b"", True)
-        assert _kernel.scan_binary(data, 12, out) == (1, 18, b"c", False)
+        assert _kernel.scan_binary(data, out) == (1, 6, b"a", True)
+        assert _kernel.scan_binary(data[6:], out) == (0, 0, b"", True)
+        assert _kernel.scan_binary(data[12:], out) == (1, 6, b"c", False)
 
 
 def _hard_embedding() -> EmbeddingSet:

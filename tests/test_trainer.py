@@ -549,6 +549,19 @@ class TestFinetune:
         for field in ("mean loss", "alpha", "positions/s", "short of negatives"):
             assert all(field in l for l in lines if "epoch" in l)
 
+    @pytest.mark.parametrize("path", ["compiled kernel", "numpy reference"])
+    def test_epoch_lines_name_the_path_that_trained(self, path, caplog, request):
+        request.getfixturevalue(
+            "kernel_library" if path == "compiled kernel" else "no_kernel"
+        )
+        model, corpus = small_setup(n_docs=4)
+        with caplog.at_level(logging.INFO, logger="classvec.trainer"):
+            finetune(model, FinetuneConfig(epochs=2))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "classvec.trainer" and "epoch" in r.getMessage()]
+        assert len(lines) == 2
+        assert all(l.endswith(f" ({path})") for l in lines)
+
     def test_divergent_run_raises(self, monkeypatch):
         # on the kernel, then on the fallback: the epoch is 1-based, as in
         # the log line, and no numpy warning comes first
