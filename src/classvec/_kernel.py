@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import ctypes
 import logging
+import operator
 import os
 import platform
 import zlib
@@ -367,7 +368,12 @@ def uniforms(key: int, counters: np.ndarray) -> np.ndarray:
 
 def check_seed(seed: int) -> None:
     """Raise ValueError unless ``seed`` can seed SplitMix64: an integer in
-    [0, 2**64)."""
+    [0, 2**64). Anything ``operator.index`` refuses (a float such as 1.5,
+    which SplitMix64 would truncate) is not an integer."""
+    try:
+        operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 

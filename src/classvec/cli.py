@@ -199,13 +199,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     multilabel = model.mode == "multilabel"
     corpus = _load_corpus(args.corpus, multilabel)
+    pred = [predict(model, d, emb) for d in corpus.docs]
     if multilabel:
-        gold = [set(d.labels) for d in corpus.docs]
-        pred = [set(predict(model, d, emb)) for d in corpus.docs]
+        gold = [d.labels for d in corpus.docs]
         report = evaluate_multilabel(gold, pred, classes=model.classes)
     else:
         gold = [d.labels[0] for d in corpus.docs]
-        pred = [predict(model, d, emb) for d in corpus.docs]
         report = evaluate_exclusive(gold, pred, classes=model.classes)
     print(report.human_block())
     print()

@@ -55,13 +55,7 @@ class LabeledCorpus:
 
 def from_documents(docs: list[Document]) -> LabeledCorpus:
     """Assemble a corpus, collecting classes in first-appearance order."""
-    classes: list[str] = []
-    seen: set[str] = set()
-    for d in docs:
-        for label in d.labels:
-            if label not in seen:
-                seen.add(label)
-                classes.append(label)
+    classes = dict.fromkeys(label for d in docs for label in d.labels)
     return LabeledCorpus(tuple(docs), tuple(classes))
 
 

@@ -11,7 +11,9 @@ tab-separated machine line with a fixed field order (see
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Sequence
 
 from ._names import MACHINE_FIELDS
@@ -83,20 +85,15 @@ def _resolve_classes(
     list (extended by unseen gold classes; unknown pred classes are an
     error)."""
     if classes is None:
-        out = list(dict.fromkeys(list(gold_labels) + list(pred_labels)))
-        return out
-    out = list(dict.fromkeys(classes))
-    if len(out) != len(list(classes)):
+        return list(dict.fromkeys(chain(gold_labels, pred_labels)))
+    order = dict.fromkeys(classes)
+    if len(order) != len(classes):
         raise ValueError("duplicate class names")
-    known = set(out)
-    for g in gold_labels:
-        if g not in known:
-            known.add(g)
-            out.append(g)
-    bad = [p for p in pred_labels if p not in known]
+    order.update(dict.fromkeys(gold_labels))
+    bad = [p for p in pred_labels if p not in order]
     if bad:
         raise ValueError(f"predicted label {bad[0]!r} not in the class set")
-    return out
+    return list(order)
 
 
 def evaluate_exclusive(
@@ -139,49 +136,30 @@ def evaluate_multilabel(
         1.0 if not g and not p else len(g & p) / len(g | p)
         for g, p in zip(gold_sets, pred_sets)
     ) / n
-    per_class: dict[str, ClassScores] = {}
-    total_tp = total_fp = total_fn = 0
-    for c in order:
-        tp = sum(1 for g, p in zip(gold_sets, pred_sets) if c in g and c in p)
-        fp = sum(1 for g, p in zip(gold_sets, pred_sets) if c not in g and c in p)
-        fn = sum(1 for g, p in zip(gold_sets, pred_sets) if c in g and c not in p)
-        total_tp, total_fp, total_fn = total_tp + tp, total_fp + fp, total_fn + fn
-        p, r, f1 = _prf(tp, fp, fn)
-        per_class[c] = ClassScores(p, r, f1, tp + fn)
-    _, _, micro_f1 = _prf(total_tp, total_fp, total_fn)
-    # zero-denominator convention: no classes at all (every set empty and
-    # no explicit class list) averages to 0
-    macro_f1 = (
-        sum(s.f1 for s in per_class.values()) / len(per_class) if per_class else 0.0
-    )
+    tp, fp, fn = Counter(), Counter(), Counter()
+    for g, p in zip(gold_sets, pred_sets):
+        tp.update(g & p)
+        fp.update(p - g)
+        fn.update(g - p)
+    per_class = {
+        c: ClassScores(*_prf(tp[c], fp[c], fn[c]), tp[c] + fn[c]) for c in order
+    }
+    _, _, micro_f1 = _prf(tp.total(), fp.total(), fn.total())
+    # zero-denominator convention: no support (or no classes at all, every
+    # set empty and no explicit class list) averages to 0
+    scores = per_class.values()
+    support = sum(s.support for s in scores) or 1
+    k = len(per_class) or 1
     return EvalReport(
         mode="multilabel",
         n=n,
         accuracy=accuracy,
+        weighted_precision=sum(s.precision * s.support for s in scores) / support,
+        weighted_recall=sum(s.recall * s.support for s in scores) / support,
+        weighted_f1=sum(s.f1 * s.support for s in scores) / support,
+        avg_recall=sum(s.recall for s in scores) / k,
+        per_class=per_class,
         jaccard=jaccard,
         micro_f1=micro_f1,
-        macro_f1=macro_f1,
-        **_weighted(per_class, sum(s.support for s in per_class.values())),
+        macro_f1=sum(s.f1 for s in scores) / k,
     )
-
-
-def _weighted(per_class: dict[str, ClassScores], total_support: int) -> dict:
-    """Support-weighted averages plus the unweighted mean recall."""
-    if total_support:
-        wp = sum(s.precision * s.support for s in per_class.values()) / total_support
-        wr = sum(s.recall * s.support for s in per_class.values()) / total_support
-        wf = sum(s.f1 * s.support for s in per_class.values()) / total_support
-    else:
-        wp = wr = wf = 0.0
-    avg_recall = (
-        sum(s.recall for s in per_class.values()) / len(per_class)
-        if per_class
-        else 0.0
-    )
-    return {
-        "weighted_precision": wp,
-        "weighted_recall": wr,
-        "weighted_f1": wf,
-        "avg_recall": avg_recall,
-        "per_class": per_class,
-    }

@@ -62,6 +62,8 @@ class FinetuneConfig:
             raise ValueError("negative must be >= 1")
         if not (self.alpha0 > self.alpha_min > 0):
             raise ValueError("need alpha0 > alpha_min > 0")
+        if self.alpha0 == math.inf:
+            raise ValueError(f"alpha0 must be finite, got {self.alpha0}")
         _kernel.check_seed(self.seed)
 
 

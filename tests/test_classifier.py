@@ -53,7 +53,8 @@ class TestClassifierConfig:
     @pytest.mark.parametrize(
         "kwargs", [dict(epochs=0), dict(lr=0.0), dict(lr=-1.0), dict(l2=-0.1),
                    dict(lr=math.nan), dict(lr=math.inf), dict(l2=math.nan),
-                   dict(l2=math.inf), dict(seed=-1), dict(seed=2**64)]
+                   dict(l2=math.inf), dict(seed=-1), dict(seed=2**64),
+                   dict(seed=1.5)]
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):

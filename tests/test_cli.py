@@ -209,6 +209,7 @@ class TestFinetuneCommand:
         (["--epochs", "0"], "epochs must be >= 1"),
         (["--lr", "0.001", "--min-lr", "0.01"], "need alpha0 > alpha_min > 0"),
         (["--seed", "-1"], "seed must be in [0, 2**64), got -1"),
+        (["--lr", "inf"], "alpha0 must be finite, got inf"),
     ])
     def test_settings_are_checked_before_any_file_is_read(self, tmp_path, capsys,
                                                           flags, message):

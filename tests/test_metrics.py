@@ -205,3 +205,51 @@ class TestIndependentRecount:
                 assert s.recall == pytest.approx(r)
                 assert s.f1 == pytest.approx(f1)
                 assert s.support == conf[j, :].sum()
+
+
+class _CountedName(str):
+    """A class name that counts how often it is hashed."""
+
+    calls = 0
+
+    def __hash__(self):
+        _CountedName.calls += 1
+        return str.__hash__(self)
+
+
+class TestOnePass:
+    """Scoring hashes each label occurrence a few times, not once per class."""
+
+    N, K = 300, 60
+
+    def _draw(self):
+        rng = np.random.default_rng(42)
+        names = [_CountedName(f"class{j}") for j in range(self.K)]
+
+        def labels(low, high):
+            drawn = rng.choice(self.K, rng.integers(low, high), replace=False)
+            return tuple(names[j] for j in drawn)
+
+        gold = [labels(1, 4) for _ in range(self.N)]  # 1-3 gold labels
+        pred = [labels(0, 4) for _ in range(self.N)]  # 0-3 predicted
+        return names, gold, pred
+
+    @staticmethod
+    def _hashes(score, *args, **kwargs):
+        _CountedName.calls = 0
+        score(*args, **kwargs)
+        return _CountedName.calls
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_multilabel(self, explicit):
+        names, gold, pred = self._draw()
+        occurrences = sum(map(len, gold)) + sum(map(len, pred))
+        classes = names if explicit else None
+        calls = self._hashes(evaluate_multilabel, gold, pred, classes=classes)
+        assert calls <= 8 * (occurrences + self.K)
+
+    def test_exclusive(self):
+        names, gold, pred = self._draw()
+        gold, pred = [g[0] for g in gold], [p[0] if p else names[0] for p in pred]
+        calls = self._hashes(evaluate_exclusive, gold, pred, classes=names)
+        assert calls <= 8 * (2 * self.N + self.K)

@@ -120,6 +120,8 @@ class TestFinetuneConfig:
             dict(alpha0=float("nan")),
             dict(seed=-1),
             dict(seed=2**64),
+            dict(seed=1.5),
+            dict(alpha0=float("inf")),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -281,6 +283,13 @@ class TestStreams:
     def test_seeds_outside_64_bits_are_rejected(self, seed):
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
             _kernel.stream_key(seed, _kernel.STREAM_NOISE)
+
+    def test_non_integer_seeds_are_rejected(self):
+        # SplitMix64 would truncate 1.5 to seed 1; numpy integers still pass
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            _kernel.stream_key(1.5, _kernel.STREAM_NOISE)
+        assert (_kernel.stream_key(np.uint64(7), _kernel.STREAM_NOISE)
+                == _kernel.stream_key(7, _kernel.STREAM_NOISE))
 
     def test_permutations_are_seeded_and_differ_from_draw_to_draw(self):
         n = 50
