@@ -375,32 +375,48 @@ static double scale10(double v, int k)
     return k >= 0 ? v * POW10[k] : v / POW10[-k];
 }
 
-/* Write v as Python's '%.9g' % v does, at most 15 bytes; return the byte
-   count, or 0 to decline (non-finite, |v| outside about [1e-14, 1e31), or
-   a tenth digit within 1e-6 of a rounding tie).
+/* "00" .. "99" */
+static const char DIGIT_PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* Write v, a float32 value, as Python's '%.9g' % v does, at most 15
+   bytes; return the byte count, or 0 to decline (non-finite, |v| outside
+   about [1e-14, 1e31), or, below 1e-4 or from 1e9 on, a tenth digit
+   within 1e-6 of a rounding tie). It stores 16 bytes at out, the numeral
+   and then bytes of no meaning, which format_rows overwrites.
 
    With X the decimal exponent of |v| and k = 8 - X, t = |v| * 10^k lies in
    [1e8, 1e9) and is one correctly rounded operation, so it is within
    2^-24 of the exact value; its rounding to an integer is the exact one
-   unless its fraction is near 0.5. */
+   unless its fraction is near 0.5. For 0 <= k <= 12, |v| in [1e-4, 1e9),
+   t is exact: |v| is a 24-bit integer times a power of two, and 10^k is
+   5^k < 2^28 times one, so the product has at most 52 significant bits.
+   There a tie is decided exactly, half to even, as '%.9g' rounds it.
+   The numeral is composed in a local buffer with copies of fixed length,
+   then stored in one copy. */
 static int format_g9(double v, char *out)
 {
-    char *p = out;
-    char dig[9];
+    char buf[32];
+    char *p = buf;
+    char dig[16];
     double a = fabs(v), t, whole, frac;
+    uint64_t bits;
     int e2, x, s;
-    uint32_t d;
+    uint32_t d, r;
 
     if (v == 0.0) {
-        if (signbit(v))
-            *p++ = '-';
-        *p++ = '0';
-        return (int)(p - out);
+        memcpy(out, signbit(v) ? "-0" : "0", 2);
+        return signbit(v) ? 2 : 1;
     }
     if (!isfinite(v))
         return 0;
-    frexp(a, &e2);              /* a in [2^(e2-1), 2^e2): X is x or x - 1 */
-    x = (int)floor(e2 * 0.30102999566398120);
+    memcpy(&bits, &a, 8);
+    e2 = (int)(bits >> 52) - 1022;  /* a normal: a in [2^(e2-1), 2^e2) */
+    /* floor(e2 * log10(2)), exact for |e2| < 1651, shifted while the
+       operand is nonnegative: X is x or x - 1 */
+    x = ((e2 * 78913 + (4096 << 18)) >> 18) - 4096;
     if (x == 31)
         x = 30;                 /* X = 30 is the candidate within reach */
     if (x < -14 || x > 30)
@@ -416,58 +432,63 @@ static int format_g9(double v, char *out)
         return 0;
     whole = floor(t);
     frac = t - whole;           /* exact: t < 2^30 */
-    if (fabs(frac - 0.5) <= 1e-6)
+    if (x >= -4 && x <= 8)      /* t exact: an exact tie goes to even */
+        d = (uint32_t)whole + (frac > 0.5 || (frac == 0.5 && ((uint32_t)whole & 1u)));
+    else if (fabs(frac - 0.5) <= 1e-6)
         return 0;
-    d = (uint32_t)whole + (frac > 0.5);
+    else
+        d = (uint32_t)whole + (frac > 0.5);
     if (d == 1000000000u) {     /* rounding carried into a new decade */
         d = 100000000u;
         x++;
     }
-    for (int i = 8; i >= 0; i--) {
-        dig[i] = (char)('0' + d % 10);
-        d /= 10;
-    }
+    dig[0] = (char)('0' + d / 100000000u);
+    r = d % 100000000u;
+    memcpy(dig + 1, DIGIT_PAIRS + 2 * (r / 1000000u), 2);
+    memcpy(dig + 3, DIGIT_PAIRS + 2 * (r / 10000u % 100u), 2);
+    memcpy(dig + 5, DIGIT_PAIRS + 2 * (r / 100u % 100u), 2);
+    memcpy(dig + 7, DIGIT_PAIRS + 2 * (r % 100u), 2);
     for (s = 9; s > 1 && dig[s - 1] == '0'; s--)
         ;                       /* s significant digits, trailing zeros cut */
 
-    if (v < 0)
-        *p++ = '-';
+    *p = '-';
+    p += v < 0;
     if (x >= 0 && x < 9) {      /* ddd[.ddd] */
-        for (int i = 0; i <= x; i++)
-            *p++ = dig[i];
+        memcpy(p, dig, 9);
+        p += x + 1;
         if (s > x + 1) {
             *p++ = '.';
-            for (int i = x + 1; i < s; i++)
-                *p++ = dig[i];
+            memcpy(p, dig + x + 1, 8);
+            p += s - x - 1;
         }
     } else if (x < 0 && x >= -4) {  /* 0.000ddd */
-        *p++ = '0';
-        *p++ = '.';
-        for (int i = -1; i > x; i--)
-            *p++ = '0';
-        for (int i = 0; i < s; i++)
-            *p++ = dig[i];
+        memcpy(p, "0.000", 5);
+        p += 1 - x;
+        memcpy(p, dig, 9);
+        p += s;
     } else {                    /* d[.ddd]e+XX; |X| <= 31, so two exponent digits */
-        int ax = x < 0 ? -x : x;
         *p++ = dig[0];
-        if (s > 1) {
-            *p++ = '.';
-            for (int i = 1; i < s; i++)
-                *p++ = dig[i];
-        }
+        *p = '.';
+        p += s > 1;
+        memcpy(p, dig + 1, 8);
+        p += s - 1;
         *p++ = 'e';
         *p++ = x < 0 ? '-' : '+';
-        *p++ = (char)('0' + ax / 10);
-        *p++ = (char)('0' + ax % 10);
+        memcpy(p, DIGIT_PAIRS + 2 * (x < 0 ? -x : x), 2);
+        p += 2;
     }
-    return (int)(p - out);
+    memcpy(out, buf, 16);
+    return (int)(p - buf);
 }
 
 /* Format rows x m float32 values, one text row of single-space-separated
    '%.9g' numerals per matrix row, written back to back into out (room for
    16 bytes per value). ends[r] is the end offset of row r in out, or -1
    when the row holds a value format_g9 declines; such a row writes
-   nothing, so the next row starts where the last accepted one ended. */
+   nothing, so the next row starts where the last accepted one ended.
+   A value and its separator take at most 16 bytes and the first value of
+   a row has none, so value q starts at most 16 q bytes into out, and
+   format_g9's 16-byte store stays within it. */
 int64_t format_rows(const float *values, int64_t rows, int64_t m,
                     char *out, int64_t *ends)
 {

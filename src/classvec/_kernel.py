@@ -82,7 +82,8 @@ _SIGNATURES = {
 # '-1.23456789e-05', plus a separator
 FORMAT_BYTES = 16
 
-_F64, _I64, _F32 = (np.dtype(t) for t in (np.float64, np.int64, np.float32))
+_F64, _I64, _F32, _U8 = (np.dtype(t)
+                          for t in (np.float64, np.int64, np.float32, np.uint8))
 _UNOPENED = object()
 _library: ctypes.CDLL | None | object = _UNOPENED
 
@@ -287,24 +288,30 @@ def probe_epoch(
     return float(loss[0])
 
 
-def format_rows(block: np.ndarray) -> tuple[str, list[int]] | None:
+def format_rows(block: np.ndarray, out: np.ndarray | None = None
+                ) -> tuple[memoryview, list[int]] | None:
     """Format a float32 block as rows of '%.9g' numerals, or None if the
     library is unavailable.
 
-    Returns the text of the rows that came out, back to back, and per row
-    its end offset in that text, or -1 for a row holding a value the
-    kernel declines (the caller formats that row itself).
+    Returns the ASCII bytes of the rows that came out, back to back, and
+    per row its end offset in them, or -1 for a row holding a value the
+    kernel declines (the caller formats that row itself). The bytes are a
+    view of ``out``, a uint8 buffer a caller may reuse from block to block
+    (a new one where it is None or too small), valid until ``out`` is
+    written again.
     """
     lib = library()
     if lib is None:
         return None
     rows, m = block.shape
-    out = np.empty(rows * m * FORMAT_BYTES, dtype=np.uint8)
+    if out is None or len(out) < rows * m * FORMAT_BYTES:
+        out = np.empty(rows * m * FORMAT_BYTES, dtype=np.uint8)
     ends = np.empty(rows, dtype=np.int64)
     size = lib.format_rows(
-        _address(block, _F32), rows, m, out.ctypes.data, ends.ctypes.data
+        _address(block, _F32), rows, m, _address(out, _U8, write=True),
+        ends.ctypes.data,
     )
-    return out[:size].tobytes().decode("ascii"), ends.tolist()
+    return memoryview(out)[:size], ends.tolist()
 
 
 def _scan(name: str, data: bytes | bytearray, out: np.ndarray):

@@ -260,8 +260,11 @@ def drift_summary(
         raise ValueError("no row pairs to compare")
     cosines = np.empty(len(before))
     shifts = np.empty(len(before))
-    for start in range(0, len(before), BLOCK_ROWS):
-        stop = start + BLOCK_ROWS
+    # pairs of 2^14 values at a time, so that the float64 temporaries stay
+    # near 128 kB at any width; each pair's statistics are its own
+    step = max(1, (1 << 14) // before.shape[1])
+    for start in range(0, len(before), step):
+        stop = start + step
         cosines[start:stop], shifts[start:stop] = _pair_stats(
             before[start:stop], after[start:stop]
         )

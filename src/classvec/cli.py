@@ -66,6 +66,7 @@ load_tsv = _lazy("corpus", "load_tsv")
 BlockFile = _lazy("embedding_io", "BlockFile")
 EmbeddingSet = _lazy("embedding_io", "EmbeddingSet")
 load_file = _lazy("embedding_io", "load_file")
+load_rows = _lazy("embedding_io", "load_rows")
 save_binary = _lazy("embedding_io", "save_binary")
 save_text = _lazy("embedding_io", "save_text")
 evaluate_exclusive = _lazy("metrics", "evaluate_exclusive")
@@ -130,6 +131,21 @@ def _given(args: argparse.Namespace, *fields: str) -> dict:
     return {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
 
 
+def _corpus_tokens(corpus) -> set[str]:
+    return {t for d in corpus.docs for t in d.tokens}
+
+
+def _embeddings_first(path: str, fmt: str, *checks: Callable[[object], None]):
+    """Raise the error of the ``fmt`` file at ``path``, or of one of
+    ``checks`` on its (empty) set, if there is one. Called while a corpus
+    error is handled: a stage that streams its embedding file reads it
+    after the corpus, yet the file's errors still come first, as when it
+    was loaded before anything else."""
+    emb = load_rows(path, fmt, ())
+    for check in checks:
+        check(emb)
+
+
 def cmd_finetune(args: argparse.Namespace) -> int:
     # the settings are checked before any file is read
     cfg = FinetuneConfig(
@@ -137,26 +153,33 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         shuffle=args.shuffle,
     )
     _require_files(args.pretrained, args.corpus)
-    pretrained = load_file(args.pretrained, args.format)
-    corpus = _load_corpus(args.corpus, args.multilabel)
-    if args.export_class_vectors:
-        # checked before training, so that nothing is written for a class
-        # that cannot become a token of the class-vector file
-        for name in corpus.classes:
-            if name.split() != [name]:
-                raise ValueError(
-                    f"class {name!r} cannot be exported: a token of the "
-                    "class-vector file holds no whitespace"
-                )
+    try:
+        corpus = _load_corpus(args.corpus, args.multilabel)
+        if args.export_class_vectors:
+            # checked before training, so that nothing is written for a
+            # class that cannot become a token of the class-vector file
+            for name in corpus.classes:
+                if name.split() != [name]:
+                    raise ValueError(
+                        f"class {name!r} cannot be exported: a token of the "
+                        "class-vector file holds no whitespace"
+                    )
+    except (ValueError, OSError):
+        _embeddings_first(args.pretrained, args.format)
+        raise
     vocab = build_vocab(corpus)
-    model = merge(pretrained, vocab, seed=cfg.seed)
-    print(
-        f"vocab\tV={len(pretrained)}\tV_T={len(vocab)}"
-        f"\tV_unseen={len(model.unseen)}"
-    )
-    tuned, class_vectors = finetune(model, cfg)
-    save = save_text if args.format == "text" else save_binary
-    _atomic_write(args.out, lambda f: save(TunedEmbedding(model, tuned), f))
+    # the pretrained file is read twice, a block at a time: merge keeps
+    # the corpus tokens' rows, and the export writes the tuned ones over
+    # them as it streams the file again
+    with BlockFile(args.pretrained, args.format) as pretrained:
+        model = merge(pretrained, vocab, seed=cfg.seed)
+        print(
+            f"vocab\tV={len(pretrained)}\tV_T={len(vocab)}"
+            f"\tV_unseen={len(model.unseen)}"
+        )
+        tuned, class_vectors = finetune(model, cfg)
+        save = save_text if args.format == "text" else save_binary
+        _atomic_write(args.out, lambda f: save(TunedEmbedding(model, tuned), f))
     logger.info("wrote %s", args.out)
     if args.export_class_vectors:
         cv_set = EmbeddingSet(list(class_vectors.classes), class_vectors.matrix)
@@ -166,7 +189,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     # are unchanged, and the unseen tokens have no row before
     shared = model.rows < len(pretrained)
     _print_drift_summary(drift_summary(
-        pretrained.matrix[model.rows[shared]], tuned[shared],
+        model.corpus_rows[shared], tuned[shared],
         len(pretrained) - int(shared.sum()),
     ))
     return 0
@@ -178,8 +201,13 @@ def cmd_train_clf(args: argparse.Namespace) -> int:
     if args.threshold is not None:
         check_threshold(args.threshold)
     _require_files(args.embeddings, args.corpus)
-    emb = load_file(args.embeddings, args.format)
-    corpus = _load_corpus(args.corpus, args.multilabel)
+    try:
+        corpus = _load_corpus(args.corpus, args.multilabel)
+    except (ValueError, OSError):
+        _embeddings_first(args.embeddings, args.format)
+        raise
+    # the mean pool reads the rows of corpus tokens alone
+    emb = load_rows(args.embeddings, args.format, _corpus_tokens(corpus))
     mode = "multilabel" if args.multilabel else "exclusive"
     model = train_classifier(corpus, emb, cfg, mode, **_given(args, "threshold"))
     _atomic_write(args.out, lambda f: save_classifier(model, f))
@@ -192,13 +220,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _require_files(args.model, args.embeddings, args.corpus)
     with open(args.model, "rb") as f:
         model = load_classifier(f)
-    emb = load_file(args.embeddings, args.format)
-    if emb.dim != model.dim:
-        raise ValueError(
-            f"embedding dim {emb.dim} does not match model dim {model.dim}"
-        )
+
+    def check_dim(emb) -> None:
+        if emb.dim != model.dim:
+            raise ValueError(
+                f"embedding dim {emb.dim} does not match model dim {model.dim}"
+            )
+
     multilabel = model.mode == "multilabel"
-    corpus = _load_corpus(args.corpus, multilabel)
+    try:
+        corpus = _load_corpus(args.corpus, multilabel)
+    except (ValueError, OSError):
+        _embeddings_first(args.embeddings, args.format, check_dim)
+        raise
+    emb = load_rows(args.embeddings, args.format, _corpus_tokens(corpus))
+    check_dim(emb)
     pred = [predict(model, d, emb) for d in corpus.docs]
     if multilabel:
         gold = [d.labels for d in corpus.docs]
@@ -231,7 +267,7 @@ def cmd_nn(args: argparse.Namespace) -> int:
 
 def cmd_sim(args: argparse.Namespace) -> int:
     _require_files(args.embeddings)
-    emb = load_file(args.embeddings, args.format)
+    emb = load_rows(args.embeddings, args.format, (args.word1, args.word2))
     for w in (args.word1, args.word2):
         if w not in emb:
             raise KeyError(w)

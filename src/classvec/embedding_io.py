@@ -19,8 +19,9 @@ the matrix: each target is a slice of the matrix, so the load holds the
 matrix plus about one block of input, never the whole file, and it builds
 the set's index as it reads, so no token is hashed or checked twice.
 :class:`BlockFile` gives the same stream through one reused block of rows,
-for a caller that compares a file with a set block by block and never
-needs its matrix.
+for a caller that compares a file with a set block by block, or reads it
+twice, and never needs its matrix; :func:`load_rows` keeps the rows of
+some tokens from it.
 
 The reader tops the unparsed input up to a chunk of raw bytes with room
 for a block and hands it to the format's scanner of the compiled kernel
@@ -38,7 +39,8 @@ names its first bad row.
 from __future__ import annotations
 
 from functools import partial
-from typing import BinaryIO, Callable, Iterator
+from itertools import repeat
+from typing import BinaryIO, Callable, Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -64,6 +66,11 @@ Target = Callable[[int], np.ndarray]
 
 class EmbeddingFormatError(ValueError):
     """Raised when an embedding file violates its declared format."""
+
+
+class EmbeddingChangedError(ValueError):
+    """Raised when an embedding file read again no longer holds what its
+    first read found."""
 
 
 class EmbeddingSet:
@@ -197,18 +204,50 @@ def _allocate(n: int, m: int, what: str) -> np.ndarray:
         raise _too_large(n, m, what) from None
 
 
-def _index_tokens(index: dict[str, int], tokens: list[str], row: int) -> bool:
-    """Record ``tokens`` in ``index`` as the rows from ``row`` on; False,
-    recording nothing, if one repeats a token of ``index`` or of
-    ``tokens``. The record a load builds its index with."""
+def _add_new(index: dict, tokens: list[str], values: Iterable) -> bool:
+    """Add ``tokens`` to ``index`` with ``values``; False, adding nothing,
+    if one repeats a token of ``index`` or of ``tokens``."""
     size = len(index)
     if index.keys().isdisjoint(tokens):
-        index.update(zip(tokens, range(row, row + len(tokens))))
+        index.update(zip(tokens, values))
         if len(index) == size + len(tokens):
             return True
         for token in tokens:  # a repeat within tokens: take them out again
             index.pop(token, None)
     return False
+
+
+def _index_tokens(index: dict[str, int], tokens: list[str], row: int) -> bool:
+    """Record ``tokens`` in ``index`` as the rows from ``row`` on; False,
+    recording nothing, if one repeats a token of ``index`` or of
+    ``tokens``. The record a load builds its index with."""
+    return _add_new(index, tokens, range(row, row + len(tokens)))
+
+
+def _hash_tokens(seen: dict[str, None], blocks: dict[int, tuple[int, int]],
+                 tokens: list[str], row: int) -> bool:
+    """The record of a :class:`BlockFile`'s first read: ``tokens`` in
+    ``seen``, which holds no rows, and their count and the hash of their
+    tuple in ``blocks`` under ``row``; False, recording nothing, on a
+    repeat."""
+    if not _add_new(seen, tokens, repeat(None)):
+        return False
+    blocks[row] = (len(tokens), hash(tuple(tokens)))
+    return True
+
+
+def _check_tokens(blocks: dict[int, tuple[int, int]], tokens: list[str],
+                  row: int) -> bool:
+    """The record of a :class:`BlockFile` read again: True if ``tokens``
+    are the block the first read recorded at ``row``, by their count and
+    hash; else raise :class:`EmbeddingChangedError`. The reader splits an
+    unchanged file into the same blocks on every read."""
+    if blocks.get(row) != (len(tokens), hash(tuple(tokens))):
+        raise EmbeddingChangedError(
+            f"the file changed after it was first read: rows {row + 1} to "
+            f"{row + len(tokens)} do not hold the tokens read there before"
+        )
+    return True
 
 
 def _token_error(token: bytes, add: Record, row: int) -> str | None:
@@ -370,17 +409,23 @@ def save_text(emb: EmbeddingSet, sink: BinaryIO) -> None:
         raise ValueError("refusing to write an empty embedding set")
     sink.write(f"{len(emb)} {emb.dim}\n".encode("utf-8"))
     row_format = " ".join(["%.9g"] * emb.dim)
+    # the kernel formats every block into this one buffer
+    buffer = np.empty(BLOCK_ROWS * emb.dim * _kernel.FORMAT_BYTES, dtype=np.uint8)
     for words, block in emb.blocks():
         block = np.ascontiguousarray(block)
-        text, ends = _kernel.format_rows(block) or ("", [-1] * len(block))
-        lines, begin = [], 0
-        for i, (w, end) in enumerate(zip(words, ends)):
+        text, ends = _kernel.format_rows(block, buffer) or (b"", [-1] * len(block))
+        # token, space, numerals, newline per row: tokens hold no whitespace,
+        # so one encode and split gives every token's bytes
+        parts = [b"", b" ", b"", b"\n"] * len(words)
+        parts[0::4] = " ".join(words).encode("utf-8").split(b" ")
+        begin = 0
+        for i, end in enumerate(ends):
             if end < 0:
-                lines.append(f"{w} {row_format % tuple(block[i].tolist())}\n")
+                parts[4 * i + 2] = (row_format % tuple(block[i].tolist())).encode("ascii")
             else:
-                lines.append(f"{w} {text[begin:end]}\n")
+                parts[4 * i + 2] = text[begin:end]
                 begin = end
-        sink.write("".join(lines).encode("utf-8"))
+        sink.write(b"".join(parts))
 
 
 def _binary_block(
@@ -557,6 +602,9 @@ class BlockFile:
         _check_format(fmt)
         self._fmt = fmt
         self._file = open(path, "rb")
+        # the count and hash of the tokens of each block, by its first
+        # row, recorded by the first read that completes
+        self._blocks: dict[int, tuple[int, int]] | None = None
         try:
             self._rows, self.dim, _, self._base = _read_header(self._file, fmt)
         except BaseException:
@@ -570,17 +618,29 @@ class BlockFile:
                ) -> Iterator[tuple[list[str], np.ndarray]]:
         """The tokens and rows of each block, in order; the rows are valid
         until the next block is read. Each block's tokens are recorded
-        through ``add`` before it is yielded, by default in an index of
-        this read, and a token that ``add`` finds recorded already is a
-        duplicate; a failed check raises :class:`EmbeddingFormatError`,
-        as a load does."""
-        if add is None:
-            add = partial(_index_tokens, {})
+        through ``add`` before it is yielded, and a token that ``add`` finds
+        recorded already is a duplicate; a failed check raises
+        :class:`EmbeddingFormatError`, as a load does.
+
+        Without ``add``, the first read checks the tokens for repeats in a
+        token set of its own and keeps only a 64-bit hash of each block's
+        tokens once it completes; every later read checks its blocks
+        against those hashes and raises :class:`EmbeddingChangedError` at
+        the first block whose tokens differ, so that a file read twice
+        yields the same tokens twice."""
+        record = None
+        if add is None and self._blocks is None:
+            record = {}
+            add = partial(_hash_tokens, {}, record)
+        elif add is None:
+            add = partial(_check_tokens, self._blocks)
         self._file.seek(self._base)
         buffer = np.empty((BLOCK_ROWS, self.dim), dtype=np.float32)
         for tokens in _read_rows(self._file, self._fmt, self._base, len(self),
                                  self.dim, lambda row: buffer, add):
             yield tokens, buffer[:len(tokens)]
+        if record is not None:
+            self._blocks = record
 
     def close(self) -> None:
         self._file.close()
@@ -590,3 +650,22 @@ class BlockFile:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def load_rows(path: str, fmt: str, tokens: Collection[str]) -> EmbeddingSet:
+    """The rows of ``tokens`` in the ``fmt`` file at ``path``: the set of
+    those the file has, in file order. The file is read as a stream, with
+    every check and error of :func:`load_file`, and only the kept rows are
+    held, never the file's matrix; a token the file lacks is absent from
+    the set as it is from the file."""
+    with BlockFile(path, fmt) as source:
+        # pages of rows that are never kept are never touched
+        matrix = np.empty((min(len(tokens), len(source)), source.dim), dtype=np.float32)
+        words: list[str] = []
+        for block_tokens, block in source.blocks():
+            keep = np.flatnonzero(np.fromiter(map(tokens.__contains__, block_tokens),
+                                              bool, len(block_tokens)))
+            matrix[len(words):len(words) + len(keep)] = block[keep]
+            words.extend(map(block_tokens.__getitem__, keep.tolist()))
+    return EmbeddingSet._read(words, dict(zip(words, range(len(words)))),
+                              matrix[:len(words)])

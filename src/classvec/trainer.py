@@ -325,8 +325,9 @@ def _doc_passes(state: TrainState, doc: Document) -> list[tuple[np.ndarray, int]
 def init_state(model: MergedModel, cfg: FinetuneConfig) -> TrainState:
     """Build the initial training state for ``finetune``.
 
-    The rows, their index, the counts and the corpus come from the
-    vocabulary ``model`` was merged over. The class vectors are uniform on
+    The rows, the pretrained or seeded ones ``model`` holds, their index,
+    the counts and the corpus come from the vocabulary ``model`` was
+    merged over. The class vectors are uniform on
     [-0.5/m, +0.5/m), the scheme of the unseen words, from the seed's
     class-vector stream, row by row; the noise key is the seed's noise
     stream key.
@@ -334,6 +335,11 @@ def init_state(model: MergedModel, cfg: FinetuneConfig) -> TrainState:
     vocab = model.vocab
     corpus = vocab.corpus
     m = model.dim
+    if model.corpus_rows.shape != (len(vocab), m):
+        raise ValueError(
+            f"the model holds {len(model.corpus_rows)} rows for {len(vocab)} "
+            "corpus tokens; merge() must precede finetune()"
+        )
     classes = tuple(corpus.classes)
     key = _kernel.stream_key(cfg.seed, _kernel.STREAM_CLASSES)
     counters = np.arange(len(classes) * m, dtype=np.uint64).reshape(len(classes), m)
@@ -343,7 +349,7 @@ def init_state(model: MergedModel, cfg: FinetuneConfig) -> TrainState:
     )
     return TrainState(
         cfg=cfg,
-        input_matrix=model.gather(model.rows).astype(np.float64),
+        input_matrix=model.corpus_rows.astype(np.float64),
         output_matrix=np.zeros((len(vocab), m), dtype=np.float64),
         class_vectors=class_vectors,
         noise_table=build_noise_table(vocab),

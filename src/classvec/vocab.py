@@ -1,27 +1,29 @@
 """Training vocabulary extraction and pretrained/corpus vocabulary merging.
 
-A merged model seeds fine-tuning without copying the pretrained matrix:
-it holds the pretrained set and a small block of seeded random rows for
-the corpus words missing from it, and its row space is the pretrained
-rows followed by that block. Training touches only the rows of corpus
-words, which ``MergedModel.rows`` alone maps from vocabulary rows, and
-:class:`TunedEmbedding` writes the tuned rows back over them a block of
-rows at a time. The vocabulary keeps the corpus it counted, so a merged
-model carries the documents it is tuned on.
+A merged model seeds fine-tuning from the rows of the corpus words alone.
+:func:`merge` reads the pretrained vectors once, a block of rows at a
+time, from any block source: an ``EmbeddingSet`` or an
+``embedding_io.BlockFile`` streaming a file. It keeps the pretrained row
+of each corpus word and gives the corpus words missing from it seeded
+random rows; its row space is the pretrained rows followed by those.
+Training touches only the rows of corpus words, and
+:class:`TunedEmbedding` reads the source a second time, a block at a
+time, writing the tuned rows over the corpus words' rows in place. The
+vocabulary keeps the corpus it counted, so a merged model carries the
+documents it is tuned on.
 """
 from __future__ import annotations
 
-from collections import ChainMap, Counter
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
 
 from . import _kernel
 from .corpus import LabeledCorpus
-from .embedding_io import BLOCK_ROWS, EmbeddingSet
+from .embedding_io import BLOCK_ROWS, BlockFile, EmbeddingChangedError, EmbeddingSet
 
 
 @dataclass(frozen=True)
@@ -49,18 +51,21 @@ class Vocabulary:
 class MergedModel:
     """Pretrained vectors extended over the corpus vocabulary.
 
-    The merged rows are those of ``pretrained`` followed by
-    ``unseen_matrix`` (read-only float32), the seeded rows of the corpus
-    tokens ``unseen`` that had no pretrained vector, in vocabulary order;
-    neither block is copied. ``vocab`` is the corpus vocabulary the model
-    was merged over, which training reuses: it trains on ``vocab.corpus``
-    and tunes the rows of ``vocab``'s tokens, found through :attr:`rows`;
-    every other row stays frozen.
+    The merged rows are those of ``pretrained``, a block source, followed
+    by the seeded rows of the corpus tokens ``unseen`` that had no
+    pretrained vector, in vocabulary order. The model keeps the corpus
+    tokens' rows alone: ``corpus_rows`` (``|V_T| x m`` read-only float32,
+    in vocabulary order) holds each token's pretrained or seeded row, and
+    ``rows`` (read-only int64) its merged row. ``vocab`` is the corpus
+    vocabulary the model was merged over, which training reuses: it trains
+    on ``vocab.corpus`` and tunes the rows of ``vocab``'s tokens; every
+    other row stays frozen.
     """
 
-    pretrained: EmbeddingSet
+    pretrained: EmbeddingSet | BlockFile
     unseen: tuple[str, ...]
-    unseen_matrix: np.ndarray
+    corpus_rows: np.ndarray
+    rows: np.ndarray
     vocab: Vocabulary
 
     def __len__(self) -> int:
@@ -70,37 +75,6 @@ class MergedModel:
     def dim(self) -> int:
         return self.pretrained.dim
 
-    @property
-    def words(self) -> list[str]:
-        """The merged tokens, in row order."""
-        return self.pretrained.words + list(self.unseen)
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """The merged row of each vocabulary row, read-only int64."""
-        first = len(self.pretrained)
-        index = ChainMap(self.pretrained.index,
-                         dict(zip(self.unseen, range(first, first + len(self.unseen)))))
-        try:
-            rows = np.fromiter(map(index.__getitem__, self.vocab.index), np.int64)
-        except KeyError as e:
-            raise ValueError(
-                f"corpus token {e.args[0]!r} is missing from the model; "
-                "merge() must precede finetune()"
-            ) from None
-        rows.flags.writeable = False
-        return rows
-
-    def gather(self, rows: np.ndarray) -> np.ndarray:
-        """The float32 merged rows ``rows`` (int64), taken from the
-        pretrained matrix or the unseen block."""
-        first = len(self.pretrained)
-        out = np.empty((len(rows), self.dim), dtype=np.float32)
-        pretrained = rows < first
-        out[pretrained] = self.pretrained.matrix[rows[pretrained]]
-        out[~pretrained] = self.unseen_matrix[rows[~pretrained] - first]
-        return out
-
 
 @dataclass(frozen=True)
 class TunedEmbedding:
@@ -108,10 +82,11 @@ class TunedEmbedding:
     row of ``rows`` (``|V_T| x m`` finite float32, in vocabulary order), as
     ``save_text`` and ``save_binary`` take it.
 
-    :meth:`blocks` builds ``BLOCK_ROWS`` rows at a time from the pretrained
-    matrix, the unseen block and ``rows``, so a write makes no copy of the
-    merged matrix; :meth:`embedding_set` makes one, for a caller that wants
-    the tuned vectors as an :class:`EmbeddingSet`.
+    :meth:`blocks` reads the pretrained source a second time and writes
+    the tuned rows over each block's corpus rows in place, so a write
+    holds a block of rows, not the merged matrix; :meth:`embedding_set`
+    collects them, for a caller that wants the tuned vectors as an
+    :class:`EmbeddingSet`.
     """
 
     model: MergedModel
@@ -136,23 +111,45 @@ class TunedEmbedding:
         return self.model.dim
 
     def blocks(self) -> Iterator[tuple[list[str], np.ndarray]]:
-        """The tokens and float32 rows of each block of merged rows, in order."""
+        """The tokens and float32 rows of each block of merged rows, in order:
+        the pretrained source's blocks, then the unseen rows.
+
+        Raises ``EmbeddingChangedError`` before it yields a block whose
+        tokens (checked by the source: a ``BlockFile`` against its first
+        read) or corpus rows differ from those :func:`merge` read."""
         model = self.model
         order = np.argsort(model.rows)  # vocabulary rows by merged row
         at = model.rows[order]
-        words, first = model.pretrained.words, len(model.pretrained)
-        for start in range(0, len(model), BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, len(model))
-            block = model.gather(np.arange(start, stop))
+        start = 0
+        for tokens, block in model.pretrained.blocks():
+            if not block.flags.writeable:  # an EmbeddingSet's own rows
+                block = block.copy()
+            stop = start + len(tokens)
             lo, hi = np.searchsorted(at, (start, stop))
-            block[at[lo:hi] - start] = self.rows[order[lo:hi]]
-            unseen = model.unseen[max(start - first, 0):max(stop - first, 0)]
-            yield words[start:stop] + list(unseen), block
+            mine, vocab_rows = at[lo:hi] - start, order[lo:hi]
+            same = (block[mine].view(np.uint32)
+                    == model.corpus_rows[vocab_rows].view(np.uint32)).all(axis=1)
+            if not same.all():
+                raise EmbeddingChangedError(
+                    "the pretrained vectors changed after they were merged: "
+                    f"the row of corpus token {tokens[mine[~same][0]]!r} differs"
+                )
+            block[mine] = self.rows[vocab_rows]
+            yield tokens, block
+            start = stop
+        unseen = order[np.searchsorted(at, start):]
+        for i in range(0, len(unseen), BLOCK_ROWS):
+            yield (list(model.unseen[i:i + BLOCK_ROWS]),
+                   self.rows[unseen[i:i + BLOCK_ROWS]])
 
     def embedding_set(self) -> EmbeddingSet:
         """The tuned vectors as one validated set over the merged tokens."""
-        return EmbeddingSet(self.model.words,
-                            np.concatenate([block for _, block in self.blocks()]))
+        words: list[str] = []
+        matrix = np.empty((len(self), self.dim), dtype=np.float32)
+        for tokens, block in self.blocks():
+            matrix[len(words):len(words) + len(tokens)] = block
+            words += tokens
+        return EmbeddingSet(words, matrix)
 
 
 def build_vocab(corpus: LabeledCorpus) -> Vocabulary:
@@ -165,11 +162,6 @@ def build_vocab(corpus: LabeledCorpus) -> Vocabulary:
     return Vocabulary({t: i for i, t in enumerate(counts)}, array, corpus)
 
 
-def unseen_words(vocab: Vocabulary, pretrained: EmbeddingSet) -> list[str]:
-    """Corpus tokens absent from the pretrained set, in vocabulary order."""
-    return [t for t in vocab.index if t not in pretrained]
-
-
 def init_unseen(unseen: list[str], dim: int, seed: int) -> np.ndarray:
     """Seeded uniform rows on [-0.5/dim, +0.5/dim), one per unseen token,
     from the seed's unseen-row stream, row by row."""
@@ -180,14 +172,33 @@ def init_unseen(unseen: list[str], dim: int, seed: int) -> np.ndarray:
     return ((_kernel.uniforms(key, counters) - 0.5) / dim).astype(np.float32)
 
 
-def merge(pretrained: EmbeddingSet, vocab: Vocabulary, seed: int) -> MergedModel:
-    """Extend ``pretrained`` with seeded rows for the unseen corpus tokens,
-    which follow the pretrained rows in vocabulary order.
+def merge(pretrained: EmbeddingSet | BlockFile, vocab: Vocabulary, seed: int
+          ) -> MergedModel:
+    """Read ``pretrained`` once, a block at a time, keeping the rows of the
+    corpus tokens, and give the corpus tokens it lacks seeded rows, which
+    follow the pretrained rows in vocabulary order.
 
-    The model shares ``pretrained``'s matrix; the result is deterministic
-    in (pretrained, vocab, seed).
+    ``pretrained`` is any block source (``len``, ``dim`` and
+    ``blocks(add)``): an ``EmbeddingSet``, or a ``BlockFile`` that streams
+    a file with every check of a load. The model holds no pretrained row
+    beyond those of the corpus tokens; the result is deterministic in
+    (pretrained, vocab, seed).
     """
-    unseen = unseen_words(vocab, pretrained)
-    rows = init_unseen(unseen, pretrained.dim, seed)
-    rows.flags.writeable = False
-    return MergedModel(pretrained, tuple(unseen), rows, vocab)
+    dim = pretrained.dim
+    corpus_rows = np.empty((len(vocab), dim), dtype=np.float32)
+    rows = np.full(len(vocab), -1, dtype=np.int64)
+    start = 0
+    for tokens, block in pretrained.blocks():
+        at = np.fromiter(map(vocab.index.get, tokens, repeat(-1)), np.int64, len(tokens))
+        mine = np.flatnonzero(at >= 0)
+        rows[at[mine]] = start + mine
+        corpus_rows[at[mine]] = block[mine]
+        start += len(tokens)
+    missing = np.flatnonzero(rows < 0)
+    corpus_tokens = list(vocab.index)
+    unseen = tuple(corpus_tokens[i] for i in missing.tolist())
+    rows[missing] = np.arange(start, start + len(missing))
+    corpus_rows[missing] = init_unseen(list(unseen), dim, seed)
+    for array in (corpus_rows, rows):
+        array.flags.writeable = False
+    return MergedModel(pretrained, unseen, corpus_rows, rows, vocab)

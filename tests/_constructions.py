@@ -27,7 +27,9 @@ from classvec.embedding_io import (
     EmbeddingFormatError,
     EmbeddingSet,
     load_file,
+    load_rows,
 )
+from classvec.vocab import build_vocab, merge
 
 
 def cos(a: np.ndarray, b: np.ndarray) -> float:
@@ -444,7 +446,8 @@ def assert_streams_as_it_loads(
     data: bytes, fmt: str, after_tokens: list[str] | None = None
 ) -> None:
     """A ``BlockFile`` of ``data`` yields the tokens and rows that a load
-    of it holds, or fails with the load's error type and message. Given
+    of it holds, or fails with the load's error type and message; so do
+    ``load_rows`` and ``merge`` streaming it, on some of its tokens. Given
     ``after_tokens``, ``drift`` streaming the file against a set of those
     tokens, at the dimension the header declares, reports or fails as
     ``drift`` of the loaded file does; at another dimension it fails on
@@ -466,6 +469,33 @@ def assert_streams_as_it_loads(
 
         expected = _outcome(loaded)
         assert _outcome(streamed) == expected
+        # the rows of some tokens, and a merge of a vocabulary over them:
+        # every other loaded token, and the after tokens
+        keep = set(after_tokens or ())
+        if expected[0] == "ok":
+            keep.update(expected[1][0][::2])
+
+        def kept(emb):
+            words = [w for w in emb.words if w in keep]
+            return words, emb.matrix[[emb.index[w] for w in words]].tobytes()
+
+        def rows(emb):
+            return emb.words, emb.matrix.tobytes()
+
+        assert _outcome(lambda: rows(load_rows(path, fmt, keep))) == \
+            _outcome(lambda: kept(load_file(path, fmt)))
+        vocab = build_vocab(from_documents([
+            Document(tuple(sorted(keep)) or ("x",), ("c",))]))
+
+        def merged(pretrained):
+            model = merge(pretrained, vocab, seed=1)
+            return model.unseen, model.rows.tobytes(), model.corpus_rows.tobytes()
+
+        def merged_streamed():
+            with BlockFile(path, fmt) as source:
+                return merged(source)
+
+        assert _outcome(merged_streamed) == _outcome(lambda: merged(load_file(path, fmt)))
         if after_tokens is None:
             return
         header = _outcome(lambda: BlockFile(path, fmt).close())

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import io
 import json
 import os
 import re
@@ -491,6 +492,146 @@ class TestInspectionCommands:
         assert len(lines) == 3 and lines[2].startswith("token")
 
 
+def _bad_files(tmp_path, pre: str) -> dict[str, str]:
+    """Faulty inputs next to the workspace's: a pretrained file with a
+    malformed value on line 6, one of another dimension, and a corpus
+    whose line 2 has no tab."""
+    lines = Path(pre).read_bytes().split(b"\n")
+    files = {
+        "bad_row": b"\n".join(lines[:5] + [lines[5].replace(b" ", b" x", 1)] + lines[6:]),
+        "wide": b"1 7\nspam0 1 2 3 4 5 6 7\n",
+        "bad_corpus": b"spam\tok text\nbroken line without tab\n",
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    return {name: str(tmp_path / name) for name in files}
+
+
+class TestStreamedStages:
+    """finetune, train-clf, eval and sim read their embedding file as a
+    stream after the corpus, yet report its errors first, as when it was
+    loaded before anything else."""
+
+    def _errors(self, capsys, *cases) -> None:
+        for argv, message in cases:
+            rc = main(argv)
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == (1, "", f"error: {message}\n"), argv
+
+    def test_finetune_errors_come_in_order(self, workspace, capsys):
+        tmp_path, pre, corpus = workspace
+        bad = _bad_files(tmp_path, pre)
+        out = str(tmp_path / "tuned.txt")
+        spaced = tmp_path / "spaced.tsv"
+        spaced.write_text("two words\tspam0 ham0\n")
+        self._errors(
+            capsys,
+            (["finetune", "--pretrained", bad["bad_row"], "--corpus", bad["bad_corpus"],
+              "--out", out], "line 6: malformed value"),
+            (["finetune", "--pretrained", bad["bad_row"], "--corpus", str(spaced),
+              "--out", out, "--export-class-vectors", str(tmp_path / "cv.txt")],
+             "line 6: malformed value"),
+            (["finetune", "--pretrained", pre, "--corpus", bad["bad_corpus"],
+              "--out", out], "line 2: no tab separator"),
+        )
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["pretrained.txt", "corpus.tsv", "spaced.tsv", *bad])
+
+    def test_train_clf_errors_come_in_order(self, workspace, capsys):
+        tmp_path, pre, corpus = workspace
+        bad = _bad_files(tmp_path, pre)
+        out = str(tmp_path / "probe.clf")
+        self._errors(
+            capsys,
+            (["train-clf", "--embeddings", bad["bad_row"], "--corpus", bad["bad_corpus"],
+              "--out", out], "line 6: malformed value"),
+            (["train-clf", "--embeddings", pre, "--corpus", bad["bad_corpus"],
+              "--out", out], "line 2: no tab separator"),
+        )
+        assert not os.path.exists(out)
+
+    def test_eval_errors_come_in_order(self, workspace, capsys):
+        # a row of the embedding file, then the dimension mismatch, then
+        # the corpus
+        tmp_path, pre, corpus = workspace
+        bad = _bad_files(tmp_path, pre)
+        model = str(tmp_path / "probe.clf")
+        assert main(["train-clf", "--embeddings", pre, "--corpus", corpus,
+                     "--out", model, "--epochs", "2"]) == 0
+        capsys.readouterr()
+        wide_bad = tmp_path / "wide_bad"
+        wide_bad.write_bytes(b"2 7\nspam0 1 2 3 4 5 6 7\nspam1 1 2 x 4 5 6 7\n")
+        self._errors(
+            capsys,
+            (["eval", "--model", model, "--embeddings", bad["bad_row"],
+              "--corpus", bad["bad_corpus"]], "line 6: malformed value"),
+            (["eval", "--model", model, "--embeddings", str(wide_bad),
+              "--corpus", bad["bad_corpus"]], "line 3: malformed value"),
+            (["eval", "--model", model, "--embeddings", str(wide_bad),
+              "--corpus", corpus], "line 3: malformed value"),
+            (["eval", "--model", model, "--embeddings", bad["wide"],
+              "--corpus", bad["bad_corpus"]],
+             "embedding dim 7 does not match model dim 6"),
+            (["eval", "--model", model, "--embeddings", pre,
+              "--corpus", bad["bad_corpus"]], "line 2: no tab separator"),
+        )
+
+    def test_sim_errors_come_in_order(self, workspace, capsys):
+        # a bad row anywhere in the file outranks an unknown word
+        tmp_path, pre, _ = workspace
+        bad = _bad_files(tmp_path, pre)
+        self._errors(
+            capsys,
+            (["sim", "--embeddings", bad["bad_row"], "spam0", "nope"],
+             "line 6: malformed value"),
+            (["sim", "--embeddings", bad["bad_row"], "spam0", "spam1"],
+             "line 6: malformed value"),
+            (["sim", "--embeddings", pre, "spam0", "nope"], "unknown word 'nope'"),
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "bin"])
+    @pytest.mark.parametrize("change, message", [
+        ("corpus_row", "the pretrained vectors changed after they were merged: "
+                       "the row of corpus token 'spam3' differs"),
+        ("token", "the file changed after it was first read: rows 1 to 20 do "
+                  "not hold the tokens read there before"),
+    ])
+    def test_finetune_fails_when_the_pretrained_file_changes_between_its_reads(
+            self, workspace, capsys, monkeypatch, fmt, change, message):
+        # the file is rewritten in place, at its length, while training
+        # runs: between merge's read and the export's
+        tmp_path, _, corpus = workspace
+        pre = str(tmp_path / f"pretrained.{fmt}")
+        emb = _write_pretrained(pre, fmt)
+        if change == "corpus_row":
+            matrix = emb.matrix.copy()
+            matrix[3] = matrix[3][::-1]  # the same numerals, in another order
+            changed = EmbeddingSet(emb.words, matrix)
+        else:
+            changed = EmbeddingSet([w.replace("ham5", "hbm5") for w in emb.words],
+                                   emb.matrix)
+        with io.BytesIO() as f:
+            (save_text if fmt == "text" else save_binary)(changed, f)
+            data = f.getvalue()
+        assert len(data) == os.path.getsize(pre)
+        train = cli.finetune
+
+        def finetune_then_change(model, cfg):
+            result = train(model, cfg)
+            with open(pre, "r+b") as f:
+                f.write(data)
+            return result
+
+        monkeypatch.setattr(cli, "finetune", finetune_then_change)
+        out = tmp_path / "tuned.vec"
+        rc = main(["finetune", "--pretrained", pre, "--format", fmt,
+                   "--corpus", corpus, "--out", str(out), "--epochs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["pretrained.txt", "corpus.tsv", f"pretrained.{fmt}"])
+
+
 class TestParser:
     def test_invalid_format_is_rejected_by_argparse(self, workspace):
         tmp_path, pre, _ = workspace
@@ -601,10 +742,12 @@ class TestTracer:
         assert code == 0
         names = [span.name for span in tracer.spans]
         # the closing drift summary compares the corpus rows alone, not two
-        # sets through analysis.drift
-        for name in ("load_file", "load_tsv", "build_vocab", "merge", "finetune",
+        # sets through analysis.drift; merge reads the pretrained file as a
+        # stream, and no load_file holds its matrix
+        for name in ("load_tsv", "build_vocab", "merge", "finetune",
                      "save_text", "cli"):
             assert name in names
+        assert "load_file" not in names
 
 
 class TestSubprocess:
@@ -679,6 +822,56 @@ class TestSubprocess:
         nn = peak_kb("nn", "--embeddings", post, "--format", "bin", "--word", "t0", "--k", "10")
         held = peak_kb("drift", "--before", pre, "--after", post, "--format", "bin")
         assert (held - nn) * 1024 <= before.matrix.nbytes / 2, (held, nn)
+
+    @pytest.fixture(scope="class")
+    def published_width(self, tmp_path_factory):
+        """A 20000 x 300 binary file, the width of published vectors, a
+        corpus of about 300 of its tokens and 20 unseen ones, and a probe
+        trained on the two."""
+        tmp_path = tmp_path_factory.mktemp("published")
+        files = {name: str(tmp_path / name) for name in ("pre.bin", "c.tsv", "probe.clf")}
+        emb = random_embedding(np.random.default_rng(95), 20000, 300)
+        with open(files["pre.bin"], "wb") as f:
+            save_binary(emb, f)
+        rng = np.random.default_rng(96)
+        with open(files["c.tsv"], "w") as f:
+            for i in range(20):
+                tokens = " ".join(f"t{j}" for j in rng.integers(0, 400, 30))
+                f.write(f"{'ab'[i % 2]}\t{tokens} novel{i}\n")
+        assert main(["train-clf", "--embeddings", files["pre.bin"], "--format", "bin",
+                     "--corpus", files["c.tsv"], "--out", files["probe.clf"],
+                     "--epochs", "2"]) == 0
+        files["matrix_bytes"] = emb.matrix.nbytes
+        return files
+
+    @pytest.mark.parametrize("stage", ["finetune", "train-clf", "eval", "sim"])
+    def test_streamed_stages_hold_the_rows_they_read(self, published_width, tmp_path,
+                                                     kernel_library, stage):
+        # each stage keeps the rows of the tokens it uses and the file's
+        # token index (about 2 MB here), never the file's matrix: over the
+        # start-up of a process that has imported every module and opened
+        # the kernel, its peak RSS grows by less than a quarter of the
+        # matrix, where a load alone would add the whole matrix
+        files = published_width
+        pre, corpus = files["pre.bin"], files["c.tsv"]
+        argv = {
+            "finetune": ["finetune", "--pretrained", pre, "--corpus", corpus,
+                         "--out", str(tmp_path / "tuned.bin"), "--epochs", "1"],
+            "train-clf": ["train-clf", "--embeddings", pre, "--corpus", corpus,
+                          "--out", str(tmp_path / "probe.clf"), "--epochs", "2"],
+            "eval": ["eval", "--model", files["probe.clf"], "--embeddings", pre,
+                     "--corpus", corpus],
+            "sim": ["sim", "--embeddings", pre, "t1", "t19999"],
+        }[stage]
+        code, startup = _peak_rss_kb(
+            sys.executable, "-c",
+            "import numpy, classvec.cli, classvec.analysis, classvec.classifier, "
+            "classvec.metrics, classvec.trainer; classvec._kernel.library()")
+        assert code == 0
+        code, run = _peak_rss_kb(sys.executable, "-m", "classvec.cli", *argv,
+                                 "--format", "bin")
+        assert code == 0
+        assert (run - startup) * 1024 < files["matrix_bytes"] / 4, (run, startup)
 
     def test_import_loads_no_scipy(self):
         # scipy.special alone used to be most of every command's start-up

@@ -13,10 +13,12 @@ from classvec.embedding_io import (
     BLOCK_ROWS,
     FORMATS,
     BlockFile,
+    EmbeddingChangedError,
     EmbeddingFormatError,
     EmbeddingSet,
     load_binary,
     load_file,
+    load_rows,
     load_text,
     save_binary,
     save_text,
@@ -768,6 +770,75 @@ def test_block_file_reads_its_header_on_open_and_rereads_its_blocks(tmp_path):
         BlockFile(path, "bin")
     with pytest.raises(ValueError, match="unknown embedding format"):
         BlockFile(path, "json")
+
+
+@pytest.mark.usefixtures("kernel_or_not")
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_block_file_read_again_yields_its_first_tokens_or_fails(tmp_path, fmt):
+    path = tmp_path / "v"
+    emb = random_embedding(np.random.default_rng(11), 2 * BLOCK_ROWS + 3, 4)
+    path.write_bytes(_saved(save_text if fmt == "text" else save_binary, emb))
+    with BlockFile(str(path), fmt) as source:
+        # a read through a record of its caller's keeps nothing
+        assert len(list(source.blocks(lambda tokens, row: True))) == 3
+        for _ in range(3):
+            assert [t for tokens, _ in source.blocks() for t in tokens] == emb.words
+        # a token rewritten in place, at its length, in the second block
+        data = path.read_bytes()
+        assert data.count(b"\nt300 " if fmt == "text" else b"t300 ") == 1
+        path.write_bytes(data.replace(b"t300 ", b"x300 "))
+        blocks = source.blocks()
+        assert next(blocks)[0] == emb.words[:BLOCK_ROWS]
+        with pytest.raises(EmbeddingChangedError,
+                           match="^the file changed after it was first read: rows 257 "
+                                 "to 512 do not hold the tokens read there before$"):
+            next(blocks)
+        # so is a swap of two tokens of one block
+        words = list(emb.words)
+        words[5], words[7] = words[7], words[5]
+        path.write_bytes(_saved(save_text if fmt == "text" else save_binary,
+                                EmbeddingSet(words, emb.matrix)))
+        with pytest.raises(EmbeddingChangedError, match="rows 1 to 256 do not hold"):
+            list(source.blocks())
+    # a first read that fails records nothing: the next read checks afresh
+    path.write_bytes(data.replace(b"t300 ", b"t299 "))
+    with BlockFile(str(path), fmt) as source:
+        with pytest.raises(EmbeddingFormatError, match="duplicate token 't299'"):
+            list(source.blocks())
+        path.write_bytes(data)
+        assert [t for tokens, _ in source.blocks() for t in tokens] == emb.words
+
+
+@pytest.mark.usefixtures("kernel_or_not")
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_load_rows_keeps_the_rows_of_its_tokens_in_file_order(tmp_path, fmt):
+    path = str(tmp_path / "v")
+    emb = bit_random_embedding(np.random.default_rng(12), 3 * BLOCK_ROWS + 5, 3)
+    with open(path, "wb") as f:
+        (save_text if fmt == "text" else save_binary)(emb, f)
+    wanted = [emb.words[i] for i in (700, 3, 3, 256, 255)] + ["absent"]
+    kept = load_rows(path, fmt, wanted)
+    order = sorted({emb.index[w] for w in wanted if w in emb.index})
+    assert kept.words == [emb.words[i] for i in order]
+    assert kept.index == {w: i for i, w in enumerate(kept.words)}
+    assert kept.matrix.tobytes() == emb.matrix[order].tobytes()
+    assert not kept.matrix.flags.writeable
+    assert "absent" not in kept
+    none = load_rows(path, fmt, ())
+    assert (len(none), none.dim, none.matrix.shape) == (0, 3, (0, 3))
+
+
+@pytest.mark.usefixtures("kernel_or_not")
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS + 1])
+def test_text_writer_writes_the_reference_bytes_from_any_block_source(tmp_path, n):
+    # rows the kernel declines (bit patterns beyond its reach) among rows
+    # it formats, non-ASCII tokens, and blocks of a reused buffer
+    emb = bit_random_embedding(np.random.default_rng(n), n, 3)
+    path = str(tmp_path / "v.bin")
+    with open(path, "wb") as f:
+        save_binary(emb, f)
+    with BlockFile(path, "bin") as source:
+        assert _saved(save_text, source) == _saved(save_text, emb) == reference_save_text(emb)
 
 
 def test_load_checks_each_token_once(monkeypatch):

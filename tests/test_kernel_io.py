@@ -4,7 +4,8 @@
 ``scan_text`` must read what ``np.float32(float(text))`` reads, bit for
 bit, or decline. A decline is allowed only where the exact fast path
 cannot decide: a non-finite value, a magnitude beyond the exact powers of
-ten, a rounding tie for the writer; a long significand, a large exponent
+ten, a near tie for the writer where its scaled value is not exact (below
+1e-4 and from 1e9 on); a long significand, a large exponent
 or any other syntax for the reader. ``scan_binary`` must copy every
 finite vector and decline the rest.
 """
@@ -47,7 +48,8 @@ _EXACT = decimal.Context(prec=200)
 def _formatter_may_decline(v: float) -> bool:
     """Whether '%.9g' % v is outside the exact fast path: non-finite, a
     decimal exponent outside [-14, 30] (10^(8-X) is then not an exact
-    double), or a tenth significant digit within 1.1e-6 of a tie."""
+    double), or, where the scaled value |v| * 10^(8-X) is not exact (X
+    outside [-4, 8]), a tenth significant digit within 1.1e-6 of a tie."""
     if not np.isfinite(v):
         return True
     if v == 0.0:
@@ -58,6 +60,8 @@ def _formatter_may_decline(v: float) -> bool:
     x = exact.adjusted()
     if not -14 <= x <= 30:
         return True
+    if -4 <= x <= 8:
+        return False
     t = _EXACT.multiply(exact, decimal.Decimal(10) ** (8 - x))
     return abs(t - int(t) - decimal.Decimal("0.5")) <= decimal.Decimal("1.1e-6")
 
@@ -67,6 +71,7 @@ def _check_formatting(values: np.ndarray) -> list[str]:
     and every declined one against the rule. Returns the accepted texts."""
     values = np.ascontiguousarray(values, dtype=np.float32)
     text, ends = _kernel.format_rows(values.reshape(-1, 1))
+    text = bytes(text).decode("ascii")
     accepted, begin = [], 0
     for v, end in zip(values.tolist(), ends):
         if end < 0:
@@ -120,9 +125,10 @@ class TestFormatRows:
         scale = 10.0 ** rng.integers(-13, 30, 600_000)
         values = (rng.standard_normal(600_000) * scale).astype(np.float32)
         accepted = _check_formatting(values)
-        # exact ties are common only among values of 1e5..1e7, whose
-        # binary fractions end in 1/2, 1/4 or 1/8
-        assert len(accepted) > 0.95 * len(values)
+        # exact ties, common among values of 1e5..1e7, whose binary
+        # fractions end in 1/2, 1/4 or 1/8, are decided in C; what is left
+        # is the near ties below 1e-4 and from 1e9 on
+        assert len(accepted) > 0.997 * len(values), len(accepted) / len(values)
         _assert_parses_like_float(accepted)
 
     def test_powers_of_ten_and_their_neighbours(self):
@@ -147,6 +153,10 @@ class TestFormatRows:
         ("999999936", "999999936"),         # X = 8: still fixed
         ("1e8", "100000000"),
         ("1e9", "1e+09"),                   # X = 9: exponent notation
+        ("1048576.125", "1048576.12"),      # exact ties, half to even
+        ("1048576.375", "1048576.38"),
+        ("0.1005859375", "0.100585938"),    # X = -1: scaled exactly too
+        ("0.1025390625", "0.102539062"),
         ("-2.5e30", "-2.49999996e+30"),
         ("-0", "-0"),
         ("0", "0"),
@@ -168,7 +178,7 @@ class TestFormatRows:
     def test_declined_rows_come_back_as_minus_one(self):
         block = np.array([
             [0.5, -1.25],
-            [1048576.125, 1.0],     # a tie: '1048576.12' by round-half-even
+            [1.0978893349999908e-09, 1.0],  # within 1e-6 of a tie, scaled inexactly
             [3.0, 1e-20],           # below the exact powers of ten
             [np.inf, 2.0],
             [-7.5, 1e35],           # above them
@@ -177,7 +187,7 @@ class TestFormatRows:
         ], dtype=np.float32)
         text, ends = _kernel.format_rows(block)
         assert ends[1:6] == [-1] * 5
-        assert text == "0.5 -1.25" + "0 -0"
+        assert text == b"0.5 -1.25" + b"0 -0"
         assert ends == [9, -1, -1, -1, -1, -1, 13]
 
     def test_block_rows_equal_the_row_format(self):
@@ -185,11 +195,11 @@ class TestFormatRows:
         text, ends = _kernel.format_rows(block)
         row_format = " ".join(["%.9g"] * 7)
         rows = [row_format % tuple(r) for r in block.tolist()]
-        assert text == "".join(rows)
+        assert bytes(text).decode("ascii") == "".join(rows)
         assert ends == np.cumsum([len(r) for r in rows]).tolist()
 
     def test_empty_block(self):
-        assert _kernel.format_rows(np.empty((0, 4), dtype=np.float32)) == ("", [])
+        assert _kernel.format_rows(np.empty((0, 4), dtype=np.float32)) == (b"", [])
 
 
 # what the parser must accept: the grammar, at most 15 significant digits,

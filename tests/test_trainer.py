@@ -429,9 +429,9 @@ class TestInitState:
         assert state.input_matrix.dtype == np.float64
         # the corpus rows alone, in vocabulary order: each the token's merged row
         assert len(state.input_matrix) == len(model.vocab) < len(model)
+        # every corpus token has a pretrained row here
         for token, row in model.vocab.index.items():
-            merged = (model.pretrained.vector(token) if token in model.pretrained
-                      else model.unseen_matrix[model.unseen.index(token)])
+            merged = model.pretrained.vector(token)
             assert state.input_matrix[row].tobytes() == merged.astype(np.float64).tobytes()
         expected_total = 4 * sum(len(d.tokens) * len(d.labels) for d in corpus.docs)
         assert state.total_positions == expected_total
@@ -441,7 +441,8 @@ class TestInitState:
         rng = np.random.default_rng(61)
         emb = random_embedding(rng, 3, 4)
         corpus = from_documents([Document(("t0", "novel"), ("c",))])
-        model = MergedModel(emb, (), np.empty((0, 4), np.float32), build_vocab(corpus))
+        model = MergedModel(emb, (), np.empty((0, 4), np.float32),
+                            np.empty(0, np.int64), build_vocab(corpus))
         with pytest.raises(ValueError, match="merge\\(\\) must precede"):
             init_state(model, FinetuneConfig())
 
@@ -482,12 +483,12 @@ class TestFinetune:
         assert tuned.matrix[:3].tobytes() != emb.matrix[:3].tobytes()
 
     def test_runs_in_bounded_memory(self):
-        """A run holds the pretrained matrix plus the corpus rows: merging
-        shares the pretrained matrix, and merging and training together
-        allocate less than four 64-bit copies of the corpus rows (the input
-        and output rows, the float32 result and the per-epoch arrays). The
-        export writes a block of rows at a time, so it holds no copy of the
-        merged matrix either."""
+        """A run holds the pretrained set plus the corpus rows: merging
+        reads the set a block at a time and keeps the corpus rows alone, and
+        merging and training together allocate less than four 64-bit copies
+        of the corpus rows (the input and output rows, the float32 result
+        and the per-epoch arrays). The export writes a block of rows at a
+        time, so it holds no copy of the merged matrix either."""
         emb = random_embedding(np.random.default_rng(64), 20000, 100)
         crng = np.random.default_rng(65)
         docs = [Document(tuple(f"t{j}" for j in crng.integers(0, 40, 20)) + ("novel",),
@@ -507,7 +508,7 @@ class TestFinetune:
         finally:
             tracemalloc.stop()
         corpus_rows = len(vocab) * emb.dim * 8
-        assert tuned.tobytes() != model.gather(model.rows).tobytes()
+        assert tuned.tobytes() != model.corpus_rows.tobytes()
         assert peak < 4 * corpus_rows, (peak, corpus_rows)
         assert write_peak < emb.matrix.nbytes // 8, write_peak
 
@@ -515,7 +516,7 @@ class TestFinetune:
         model, corpus = small_setup()
         cfg = FinetuneConfig(epochs=1, alpha0=2e-12, alpha_min=1e-12)
         tuned, _ = finetune(model, cfg)
-        assert tuned.tobytes() == model.gather(model.rows).tobytes()
+        assert tuned.tobytes() == model.corpus_rows.tobytes()
 
     def test_mean_position_loss_decreases_over_epochs(self):
         model, corpus = small_setup()

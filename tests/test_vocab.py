@@ -2,20 +2,44 @@
 from __future__ import annotations
 
 import io
+import re
 
 import numpy as np
 import pytest
 
 from classvec import _kernel
 from classvec.corpus import Document, from_documents
-from classvec.embedding_io import BLOCK_ROWS, EmbeddingSet, save_binary, save_text
-from classvec.vocab import TunedEmbedding, build_vocab, init_unseen, merge, unseen_words
+from classvec.embedding_io import (
+    BLOCK_ROWS,
+    FORMATS,
+    BlockFile,
+    EmbeddingChangedError,
+    EmbeddingSet,
+    save_binary,
+    save_text,
+)
+from classvec.vocab import TunedEmbedding, build_vocab, init_unseen, merge
 
 from _constructions import random_embedding, splitmix64, splitmix_uniform
 
 
 def _corpus(*token_lists: tuple[str, ...]):
     return from_documents([Document(toks, ("c",)) for toks in token_lists])
+
+
+def _merged_set(model) -> EmbeddingSet:
+    """The merged vectors, untuned: each corpus row its pretrained or
+    seeded one."""
+    return TunedEmbedding(model, model.corpus_rows.copy()).embedding_set()
+
+
+def _unseen_rows(model) -> np.ndarray:
+    """The seeded rows of the unseen tokens, in merged order."""
+    return model.corpus_rows[[model.vocab.index[t] for t in model.unseen]]
+
+
+def _block_lengths(n: int) -> list[int]:
+    return [min(BLOCK_ROWS, n - i) for i in range(0, n, BLOCK_ROWS)]
 
 
 class TestBuildVocab:
@@ -42,7 +66,7 @@ class TestUnseenWords:
     def test_order_follows_vocabulary(self):
         emb = EmbeddingSet(["a", "c"], np.ones((2, 2), np.float32))
         vocab = build_vocab(_corpus(("d", "a", "b"), ("c",)))
-        assert unseen_words(vocab, emb) == ["d", "b"]
+        assert merge(emb, vocab, seed=1).unseen == ("d", "b")
 
 
 class TestInitUnseen:
@@ -74,13 +98,13 @@ class TestMerge:
         pretrained = random_embedding(rng, 10, 6)
         corpus = _corpus(("t1", "t3", "new_a"), ("t3", "new_b"))
         model = merge(pretrained, build_vocab(corpus), seed=2)
-        merged = model.gather(np.arange(len(model)))
+        merged = _merged_set(model)
         assert len(model) == 12 and model.dim == 6
-        assert model.words[:10] == pretrained.words
-        assert merged[:10].tobytes() == pretrained.matrix.tobytes()
+        assert merged.words[:10] == pretrained.words
+        assert merged.matrix[:10].tobytes() == pretrained.matrix.tobytes()
         assert model.unseen == ("new_a", "new_b")
-        assert model.words[10:] == ["new_a", "new_b"]
-        assert merged[10:].tobytes() == model.unseen_matrix.tobytes()
+        assert merged.words[10:] == ["new_a", "new_b"]
+        assert merged.matrix[10:].tobytes() == _unseen_rows(model).tobytes()
 
     def test_unseen_rows_use_seeded_initializer(self):
         rng = np.random.default_rng(19)
@@ -88,10 +112,10 @@ class TestMerge:
         corpus = _corpus(("u1", "u2"),)
         model = merge(pretrained, build_vocab(corpus), seed=42)
         np.testing.assert_array_equal(
-            model.unseen_matrix, init_unseen(["u1", "u2"], 4, seed=42)
+            model.corpus_rows, init_unseen(["u1", "u2"], 4, seed=42)
         )
         with pytest.raises(ValueError, match="read-only"):
-            model.unseen_matrix[0, 0] = 1.0
+            model.corpus_rows[0, 0] = 1.0
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(20)
@@ -100,8 +124,8 @@ class TestMerge:
         a = merge(pretrained, build_vocab(corpus), seed=5)
         b = merge(pretrained, build_vocab(corpus), seed=5)
         c = merge(pretrained, build_vocab(corpus), seed=6)
-        assert a.unseen_matrix.tobytes() == b.unseen_matrix.tobytes()
-        assert a.unseen_matrix.tobytes() != c.unseen_matrix.tobytes()
+        assert a.corpus_rows.tobytes() == b.corpus_rows.tobytes()
+        assert a.corpus_rows.tobytes() != c.corpus_rows.tobytes()
 
     def test_rows_name_the_merged_row_of_each_vocabulary_row(self):
         pretrained = random_embedding(np.random.default_rng(22), 10, 3)
@@ -114,7 +138,6 @@ class TestMerge:
                                        pretrained.index["t2"], 11,
                                        pretrained.index["t0"]]
         assert model.rows.dtype == np.int64
-        assert model.rows is model.rows
         for array in (model.rows, vocab.counts):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 9
@@ -124,19 +147,21 @@ class TestMerge:
         pretrained = random_embedding(rng, 4, 3)
         corpus = _corpus(("t0", "t1"),)
         model = merge(pretrained, build_vocab(corpus), seed=1)
-        assert model.unseen == () and model.unseen_matrix.shape == (0, 3)
-        assert model.words == pretrained.words
+        assert model.unseen == ()
+        assert model.corpus_rows.tobytes() == pretrained.matrix[:2].tobytes()
+        assert _merged_set(model).words == pretrained.words
         assert model.pretrained is pretrained
 
     def test_shares_the_pretrained_matrix(self):
-        # the model holds the pretrained set itself, not a copy of its rows
+        # the model holds the pretrained set itself and copies of the
+        # corpus tokens' rows alone
         pretrained = random_embedding(np.random.default_rng(23), 50, 4)
         model = merge(pretrained, build_vocab(_corpus(("t3", "new_a"),)), seed=1)
         assert model.pretrained is pretrained
-        assert model.pretrained.matrix is pretrained.matrix
-        assert not np.shares_memory(model.unseen_matrix, pretrained.matrix)
+        assert model.corpus_rows.shape == (2, 4)
+        assert not np.shares_memory(model.corpus_rows, pretrained.matrix)
         np.testing.assert_array_equal(
-            model.gather(model.rows), [pretrained.vector("t3"), model.unseen_matrix[0]]
+            model.corpus_rows, [pretrained.vector("t3"), init_unseen(["new_a"], 4, seed=1)[0]]
         )
 
 
@@ -157,16 +182,20 @@ class TestTunedEmbedding:
     @pytest.mark.parametrize("n_pretrained", [1000, 200])
     def test_blocks_write_each_corpus_row_over_its_merged_row(self, n_pretrained):
         model, rows = self._tuned(n_pretrained)
-        expected = np.concatenate([model.pretrained.matrix, model.unseen_matrix])
+        expected = np.concatenate([model.pretrained.matrix, _unseen_rows(model)])
         expected[model.rows] = rows  # the V-row copy the blocks avoid
+        words = model.pretrained.words + list(model.unseen)
         tuned = TunedEmbedding(model, rows)
-        blocks = list(tuned.blocks())
+        blocks = [(w, b.copy()) for w, b in tuned.blocks()]
         assert [len(w) for w, _ in blocks] == [len(b) for _, b in blocks]
-        assert all(len(w) == BLOCK_ROWS for w, _ in blocks[:-1])
-        assert [t for w, _ in blocks for t in w] == model.words
+        # the pretrained set's blocks, then the unseen rows'
+        assert [len(w) for w, _ in blocks] == (
+            _block_lengths(n_pretrained) + _block_lengths(len(model.unseen)))
+        assert [t for w, _ in blocks for t in w] == words
         assert np.concatenate([b for _, b in blocks]).tobytes() == expected.tobytes()
         emb = tuned.embedding_set()
-        assert emb.words == model.words and emb.matrix.tobytes() == expected.tobytes()
+        assert emb.words == words and emb.matrix.tobytes() == expected.tobytes()
+        assert not model.pretrained.matrix.flags.writeable  # written on copies
         assert (len(tuned), tuned.dim) == (len(model), 3)
         nan, inf = rows.copy(), rows.copy()
         nan[5, 1], inf[7, 0] = np.nan, -np.inf
@@ -185,3 +214,66 @@ class TestTunedEmbedding:
         save(tuned, direct)
         save(tuned.embedding_set(), via_set)
         assert direct.getvalue() == via_set.getvalue()
+
+
+class TestStreamedSource:
+    """merge and TunedEmbedding read a BlockFile as they read the set it
+    holds, once each."""
+
+    def _files(self, tmp_path, fmt):
+        model, rows = TestTunedEmbedding()._tuned(600)
+        path = str(tmp_path / "pretrained")
+        save = save_text if fmt == "text" else save_binary
+        with open(path, "wb") as f:
+            save(model.pretrained, f)
+        return model, rows, path, save
+
+    @pytest.mark.usefixtures("kernel_or_not")
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_a_streamed_file_merges_and_writes_as_its_set(self, tmp_path, fmt):
+        loaded, rows, path, save = self._files(tmp_path, fmt)
+        with BlockFile(path, fmt) as source:
+            model = merge(source, loaded.vocab, seed=1)
+            assert model.pretrained is source
+            assert (len(model), model.dim, model.unseen) == (len(loaded), 3, loaded.unseen)
+            assert model.rows.tobytes() == loaded.rows.tobytes()
+            assert model.corpus_rows.tobytes() == loaded.corpus_rows.tobytes()
+            tuned = TunedEmbedding(model, rows)
+            expected = TunedEmbedding(loaded, rows)
+            for write in (save_text, save_binary):
+                direct, via_set = io.BytesIO(), io.BytesIO()
+                write(tuned, direct)
+                write(expected, via_set)
+                assert direct.getvalue() == via_set.getvalue()
+            emb = tuned.embedding_set()
+            assert emb.matrix.tobytes() == expected.embedding_set().matrix.tobytes()
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("change", ["corpus_row", "frozen_token", "corpus_token"])
+    def test_a_file_changed_after_the_merge_fails_the_write(self, tmp_path, fmt, change):
+        loaded, rows, path, save = self._files(tmp_path, fmt)
+        pretrained = loaded.pretrained
+        # the last pretrained row of a corpus token, and a frozen row
+        corpus_row = int(loaded.rows[loaded.rows < len(pretrained)].max())
+        frozen = next(i for i in range(BLOCK_ROWS, len(pretrained))
+                      if i not in set(loaded.rows.tolist()))
+        words, matrix = list(pretrained.words), pretrained.matrix.copy()
+        if change == "corpus_row":
+            matrix[corpus_row] = matrix[corpus_row][::-1]
+            message = f"the row of corpus token '{words[corpus_row]}' differs"
+        else:
+            at = corpus_row if change == "corpus_token" else frozen
+            words[at] = "x" + words[at][1:]
+            first = at - at % BLOCK_ROWS
+            message = (f"rows {first + 1} to {min(first + BLOCK_ROWS, len(words))} "
+                       "do not hold the tokens read there before")
+        with BlockFile(path, fmt) as source:
+            model = merge(source, loaded.vocab, seed=1)
+            changed = io.BytesIO()
+            save(EmbeddingSet(words, matrix), changed)
+            with open(path, "r+b") as f:
+                assert len(changed.getvalue()) == f.seek(0, io.SEEK_END)
+                f.seek(0)
+                f.write(changed.getvalue())
+            with pytest.raises(EmbeddingChangedError, match=re.escape(message)):
+                save_binary(TunedEmbedding(model, rows), io.BytesIO())
