@@ -164,6 +164,14 @@ class TestFormatRows:
     def test_notation(self, text, expected):
         assert _check_formatting(np.array([text], dtype=np.float32)) == [expected]
 
+    def test_near_ties_below_the_exact_range(self):
+        """Below 1e-4, |v| * 10^(8-X) is rounded, so a tie cannot be told
+        from a near tie; each of these lies so near a tie of its tenth
+        digit that deciding it as exact would misround it."""
+        values = np.array(["2.38902715e-07", "2.92880191e-06", "4.50017505e-05",
+                           "9.31019677e-05"], dtype=np.float32)
+        _check_formatting(values)
+
     def test_rounding_carries_to_a_new_exponent(self):
         """A carry needs a float32 within 5e-10 (relative) below a power of
         ten. The only one is 9.999999998e-24, outside the exact powers of
