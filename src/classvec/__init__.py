@@ -23,6 +23,7 @@ _MODULE_OF = {
     "CorpusFormatError": "corpus",
     "Document": "corpus",
     "DriftReport": "analysis",
+    "EmbeddingChangedError": "embedding_io",
     "EmbeddingFormatError": "embedding_io",
     "EmbeddingSet": "embedding_io",
     "EvalReport": "metrics",
@@ -40,6 +41,7 @@ _MODULE_OF = {
     "load_binary": "embedding_io",
     "load_classifier": "classifier",
     "load_file": "embedding_io",
+    "load_rows": "embedding_io",
     "load_text": "embedding_io",
     "load_tsv": "corpus",
     "merge": "vocab",

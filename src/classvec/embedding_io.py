@@ -13,20 +13,20 @@ line number or byte offset.
 
 Readers and writers work on blocks of ``BLOCK_ROWS`` rows. The reader, one
 for both formats, is a stream of blocks: it reads the file a chunk at a
-time, writes each block's values into a target its caller gives, records
-the block's tokens and yields them. A load is that stream collected into
-the matrix: each target is a slice of the matrix, so the load holds the
-matrix plus about one block of input, never the whole file, and it builds
-the set's index as it reads, so no token is hashed or checked twice.
-:class:`BlockFile` gives the same stream through one reused block of rows,
-for a caller that compares a file with a set block by block, or reads it
-twice, and never needs its matrix; :func:`load_rows` keeps the rows of
-some tokens from it.
+time into one block of rows that every block reuses, records each block's
+tokens and yields them with its rows. A load collects that stream: it
+copies the rows it keeps out of each block into its matrix, so it holds
+the matrix plus about one block of input, never the whole file. A load of
+every row builds the set's index as it reads, so no token is hashed or
+checked twice; :func:`load_rows` is a load that keeps the rows of some
+tokens. :class:`BlockFile` gives the stream itself, for a caller that
+compares a file with a set block by block, or reads it twice, and never
+needs its matrix.
 
 The reader tops the unparsed input up to a chunk of raw bytes with room
 for a block and hands it to the format's scanner of the compiled kernel
-(``_kernel.c``), which in one call writes a block's values straight into
-the target and its tokens, joined by single spaces, into one buffer;
+(``_kernel.c``), which in one call writes a block's values into the
+reader's block and its tokens, joined by single spaces, into one buffer;
 Python then decodes, splits and checks those tokens once per block. Text
 numerals take the kernel's exact fast path (one correctly rounded
 operation), which accepts nearly every numeral a writer emits. A row the
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import repeat
-from typing import BinaryIO, Callable, Collection, Iterable, Iterator
+from typing import BinaryIO, Callable, Collection, Iterator
 
 import numpy as np
 
@@ -58,10 +58,6 @@ _NUMERAL_BYTES = b"0123456789+-.eEinfatyINFATY"
 # the tokens of the rows from ``row`` on, or returns False, recording
 # nothing, if one of them repeats a recorded token or another of them
 Record = Callable[[list[str], int], bool]
-
-# Where a reader writes the rows from row ``row`` on: target(row) has room
-# for at least the next min(BLOCK_ROWS, rows left) of them
-Target = Callable[[int], np.ndarray]
 
 
 class EmbeddingFormatError(ValueError):
@@ -131,16 +127,6 @@ class EmbeddingSet:
         """Return the (read-only) vector for ``token``; KeyError if absent."""
         return self.matrix[self.index[token]]
 
-    @classmethod
-    def _read(cls, words: list[str], index: dict[str, int], matrix: np.ndarray
-              ) -> EmbeddingSet:
-        """The set a reader has checked: every token and value, and ``index``
-        built as it went. Nothing is checked or hashed again."""
-        emb = cls.__new__(cls)
-        emb.words, emb.index, emb.matrix = words, index, matrix
-        matrix.setflags(write=False)
-        return emb
-
     def blocks(self, add: Record | None = None
                ) -> Iterator[tuple[list[str], np.ndarray]]:
         """The tokens and rows of each block of ``BLOCK_ROWS`` rows, in
@@ -204,12 +190,14 @@ def _allocate(n: int, m: int, what: str) -> np.ndarray:
         raise _too_large(n, m, what) from None
 
 
-def _add_new(index: dict, tokens: list[str], values: Iterable) -> bool:
-    """Add ``tokens`` to ``index`` with ``values``; False, adding nothing,
-    if one repeats a token of ``index`` or of ``tokens``."""
+def _add_new(index: dict, rows: bool, tokens: list[str], row: int) -> bool:
+    """Add ``tokens`` to ``index``, as the rows from ``row`` on if ``rows``
+    or else without rows; False, adding nothing, if one repeats a token of
+    ``index`` or of ``tokens``. A :data:`Record` once ``index`` and
+    ``rows`` are bound."""
     size = len(index)
     if index.keys().isdisjoint(tokens):
-        index.update(zip(tokens, values))
+        index.update(zip(tokens, range(row, row + len(tokens)) if rows else repeat(None)))
         if len(index) == size + len(tokens):
             return True
         for token in tokens:  # a repeat within tokens: take them out again
@@ -217,20 +205,12 @@ def _add_new(index: dict, tokens: list[str], values: Iterable) -> bool:
     return False
 
 
-def _index_tokens(index: dict[str, int], tokens: list[str], row: int) -> bool:
-    """Record ``tokens`` in ``index`` as the rows from ``row`` on; False,
-    recording nothing, if one repeats a token of ``index`` or of
-    ``tokens``. The record a load builds its index with."""
-    return _add_new(index, tokens, range(row, row + len(tokens)))
-
-
 def _hash_tokens(seen: dict[str, None], blocks: dict[int, tuple[int, int]],
                  tokens: list[str], row: int) -> bool:
     """The record of a :class:`BlockFile`'s first read: ``tokens`` in
-    ``seen``, which holds no rows, and their count and the hash of their
-    tuple in ``blocks`` under ``row``; False, recording nothing, on a
-    repeat."""
-    if not _add_new(seen, tokens, repeat(None)):
+    ``seen``, without rows, and their count and tuple's hash in ``blocks``
+    under ``row``; False, recording nothing, on a repeat."""
+    if not _add_new(seen, False, tokens, row):
         return False
     blocks[row] = (len(tokens), hash(tuple(tokens)))
     return True
@@ -390,7 +370,7 @@ def _text_block(
 
 def load_text(source: BinaryIO) -> EmbeddingSet:
     """Parse the word2vec text format from a binary stream."""
-    return _load(source, "text")
+    return _collect(source, "text")
 
 
 def save_text(emb: EmbeddingSet, sink: BinaryIO) -> None:
@@ -484,17 +464,16 @@ def _binary_block(
 
 def load_binary(source: BinaryIO) -> EmbeddingSet:
     """Parse the word2vec binary format from a binary stream."""
-    return _load(source, "bin")
+    return _collect(source, "bin")
 
 
 def _read_rows(
-    source: BinaryIO, fmt: str, base: int, n: int, m: int, target: Target,
-    add: Record,
-) -> Iterator[list[str]]:
+    source: BinaryIO, fmt: str, base: int, n: int, m: int, add: Record,
+) -> Iterator[tuple[list[str], np.ndarray]]:
     """Read the ``n`` rows of ``m`` values of a ``fmt`` stream that start at
-    file offset ``base``, about one block at a time; for each block, write
-    its values into ``target``, record its tokens through ``add`` and yield
-    them."""
+    file offset ``base``, about one block at a time, into one block of rows
+    that each block overwrites; for each block, record its tokens through
+    ``add`` and yield them with its rows."""
     text = fmt == "text"
     # a chunk holds BLOCK_ROWS rows of tokens of up to 15 bytes (text: and
     # of the widest '%.9g' numerals)
@@ -518,9 +497,10 @@ def _read_rows(
             data.extend(got)
         return len(data) > held
 
+    buffer = np.empty((min(BLOCK_ROWS, n), m), dtype=np.float32)
     row = 0
     while row < n:
-        out = target(row)[:min(BLOCK_ROWS, n - row)]
+        out = buffer[:min(BLOCK_ROWS, n - row)]
         more(size - len(data))  # a full chunk, so that a scan takes BLOCK_ROWS rows
         scanned = scan(data, out)
         if scanned and scanned[0] and (block := _add_words(add, row, scanned[2])):
@@ -535,7 +515,7 @@ def _read_rows(
         del data[:used]
         base += used
         row += len(block)
-        yield block
+        yield block, out[:len(block)]
     if text:
         extra = _lines_after(data, 0, more)
         if extra:
@@ -544,17 +524,32 @@ def _read_rows(
         raise EmbeddingFormatError(f"byte {base}: trailing data after last vector")
 
 
-def _load(source: BinaryIO, fmt: str) -> EmbeddingSet:
-    """The stream of a ``fmt`` file collected into its matrix and index."""
+def _collect(source: BinaryIO, fmt: str, tokens: Collection[str] | None = None
+             ) -> EmbeddingSet:
+    """The set of the rows of ``tokens`` in a ``fmt`` stream, in file order,
+    or of every row if ``tokens`` is None, copied out of the reader's
+    blocks; the reader has checked every token and value."""
     n, m, what, base = _read_header(source, fmt)
-    matrix = _allocate(n, m, what)
-    index: dict[str, int] = {}
+    # pages of rows that are never kept are never touched
+    matrix = _allocate(n if tokens is None else min(n, len(tokens)), m, what)
+    # every row: the set's index, built as read; some: the tokens read, for repeats
+    index: dict = {}
     words: list[str] = []
-    for block in _read_rows(source, fmt, base, n, m,
-                            lambda row: matrix[row:row + BLOCK_ROWS],
-                            partial(_index_tokens, index)):
-        words.extend(block)
-    return EmbeddingSet._read(words, index, matrix)
+    for block_tokens, block in _read_rows(source, fmt, base, n, m,
+                                          partial(_add_new, index, tokens is None)):
+        keep = slice(None) if tokens is None else np.flatnonzero(np.fromiter(
+            map(tokens.__contains__, block_tokens), bool, len(block_tokens)))
+        start = len(words)
+        words.extend(block_tokens if tokens is None
+                      else map(block_tokens.__getitem__, keep.tolist()))
+        matrix[start:len(words)] = block[keep]
+    if tokens is not None:  # the tokens read are freed before the index is built
+        index.clear()
+        index.update(zip(words, range(len(words))))
+    emb = EmbeddingSet.__new__(EmbeddingSet)
+    emb.words, emb.matrix, emb.index = words, matrix[:len(words)], index
+    emb.matrix.setflags(write=False)
+    return emb
 
 
 def save_binary(emb: EmbeddingSet, sink: BinaryIO) -> None:
@@ -574,34 +569,34 @@ def save_binary(emb: EmbeddingSet, sink: BinaryIO) -> None:
         sink.write(b"".join(parts))
 
 
-def _check_format(fmt: str) -> None:
+def _open(path: str, fmt: str) -> BinaryIO:
+    """``path`` opened for reading, once ``fmt`` is known to be a format."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown embedding format {fmt!r}")
+    return open(path, "rb")
 
 
 def load_file(path: str, fmt: str) -> EmbeddingSet:
     """Load embeddings from ``path`` in the explicitly named format."""
-    _check_format(fmt)
-    with open(path, "rb") as f:
-        return _load(f, fmt)
+    with _open(path, fmt) as f:
+        return _collect(f, fmt)
 
 
 class BlockFile:
     """An embedding file read as a stream of blocks, never as a whole.
 
-    Opening it reads and checks the header; :meth:`blocks` reads the rows,
-    with the checks and errors of :func:`load_file`, into one block of
-    ``BLOCK_ROWS`` rows that each block overwrites. (A header whose matrix
-    numpy could shape but this machine could not allocate fails a load,
-    not a stream, which allocates no matrix.) It has the ``len``, ``dim``
-    and ``blocks()`` that the writers take. Close it, or use it as a
-    context manager.
+    Opening it reads and checks the header; :meth:`blocks` yields the
+    reader's blocks themselves, with the checks and errors of
+    :func:`load_file`: one block of ``BLOCK_ROWS`` rows that each block
+    overwrites. (A header whose matrix numpy could shape but this machine
+    could not allocate fails a load, not a stream, which allocates no
+    matrix.) It has the ``len``, ``dim`` and ``blocks()`` that the
+    writers take. Close it, or use it as a context manager.
     """
 
     def __init__(self, path: str, fmt: str):
-        _check_format(fmt)
+        self._file = _open(path, fmt)
         self._fmt = fmt
-        self._file = open(path, "rb")
         # the count and hash of the tokens of each block, by its first
         # row, recorded by the first read that completes
         self._blocks: dict[int, tuple[int, int]] | None = None
@@ -635,10 +630,8 @@ class BlockFile:
         elif add is None:
             add = partial(_check_tokens, self._blocks)
         self._file.seek(self._base)
-        buffer = np.empty((BLOCK_ROWS, self.dim), dtype=np.float32)
-        for tokens in _read_rows(self._file, self._fmt, self._base, len(self),
-                                 self.dim, lambda row: buffer, add):
-            yield tokens, buffer[:len(tokens)]
+        yield from _read_rows(self._file, self._fmt, self._base, len(self),
+                              self.dim, add)
         if record is not None:
             self._blocks = record
 
@@ -654,18 +647,10 @@ class BlockFile:
 
 def load_rows(path: str, fmt: str, tokens: Collection[str]) -> EmbeddingSet:
     """The rows of ``tokens`` in the ``fmt`` file at ``path``: the set of
-    those the file has, in file order. The file is read as a stream, with
-    every check and error of :func:`load_file`, and only the kept rows are
-    held, never the file's matrix; a token the file lacks is absent from
-    the set as it is from the file."""
-    with BlockFile(path, fmt) as source:
-        # pages of rows that are never kept are never touched
-        matrix = np.empty((min(len(tokens), len(source)), source.dim), dtype=np.float32)
-        words: list[str] = []
-        for block_tokens, block in source.blocks():
-            keep = np.flatnonzero(np.fromiter(map(tokens.__contains__, block_tokens),
-                                              bool, len(block_tokens)))
-            matrix[len(words):len(words) + len(keep)] = block[keep]
-            words.extend(map(block_tokens.__getitem__, keep.tolist()))
-    return EmbeddingSet._read(words, dict(zip(words, range(len(words)))),
-                              matrix[:len(words)])
+    those the file has, in file order. The file is read once, as a load
+    reads it, with every check and error of :func:`load_file`, and only the
+    kept rows are copied out of the reader's block, never the file's
+    matrix; a token the file lacks is absent from the set as it is from
+    the file."""
+    with _open(path, fmt) as f:
+        return _collect(f, fmt, tokens)

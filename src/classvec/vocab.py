@@ -182,7 +182,9 @@ def merge(pretrained: EmbeddingSet | BlockFile, vocab: Vocabulary, seed: int
     ``blocks(add)``): an ``EmbeddingSet``, or a ``BlockFile`` that streams
     a file with every check of a load. The model holds no pretrained row
     beyond those of the corpus tokens; the result is deterministic in
-    (pretrained, vocab, seed).
+    (pretrained, vocab, seed). A corpus token the source lacks that is
+    empty or holds whitespace is a ``ValueError``: the word2vec formats
+    cannot hold it.
     """
     dim = pretrained.dim
     corpus_rows = np.empty((len(vocab), dim), dtype=np.float32)
@@ -197,6 +199,12 @@ def merge(pretrained: EmbeddingSet | BlockFile, vocab: Vocabulary, seed: int
     missing = np.flatnonzero(rows < 0)
     corpus_tokens = list(vocab.index)
     unseen = tuple(corpus_tokens[i] for i in missing.tolist())
+    # a source's tokens passed a reader's checks; an unseen one must pass
+    # the set's too, or the tuned vectors could not be written and read back
+    for token in unseen:
+        if token.split() != [token]:
+            raise ValueError(f"corpus token {token!r} is empty or holds whitespace, "
+                             "which no embedding file can hold")
     rows[missing] = np.arange(start, start + len(missing))
     corpus_rows[missing] = init_unseen(list(unseen), dim, seed)
     for array in (corpus_rows, rows):

@@ -965,6 +965,20 @@ class TestStartup:
         )
         assert proc.stdout.strip() == "['classvec']", proc.stderr
 
+    def test_streamed_reads_are_exported_as_the_readme_documents_them(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, classvec; "
+             "print(sorted(m for m in sys.modules if m.startswith('classvec'))); "
+             "from classvec import EmbeddingChangedError, load_rows; "
+             "from classvec import embedding_io; "
+             "print(load_rows is embedding_io.load_rows, "
+             "EmbeddingChangedError is embedding_io.EmbeddingChangedError, "
+             "{'load_rows', 'EmbeddingChangedError'} <= set(classvec.__all__))"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.stdout.splitlines() == ["['classvec']", "True True True"], proc.stderr
+
     def test_stages_load_only_their_modules(self, workspace, kernel_library):
         # the library is cached, so no stage needs the compiler's modules
         tmp_path, pre, corpus = workspace

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from classvec import _kernel
+from classvec import _kernel, embedding_io
 from classvec.embedding_io import (
     BLOCK_ROWS,
     FORMATS,
@@ -826,6 +826,29 @@ def test_load_rows_keeps_the_rows_of_its_tokens_in_file_order(tmp_path, fmt):
     assert "absent" not in kept
     none = load_rows(path, fmt, ())
     assert (len(none), none.dim, none.matrix.shape) == (0, 3, (0, 3))
+
+
+@pytest.mark.usefixtures("kernel_or_not")
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_load_rows_reads_its_file_as_a_load_does(tmp_path, fmt, monkeypatch):
+    """load_rows is a load that keeps some rows: it opens no BlockFile, and
+    kept to every token it gives what load_file gives."""
+    path = str(tmp_path / "v")
+    emb = bit_random_embedding(np.random.default_rng(13), 2 * BLOCK_ROWS + 7, 3)
+    with open(path, "wb") as f:
+        (save_text if fmt == "text" else save_binary)(emb, f)
+    loaded = load_file(path, fmt)
+
+    def no_block_file(*args):
+        raise AssertionError("load_rows opened a BlockFile")
+
+    monkeypatch.setattr(embedding_io, "BlockFile", no_block_file)
+    for tokens in (emb.words, set(emb.words), emb.words + ["absent"]):
+        kept = load_rows(path, fmt, tokens)
+        assert kept.words == loaded.words == emb.words
+        assert kept.index == loaded.index
+        assert kept.matrix.tobytes() == loaded.matrix.tobytes() == emb.matrix.tobytes()
+        assert not kept.matrix.flags.writeable
 
 
 @pytest.mark.usefixtures("kernel_or_not")

@@ -117,6 +117,16 @@ class TestMerge:
         with pytest.raises(ValueError, match="read-only"):
             model.corpus_rows[0, 0] = 1.0
 
+    @pytest.mark.parametrize("token", ["", "x\ny", "x y", "x\u00a0y"],
+                             ids=["empty", "newline", "space", "no-break-space"])
+    def test_rejects_an_unseen_token_no_embedding_file_can_hold(self, token):
+        # tokenize never yields these; a hand-made document can
+        pretrained = random_embedding(np.random.default_rng(21), 3, 2)
+        vocab = build_vocab(_corpus(("t0", "ok", token)))
+        with pytest.raises(ValueError, match=f"^corpus token {re.escape(repr(token))} "
+                                             "is empty or holds whitespace"):
+            merge(pretrained, vocab, seed=1)
+
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(20)
         pretrained = random_embedding(rng, 4, 3)
