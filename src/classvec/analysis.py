@@ -6,23 +6,25 @@ vocabulary order. The drift report covers the shared vocabulary, sorted
 ascending by cosine (most-changed tokens first), with five-number
 summaries of both the cosine and the Euclidean shift.
 
-:func:`drift` reads the ``before`` side block by block, so it can stream
-a file (an ``embedding_io.BlockFile``) against a loaded ``after`` set. A
-:class:`DriftReport` stores three arrays for the shared pairs, 24 bytes a
-pair: the pair's row in ``after``, its cosine and its shift, with the
-``after`` set's token list; its ``(token, cosine, shift)`` entries are
+:func:`nearest_neighbors` and :func:`drift` take block sources: an
+``EmbeddingSet`` or an ``embedding_io.BlockFile`` that streams a file,
+read a block at a time through one code path, so neither holds a file's
+matrix. A :class:`DriftReport` stores three arrays for the shared pairs,
+24 bytes a pair: the pair's row in ``after``, its cosine and its shift,
+with the ``after`` tokens; its ``(token, cosine, shift)`` entries are
 built from them on demand.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress, repeat
+from functools import partial
+from itertools import chain, compress
 
 import numpy as np
 
-from .embedding_io import BLOCK_ROWS, BlockFile, EmbeddingSet
+from .embedding_io import BlockFile, EmbeddingChangedError, EmbeddingSet, _add_new
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -36,36 +38,106 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def nearest_neighbors(
-    emb: EmbeddingSet, token: str, k: int
+    emb: EmbeddingSet | BlockFile, token: str, k: int
 ) -> list[tuple[str, float]]:
     """Top-k tokens by cosine to ``token``, excluding the query itself.
 
-    Exact ties rank in vocabulary order. Zero-norm candidate rows have no
-    defined cosine and are skipped, so the result may hold fewer than k
-    entries when such rows exist. Rows are scored in float64, ``BLOCK_ROWS``
-    at a time and each on its own, so no cosine depends on its block.
+    ``emb`` is a block source, read whole, then again up to the query's
+    block: the first read finds the query and scores its block and every
+    later one, the second scores the blocks before it. Rows are scored in
+    float64, each on its own, so no cosine depends on its block. Each
+    read merges its scores into a running top k by a stable sort, running
+    entries first, and the second read's top k goes before the first's,
+    so exact ties rank in vocabulary order. Zero-norm candidate rows have
+    no defined cosine and are skipped, so the result may hold fewer than
+    k entries when such rows exist.
+
+    The first read keeps a 64-bit hash of the rows of each block before
+    the query's. Where the second read finds other rows there (or, from a
+    ``BlockFile``, other tokens), the file changed between the reads:
+    ``EmbeddingChangedError``. A token ``emb`` lacks is a ``KeyError``,
+    then a ``k`` outside [1, V-1] or a zero query vector a ``ValueError``;
+    each is raised once ``emb`` has been read whole, so that a file's own
+    errors come first, as when it is loaded.
     """
-    if token not in emb.index:
+    digests: list[int] = []  # of the rows of each block before the query's
+    reader = emb.blocks()
+    for tokens, block in reader:
+        if token in tokens:
+            at = tokens.index(token)
+            q = block[at].astype(np.float64)
+            break
+        digests.append(hash(block.tobytes()))
+    else:
         raise KeyError(token)
-    if not 1 <= k < len(emb):
-        raise ValueError(f"k must be in [1, {len(emb) - 1}], got {k}")
-    qi = emb.index[token]
-    q = emb.matrix[qi].astype(np.float64)
     qn = math.sqrt(q @ q)
-    if qn == 0.0:
+    if not 1 <= k < len(emb) or qn == 0.0:
+        for _ in reader:
+            pass
+        if not 1 <= k < len(emb):
+            raise ValueError(f"k must be in [1, {len(emb) - 1}], got {k}")
         raise ValueError("cosine of a zero vector is undefined")
-    # -inf marks the rows without a cosine: the query and zero rows
-    sims = np.empty(len(emb))
-    for start in range(0, len(emb), BLOCK_ROWS):
-        block = emb.matrix[start:start + BLOCK_ROWS].astype(np.float64)
-        norms = np.sqrt(_rowdot(block, block))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cos = np.clip(_rowdot(block, np.broadcast_to(q, block.shape)) / (norms * qn),
-                          -1.0, 1.0)
-        sims[start:start + BLOCK_ROWS] = np.where(norms > 0.0, cos, -np.inf)
-    sims[qi] = -np.inf
-    order = np.argsort(-sims, kind="stable")[:k]
-    return [(emb.words[i], float(sims[i])) for i in order if sims[i] > -np.inf]
+
+    def later() -> Iterator[tuple[list[str], np.ndarray]]:
+        """The query's block, the query's cosine dropped, and the rest."""
+        sims = _cosines(block, q, qn)
+        sims[at] = -np.inf
+        yield tokens, sims
+        for rest, rows in reader:
+            yield rest, _cosines(rows, q, qn)
+
+    def earlier() -> Iterator[tuple[list[str], np.ndarray]]:
+        """The blocks before the query's, read again."""
+        start = 0
+        for digest, (again, rows) in zip(digests, emb.blocks()):
+            if hash(rows.tobytes()) != digest:
+                raise EmbeddingChangedError(
+                    f"the file changed after it was first read: rows {start + 1} to "
+                    f"{start + len(again)} do not hold the vectors read there before"
+                )
+            start += len(again)
+            yield again, _cosines(rows, q, qn)
+
+    (late,), late_words = _best(later(), k)
+    (early,), early_words = _best(earlier(), k)
+    (best,), words = _top([early, late], early_words + late_words, k)
+    return [(t, s) for t, s in zip(words, best.tolist()) if s > -np.inf]
+
+
+def _cosines(block: np.ndarray, q: np.ndarray, qn: float) -> np.ndarray:
+    """The cosine of each row of ``block`` to ``q``, of norm ``qn``, in
+    float64 and each on its own; -inf for a zero row, which has none."""
+    rows = block.astype(np.float64)
+    norms = np.sqrt(_rowdot(rows, rows))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.clip(_rowdot(rows, np.broadcast_to(q, rows.shape)) / (norms * qn),
+                      -1.0, 1.0)
+    return np.where(norms > 0.0, cos, -np.inf)
+
+
+def _best(scored: Iterator[tuple[list[str], np.ndarray]], k: int
+          ) -> tuple[list[np.ndarray], list[str]]:
+    """The top k of the tokens and scores of ``scored``, a block at a
+    time, as :func:`_top` gives them; the candidates are pruned to the k
+    best whenever they are more than 2k, once per k rows or more."""
+    scores = [np.empty(0)]
+    words: list[str] = []
+    for tokens, sims in scored:
+        scores.append(sims)
+        words += tokens
+        if len(words) > 2 * k:
+            scores, words = _top(scores, words, k)
+    return _top(scores, words, k)
+
+
+def _top(scores: list[np.ndarray], words: list[str], k: int
+         ) -> tuple[list[np.ndarray], list[str]]:
+    """The k best of the candidates with ``scores`` (arrays, joined in
+    order) and ``words``, best first, by a stable sort: of equal scores,
+    the one listed first."""
+    joined = np.concatenate(scores)
+    order = np.argsort(-joined, kind="stable")[:k]
+    return [joined[order]], [words[i] for i in order.tolist()]
 
 
 class _Entries(Sequence):
@@ -183,70 +255,131 @@ def _summary(
     }
 
 
-def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet) -> DriftReport:
+def _errors_after(blocks: Iterator, first: Iterator) -> Iterator:
+    """The items of ``blocks``; an error they raise is raised once
+    ``first`` has been read to its end, so that an error of ``first``
+    comes before it."""
+    try:
+        yield from blocks
+    except (ValueError, OSError):
+        for _ in first:
+            pass
+        raise
+
+
+def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet | BlockFile
+          ) -> DriftReport:
     """Compare two embedding sets token by token.
 
-    ``before`` is read block by block, once: a ``BlockFile`` streams its
-    file, and its reader records each block's tokens through this
-    comparison, so that no token of ``before`` is kept beyond its block
-    but the ones ``after`` lacks. The cosine of a pair with a zero-norm
-    side is defined as 1.0 when both rows are identical, else 0.0
-    (fine-tuning never zeroes a vector; this only pads pathological
-    inputs). Rows are compared in float64, a block at a time, so no
-    temporary spans the whole vocabulary.
+    Both sides are block sources, each read once. While the two list the
+    same tokens, a block of ``before`` and a block of ``after`` at a time,
+    each pair of blocks is compared whole; ``finetune``'s output lists the
+    pretrained tokens in their order, so its blocks agree up to its unseen
+    rows. From the first pair of blocks that differ on, the rest of
+    ``after`` is read and its rows kept, and the rest of ``before`` is
+    compared with them token by token, a block at a time: files in other
+    orders hold at most one set's rows. No token of ``before`` is kept
+    beyond its block but those ``after`` lacks.
+
+    The cosine of a pair with a zero-norm side is defined as 1.0 when both
+    rows are identical, else 0.0 (fine-tuning never zeroes a vector; this
+    only pads pathological inputs). Rows are compared in float64, a block
+    at a time, so no temporary spans the whole vocabulary. Errors come as
+    when ``after`` is loaded first: any error of ``after``, then a
+    dimension mismatch, then an error of ``before``.
     """
     if before.dim != after.dim:
-        raise ValueError(
-            f"dimension mismatch: {before.dim} vs {after.dim}"
-        )
-    size = min(len(before), len(after))
-    rows = np.empty(size, dtype=np.int64)
-    cosines = np.empty(size)
-    shifts = np.empty(size)
-    matched = np.zeros(len(after), dtype=bool)
+        for _ in after.blocks():
+            pass
+        raise ValueError(f"dimension mismatch: {before.dim} vs {after.dim}")
+    index: dict[str, None] = {}  # every after token read, in order
+    # while the sides agree, the before tokens of the block in hand (the
+    # reader records a failed block again row by row, to name its first
+    # bad row); from then on, the after rows not paired yet, by token:
+    # their row and bytes
+    held: set[str] = set()
+    rest: dict[str, tuple[int, bytes]] | None = None
     only_before: dict[str, None] = {}
-    # the after row of each token of the block recorded last, -1 where
-    # after lacks it: the reader records a block just before yielding it
-    found = rows[:0]
+    # the pairs of each block compared: after rows, cosines and shifts
+    parts: tuple[list[np.ndarray], ...] = ([], [], [])
+    found = ([], [], b"")  # the last pairing: before hits, their after rows and bytes
+
+    def pair(tokens: list[str]) -> None:
+        """Record ``before`` tokens against the rest of ``after``: those it
+        holds as paired, taking their rows out of it, the others as
+        ``only_before``."""
+        nonlocal found
+        hit = [t in rest for t in tokens]
+        taken = [rest.pop(t) for t in compress(tokens, hit)]
+        found = hit, [row for row, _ in taken], b"".join([v for _, v in taken])
+        only_before.update(dict.fromkeys(t for t, h in zip(tokens, hit) if not h))
 
     def add(tokens: list[str], row: int) -> bool:
-        """The reader's record of ``before`` tokens: a token ``after`` has
-        is recorded by its row there, any other by itself."""
-        nonlocal found
-        at = np.fromiter(map(after.index.get, tokens, repeat(-1)),
-                         dtype=np.int64, count=len(tokens))
-        hits = at[at >= 0]
-        missing = list(compress(tokens, (at < 0).tolist()))
-        if (len(set(tokens)) != len(tokens) or matched[hits].any()
-                or not only_before.keys().isdisjoint(missing)):
+        """The reader's record of ``before`` tokens. A token of an earlier
+        block is paired, and its after row read, or in ``only_before``."""
+        if len(set(tokens)) != len(tokens):
             return False
-        matched[hits] = True
-        only_before.update(dict.fromkeys(missing))
-        found = at
+        if rest is None:
+            if not (held.isdisjoint(tokens) and index.keys().isdisjoint(tokens)):
+                return False
+            held.update(tokens)
+        else:
+            if not only_before.keys().isdisjoint(tokens) or any(
+                    t in index and t not in rest for t in tokens):
+                return False
+            pair(tokens)
         return True
 
-    shared = 0
-    for _, block in before.blocks(add):
-        hit = found >= 0
-        stop = shared + int(hit.sum())
-        rows[shared:stop] = found[hit]
-        cosines[shared:stop], shifts[shared:stop] = _pair_stats(
-            block[hit], after.matrix[found[hit]]
-        )
-        shared = stop
+    def compare(rows: np.ndarray, vb: np.ndarray, va: np.ndarray) -> None:
+        for part, values in zip(parts, (rows, *_pair_stats(vb, va))):
+            part.append(values)
+
+    after_blocks = after.blocks(partial(_add_new, index, False))
+    row_bytes = np.dtype((np.void, 4 * after.dim))
+    for tokens, vb in _errors_after(before.blocks(add), after_blocks):
+        if rest is None:
+            held.clear()
+            ta, va = next(after_blocks, ([], None))
+            if ta == tokens:
+                compare(np.arange(len(index) - len(ta), len(index)), vb, va)
+                continue
+            rest = {}
+            for ta, va in chain([(ta, va)] if ta else [], after_blocks):
+                rows = range(len(index) - len(ta), len(index))
+                rest.update(zip(ta, zip(rows, np.ascontiguousarray(va).view(row_bytes)
+                                        .ravel().tolist())))
+            pair(tokens)
+        hit, rows, values = found
+        compare(np.array(rows, dtype=np.int64), vb[np.array(hit, dtype=bool)],
+                np.frombuffer(values, dtype=np.float32).reshape(len(rows), after.dim))
+    for _ in after_blocks:  # the after rows past the last before row
+        pass
+    shared = sum(map(len, parts[0]))
     if not shared:
         raise ValueError("the two sets share no tokens")
-    # one array at a time, so the sort holds one more array, not three
-    order = np.argsort(cosines[:shared], kind="stable")
+    words = list(index)
+    only_after = tuple(words[shared:] if rest is None else rest)
+    index.clear()  # both freed before the sort
+    rest = None
+    rows, cosines, shifts = map(_joined, parts)
+    # pairs are compared in before order, so a stable sort keeps it for
+    # ties; one array at a time, so the sort holds one more array, not three
+    order = np.argsort(cosines, kind="stable")
     rows = rows[order]
     cosines = cosines[order]
     shifts = shifts[order]
     return DriftReport(
-        words=after.words, rows=rows, cosines=cosines, shifts=shifts,
+        words=words, rows=rows, cosines=cosines, shifts=shifts,
         quantiles=_summary(cosines, np.sort(shifts)),
-        only_before=tuple(only_before),
-        only_after=tuple(compress(after.words, (~matched).tolist())),
+        only_before=tuple(only_before), only_after=only_after,
     )
+
+
+def _joined(part: list[np.ndarray]) -> np.ndarray:
+    """The arrays of ``part`` joined; ``part`` no longer holds them."""
+    joined = np.concatenate(part)
+    part.clear()
+    return joined
 
 
 def drift_summary(

@@ -10,7 +10,10 @@ output stays pipeable. Output files are written via a temporary file and
 an atomic rename: on any failure no partial artifact is left behind, and
 the exit status is 0 exactly when the requested artifact was fully
 written or printed. Embedding file format is always named explicitly
-with ``--format``; files are never sniffed.
+with ``--format``; files are never sniffed. Every command reads its
+embedding files a block at a time, through ``BlockFile`` or
+``load_rows``, so none holds a file's matrix; a file's errors still come
+first, as when it was loaded before anything else.
 
 Each process starts lean. Every library function and class a command
 calls is bound here to a stand-in that imports its module on first call,
@@ -65,6 +68,9 @@ train_classifier = _lazy("classifier", "train_classifier")
 load_tsv = _lazy("corpus", "load_tsv")
 BlockFile = _lazy("embedding_io", "BlockFile")
 EmbeddingSet = _lazy("embedding_io", "EmbeddingSet")
+# no command calls load_file: perfbench's tracer wraps it, as every name
+# of its LAYER_OF, and fails where it is missing, until the run-record
+# harness of ROADMAP item 1 replaces the tracer and this name goes
 load_file = _lazy("embedding_io", "load_file")
 load_rows = _lazy("embedding_io", "load_rows")
 save_binary = _lazy("embedding_io", "save_binary")
@@ -257,10 +263,15 @@ def cmd_nn(args: argparse.Namespace) -> int:
     if args.k < 1:
         return _usage_error("--k must be at least 1")
     _require_files(args.embeddings)
-    emb = load_file(args.embeddings, args.format)
-    if args.k >= len(emb):
-        return _usage_error(f"--k must be below the vocabulary size {len(emb)}")
-    for token, sim in nearest_neighbors(emb, args.word, args.k):
+    # the file is read as a stream, whole and then up to the query's block;
+    # its errors still come before a usage error or an unknown word
+    with BlockFile(args.embeddings, args.format) as emb:
+        if args.k >= len(emb):
+            for _ in emb.blocks():
+                pass
+            return _usage_error(f"--k must be below the vocabulary size {len(emb)}")
+        neighbors = nearest_neighbors(emb, args.word, args.k)
+    for token, sim in neighbors:
         print(f"{token}\t{sim:.6f}")
     return 0
 
@@ -279,10 +290,10 @@ def cmd_drift(args: argparse.Namespace) -> int:
     if args.top < 0:
         return _usage_error("--top must be at least 0")
     _require_files(args.before, args.after)
-    # --before is read a block at a time against the loaded --after, so the
-    # command holds one set; its header is checked before --after is read
-    with BlockFile(args.before, args.format) as before:
-        after = load_file(args.after, args.format)
+    # both files are read a block at a time, in lockstep while they list
+    # the same tokens; the --before header is checked first
+    with BlockFile(args.before, args.format) as before, \
+            BlockFile(args.after, args.format) as after:
         report = drift(before, after)
     _print_drift_summary(report.quantiles)
     print(

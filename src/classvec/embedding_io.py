@@ -20,8 +20,8 @@ the matrix plus about one block of input, never the whole file. A load of
 every row builds the set's index as it reads, so no token is hashed or
 checked twice; :func:`load_rows` is a load that keeps the rows of some
 tokens. :class:`BlockFile` gives the stream itself, for a caller that
-compares a file with a set block by block, or reads it twice, and never
-needs its matrix.
+compares two files block by block, or reads one twice, and never needs
+a matrix.
 
 The reader tops the unparsed input up to a chunk of raw bytes with room
 for a block and hands it to the format's scanner of the compiled kernel
@@ -73,8 +73,9 @@ class EmbeddingSet:
     """An immutable vocabulary-indexed matrix of word vectors.
 
     Vectors are stored as 32-bit floats; ``matrix`` is made read-only so a
-    loaded set can be shared across threads. Tokens are unique, non-empty
-    and contain no whitespace (both file formats require this).
+    loaded set can be shared across threads. Tokens are unique, non-empty,
+    contain no whitespace and encode as UTF-8 (both file formats require
+    this).
     """
 
     def __init__(self, words: list[str], matrix: np.ndarray):
@@ -95,15 +96,13 @@ class EmbeddingSet:
         if not all(np.isfinite(matrix[i:i + BLOCK_ROWS]).all() for i in blocks):
             raise ValueError("matrix contains non-finite values")
         index = dict(zip(words, range(len(words))))
-        # str.split() drops empty tokens and splits at exactly the characters
-        # str.isspace() accepts
-        if len(index) != len(words) or any(
-            " ".join(words[i:i + BLOCK_ROWS]).split() != words[i:i + BLOCK_ROWS]
-            for i in blocks
-        ):
+        if len(index) != len(words) or not all(
+                writable(words[i:i + BLOCK_ROWS]) for i in blocks):
             seen: set[str] = set()
             for i, w in enumerate(words):
-                if not w or any(c.isspace() for c in w):
+                if not writable([w]):
+                    if w.split() == [w]:
+                        raise ValueError(f"token at row {i} does not encode as UTF-8: {w!r}")
                     raise ValueError(f"invalid token at row {i}: {w!r}")
                 if w in seen:
                     raise ValueError(f"duplicate token at row {i}: {w!r}")
@@ -138,6 +137,21 @@ class EmbeddingSet:
             if add is not None and not add(words, start):
                 raise ValueError(f"a token of rows {start}+ is recorded already")
             yield words, self.matrix[start:start + BLOCK_ROWS]
+
+
+def writable(tokens: list[str]) -> bool:
+    """Whether both file formats can hold every token of ``tokens``: each
+    non-empty, without whitespace and encodable as UTF-8 (a lone surrogate
+    such as ``'\\ud800'`` is not). One join, split and encode checks them
+    all."""
+    joined = " ".join(tokens)
+    try:
+        joined.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    # str.split() drops empty tokens and splits at exactly the characters
+    # str.isspace() accepts
+    return joined.split() == tokens
 
 
 # Values a header may declare: numpy cannot shape a float32 array of more

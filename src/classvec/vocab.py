@@ -23,7 +23,9 @@ import numpy as np
 
 from . import _kernel
 from .corpus import LabeledCorpus
-from .embedding_io import BLOCK_ROWS, BlockFile, EmbeddingChangedError, EmbeddingSet
+from .embedding_io import (
+    BLOCK_ROWS, BlockFile, EmbeddingChangedError, EmbeddingSet, writable,
+)
 
 
 @dataclass(frozen=True)
@@ -201,9 +203,12 @@ def merge(pretrained: EmbeddingSet | BlockFile, vocab: Vocabulary, seed: int
     unseen = tuple(corpus_tokens[i] for i in missing.tolist())
     # a source's tokens passed a reader's checks; an unseen one must pass
     # the set's too, or the tuned vectors could not be written and read back
-    for token in unseen:
-        if token.split() != [token]:
-            raise ValueError(f"corpus token {token!r} is empty or holds whitespace, "
+    for i in range(0, len(unseen), BLOCK_ROWS):
+        if not writable(list(unseen[i:i + BLOCK_ROWS])):
+            token = next(t for t in unseen[i:] if not writable([t]))
+            problem = ("is empty or holds whitespace" if token.split() != [token]
+                       else "does not encode as UTF-8")
+            raise ValueError(f"corpus token {token!r} {problem}, "
                              "which no embedding file can hold")
     rows[missing] = np.arange(start, start + len(missing))
     corpus_rows[missing] = init_unseen(list(unseen), dim, seed)

@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from classvec import _kernel
-from classvec.analysis import drift
+from classvec.analysis import drift, nearest_neighbors
 from classvec.corpus import Document, LabeledCorpus, from_documents
 from classvec.embedding_io import (
     BlockFile,
@@ -449,8 +449,9 @@ def assert_streams_as_it_loads(
     of it holds, or fails with the load's error type and message; so do
     ``load_rows`` and ``merge`` streaming it, on some of its tokens. Given
     ``after_tokens``, ``drift`` streaming the file against a set of those
-    tokens, at the dimension the header declares, reports or fails as
-    ``drift`` of the loaded file does; at another dimension it fails on
+    tokens, on either side, and ``nearest_neighbors`` streaming it for the
+    first of them, at the dimension the header declares, report or fail as
+    they do on the loaded file; at another dimension ``drift`` fails on
     the headers alone."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "vectors")
@@ -517,6 +518,29 @@ def assert_streams_as_it_loads(
                 return report(source)
 
         assert _outcome(drift_streamed) == _outcome(lambda: report(load_file(path, fmt)))
+
+        def report_against(source):
+            r = drift(after, source)
+            return tuple(r.entries), r.quantiles, r.only_before, r.only_after
+
+        def drift_after_streamed():
+            with BlockFile(path, fmt) as source:
+                return report_against(source)
+
+        assert _outcome(drift_after_streamed) == \
+            _outcome(lambda: report_against(load_file(path, fmt)))
+
+        def neighbors(source):
+            try:
+                return nearest_neighbors(source, after_tokens[0], 2)
+            except KeyError as e:  # after the file's own errors
+                return "unknown", e.args
+
+        def neighbors_streamed():
+            with BlockFile(path, fmt) as source:
+                return neighbors(source)
+
+        assert _outcome(neighbors_streamed) == _outcome(lambda: neighbors(load_file(path, fmt)))
         mismatch = EmbeddingSet(after_tokens, np.ones((k, dim + 1), np.float32))
         with BlockFile(path, fmt) as source:
             assert _outcome(lambda: drift(source, mismatch)) == (

@@ -1,6 +1,7 @@
 """Unit tests for cosine similarity, neighbor search and drift reports."""
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from classvec.embedding_io import (
     BLOCK_ROWS,
     FORMATS,
     BlockFile,
+    EmbeddingChangedError,
     EmbeddingSet,
     load_file,
     save_binary,
@@ -408,3 +410,165 @@ def test_nearest_neighbors_scores_blocks_not_the_whole_matrix():
         tracemalloc.stop()
     assert len(result) == 10
     assert peak - current < n * m * 8 / 4, (peak - current, n * m * 8)
+
+
+def _reference_neighbors(emb: EmbeddingSet, token: str, k: int) -> list[tuple[str, float]]:
+    """Brute-force neighbors: each row's cosine to the query in float64,
+    row by row, then a stable sort, so ties keep vocabulary order."""
+    matrix = emb.matrix.astype(np.float64)
+    qi = emb.index[token]
+    q = matrix[qi]
+    qn = math.sqrt(q @ q)
+    scored = []
+    for i, row in enumerate(matrix):
+        norm = math.sqrt(row @ row)
+        if i != qi and norm > 0.0:
+            scored.append((emb.words[i], float(np.clip(row @ q / (norm * qn), -1.0, 1.0))))
+    scored.sort(key=lambda entry: -entry[1])
+    return scored[:k]
+
+
+def _neighbor_set() -> EmbeddingSet:
+    """Rows with exact ties across a block boundary: clones of one vector
+    at rows 250-262, zero rows, and the first and last rows near the
+    clones."""
+    rng = np.random.default_rng(12)
+    n, m = 3 * BLOCK_ROWS + 7, 6
+    matrix = rng.normal(0, 1, (n, m)).astype(np.float32)
+    clone = rng.normal(0, 1, m).astype(np.float32)
+    matrix[BLOCK_ROWS - 6:BLOCK_ROWS + 7] = clone
+    matrix[[3, BLOCK_ROWS + 9, 2 * BLOCK_ROWS, n - 2]] = 0.0
+    matrix[[0, n - 1]] = clone + rng.normal(0, 0.05, (2, m)).astype(np.float32)
+    return EmbeddingSet([f"t{i}" for i in range(n)], matrix)
+
+
+@pytest.mark.usefixtures("kernel_or_not")
+@pytest.mark.parametrize("fmt", [None, *FORMATS])
+def test_neighbors_match_a_brute_force_reference(tmp_path, fmt):
+    # streamed from either format (fmt) or read from the set itself
+    emb = _neighbor_set()
+    path = _write(emb, tmp_path / "emb", fmt) if fmt else None
+    for token in ("t0", f"t{len(emb) - 1}"):
+        for k in (1, 5, 13, 14, 40, len(emb) - 1):
+            if path is None:
+                got = nearest_neighbors(emb, token, k)
+            else:
+                with BlockFile(path, fmt) as source:
+                    got = nearest_neighbors(source, token, k)
+            assert got == _reference_neighbors(emb, token, k), (token, k)
+    # the query's 13 clones tie exactly, in vocabulary order across the
+    # block boundary, and the 4 zero rows have no cosine
+    top = nearest_neighbors(emb, "t0", 13)
+    assert [t for t, _ in top] == [f"t{i}" for i in range(BLOCK_ROWS - 6, BLOCK_ROWS + 7)]
+    assert len({s for _, s in top}) == 1
+    assert len(nearest_neighbors(emb, "t0", len(emb) - 1)) == len(emb) - 5
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_neighbors_fail_when_the_file_changes_between_their_reads(tmp_path, fmt):
+    # the second read goes up to the query's block, the third here: a row
+    # or a token changed there fails, and the query's own row is read once
+    emb = _neighbor_set()
+    path = _write(emb, tmp_path / "emb", fmt)
+    query = f"t{2 * BLOCK_ROWS + 1}"
+
+    def changed(row: int, scale: float = 1.0, token: str | None = None):
+        matrix = emb.matrix.copy()
+        matrix[row] *= np.float32(scale)
+        words = list(emb.words)
+        words[row] = token or words[row]
+        return EmbeddingSet(words, matrix)
+
+    for rewrite, message in (
+        (changed(BLOCK_ROWS + 30, scale=2.0),
+         f"rows {BLOCK_ROWS + 1} to {2 * BLOCK_ROWS} do not hold the vectors read there before"),
+        (changed(5, token="tX"), f"rows 1 to {BLOCK_ROWS} do not hold the tokens read there before"),
+        (changed(2 * BLOCK_ROWS + 1, scale=2.0), None),
+    ):
+
+        class Rewritten(BlockFile):
+            """The file is rewritten once its first read has ended."""
+            reads = 0
+
+            def blocks(self, add=None):
+                if self.reads == 1:
+                    _write(rewrite, path, fmt)
+                self.reads += 1
+                return super().blocks(add)
+
+        _write(emb, path, fmt)
+        with Rewritten(path, fmt) as source:
+            if message is None:
+                assert nearest_neighbors(source, query, 3) == \
+                    _reference_neighbors(emb, query, 3)
+                continue
+            with pytest.raises(EmbeddingChangedError,
+                               match=f"^the file changed after it was first read: {message}$"):
+                nearest_neighbors(source, query, 3)
+
+
+def _after_of(before: EmbeddingSet, order: str, seed: int) -> EmbeddingSet:
+    """``before`` moved: frozen, zeroed and moved rows, some tokens dropped
+    (``one_side``), two extra tokens at the end, in ``order``."""
+    rng = np.random.default_rng(seed)
+    n = len(before)
+    moved = before.matrix + rng.normal(0, 0.3, before.matrix.shape).astype(np.float32)
+    moved[::4] = before.matrix[::4]
+    moved[1::9] = 0.0
+    keep = rng.random(n) < 0.9 if order == "one_side" else np.ones(n, bool)
+    words = [w for w, k in zip(before.words, keep) if k] + ["extra0", "extra1"]
+    rows = np.vstack([moved[keep], rng.normal(0, 1, (2, before.dim)).astype(np.float32)])
+    perm = {"reversed": np.arange(len(words))[::-1],
+            "shuffled": rng.permutation(len(words))}.get(order, np.arange(len(words)))
+    return EmbeddingSet([words[i] for i in perm], rows[perm])
+
+
+@pytest.mark.usefixtures("kernel_or_not")
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("order", ["same", "reversed", "shuffled", "one_side"])
+@pytest.mark.parametrize("n", [BLOCK_ROWS, 2 * BLOCK_ROWS + 37])
+def test_drift_of_two_streams_matches_the_per_token_reference(tmp_path, fmt, order, n):
+    sets = {"old": random_embedding(np.random.default_rng(n), n, 5)}
+    sets["new"] = _after_of(sets["old"], order, n)
+    paths = {name: _write(emb, tmp_path / name, fmt) for name, emb in sets.items()}
+    # each way round, so that tokens are on one side only on either side
+    for names in (("old", "new"), ("new", "old")):
+        with BlockFile(paths[names[0]], fmt) as a, BlockFile(paths[names[1]], fmt) as b:
+            streamed = drift(a, b)
+        first, second = (sets[name] for name in names)
+        in_memory = drift(first, second)
+        assert tuple(streamed.entries) == tuple(in_memory.entries)
+        assert streamed.quantiles == in_memory.quantiles
+        entries, quantiles = reference_drift(first, second)
+        assert [t for t, _, _ in streamed.entries] == [t for t, _, _ in entries]
+        np.testing.assert_allclose([(c, s) for _, c, s in streamed.entries],
+                                   [(c, s) for _, c, s in entries], rtol=0, atol=1e-12)
+        for key, value in quantiles.items():
+            assert streamed.quantiles[key] == pytest.approx(value, rel=0, abs=1e-12)
+        assert streamed.only_before == tuple(t for t in first.words if t not in second)
+        assert streamed.only_after == tuple(t for t in second.words if t not in first)
+        assert [streamed.words[r] for r in streamed.rows.tolist()] == \
+            [t for t, _, _ in entries]
+
+
+@pytest.mark.usefixtures("kernel_or_not")
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("row, of", [(2, 1), (BLOCK_ROWS + 40, 5)])
+def test_drift_of_a_repeated_token_fails_as_its_load(tmp_path, fmt, row, of):
+    n = 2 * BLOCK_ROWS + 37
+    before = random_embedding(np.random.default_rng(3), n, 4)
+    words = list(before.words)
+    words[row] = "DUP"
+    _write(before, tmp_path / "good", fmt)
+    _write(EmbeddingSet(words, before.matrix), tmp_path / "bad", fmt)
+    data = (tmp_path / "bad").read_bytes()
+    (tmp_path / "bad").write_bytes(data.replace(b"DUP ", words[of].encode() + b" "))
+    with pytest.raises(ValueError) as loaded:
+        load_file(str(tmp_path / "bad"), fmt)
+    assert "duplicate token" in str(loaded.value)
+    for pair in (("bad", "good"), ("good", "bad")):
+        with BlockFile(str(tmp_path / pair[0]), fmt) as a, \
+                BlockFile(str(tmp_path / pair[1]), fmt) as b:
+            with pytest.raises(type(loaded.value)) as streamed:
+                drift(a, b)
+        assert str(streamed.value) == str(loaded.value)

@@ -20,7 +20,9 @@ import pytest
 import classvec
 from classvec import _kernel, cli
 from classvec.cli import build_parser, main
-from classvec.embedding_io import EmbeddingSet, load_file, save_binary, save_text
+from classvec.embedding_io import (
+    BLOCK_ROWS, BlockFile, EmbeddingSet, load_file, save_binary, save_text,
+)
 
 from _constructions import disable_kernel, random_embedding
 
@@ -390,15 +392,21 @@ class TestInspectionCommands:
                                                        capsys):
         # a wrapper set on classvec.cli (a tracer, a test's patch) is what runs
         tmp_path, pre, _ = workspace
-        loaded = []
+        calls = []
+        block_file = cli.BlockFile
 
-        def load_file(path, fmt):
-            loaded.append(path)
-            return EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32))
+        def BlockFile(path, fmt):
+            calls.append(("BlockFile", path))
+            return block_file(path, fmt)
 
-        monkeypatch.setattr(classvec.cli, "load_file", load_file)
+        def nearest_neighbors(emb, token, k):
+            calls.append(("nearest_neighbors", len(emb), token, k))
+            return [("b", 0.0)]
+
+        monkeypatch.setattr(classvec.cli, "BlockFile", BlockFile)
+        monkeypatch.setattr(classvec.cli, "nearest_neighbors", nearest_neighbors)
         assert main(["nn", "--embeddings", pre, "--word", "a", "--k", "1"]) == 0
-        assert loaded == [pre]
+        assert calls == [("BlockFile", pre), ("nearest_neighbors", 20, "a", 1)]
         assert capsys.readouterr().out == "b\t0.000000\n"
 
     def test_nn_k_too_large_is_a_usage_error(self, workspace, capsys):
@@ -510,7 +518,8 @@ def _bad_files(tmp_path, pre: str) -> dict[str, str]:
 class TestStreamedStages:
     """finetune, train-clf, eval and sim read their embedding file as a
     stream after the corpus, yet report its errors first, as when it was
-    loaded before anything else."""
+    loaded before anything else; nn and drift report their files' errors
+    before any other, as a load would."""
 
     def _errors(self, capsys, *cases) -> None:
         for argv, message in cases:
@@ -588,6 +597,102 @@ class TestStreamedStages:
              "line 6: malformed value"),
             (["sim", "--embeddings", pre, "spam0", "nope"], "unknown word 'nope'"),
         )
+
+    def test_nn_errors_come_in_order(self, tmp_path, capsys):
+        # nn reads its file whole, then the blocks before the query's block
+        # again; a bad row past the query's block still outranks --k not
+        # below the vocabulary size, an unknown word and a zero query vector
+        emb = random_embedding(np.random.default_rng(97), BLOCK_ROWS + 44, 3)
+        matrix = emb.matrix.copy()
+        matrix[1] = 0.0
+        good = tmp_path / "good"
+        with open(good, "wb") as f:
+            save_text(EmbeddingSet(emb.words, matrix), f)
+        lines = good.read_bytes().split(b"\n")
+        lines[BLOCK_ROWS + 20] = lines[BLOCK_ROWS + 20].replace(b" ", b" x", 1)
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\n".join(lines))
+        size = str(len(emb))
+        broken = f"line {BLOCK_ROWS + 21}: malformed value"
+        self._errors(
+            capsys,
+            (["nn", "--embeddings", str(bad), "--word", "t0", "--k", "3"], broken),
+            (["nn", "--embeddings", str(bad), "--word", "t0", "--k", size], broken),
+            (["nn", "--embeddings", str(bad), "--word", "nope", "--k", "3"], broken),
+            (["nn", "--embeddings", str(bad), "--word", "t1", "--k", "3"], broken),
+            (["nn", "--embeddings", str(good), "--word", "nope", "--k", "3"],
+             "unknown word 'nope'"),
+            (["nn", "--embeddings", str(good), "--word", "t1", "--k", "3"],
+             "cosine of a zero vector is undefined"),
+        )
+        assert main(["nn", "--embeddings", str(good), "--word", "nope", "--k", size]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --k must be below the vocabulary size {size}\n")
+
+    @pytest.mark.usefixtures("kernel_or_not")
+    def test_drift_errors_come_in_order_when_both_files_stream(self, tmp_path, capsys):
+        # drift reads a block of --before, then one of --after; an error of
+        # --after still comes first, wherever the two errors are: "edge"
+        # fails in the first row of its second block, while the files agree
+        emb = random_embedding(np.random.default_rng(98), 2 * BLOCK_ROWS + 9, 3)
+        with open(tmp_path / "good", "wb") as f:
+            save_text(emb, f)
+        good = (tmp_path / "good").read_bytes().split(b"\n")
+        files = {}
+        for name, line in (("early", 21), ("edge", BLOCK_ROWS + 2),
+                           ("late", 2 * BLOCK_ROWS + 5)):
+            lines = list(good)
+            lines[line - 1] = lines[line - 1].replace(b" ", b" x", 1)
+            files[name] = tmp_path / name
+            files[name].write_bytes(b"\n".join(lines))
+        files["good"] = tmp_path / "good"
+        (tmp_path / "wide").write_bytes(b"1 4\nt0 1 2 3 4\n")
+        files["wide"] = tmp_path / "wide"
+        for before, after, message in (
+            ("early", "late", f"line {2 * BLOCK_ROWS + 5}: malformed value"),
+            ("late", "early", "line 21: malformed value"),
+            ("edge", "late", f"line {2 * BLOCK_ROWS + 5}: malformed value"),
+            ("edge", "good", f"line {BLOCK_ROWS + 2}: malformed value"),
+            ("late", "good", f"line {2 * BLOCK_ROWS + 5}: malformed value"),
+            ("good", "late", f"line {2 * BLOCK_ROWS + 5}: malformed value"),
+            ("late", "wide", "dimension mismatch: 3 vs 4"),
+            ("wide", "late", f"line {2 * BLOCK_ROWS + 5}: malformed value"),
+        ):
+            rc = main(["drift", "--before", str(files[before]),
+                       "--after", str(files[after]), "--top", "3"])
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == (1, "", f"error: {message}\n"), \
+                (before, after)
+
+    def test_nn_fails_when_the_file_changes_between_its_reads(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # nn reads the file whole, then the blocks before the query's again;
+        # a row changed there in between fails, and nothing is printed
+        emb = random_embedding(np.random.default_rng(99), BLOCK_ROWS + 44, 3)
+        path = str(tmp_path / "emb.txt")
+        with open(path, "wb") as f:
+            save_text(emb, f)
+        matrix = emb.matrix.copy()
+        matrix[5] = matrix[5][::-1]
+
+        class Rewritten(BlockFile):
+            """The file is rewritten once the first read has ended."""
+            reads = 0
+
+            def blocks(self, add=None):
+                if self.reads == 1:
+                    with open(path, "wb") as f:
+                        save_text(EmbeddingSet(emb.words, matrix), f)
+                self.reads += 1
+                return super().blocks(add)
+
+        monkeypatch.setattr(cli, "BlockFile", Rewritten)
+        rc = main(["nn", "--embeddings", path, "--word", f"t{BLOCK_ROWS + 3}", "--k", "3"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == (
+            f"error: the file changed after it was first read: rows 1 to {BLOCK_ROWS} "
+            "do not hold the vectors read there before\n")
 
     @pytest.mark.parametrize("fmt", ["text", "bin"])
     @pytest.mark.parametrize("change, message", [
@@ -841,14 +946,19 @@ class TestSubprocess:
         assert main(["train-clf", "--embeddings", files["pre.bin"], "--format", "bin",
                      "--corpus", files["c.tsv"], "--out", files["probe.clf"],
                      "--epochs", "2"]) == 0
+        # a second file of the same tokens, for drift
+        files["post.bin"] = str(tmp_path / "post.bin")
+        with open(files["post.bin"], "wb") as f:
+            save_binary(EmbeddingSet(emb.words, emb.matrix * np.float32(1.5)), f)
         files["matrix_bytes"] = emb.matrix.nbytes
         return files
 
-    @pytest.mark.parametrize("stage", ["finetune", "train-clf", "eval", "sim"])
+    @pytest.mark.parametrize("stage", ["finetune", "train-clf", "eval", "sim", "nn", "drift"])
     def test_streamed_stages_hold_the_rows_they_read(self, published_width, tmp_path,
                                                      kernel_library, stage):
         # each stage keeps the rows of the tokens it uses and the file's
-        # token index (about 2 MB here), never the file's matrix: over the
+        # token index (about 2 MB here), never the file's matrix; nn keeps
+        # its top k, drift three numbers a shared token: over the
         # start-up of a process that has imported every module and opened
         # the kernel, its peak RSS grows by less than a quarter of the
         # matrix, where a load alone would add the whole matrix
@@ -862,6 +972,8 @@ class TestSubprocess:
             "eval": ["eval", "--model", files["probe.clf"], "--embeddings", pre,
                      "--corpus", corpus],
             "sim": ["sim", "--embeddings", pre, "t1", "t19999"],
+            "nn": ["nn", "--embeddings", pre, "--word", "t19000", "--k", "10"],
+            "drift": ["drift", "--before", pre, "--after", files["post.bin"]],
         }[stage]
         code, startup = _peak_rss_kb(
             sys.executable, "-c",

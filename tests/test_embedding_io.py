@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import re
 import tracemalloc
 import warnings
 
@@ -103,6 +104,17 @@ class TestEmbeddingSet:
         words = [f"w{i}" for i in range(2 * BLOCK_ROWS + 5)]
         words[row] = bad
         with pytest.raises(ValueError, match=message):
+            EmbeddingSet(words, np.zeros((len(words), 2)))
+
+    @pytest.mark.parametrize("row", [0, BLOCK_ROWS + 2])
+    @pytest.mark.parametrize("bad", ["\ud800", "ok\udcff"])
+    def test_rejects_a_token_no_writer_can_encode(self, bad, row):
+        # a lone surrogate is a str, but no UTF-8 file can hold it: the set
+        # refuses it, so no writer fails part way through its file
+        words = [f"w{i}" for i in range(2 * BLOCK_ROWS + 5)]
+        words[row] = bad
+        message = f"token at row {row} does not encode as UTF-8: {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             EmbeddingSet(words, np.zeros((len(words), 2)))
 
     def test_non_finite_value_in_a_later_block(self):

@@ -127,6 +127,19 @@ class TestMerge:
                                              "is empty or holds whitespace"):
             merge(pretrained, vocab, seed=1)
 
+    @pytest.mark.parametrize("at", [0, BLOCK_ROWS + 3])
+    def test_rejects_an_unseen_token_no_writer_can_encode(self, at):
+        # a lone surrogate, in the first block of unseen tokens or a later
+        # one: the merge fails before any row is seeded, where the writers
+        # would fail part way through the tuned file
+        pretrained = random_embedding(np.random.default_rng(21), 3, 2)
+        unseen = [f"new{i}" for i in range(2 * BLOCK_ROWS)]
+        unseen[at] = "x\ud800"
+        vocab = build_vocab(_corpus(("t0", *unseen)))
+        with pytest.raises(ValueError, match="^corpus token 'x\\\\ud800' does not "
+                                             "encode as UTF-8, which no embedding file"):
+            merge(pretrained, vocab, seed=1)
+
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(20)
         pretrained = random_embedding(rng, 4, 3)
