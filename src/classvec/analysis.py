@@ -20,11 +20,11 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress
+from itertools import chain, compress, islice
 
 import numpy as np
 
-from .embedding_io import BlockFile, EmbeddingChangedError, EmbeddingSet, _add_new
+from .embedding_io import BlockFile, EmbeddingSet, _add_new
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -52,22 +52,21 @@ def nearest_neighbors(
     no defined cosine and are skipped, so the result may hold fewer than
     k entries when such rows exist.
 
-    The first read keeps a 64-bit hash of the rows of each block before
-    the query's. Where the second read finds other rows there (or, from a
-    ``BlockFile``, other tokens), the file changed between the reads:
-    ``EmbeddingChangedError``. A token ``emb`` lacks is a ``KeyError``,
+    A ``BlockFile`` checks that its second read finds the tokens and rows
+    of its first, or raises ``EmbeddingChangedError``, so every scored row
+    is one the first read found. A token ``emb`` lacks is a ``KeyError``,
     then a ``k`` outside [1, V-1] or a zero query vector a ``ValueError``;
     each is raised once ``emb`` has been read whole, so that a file's own
     errors come first, as when it is loaded.
     """
-    digests: list[int] = []  # of the rows of each block before the query's
+    before = 0  # the blocks before the query's
     reader = emb.blocks()
     for tokens, block in reader:
         if token in tokens:
             at = tokens.index(token)
             q = block[at].astype(np.float64)
             break
-        digests.append(hash(block.tobytes()))
+        before += 1
     else:
         raise KeyError(token)
     qn = math.sqrt(q @ q)
@@ -88,14 +87,7 @@ def nearest_neighbors(
 
     def earlier() -> Iterator[tuple[list[str], np.ndarray]]:
         """The blocks before the query's, read again."""
-        start = 0
-        for digest, (again, rows) in zip(digests, emb.blocks()):
-            if hash(rows.tobytes()) != digest:
-                raise EmbeddingChangedError(
-                    f"the file changed after it was first read: rows {start + 1} to "
-                    f"{start + len(again)} do not hold the vectors read there before"
-                )
-            start += len(again)
+        for again, rows in islice(emb.blocks(), before):
             yield again, _cosines(rows, q, qn)
 
     (late,), late_words = _best(later(), k)
@@ -288,11 +280,12 @@ def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet | BlockFile
     when ``after`` is loaded first: any error of ``after``, then a
     dimension mismatch, then an error of ``before``.
     """
+    index: dict[str, None] = {}  # every after token read, in order
+    after_blocks = after.blocks(partial(_add_new, index, False))
     if before.dim != after.dim:
-        for _ in after.blocks():
+        for _ in after_blocks:
             pass
         raise ValueError(f"dimension mismatch: {before.dim} vs {after.dim}")
-    index: dict[str, None] = {}  # every after token read, in order
     # while the sides agree, the before tokens of the block in hand (the
     # reader records a failed block again row by row, to name its first
     # bad row); from then on, the after rows not paired yet, by token:
@@ -334,7 +327,6 @@ def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet | BlockFile
         for part, values in zip(parts, (rows, *_pair_stats(vb, va))):
             part.append(values)
 
-    after_blocks = after.blocks(partial(_add_new, index, False))
     row_bytes = np.dtype((np.void, 4 * after.dim))
     for tokens, vb in _errors_after(before.blocks(add), after_blocks):
         if rest is None:

@@ -21,7 +21,8 @@ every row builds the set's index as it reads, so no token is hashed or
 checked twice; :func:`load_rows` is a load that keeps the rows of some
 tokens. :class:`BlockFile` gives the stream itself, for a caller that
 compares two files block by block, or reads one twice, and never needs
-a matrix.
+a matrix; a file read twice is checked, block by block, to hold the
+tokens and rows of its first read.
 
 The reader tops the unparsed input up to a chunk of raw bytes with room
 for a block and hands it to the format's scanner of the compiled kernel
@@ -217,31 +218,6 @@ def _add_new(index: dict, rows: bool, tokens: list[str], row: int) -> bool:
         for token in tokens:  # a repeat within tokens: take them out again
             index.pop(token, None)
     return False
-
-
-def _hash_tokens(seen: dict[str, None], blocks: dict[int, tuple[int, int]],
-                 tokens: list[str], row: int) -> bool:
-    """The record of a :class:`BlockFile`'s first read: ``tokens`` in
-    ``seen``, without rows, and their count and tuple's hash in ``blocks``
-    under ``row``; False, recording nothing, on a repeat."""
-    if not _add_new(seen, False, tokens, row):
-        return False
-    blocks[row] = (len(tokens), hash(tuple(tokens)))
-    return True
-
-
-def _check_tokens(blocks: dict[int, tuple[int, int]], tokens: list[str],
-                  row: int) -> bool:
-    """The record of a :class:`BlockFile` read again: True if ``tokens``
-    are the block the first read recorded at ``row``, by their count and
-    hash; else raise :class:`EmbeddingChangedError`. The reader splits an
-    unchanged file into the same blocks on every read."""
-    if blocks.get(row) != (len(tokens), hash(tuple(tokens))):
-        raise EmbeddingChangedError(
-            f"the file changed after it was first read: rows {row + 1} to "
-            f"{row + len(tokens)} do not hold the tokens read there before"
-        )
-    return True
 
 
 def _token_error(token: bytes, add: Record, row: int) -> str | None:
@@ -611,9 +587,9 @@ class BlockFile:
     def __init__(self, path: str, fmt: str):
         self._file = _open(path, fmt)
         self._fmt = fmt
-        # the count and hash of the tokens of each block, by its first
-        # row, recorded by the first read that completes
-        self._blocks: dict[int, tuple[int, int]] | None = None
+        # the hashes of the tokens and of the rows of each block, by its
+        # first row, kept by the first read without a record that completes
+        self._hashes: dict[int, tuple[int, int]] | None = None
         try:
             self._rows, self.dim, _, self._base = _read_header(self._file, fmt)
         except BaseException:
@@ -632,22 +608,36 @@ class BlockFile:
         :class:`EmbeddingFormatError`, as a load does.
 
         Without ``add``, the first read checks the tokens for repeats in a
-        token set of its own and keeps only a 64-bit hash of each block's
-        tokens once it completes; every later read checks its blocks
-        against those hashes and raises :class:`EmbeddingChangedError` at
-        the first block whose tokens differ, so that a file read twice
-        yields the same tokens twice."""
-        record = None
-        if add is None and self._blocks is None:
-            record = {}
-            add = partial(_hash_tokens, {}, record)
-        elif add is None:
-            add = partial(_check_tokens, self._blocks)
+        token set of its own and keeps only two 64-bit hashes of each block,
+        of its tokens and of its rows, once it completes; every later read
+        checks each block against them as it arrives and raises
+        :class:`EmbeddingChangedError` at the first block whose tokens or
+        rows differ, so that a file read twice yields the same tokens and
+        rows twice. A read with ``add`` hashes and checks nothing."""
+        own, first = add is None, self._hashes is None
+        if own:
+            # a read again matches a first read that found no repeats
+            add = partial(_add_new, {}, False) if first else lambda tokens, row: True
+        kept: dict[int, tuple[int, int]] = {}
+        row = 0
         self._file.seek(self._base)
-        yield from _read_rows(self._file, self._fmt, self._base, len(self),
-                              self.dim, add)
-        if record is not None:
-            self._blocks = record
+        for tokens, block in _read_rows(self._file, self._fmt, self._base, len(self),
+                                        self.dim, add):
+            if own:
+                # hashed before it is yielded: a caller may write into the block
+                found = hash(tuple(tokens)), hash(block.tobytes())
+                if first:
+                    kept[row] = found
+                elif (before := self._hashes.get(row, (None, None))) != found:
+                    raise EmbeddingChangedError(
+                        f"the file changed after it was first read: rows {row + 1} to "
+                        f"{row + len(tokens)} do not hold the "
+                        f"{'tokens' if before[0] != found[0] else 'vectors'} read there before"
+                    )
+            row += len(tokens)
+            yield tokens, block
+        if own and first:
+            self._hashes = kept
 
     def close(self) -> None:
         self._file.close()

@@ -8,9 +8,12 @@ of each corpus word and gives the corpus words missing from it seeded
 random rows; its row space is the pretrained rows followed by those.
 Training touches only the rows of corpus words, and
 :class:`TunedEmbedding` reads the source a second time, a block at a
-time, writing the tuned rows over the corpus words' rows in place. The
-vocabulary keeps the corpus it counted, so a merged model carries the
-documents it is tuned on.
+time, writing the tuned rows over the corpus words' rows in place and
+passing every other row through bit for bit. A ``BlockFile`` checks that
+this second read finds the tokens and rows of the first, so no row of a
+file changed in between reaches the tuned vectors. The vocabulary keeps
+the corpus it counted, so a merged model carries the documents it is
+tuned on.
 """
 from __future__ import annotations
 
@@ -23,9 +26,7 @@ import numpy as np
 
 from . import _kernel
 from .corpus import LabeledCorpus
-from .embedding_io import (
-    BLOCK_ROWS, BlockFile, EmbeddingChangedError, EmbeddingSet, writable,
-)
+from .embedding_io import BLOCK_ROWS, BlockFile, EmbeddingSet, writable
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,8 @@ class TunedEmbedding:
 
     :meth:`blocks` reads the pretrained source a second time and writes
     the tuned rows over each block's corpus rows in place, so a write
-    holds a block of rows, not the merged matrix; :meth:`embedding_set`
+    holds a block of rows, not the merged matrix; every other row passes
+    through as the source yields it. :meth:`embedding_set`
     collects them, for a caller that wants the tuned vectors as an
     :class:`EmbeddingSet`.
     """
@@ -116,9 +118,9 @@ class TunedEmbedding:
         """The tokens and float32 rows of each block of merged rows, in order:
         the pretrained source's blocks, then the unseen rows.
 
-        Raises ``EmbeddingChangedError`` before it yields a block whose
-        tokens (checked by the source: a ``BlockFile`` against its first
-        read) or corpus rows differ from those :func:`merge` read."""
+        A ``BlockFile`` source raises ``EmbeddingChangedError`` before it
+        yields a block whose tokens or rows differ from those :func:`merge`
+        read, corpus and frozen rows alike."""
         model = self.model
         order = np.argsort(model.rows)  # vocabulary rows by merged row
         at = model.rows[order]
@@ -128,15 +130,7 @@ class TunedEmbedding:
                 block = block.copy()
             stop = start + len(tokens)
             lo, hi = np.searchsorted(at, (start, stop))
-            mine, vocab_rows = at[lo:hi] - start, order[lo:hi]
-            same = (block[mine].view(np.uint32)
-                    == model.corpus_rows[vocab_rows].view(np.uint32)).all(axis=1)
-            if not same.all():
-                raise EmbeddingChangedError(
-                    "the pretrained vectors changed after they were merged: "
-                    f"the row of corpus token {tokens[mine[~same][0]]!r} differs"
-                )
-            block[mine] = self.rows[vocab_rows]
+            block[at[lo:hi] - start] = self.rows[order[lo:hi]]
             yield tokens, block
             start = stop
         unseen = order[np.searchsorted(at, start):]

@@ -696,8 +696,10 @@ class TestStreamedStages:
 
     @pytest.mark.parametrize("fmt", ["text", "bin"])
     @pytest.mark.parametrize("change, message", [
-        ("corpus_row", "the pretrained vectors changed after they were merged: "
-                       "the row of corpus token 'spam3' differs"),
+        ("corpus_row", "the file changed after it was first read: rows 1 to 20 do "
+                       "not hold the vectors read there before"),
+        ("frozen_row", "the file changed after it was first read: rows 1 to 21 do "
+                       "not hold the vectors read there before"),
         ("token", "the file changed after it was first read: rows 1 to 20 do "
                   "not hold the tokens read there before"),
     ])
@@ -708,9 +710,16 @@ class TestStreamedStages:
         tmp_path, _, corpus = workspace
         pre = str(tmp_path / f"pretrained.{fmt}")
         emb = _write_pretrained(pre, fmt)
-        if change == "corpus_row":
+        if change == "frozen_row":
+            # every word of the file is a corpus word: add one that is not
+            emb = EmbeddingSet(emb.words + ["frozen"],
+                               np.vstack([emb.matrix, emb.matrix[:1] * 2]))
+            with open(pre, "wb") as f:
+                (save_text if fmt == "text" else save_binary)(emb, f)
+        if change.endswith("_row"):
+            at = 3 if change == "corpus_row" else 20
             matrix = emb.matrix.copy()
-            matrix[3] = matrix[3][::-1]  # the same numerals, in another order
+            matrix[at] = matrix[at][::-1]  # the same numerals, in another order
             changed = EmbeddingSet(emb.words, matrix)
         else:
             changed = EmbeddingSet([w.replace("ham5", "hbm5") for w in emb.words],

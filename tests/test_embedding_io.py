@@ -805,6 +805,20 @@ def test_block_file_read_again_yields_its_first_tokens_or_fails(tmp_path, fmt):
                            match="^the file changed after it was first read: rows 257 "
                                  "to 512 do not hold the tokens read there before$"):
             next(blocks)
+        # so is a numeral rewritten in place, at its length, in the second block:
+        # the leading digit of t300's first (text), a low bit of it (binary)
+        changed = bytearray(data)
+        at = data.index(b"t300 ") + len(b"t300 ")
+        if fmt == "text":
+            at = next(i for i in range(at, len(data)) if data[i:i + 1].isdigit())
+            changed[at] = ord("0") + (changed[at] - ord("0") + 1) % 10
+        else:
+            changed[at] ^= 1
+        path.write_bytes(bytes(changed))
+        with pytest.raises(EmbeddingChangedError,
+                           match="^the file changed after it was first read: rows 257 "
+                                 "to 512 do not hold the vectors read there before$"):
+            list(source.blocks())
         # so is a swap of two tokens of one block
         words = list(emb.words)
         words[5], words[7] = words[7], words[5]

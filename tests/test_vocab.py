@@ -272,7 +272,8 @@ class TestStreamedSource:
             assert emb.matrix.tobytes() == expected.embedding_set().matrix.tobytes()
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    @pytest.mark.parametrize("change", ["corpus_row", "frozen_token", "corpus_token"])
+    @pytest.mark.parametrize("change", ["corpus_row", "frozen_row", "frozen_token",
+                                        "corpus_token"])
     def test_a_file_changed_after_the_merge_fails_the_write(self, tmp_path, fmt, change):
         loaded, rows, path, save = self._files(tmp_path, fmt)
         pretrained = loaded.pretrained
@@ -281,15 +282,15 @@ class TestStreamedSource:
         frozen = next(i for i in range(BLOCK_ROWS, len(pretrained))
                       if i not in set(loaded.rows.tolist()))
         words, matrix = list(pretrained.words), pretrained.matrix.copy()
-        if change == "corpus_row":
-            matrix[corpus_row] = matrix[corpus_row][::-1]
-            message = f"the row of corpus token '{words[corpus_row]}' differs"
+        at = corpus_row if change.startswith("corpus") else frozen
+        first = at - at % BLOCK_ROWS
+        message = f"rows {first + 1} to {min(first + BLOCK_ROWS, len(words))} do not hold"
+        if change.endswith("row"):
+            matrix[at] = matrix[at][::-1]
+            message += " the vectors read there before"
         else:
-            at = corpus_row if change == "corpus_token" else frozen
             words[at] = "x" + words[at][1:]
-            first = at - at % BLOCK_ROWS
-            message = (f"rows {first + 1} to {min(first + BLOCK_ROWS, len(words))} "
-                       "do not hold the tokens read there before")
+            message += " the tokens read there before"
         with BlockFile(path, fmt) as source:
             model = merge(source, loaded.vocab, seed=1)
             changed = io.BytesIO()
