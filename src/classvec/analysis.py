@@ -17,7 +17,7 @@ built from them on demand.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, islice
@@ -45,12 +45,11 @@ def nearest_neighbors(
     ``emb`` is a block source, read whole, then again up to the query's
     block: the first read finds the query and scores its block and every
     later one, the second scores the blocks before it. Rows are scored in
-    float64, each on its own, so no cosine depends on its block. Each
-    read merges its scores into a running top k by a stable sort, running
-    entries first, and the second read's top k goes before the first's,
-    so exact ties rank in vocabulary order. Zero-norm candidate rows have
-    no defined cosine and are skipped, so the result may hold fewer than
-    k entries when such rows exist.
+    float64, each on its own, so no cosine depends on its block. The first
+    read keeps a running top k; the blocks of the second read, then that
+    top k, go into one more, so exact ties rank in vocabulary order.
+    Zero-norm candidate rows have no defined cosine and are skipped, so
+    the result may hold fewer than k entries when such rows exist.
 
     A ``BlockFile`` checks that its second read finds the tokens and rows
     of its first, or raises ``EmbeddingChangedError``, so every scored row
@@ -90,9 +89,8 @@ def nearest_neighbors(
         for again, rows in islice(emb.blocks(), before):
             yield again, _cosines(rows, q, qn)
 
-    (late,), late_words = _best(later(), k)
-    (early,), early_words = _best(earlier(), k)
-    (best,), words = _top([early, late], early_words + late_words, k)
+    late = _best(later(), k)  # after the earlier blocks, so ties rank in row order
+    words, best = _best(chain(earlier(), [late]), k)
     return [(t, s) for t, s in zip(words, best.tolist()) if s > -np.inf]
 
 
@@ -107,29 +105,23 @@ def _cosines(block: np.ndarray, q: np.ndarray, qn: float) -> np.ndarray:
     return np.where(norms > 0.0, cos, -np.inf)
 
 
-def _best(scored: Iterator[tuple[list[str], np.ndarray]], k: int
-          ) -> tuple[list[np.ndarray], list[str]]:
-    """The top k of the tokens and scores of ``scored``, a block at a
-    time, as :func:`_top` gives them; the candidates are pruned to the k
-    best whenever they are more than 2k, once per k rows or more."""
-    scores = [np.empty(0)]
+def _best(scored: Iterable[tuple[list[str], np.ndarray]], k: int
+          ) -> tuple[list[str], np.ndarray]:
+    """The k best of the tokens and scores of ``scored``, best first, by a
+    stable sort: of equal scores, the one listed first. The candidates are
+    read a block at a time and pruned to the k best whenever they are more
+    than 2k, once per k rows or more."""
     words: list[str] = []
-    for tokens, sims in scored:
-        scores.append(sims)
-        words += tokens
-        if len(words) > 2 * k:
-            scores, words = _top(scores, words, k)
-    return _top(scores, words, k)
-
-
-def _top(scores: list[np.ndarray], words: list[str], k: int
-         ) -> tuple[list[np.ndarray], list[str]]:
-    """The k best of the candidates with ``scores`` (arrays, joined in
-    order) and ``words``, best first, by a stable sort: of equal scores,
-    the one listed first."""
-    joined = np.concatenate(scores)
-    order = np.argsort(-joined, kind="stable")[:k]
-    return [joined[order]], [words[i] for i in order.tolist()]
+    scores: list[np.ndarray] = []
+    last = ([], np.empty(0))  # prunes the candidates once more at the end
+    for item in chain(scored, [last]):
+        words += item[0]
+        scores.append(item[1])
+        if item is last or len(words) > 2 * k:
+            joined = np.concatenate(scores)
+            order = np.argsort(-joined, kind="stable")[:k]
+            words, scores = [words[i] for i in order.tolist()], [joined[order]]
+    return words, scores[0]
 
 
 class _Entries(Sequence):
@@ -271,7 +263,8 @@ def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet | BlockFile
     ``after`` is read and its rows kept, and the rest of ``before`` is
     compared with them token by token, a block at a time: files in other
     orders hold at most one set's rows. No token of ``before`` is kept
-    beyond its block but those ``after`` lacks.
+    beyond its block but those ``after`` lacks: an earlier one is paired
+    or lacked by ``after``, which is how a repeat is found.
 
     The cosine of a pair with a zero-norm side is defined as 1.0 when both
     rows are identical, else 0.0 (fine-tuning never zeroes a vector; this
@@ -286,64 +279,55 @@ def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet | BlockFile
         for _ in after_blocks:
             pass
         raise ValueError(f"dimension mismatch: {before.dim} vs {after.dim}")
-    # while the sides agree, the before tokens of the block in hand (the
-    # reader records a failed block again row by row, to name its first
-    # bad row); from then on, the after rows not paired yet, by token:
-    # their row and bytes
-    held: set[str] = set()
+    held: set[str] = set()  # the before tokens of the block in hand
+    # while the sides agree, None; from then on, the after rows not paired
+    # yet, by token: their row and bytes
     rest: dict[str, tuple[int, bytes]] | None = None
     only_before: dict[str, None] = {}
     # the pairs of each block compared: after rows, cosines and shifts
     parts: tuple[list[np.ndarray], ...] = ([], [], [])
-    found = ([], [], b"")  # the last pairing: before hits, their after rows and bytes
-
-    def pair(tokens: list[str]) -> None:
-        """Record ``before`` tokens against the rest of ``after``: those it
-        holds as paired, taking their rows out of it, the others as
-        ``only_before``."""
-        nonlocal found
-        hit = [t in rest for t in tokens]
-        taken = [rest.pop(t) for t in compress(tokens, hit)]
-        found = hit, [row for row, _ in taken], b"".join([v for _, v in taken])
-        only_before.update(dict.fromkeys(t for t, h in zip(tokens, hit) if not h))
 
     def add(tokens: list[str], row: int) -> bool:
-        """The reader's record of ``before`` tokens. A token of an earlier
-        block is paired, and its after row read, or in ``only_before``."""
-        if len(set(tokens)) != len(tokens):
+        """The reader's record of ``before`` tokens, which only accepts or
+        rejects them: False if one repeats another or a ``before`` token
+        recorded earlier; else they are held until the loop takes their
+        block. (The reader records a failed block again row by row.)"""
+        if len(set(tokens)) != len(tokens) or not held.isdisjoint(tokens):
             return False
+        # a token of an earlier block is paired or in only_before; while
+        # the sides agree, every after token read is paired
         if rest is None:
-            if not (held.isdisjoint(tokens) and index.keys().isdisjoint(tokens)):
+            if not index.keys().isdisjoint(tokens):
                 return False
-            held.update(tokens)
-        else:
-            if not only_before.keys().isdisjoint(tokens) or any(
-                    t in index and t not in rest for t in tokens):
-                return False
-            pair(tokens)
+        elif not only_before.keys().isdisjoint(tokens) or any(
+                t in index and t not in rest for t in tokens):
+            return False
+        held.update(tokens)
         return True
-
-    def compare(rows: np.ndarray, vb: np.ndarray, va: np.ndarray) -> None:
-        for part, values in zip(parts, (rows, *_pair_stats(vb, va))):
-            part.append(values)
 
     row_bytes = np.dtype((np.void, 4 * after.dim))
     for tokens, vb in _errors_after(before.blocks(add), after_blocks):
+        held.clear()
         if rest is None:
-            held.clear()
             ta, va = next(after_blocks, ([], None))
             if ta == tokens:
-                compare(np.arange(len(index) - len(ta), len(index)), vb, va)
-                continue
-            rest = {}
-            for ta, va in chain([(ta, va)] if ta else [], after_blocks):
-                rows = range(len(index) - len(ta), len(index))
-                rest.update(zip(ta, zip(rows, np.ascontiguousarray(va).view(row_bytes)
-                                        .ravel().tolist())))
-            pair(tokens)
-        hit, rows, values = found
-        compare(np.array(rows, dtype=np.int64), vb[np.array(hit, dtype=bool)],
-                np.frombuffer(values, dtype=np.float32).reshape(len(rows), after.dim))
+                rows = np.arange(len(index) - len(ta), len(index))
+            else:
+                rest = {}
+                for ta, va in chain([(ta, va)] if ta else [], after_blocks):
+                    at = range(len(index) - len(ta), len(index))
+                    rest.update(zip(ta, zip(at, np.ascontiguousarray(va).view(row_bytes)
+                                            .ravel().tolist())))
+        if rest is not None:
+            hit = [t in rest for t in tokens]
+            taken = [rest.pop(t) for t in compress(tokens, hit)]
+            only_before.update(dict.fromkeys(t for t, h in zip(tokens, hit) if not h))
+            rows = np.array([row for row, _ in taken], dtype=np.int64)
+            vb = vb[np.array(hit, dtype=bool)]
+            va = np.frombuffer(b"".join([v for _, v in taken]), dtype=np.float32
+                               ).reshape(len(taken), after.dim)
+        for part, values in zip(parts, (rows, *_pair_stats(vb, va))):
+            part.append(values)
     for _ in after_blocks:  # the after rows past the last before row
         pass
     shared = sum(map(len, parts[0]))

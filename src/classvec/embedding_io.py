@@ -55,9 +55,12 @@ BLOCK_ROWS = 256
 # whitespace and non-ASCII digits; no word2vec writer emits those.
 _NUMERAL_BYTES = b"0123456789+-.eEinfatyINFATY"
 
-# Records the tokens a reader reads, block by block: add(tokens, row) takes
-# the tokens of the rows from ``row`` on, or returns False, recording
-# nothing, if one of them repeats a recorded token or another of them
+# Records the tokens a reader reads, block by block: add(tokens, row)
+# accepts the tokens of the rows from ``row`` on, or rejects them with
+# False if one of them repeats a recorded token or another of them. A
+# rejected call records nothing. The reader yields a block only after its
+# record accepted the block's tokens; for a block that fails, it may call
+# the record again row by row, to name the first bad row, and then raises.
 Record = Callable[[list[str], int], bool]
 
 

@@ -45,10 +45,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.index
 
-    @property
-    def total_tokens(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class MergedModel:
@@ -175,7 +171,7 @@ def merge(pretrained: EmbeddingSet | BlockFile, vocab: Vocabulary, seed: int
     follow the pretrained rows in vocabulary order.
 
     ``pretrained`` is any block source (``len``, ``dim`` and
-    ``blocks(add)``): an ``EmbeddingSet``, or a ``BlockFile`` that streams
+    ``blocks()``): an ``EmbeddingSet``, or a ``BlockFile`` that streams
     a file with every check of a load. The model holds no pretrained row
     beyond those of the corpus tokens; the result is deterministic in
     (pretrained, vocab, seed). A corpus token the source lacks that is

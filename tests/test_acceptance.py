@@ -18,6 +18,10 @@ suite both gates and documents the release bar:
    sets; softmax output is a distribution to 1e-12.
 8. Neighbor search matches an exhaustive scan on a 1000-word vocabulary,
    and self-comparison drift is exactly zero.
+
+Next to criterion 4, and not a criterion of its own, a one-class control
+isolates the paper's claim: class-conditioned tuning beats tuning on the
+same documents under a single label.
 """
 from __future__ import annotations
 
@@ -275,6 +279,27 @@ def test_criterion_4_finetuning_beats_frozen_features_downstream():
         f"{wins}/10 seeds; frozen {min(frozen_accs):.3f}-{max(frozen_accs):.3f}, "
         f"tuned {min(tuned_accs):.3f}-{max(tuned_accs):.3f}",
     )
+
+
+def test_class_conditioning_beats_a_one_class_control_downstream():
+    """The paper's claim alone: tuned with every label replaced by one
+    class, the same documents give a weaker probe on the real labels than
+    class-conditioned tuning does. With one marker per document, only the
+    class context links the markers of a class; criterion 4's task, with
+    two markers per document in one window, does not separate the two."""
+    emb, train, test, _ = confusable_corpus(marker_occ=1)
+    control = from_documents([Document(d.tokens, ("all",)) for d in train.docs])
+    models = [merge(emb, build_vocab(corpus), seed=3) for corpus in (train, control)]
+
+    def accuracy(model, seed):
+        cfg = FinetuneConfig(seed=seed, epochs=40)
+        tuned = TunedEmbedding(model, finetune(model, cfg)[0]).embedding_set()
+        clf = train_classifier(train, tuned, ClassifierConfig(seed=seed))
+        return sum(predict(clf, d, tuned) == d.labels[0] for d in test.docs) / len(test.docs)
+
+    accs = [[accuracy(model, seed) for model in models] for seed in range(10)]
+    wins = sum(conditioned > one_class for conditioned, one_class in accs)
+    assert wins >= 9, (wins, accs)
 
 
 def _write_cli_inputs(tmp_path):

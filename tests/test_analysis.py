@@ -532,7 +532,19 @@ def test_drift_of_two_streams_matches_the_per_token_reference(tmp_path, fmt, ord
     sets["new"] = _after_of(sets["old"], order, n)
     paths = {name: _write(emb, tmp_path / name, fmt) for name, emb in sets.items()}
     # each way round, so that tokens are on one side only on either side
-    for names in (("old", "new"), ("new", "old")):
+    pairs = [("old", "new"), ("new", "old")]
+    if fmt == "text" and order == "reversed" and n > BLOCK_ROWS + 30:
+        # one row at '%.17g', which the kernel's scanner declines: the
+        # kernel then reads before in blocks of 256, 30, 256 and 7 rows,
+        # whose edges are not after's
+        lines = (tmp_path / "old").read_bytes().split(b"\n")
+        row = BLOCK_ROWS + 30
+        lines[row + 1] = " ".join([sets["old"].words[row], *(
+            "%.17g" % v for v in sets["old"].matrix[row].tolist())]).encode()
+        (tmp_path / "wide").write_bytes(b"\n".join(lines))
+        sets["wide"], paths["wide"] = sets["old"], str(tmp_path / "wide")
+        pairs.append(("wide", "new"))
+    for names in pairs:
         with BlockFile(paths[names[0]], fmt) as a, BlockFile(paths[names[1]], fmt) as b:
             streamed = drift(a, b)
         first, second = (sets[name] for name in names)
@@ -553,20 +565,26 @@ def test_drift_of_two_streams_matches_the_per_token_reference(tmp_path, fmt, ord
 
 @pytest.mark.usefixtures("kernel_or_not")
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("row, of", [(2, 1), (BLOCK_ROWS + 40, 5)])
+@pytest.mark.parametrize("row, of", [(2, 1), (BLOCK_ROWS + 40, 5),
+                                     (BLOCK_ROWS + 40, BLOCK_ROWS + 5)])
 def test_drift_of_a_repeated_token_fails_as_its_load(tmp_path, fmt, row, of):
     n = 2 * BLOCK_ROWS + 37
     before = random_embedding(np.random.default_rng(3), n, 4)
     words = list(before.words)
     words[row] = "DUP"
     _write(before, tmp_path / "good", fmt)
+    # the good set reversed: its blocks differ from the bad set's from the
+    # first on, so drift reads the bad set's repeat against rows it paired
+    _write(EmbeddingSet(before.words[::-1], before.matrix[::-1]), tmp_path / "reversed", fmt)
     _write(EmbeddingSet(words, before.matrix), tmp_path / "bad", fmt)
     data = (tmp_path / "bad").read_bytes()
     (tmp_path / "bad").write_bytes(data.replace(b"DUP ", words[of].encode() + b" "))
     with pytest.raises(ValueError) as loaded:
         load_file(str(tmp_path / "bad"), fmt)
-    assert "duplicate token" in str(loaded.value)
-    for pair in (("bad", "good"), ("good", "bad")):
+    at = (f"line {row + 2}" if fmt == "text" else
+          f"byte {len(f'{n} 4 ') + sum(len(w) + 1 + 16 for w in words[:row])}")
+    assert str(loaded.value) == f"{at}: duplicate token {words[of]!r}"
+    for pair in (("bad", "good"), ("good", "bad"), ("bad", "reversed"), ("reversed", "bad")):
         with BlockFile(str(tmp_path / pair[0]), fmt) as a, \
                 BlockFile(str(tmp_path / pair[1]), fmt) as b:
             with pytest.raises(type(loaded.value)) as streamed:
