@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, islice
@@ -55,8 +56,8 @@ def nearest_neighbors(
     of its first, or raises ``EmbeddingChangedError``, so every scored row
     is one the first read found. A token ``emb`` lacks is a ``KeyError``,
     then a ``k`` outside [1, V-1] or a zero query vector a ``ValueError``;
-    each is raised once ``emb`` has been read whole, so that a file's own
-    errors come first, as when it is loaded.
+    each is raised once ``emb`` is read whole (:func:`_errors_after`), so
+    that a file's own errors come first, as when it is loaded.
     """
     before = 0  # the blocks before the query's
     reader = emb.blocks()
@@ -69,12 +70,11 @@ def nearest_neighbors(
     else:
         raise KeyError(token)
     qn = math.sqrt(q @ q)
-    if not 1 <= k < len(emb) or qn == 0.0:
-        for _ in reader:
-            pass
+    with _errors_after(reader):
         if not 1 <= k < len(emb):
             raise ValueError(f"k must be in [1, {len(emb) - 1}], got {k}")
-        raise ValueError("cosine of a zero vector is undefined")
+        if qn == 0.0:
+            raise ValueError("cosine of a zero vector is undefined")
 
     def later() -> Iterator[tuple[list[str], np.ndarray]]:
         """The query's block, the query's cosine dropped, and the rest."""
@@ -239,12 +239,13 @@ def _summary(
     }
 
 
-def _errors_after(blocks: Iterator, first: Iterator) -> Iterator:
-    """The items of ``blocks``; an error they raise is raised once
-    ``first`` has been read to its end, so that an error of ``first``
-    comes before it."""
+@contextmanager
+def _errors_after(first: Iterator):
+    """A block whose ``ValueError`` or ``OSError`` is raised once ``first``
+    has been read to its end, so that an error of ``first`` comes before
+    it."""
     try:
-        yield from blocks
+        yield
     except (ValueError, OSError):
         for _ in first:
             pass
@@ -264,79 +265,75 @@ def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet | BlockFile
     compared with them token by token, a block at a time: files in other
     orders hold at most one set's rows. No token of ``before`` is kept
     beyond its block but those ``after`` lacks: an earlier one is paired
-    or lacked by ``after``, which is how a repeat is found.
+    or lacked by ``after``, which is how one rule finds a repeat.
 
     The cosine of a pair with a zero-norm side is defined as 1.0 when both
     rows are identical, else 0.0 (fine-tuning never zeroes a vector; this
     only pads pathological inputs). Rows are compared in float64, a block
     at a time, so no temporary spans the whole vocabulary. Errors come as
-    when ``after`` is loaded first: any error of ``after``, then a
-    dimension mismatch, then an error of ``before``.
+    when ``after`` is loaded first (:func:`_errors_after`): any error of
+    ``after``, then a dimension mismatch, then an error of ``before``.
     """
     index: dict[str, None] = {}  # every after token read, in order
     after_blocks = after.blocks(partial(_add_new, index, False))
-    if before.dim != after.dim:
-        for _ in after_blocks:
-            pass
-        raise ValueError(f"dimension mismatch: {before.dim} vs {after.dim}")
     held: set[str] = set()  # the before tokens of the block in hand
-    # while the sides agree, None; from then on, the after rows not paired
-    # yet, by token: their row and bytes
-    rest: dict[str, tuple[int, bytes]] | None = None
+    agree = True  # while the sides list the same tokens, block by block
+    # once they differ, the after rows not paired yet, by token: row and
+    # bytes; empty while they agree, when every after token read is paired
+    rest: dict[str, tuple[int, bytes]] = {}
     only_before: dict[str, None] = {}
     # the pairs of each block compared: after rows, cosines and shifts
     parts: tuple[list[np.ndarray], ...] = ([], [], [])
 
     def add(tokens: list[str], row: int) -> bool:
         """The reader's record of ``before`` tokens, which only accepts or
-        rejects them: False if one repeats another or a ``before`` token
-        recorded earlier; else they are held until the loop takes their
-        block. (The reader records a failed block again row by row.)"""
-        if len(set(tokens)) != len(tokens) or not held.isdisjoint(tokens):
-            return False
-        # a token of an earlier block is paired or in only_before; while
-        # the sides agree, every after token read is paired
-        if rest is None:
-            if not index.keys().isdisjoint(tokens):
-                return False
-        elif not only_before.keys().isdisjoint(tokens) or any(
-                t in index and t not in rest for t in tokens):
+        rejects them: False if one repeats another of them or of ``held``,
+        is in ``only_before`` or is paired (read in ``after``, gone from
+        ``rest``); else they are held until the loop takes their block.
+        (The reader records a failed block again row by row.)"""
+        if (len(set(tokens)) != len(tokens) or not held.isdisjoint(tokens)
+                or not only_before.keys().isdisjoint(tokens)
+                or (not index.keys().isdisjoint(tokens)
+                    and any(t in index and t not in rest for t in tokens))):
             return False
         held.update(tokens)
         return True
 
     row_bytes = np.dtype((np.void, 4 * after.dim))
-    for tokens, vb in _errors_after(before.blocks(add), after_blocks):
-        held.clear()
-        if rest is None:
-            ta, va = next(after_blocks, ([], None))
-            if ta == tokens:
-                rows = np.arange(len(index) - len(ta), len(index))
-            else:
-                rest = {}
-                for ta, va in chain([(ta, va)] if ta else [], after_blocks):
-                    at = range(len(index) - len(ta), len(index))
-                    rest.update(zip(ta, zip(at, np.ascontiguousarray(va).view(row_bytes)
-                                            .ravel().tolist())))
-        if rest is not None:
-            hit = [t in rest for t in tokens]
-            taken = [rest.pop(t) for t in compress(tokens, hit)]
-            only_before.update(dict.fromkeys(t for t, h in zip(tokens, hit) if not h))
-            rows = np.array([row for row, _ in taken], dtype=np.int64)
-            vb = vb[np.array(hit, dtype=bool)]
-            va = np.frombuffer(b"".join([v for _, v in taken]), dtype=np.float32
-                               ).reshape(len(taken), after.dim)
-        for part, values in zip(parts, (rows, *_pair_stats(vb, va))):
-            part.append(values)
-    for _ in after_blocks:  # the after rows past the last before row
-        pass
+    with _errors_after(after_blocks):
+        if before.dim != after.dim:
+            raise ValueError(f"dimension mismatch: {before.dim} vs {after.dim}")
+        for tokens, vb in before.blocks(add):
+            held.clear()
+            if agree:
+                ta, va = next(after_blocks, ([], None))
+                if ta == tokens:
+                    rows = np.arange(len(index) - len(ta), len(index))
+                else:
+                    agree = False
+                    for ta, va in chain([(ta, va)] if ta else [], after_blocks):
+                        at = range(len(index) - len(ta), len(index))
+                        rest.update(zip(ta, zip(at, np.ascontiguousarray(va)
+                                                .view(row_bytes).ravel().tolist())))
+            if not agree:
+                hit = [t in rest for t in tokens]
+                taken = [rest.pop(t) for t in compress(tokens, hit)]
+                only_before.update(dict.fromkeys(t for t, h in zip(tokens, hit) if not h))
+                rows = np.array([row for row, _ in taken], dtype=np.int64)
+                vb = vb[np.array(hit, dtype=bool)]
+                va = np.frombuffer(b"".join([v for _, v in taken]), dtype=np.float32
+                                   ).reshape(len(taken), after.dim)
+            for part, values in zip(parts, (rows, *_pair_stats(vb, va))):
+                part.append(values)
+        for _ in after_blocks:  # the after rows past the last before row
+            pass
     shared = sum(map(len, parts[0]))
     if not shared:
         raise ValueError("the two sets share no tokens")
     words = list(index)
-    only_after = tuple(words[shared:] if rest is None else rest)
+    only_after = tuple(words[shared:] if agree else rest)
     index.clear()  # both freed before the sort
-    rest = None
+    rest.clear()
     rows, cosines, shifts = map(_joined, parts)
     # pairs are compared in before order, so a stable sort keeps it for
     # ties; one array at a time, so the sort holds one more array, not three

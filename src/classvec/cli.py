@@ -31,6 +31,7 @@ import logging
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from importlib import import_module
 from typing import Callable, NoReturn
 
@@ -141,15 +142,20 @@ def _corpus_tokens(corpus) -> set[str]:
     return {t for d in corpus.docs for t in d.tokens}
 
 
+@contextmanager
 def _embeddings_first(path: str, fmt: str, *checks: Callable[[object], None]):
-    """Raise the error of the ``fmt`` file at ``path``, or of one of
-    ``checks`` on its (empty) set, if there is one. Called while a corpus
-    error is handled: a stage that streams its embedding file reads it
+    """A block, such as a corpus read, whose ``ValueError`` or ``OSError``
+    is raised once the ``fmt`` file at ``path`` is read and ``checks`` pass
+    on its (empty) set: a stage that streams its embedding file reads it
     after the corpus, yet the file's errors still come first, as when it
     was loaded before anything else."""
-    emb = load_rows(path, fmt, ())
-    for check in checks:
-        check(emb)
+    try:
+        yield
+    except (ValueError, OSError):
+        emb = load_rows(path, fmt, ())
+        for check in checks:
+            check(emb)
+        raise
 
 
 def cmd_finetune(args: argparse.Namespace) -> int:
@@ -159,7 +165,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         shuffle=args.shuffle,
     )
     _require_files(args.pretrained, args.corpus)
-    try:
+    with _embeddings_first(args.pretrained, args.format):
         corpus = _load_corpus(args.corpus, args.multilabel)
         if args.export_class_vectors:
             # checked before training, so that nothing is written for a
@@ -170,9 +176,6 @@ def cmd_finetune(args: argparse.Namespace) -> int:
                         f"class {name!r} cannot be exported: a token of the "
                         "class-vector file holds no whitespace"
                     )
-    except (ValueError, OSError):
-        _embeddings_first(args.pretrained, args.format)
-        raise
     vocab = build_vocab(corpus)
     # the pretrained file is read twice, a block at a time: merge keeps
     # the corpus tokens' rows, and the export writes the tuned ones over
@@ -207,11 +210,8 @@ def cmd_train_clf(args: argparse.Namespace) -> int:
     if args.threshold is not None:
         check_threshold(args.threshold)
     _require_files(args.embeddings, args.corpus)
-    try:
+    with _embeddings_first(args.embeddings, args.format):
         corpus = _load_corpus(args.corpus, args.multilabel)
-    except (ValueError, OSError):
-        _embeddings_first(args.embeddings, args.format)
-        raise
     # the mean pool reads the rows of corpus tokens alone
     emb = load_rows(args.embeddings, args.format, _corpus_tokens(corpus))
     mode = "multilabel" if args.multilabel else "exclusive"
@@ -234,11 +234,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
 
     multilabel = model.mode == "multilabel"
-    try:
+    with _embeddings_first(args.embeddings, args.format, check_dim):
         corpus = _load_corpus(args.corpus, multilabel)
-    except (ValueError, OSError):
-        _embeddings_first(args.embeddings, args.format, check_dim)
-        raise
     emb = load_rows(args.embeddings, args.format, _corpus_tokens(corpus))
     check_dim(emb)
     pred = [predict(model, d, emb) for d in corpus.docs]

@@ -160,6 +160,8 @@ def writable(tokens: list[str]) -> bool:
 
 # Values a header may declare: numpy cannot shape a float32 array of more
 _MAX_VALUES = np.iinfo(np.intp).max // 4
+# Bytes a header line may take, so that a file without a newline is not read whole
+_HEADER_BYTES = 4096
 
 
 def _parse_header(line: bytes, what: str) -> tuple[int, int]:
@@ -186,11 +188,13 @@ def _too_large(n: int, m: int, what: str) -> EmbeddingFormatError:
 def _read_header(source: BinaryIO, fmt: str) -> tuple[int, int, str, int]:
     """Read and check the header line of a ``fmt`` file; return the rows and
     the dimension it declares, how errors name it and its length in bytes."""
-    header = source.readline()
+    header = source.readline(_HEADER_BYTES)
     if fmt == "text":
         if not header:
             raise EmbeddingFormatError("empty file")
         what = "line 1"
+        if len(header) == _HEADER_BYTES and not header.endswith(b"\n"):
+            raise EmbeddingFormatError(f"{what}: header must be '<vocab_size> <dim>'")
     else:
         if not header.endswith(b"\n"):
             raise EmbeddingFormatError("byte 0: missing or unterminated header line")

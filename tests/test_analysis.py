@@ -245,6 +245,12 @@ class TestDrift:
         assert (q["cosine_p25"], q["shift_p75"]) == (1.0, 0.0)
         assert q["cosine_min"] < 1.0 and q["shift_max"] > 0.0
 
+    def test_summary_of_no_pairs_is_an_error(self):
+        with pytest.raises(ValueError, match="no row pairs to compare"):
+            drift_summary(np.empty((0, 4), np.float32), np.empty((0, 4), np.float32))
+        q = drift_summary(np.empty((0, 4), np.float32), np.empty((0, 4), np.float32), 1)
+        assert (q["cosine_min"], q["shift_max"]) == (1.0, 0.0)
+
     def test_errors(self):
         a = EmbeddingSet(["x"], np.ones((1, 2), np.float32))
         b = EmbeddingSet(["x"], np.ones((1, 3), np.float32))

@@ -227,6 +227,11 @@ class TestTrainClassifier:
         with pytest.raises(ValueError, match="single-label"):
             train_classifier(corpus, emb, mode="exclusive")
 
+    def test_rejects_an_unknown_mode(self):
+        corpus, emb = _cluster_corpus(np.random.default_rng(13), n_per_class=2)
+        with pytest.raises(ValueError, match="mode must be one of .*'fuzzy'"):
+            train_classifier(corpus, emb, mode="fuzzy")
+
     def test_exclusive_needs_two_classes(self):
         emb = EmbeddingSet(["a"], np.ones((1, 2), np.float32))
         corpus = from_documents([Document(("a",), ("only",))])
@@ -297,6 +302,14 @@ class TestModelValidation:
                 np.zeros((2, 2)), np.zeros(2), ("a", "b"), "multilabel",
                 threshold=1.0,
             )
+
+    def test_needs_a_class_and_weights_of_one_column_each(self):
+        with pytest.raises(ValueError, match="at least 1 class required"):
+            ClassifierModel(np.zeros((2, 0)), np.zeros(0), (), "multilabel")
+        with pytest.raises(ValueError, match="weights must be m x K"):
+            ClassifierModel(np.zeros((2, 3)), np.zeros(2), ("a", "b"), "exclusive")
+        with pytest.raises(ValueError, match="weights must be m x K"):
+            ClassifierModel(np.zeros(2), np.zeros(2), ("a", "b"), "multilabel")
 
 
 class TestPersistence:

@@ -579,6 +579,23 @@ class TestChunkBoundaries:
         save_binary(emb, buf)
         _assert_binary_like_reference(buf.getvalue(), steps=(None, 1, 5, 4096))
 
+    def test_binary_vector_runs_past_the_first_chunk(self, tmp_path):
+        # 41-byte rows at m = 4: the first chunk ends 33 bytes into row 199,
+        # inside its vector, which the block reads on from the stream
+        m, n = 4, 2 * BLOCK_ROWS
+        emb = random_embedding(np.random.default_rng(36), n, m)
+        emb = EmbeddingSet([f"w{i:023d}" for i in range(n)], emb.matrix)
+        data = _saved(save_binary, emb)
+        assert divmod(_binary_chunk(m), 24 + 1 + 4 * m) == (199, 33)
+        _assert_binary_like_reference(data, steps=(None, 1, 4096))
+        expected = reference_load_binary(data)
+        path = tmp_path / "v.bin"
+        path.write_bytes(data)
+        with BlockFile(str(path), "bin") as source:
+            blocks = [(tokens, rows.copy()) for tokens, rows in source.blocks()]
+        assert sum((t for t, _ in blocks), []) == expected.words
+        assert np.concatenate([r for _, r in blocks]).tobytes() == expected.matrix.tobytes()
+
     @pytest.mark.parametrize("row", [3, BLOCK_ROWS + 3])
     def test_binary_truncated_mid_vector(self, row):
         emb = random_embedding(np.random.default_rng(35), 2 * BLOCK_ROWS, 2)
@@ -782,6 +799,33 @@ def test_block_file_reads_its_header_on_open_and_rereads_its_blocks(tmp_path):
         BlockFile(path, "bin")
     with pytest.raises(ValueError, match="unknown embedding format"):
         BlockFile(path, "json")
+
+
+@pytest.mark.parametrize("fmt, message", [
+    ("text", "line 1: header must be '<vocab_size> <dim>'"),
+    ("bin", "byte 0: missing or unterminated header line"),
+])
+def test_a_header_without_a_newline_is_read_in_bounded_memory(tmp_path, fmt, message):
+    path = str(tmp_path / "ones")
+    with open(path, "wb") as f:
+        f.write(b"1" * (8 << 20))
+    for read in (BlockFile, load_file, lambda path, fmt: load_rows(path, fmt, ())):
+        tracemalloc.start()
+        try:
+            with pytest.raises(EmbeddingFormatError) as caught:
+                read(path, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == message
+        assert peak < 1 << 20, peak
+
+
+def test_a_text_header_below_the_line_limit_reads_as_before():
+    padded = b"1 2" + b" " * 4000 + b"\n"
+    assert load_text(io.BytesIO(padded + b"a 1 2\n")).words == ["a"]
+    with pytest.raises(EmbeddingFormatError, match="declares 1 rows but file has 0"):
+        load_text(io.BytesIO(b"1 2"))  # unterminated, at the end of the file
 
 
 @pytest.mark.usefixtures("kernel_or_not")

@@ -5,6 +5,7 @@ import io
 import logging
 import math
 import os
+import platform
 import shlex
 import shutil
 import stat
@@ -1073,6 +1074,19 @@ class TestKernel:
             kernel(state, _one_pass(idx, 0, np.full(2, 0.025)))
         assert state.input_matrix.tobytes() == before.tobytes()
 
+    def test_rejects_a_chunk_whose_arrays_disagree_in_shape(self, kernel):
+        model, corpus = small_setup()
+        state = init_state(model, FinetuneConfig(negative=2, seed=4))
+        _train_doc(state, corpus.docs[0])  # nonzero outputs: every step writes
+        before = [a.copy() for a in (state.input_matrix, state.output_matrix,
+                                     state.class_vectors)]
+        idx = np.arange(3, dtype=np.int64)
+        with pytest.raises(ValueError, match="training chunk arrays disagree in shape"):
+            kernel(state, _one_pass(idx, 0, np.full(2, 0.025)))
+        after = (state.input_matrix, state.output_matrix, state.class_vectors)
+        for a, b in zip(after, before):
+            assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("spoil", [
         lambda a: a.astype(np.float64),
         lambda a: np.repeat(a, 2, axis=1)[:, ::2],
@@ -1101,6 +1115,22 @@ class TestKernel:
         with pytest.raises(OSError, match="false exited 1"):
             _kernel.compile_library(tmp_path / "kernel.so")
         assert list(tmp_path.iterdir()) == []
+
+    def test_build_over_time_raises_and_leaves_no_file(self, tmp_path, monkeypatch):
+        def too_slow(args, **kwargs):
+            raise subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+        monkeypatch.setattr(subprocess, "run", too_slow)
+        with pytest.raises(OSError, match=f"ran over {_kernel.COMPILE_TIMEOUT_S} s"):
+            _kernel.compile_library(tmp_path / "kernel.so")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_host_cpu_without_cpuinfo_names_the_platform(self, monkeypatch):
+        def unreadable(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(_kernel, "open", unreadable, raising=False)
+        assert _kernel.host_cpu() == f"{platform.machine()} {platform.processor()}"
 
     def test_build_gets_the_mode_of_a_new_compiler_output(self, tmp_path, monkeypatch):
         cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
