@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, islice
 
 import numpy as np
 
-from .embedding_io import BlockFile, EmbeddingSet, _add_new
+from .embedding_io import BlockFile, EmbeddingSet, _add_new, errors_after
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -56,8 +55,9 @@ def nearest_neighbors(
     of its first, or raises ``EmbeddingChangedError``, so every scored row
     is one the first read found. A token ``emb`` lacks is a ``KeyError``,
     then a ``k`` outside [1, V-1] or a zero query vector a ``ValueError``;
-    each is raised once ``emb`` is read whole (:func:`_errors_after`), so
-    that a file's own errors come first, as when it is loaded.
+    each is raised once ``emb`` is read whole
+    (:func:`~classvec.embedding_io.errors_after`), so that a file's own
+    errors come first, as when it is loaded.
     """
     before = 0  # the blocks before the query's
     reader = emb.blocks()
@@ -70,7 +70,7 @@ def nearest_neighbors(
     else:
         raise KeyError(token)
     qn = math.sqrt(q @ q)
-    with _errors_after(reader):
+    with errors_after(reader):
         if not 1 <= k < len(emb):
             raise ValueError(f"k must be in [1, {len(emb) - 1}], got {k}")
         if qn == 0.0:
@@ -239,19 +239,6 @@ def _summary(
     }
 
 
-@contextmanager
-def _errors_after(first: Iterator):
-    """A block whose ``ValueError`` or ``OSError`` is raised once ``first``
-    has been read to its end, so that an error of ``first`` comes before
-    it."""
-    try:
-        yield
-    except (ValueError, OSError):
-        for _ in first:
-            pass
-        raise
-
-
 def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet | BlockFile
           ) -> DriftReport:
     """Compare two embedding sets token by token.
@@ -271,11 +258,12 @@ def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet | BlockFile
     rows are identical, else 0.0 (fine-tuning never zeroes a vector; this
     only pads pathological inputs). Rows are compared in float64, a block
     at a time, so no temporary spans the whole vocabulary. Errors come as
-    when ``after`` is loaded first (:func:`_errors_after`): any error of
-    ``after``, then a dimension mismatch, then an error of ``before``.
+    when ``after`` is loaded first
+    (:func:`~classvec.embedding_io.errors_after`): any error of ``after``,
+    then a dimension mismatch, then an error of ``before``.
     """
     index: dict[str, None] = {}  # every after token read, in order
-    after_blocks = after.blocks(partial(_add_new, index, False))
+    after_blocks = after.blocks(partial(_add_new, index))
     held: set[str] = set()  # the before tokens of the block in hand
     agree = True  # while the sides list the same tokens, block by block
     # once they differ, the after rows not paired yet, by token: row and
@@ -285,7 +273,7 @@ def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet | BlockFile
     # the pairs of each block compared: after rows, cosines and shifts
     parts: tuple[list[np.ndarray], ...] = ([], [], [])
 
-    def add(tokens: list[str], row: int) -> bool:
+    def add(tokens: list[str]) -> bool:
         """The reader's record of ``before`` tokens, which only accepts or
         rejects them: False if one repeats another of them or of ``held``,
         is in ``only_before`` or is paired (read in ``after``, gone from
@@ -300,7 +288,7 @@ def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet | BlockFile
         return True
 
     row_bytes = np.dtype((np.void, 4 * after.dim))
-    with _errors_after(after_blocks):
+    with errors_after(after_blocks):
         if before.dim != after.dim:
             raise ValueError(f"dimension mismatch: {before.dim} vs {after.dim}")
         for tokens, vb in before.blocks(add):

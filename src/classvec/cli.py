@@ -12,8 +12,11 @@ the exit status is 0 exactly when the requested artifact was fully
 written or printed. Embedding file format is always named explicitly
 with ``--format``; files are never sniffed. Every command reads its
 embedding files a block at a time, through ``BlockFile`` or
-``load_rows``, so none holds a file's matrix; a file's errors still come
-first, as when it was loaded before anything else.
+``load_rows``, so none holds a file's matrix. A command opens its
+embedding file before it reads other input, and ``errors_after`` holds
+an error of that input back until the file is read to its end, so a
+file's errors still come first, as when it was loaded before anything
+else.
 
 Each process starts lean. Every library function and class a command
 calls is bound here to a stand-in that imports its module on first call,
@@ -31,7 +34,6 @@ import logging
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
 from importlib import import_module
 from typing import Callable, NoReturn
 
@@ -69,6 +71,7 @@ train_classifier = _lazy("classifier", "train_classifier")
 load_tsv = _lazy("corpus", "load_tsv")
 BlockFile = _lazy("embedding_io", "BlockFile")
 EmbeddingSet = _lazy("embedding_io", "EmbeddingSet")
+errors_after = _lazy("embedding_io", "errors_after")
 # no command calls load_file: perfbench's tracer wraps it, as every name
 # of its LAYER_OF, and fails where it is missing, until the run-record
 # harness of ROADMAP item 1 replaces the tracer and this name goes
@@ -92,6 +95,11 @@ _EVAL_EPILOG = (
     + f" ({len(MACHINE_FIELDS)} tab-separated fields; fields the mode does"
     " not define hold '-')."
 )
+
+
+class UsageError(ValueError):
+    """An argument that a command cannot run with; ``main`` reports it as
+    ``usage error: ...`` with exit status 2."""
 
 
 def _atomic_write(path: str, write: Callable) -> None:
@@ -142,22 +150,6 @@ def _corpus_tokens(corpus) -> set[str]:
     return {t for d in corpus.docs for t in d.tokens}
 
 
-@contextmanager
-def _embeddings_first(path: str, fmt: str, *checks: Callable[[object], None]):
-    """A block, such as a corpus read, whose ``ValueError`` or ``OSError``
-    is raised once the ``fmt`` file at ``path`` is read and ``checks`` pass
-    on its (empty) set: a stage that streams its embedding file reads it
-    after the corpus, yet the file's errors still come first, as when it
-    was loaded before anything else."""
-    try:
-        yield
-    except (ValueError, OSError):
-        emb = load_rows(path, fmt, ())
-        for check in checks:
-            check(emb)
-        raise
-
-
 def cmd_finetune(args: argparse.Namespace) -> int:
     # the settings are checked before any file is read
     cfg = FinetuneConfig(
@@ -165,22 +157,22 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         shuffle=args.shuffle,
     )
     _require_files(args.pretrained, args.corpus)
-    with _embeddings_first(args.pretrained, args.format):
-        corpus = _load_corpus(args.corpus, args.multilabel)
-        if args.export_class_vectors:
-            # checked before training, so that nothing is written for a
-            # class that cannot become a token of the class-vector file
-            for name in corpus.classes:
-                if name.split() != [name]:
-                    raise ValueError(
-                        f"class {name!r} cannot be exported: a token of the "
-                        "class-vector file holds no whitespace"
-                    )
-    vocab = build_vocab(corpus)
     # the pretrained file is read twice, a block at a time: merge keeps
     # the corpus tokens' rows, and the export writes the tuned ones over
     # them as it streams the file again
     with BlockFile(args.pretrained, args.format) as pretrained:
+        with errors_after(pretrained.blocks()):
+            corpus = _load_corpus(args.corpus, args.multilabel)
+            if args.export_class_vectors:
+                # checked before training, so that nothing is written for a
+                # class that cannot become a token of the class-vector file
+                for name in corpus.classes:
+                    if name.split() != [name]:
+                        raise ValueError(
+                            f"class {name!r} cannot be exported: a token of the "
+                            "class-vector file holds no whitespace"
+                        )
+        vocab = build_vocab(corpus)
         model = merge(pretrained, vocab, seed=cfg.seed)
         print(
             f"vocab\tV={len(pretrained)}\tV_T={len(vocab)}"
@@ -210,7 +202,7 @@ def cmd_train_clf(args: argparse.Namespace) -> int:
     if args.threshold is not None:
         check_threshold(args.threshold)
     _require_files(args.embeddings, args.corpus)
-    with _embeddings_first(args.embeddings, args.format):
+    with BlockFile(args.embeddings, args.format) as source, errors_after(source.blocks()):
         corpus = _load_corpus(args.corpus, args.multilabel)
     # the mean pool reads the rows of corpus tokens alone
     emb = load_rows(args.embeddings, args.format, _corpus_tokens(corpus))
@@ -226,18 +218,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _require_files(args.model, args.embeddings, args.corpus)
     with open(args.model, "rb") as f:
         model = load_classifier(f)
-
-    def check_dim(emb) -> None:
-        if emb.dim != model.dim:
-            raise ValueError(
-                f"embedding dim {emb.dim} does not match model dim {model.dim}"
-            )
-
     multilabel = model.mode == "multilabel"
-    with _embeddings_first(args.embeddings, args.format, check_dim):
+    with BlockFile(args.embeddings, args.format) as source, errors_after(source.blocks()):
+        if source.dim != model.dim:
+            raise ValueError(
+                f"embedding dim {source.dim} does not match model dim {model.dim}"
+            )
         corpus = _load_corpus(args.corpus, multilabel)
     emb = load_rows(args.embeddings, args.format, _corpus_tokens(corpus))
-    check_dim(emb)
     pred = [predict(model, d, emb) for d in corpus.docs]
     if multilabel:
         gold = [d.labels for d in corpus.docs]
@@ -251,22 +239,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _usage_error(message: str) -> int:
-    print(f"usage error: {message}", file=sys.stderr)
-    return 2
-
-
 def cmd_nn(args: argparse.Namespace) -> int:
     if args.k < 1:
-        return _usage_error("--k must be at least 1")
+        raise UsageError("--k must be at least 1")
     _require_files(args.embeddings)
     # the file is read as a stream, whole and then up to the query's block;
     # its errors still come before a usage error or an unknown word
     with BlockFile(args.embeddings, args.format) as emb:
-        if args.k >= len(emb):
-            for _ in emb.blocks():
-                pass
-            return _usage_error(f"--k must be below the vocabulary size {len(emb)}")
+        with errors_after(emb.blocks()):
+            if args.k >= len(emb):
+                raise UsageError(f"--k must be below the vocabulary size {len(emb)}")
         neighbors = nearest_neighbors(emb, args.word, args.k)
     for token, sim in neighbors:
         print(f"{token}\t{sim:.6f}")
@@ -285,7 +267,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
 
 def cmd_drift(args: argparse.Namespace) -> int:
     if args.top < 0:
-        return _usage_error("--top must be at least 0")
+        raise UsageError("--top must be at least 0")
     _require_files(args.before, args.after)
     # both files are read a block at a time, in lockstep while they list
     # the same tokens; the --before header is checked first
@@ -400,6 +382,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as e:
         print(f"error: unknown word {e.args[0]!r}", file=sys.stderr)
         return 1
+    except UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -16,13 +16,15 @@ for both formats, is a stream of blocks: it reads the file a chunk at a
 time into one block of rows that every block reuses, records each block's
 tokens and yields them with its rows. A load collects that stream: it
 copies the rows it keeps out of each block into its matrix, so it holds
-the matrix plus about one block of input, never the whole file. A load of
-every row builds the set's index as it reads, so no token is hashed or
-checked twice; :func:`load_rows` is a load that keeps the rows of some
-tokens. :class:`BlockFile` gives the stream itself, for a caller that
-compares two files block by block, or reads one twice, and never needs
-a matrix; a file read twice is checked, block by block, to hold the
-tokens and rows of its first read.
+the matrix plus about one block of input, never the whole file. The
+reader's record holds the tokens read, to find a repeat; a load then
+numbers the tokens it kept as the set's index. :func:`load_rows` is a
+load that keeps the rows of some tokens. :class:`BlockFile` gives the
+stream itself, for a caller that compares two files block by block, or
+reads one twice, and never needs a matrix; a file read twice is checked,
+block by block, to hold the tokens and rows of its first read.
+:func:`errors_after` drains a stream before another error, so that a
+file's own errors come first.
 
 The reader tops the unparsed input up to a chunk of raw bytes with room
 for a block and hands it to the format's scanner of the compiled kernel
@@ -39,6 +41,7 @@ names its first bad row.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import partial
 from itertools import repeat
 from typing import BinaryIO, Callable, Collection, Iterator
@@ -55,13 +58,13 @@ BLOCK_ROWS = 256
 # whitespace and non-ASCII digits; no word2vec writer emits those.
 _NUMERAL_BYTES = b"0123456789+-.eEinfatyINFATY"
 
-# Records the tokens a reader reads, block by block: add(tokens, row)
-# accepts the tokens of the rows from ``row`` on, or rejects them with
-# False if one of them repeats a recorded token or another of them. A
-# rejected call records nothing. The reader yields a block only after its
-# record accepted the block's tokens; for a block that fails, it may call
-# the record again row by row, to name the first bad row, and then raises.
-Record = Callable[[list[str], int], bool]
+# Records the tokens a reader reads, block by block: add(tokens) accepts a
+# block's tokens, or rejects them with False if one of them repeats a
+# recorded token or another of them. A rejected call records nothing. The
+# reader yields a block only after its record accepted the block's tokens;
+# for a block that fails, it may call the record again token by token, to
+# name the first bad row, and then raises.
+Record = Callable[[list[str]], bool]
 
 
 class EmbeddingFormatError(ValueError):
@@ -138,7 +141,7 @@ class EmbeddingSet:
         :meth:`BlockFile.blocks` does."""
         for start in range(0, len(self), BLOCK_ROWS):
             words = self.words[start:start + BLOCK_ROWS]
-            if add is not None and not add(words, start):
+            if add is not None and not add(words):
                 raise ValueError(f"a token of rows {start}+ is recorded already")
             yield words, self.matrix[start:start + BLOCK_ROWS]
 
@@ -212,14 +215,13 @@ def _allocate(n: int, m: int, what: str) -> np.ndarray:
         raise _too_large(n, m, what) from None
 
 
-def _add_new(index: dict, rows: bool, tokens: list[str], row: int) -> bool:
-    """Add ``tokens`` to ``index``, as the rows from ``row`` on if ``rows``
-    or else without rows; False, adding nothing, if one repeats a token of
-    ``index`` or of ``tokens``. A :data:`Record` once ``index`` and
-    ``rows`` are bound."""
+def _add_new(index: dict, tokens: list[str]) -> bool:
+    """Add ``tokens`` to ``index``, as keys without values; False, adding
+    nothing, if one repeats a token of ``index`` or of ``tokens``. A
+    :data:`Record` once ``index`` is bound."""
     size = len(index)
     if index.keys().isdisjoint(tokens):
-        index.update(zip(tokens, range(row, row + len(tokens)) if rows else repeat(None)))
+        index.update(zip(tokens, repeat(None)))
         if len(index) == size + len(tokens):
             return True
         for token in tokens:  # a repeat within tokens: take them out again
@@ -227,9 +229,8 @@ def _add_new(index: dict, rows: bool, tokens: list[str], row: int) -> bool:
     return False
 
 
-def _token_error(token: bytes, add: Record, row: int) -> str | None:
-    """What is wrong with the token of row ``row``, or None after recording
-    it."""
+def _token_error(token: bytes, add: Record) -> str | None:
+    """What is wrong with a row's token, or None after recording it."""
     if not token:
         return "empty token"
     if b"\n" in token:
@@ -240,23 +241,22 @@ def _token_error(token: bytes, add: Record, row: int) -> str | None:
         return "token is not valid UTF-8"
     if word.split() != [word]:
         return f"whitespace in token {word!r}"
-    if not add([word], row):
+    if not add([word]):
         return f"duplicate token {word!r}"
     return None
 
 
-def _add_words(add: Record, row: int, joined: bytes) -> list[str] | None:
-    """Decode a block's tokens, joined by single spaces, and record them as
-    the rows from ``row`` on; None, recording nothing, if any of them is
-    empty, holds whitespace, is not UTF-8 or repeats (:func:`_token_error`
-    says which)."""
+def _add_words(add: Record, joined: bytes) -> list[str] | None:
+    """Decode a block's tokens, joined by single spaces, and record them;
+    None, recording nothing, if any of them is empty, holds whitespace, is
+    not UTF-8 or repeats (:func:`_token_error` says which)."""
     try:
         text = joined.decode("utf-8")
     except UnicodeDecodeError:
         return None
     block = text.split(" ")
     # str.split() drops empty tokens and splits at every whitespace character
-    if text.split() != block or not add(block, row):
+    if text.split() != block or not add(block):
         return None
     return block
 
@@ -271,7 +271,8 @@ def parse_numerals(rows: list[bytes], m: int) -> np.ndarray | None:
     """
     if b"" in rows or b"\n" in rows:
         return None
-    if b"".join(rows).translate(None, _NUMERAL_BYTES + b" \n"):
+    # row by row, so that no copy of the whole block is made
+    if any(row.translate(None, _NUMERAL_BYTES + b" \n") for row in rows):
         return None
     try:
         parsed = np.loadtxt(
@@ -336,7 +337,7 @@ def _text_block(
     if values is not None:
         values = _to_float32(values)
         if np.isfinite(values).all():
-            block = _add_words(add, row, b" ".join([p[0] for p in parts]))
+            block = _add_words(add, b" ".join([p[0] for p in parts]))
             if block is not None:
                 return block, values, end
     # a wrong row count outranks any row's error, as a whole-file reader
@@ -353,7 +354,7 @@ def _text_block(
                 f"line {lineno}: expected {m + 1} space-separated fields, "
                 f"got {fields}"
             )
-        problem = _token_error(token, add, row)
+        problem = _token_error(token, add)
         if problem is None:
             parsed = parse_numerals([numerals], m)
             if parsed is None:
@@ -442,13 +443,13 @@ def _binary_block(
         raw = b"".join([data[a:a + vec_bytes] for a in vec_at])
         vectors = np.frombuffer(raw, dtype="<f4").reshape(len(vec_at), m)
         if np.isfinite(vectors).all():
-            block = _add_words(add, row, b" ".join(tokens))
+            block = _add_words(add, b" ".join(tokens))
             if block is not None:
                 return block, vectors, pos
     # the first bad row: rows are checked token first, then vector, and a
     # truncation comes after the checks of every row read in full before it
     for r, token in enumerate(tokens):
-        if (problem := _token_error(token, add, row + r)) is not None:
+        if (problem := _token_error(token, add)) is not None:
             raise EmbeddingFormatError(f"byte {base + starts[r]}: {problem}")
         if r < len(vec_at) and not np.isfinite(
             np.frombuffer(data, "<f4", m, vec_at[r])
@@ -500,7 +501,7 @@ def _read_rows(
         out = buffer[:min(BLOCK_ROWS, n - row)]
         more(size - len(data))  # a full chunk, so that a scan takes BLOCK_ROWS rows
         scanned = scan(data, out)
-        if scanned and scanned[0] and (block := _add_words(add, row, scanned[2])):
+        if scanned and scanned[0] and (block := _add_words(add, scanned[2])):
             used = scanned[1]
         elif scanned and not scanned[0] and not scanned[3] and more(len(data)):
             continue  # the row runs past the bytes read: read as much again
@@ -529,11 +530,9 @@ def _collect(source: BinaryIO, fmt: str, tokens: Collection[str] | None = None
     n, m, what, base = _read_header(source, fmt)
     # pages of rows that are never kept are never touched
     matrix = _allocate(n if tokens is None else min(n, len(tokens)), m, what)
-    # every row: the set's index, built as read; some: the tokens read, for repeats
-    index: dict = {}
+    index: dict = {}  # the tokens read, for repeats; then the set's index
     words: list[str] = []
-    for block_tokens, block in _read_rows(source, fmt, base, n, m,
-                                          partial(_add_new, index, tokens is None)):
+    for block_tokens, block in _read_rows(source, fmt, base, n, m, partial(_add_new, index)):
         keep = slice(None) if tokens is None else np.flatnonzero(np.fromiter(
             map(tokens.__contains__, block_tokens), bool, len(block_tokens)))
         start = len(words)
@@ -542,7 +541,7 @@ def _collect(source: BinaryIO, fmt: str, tokens: Collection[str] | None = None
         matrix[start:len(words)] = block[keep]
     if tokens is not None:  # the tokens read are freed before the index is built
         index.clear()
-        index.update(zip(words, range(len(words))))
+    index.update(zip(words, range(len(words))))
     emb = EmbeddingSet.__new__(EmbeddingSet)
     emb.words, emb.matrix, emb.index = words, matrix[:len(words)], index
     emb.matrix.setflags(write=False)
@@ -624,7 +623,7 @@ class BlockFile:
         own, first = add is None, self._hashes is None
         if own:
             # a read again matches a first read that found no repeats
-            add = partial(_add_new, {}, False) if first else lambda tokens, row: True
+            add = partial(_add_new, {}) if first else lambda tokens: True
         kept: dict[int, tuple[int, int]] = {}
         row = 0
         self._file.seek(self._base)
@@ -654,6 +653,21 @@ class BlockFile:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+@contextmanager
+def errors_after(first: Iterator):
+    """A block whose ``ValueError`` or ``OSError`` is raised once ``first``,
+    such as a file's :meth:`BlockFile.blocks`, has been read to its end, so
+    that an error of ``first`` comes before it: a caller that reads its
+    embedding file after other input still reports the file's errors
+    first, as if it had been loaded before anything else."""
+    try:
+        yield
+    except (ValueError, OSError):
+        for _ in first:
+            pass
+        raise
 
 
 def load_rows(path: str, fmt: str, tokens: Collection[str]) -> EmbeddingSet:

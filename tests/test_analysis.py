@@ -379,6 +379,7 @@ def test_drift_compares_blocks_not_whole_matrices():
     assert peak - current < n * m * 8 / 4, (peak - current, n * m * 8)
 
 
+@pytest.mark.usefixtures("kernel_or_not")
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_drift_streams_before_in_a_block_of_memory(tmp_path, fmt):
     """Streaming --before, drift holds less than a quarter of its float32

@@ -836,7 +836,7 @@ def test_block_file_read_again_yields_its_first_tokens_or_fails(tmp_path, fmt):
     path.write_bytes(_saved(save_text if fmt == "text" else save_binary, emb))
     with BlockFile(str(path), fmt) as source:
         # a read through a record of its caller's keeps nothing
-        assert len(list(source.blocks(lambda tokens, row: True))) == 3
+        assert len(list(source.blocks(lambda tokens: True))) == 3
         for _ in range(3):
             assert [t for tokens, _ in source.blocks() for t in tokens] == emb.words
         # a token rewritten in place, at its length, in the second block
@@ -949,8 +949,8 @@ def test_load_checks_each_token_once(monkeypatch):
 def test_set_blocks_record_each_block_before_yielding_it():
     emb = random_embedding(np.random.default_rng(10), BLOCK_ROWS + 1, 2)
     calls = []
-    for tokens, _ in emb.blocks(lambda tokens, row: calls.append((row, tokens)) or True):
-        assert calls[-1] == (emb.index[tokens[0]], tokens)
-    assert [row for row, _ in calls] == [0, BLOCK_ROWS]
+    for tokens, _ in emb.blocks(lambda tokens: calls.append(tokens) or True):
+        assert calls[-1] is tokens
+    assert calls == [emb.words[:BLOCK_ROWS], emb.words[BLOCK_ROWS:]]
     with pytest.raises(ValueError, match="rows 0\\+ is recorded already"):
-        next(emb.blocks(lambda tokens, row: False))
+        next(emb.blocks(lambda tokens: False))

@@ -6,10 +6,12 @@ import logging
 import math
 import os
 import platform
+import re
 import shlex
 import shutil
 import stat
 import subprocess
+import sys
 import sysconfig
 import tracemalloc
 import warnings
@@ -1111,8 +1113,10 @@ class TestKernel:
         assert tuned.tobytes() == ref.input_matrix.astype(np.float32).tobytes()
 
     def test_failed_build_raises_and_leaves_no_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sysconfig, "get_config_var", lambda name: "false")
-        with pytest.raises(OSError, match="false exited 1"):
+        # a compiler that fails, found without PATH
+        failing = f"{shlex.quote(sys.executable)} -c 'raise SystemExit(1)'"
+        monkeypatch.setattr(sysconfig, "get_config_var", lambda name: failing)
+        with pytest.raises(OSError, match=f"{re.escape(sys.executable)} exited 1"):
             _kernel.compile_library(tmp_path / "kernel.so")
         assert list(tmp_path.iterdir()) == []
 
