@@ -41,7 +41,6 @@ _MODULE_OF = {
     "load_binary": "embedding_io",
     "load_classifier": "classifier",
     "load_file": "embedding_io",
-    "load_rows": "embedding_io",
     "load_text": "embedding_io",
     "load_tsv": "corpus",
     "merge": "vocab",

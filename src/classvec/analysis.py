@@ -287,10 +287,10 @@ def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet | BlockFile
         held.update(tokens)
         return True
 
-    row_bytes = np.dtype((np.void, 4 * after.dim))
     with errors_after(after_blocks):
         if before.dim != after.dim:
             raise ValueError(f"dimension mismatch: {before.dim} vs {after.dim}")
+        row_bytes = np.dtype((np.void, 4 * after.dim))
         for tokens, vb in before.blocks(add):
             held.clear()
             if agree:

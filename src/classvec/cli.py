@@ -12,11 +12,11 @@ the exit status is 0 exactly when the requested artifact was fully
 written or printed. Embedding file format is always named explicitly
 with ``--format``; files are never sniffed. Every command reads its
 embedding files a block at a time, through ``BlockFile`` or
-``load_rows``, so none holds a file's matrix. A command opens its
-embedding file before it reads other input, and ``errors_after`` holds
-an error of that input back until the file is read to its end, so a
-file's errors still come first, as when it was loaded before anything
-else.
+``load_file`` with the tokens it needs, so none holds a file's matrix.
+A command opens its embedding file before it reads other input, and
+``errors_after`` holds an error of that input back until the file is
+read to its end, so a file's errors still come first, as when it was
+loaded before anything else.
 
 Each process starts lean. Every library function and class a command
 calls is bound here to a stand-in that imports its module on first call,
@@ -72,11 +72,7 @@ load_tsv = _lazy("corpus", "load_tsv")
 BlockFile = _lazy("embedding_io", "BlockFile")
 EmbeddingSet = _lazy("embedding_io", "EmbeddingSet")
 errors_after = _lazy("embedding_io", "errors_after")
-# no command calls load_file: perfbench's tracer wraps it, as every name
-# of its LAYER_OF, and fails where it is missing, until the run-record
-# harness of ROADMAP item 1 replaces the tracer and this name goes
 load_file = _lazy("embedding_io", "load_file")
-load_rows = _lazy("embedding_io", "load_rows")
 save_binary = _lazy("embedding_io", "save_binary")
 save_text = _lazy("embedding_io", "save_text")
 evaluate_exclusive = _lazy("metrics", "evaluate_exclusive")
@@ -205,7 +201,7 @@ def cmd_train_clf(args: argparse.Namespace) -> int:
     with BlockFile(args.embeddings, args.format) as source, errors_after(source.blocks()):
         corpus = _load_corpus(args.corpus, args.multilabel)
     # the mean pool reads the rows of corpus tokens alone
-    emb = load_rows(args.embeddings, args.format, _corpus_tokens(corpus))
+    emb = load_file(args.embeddings, args.format, _corpus_tokens(corpus))
     mode = "multilabel" if args.multilabel else "exclusive"
     model = train_classifier(corpus, emb, cfg, mode, **_given(args, "threshold"))
     _atomic_write(args.out, lambda f: save_classifier(model, f))
@@ -225,7 +221,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"embedding dim {source.dim} does not match model dim {model.dim}"
             )
         corpus = _load_corpus(args.corpus, multilabel)
-    emb = load_rows(args.embeddings, args.format, _corpus_tokens(corpus))
+    emb = load_file(args.embeddings, args.format, _corpus_tokens(corpus))
     pred = [predict(model, d, emb) for d in corpus.docs]
     if multilabel:
         gold = [d.labels for d in corpus.docs]
@@ -257,7 +253,7 @@ def cmd_nn(args: argparse.Namespace) -> int:
 
 def cmd_sim(args: argparse.Namespace) -> int:
     _require_files(args.embeddings)
-    emb = load_rows(args.embeddings, args.format, (args.word1, args.word2))
+    emb = load_file(args.embeddings, args.format, (args.word1, args.word2))
     for w in (args.word1, args.word2):
         if w not in emb:
             raise KeyError(w)

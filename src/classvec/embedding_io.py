@@ -18,11 +18,12 @@ tokens and yields them with its rows. A load collects that stream: it
 copies the rows it keeps out of each block into its matrix, so it holds
 the matrix plus about one block of input, never the whole file. The
 reader's record holds the tokens read, to find a repeat; a load then
-numbers the tokens it kept as the set's index. :func:`load_rows` is a
-load that keeps the rows of some tokens. :class:`BlockFile` gives the
-stream itself, for a caller that compares two files block by block, or
-reads one twice, and never needs a matrix; a file read twice is checked,
-block by block, to hold the tokens and rows of its first read.
+numbers the tokens it kept as the set's index. :func:`load_file` loads
+every row of a file, or the rows of some tokens. :class:`BlockFile`
+gives the stream itself, for a caller that compares two files block by
+block, or reads one twice, and never needs a matrix; a file read twice
+is checked, block by block, to hold the tokens and rows of its first
+read.
 :func:`errors_after` drains a stream before another error, so that a
 file's own errors come first.
 
@@ -165,6 +166,9 @@ def writable(tokens: list[str]) -> bool:
 _MAX_VALUES = np.iinfo(np.intp).max // 4
 # Bytes a header line may take, so that a file without a newline is not read whole
 _HEADER_BYTES = 4096
+# Bytes a reader asks of its stream per call: a read allocates all it asks
+# for, and a chunk sized by a wide header can be more than memory holds
+_READ_BYTES = 1 << 20
 
 
 def _parse_header(line: bytes, what: str) -> tuple[int, int]:
@@ -466,12 +470,13 @@ def load_binary(source: BinaryIO) -> EmbeddingSet:
 
 
 def _read_rows(
-    source: BinaryIO, fmt: str, base: int, n: int, m: int, add: Record,
+    source: BinaryIO, fmt: str, base: int, n: int, m: int, what: str, add: Record,
 ) -> Iterator[tuple[list[str], np.ndarray]]:
     """Read the ``n`` rows of ``m`` values of a ``fmt`` stream that start at
     file offset ``base``, about one block at a time, into one block of rows
     that each block overwrites; for each block, record its tokens through
-    ``add`` and yield them with its rows."""
+    ``add`` and yield them with its rows. ``what`` names the header in the
+    error of a block too large to allocate."""
     text = fmt == "text"
     # a chunk holds BLOCK_ROWS rows of tokens of up to 15 bytes (text: and
     # of the widest '%.9g' numerals)
@@ -487,7 +492,7 @@ def _read_rows(
         unterminated last text line gets its newline."""
         held = len(data)
         while len(data) < held + count:
-            got = source.read(held + count - len(data))
+            got = source.read(min(held + count - len(data), _READ_BYTES))
             if not got and text and data and not data.endswith(b"\n"):
                 got = b"\n"
             if not got:
@@ -495,7 +500,7 @@ def _read_rows(
             data.extend(got)
         return len(data) > held
 
-    buffer = np.empty((min(BLOCK_ROWS, n), m), dtype=np.float32)
+    buffer = _allocate(min(BLOCK_ROWS, n), m, what)
     row = 0
     while row < n:
         out = buffer[:min(BLOCK_ROWS, n - row)]
@@ -532,7 +537,8 @@ def _collect(source: BinaryIO, fmt: str, tokens: Collection[str] | None = None
     matrix = _allocate(n if tokens is None else min(n, len(tokens)), m, what)
     index: dict = {}  # the tokens read, for repeats; then the set's index
     words: list[str] = []
-    for block_tokens, block in _read_rows(source, fmt, base, n, m, partial(_add_new, index)):
+    for block_tokens, block in _read_rows(source, fmt, base, n, m, what,
+                                          partial(_add_new, index)):
         keep = slice(None) if tokens is None else np.flatnonzero(np.fromiter(
             map(tokens.__contains__, block_tokens), bool, len(block_tokens)))
         start = len(words)
@@ -572,10 +578,13 @@ def _open(path: str, fmt: str) -> BinaryIO:
     return open(path, "rb")
 
 
-def load_file(path: str, fmt: str) -> EmbeddingSet:
-    """Load embeddings from ``path`` in the explicitly named format."""
+def load_file(path: str, fmt: str, tokens: Collection[str] | None = None
+              ) -> EmbeddingSet:
+    """Load embeddings from ``path`` in the explicitly named format: every
+    row, or only the rows of the ``tokens`` the file has, in file order;
+    either way the whole file is read once, with every check and error."""
     with _open(path, fmt) as f:
-        return _collect(f, fmt)
+        return _collect(f, fmt, tokens)
 
 
 class BlockFile:
@@ -584,10 +593,10 @@ class BlockFile:
     Opening it reads and checks the header; :meth:`blocks` yields the
     reader's blocks themselves, with the checks and errors of
     :func:`load_file`: one block of ``BLOCK_ROWS`` rows that each block
-    overwrites. (A header whose matrix numpy could shape but this machine
-    could not allocate fails a load, not a stream, which allocates no
-    matrix.) It has the ``len``, ``dim`` and ``blocks()`` that the
-    writers take. Close it, or use it as a context manager.
+    overwrites. (A stream allocates that block, not the file's matrix, so
+    a header fails it as too large only if one block cannot be allocated.)
+    It has the ``len``, ``dim`` and ``blocks()`` that the writers take.
+    Close it, or use it as a context manager.
     """
 
     def __init__(self, path: str, fmt: str):
@@ -597,7 +606,7 @@ class BlockFile:
         # first row, kept by the first read without a record that completes
         self._hashes: dict[int, tuple[int, int]] | None = None
         try:
-            self._rows, self.dim, _, self._base = _read_header(self._file, fmt)
+            self._rows, self.dim, self._what, self._base = _read_header(self._file, fmt)
         except BaseException:
             self._file.close()
             raise
@@ -628,7 +637,7 @@ class BlockFile:
         row = 0
         self._file.seek(self._base)
         for tokens, block in _read_rows(self._file, self._fmt, self._base, len(self),
-                                        self.dim, add):
+                                        self.dim, self._what, add):
             if own:
                 # hashed before it is yielded: a caller may write into the block
                 found = hash(tuple(tokens)), hash(block.tobytes())
@@ -669,13 +678,3 @@ def errors_after(first: Iterator):
             pass
         raise
 
-
-def load_rows(path: str, fmt: str, tokens: Collection[str]) -> EmbeddingSet:
-    """The rows of ``tokens`` in the ``fmt`` file at ``path``: the set of
-    those the file has, in file order. The file is read once, as a load
-    reads it, with every check and error of :func:`load_file`, and only the
-    kept rows are copied out of the reader's block, never the file's
-    matrix; a token the file lacks is absent from the set as it is from
-    the file."""
-    with _open(path, fmt) as f:
-        return _collect(f, fmt, tokens)

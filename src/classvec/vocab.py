@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Iterator
 
 import numpy as np
@@ -179,10 +179,14 @@ def merge(pretrained: EmbeddingSet | BlockFile, vocab: Vocabulary, seed: int
     cannot hold it.
     """
     dim = pretrained.dim
+    blocks = pretrained.blocks()
+    # the first block is read before the rows are allocated, so that an
+    # error of the source, such as a block too large to allocate, comes first
+    first = list(islice(blocks, 1))
     corpus_rows = np.empty((len(vocab), dim), dtype=np.float32)
     rows = np.full(len(vocab), -1, dtype=np.int64)
     start = 0
-    for tokens, block in pretrained.blocks():
+    for tokens, block in chain(first, blocks):
         at = np.fromiter(map(vocab.index.get, tokens, repeat(-1)), np.int64, len(tokens))
         mine = np.flatnonzero(at >= 0)
         rows[at[mine]] = start + mine

@@ -27,7 +27,6 @@ from classvec.embedding_io import (
     EmbeddingFormatError,
     EmbeddingSet,
     load_file,
-    load_rows,
 )
 from classvec.vocab import build_vocab, merge
 
@@ -447,7 +446,8 @@ def assert_streams_as_it_loads(
 ) -> None:
     """A ``BlockFile`` of ``data`` yields the tokens and rows that a load
     of it holds, or fails with the load's error type and message; so do
-    ``load_rows`` and ``merge`` streaming it, on some of its tokens. Given
+    ``load_file`` keeping some of its tokens and ``merge`` streaming it,
+    on those tokens. Given
     ``after_tokens``, ``drift`` streaming the file against a set of those
     tokens, on either side, and ``nearest_neighbors`` streaming it for the
     first of them, at the dimension the header declares, report or fail as
@@ -483,7 +483,7 @@ def assert_streams_as_it_loads(
         def rows(emb):
             return emb.words, emb.matrix.tobytes()
 
-        assert _outcome(lambda: rows(load_rows(path, fmt, keep))) == \
+        assert _outcome(lambda: rows(load_file(path, fmt, keep))) == \
             _outcome(lambda: kept(load_file(path, fmt)))
         vocab = build_vocab(from_documents([
             Document(tuple(sorted(keep)) or ("x",), ("c",))]))

@@ -746,6 +746,61 @@ class TestStreamedStages:
             ["pretrained.txt", "corpus.tsv", f"pretrained.{fmt}"])
 
 
+@pytest.mark.usefixtures("kernel_or_not")
+@pytest.mark.parametrize("fmt", ["text", "bin"])
+class TestWideHeaders:
+    """A header that parses but declares rows wider than this machine can
+    hold, or than the file holds, fails every command with the file's own
+    error and exit status 1, not a MemoryError."""
+
+    def _errors(self, capsys, workspace, fmt: str, header: bytes, message: str) -> None:
+        tmp_path, pre, corpus = workspace
+        path = str(tmp_path / f"wide.{fmt}")
+        with open(path, "wb") as f:
+            f.write(header + (b"a 1\nb 2\n" if fmt == "text" else
+                              b"a " + np.float32(1).tobytes() + b"b " + np.float32(2).tobytes()))
+        other = str(tmp_path / f"other.{fmt}")  # a file of another dim
+        _write_pretrained(other, fmt)
+        model = str(tmp_path / "probe.clf")
+        assert main(["train-clf", "--embeddings", pre, "--corpus", corpus,
+                     "--out", model, "--epochs", "1"]) == 0
+        capsys.readouterr()
+        for argv in (
+            ["nn", "--embeddings", path, "--word", "a", "--k", "1"],
+            ["sim", "--embeddings", path, "a", "b"],
+            ["drift", "--before", path, "--after", path],
+            # drift's row type, of --after's dim, comes after the dim check
+            ["drift", "--before", other, "--after", path],
+            ["finetune", "--pretrained", path, "--corpus", corpus,
+             "--out", str(tmp_path / "tuned")],
+            ["train-clf", "--embeddings", path, "--corpus", corpus,
+             "--out", str(tmp_path / "wide.clf")],
+            ["eval", "--model", model, "--embeddings", path, "--corpus", corpus],
+        ):
+            rc = main([*argv, "--format", fmt])
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == (1, "", f"error: {message}\n"), argv
+        assert not os.path.exists(tmp_path / "tuned")
+        assert not os.path.exists(tmp_path / "wide.clf")
+
+    def test_a_block_too_large_to_allocate_fails_as_a_load(self, workspace, capsys, fmt):
+        # 2 x 5e17 float32 values (3.47 EiB): the header parses, but not
+        # even the reader's block of two rows can be allocated
+        what = "line 1" if fmt == "text" else "header"
+        self._errors(capsys, workspace, fmt, b"2 500000000000000000\n",
+                     f"{what}: 2 x 500000000000000000 values are more than memory holds")
+
+    def test_a_header_wider_than_its_file_asks_for_no_more_than_the_file(
+            self, workspace, capsys, fmt):
+        # a chunk of 256 rows of 40000000 values is 41 GB (binary) or 164 GB
+        # (text); the reader asks its file for a bounded amount at a time
+        self._errors(capsys, workspace, fmt, b"2 40000000\n",
+                     "line 2: expected 40000001 space-separated fields, got 2"
+                     if fmt == "text" else
+                     "byte 13: truncated stream mid-vector (word 1 of 2, got 10 of "
+                     "160000000 bytes)")
+
+
 class TestParser:
     def test_invalid_format_is_rejected_by_argparse(self, workspace):
         tmp_path, pre, _ = workspace
@@ -840,13 +895,17 @@ class TestTracer:
     """The benchmark's tracer, read from ``perfbench/tracing.py``, wraps the
     names it spans in ``classvec.cli``; a rename there breaks traced runs."""
 
-    def test_spans_the_stages_of_a_finetune(self, workspace, monkeypatch):
+    @staticmethod
+    def _tracer(monkeypatch):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
         spec = importlib.util.spec_from_file_location("tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, "tracing", tracing)  # for its dataclass
         spec.loader.exec_module(tracing)
-        tracer = tracing.Tracer(cli)
+        return tracing.Tracer(cli)
+
+    def test_spans_the_stages_of_a_finetune(self, workspace, monkeypatch):
+        tracer = self._tracer(monkeypatch)
         tmp_path, pre, corpus = workspace
         with tracer.installed():
             code, _ = tracer.run_stage("finetune", [
@@ -862,6 +921,21 @@ class TestTracer:
                      "save_text", "cli"):
             assert name in names
         assert "load_file" not in names
+
+    def test_spans_the_load_of_a_train_clf(self, workspace, monkeypatch):
+        # the probe's rows are read through load_file, so the load layer
+        # counts the file's bytes once
+        tracer = self._tracer(monkeypatch)
+        tmp_path, pre, corpus = workspace
+        with tracer.installed():
+            code, _ = tracer.run_stage("train-clf", [
+                "train-clf", "--embeddings", pre, "--corpus", corpus,
+                "--out", str(tmp_path / "probe.clf"), "--epochs", "1",
+            ])
+        assert code == 0
+        loads = [span for span in tracer.spans if span.name == "load_file"]
+        assert [(span.stage, span.count) for span in loads] == [
+            ("train-clf", os.path.getsize(pre))]
 
 
 class TestSubprocess:
@@ -1091,14 +1165,16 @@ class TestStartup:
             [sys.executable, "-c",
              "import sys, classvec; "
              "print(sorted(m for m in sys.modules if m.startswith('classvec'))); "
-             "from classvec import EmbeddingChangedError, load_rows; "
+             "from classvec import EmbeddingChangedError, load_file; "
              "from classvec import embedding_io; "
-             "print(load_rows is embedding_io.load_rows, "
+             "print(load_file is embedding_io.load_file, "
              "EmbeddingChangedError is embedding_io.EmbeddingChangedError, "
-             "{'load_rows', 'EmbeddingChangedError'} <= set(classvec.__all__))"],
+             "{'load_file', 'EmbeddingChangedError'} <= set(classvec.__all__), "
+             "'load_rows' in classvec.__all__)"],
             capture_output=True, text=True, timeout=120,
         )
-        assert proc.stdout.splitlines() == ["['classvec']", "True True True"], proc.stderr
+        assert proc.stdout.splitlines() == ["['classvec']", "True True True False"], \
+            proc.stderr
 
     def test_stages_load_only_their_modules(self, workspace, kernel_library):
         # the library is cached, so no stage needs the compiler's modules

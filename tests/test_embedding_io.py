@@ -19,7 +19,6 @@ from classvec.embedding_io import (
     EmbeddingSet,
     load_binary,
     load_file,
-    load_rows,
     load_text,
     save_binary,
     save_text,
@@ -809,7 +808,7 @@ def test_a_header_without_a_newline_is_read_in_bounded_memory(tmp_path, fmt, mes
     path = str(tmp_path / "ones")
     with open(path, "wb") as f:
         f.write(b"1" * (8 << 20))
-    for read in (BlockFile, load_file, lambda path, fmt: load_rows(path, fmt, ())):
+    for read in (BlockFile, load_file, lambda path, fmt: load_file(path, fmt, ())):
         tracemalloc.start()
         try:
             with pytest.raises(EmbeddingFormatError) as caught:
@@ -881,28 +880,29 @@ def test_block_file_read_again_yields_its_first_tokens_or_fails(tmp_path, fmt):
 
 @pytest.mark.usefixtures("kernel_or_not")
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_load_rows_keeps_the_rows_of_its_tokens_in_file_order(tmp_path, fmt):
+def test_load_file_keeps_the_rows_of_its_tokens_in_file_order(tmp_path, fmt):
     path = str(tmp_path / "v")
     emb = bit_random_embedding(np.random.default_rng(12), 3 * BLOCK_ROWS + 5, 3)
     with open(path, "wb") as f:
         (save_text if fmt == "text" else save_binary)(emb, f)
     wanted = [emb.words[i] for i in (700, 3, 3, 256, 255)] + ["absent"]
-    kept = load_rows(path, fmt, wanted)
+    kept = load_file(path, fmt, wanted)
     order = sorted({emb.index[w] for w in wanted if w in emb.index})
     assert kept.words == [emb.words[i] for i in order]
     assert kept.index == {w: i for i, w in enumerate(kept.words)}
     assert kept.matrix.tobytes() == emb.matrix[order].tobytes()
     assert not kept.matrix.flags.writeable
     assert "absent" not in kept
-    none = load_rows(path, fmt, ())
+    none = load_file(path, fmt, ())
     assert (len(none), none.dim, none.matrix.shape) == (0, 3, (0, 3))
 
 
 @pytest.mark.usefixtures("kernel_or_not")
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_load_rows_reads_its_file_as_a_load_does(tmp_path, fmt, monkeypatch):
-    """load_rows is a load that keeps some rows: it opens no BlockFile, and
-    kept to every token it gives what load_file gives."""
+def test_load_file_of_tokens_reads_its_file_as_a_full_load_does(tmp_path, fmt,
+                                                                monkeypatch):
+    """load_file with tokens is a load that keeps some rows: it opens no
+    BlockFile, and kept to every token it gives what a full load gives."""
     path = str(tmp_path / "v")
     emb = bit_random_embedding(np.random.default_rng(13), 2 * BLOCK_ROWS + 7, 3)
     with open(path, "wb") as f:
@@ -910,11 +910,11 @@ def test_load_rows_reads_its_file_as_a_load_does(tmp_path, fmt, monkeypatch):
     loaded = load_file(path, fmt)
 
     def no_block_file(*args):
-        raise AssertionError("load_rows opened a BlockFile")
+        raise AssertionError("load_file opened a BlockFile")
 
     monkeypatch.setattr(embedding_io, "BlockFile", no_block_file)
     for tokens in (emb.words, set(emb.words), emb.words + ["absent"]):
-        kept = load_rows(path, fmt, tokens)
+        kept = load_file(path, fmt, tokens)
         assert kept.words == loaded.words == emb.words
         assert kept.index == loaded.index
         assert kept.matrix.tobytes() == loaded.matrix.tobytes() == emb.matrix.tobytes()
