@@ -51,8 +51,8 @@ def nearest_neighbors(
     Zero-norm candidate rows have no defined cosine and are skipped, so
     the result may hold fewer than k entries when such rows exist.
 
-    A ``BlockFile`` checks that its second read finds the tokens and rows
-    of its first, or raises ``EmbeddingChangedError``, so every scored row
+    A ``BlockFile`` checks that its second read finds the bytes of its
+    first, or raises ``EmbeddingChangedError``, so every scored row
     is one the first read found. A token ``emb`` lacks is a ``KeyError``,
     then a ``k`` outside [1, V-1] or a zero query vector a ``ValueError``;
     each is raised once ``emb`` is read whole

@@ -21,11 +21,19 @@ reader's record holds the tokens read, to find a repeat; a load then
 numbers the tokens it kept as the set's index. :func:`load_file` loads
 every row of a file, or the rows of some tokens. :class:`BlockFile`
 gives the stream itself, for a caller that compares two files block by
-block, or reads one twice, and never needs a matrix; a file read twice
-is checked, block by block, to hold the tokens and rows of its first
-read.
+block, or reads one twice, and never needs a matrix. Its first read keeps
+one hash of each block's bytes and one of its tokens, and every later
+read checks the block's bytes against the first. A later read can also
+skip the parse: :meth:`BlockFile.raw_blocks` gives each block's checked
+bytes, and :meth:`BlockFile.splice` puts other values in some of its
+rows, so a writer of the file's format copies the rows it does not
+change as bytes (the frozen rows of ``vocab.TunedEmbedding``).
 :func:`errors_after` drains a stream before another error, so that a
 file's own errors come first.
+
+The writers format the values of a block's rows in one call, the text
+writer through the kernel's ``'%.9g'`` formatter with Python for the
+rows it declines, and join them with the rows' tokens.
 
 The reader tops the unparsed input up to a chunk of raw bytes with room
 for a block and hands it to the format's scanner of the compiled kernel
@@ -45,7 +53,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from functools import partial
 from itertools import repeat
-from typing import BinaryIO, Callable, Collection, Iterator
+from typing import BinaryIO, Callable, Collection, Iterator, NoReturn
 
 import numpy as np
 
@@ -233,6 +241,12 @@ def _add_new(index: dict, tokens: list[str]) -> bool:
     return False
 
 
+def _accept(tokens: list[str]) -> bool:
+    """The :data:`Record` of a file read again: the first read found no
+    repeats, and its hashes check the tokens."""
+    return True
+
+
 def _token_error(token: bytes, add: Record) -> str | None:
     """What is wrong with a row's token, or None after recording it."""
     if not token:
@@ -377,8 +391,9 @@ def load_text(source: BinaryIO) -> EmbeddingSet:
 
 def save_text(emb: EmbeddingSet, sink: BinaryIO) -> None:
     """Write the word2vec text format of ``emb``: an :class:`EmbeddingSet`,
-    or anything else with its ``len``, ``dim`` and ``blocks()``, such as
-    ``vocab.TunedEmbedding``.
+    or anything else with its ``len``, ``dim`` and ``blocks()``. A source
+    with an ``encoded(fmt, values)`` method, such as
+    ``vocab.TunedEmbedding``, gives the bytes of its rows itself.
 
     Components are printed as ``'%.9g' % value`` prints them: 9
     significant digits, '.' decimal point, no locale; enough to
@@ -387,27 +402,59 @@ def save_text(emb: EmbeddingSet, sink: BinaryIO) -> None:
     formats the rest and every row when the kernel is unavailable, with the
     same bytes.
     """
-    if len(emb) < 1:
-        raise ValueError("refusing to write an empty embedding set")
-    sink.write(f"{len(emb)} {emb.dim}\n".encode("utf-8"))
-    row_format = " ".join(["%.9g"] * emb.dim)
     # the kernel formats every block into this one buffer
     buffer = np.empty(BLOCK_ROWS * emb.dim * _kernel.FORMAT_BYTES, dtype=np.uint8)
-    for words, block in emb.blocks():
-        block = np.ascontiguousarray(block)
-        text, ends = _kernel.format_rows(block, buffer) or (b"", [-1] * len(block))
-        # token, space, numerals, newline per row: tokens hold no whitespace,
-        # so one encode and split gives every token's bytes
-        parts = [b"", b" ", b"", b"\n"] * len(words)
-        parts[0::4] = " ".join(words).encode("utf-8").split(b" ")
-        begin = 0
-        for i, end in enumerate(ends):
-            if end < 0:
-                parts[4 * i + 2] = (row_format % tuple(block[i].tolist())).encode("ascii")
-            else:
-                parts[4 * i + 2] = text[begin:end]
-                begin = end
-        sink.write(b"".join(parts))
+    _save(emb, sink, "text", partial(_text_values, buffer=buffer))
+
+
+def _text_values(block: np.ndarray, buffer: np.ndarray) -> list[bytes]:
+    """The numerals of each row of a float32 block, as :func:`save_text`
+    writes them; the kernel formats into ``buffer``, so the bytes of a row
+    it formats are valid until ``buffer`` is written again."""
+    block = np.ascontiguousarray(block)
+    text, ends = _kernel.format_rows(block, buffer) or (b"", [-1] * len(block))
+    row_format = " ".join(["%.9g"] * block.shape[1])
+    values = []
+    begin = 0
+    for i, end in enumerate(ends):
+        if end < 0:
+            values.append((row_format % tuple(block[i].tolist())).encode("ascii"))
+        else:
+            values.append(text[begin:end])
+            begin = end
+    return values
+
+
+def _binary_values(block: np.ndarray) -> list[bytes]:
+    """The little-endian float32 bytes of each row of a block, as
+    :func:`save_binary` writes them."""
+    row = np.dtype(f"V{4 * block.shape[1]}")  # one row's bytes, as one bytes object
+    return np.ascontiguousarray(block, dtype="<f4").view(row).ravel().tolist()
+
+
+def encode_rows(fmt: str, words: list[str], values: list[bytes]) -> bytes:
+    """The rows of ``words`` in ``fmt``: each token, a space and its row's
+    value bytes (``values``, as :func:`_text_values` or
+    :func:`_binary_values` gives them), and a newline in text."""
+    # tokens hold no whitespace, so one encode and split gives every token's bytes
+    parts = [b"", b" ", b"", b"\n" if fmt == "text" else b""] * len(words)
+    parts[0::4] = " ".join(words).encode("utf-8").split(b" ")
+    parts[2::4] = values
+    return b"".join(parts)
+
+
+def _save(emb, sink: BinaryIO, fmt: str, values: Callable[[np.ndarray], list[bytes]]
+          ) -> None:
+    """Write the header of ``emb`` and its rows in ``fmt``, ``values`` giving
+    the value bytes of each row of a block: through ``emb.encoded(fmt,
+    values)`` where ``emb`` has it, else formatted from ``emb.blocks()``."""
+    if len(emb) < 1:
+        raise ValueError("refusing to write an empty embedding set")
+    sink.write(f"{len(emb)} {emb.dim}\n".encode("ascii"))
+    encoded = getattr(emb, "encoded", None)
+    for data in (encoded(fmt, values) if encoded is not None else
+                 (encode_rows(fmt, words, values(block)) for words, block in emb.blocks())):
+        sink.write(data)
 
 
 def _binary_block(
@@ -471,11 +518,14 @@ def load_binary(source: BinaryIO) -> EmbeddingSet:
 
 def _read_rows(
     source: BinaryIO, fmt: str, base: int, n: int, m: int, what: str, add: Record,
-) -> Iterator[tuple[list[str], np.ndarray]]:
-    """Read the ``n`` rows of ``m`` values of a ``fmt`` stream that start at
-    file offset ``base``, about one block at a time, into one block of rows
-    that each block overwrites; for each block, record its tokens through
-    ``add`` and yield them with its rows. ``what`` names the header in the
+    row: int = 0,
+) -> Iterator[tuple[list[str], np.ndarray, memoryview]]:
+    """Read the rows of ``m`` values of a ``fmt`` stream of ``n`` rows, from
+    row ``row`` on, which starts at file offset ``base``, about one block at
+    a time, into one block of rows that each block overwrites; for each
+    block, record its tokens through ``add`` and yield them with its rows
+    and a read-only view of its bytes, as the reader read them. Both are
+    valid until the next block is read. ``what`` names the header in the
     error of a block too large to allocate."""
     text = fmt == "text"
     # a chunk holds BLOCK_ROWS rows of tokens of up to 15 bytes (text: and
@@ -500,8 +550,7 @@ def _read_rows(
             data.extend(got)
         return len(data) > held
 
-    buffer = _allocate(min(BLOCK_ROWS, n), m, what)
-    row = 0
+    buffer = _allocate(min(BLOCK_ROWS, n - row), m, what)
     while row < n:
         out = buffer[:min(BLOCK_ROWS, n - row)]
         more(size - len(data))  # a full chunk, so that a scan takes BLOCK_ROWS rows
@@ -515,10 +564,13 @@ def _read_rows(
             # its tokens are recorded last, so that a failed block records none
             block, values, used = parse(data, more, base, row, n, m, len(out), add)
             out[:len(block)] = values
+        with memoryview(data) as view:
+            raw = view[:used].toreadonly()
+        yield block, out[:len(block)], raw
+        raw.release()  # so that data can shrink
         del data[:used]
         base += used
         row += len(block)
-        yield block, out[:len(block)]
     if text:
         extra = _lines_after(data, 0, more)
         if extra:
@@ -533,12 +585,14 @@ def _collect(source: BinaryIO, fmt: str, tokens: Collection[str] | None = None
     or of every row if ``tokens`` is None, copied out of the reader's
     blocks; the reader has checked every token and value."""
     n, m, what, base = _read_header(source, fmt)
-    # pages of rows that are never kept are never touched
-    matrix = _allocate(n if tokens is None else min(n, len(tokens)), m, what)
     index: dict = {}  # the tokens read, for repeats; then the set's index
+    blocks = _read_rows(source, fmt, base, n, m, what, partial(_add_new, index))
+    # pages of rows that are never kept are never touched; a matrix too
+    # large to allocate is reported after the file's own errors
+    with errors_after(blocks):
+        matrix = _allocate(n if tokens is None else min(n, len(tokens)), m, what)
     words: list[str] = []
-    for block_tokens, block in _read_rows(source, fmt, base, n, m, what,
-                                          partial(_add_new, index)):
+    for block_tokens, block, _ in blocks:
         keep = slice(None) if tokens is None else np.flatnonzero(np.fromiter(
             map(tokens.__contains__, block_tokens), bool, len(block_tokens)))
         start = len(words)
@@ -557,18 +611,7 @@ def _collect(source: BinaryIO, fmt: str, tokens: Collection[str] | None = None
 def save_binary(emb: EmbeddingSet, sink: BinaryIO) -> None:
     """Write the word2vec binary format of ``emb``, taken as
     :func:`save_text` takes it; round trips bit-exactly."""
-    if len(emb) < 1:
-        raise ValueError("refusing to write an empty embedding set")
-    sink.write(f"{len(emb)} {emb.dim}\n".encode("ascii"))
-    row = np.dtype(f"V{4 * emb.dim}")  # one row's bytes, as one bytes object
-    for words, block in emb.blocks():
-        block = np.ascontiguousarray(block, dtype="<f4")
-        # token, space, vector per row: tokens hold no whitespace, so one
-        # encode and split gives every token's bytes
-        parts = [b" "] * (3 * len(words))
-        parts[0::3] = " ".join(words).encode("utf-8").split(b" ")
-        parts[2::3] = block.view(row).ravel().tolist()
-        sink.write(b"".join(parts))
+    _save(emb, sink, "bin", _binary_values)
 
 
 def _open(path: str, fmt: str) -> BinaryIO:
@@ -595,16 +638,18 @@ class BlockFile:
     :func:`load_file`: one block of ``BLOCK_ROWS`` rows that each block
     overwrites. (A stream allocates that block, not the file's matrix, so
     a header fails it as too large only if one block cannot be allocated.)
-    It has the ``len``, ``dim`` and ``blocks()`` that the writers take.
-    Close it, or use it as a context manager.
+    It has the ``len``, ``dim`` and ``blocks()`` that the writers take;
+    :meth:`raw_blocks` and :meth:`splice` give a writer of its format its
+    rows' bytes instead. Close it, or use it as a context manager.
     """
 
     def __init__(self, path: str, fmt: str):
         self._file = _open(path, fmt)
-        self._fmt = fmt
-        # the hashes of the tokens and of the rows of each block, by its
-        # first row, kept by the first read without a record that completes
-        self._hashes: dict[int, tuple[int, int]] | None = None
+        self.fmt = fmt
+        # each block as the first read without a record that completes found
+        # it: its rows, its length in bytes, and 64-bit hashes of its bytes
+        # and of its tokens
+        self._record: list[tuple[int, int, int, int]] | None = None
         try:
             self._rows, self.dim, self._what, self._base = _read_header(self._file, fmt)
         except BaseException:
@@ -623,36 +668,114 @@ class BlockFile:
         :class:`EmbeddingFormatError`, as a load does.
 
         Without ``add``, the first read checks the tokens for repeats in a
-        token set of its own and keeps only two 64-bit hashes of each block,
-        of its tokens and of its rows, once it completes; every later read
-        checks each block against them as it arrives and raises
-        :class:`EmbeddingChangedError` at the first block whose tokens or
-        rows differ, so that a file read twice yields the same tokens and
-        rows twice. A read with ``add`` hashes and checks nothing."""
-        own, first = add is None, self._hashes is None
+        token set of its own and keeps, once it completes, each block's rows
+        and length with two 64-bit hashes: of its bytes and of its tokens.
+        Every later read checks each block's bytes against them as it
+        arrives. At the first block whose bytes differ it raises that
+        block's format error, if it has one, or else
+        :class:`EmbeddingChangedError`, naming the block's tokens if they
+        differ and its vectors otherwise; so a file read twice yields the
+        same tokens and rows twice. A numeral rewritten to the same value
+        is a change too. A read with ``add`` hashes and checks nothing."""
+        own, first = add is None, self._record is None
         if own:
-            # a read again matches a first read that found no repeats
-            add = partial(_add_new, {}) if first else lambda tokens: True
-        kept: dict[int, tuple[int, int]] = {}
-        row = 0
+            add = partial(_add_new, {}) if first else _accept
+        kept = []
+        row = offset = 0
         self._file.seek(self._base)
-        for tokens, block in _read_rows(self._file, self._fmt, self._base, len(self),
-                                        self.dim, self._what, add):
+        for i, (tokens, block, raw) in enumerate(_read_rows(
+                self._file, self.fmt, self._base, len(self), self.dim, self._what, add)):
             if own:
-                # hashed before it is yielded: a caller may write into the block
-                found = hash(tuple(tokens)), hash(block.tobytes())
+                found = hash(bytes(raw))
                 if first:
-                    kept[row] = found
-                elif (before := self._hashes.get(row, (None, None))) != found:
-                    raise EmbeddingChangedError(
-                        f"the file changed after it was first read: rows {row + 1} to "
-                        f"{row + len(tokens)} do not hold the "
-                        f"{'tokens' if before[0] != found[0] else 'vectors'} read there before"
-                    )
+                    kept.append((len(tokens), len(raw), found, hash(tuple(tokens))))
+                elif found != self._record[i][2]:
+                    self._read_again(i, offset, row)
             row += len(tokens)
+            offset += len(raw)
             yield tokens, block
         if own and first:
-            self._hashes = kept
+            self._record = kept
+
+    def raw_blocks(self) -> Iterator[tuple[bytes, int]]:
+        """The bytes of each block and the rows it holds, as the first read
+        of :meth:`blocks` without ``add`` found them (that read runs now if
+        none has completed); a text file's last line always ends in a
+        newline, which the reader adds where the file has none.
+
+        Nothing is parsed while the file is unchanged: each block's bytes
+        are read and checked against the first read's hash. A block whose
+        bytes differ, or the last block if bytes follow it, is parsed again
+        from its offset and raises what :meth:`blocks` would raise there:
+        its format error first, then :class:`EmbeddingChangedError`."""
+        if self._record is None:
+            for _ in self.blocks():
+                pass
+        text = self.fmt == "text"
+        offset = row = 0
+        self._file.seek(self._base)
+        for i, (rows, length, found, _) in enumerate(self._record):
+            raw = self._file.read(length)
+            if text and len(raw) < length:
+                raw += b"\n"  # as the reader ends a last line that has none
+            if hash(raw) != found:
+                self._read_again(i, offset, row)
+            yield raw, rows
+            offset += length
+            row += rows
+        if self._file.read(1):
+            self._read_again(len(self._record) - 1, offset - length, row - rows)
+
+    def _read_again(self, i: int, offset: int, row: int) -> NoReturn:
+        """Raise what reading block ``i`` again finds once its bytes, or those
+        after the last block, differ from its first read's: a format error
+        of its rows first, then :class:`EmbeddingChangedError`. The block
+        starts at row ``row``, ``offset`` bytes after the header."""
+        rows, _, found, tokens_found = self._record[i]
+        self._file.seek(self._base + offset)
+        reader = _read_rows(self._file, self.fmt, self._base + offset, len(self),
+                            self.dim, self._what, _accept, row)
+        # the reader's blocks until they cover the block's rows: a scan that
+        # declines a row yields the rows before it as a block of their own
+        tokens: list[str] = []
+        raw: list[bytes] = []
+        for got, _, view in reader:
+            tokens += got
+            raw.append(bytes(view))
+            if len(tokens) >= rows:
+                break
+        if hash(b"".join(raw)) == found:
+            for _ in reader:  # the bytes after the last block: their format error
+                pass
+        what = "tokens" if hash(tuple(tokens[:rows])) != tokens_found else "vectors"
+        raise EmbeddingChangedError(
+            f"the file changed after it was first read: rows {row + 1} to "
+            f"{row + rows} do not hold the {what} read there before"
+        )
+
+    def splice(self, raw: bytes, at: list[int], values: list[bytes]) -> list[bytes]:
+        """``raw``, a block's bytes from :meth:`raw_blocks`, with the values
+        of its rows ``at`` (ascending, counted from the block's first row)
+        replaced by ``values``: each row's value bytes as the writer of this
+        file's format writes them. The result is pieces to be written one
+        after another: views of ``raw`` between those values, so that no
+        second copy of the block is made. Rows are located, not parsed: a
+        text row ends at its newline, and a binary row's token at a space,
+        followed by ``4 * dim`` bytes of values."""
+        text, vector = self.fmt == "text", 4 * self.dim
+        view = memoryview(raw)
+        pieces = []
+        pos = row = done = 0  # row `row` starts at raw[pos]; raw[:done] is in pieces
+        for j, value in zip(at, values):
+            for _ in range(j - row):
+                pos = raw.index(b"\n", pos) + 1 if text else raw.index(b" ", pos) + 1 + vector
+            start = raw.index(b" ", pos) + 1
+            end = raw.index(b"\n", start) if text else start + vector
+            pieces += (view[done:start], value)
+            done, row = end, j + 1
+            pos = end + 1 if text else end
+        pieces.append(view[done:])
+        return pieces
 
     def close(self) -> None:
         self._file.close()

@@ -8,10 +8,13 @@ of each corpus word and gives the corpus words missing from it seeded
 random rows; its row space is the pretrained rows followed by those.
 Training touches only the rows of corpus words, and
 :class:`TunedEmbedding` reads the source a second time, a block at a
-time, writing the tuned rows over the corpus words' rows in place and
-passing every other row through bit for bit. A ``BlockFile`` checks that
-this second read finds the tokens and rows of the first, so no row of a
-file changed in between reaches the tuned vectors. The vocabulary keeps
+time, writing the tuned rows over the corpus words' rows and passing
+every other row through bit for bit. Written in the format of a
+``BlockFile`` source, those frozen rows are the file's bytes, neither
+parsed nor formatted again; only the corpus words' rows are formatted.
+A ``BlockFile`` checks that this second read finds the bytes of the
+first, so no row of a file changed in between reaches the tuned
+vectors. The vocabulary keeps
 the corpus it counted, so a merged model carries the documents it is
 tuned on.
 """
@@ -20,13 +23,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import _kernel
 from .corpus import LabeledCorpus
-from .embedding_io import BLOCK_ROWS, BlockFile, EmbeddingSet, writable
+from .embedding_io import BLOCK_ROWS, BlockFile, EmbeddingSet, encode_rows, writable
 
 
 @dataclass(frozen=True)
@@ -81,12 +84,15 @@ class TunedEmbedding:
     row of ``rows`` (``|V_T| x m`` finite float32, in vocabulary order), as
     ``save_text`` and ``save_binary`` take it.
 
-    :meth:`blocks` reads the pretrained source a second time and writes
-    the tuned rows over each block's corpus rows in place, so a write
-    holds a block of rows, not the merged matrix; every other row passes
-    through as the source yields it. :meth:`embedding_set`
-    collects them, for a caller that wants the tuned vectors as an
-    :class:`EmbeddingSet`.
+    The writers take its rows from :meth:`encoded`: over a ``BlockFile``
+    of their format, each block of the file's bytes is copied with only
+    its corpus rows formatted, so no frozen row is parsed or formatted
+    again. :meth:`blocks` reads the pretrained source a second time and
+    writes the tuned rows over each block's corpus rows in place, so a
+    write holds a block of rows, not the merged matrix; every other row
+    passes through as the source yields it. It serves every other source
+    and format, and :meth:`embedding_set`, which collects them for a
+    caller that wants the tuned vectors as an :class:`EmbeddingSet`.
     """
 
     model: MergedModel
@@ -110,29 +116,70 @@ class TunedEmbedding:
     def dim(self) -> int:
         return self.model.dim
 
+    def _tuned(self) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+        """A function of ``(start, count)`` that gives the tuned rows among
+        merged rows ``start`` to ``start + count``: their offsets from
+        ``start``, ascending, and their ``rows``."""
+        order = np.argsort(self.model.rows)  # vocabulary rows by merged row
+        at = self.model.rows[order]
+
+        def tuned(start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+            lo, hi = np.searchsorted(at, (start, start + count))
+            return at[lo:hi] - start, self.rows[order[lo:hi]]
+
+        return tuned
+
+    def _unseen(self, tuned) -> Iterator[tuple[list[str], np.ndarray]]:
+        """The unseen tokens and their rows, a block at a time."""
+        unseen, start = self.model.unseen, len(self.model.pretrained)
+        for i in range(0, len(unseen), BLOCK_ROWS):
+            words = list(unseen[i:i + BLOCK_ROWS])
+            yield words, tuned(start + i, len(words))[1]
+
     def blocks(self) -> Iterator[tuple[list[str], np.ndarray]]:
         """The tokens and float32 rows of each block of merged rows, in order:
         the pretrained source's blocks, then the unseen rows.
 
         A ``BlockFile`` source raises ``EmbeddingChangedError`` before it
-        yields a block whose tokens or rows differ from those :func:`merge`
-        read, corpus and frozen rows alike."""
-        model = self.model
-        order = np.argsort(model.rows)  # vocabulary rows by merged row
-        at = model.rows[order]
+        yields a block whose bytes differ from those :func:`merge` read,
+        corpus and frozen rows alike."""
+        tuned = self._tuned()
         start = 0
-        for tokens, block in model.pretrained.blocks():
+        for tokens, block in self.model.pretrained.blocks():
             if not block.flags.writeable:  # an EmbeddingSet's own rows
                 block = block.copy()
-            stop = start + len(tokens)
-            lo, hi = np.searchsorted(at, (start, stop))
-            block[at[lo:hi] - start] = self.rows[order[lo:hi]]
+            at, rows = tuned(start, len(tokens))
+            block[at] = rows
             yield tokens, block
-            start = stop
-        unseen = order[np.searchsorted(at, start):]
-        for i in range(0, len(unseen), BLOCK_ROWS):
-            yield (list(model.unseen[i:i + BLOCK_ROWS]),
-                   self.rows[unseen[i:i + BLOCK_ROWS]])
+            start += len(tokens)
+        yield from self._unseen(tuned)
+
+    def encoded(self, fmt: str, values: Callable[[np.ndarray], list[bytes]]
+                ) -> Iterator[bytes]:
+        """The merged rows in ``fmt``, as the writers write them, in pieces
+        of bytes to be written one after another: ``values`` gives the
+        value bytes of each row of a float32 block.
+
+        Over a ``BlockFile`` of ``fmt``, each block is the file's bytes
+        (:meth:`~classvec.embedding_io.BlockFile.raw_blocks`, which checks
+        them against those :func:`merge` read), with the values of its
+        corpus rows replaced; only those rows and the unseen ones are
+        formatted. Frozen rows come out as the file holds them, so a text
+        file not written as ``save_text`` writes keeps its frozen rows'
+        numerals. Any other source is formatted from :meth:`blocks`."""
+        source = self.model.pretrained
+        if not (isinstance(source, BlockFile) and source.fmt == fmt):
+            for words, block in self.blocks():
+                yield encode_rows(fmt, words, values(block))
+            return
+        tuned = self._tuned()
+        start = 0
+        for raw, count in source.raw_blocks():
+            at, rows = tuned(start, count)
+            yield from source.splice(raw, at.tolist(), values(rows))
+            start += count
+        for words, rows in self._unseen(tuned):
+            yield encode_rows(fmt, words, values(rows))
 
     def embedding_set(self) -> EmbeddingSet:
         """The tuned vectors as one validated set over the merged tokens."""

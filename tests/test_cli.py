@@ -746,6 +746,32 @@ class TestStreamedStages:
             ["pretrained.txt", "corpus.tsv", f"pretrained.{fmt}"])
 
 
+    def test_finetune_fails_when_a_frozen_numeral_is_rewritten_to_its_value(
+            self, workspace, capsys, monkeypatch):
+        # the export copies frozen rows as the file holds them, so a rewrite
+        # that parses to the same values is a change too
+        tmp_path, pre, corpus = workspace
+        data = Path(pre).read_bytes().replace(b"20 6\n", b"21 6\n", 1)
+        data += b"frozen 0.50 1 2 3 4 5\n"
+        Path(pre).write_bytes(data)
+        train = cli.finetune
+
+        def finetune_then_change(model, cfg):
+            result = train(model, cfg)
+            with open(pre, "r+b") as f:
+                f.write(data.replace(b"frozen 0.50 ", b"frozen 5e-1 "))
+            return result
+
+        monkeypatch.setattr(cli, "finetune", finetune_then_change)
+        out = tmp_path / "tuned.vec"
+        rc = main(["finetune", "--pretrained", pre, "--corpus", corpus,
+                   "--out", str(out), "--epochs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.endswith(
+            "error: the file changed after it was first read: rows 1 to 21 do not "
+            "hold the vectors read there before\n")
+        assert not out.exists()
+
 @pytest.mark.usefixtures("kernel_or_not")
 @pytest.mark.parametrize("fmt", ["text", "bin"])
 class TestWideHeaders:

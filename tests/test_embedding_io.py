@@ -718,6 +718,8 @@ def _malformed_files() -> list[tuple[str, bytes]]:
         *(f"{h}\n".encode() + b"a 1 2\n" * 10
           for h in ("1_0 2", "+1 2", "1 \u0663", "-1 2", "1 0x2")),
         b"99999999999999999999 3\na 1 2 3\n",
+        # a header whose row count alone is more than memory holds
+        b"1099511627776 2\na 1 2\nb 3 4\n",
         *(f"2 2\nok 1 2\n{t} 1 2\n".encode() for t in ("a\tb", "a\u00a0b", "a\u2003b", "a\x1cb")),
         b"2 1\na 1\na 2\n", b"1 1\n 1\n", b"1 2\na nan 1\n", b"1 2\na 1 inf\n",
         b"1 1\n\xff\xfe 1\n", b"2 1\na 1\n\xc3 1\n", b"1 1\na \n", b"1 1\na ",
@@ -743,6 +745,7 @@ def _malformed_files() -> list[tuple[str, bytes]]:
         *(h + b"\n" + b"".join(b"w%d " % i + vec for i in range(10))
           for h in (b"1_0 2", b"+1 2", "1 \u0663".encode(), b"-1 2")),
         b"1 2\na\tb " + vec,
+        b"1099511627776 2\na " + vec + b"b " + vec,
     ]
     n = 2 * BLOCK_ROWS + 10
     for row in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 7):
@@ -876,6 +879,67 @@ def test_block_file_read_again_yields_its_first_tokens_or_fails(tmp_path, fmt):
             list(source.blocks())
         path.write_bytes(data)
         assert [t for tokens, _ in source.blocks() for t in tokens] == emb.words
+
+
+@pytest.mark.usefixtures("kernel_or_not")
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_block_file_raw_blocks_are_its_bytes_or_fail_as_a_read_again(tmp_path, fmt):
+    """raw_blocks() checks each block's bytes against the first read and
+    parses only a block that changed, so its errors are those of a parsed
+    read again: a format error first, then the tokens, then the vectors;
+    with the kernel too, whose scan stops at a row it declines."""
+    path = tmp_path / "v"
+    emb = random_embedding(np.random.default_rng(14), 2 * BLOCK_ROWS + 3, 4)
+    matrix = emb.matrix.copy()
+    matrix[300, 0] = 0.5
+    data = _saved(save_text if fmt == "text" else save_binary,
+                  EmbeddingSet(emb.words, matrix))
+    body = data[data.index(b"\n") + 1:]
+    if fmt == "text":
+        data = data[:-1]  # the reader adds the last line's newline
+    path.write_bytes(data)
+    with BlockFile(str(path), fmt) as source:
+        # with no first read yet, raw_blocks makes it
+        blocks = list(source.raw_blocks())
+        assert [rows for _, rows in blocks] == [BLOCK_ROWS, BLOCK_ROWS, 3]
+        assert b"".join(raw for raw, _ in blocks) == body
+        assert [t for tokens, _ in source.blocks() for t in tokens] == emb.words
+        # rewritten in place in the second block: a token; t300's first
+        # numeral to its value written another way (text) or a low bit of it
+        # (binary); that value malformed or NaN; and a row appended
+        at = data.index(b"t300 ") + len(b"t300 ")
+        value, malformed = bytearray(data), bytearray(data)
+        if fmt == "text":
+            value[at:at + 3] = b".50"
+            malformed[at:at + 3] = b"x.5"
+            grown = data + b"\nz 1 2 3 4\n"
+        else:
+            value[at] ^= 1
+            malformed[at:at + 4] = np.float32(np.nan).tobytes()
+            grown = data + b"z"
+        second = "^the file changed after it was first read: rows 257 to 512 do not hold the"
+        for changed, error, message, before in (
+            (data.replace(b"t300 ", b"x300 "), EmbeddingChangedError,
+             f"{second} tokens read there before$", 1),
+            (value, EmbeddingChangedError, f"{second} vectors read there before$", 1),
+            (malformed, EmbeddingFormatError,
+             "line 302: malformed value" if fmt == "text" else
+             f"byte {at}: non-finite value", 1),
+            (grown, EmbeddingFormatError,
+             "header declares 515 rows but file has 516" if fmt == "text" else
+             f"byte {len(data)}: trailing data after last vector", 3),
+        ):
+            path.write_bytes(changed)
+            seen = []
+            with pytest.raises(error, match=message):
+                for raw, rows in source.raw_blocks():
+                    seen.append((raw, rows))
+            assert seen == blocks[:before]
+            # a parsed read again raises the same, in the same order
+            with pytest.raises(error, match=message):
+                list(source.blocks())
+        path.write_bytes(data)
+        assert list(source.raw_blocks()) == blocks
 
 
 @pytest.mark.usefixtures("kernel_or_not")

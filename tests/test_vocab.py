@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from classvec import _kernel
+from classvec import _kernel, embedding_io
 from classvec.corpus import Document, from_documents
 from classvec.embedding_io import (
     BLOCK_ROWS,
@@ -15,12 +15,14 @@ from classvec.embedding_io import (
     BlockFile,
     EmbeddingChangedError,
     EmbeddingSet,
+    load_file,
+    load_text,
     save_binary,
     save_text,
 )
 from classvec.vocab import TunedEmbedding, build_vocab, init_unseen, merge
 
-from _constructions import random_embedding, splitmix64, splitmix_uniform
+from _constructions import bit_random_embedding, random_embedding, splitmix64, splitmix_uniform
 
 
 def _corpus(*token_lists: tuple[str, ...]):
@@ -301,3 +303,82 @@ class TestStreamedSource:
                 f.write(changed.getvalue())
             with pytest.raises(EmbeddingChangedError, match=re.escape(message)):
                 save_binary(TunedEmbedding(model, rows), io.BytesIO())
+
+    @staticmethod
+    def _export(save, tuned) -> bytes:
+        out = io.BytesIO()
+        save(tuned, out)
+        return out.getvalue()
+
+    @pytest.mark.usefixtures("kernel_or_not")
+    @pytest.mark.parametrize("fmt, case", [
+        (fmt, case) for fmt in FORMATS
+        for case in ("blocks", "all_frozen", "all_corpus", "unterminated")
+        if fmt == "text" or case != "unterminated"
+    ])
+    def test_the_byte_export_writes_what_formatting_every_row_writes(
+            self, tmp_path, monkeypatch, fmt, case):
+        # bit patterns the kernel formats and ones it declines, non-ASCII
+        # tokens; more than one block of rows, and unseen rows across a
+        # block boundary
+        n = BLOCK_ROWS + 3 if case == "all_corpus" else 2 * BLOCK_ROWS + 37
+        pretrained = bit_random_embedding(np.random.default_rng(25), n, 3)
+        new = [f"new{i}" for i in range(BLOCK_ROWS + 44)]
+        tokens = {
+            "blocks": pretrained.words[3::7] + new,
+            "all_frozen": new[:5],
+            "all_corpus": pretrained.words,
+            "unterminated": pretrained.words[::5] + new,
+        }[case]
+        vocab = build_vocab(_corpus(tuple(tokens)))
+        save = save_text if fmt == "text" else save_binary
+        data = self._export(save, pretrained)
+        if case == "unterminated":
+            data = data[:-1]  # the reader ends the last line with a newline
+        path = str(tmp_path / "pretrained")
+        with open(path, "wb") as f:
+            f.write(data)
+        rows = np.random.default_rng(26).normal(size=(len(vocab), 3)).astype(np.float32)
+        # the slow reference: every row parsed, then formatted
+        expected = self._export(save, TunedEmbedding(merge(load_file(path, fmt), vocab, 1), rows))
+        formatted = []
+        value_writer = "_text_values" if fmt == "text" else "_binary_values"
+        write_values = getattr(embedding_io, value_writer)
+
+        def counted(block, *args, **kwargs):
+            formatted.append(len(block))
+            return write_values(block, *args, **kwargs)
+
+        def no_parse(*args):
+            raise AssertionError("the export parsed the file")
+
+        with BlockFile(path, fmt) as source:
+            model = merge(source, vocab, seed=1)
+            monkeypatch.setattr(embedding_io, value_writer, counted)
+            monkeypatch.setattr(embedding_io, "_read_rows", no_parse)
+            assert self._export(save, TunedEmbedding(model, rows)) == expected
+        # the corpus rows and the unseen rows, and no frozen row
+        assert sum(formatted) == len(vocab)
+
+    def test_a_text_file_keeps_its_frozen_rows_as_written(self, tmp_path):
+        pretrained = random_embedding(np.random.default_rng(27), BLOCK_ROWS + 9, 3)
+        lines = [f"{w} " + " ".join("%.6f" % v for v in row)
+                 for w, row in zip(pretrained.words, pretrained.matrix.tolist())]
+        path = tmp_path / "pretrained.txt"
+        path.write_text("".join(f"{line}\n" for line in [f"{len(lines)} 3"] + lines))
+        vocab = build_vocab(_corpus(tuple(pretrained.words[5::50]) + ("novel",)))
+        rows = np.random.default_rng(28).normal(size=(len(vocab), 3)).astype(np.float32)
+        with BlockFile(str(path), "text") as source:
+            model = merge(source, vocab, seed=1)
+            out = self._export(save_text, TunedEmbedding(model, rows))
+        written = out.decode().split("\n")
+        for i, line in enumerate(lines):
+            if pretrained.words[i] not in vocab:
+                assert written[i + 1] == line
+            else:
+                assert written[i + 1] != line
+        # the frozen rows' values are the input's, read as float32
+        expected = TunedEmbedding(merge(load_file(str(path), "text"), vocab, 1), rows)
+        reloaded = load_text(io.BytesIO(out))
+        assert reloaded.words == expected.embedding_set().words
+        assert reloaded.matrix.tobytes() == expected.embedding_set().matrix.tobytes()
