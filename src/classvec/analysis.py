@@ -19,12 +19,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, compress, islice
 
 import numpy as np
 
-from .embedding_io import BlockFile, EmbeddingSet, _add_new, errors_after
+from .embedding_io import BlockFile, EmbeddingSet, errors_after
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -150,8 +149,9 @@ class DriftReport:
     """Per-token change between two embedding sets over shared tokens.
 
     The shared pairs are sorted ascending by cosine, ties in ``before``
-    order: ``rows`` holds each pair's row in ``after``, whose tokens are
-    ``words``, and ``cosines`` and ``shifts`` its statistics. ``entries``
+    order: ``rows`` holds each pair's row in ``after``, whose tokens, every
+    one in row order, are ``words``, and ``cosines`` and ``shifts`` its
+    statistics. ``entries``
     gives them as (token, cosine, shift); ``quantiles`` holds min/p25/
     median/p75/max for both statistics. Tokens present in only one set are
     listed separately.
@@ -251,8 +251,8 @@ def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet | BlockFile
     ``after`` is read and its rows kept, and the rest of ``before`` is
     compared with them token by token, a block at a time: files in other
     orders hold at most one set's rows. No token of ``before`` is kept
-    beyond its block but those ``after`` lacks: an earlier one is paired
-    or lacked by ``after``, which is how one rule finds a repeat.
+    beyond its block but those ``after`` lacks. Each side's own read finds
+    its repeated tokens, once it ends.
 
     The cosine of a pair with a zero-norm side is defined as 1.0 when both
     rows are identical, else 0.0 (fine-tuning never zeroes a vector; this
@@ -262,67 +262,54 @@ def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet | BlockFile
     (:func:`~classvec.embedding_io.errors_after`): any error of ``after``,
     then a dimension mismatch, then an error of ``before``.
     """
-    index: dict[str, None] = {}  # every after token read, in order
-    after_blocks = after.blocks(partial(_add_new, index))
-    held: set[str] = set()  # the before tokens of the block in hand
+    words: list[str] = []  # every after token read, in order
+    after_blocks = after.blocks()
     agree = True  # while the sides list the same tokens, block by block
     # once they differ, the after rows not paired yet, by token: row and
     # bytes; empty while they agree, when every after token read is paired
     rest: dict[str, tuple[int, bytes]] = {}
     only_before: dict[str, None] = {}
-    # the pairs of each block compared: after rows, cosines and shifts
-    parts: tuple[list[np.ndarray], ...] = ([], [], [])
-
-    def add(tokens: list[str]) -> bool:
-        """The reader's record of ``before`` tokens, which only accepts or
-        rejects them: False if one repeats another of them or of ``held``,
-        is in ``only_before`` or is paired (read in ``after``, gone from
-        ``rest``); else they are held until the loop takes their block.
-        (The reader records a failed block again row by row.)"""
-        if (len(set(tokens)) != len(tokens) or not held.isdisjoint(tokens)
-                or not only_before.keys().isdisjoint(tokens)
-                or (not index.keys().isdisjoint(tokens)
-                    and any(t in index and t not in rest for t in tokens))):
-            return False
-        held.update(tokens)
-        return True
-
+    # the pairs compared, in before order: their after rows (int64),
+    # cosines and shifts (float64), as bytes that grow in place
+    pairs = (bytearray(), bytearray(), bytearray())
     with errors_after(after_blocks):
         if before.dim != after.dim:
             raise ValueError(f"dimension mismatch: {before.dim} vs {after.dim}")
         row_bytes = np.dtype((np.void, 4 * after.dim))
-        for tokens, vb in before.blocks(add):
-            held.clear()
+        for tokens, vb in before.blocks():
             if agree:
                 ta, va = next(after_blocks, ([], None))
                 if ta == tokens:
-                    rows = np.arange(len(index) - len(ta), len(index))
+                    paired = np.arange(len(words), len(words) + len(ta), dtype=np.int64)
+                    words += ta
                 else:
                     agree = False
                     for ta, va in chain([(ta, va)] if ta else [], after_blocks):
-                        at = range(len(index) - len(ta), len(index))
+                        at = range(len(words), len(words) + len(ta))
                         rest.update(zip(ta, zip(at, np.ascontiguousarray(va)
                                                 .view(row_bytes).ravel().tolist())))
+                        words += ta
             if not agree:
-                hit = [t in rest for t in tokens]
-                taken = [rest.pop(t) for t in compress(tokens, hit)]
-                only_before.update(dict.fromkeys(t for t, h in zip(tokens, hit) if not h))
-                rows = np.array([row for row, _ in taken], dtype=np.int64)
-                vb = vb[np.array(hit, dtype=bool)]
+                # a repeat, which the read reports once it ends, finds none
+                taken = [rest.pop(t, None) for t in tokens]
+                hit = np.array([pair is not None for pair in taken], dtype=bool)
+                only_before.update(dict.fromkeys(compress(tokens, ~hit)))
+                taken = list(compress(taken, hit))
+                paired = np.array([row for row, _ in taken], dtype=np.int64)
+                vb = vb[hit]
                 va = np.frombuffer(b"".join([v for _, v in taken]), dtype=np.float32
                                    ).reshape(len(taken), after.dim)
-            for part, values in zip(parts, (rows, *_pair_stats(vb, va))):
-                part.append(values)
-        for _ in after_blocks:  # the after rows past the last before row
-            pass
-    shared = sum(map(len, parts[0]))
-    if not shared:
+            for part, values in zip(pairs, (paired, *_pair_stats(vb, va))):
+                part += values.tobytes()
+        for ta, _ in after_blocks:  # the after rows past the last before row
+            words += ta
+    rows, cosines, shifts = (np.frombuffer(part, dtype) for part, dtype in
+                             zip(pairs, (np.int64, np.float64, np.float64)))
+    del pairs  # each buffer is freed once its array is sorted
+    if not len(rows):
         raise ValueError("the two sets share no tokens")
-    words = list(index)
-    only_after = tuple(words[shared:] if agree else rest)
-    index.clear()  # both freed before the sort
-    rest.clear()
-    rows, cosines, shifts = map(_joined, parts)
+    only_after = tuple(words[len(rows):] if agree else rest)
+    rest.clear()  # freed before the sort
     # pairs are compared in before order, so a stable sort keeps it for
     # ties; one array at a time, so the sort holds one more array, not three
     order = np.argsort(cosines, kind="stable")
@@ -334,13 +321,6 @@ def drift(before: EmbeddingSet | BlockFile, after: EmbeddingSet | BlockFile
         quantiles=_summary(cosines, np.sort(shifts)),
         only_before=tuple(only_before), only_after=only_after,
     )
-
-
-def _joined(part: list[np.ndarray]) -> np.ndarray:
-    """The arrays of ``part`` joined; ``part`` no longer holds them."""
-    joined = np.concatenate(part)
-    part.clear()
-    return joined
 
 
 def drift_summary(

@@ -13,23 +13,26 @@ line number or byte offset.
 
 Readers and writers work on blocks of ``BLOCK_ROWS`` rows. The reader, one
 for both formats, is a stream of blocks: it reads the file a chunk at a
-time into one block of rows that every block reuses, records each block's
-tokens and yields them with its rows. A load collects that stream: it
-copies the rows it keeps out of each block into its matrix, so it holds
-the matrix plus about one block of input, never the whole file. The
-reader's record holds the tokens read, to find a repeat; a load then
-numbers the tokens it kept as the set's index. :func:`load_file` loads
-every row of a file, or the rows of some tokens. :class:`BlockFile`
-gives the stream itself, for a caller that compares two files block by
-block, or reads one twice, and never needs a matrix. Its first read keeps
-one hash of each block's bytes and one of its tokens, and every later
-read checks the block's bytes against the first. A later read can also
-skip the parse: :meth:`BlockFile.raw_blocks` gives each block's checked
-bytes, and :meth:`BlockFile.splice` puts other values in some of its
-rows, so a writer of the file's format copies the rows it does not
-change as bytes (the frozen rows of ``vocab.TunedEmbedding``).
-:func:`errors_after` drains a stream before another error, so that a
-file's own errors come first.
+time into one block of rows that every block reuses, and yields each
+block's tokens with its rows. A load collects that stream: it copies the
+rows it keeps out of each block into its matrix, so it holds the matrix
+plus about one block of input, never the whole file. To find a repeated
+token, the reader keeps one 8-byte fingerprint of each row's token and
+compares them all once the stream ends, or before it raises an error of
+its own; rows whose fingerprints are equal are read again to compare
+their tokens, which needs a stream that can seek. A read that stops early
+checks nothing. :func:`load_file` loads every row of a file, or the rows
+of some tokens. :class:`BlockFile` gives the stream itself, for a caller
+that compares two files block by block, or reads one twice, and never
+needs a matrix. Its first read keeps one hash of each block's bytes and
+one of its tokens, and every later read checks the block's bytes against
+the first. A later read can also skip the parse:
+:meth:`BlockFile.raw_blocks` gives each block's checked bytes, and
+:meth:`BlockFile.splice` puts other values in some of its rows, so a
+writer of the file's format copies the rows it does not change as bytes
+(the frozen rows of ``vocab.TunedEmbedding``). :func:`errors_after`
+drains a stream before another error, so that a file's own errors come
+first.
 
 The writers format the values of a block's rows in one call, the text
 writer through the kernel's ``'%.9g'`` formatter with Python for the
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import partial
-from itertools import repeat
+from itertools import chain, islice
 from typing import BinaryIO, Callable, Collection, Iterator, NoReturn
 
 import numpy as np
@@ -67,13 +70,14 @@ BLOCK_ROWS = 256
 # whitespace and non-ASCII digits; no word2vec writer emits those.
 _NUMERAL_BYTES = b"0123456789+-.eEinfatyINFATY"
 
-# Records the tokens a reader reads, block by block: add(tokens) accepts a
-# block's tokens, or rejects them with False if one of them repeats a
-# recorded token or another of them. A rejected call records nothing. The
-# reader yields a block only after its record accepted the block's tokens;
-# for a block that fails, it may call the record again token by token, to
-# name the first bad row, and then raises.
-Record = Callable[[list[str]], bool]
+# The fingerprint of a token in the reader's repeat check: the builtin
+# hash, salted per process, which is fine within one read
+_fingerprint = hash
+
+
+def _fingerprints(tokens: list[str]) -> bytes:
+    """The int64 fingerprints of ``tokens``, as bytes."""
+    return np.fromiter(map(_fingerprint, tokens), np.int64, len(tokens)).tobytes()
 
 
 class EmbeddingFormatError(ValueError):
@@ -83,6 +87,12 @@ class EmbeddingFormatError(ValueError):
 class EmbeddingChangedError(ValueError):
     """Raised when an embedding file read again no longer holds what its
     first read found."""
+
+
+class _BadRow(Exception):
+    """The first bad row of a Python block: its error's message, then the
+    tokens of the block's rows before it, and its own once that passed its
+    checks, for a repeat among them to be reported first."""
 
 
 class EmbeddingSet:
@@ -142,17 +152,12 @@ class EmbeddingSet:
         """Return the (read-only) vector for ``token``; KeyError if absent."""
         return self.matrix[self.index[token]]
 
-    def blocks(self, add: Record | None = None
-               ) -> Iterator[tuple[list[str], np.ndarray]]:
+    def blocks(self) -> Iterator[tuple[list[str], np.ndarray]]:
         """The tokens and rows of each block of ``BLOCK_ROWS`` rows, in
-        order, as the writers take them. ``add``, if given, records each
-        block's tokens before the block is yielded, as
-        :meth:`BlockFile.blocks` does."""
+        order, as the writers take them."""
         for start in range(0, len(self), BLOCK_ROWS):
-            words = self.words[start:start + BLOCK_ROWS]
-            if add is not None and not add(words):
-                raise ValueError(f"a token of rows {start}+ is recorded already")
-            yield words, self.matrix[start:start + BLOCK_ROWS]
+            rows = slice(start, start + BLOCK_ROWS)
+            yield self.words[rows], self.matrix[rows]
 
 
 def writable(tokens: list[str]) -> bool:
@@ -227,28 +232,8 @@ def _allocate(n: int, m: int, what: str) -> np.ndarray:
         raise _too_large(n, m, what) from None
 
 
-def _add_new(index: dict, tokens: list[str]) -> bool:
-    """Add ``tokens`` to ``index``, as keys without values; False, adding
-    nothing, if one repeats a token of ``index`` or of ``tokens``. A
-    :data:`Record` once ``index`` is bound."""
-    size = len(index)
-    if index.keys().isdisjoint(tokens):
-        index.update(zip(tokens, repeat(None)))
-        if len(index) == size + len(tokens):
-            return True
-        for token in tokens:  # a repeat within tokens: take them out again
-            index.pop(token, None)
-    return False
-
-
-def _accept(tokens: list[str]) -> bool:
-    """The :data:`Record` of a file read again: the first read found no
-    repeats, and its hashes check the tokens."""
-    return True
-
-
-def _token_error(token: bytes, add: Record) -> str | None:
-    """What is wrong with a row's token, or None after recording it."""
+def _token_error(token: bytes) -> str | None:
+    """What is wrong with a row's token, but for a repeat; None if nothing."""
     if not token:
         return "empty token"
     if b"\n" in token:
@@ -259,24 +244,20 @@ def _token_error(token: bytes, add: Record) -> str | None:
         return "token is not valid UTF-8"
     if word.split() != [word]:
         return f"whitespace in token {word!r}"
-    if not add([word]):
-        return f"duplicate token {word!r}"
     return None
 
 
-def _add_words(add: Record, joined: bytes) -> list[str] | None:
-    """Decode a block's tokens, joined by single spaces, and record them;
-    None, recording nothing, if any of them is empty, holds whitespace, is
-    not UTF-8 or repeats (:func:`_token_error` says which)."""
+def _tokens(joined: bytes) -> list[str] | None:
+    """Decode a block's tokens, joined by single spaces; None if any of them
+    is empty, holds whitespace or is not UTF-8 (:func:`_token_error` says
+    which)."""
     try:
         text = joined.decode("utf-8")
     except UnicodeDecodeError:
         return None
     block = text.split(" ")
     # str.split() drops empty tokens and splits at every whitespace character
-    if text.split() != block or not add(block):
-        return None
-    return block
+    return block if text.split() == block else None
 
 
 def parse_numerals(rows: list[bytes], m: int) -> np.ndarray | None:
@@ -339,12 +320,13 @@ def _lines_after(data: bytearray, pos: int, more: Callable[[], bool]) -> int:
 
 def _text_block(
     data: bytearray, more: Callable[[], bool], base: int, row: int, n: int,
-    m: int, rows: int, add: Record,
+    m: int, rows: int,
 ) -> tuple[list[str], np.ndarray, int]:
     """The Python block of up to ``rows`` text rows, row ``row`` on, at the
-    start of ``data``: its tokens, recorded through ``add``, its values and
-    the bytes it takes, or the error a row-by-row reader reports first;
-    ``more()`` reads more of the stream into ``data``."""
+    start of ``data``: its tokens, its values and the bytes it takes; or
+    the row count error, or else :class:`_BadRow` for the first row that a
+    row-by-row reader rejects. ``more()`` reads more of the stream into
+    ``data``."""
     end = 0
     for _ in range(rows):
         if (at := _find(data, b"\n", end, more)) < 0:
@@ -355,7 +337,7 @@ def _text_block(
     if values is not None:
         values = _to_float32(values)
         if np.isfinite(values).all():
-            block = _add_words(add, b" ".join([p[0] for p in parts]))
+            block = _tokens(b" ".join([p[0] for p in parts]))
             if block is not None:
                 return block, values, end
     # a wrong row count outranks any row's error, as a whole-file reader
@@ -363,24 +345,21 @@ def _text_block(
     rows = row + len(parts) + _lines_after(data, end, more)
     if rows != n:
         raise _row_count_error(n, rows)
-    # the first bad line; add has recorded the rows before it
+    words: list[str] = []  # the tokens that passed their checks
     for row, (token, space, numerals) in enumerate(parts, row):
-        lineno = row + 2  # after the header, counted from 1
         fields = numerals.count(b" ") + 2 if space else 1
         if fields != m + 1:
-            raise EmbeddingFormatError(
-                f"line {lineno}: expected {m + 1} space-separated fields, "
-                f"got {fields}"
-            )
-        problem = _token_error(token, add)
-        if problem is None:
+            problem = f"expected {m + 1} space-separated fields, got {fields}"
+        elif (problem := _token_error(token)) is None:
+            words.append(token.decode("utf-8"))
             parsed = parse_numerals([numerals], m)
             if parsed is None:
                 problem = "malformed value"
             elif not np.isfinite(_to_float32(parsed)).all():
                 problem = "non-finite value"
         if problem is not None:
-            raise EmbeddingFormatError(f"line {lineno}: {problem}")
+            # the line after the header, counted from 1
+            raise _BadRow(f"line {row + 2}: {problem}", words)
     raise RuntimeError("a text block failed its checks but none of its lines did")
 
 
@@ -459,7 +438,7 @@ def _save(emb, sink: BinaryIO, fmt: str, values: Callable[[np.ndarray], list[byt
 
 def _binary_block(
     data: bytearray, more: Callable[[], bool], base: int, row: int, n: int,
-    m: int, rows: int, add: Record,
+    m: int, rows: int,
 ) -> tuple[list[str], np.ndarray, int]:
     """The Python block of up to ``rows`` binary rows, as :func:`_text_block`
     takes text rows; ``data`` starts at file offset ``base``."""
@@ -494,21 +473,23 @@ def _binary_block(
         raw = b"".join([data[a:a + vec_bytes] for a in vec_at])
         vectors = np.frombuffer(raw, dtype="<f4").reshape(len(vec_at), m)
         if np.isfinite(vectors).all():
-            block = _add_words(add, b" ".join(tokens))
+            block = _tokens(b" ".join(tokens))
             if block is not None:
                 return block, vectors, pos
     # the first bad row: rows are checked token first, then vector, and a
     # truncation comes after the checks of every row read in full before it
+    words: list[str] = []  # the tokens that passed their checks
     for r, token in enumerate(tokens):
-        if (problem := _token_error(token, add)) is not None:
-            raise EmbeddingFormatError(f"byte {base + starts[r]}: {problem}")
+        if (problem := _token_error(token)) is not None:
+            raise _BadRow(f"byte {base + starts[r]}: {problem}", words)
+        words.append(token.decode("utf-8"))
         if r < len(vec_at) and not np.isfinite(
             np.frombuffer(data, "<f4", m, vec_at[r])
         ).all():
-            raise EmbeddingFormatError(f"byte {base + vec_at[r]}: non-finite value")
+            raise _BadRow(f"byte {base + vec_at[r]}: non-finite value", words)
     if failure is None:
         raise RuntimeError("a binary block failed its checks but none of its rows did")
-    raise EmbeddingFormatError(failure)
+    raise _BadRow(failure, words)
 
 
 def load_binary(source: BinaryIO) -> EmbeddingSet:
@@ -517,16 +498,19 @@ def load_binary(source: BinaryIO) -> EmbeddingSet:
 
 
 def _read_rows(
-    source: BinaryIO, fmt: str, base: int, n: int, m: int, what: str, add: Record,
-    row: int = 0,
+    source: BinaryIO, fmt: str, base: int, n: int, m: int, what: str, row: int = 0,
 ) -> Iterator[tuple[list[str], np.ndarray, memoryview]]:
     """Read the rows of ``m`` values of a ``fmt`` stream of ``n`` rows, from
     row ``row`` on, which starts at file offset ``base``, about one block at
-    a time, into one block of rows that each block overwrites; for each
-    block, record its tokens through ``add`` and yield them with its rows
-    and a read-only view of its bytes, as the reader read them. Both are
-    valid until the next block is read. ``what`` names the header in the
-    error of a block too large to allocate."""
+    a time, into one block of rows that each block overwrites; yield each
+    block's tokens with its rows and a read-only view of its bytes, as the
+    reader read them. Both are valid until the next block is read. ``what``
+    names the header in the error of a block too large to allocate.
+
+    A token that repeats an earlier row's is an error of its own row. The
+    reader keeps a fingerprint of each row's token and compares them once
+    the stream ends, or before it raises an error that a repeat before it
+    outranks; a read that stops early checks nothing."""
     text = fmt == "text"
     # a chunk holds BLOCK_ROWS rows of tokens of up to 15 bytes (text: and
     # of the widest '%.9g' numerals)
@@ -535,6 +519,8 @@ def _read_rows(
         if text else (_kernel.scan_binary, _binary_block, BLOCK_ROWS * (4 * m + 16))
     )
     data = bytearray()  # the stream from file offset base, not yet parsed
+    first, start = row, base  # where the read began, to read rows again
+    marks = bytearray()  # the int64 fingerprint of each row's token, from row first on
 
     def more(count: int = size) -> bool:
         """Read ``count`` more bytes of the stream into ``data``, or as many
@@ -550,20 +536,52 @@ def _read_rows(
             data.extend(got)
         return len(data) > held
 
+    def repeat(pending: list[str]) -> str | None:
+        """The error of the first row whose token repeats an earlier row's,
+        among the rows yielded and those of ``pending``, the tokens of the
+        rows from row ``row`` on; None if none does. The fingerprints are
+        sorted in place; once two are equal, the rows are read again and
+        the tokens of equal fingerprints compared."""
+        marks.extend(_fingerprints(pending))
+        read = np.frombuffer(marks, np.int64)
+        read.sort()
+        shared = set(read[1:][read[1:] == read[:-1]].tolist())
+        if not shared:
+            return None
+        if row > first:
+            source.seek(start)
+        again = chain.from_iterable(tokens for tokens, _, _ in _read_rows(
+            source, fmt, start, n, m, what, first))
+        seen: set[str] = set()
+        offset = start  # of row r, in binary
+        # the read again stops before its end, so it checks nothing
+        for r, token in enumerate(chain(islice(again, row - first), pending), first):
+            if _fingerprint(token) in shared:
+                if token in seen:
+                    where = f"line {r + 2}" if text else f"byte {offset}"
+                    return f"{where}: duplicate token {token!r}"
+                seen.add(token)
+            offset += len(token.encode("utf-8")) + 1 + 4 * m
+        return None
+
     buffer = _allocate(min(BLOCK_ROWS, n - row), m, what)
     while row < n:
         out = buffer[:min(BLOCK_ROWS, n - row)]
         more(size - len(data))  # a full chunk, so that a scan takes BLOCK_ROWS rows
         scanned = scan(data, out)
-        if scanned and scanned[0] and (block := _add_words(add, scanned[2])):
+        if scanned and scanned[0] and (block := _tokens(scanned[2])):
             used = scanned[1]
         elif scanned and not scanned[0] and not scanned[3] and more(len(data)):
             continue  # the row runs past the bytes read: read as much again
         else:
-            # the Python block, from the first row the scanner did not take;
-            # its tokens are recorded last, so that a failed block records none
-            block, values, used = parse(data, more, base, row, n, m, len(out), add)
+            # the Python block, from the first row the scanner did not take
+            try:
+                block, values, used = parse(data, more, base, row, n, m, len(out))
+            except _BadRow as bad:
+                problem, words = bad.args
+                raise EmbeddingFormatError(repeat(words) or problem) from None
             out[:len(block)] = values
+        marks.extend(_fingerprints(block))
         with memoryview(data) as view:
             raw = view[:used].toreadonly()
         yield block, out[:len(block)], raw
@@ -571,11 +589,14 @@ def _read_rows(
         del data[:used]
         base += used
         row += len(block)
-    if text:
-        extra = _lines_after(data, 0, more)
-        if extra:
-            raise _row_count_error(n, n + extra)
-    elif data or more():
+    # a text file's extra lines outrank a repeat, which outranks a binary
+    # file's trailing bytes
+    if text and (extra := _lines_after(data, 0, more)):
+        raise _row_count_error(n, n + extra)
+    trailing = not text and (data or more())
+    if problem := repeat([]):
+        raise EmbeddingFormatError(problem)
+    if trailing:
         raise EmbeddingFormatError(f"byte {base}: trailing data after last vector")
 
 
@@ -585,8 +606,7 @@ def _collect(source: BinaryIO, fmt: str, tokens: Collection[str] | None = None
     or of every row if ``tokens`` is None, copied out of the reader's
     blocks; the reader has checked every token and value."""
     n, m, what, base = _read_header(source, fmt)
-    index: dict = {}  # the tokens read, for repeats; then the set's index
-    blocks = _read_rows(source, fmt, base, n, m, what, partial(_add_new, index))
+    blocks = _read_rows(source, fmt, base, n, m, what)
     # pages of rows that are never kept are never touched; a matrix too
     # large to allocate is reported after the file's own errors
     with errors_after(blocks):
@@ -599,11 +619,9 @@ def _collect(source: BinaryIO, fmt: str, tokens: Collection[str] | None = None
         words.extend(block_tokens if tokens is None
                       else map(block_tokens.__getitem__, keep.tolist()))
         matrix[start:len(words)] = block[keep]
-    if tokens is not None:  # the tokens read are freed before the index is built
-        index.clear()
-    index.update(zip(words, range(len(words))))
     emb = EmbeddingSet.__new__(EmbeddingSet)
-    emb.words, emb.matrix, emb.index = words, matrix[:len(words)], index
+    emb.words, emb.matrix = words, matrix[:len(words)]
+    emb.index = dict(zip(words, range(len(words))))
     emb.matrix.setflags(write=False)
     return emb
 
@@ -646,9 +664,9 @@ class BlockFile:
     def __init__(self, path: str, fmt: str):
         self._file = _open(path, fmt)
         self.fmt = fmt
-        # each block as the first read without a record that completes found
-        # it: its rows, its length in bytes, and 64-bit hashes of its bytes
-        # and of its tokens
+        # each block as the first read that completes found it: its rows,
+        # its length in bytes, and 64-bit hashes of its bytes and of its
+        # tokens
         self._record: list[tuple[int, int, int, int]] | None = None
         try:
             self._rows, self.dim, self._what, self._base = _read_header(self._file, fmt)
@@ -659,49 +677,42 @@ class BlockFile:
     def __len__(self) -> int:
         return self._rows
 
-    def blocks(self, add: Record | None = None
-               ) -> Iterator[tuple[list[str], np.ndarray]]:
+    def blocks(self) -> Iterator[tuple[list[str], np.ndarray]]:
         """The tokens and rows of each block, in order; the rows are valid
-        until the next block is read. Each block's tokens are recorded
-        through ``add`` before it is yielded, and a token that ``add`` finds
-        recorded already is a duplicate; a failed check raises
-        :class:`EmbeddingFormatError`, as a load does.
+        until the next block is read. A failed check raises
+        :class:`EmbeddingFormatError`, as a load does; a repeated token is
+        found once the read ends, so a read that stops early checks none.
 
-        Without ``add``, the first read checks the tokens for repeats in a
-        token set of its own and keeps, once it completes, each block's rows
-        and length with two 64-bit hashes: of its bytes and of its tokens.
-        Every later read checks each block's bytes against them as it
-        arrives. At the first block whose bytes differ it raises that
-        block's format error, if it has one, or else
-        :class:`EmbeddingChangedError`, naming the block's tokens if they
-        differ and its vectors otherwise; so a file read twice yields the
-        same tokens and rows twice. A numeral rewritten to the same value
-        is a change too. A read with ``add`` hashes and checks nothing."""
-        own, first = add is None, self._record is None
-        if own:
-            add = partial(_add_new, {}) if first else _accept
+        The first read that completes keeps each block's rows and length
+        with two 64-bit hashes: of its bytes and of its tokens. Every later
+        read checks each block's bytes against them as it arrives. At the
+        first block whose bytes differ it raises that block's format error,
+        if it has one, or else :class:`EmbeddingChangedError`, naming the
+        block's tokens if they differ and its vectors otherwise; so a file
+        read twice yields the same tokens and rows twice. A numeral
+        rewritten to the same value is a change too."""
+        first = self._record is None
         kept = []
         row = offset = 0
         self._file.seek(self._base)
         for i, (tokens, block, raw) in enumerate(_read_rows(
-                self._file, self.fmt, self._base, len(self), self.dim, self._what, add)):
-            if own:
-                found = hash(bytes(raw))
-                if first:
-                    kept.append((len(tokens), len(raw), found, hash(tuple(tokens))))
-                elif found != self._record[i][2]:
-                    self._read_again(i, offset, row)
+                self._file, self.fmt, self._base, len(self), self.dim, self._what)):
+            found = hash(bytes(raw))
+            if first:
+                kept.append((len(tokens), len(raw), found, hash(tuple(tokens))))
+            elif found != self._record[i][2]:
+                self._read_again(i, offset, row)
             row += len(tokens)
             offset += len(raw)
             yield tokens, block
-        if own and first:
+        if first:
             self._record = kept
 
     def raw_blocks(self) -> Iterator[tuple[bytes, int]]:
         """The bytes of each block and the rows it holds, as the first read
-        of :meth:`blocks` without ``add`` found them (that read runs now if
-        none has completed); a text file's last line always ends in a
-        newline, which the reader adds where the file has none.
+        of :meth:`blocks` found them (that read runs now if none has
+        completed); a text file's last line always ends in a newline, which
+        the reader adds where the file has none.
 
         Nothing is parsed while the file is unchanged: each block's bytes
         are read and checked against the first read's hash. A block whose
@@ -734,7 +745,7 @@ class BlockFile:
         rows, _, found, tokens_found = self._record[i]
         self._file.seek(self._base + offset)
         reader = _read_rows(self._file, self.fmt, self._base + offset, len(self),
-                            self.dim, self._what, _accept, row)
+                            self.dim, self._what, row)
         # the reader's blocks until they cover the block's rows: a scan that
         # declines a row yields the rows before it as a block of their own
         tokens: list[str] = []

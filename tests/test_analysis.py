@@ -497,11 +497,11 @@ def test_neighbors_fail_when_the_file_changes_between_their_reads(tmp_path, fmt)
             """The file is rewritten once its first read has ended."""
             reads = 0
 
-            def blocks(self, add=None):
+            def blocks(self):
                 if self.reads == 1:
                     _write(rewrite, path, fmt)
                 self.reads += 1
-                return super().blocks(add)
+                return super().blocks()
 
         _write(emb, path, fmt)
         with Rewritten(path, fmt) as source:

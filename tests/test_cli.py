@@ -679,12 +679,12 @@ class TestStreamedStages:
             """The file is rewritten once the first read has ended."""
             reads = 0
 
-            def blocks(self, add=None):
+            def blocks(self):
                 if self.reads == 1:
                     with open(path, "wb") as f:
                         save_text(EmbeddingSet(emb.words, matrix), f)
                 self.reads += 1
-                return super().blocks(add)
+                return super().blocks()
 
         monkeypatch.setattr(cli, "BlockFile", Rewritten)
         rc = main(["nn", "--embeddings", path, "--word", f"t{BLOCK_ROWS + 3}", "--k", "3"])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from classvec import _kernel, embedding_io
+from classvec.analysis import drift
 from classvec.embedding_io import (
     BLOCK_ROWS,
     FORMATS,
@@ -24,6 +25,7 @@ from classvec.embedding_io import (
     save_text,
 )
 
+from _constructions import _outcome as _returned_or_raised
 from _constructions import (
     ShortReads,
     assert_streams_as_it_loads,
@@ -837,8 +839,6 @@ def test_block_file_read_again_yields_its_first_tokens_or_fails(tmp_path, fmt):
     emb = random_embedding(np.random.default_rng(11), 2 * BLOCK_ROWS + 3, 4)
     path.write_bytes(_saved(save_text if fmt == "text" else save_binary, emb))
     with BlockFile(str(path), fmt) as source:
-        # a read through a record of its caller's keeps nothing
-        assert len(list(source.blocks(lambda tokens: True))) == 3
         for _ in range(3):
             assert [t for tokens, _ in source.blocks() for t in tokens] == emb.words
         # a token rewritten in place, at its length, in the second block
@@ -1010,11 +1010,113 @@ def test_load_checks_each_token_once(monkeypatch):
         assert not emb.matrix.flags.writeable
 
 
-def test_set_blocks_record_each_block_before_yielding_it():
-    emb = random_embedding(np.random.default_rng(10), BLOCK_ROWS + 1, 2)
-    calls = []
-    for tokens, _ in emb.blocks(lambda tokens: calls.append(tokens) or True):
-        assert calls[-1] is tokens
-    assert calls == [emb.words[:BLOCK_ROWS], emb.words[BLOCK_ROWS:]]
-    with pytest.raises(ValueError, match="rows 0\\+ is recorded already"):
-        next(emb.blocks(lambda tokens: False))
+
+
+# --- the repeat check ----------------------------------------------------------
+
+def _rows_file(fmt: str, words: list[str], matrix: np.ndarray, bad=()) -> bytes:
+    """A file of ``words``, which may repeat, and the rows of ``matrix``,
+    with the first value of each row of ``bad`` malformed (text) or NaN
+    (binary)."""
+    rows = []
+    for i, (word, row) in enumerate(zip(words, matrix)):
+        if fmt == "text":
+            values = ["%.9g" % v for v in row.tolist()]
+            if i in bad:
+                values[0] = "x"
+            rows.append(f"{word} {' '.join(values)}\n".encode())
+        else:
+            row = row.astype("<f4")
+            if i in bad:
+                row[0] = np.nan
+            rows.append(word.encode() + b" " + row.tobytes())
+    return b"%d %d\n" % matrix.shape + b"".join(rows)
+
+
+@pytest.mark.usefixtures("kernel_or_not")
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_tokens_that_share_a_fingerprint_are_not_a_repeat(tmp_path, fmt):
+    """The reader compares 8-byte fingerprints of its tokens and reads the
+    rows of equal ones again. With every token given one fingerprint, a
+    file without a repeat reads, loads and drifts as with the builtin hash,
+    and a real repeat fails at its own row, before any later row's error,
+    with the message of a row-by-row reader."""
+    n, m = 2 * BLOCK_ROWS + 3, 3
+    emb = random_embedding(np.random.default_rng(15), n, m)
+    backwards = EmbeddingSet(emb.words[::-1], emb.matrix[::-1])
+    reference = reference_load_text if fmt == "text" else reference_load_binary
+    path = str(tmp_path / "v")
+
+    def outcomes(data: bytes) -> list:
+        """A read, a load, and drifts of the file as each side against
+        sets in its order and in reverse."""
+        with open(path, "wb") as f:
+            f.write(data)
+
+        def streamed():
+            with BlockFile(path, fmt) as source:
+                return [(tokens, rows.tobytes()) for tokens, rows in source.blocks()]
+
+        def loaded():
+            kept = load_file(path, fmt)
+            return kept.words, kept.matrix.tobytes()
+
+        def drifted(other, file_first):
+            with BlockFile(path, fmt) as source:
+                report = drift(source, other) if file_first else drift(other, source)
+            return (list(report.entries), report.quantiles, report.only_before,
+                    report.only_after)
+
+        return [_returned_or_raised(streamed), _returned_or_raised(loaded),
+                *(_returned_or_raised(lambda: drifted(other, first))
+                  for other in (emb, backwards) for first in (True, False))]
+
+    def colliding(data: bytes) -> list:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embedding_io, "_fingerprint", lambda token: 0)
+            return outcomes(data)
+
+    data = _rows_file(fmt, emb.words, emb.matrix)
+    assert data == _saved(save_text if fmt == "text" else save_binary, emb)
+    clean = outcomes(data)
+    assert clean[1] == ("ok", (emb.words, emb.matrix.tobytes()))
+    assert colliding(data) == clean
+    # a repeat across blocks, within one, of the first row by the last; and
+    # before a bad row of its own block or a later one, or at a bad row
+    for row, of, bad in ((300, 5, ()), (301, 299, ()), (n - 1, 0, ()), (300, 5, (302,)),
+                         (301, 299, (302,)), (300, 5, (300,)), (300, 5, (n - 1,))):
+        words = list(emb.words)
+        words[row] = words[of]
+        data = _rows_file(fmt, words, emb.matrix, bad)
+        where = (f"line {row + 2}" if fmt == "text" else
+                 f"byte {len(b'%d %d' % (n, m)) + 1 + sum(len(w) + 1 + 4 * m for w in words[:row])}")
+        expected = (EmbeddingFormatError, f"{where}: duplicate token {words[of]!r}")
+        assert _returned_or_raised(lambda: reference(data)) == expected
+        assert outcomes(data) == colliding(data) == [expected] * 6, (row, of, bad)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_first_read_keeps_less_than_24_bytes_a_token(tmp_path, fmt):
+    """The repeat check keeps an 8-byte fingerprint of each token read and
+    sorts them in place once the read ends. A BlockFile's first read and a
+    load of one token peak within one read chunk plus 24 bytes a token."""
+    n = 100_000
+    emb = EmbeddingSet([f"w{i}" for i in range(n)],
+                       np.random.default_rng(16).normal(size=(n, 2)).astype(np.float32))
+    path = str(tmp_path / "v")
+    with open(path, "wb") as f:
+        (save_text if fmt == "text" else save_binary)(emb, f)
+    chunk = BLOCK_ROWS * (_kernel.FORMAT_BYTES * 2 + 16)  # the text reader's, at 2 values
+
+    def first_read():
+        with BlockFile(path, fmt) as source:
+            return sum(len(tokens) for tokens, _ in source.blocks())
+
+    for read, result in ((first_read, n), (lambda: len(load_file(path, fmt, {"w7"})), 1)):
+        tracemalloc.start()
+        try:
+            assert read() == result
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= chunk + 24 * n, peak
