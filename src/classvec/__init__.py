@@ -38,10 +38,8 @@ _MODULE_OF = {
     "evaluate_exclusive": "metrics",
     "evaluate_multilabel": "metrics",
     "finetune": "trainer",
-    "load_binary": "embedding_io",
     "load_classifier": "classifier",
     "load_file": "embedding_io",
-    "load_text": "embedding_io",
     "load_tsv": "corpus",
     "merge": "vocab",
     "nearest_neighbors": "analysis",

@@ -14,25 +14,24 @@ line number or byte offset.
 Readers and writers work on blocks of ``BLOCK_ROWS`` rows. The reader, one
 for both formats, is a stream of blocks: it reads the file a chunk at a
 time into one block of rows that every block reuses, and yields each
-block's tokens with its rows. A load collects that stream: it copies the
-rows it keeps out of each block into its matrix, so it holds the matrix
-plus about one block of input, never the whole file. To find a repeated
-token, the reader keeps one 8-byte fingerprint of each row's token and
-compares them all once the stream ends, or before it raises an error of
-its own; rows whose fingerprints are equal are read again to compare
-their tokens, which needs a stream that can seek. A read that stops early
-checks nothing. :func:`load_file` loads every row of a file, or the rows
-of some tokens. :class:`BlockFile` gives the stream itself, for a caller
-that compares two files block by block, or reads one twice, and never
-needs a matrix. Its first read keeps one hash of each block's bytes and
-one of its tokens, and every later read checks the block's bytes against
-the first. A later read can also skip the parse:
-:meth:`BlockFile.raw_blocks` gives each block's checked bytes, and
-:meth:`BlockFile.splice` puts other values in some of its rows, so a
-writer of the file's format copies the rows it does not change as bytes
-(the frozen rows of ``vocab.TunedEmbedding``). :func:`errors_after`
-drains a stream before another error, so that a file's own errors come
-first.
+block's tokens with its rows. It reads only regular files, which it opens
+itself. :func:`load_file` collects that stream: it copies the rows it
+keeps, every row or those of some tokens, out of each block into its
+matrix, so it holds the matrix plus about one block of input. To find a
+repeated token, the reader keeps one 8-byte fingerprint of each row's
+token and compares them all once the stream ends, or before it raises an
+error of its own; rows whose fingerprints are equal are read again to
+compare their tokens. A read that stops early checks nothing.
+:class:`BlockFile` gives the stream itself, for a caller that compares
+two files block by block, or reads one twice, and never needs a matrix.
+Its first read keeps one hash of each block's bytes and one of its
+tokens. A later read checks each block's bytes against them
+(:meth:`BlockFile.raw_blocks`) and parses those checked bytes, with no
+token fingerprinted again; or it skips the parse, and
+:meth:`BlockFile.splice` puts other values in some of a block's rows, so
+a writer of the file's format copies the rows it does not change as
+bytes (the frozen rows of ``vocab.TunedEmbedding``). :func:`errors_after`
+drains a stream before another error, so a file's own errors come first.
 
 The writers format the values of a block's rows in one call, the text
 writer through the kernel's ``'%.9g'`` formatter with Python for the
@@ -53,6 +52,7 @@ names its first bad row.
 """
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from functools import partial
 from itertools import chain, islice
@@ -363,11 +363,6 @@ def _text_block(
     raise RuntimeError("a text block failed its checks but none of its lines did")
 
 
-def load_text(source: BinaryIO) -> EmbeddingSet:
-    """Parse the word2vec text format from a binary stream."""
-    return _collect(source, "text")
-
-
 def save_text(emb: EmbeddingSet, sink: BinaryIO) -> None:
     """Write the word2vec text format of ``emb``: an :class:`EmbeddingSet`,
     or anything else with its ``len``, ``dim`` and ``blocks()``. A source
@@ -492,9 +487,24 @@ def _binary_block(
     raise _BadRow(failure, words)
 
 
-def load_binary(source: BinaryIO) -> EmbeddingSet:
-    """Parse the word2vec binary format from a binary stream."""
-    return _collect(source, "bin")
+def _block(
+    fmt: str, data: bytearray, more: Callable[..., bool], base: int, row: int,
+    n: int, m: int, out: np.ndarray,
+) -> tuple[list[str], int] | None:
+    """The tokens of a block of rows of ``data``, row ``row`` on, and the
+    bytes it takes, its values read into ``out``: the scanner's rows, or the
+    Python block's from a row the scanner declines; None if the scan needs
+    more of the stream, which ``more(count)`` has then read."""
+    scan, parse = ((_kernel.scan_text, _text_block) if fmt == "text"
+                   else (_kernel.scan_binary, _binary_block))
+    scanned = scan(data, out)
+    if scanned and scanned[0] and (block := _tokens(scanned[2])):
+        return block, scanned[1]
+    if scanned and not scanned[0] and not scanned[3] and more(len(data)):
+        return None  # the row runs past the bytes read: read as much again
+    block, values, used = parse(data, more, base, row, n, m, len(out))
+    out[:len(block)] = values
+    return block, used
 
 
 def _read_rows(
@@ -514,10 +524,7 @@ def _read_rows(
     text = fmt == "text"
     # a chunk holds BLOCK_ROWS rows of tokens of up to 15 bytes (text: and
     # of the widest '%.9g' numerals)
-    scan, parse, size = (
-        (_kernel.scan_text, _text_block, BLOCK_ROWS * (_kernel.FORMAT_BYTES * m + 16))
-        if text else (_kernel.scan_binary, _binary_block, BLOCK_ROWS * (4 * m + 16))
-    )
+    size = BLOCK_ROWS * ((_kernel.FORMAT_BYTES if text else 4) * m + 16)
     data = bytearray()  # the stream from file offset base, not yet parsed
     first, start = row, base  # where the read began, to read rows again
     marks = bytearray()  # the int64 fingerprint of each row's token, from row first on
@@ -568,19 +575,13 @@ def _read_rows(
     while row < n:
         out = buffer[:min(BLOCK_ROWS, n - row)]
         more(size - len(data))  # a full chunk, so that a scan takes BLOCK_ROWS rows
-        scanned = scan(data, out)
-        if scanned and scanned[0] and (block := _tokens(scanned[2])):
-            used = scanned[1]
-        elif scanned and not scanned[0] and not scanned[3] and more(len(data)):
-            continue  # the row runs past the bytes read: read as much again
-        else:
-            # the Python block, from the first row the scanner did not take
-            try:
-                block, values, used = parse(data, more, base, row, n, m, len(out))
-            except _BadRow as bad:
-                problem, words = bad.args
-                raise EmbeddingFormatError(repeat(words) or problem) from None
-            out[:len(block)] = values
+        try:
+            if (step := _block(fmt, data, more, base, row, n, m, out)) is None:
+                continue
+        except _BadRow as bad:
+            problem, words = bad.args
+            raise EmbeddingFormatError(repeat(words) or problem) from None
+        block, used = step
         marks.extend(_fingerprints(block))
         with memoryview(data) as view:
             raw = view[:used].toreadonly()
@@ -600,32 +601,6 @@ def _read_rows(
         raise EmbeddingFormatError(f"byte {base}: trailing data after last vector")
 
 
-def _collect(source: BinaryIO, fmt: str, tokens: Collection[str] | None = None
-             ) -> EmbeddingSet:
-    """The set of the rows of ``tokens`` in a ``fmt`` stream, in file order,
-    or of every row if ``tokens`` is None, copied out of the reader's
-    blocks; the reader has checked every token and value."""
-    n, m, what, base = _read_header(source, fmt)
-    blocks = _read_rows(source, fmt, base, n, m, what)
-    # pages of rows that are never kept are never touched; a matrix too
-    # large to allocate is reported after the file's own errors
-    with errors_after(blocks):
-        matrix = _allocate(n if tokens is None else min(n, len(tokens)), m, what)
-    words: list[str] = []
-    for block_tokens, block, _ in blocks:
-        keep = slice(None) if tokens is None else np.flatnonzero(np.fromiter(
-            map(tokens.__contains__, block_tokens), bool, len(block_tokens)))
-        start = len(words)
-        words.extend(block_tokens if tokens is None
-                      else map(block_tokens.__getitem__, keep.tolist()))
-        matrix[start:len(words)] = block[keep]
-    emb = EmbeddingSet.__new__(EmbeddingSet)
-    emb.words, emb.matrix = words, matrix[:len(words)]
-    emb.index = dict(zip(words, range(len(words))))
-    emb.matrix.setflags(write=False)
-    return emb
-
-
 def save_binary(emb: EmbeddingSet, sink: BinaryIO) -> None:
     """Write the word2vec binary format of ``emb``, taken as
     :func:`save_text` takes it; round trips bit-exactly."""
@@ -633,19 +608,41 @@ def save_binary(emb: EmbeddingSet, sink: BinaryIO) -> None:
 
 
 def _open(path: str, fmt: str) -> BinaryIO:
-    """``path`` opened for reading, once ``fmt`` is known to be a format."""
+    """``path`` opened for reading, once ``fmt`` is known to be a format and
+    ``path``, if it exists, a regular file (a reader seeks; a FIFO blocks)."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown embedding format {fmt!r}")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"not a regular file: {path}")
     return open(path, "rb")
 
 
 def load_file(path: str, fmt: str, tokens: Collection[str] | None = None
               ) -> EmbeddingSet:
     """Load embeddings from ``path`` in the explicitly named format: every
-    row, or only the rows of the ``tokens`` the file has, in file order;
-    either way the whole file is read once, with every check and error."""
-    with _open(path, fmt) as f:
-        return _collect(f, fmt, tokens)
+    row, or only the rows of the ``tokens`` the file has, in file order,
+    copied out of the reader's blocks; either way the whole file is read
+    once, with every check and error."""
+    with _open(path, fmt) as source:
+        n, m, what, base = _read_header(source, fmt)
+        blocks = _read_rows(source, fmt, base, n, m, what)
+        # pages of rows that are never kept are never touched; a matrix too
+        # large to allocate is reported after the file's own errors
+        with errors_after(blocks):
+            matrix = _allocate(n if tokens is None else min(n, len(tokens)), m, what)
+        words: list[str] = []
+        for block_tokens, block, _ in blocks:
+            keep = slice(None) if tokens is None else np.flatnonzero(np.fromiter(
+                map(tokens.__contains__, block_tokens), bool, len(block_tokens)))
+            start = len(words)
+            words.extend(block_tokens if tokens is None
+                          else map(block_tokens.__getitem__, keep.tolist()))
+            matrix[start:len(words)] = block[keep]
+    emb = EmbeddingSet.__new__(EmbeddingSet)
+    emb.words, emb.matrix = words, matrix[:len(words)]
+    emb.index = dict(zip(words, range(len(words))))
+    emb.matrix.setflags(write=False)
+    return emb
 
 
 class BlockFile:
@@ -685,28 +682,27 @@ class BlockFile:
 
         The first read that completes keeps each block's rows and length
         with two 64-bit hashes: of its bytes and of its tokens. Every later
-        read checks each block's bytes against them as it arrives. At the
-        first block whose bytes differ it raises that block's format error,
-        if it has one, or else :class:`EmbeddingChangedError`, naming the
-        block's tokens if they differ and its vectors otherwise; so a file
-        read twice yields the same tokens and rows twice. A numeral
-        rewritten to the same value is a change too."""
-        first = self._record is None
+        read parses the checked bytes of :meth:`raw_blocks`, block for block
+        as the first read found them, and raises what that raises: a file
+        read twice yields the same tokens and rows twice."""
+        if self._record is not None:
+            buffer = _allocate(min(BLOCK_ROWS, len(self)), self.dim, self._what)
+            row, base = 0, self._base
+            for raw, rows in self.raw_blocks():
+                # a block as the first read found it: the scanner takes all
+                # its rows, or declines the first and the Python code takes all
+                tokens, _ = _block(self.fmt, bytearray(raw), lambda *_: False, base, row,
+                                   len(self), self.dim, buffer[:rows])
+                row, base = row + rows, base + len(raw)
+                yield tokens, buffer[:rows]
+            return
         kept = []
-        row = offset = 0
         self._file.seek(self._base)
-        for i, (tokens, block, raw) in enumerate(_read_rows(
-                self._file, self.fmt, self._base, len(self), self.dim, self._what)):
-            found = hash(bytes(raw))
-            if first:
-                kept.append((len(tokens), len(raw), found, hash(tuple(tokens))))
-            elif found != self._record[i][2]:
-                self._read_again(i, offset, row)
-            row += len(tokens)
-            offset += len(raw)
+        for tokens, block, raw in _read_rows(
+                self._file, self.fmt, self._base, len(self), self.dim, self._what):
+            kept.append((len(tokens), len(raw), hash(bytes(raw)), hash(tuple(tokens))))
             yield tokens, block
-        if first:
-            self._record = kept
+        self._record = kept
 
     def raw_blocks(self) -> Iterator[tuple[bytes, int]]:
         """The bytes of each block and the rows it holds, as the first read
@@ -714,11 +710,12 @@ class BlockFile:
         completed); a text file's last line always ends in a newline, which
         the reader adds where the file has none.
 
-        Nothing is parsed while the file is unchanged: each block's bytes
-        are read and checked against the first read's hash. A block whose
-        bytes differ, or the last block if bytes follow it, is parsed again
-        from its offset and raises what :meth:`blocks` would raise there:
-        its format error first, then :class:`EmbeddingChangedError`."""
+        Each block's bytes are read and checked against the first read's
+        hash; a later :meth:`blocks` parses them. A block whose bytes
+        differ, or the last block if bytes follow it, is parsed again from
+        its offset and raises its format error first, then
+        :class:`EmbeddingChangedError`, naming its tokens if they differ and
+        its vectors otherwise (a numeral rewritten to its value too)."""
         if self._record is None:
             for _ in self.blocks():
                 pass

@@ -1,8 +1,8 @@
 """Shared synthetic fixtures for the tests, slow reference readers,
 writers and drift that the block-wise library code is checked against,
-SplitMix64 in Python integers, a stream with short reads, a switch
-that makes the compiled kernel unavailable, and the check that a file
-streams as it loads.
+SplitMix64 in Python integers, a stream with short reads, the load of a
+file's bytes, a switch that makes the compiled kernel unavailable, and
+the check that a file streams as it loads.
 
 Every builder is fully seeded and deterministic. The two-class and
 three-class corpora below are engineered so that token *identity* is
@@ -18,8 +18,9 @@ import re
 import tempfile
 
 import numpy as np
+import pytest
 
-from classvec import _kernel
+from classvec import _kernel, embedding_io
 from classvec.analysis import drift, nearest_neighbors
 from classvec.corpus import Document, LabeledCorpus, from_documents
 from classvec.embedding_io import (
@@ -414,11 +415,32 @@ class ShortReads(io.RawIOBase):
     def readable(self) -> bool:
         return True
 
+    def seekable(self) -> bool:
+        return True
+
+    def seek(self, pos: int, whence: int = 0) -> int:
+        self._pos = (0, self._pos, len(self._data))[whence] + pos
+        return self._pos
+
     def readinto(self, buf) -> int:
         got = self._data[self._pos:self._pos + min(len(buf), self._step)]
         buf[:len(got)] = got
         self._pos += len(got)
         return len(got)
+
+
+def load_bytes(data: bytes, fmt: str, step: int | None = None) -> EmbeddingSet:
+    """``load_file`` of a temporary file that holds ``data`` in ``fmt``;
+    given ``step``, the file opens as :class:`ShortReads` of that step."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "vectors")
+        with open(path, "wb") as f:
+            f.write(data)
+        with pytest.MonkeyPatch.context() as mp:
+            if step is not None:
+                mp.setattr(embedding_io, "open", lambda *_: ShortReads(data, step),
+                           raising=False)
+            return load_file(path, fmt)
 
 
 def disable_kernel(mp) -> None:

@@ -45,8 +45,6 @@ from classvec.cli import main as cli_main
 from classvec.corpus import Document, from_documents
 from classvec.embedding_io import (
     EmbeddingSet,
-    load_binary,
-    load_text,
     save_binary,
     save_text,
 )
@@ -63,6 +61,7 @@ from _constructions import (
     confusable_corpus,
     cos,
     divergence_corpus,
+    load_bytes,
     marker_identity_accuracy,
     random_embedding,
 )
@@ -365,15 +364,13 @@ def test_criterion_6_file_formats_round_trip_1000_random_sets():
 
         buf = io.BytesIO()
         save_text(emb, buf)
-        buf.seek(0)
-        back = load_text(buf)
+        back = load_bytes(buf.getvalue(), "text")
         if back.words == emb.words and back.matrix.tobytes() == emb.matrix.tobytes():
             text_exact += 1
 
         buf = io.BytesIO()
         save_binary(emb, buf)
-        buf.seek(0)
-        back = load_binary(buf)
+        back = load_bytes(buf.getvalue(), "bin")
         if back.words == emb.words and back.matrix.tobytes() == emb.matrix.tobytes():
             bin_exact += 1
 

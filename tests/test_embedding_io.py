@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import io
+import os
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -18,18 +20,16 @@ from classvec.embedding_io import (
     EmbeddingChangedError,
     EmbeddingFormatError,
     EmbeddingSet,
-    load_binary,
     load_file,
-    load_text,
     save_binary,
     save_text,
 )
 
 from _constructions import _outcome as _returned_or_raised
 from _constructions import (
-    ShortReads,
     assert_streams_as_it_loads,
     bit_random_embedding,
+    load_bytes,
     random_embedding,
     reference_load_binary,
     reference_load_text,
@@ -44,15 +44,13 @@ BLOCK_SIZES = sorted({1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 1023, 1024,
 def _round_trip_text(emb: EmbeddingSet) -> EmbeddingSet:
     buf = io.BytesIO()
     save_text(emb, buf)
-    buf.seek(0)
-    return load_text(buf)
+    return load_bytes(buf.getvalue(), "text")
 
 
 def _round_trip_binary(emb: EmbeddingSet) -> EmbeddingSet:
     buf = io.BytesIO()
     save_binary(emb, buf)
-    buf.seek(0)
-    return load_binary(buf)
+    return load_bytes(buf.getvalue(), "bin")
 
 
 class TestEmbeddingSet:
@@ -128,7 +126,7 @@ class TestEmbeddingSet:
 class TestTextFormat:
     def test_parse_simple_file(self):
         data = b"2 3\nking 1 2.5 -3\nqueen 0.125 -0 4e-2\n"
-        emb = load_text(io.BytesIO(data))
+        emb = load_bytes(data, "text")
         assert emb.words == ["king", "queen"]
         np.testing.assert_allclose(emb.vector("king"), [1.0, 2.5, -3.0])
         np.testing.assert_allclose(emb.vector("queen"), [0.125, -0.0, 0.04])
@@ -163,20 +161,20 @@ class TestTextFormat:
     def test_header_errors(self):
         for data in (b"", b"abc\n", b"2\n", b"2 3 4\n", b"x 3\n", b"0 3\n", b"2 0\n"):
             with pytest.raises(EmbeddingFormatError):
-                load_text(io.BytesIO(data))
+                load_bytes(data, "text")
 
     def test_row_count_mismatch(self):
         with pytest.raises(EmbeddingFormatError, match="declares 2"):
-            load_text(io.BytesIO(b"2 2\na 1 2\n"))
+            load_bytes(b"2 2\na 1 2\n", "text")
         # a stray blank line counts as a (malformed) row
         with pytest.raises(EmbeddingFormatError):
-            load_text(io.BytesIO(b"1 2\na 1 2\n\n"))
+            load_bytes(b"1 2\na 1 2\n\n", "text")
 
     def test_errors_carry_line_numbers(self):
         with pytest.raises(EmbeddingFormatError, match="line 3"):
-            load_text(io.BytesIO(b"2 2\na 1 2\nb 1\n"))
+            load_bytes(b"2 2\na 1 2\nb 1\n", "text")
         with pytest.raises(EmbeddingFormatError, match="line 2: malformed value"):
-            load_text(io.BytesIO(b"1 2\na 1 x\n"))
+            load_bytes(b"1 2\na 1 x\n", "text")
 
     @pytest.mark.parametrize(
         "value", ["1_0", "1.0\t", "\u0663"], ids=["underscore", "tab", "arabic-indic"]
@@ -184,7 +182,7 @@ class TestTextFormat:
     def test_rejects_what_float_takes_but_word2vec_does_not(self, value):
         data = f"1 2\na 1 {value}\n".encode()
         with pytest.raises(EmbeddingFormatError, match="line 2: malformed value"):
-            load_text(io.BytesIO(data))
+            load_bytes(data, "text")
 
     @pytest.mark.parametrize(
         "header", ["1_0 2", "+1 2", "1 \u0663", "-1 2", "1 0x2"],
@@ -193,13 +191,13 @@ class TestTextFormat:
     def test_header_takes_ascii_digits_only(self, header):
         data = f"{header}\n".encode() + b"a 1 2\n" * 10
         with pytest.raises(EmbeddingFormatError, match="line 1"):
-            load_text(io.BytesIO(data))
+            load_bytes(data, "text")
 
     def test_header_larger_than_memory(self):
         with pytest.raises(EmbeddingFormatError, match="line 1: .* more than memory holds"):
-            load_text(io.BytesIO(b"99999999999999999999 3\na 1 2 3\n"))
+            load_bytes(b"99999999999999999999 3\na 1 2 3\n", "text")
         with pytest.raises(EmbeddingFormatError, match="header: .* more than memory holds"):
-            load_binary(io.BytesIO(b"3 99999999999999999999\na 1234"))
+            load_bytes(b"3 99999999999999999999\na 1234", "bin")
 
     @pytest.mark.parametrize(
         "token", ["a\tb", "a\u00a0b", "a\u2003b", "a\x1cb"],
@@ -208,48 +206,48 @@ class TestTextFormat:
     def test_whitespace_inside_a_token(self, token):
         data = f"2 2\nok 1 2\n{token} 1 2\n".encode()
         with pytest.raises(EmbeddingFormatError, match="line 3: whitespace in token"):
-            load_text(io.BytesIO(data))
+            load_bytes(data, "text")
 
     def test_numeral_check_skips_the_token(self):
-        emb = load_text(io.BytesIO("1 2\nnaïve_ʃ 1 -2.5e-3\n".encode()))
+        emb = load_bytes("1 2\nnaïve_ʃ 1 -2.5e-3\n".encode(), "text")
         assert emb.words == ["naïve_ʃ"]
 
     def test_rejects_duplicate_and_empty_tokens(self):
         with pytest.raises(EmbeddingFormatError, match="duplicate"):
-            load_text(io.BytesIO(b"2 1\na 1\na 2\n"))
+            load_bytes(b"2 1\na 1\na 2\n", "text")
         with pytest.raises(EmbeddingFormatError, match="empty token"):
-            load_text(io.BytesIO(b"1 1\n 1\n"))
+            load_bytes(b"1 1\n 1\n", "text")
 
     def test_rejects_non_finite_values(self):
         with pytest.raises(EmbeddingFormatError, match="non-finite"):
-            load_text(io.BytesIO(b"1 2\na nan 1\n"))
+            load_bytes(b"1 2\na nan 1\n", "text")
         with pytest.raises(EmbeddingFormatError, match="non-finite"):
-            load_text(io.BytesIO(b"1 2\na 1 inf\n"))
+            load_bytes(b"1 2\na 1 inf\n", "text")
 
     def test_rejects_invalid_utf8(self):
         with pytest.raises(EmbeddingFormatError, match="UTF-8"):
-            load_text(io.BytesIO(b"1 1\n\xff\xfe 1\n"))
+            load_bytes(b"1 1\n\xff\xfe 1\n", "text")
         with pytest.raises(EmbeddingFormatError, match="line 3: token is not valid UTF-8"):
-            load_text(io.BytesIO(b"2 1\na 1\n\xc3 1\n"))
+            load_bytes(b"2 1\na 1\n\xc3 1\n", "text")
 
     @pytest.mark.parametrize("data", [b"1 1\na \n", b"1 1\na ", b"2 1\na \nb \n"])
     def test_empty_value_is_malformed_without_warnings(self, data):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EmbeddingFormatError, match="line 2: malformed value"):
-                load_text(io.BytesIO(data))
+                load_bytes(data, "text")
 
     def test_rejects_control_bytes_that_float_strips(self):
         with pytest.raises(EmbeddingFormatError, match="line 2: malformed value"):
-            load_text(io.BytesIO(b"1 2\na 1 2\x1c\n"))
+            load_bytes(b"1 2\na 1 2\x1c\n", "text")
 
     def test_row_count_outranks_a_bad_row(self):
         # a whole-file reader counts rows first; the block reader must agree
         with pytest.raises(EmbeddingFormatError, match="declares 2 rows but file has 3"):
-            load_text(io.BytesIO(b"2 1\na x\nb 1\nc 1\n"))
+            load_bytes(b"2 1\na x\nb 1\nc 1\n", "text")
         data = b"3 1\n" + b"".join(b"w%d 1\n" % i for i in range(BLOCK_ROWS + 5))
         with pytest.raises(EmbeddingFormatError, match=f"file has {BLOCK_ROWS + 5}"):
-            load_text(io.BytesIO(data))
+            load_bytes(data, "text")
 
     def test_written_layout(self):
         emb = EmbeddingSet(["a", "b"], np.array([[1, 2], [3, 4]], np.float32))
@@ -280,50 +278,50 @@ class TestBinaryFormat:
         data = buf.getvalue()
         # cut inside the second vector
         with pytest.raises(EmbeddingFormatError, match="byte .*mid-vector"):
-            load_binary(io.BytesIO(data[:-4]))
+            load_bytes(data[:-4], "bin")
         # cut inside the second token
         cut = len("2 3\nabc ") + 12 + 1
         with pytest.raises(EmbeddingFormatError, match="truncated stream inside token"):
-            load_binary(io.BytesIO(data[:cut]))
+            load_bytes(data[:cut], "bin")
 
     def test_trailing_data_is_an_error(self):
         emb = EmbeddingSet(["a"], np.ones((1, 2), np.float32))
         buf = io.BytesIO()
         save_binary(emb, buf)
         with pytest.raises(EmbeddingFormatError, match="trailing data"):
-            load_binary(io.BytesIO(buf.getvalue() + b"x"))
+            load_bytes(buf.getvalue() + b"x", "bin")
 
     def test_header_must_end_with_newline(self):
         with pytest.raises(EmbeddingFormatError, match="header"):
-            load_binary(io.BytesIO(b"1 2"))
+            load_bytes(b"1 2", "bin")
 
     def test_rejects_bad_tokens(self):
         vec = np.ones(2, np.float32).tobytes()
         with pytest.raises(EmbeddingFormatError, match="empty token"):
-            load_binary(io.BytesIO(b"1 2\n " + vec))
+            load_bytes(b"1 2\n " + vec, "bin")
         with pytest.raises(EmbeddingFormatError, match="newline"):
-            load_binary(io.BytesIO(b"1 2\na\nb " + vec))
+            load_bytes(b"1 2\na\nb " + vec, "bin")
         with pytest.raises(EmbeddingFormatError, match="duplicate"):
-            load_binary(io.BytesIO(b"2 2\na " + vec + b"a " + vec))
+            load_bytes(b"2 2\na " + vec + b"a " + vec, "bin")
         with pytest.raises(EmbeddingFormatError, match="UTF-8"):
-            load_binary(io.BytesIO(b"1 2\n\xff\xfe " + vec))
+            load_bytes(b"1 2\n\xff\xfe " + vec, "bin")
 
     def test_rejects_non_finite_values(self):
         bad = np.array([np.inf, 1.0], np.float32).tobytes()
         with pytest.raises(EmbeddingFormatError, match="non-finite"):
-            load_binary(io.BytesIO(b"1 2\na " + bad))
+            load_bytes(b"1 2\na " + bad, "bin")
 
     @pytest.mark.parametrize("header", [b"1_0 2", b"+1 2", "1 \u0663".encode(), b"-1 2"])
     def test_header_takes_ascii_digits_only(self, header):
         vec = np.ones(2, np.float32).tobytes()
         data = header + b"\n" + b"".join(b"w%d " % i + vec for i in range(10))
         with pytest.raises(EmbeddingFormatError, match="header: non-integer"):
-            load_binary(io.BytesIO(data))
+            load_bytes(data, "bin")
 
     def test_whitespace_inside_a_token(self):
         vec = np.ones(2, np.float32).tobytes()
         with pytest.raises(EmbeddingFormatError, match="byte 4: whitespace in token"):
-            load_binary(io.BytesIO(b"1 2\na\tb " + vec))
+            load_bytes(b"1 2\na\tb " + vec, "bin")
 
 
 class TestFileHelpers:
@@ -363,7 +361,7 @@ class TestBlockReadersMatchReferences:
         save_text(emb, buf)
         data = buf.getvalue()
         assert data == reference_save_text(emb)
-        fast, ref = load_text(io.BytesIO(data)), reference_load_text(data)
+        fast, ref = load_bytes(data, "text"), reference_load_text(data)
         assert fast.words == ref.words == emb.words
         assert fast.matrix.tobytes() == ref.matrix.tobytes() == emb.matrix.tobytes()
 
@@ -374,7 +372,7 @@ class TestBlockReadersMatchReferences:
         save_binary(emb, buf)
         data = buf.getvalue()
         assert data == reference_save_binary(emb)
-        fast, ref = load_binary(io.BytesIO(data)), reference_load_binary(data)
+        fast, ref = load_bytes(data, "bin"), reference_load_binary(data)
         assert fast.words == ref.words == emb.words
         assert fast.matrix.tobytes() == ref.matrix.tobytes() == emb.matrix.tobytes()
 
@@ -390,7 +388,7 @@ class TestBlockReadersMatchReferences:
             for i in range(2500)
         ]
         data = ("2500 3\n" + "\n".join(rows) + "\n").encode()
-        assert load_text(io.BytesIO(data)).matrix.tobytes() == \
+        assert load_bytes(data, "text").matrix.tobytes() == \
             reference_load_text(data).matrix.tobytes()
 
 
@@ -425,7 +423,7 @@ def test_text_errors_name_their_own_line(row, fault, message):
     data = _text_file(rows)
     message = message.replace("{prev}", str(row - 1))
     with pytest.raises(EmbeddingFormatError) as err:
-        load_text(io.BytesIO(data))
+        load_bytes(data, "text")
     assert str(err.value).startswith(f"line {row + 2}: {message}")
     with pytest.raises(EmbeddingFormatError) as ref:
         reference_load_text(data)
@@ -444,7 +442,7 @@ def test_binary_non_finite_row_reports_its_own_offset():
     data[offset + 4:offset + 8] = np.float32(np.nan).tobytes()
     data[-4:] = np.float32(np.inf).tobytes()  # a later error must not be the one reported
     with pytest.raises(EmbeddingFormatError) as err:
-        load_binary(io.BytesIO(bytes(data)))
+        load_bytes(bytes(data), "bin")
     assert str(err.value) == f"byte {offset}: non-finite value"
     with pytest.raises(EmbeddingFormatError) as ref:
         reference_load_binary(bytes(data))
@@ -461,7 +459,7 @@ def test_binary_truncation_matches_reference(row, cut):
     end = len(b"%d 2\n" % len(emb)) + sum(len(w) + 1 + 8 for w in emb.words[:row])
     data = data[:end + cut]
     with pytest.raises(EmbeddingFormatError) as err:
-        load_binary(io.BytesIO(data))
+        load_bytes(data, "bin")
     with pytest.raises(EmbeddingFormatError) as ref:
         reference_load_binary(data)
     assert str(err.value) == str(ref.value)
@@ -484,26 +482,33 @@ def _binary_chunk(m: int) -> int:
     return BLOCK_ROWS * (4 * m + 16)
 
 
-def _outcome(load, data: bytes, step: int | None = None):
-    """(words, matrix bytes) of a load, or its error message."""
-    source = io.BytesIO(data) if step is None else ShortReads(data, step)
+def _outcome(load, data: bytes):
+    """(words, matrix bytes) of ``load(data)``, or its error message."""
     try:
-        emb = load(source)
+        emb = load(data)
     except EmbeddingFormatError as e:
         return str(e)
     return emb.words, emb.matrix.tobytes()
 
 
+def _load_text(data: bytes, step: int | None = None) -> EmbeddingSet:
+    return load_bytes(data, "text", step)
+
+
+def _load_binary(data: bytes, step: int | None = None) -> EmbeddingSet:
+    return load_bytes(data, "bin", step)
+
+
 def _assert_text_like_reference(data: bytes, steps=(None, 7)) -> None:
-    expected = _outcome(lambda source: reference_load_text(source.read()), data)
+    expected = _outcome(reference_load_text, data)
     for step in steps:
-        assert _outcome(load_text, data, step) == expected
+        assert _outcome(lambda d: _load_text(d, step), data) == expected
 
 
 def _assert_binary_like_reference(data: bytes, steps=(None, 5)) -> None:
-    expected = _outcome(lambda source: reference_load_binary(source.read()), data)
+    expected = _outcome(reference_load_binary, data)
     for step in steps:
-        assert _outcome(load_binary, data, step) == expected
+        assert _outcome(lambda d: _load_binary(d, step), data) == expected
 
 
 def _text_data(n: int, m: int, seed: int) -> bytes:
@@ -520,13 +525,13 @@ class TestChunkBoundaries:
         edge = data.index(b"\n") + 1 + _text_chunk(2)
         assert edge < len(data) - _text_chunk(2) and data[edge - 1] != ord("\n")
         _assert_text_like_reference(data, steps=(None, 1, 7, 4096))
-        assert isinstance(_outcome(load_text, data), tuple)
+        assert isinstance(_outcome(_load_text, data), tuple)
 
     def test_text_last_row_without_its_newline(self):
         data = _text_data(BLOCK_ROWS + 3, 2, 31)
         assert data.endswith(b"\n")
         _assert_text_like_reference(data[:-1])
-        assert _outcome(load_text, data[:-1]) == _outcome(load_text, data)
+        assert _outcome(_load_text, data[:-1]) == _outcome(_load_text, data)
 
     def test_text_declined_numeral_mid_chunk(self):
         data = _text_data(2 * BLOCK_ROWS, 3, 32)
@@ -536,7 +541,7 @@ class TestChunkBoundaries:
         lines[row + 1] = token + b" %.17g 0.5 %.17g" % (0.1, -2.5e-30)
         data = b"\n".join(lines)
         _assert_text_like_reference(data)
-        words, matrix = _outcome(load_text, data)
+        words, matrix = _outcome(_load_text, data)
         values = np.frombuffer(matrix, dtype=np.float32).reshape(-1, 3)
         assert values[row].tolist() == np.array([0.1, 0.5, -2.5e-30], np.float32).tolist()
 
@@ -548,7 +553,7 @@ class TestChunkBoundaries:
         else:
             at = data.index(b"\n", len(data) // 2)
             data = data[:at] + b"\r" + data[at:]
-        message = _outcome(load_text, data)
+        message = _outcome(_load_text, data)
         assert isinstance(message, str) and message.endswith("malformed value")
         _assert_text_like_reference(data)
 
@@ -572,7 +577,7 @@ class TestChunkBoundaries:
         token_at = data.index(b" ", offset)
         assert offset < edge < token_at  # the edge is inside the token
         _assert_binary_like_reference(data, steps=(None, 1, 5, 4096))
-        assert _outcome(load_binary, data) == (emb.words, emb.matrix.tobytes())
+        assert _outcome(_load_binary, data) == (emb.words, emb.matrix.tobytes())
 
     def test_binary_vectors_straddle_chunk_edges(self):
         emb = random_embedding(np.random.default_rng(34), 3 * BLOCK_ROWS, 3)
@@ -605,7 +610,7 @@ class TestChunkBoundaries:
         data = buf.getvalue()
         start = len(b"%d 2\n" % len(emb)) + sum(len(w) + 1 + 8 for w in emb.words[:row])
         data = data[:start + len(emb.words[row]) + 1 + 5]
-        message = _outcome(load_binary, data)
+        message = _outcome(_load_binary, data)
         assert isinstance(message, str) and "truncated stream mid-vector" in message
         _assert_binary_like_reference(data)
 
@@ -656,8 +661,7 @@ def test_a_row_longer_than_a_chunk_takes_few_scans(fmt, kernel_library, monkeypa
     calls = []
     scan = _kernel._scan
     monkeypatch.setattr(_kernel, "_scan", lambda *args: calls.append(1) or scan(*args))
-    load = load_text if fmt == "text" else load_binary
-    assert load(ShortReads(buf.getvalue(), 4096)).words == emb.words
+    assert load_bytes(buf.getvalue(), fmt, 4096).words == emb.words
     assert len(calls) <= 12
 
 
@@ -669,10 +673,10 @@ def test_text_load_streams_in_bounded_memory():
     buf = io.BytesIO()
     save_text(emb, buf)
     data = buf.getvalue()
-    load_text(io.BytesIO(b"1 2\na 1 2\n"))  # first-call imports are not the reader's
+    load_bytes(b"1 2\na 1 2\n", "text")  # first-call imports are not the reader's
     tracemalloc.start()
     try:
-        loaded = load_text(io.BytesIO(data))
+        loaded = load_bytes(data, "text")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -691,10 +695,10 @@ def test_binary_load_streams_in_bounded_memory():
     buf = io.BytesIO()
     save_binary(emb, buf)
     data = buf.getvalue()
-    load_binary(io.BytesIO(b"1 1\na \x00\x00\x80\x3f"))  # first-call imports
+    load_bytes(b"1 1\na \x00\x00\x80\x3f", "bin")  # first-call imports
     tracemalloc.start()
     try:
-        loaded = load_binary(io.BytesIO(data))
+        loaded = load_bytes(data, "bin")
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -827,9 +831,9 @@ def test_a_header_without_a_newline_is_read_in_bounded_memory(tmp_path, fmt, mes
 
 def test_a_text_header_below_the_line_limit_reads_as_before():
     padded = b"1 2" + b" " * 4000 + b"\n"
-    assert load_text(io.BytesIO(padded + b"a 1 2\n")).words == ["a"]
+    assert load_bytes(padded + b"a 1 2\n", "text").words == ["a"]
     with pytest.raises(EmbeddingFormatError, match="declares 1 rows but file has 0"):
-        load_text(io.BytesIO(b"1 2"))  # unterminated, at the end of the file
+        load_bytes(b"1 2", "text")  # unterminated, at the end of the file
 
 
 @pytest.mark.usefixtures("kernel_or_not")
@@ -1001,11 +1005,11 @@ def test_text_writer_writes_the_reference_bytes_from_any_block_source(tmp_path, 
 def test_load_checks_each_token_once(monkeypatch):
     """A load hands its index to the set; the set's constructor, which
     checks every token and value again, is for library callers."""
-    files = ((load_binary, _saved(save_binary, random_embedding(np.random.default_rng(9), 600, 2))),
-             (load_text, _text_data(600, 2, 9)))
+    files = (("bin", _saved(save_binary, random_embedding(np.random.default_rng(9), 600, 2))),
+             ("text", _text_data(600, 2, 9)))
     monkeypatch.setattr(EmbeddingSet, "__init__", None)  # a call would fail
-    for load, raw in files:
-        emb = load(io.BytesIO(raw))
+    for fmt, raw in files:
+        emb = load_bytes(raw, fmt)
         assert emb.index == {w: i for i, w in enumerate(emb.words)}
         assert not emb.matrix.flags.writeable
 
@@ -1120,3 +1124,101 @@ def test_a_first_read_keeps_less_than_24_bytes_a_token(tmp_path, fmt):
         finally:
             tracemalloc.stop()
         assert peak <= chunk + 24 * n, peak
+
+
+# --- a later read parses the checked bytes --------------------------------------
+
+def _later_read_files(fmt: str) -> list[bytes]:
+    """Files of more than one block: plain; with tokens long enough that a
+    chunk holds less than a block, so the scanner's blocks are short; of
+    bit patterns that the kernel declines at many rows; and, in text,
+    without its last newline, and with one '%.17g' row that the kernel
+    declines partway through a block."""
+    n, m = 2 * BLOCK_ROWS + 5, 3
+    emb = random_embedding(np.random.default_rng(17), n, m)
+    long = EmbeddingSet([f"{w}{'x' * 40}" for w in emb.words], emb.matrix)
+    save = save_text if fmt == "text" else save_binary
+    files = [_saved(save, emb), _saved(save, long),
+             _saved(save, bit_random_embedding(np.random.default_rng(17), n, m))]
+    if fmt == "text":
+        files.append(files[0][:-1])
+        lines = files[0].split(b"\n")
+        token = lines[101].split(b" ")[0]
+        lines[101] = token + b" %.17g 0.5 %.17g" % (0.1, -2.5e-30)
+        files.append(b"\n".join(lines))
+    return files
+
+
+@pytest.mark.usefixtures("kernel_or_not")
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_later_read_parses_the_first_reads_checked_bytes(tmp_path, fmt, monkeypatch):
+    """A later blocks() yields the first read's tokens and float32 bits,
+    block for block, and neither it nor raw_blocks() fingerprints a token:
+    the first read has checked them all, and each block's bytes are checked
+    against it."""
+    fingerprints = embedding_io._fingerprints
+    seen: list[str] = []
+
+    def spied(tokens):
+        seen.extend(tokens)
+        return fingerprints(tokens)
+
+    monkeypatch.setattr(embedding_io, "_fingerprints", spied)
+    path = str(tmp_path / "v")
+    for data in _later_read_files(fmt):
+        with open(path, "wb") as f:
+            f.write(data)
+        expected = load_file(path, fmt)
+        with BlockFile(path, fmt) as source:
+            seen.clear()
+            first = [(tokens, rows.tobytes()) for tokens, rows in source.blocks()]
+            assert seen == expected.words
+            assert sum((tokens for tokens, _ in first), []) == expected.words
+            assert b"".join(rows for _, rows in first) == expected.matrix.tobytes()
+            seen.clear()
+            for _ in range(2):
+                assert [(tokens, rows.tobytes()) for tokens, rows in source.blocks()] == first
+                assert [rows for _, rows in source.raw_blocks()] == \
+                    [len(tokens) for tokens, _ in first]
+            assert seen == []
+
+
+def test_a_declined_row_makes_a_short_block_that_a_later_read_keeps(tmp_path, kernel_library):
+    """With the kernel, the '%.17g' row ends a short block of the rows the
+    scanner took before it; a later read yields the same blocks."""
+    path = str(tmp_path / "v")
+    with open(path, "wb") as f:
+        f.write(_later_read_files("text")[-1])
+    with BlockFile(path, "text") as source:
+        for _ in range(2):
+            assert [len(tokens) for tokens, _ in source.blocks()] == [100, BLOCK_ROWS, 161]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_readers_take_regular_files_only(tmp_path, fmt):
+    """A reader seeks, so a FIFO or a directory is refused by name before it
+    is opened: opening a FIFO would block until a writer came."""
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+    # a writer that blocks until the FIFO is opened for reading, then writes
+    # a file whose repeat a reader could only settle by seeking
+    data = _rows_file(fmt, ["a", "b", "a"], np.ones((3, 2), np.float32))
+
+    def write():
+        with open(fifo, "wb") as f:
+            f.write(data)
+
+    for path in (fifo, str(tmp_path)):
+        for read in (load_file, BlockFile, lambda path, fmt: load_file(path, fmt, {"a"})):
+            writer = threading.Thread(target=write)
+            writer.start()
+            try:
+                with pytest.raises(ValueError, match=f"^not a regular file: {re.escape(path)}$"):
+                    read(path, fmt)
+            finally:
+                # the writer's open returns once the FIFO has a reader
+                reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+                writer.join()
+                os.close(reader)
+    with pytest.raises(FileNotFoundError):
+        load_file(str(tmp_path / "absent"), fmt)

@@ -27,8 +27,6 @@ from classvec.classifier import (  # noqa: E402
 from classvec.embedding_io import (  # noqa: E402
     EmbeddingFormatError,
     EmbeddingSet,
-    load_binary,
-    load_text,
     parse_numerals,
     save_binary,
     save_text,
@@ -36,9 +34,9 @@ from classvec.embedding_io import (  # noqa: E402
 
 from _constructions import (  # noqa: E402
     _NUMERAL,
-    ShortReads,
     assert_streams_as_it_loads,
     disable_kernel,
+    load_bytes,
     reference_load_binary,
     reference_load_text,
     reference_save_text,
@@ -61,10 +59,13 @@ def _without_kernel(fn, *args):
         return fn(*args)
 
 
-def _assert_matches_reference(load, reference, data: bytes) -> None:
-    fast = _outcome(lambda d: load(io.BytesIO(d)), data)
-    if load is load_text:
-        assert _without_kernel(_outcome, lambda d: load(io.BytesIO(d)), data) == fast
+def _assert_matches_reference(fmt, reference, data: bytes, step=None) -> None:
+    def load(d):
+        return load_bytes(d, fmt, step)
+
+    fast = _outcome(load, data)
+    if fmt == "text":
+        assert _without_kernel(_outcome, load, data) == fast
     if isinstance(fast, str) and "more than memory holds" in fast:
         # the references build the matrix row by row and never allocate
         # from the header; they must still reject the file
@@ -118,7 +119,7 @@ def _saved(save, emb: EmbeddingSet) -> bytes:
 class TestTextReader:
     @given(st.binary(max_size=64))
     def test_arbitrary_bytes(self, data):
-        _assert_matches_reference(load_text, reference_load_text, data)
+        _assert_matches_reference("text", reference_load_text, data)
         assert_streams_as_it_loads(data, "text")
 
     @given(st.data())
@@ -126,8 +127,8 @@ class TestTextReader:
         emb = data.draw(_embedding_sets())
         valid = _saved(save_text, emb)
         mutated = data.draw(_mutated(valid))
-        _assert_matches_reference(load_text, reference_load_text, valid)
-        _assert_matches_reference(load_text, reference_load_text, mutated)
+        _assert_matches_reference("text", reference_load_text, valid)
+        _assert_matches_reference("text", reference_load_text, mutated)
         assert_streams_as_it_loads(mutated, "text", emb.words[::2])
         _without_kernel(assert_streams_as_it_loads, mutated, "text", emb.words[::2])
 
@@ -156,13 +157,13 @@ class TestTextWriter:
 class TestBinaryReader:
     @given(st.binary(max_size=64))
     def test_arbitrary_bytes(self, data):
-        _assert_matches_reference(load_binary, reference_load_binary, data)
+        _assert_matches_reference("bin", reference_load_binary, data)
         assert_streams_as_it_loads(data, "bin")
 
     @given(st.binary(max_size=48))
     def test_arbitrary_body_after_valid_header(self, body):
         _assert_matches_reference(
-            load_binary, reference_load_binary, b"2 2\n" + body
+            "bin", reference_load_binary, b"2 2\n" + body
         )
         assert_streams_as_it_loads(b"2 2\n" + body, "bin")
 
@@ -171,8 +172,8 @@ class TestBinaryReader:
         emb = data.draw(_embedding_sets())
         valid = _saved(save_binary, emb)
         mutated = data.draw(_mutated(valid))
-        _assert_matches_reference(load_binary, reference_load_binary, valid)
-        _assert_matches_reference(load_binary, reference_load_binary, mutated)
+        _assert_matches_reference("bin", reference_load_binary, valid)
+        _assert_matches_reference("bin", reference_load_binary, mutated)
         assert_streams_as_it_loads(mutated, "bin", emb.words[::2])
         _without_kernel(assert_streams_as_it_loads, mutated, "bin", emb.words[::2])
 
@@ -182,10 +183,7 @@ class TestBinaryReader:
         emb = data.draw(_embedding_sets())
         raw = data.draw(_mutated(_saved(save_binary, emb)))
         step = data.draw(st.integers(1, 7))
-        _assert_matches_reference(
-            lambda source: load_binary(ShortReads(source.read(), step)),
-            reference_load_binary, raw,
-        )
+        _assert_matches_reference("bin", reference_load_binary, raw, step)
 
 
 def _load_classifier_or_error(data: bytes):

@@ -23,7 +23,6 @@ from classvec import _kernel, embedding_io
 from classvec.embedding_io import (
     EmbeddingFormatError,
     EmbeddingSet,
-    load_text,
     parse_numerals,
     save_text,
 )
@@ -34,6 +33,7 @@ from _constructions import (
     bit_random_embedding,
     disable_kernel,
     frequency_corpus,
+    load_bytes,
     random_embedding,
 )
 
@@ -399,17 +399,17 @@ def _save(emb: EmbeddingSet) -> bytes:
 def test_unavailable_kernel_gives_the_same_text_io(monkeypatch, caplog):
     emb = _hard_embedding()
     data = _save(emb)
-    loaded = load_text(io.BytesIO(data))
+    loaded = load_bytes(data, "text")
     assert loaded.matrix.tobytes() == emb.matrix.tobytes()
-    unterminated = load_text(io.BytesIO(data[:-1]))
+    unterminated = load_bytes(data[:-1], "text")
     assert unterminated.matrix.tobytes() == emb.matrix.tobytes()
 
     disable_kernel(monkeypatch)
     pretrained, corpus = frequency_corpus()
     with caplog.at_level(logging.INFO, logger="classvec"):
         assert _save(emb) == data
-        assert load_text(io.BytesIO(data)).matrix.tobytes() == emb.matrix.tobytes()
-        assert load_text(io.BytesIO(data[:-1])).matrix.tobytes() == emb.matrix.tobytes()
+        assert load_bytes(data, "text").matrix.tobytes() == emb.matrix.tobytes()
+        assert load_bytes(data[:-1], "text").matrix.tobytes() == emb.matrix.tobytes()
         finetune(merge(pretrained, build_vocab(corpus), seed=1), FinetuneConfig(epochs=1))
     # one warning per process, however many callers find the library missing
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
@@ -426,7 +426,7 @@ def test_written_files_load_through_the_kernel_alone(monkeypatch):
     emb = random_embedding(np.random.default_rng(25), 300, 4)
     data = _save(emb)
     for raw in (data, data[:-1]):
-        assert load_text(io.BytesIO(raw)).matrix.tobytes() == emb.matrix.tobytes()
+        assert load_bytes(raw, "text").matrix.tobytes() == emb.matrix.tobytes()
 
 
 def test_declined_numerals_fall_back_for_the_whole_block():
@@ -434,7 +434,7 @@ def test_declined_numerals_fall_back_for_the_whole_block():
     lines = _save(emb).split(b"\n")
     # line 21 holds row 20: a 17-digit significand and an exponent below -22
     lines[21] = lines[21].split(b" ")[0] + b" 1.00000000000000001 -2e-30 0.5"
-    loaded = load_text(io.BytesIO(b"\n".join(lines)))
+    loaded = load_bytes(b"\n".join(lines), "text")
     assert loaded.matrix[20].tolist() == [1.0, np.float32(-2e-30), 0.5]
     others = np.delete(np.arange(40), 20)
     assert loaded.matrix[others].tobytes() == emb.matrix[others].tobytes()
@@ -445,5 +445,5 @@ def test_a_value_beyond_float32_is_named_by_the_python_reader():
     declines its row and the Python block names it."""
     data = b"3 2\na 1 2\nb 3.5e38 1\nc 1 2\n"
     with pytest.raises(EmbeddingFormatError) as err:
-        load_text(io.BytesIO(data))
+        load_bytes(data, "text")
     assert str(err.value) == "line 3: non-finite value"

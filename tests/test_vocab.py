@@ -16,13 +16,18 @@ from classvec.embedding_io import (
     EmbeddingChangedError,
     EmbeddingSet,
     load_file,
-    load_text,
     save_binary,
     save_text,
 )
 from classvec.vocab import TunedEmbedding, build_vocab, init_unseen, merge
 
-from _constructions import bit_random_embedding, random_embedding, splitmix64, splitmix_uniform
+from _constructions import (
+    bit_random_embedding,
+    load_bytes,
+    random_embedding,
+    splitmix64,
+    splitmix_uniform,
+)
 
 
 def _corpus(*token_lists: tuple[str, ...]):
@@ -379,6 +384,6 @@ class TestStreamedSource:
                 assert written[i + 1] != line
         # the frozen rows' values are the input's, read as float32
         expected = TunedEmbedding(merge(load_file(str(path), "text"), vocab, 1), rows)
-        reloaded = load_text(io.BytesIO(out))
+        reloaded = load_bytes(out, "text")
         assert reloaded.words == expected.embedding_set().words
         assert reloaded.matrix.tobytes() == expected.embedding_set().matrix.tobytes()
