@@ -27,7 +27,8 @@ SplitMix64 in numpy (:func:`uniforms`), which ``noise_uniform`` in
 ``_kernel.c`` repeats for the negatives: every seeded draw of the
 package, the negatives, the unseen rows, the class vectors and the
 document and example orders, is a pure function of a key and a counter,
-with one key per use derived from the seed (:func:`stream_key`).
+with one key per use derived from the seed (:func:`stream_key`); the
+unseen rows and the class vectors are both :func:`seeded_rows`.
 """
 from __future__ import annotations
 
@@ -371,6 +372,14 @@ def uniforms(key: int, counters: np.ndarray) -> np.ndarray:
     the top 53 bits of :func:`splitmix64`, which scale exactly to a double.
     ``noise_uniform`` in ``_kernel.c`` is the same function."""
     return (splitmix64(key, counters) >> np.uint64(11)) * 2.0**-53
+
+
+def seeded_rows(seed: int, stream: int, rows: int, dim: int) -> np.ndarray:
+    """``rows`` float64 rows of ``dim`` values uniform on [-0.5/dim,
+    +0.5/dim), row by row from counter 0 of stream ``stream`` of ``seed``:
+    the seeded rows of the unseen words and of the class vectors."""
+    counters = np.arange(rows * dim, dtype=np.uint64).reshape(rows, dim)
+    return (uniforms(stream_key(seed, stream), counters) - 0.5) / dim
 
 
 def check_seed(seed: int) -> None:

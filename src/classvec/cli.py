@@ -9,7 +9,8 @@ Progress goes to standard error, results to standard output, so machine
 output stays pipeable. Output files are written via a temporary file and
 an atomic rename: on any failure no partial artifact is left behind, and
 the exit status is 0 exactly when the requested artifact was fully
-written or printed. Embedding file format is always named explicitly
+written or printed. A command checks that its outputs can be written
+and would replace none of its inputs before it reads any file. Embedding file format is always named explicitly
 with ``--format``; files are never sniffed. Every command reads its
 embedding files a block at a time, through ``BlockFile`` or
 ``load_file`` with the tokens it needs, so none holds a file's matrix.
@@ -75,6 +76,7 @@ errors_after = _lazy("embedding_io", "errors_after")
 load_file = _lazy("embedding_io", "load_file")
 save_binary = _lazy("embedding_io", "save_binary")
 save_text = _lazy("embedding_io", "save_text")
+token_problem = _lazy("embedding_io", "token_problem")
 evaluate_exclusive = _lazy("metrics", "evaluate_exclusive")
 evaluate_multilabel = _lazy("metrics", "evaluate_multilabel")
 FinetuneConfig = _lazy("trainer", "FinetuneConfig")
@@ -100,26 +102,56 @@ class UsageError(ValueError):
 
 def _atomic_write(path: str, write: Callable) -> None:
     """Write through a temp file and rename, so failures leave nothing; the
-    file gets the mode of a new file (0o666 less the umask), not 0o600."""
+    file gets the mode of a new file (0o666 less the umask), not 0o600. An
+    error of the temp file or the rename names ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-classvec-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-classvec-")
         with os.fdopen(fd, "wb") as f:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
             write(f)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as e:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError) and (tmp is None or tmp in (e.filename, e.filename2)):
+            raise OSError(e.errno, e.strerror, path) from None
         raise
 
 
-def _require_files(*paths: str) -> None:
-    for p in paths:
-        if not os.path.isfile(p):
-            raise FileNotFoundError(f"no such file: {p}")
+def _require_files(args: argparse.Namespace, inputs: tuple[str, ...],
+                   outputs: tuple[str, ...] = ()) -> None:
+    """Check the files that the options ``inputs`` and ``outputs`` (their
+    ``args`` fields) name, before any is read: a usage error if an output
+    names an input or an earlier output (the same file, or where either is
+    missing the same normalized absolute path), which writing it would
+    replace; then an input that is not a regular file, and then an output
+    that is a directory or whose directory is missing, each in option
+    order."""
+    named = [(f, getattr(args, f)) for f in inputs]
+    for field in outputs:
+        if (path := getattr(args, field)) is None:
+            continue
+        for other, other_path in named:
+            try:
+                same = os.path.samefile(path, other_path)
+            except OSError:
+                same = os.path.abspath(path) == os.path.abspath(other_path)
+            if same:
+                raise UsageError(f"--{field.replace('_', '-')} {path} names the "
+                                 f"file of --{other.replace('_', '-')}")
+        named.append((field, path))
+    for _, path in named[:len(inputs)]:
+        if not os.path.isfile(path):
+            raise FileNotFoundError(f"no such file: {path}")
+    for _, path in named[len(inputs):]:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output is a directory: {path}")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"no directory for output: {path}")
 
 
 def _load_corpus(path: str, multilabel: bool):
@@ -152,7 +184,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         **_given(args, "epochs", "window", "negative", "alpha0", "alpha_min", "seed"),
         shuffle=args.shuffle,
     )
-    _require_files(args.pretrained, args.corpus)
+    _require_files(args, ("pretrained", "corpus"), ("out", "export_class_vectors"))
     # the pretrained file is read twice, a block at a time: merge keeps
     # the corpus tokens' rows, and the export writes the tuned ones over
     # them as it streams the file again
@@ -163,11 +195,8 @@ def cmd_finetune(args: argparse.Namespace) -> int:
                 # checked before training, so that nothing is written for a
                 # class that cannot become a token of the class-vector file
                 for name in corpus.classes:
-                    if name.split() != [name]:
-                        raise ValueError(
-                            f"class {name!r} cannot be exported: a token of the "
-                            "class-vector file holds no whitespace"
-                        )
+                    if problem := token_problem(name):
+                        raise ValueError(f"class {name!r} cannot be exported: it {problem}")
         vocab = build_vocab(corpus)
         model = merge(pretrained, vocab, seed=cfg.seed)
         print(
@@ -197,7 +226,7 @@ def cmd_train_clf(args: argparse.Namespace) -> int:
     cfg = ClassifierConfig(**_given(args, "epochs", "lr", "seed"))
     if args.threshold is not None:
         check_threshold(args.threshold)
-    _require_files(args.embeddings, args.corpus)
+    _require_files(args, ("embeddings", "corpus"), ("out",))
     with BlockFile(args.embeddings, args.format) as source, errors_after(source.blocks()):
         corpus = _load_corpus(args.corpus, args.multilabel)
     # the mean pool reads the rows of corpus tokens alone
@@ -211,7 +240,7 @@ def cmd_train_clf(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _require_files(args.model, args.embeddings, args.corpus)
+    _require_files(args, ("model", "embeddings", "corpus"))
     with open(args.model, "rb") as f:
         model = load_classifier(f)
     multilabel = model.mode == "multilabel"
@@ -238,7 +267,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_nn(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise UsageError("--k must be at least 1")
-    _require_files(args.embeddings)
+    _require_files(args, ("embeddings",))
     # the file is read as a stream, whole and then up to the query's block;
     # its errors still come before a usage error or an unknown word
     with BlockFile(args.embeddings, args.format) as emb:
@@ -252,7 +281,7 @@ def cmd_nn(args: argparse.Namespace) -> int:
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
-    _require_files(args.embeddings)
+    _require_files(args, ("embeddings",))
     emb = load_file(args.embeddings, args.format, (args.word1, args.word2))
     for w in (args.word1, args.word2):
         if w not in emb:
@@ -264,7 +293,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
 def cmd_drift(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise UsageError("--top must be at least 0")
-    _require_files(args.before, args.after)
+    _require_files(args, ("before", "after"))
     # both files are read a block at a time, in lockstep while they list
     # the same tokens; the --before header is checked first
     with BlockFile(args.before, args.format) as before, \

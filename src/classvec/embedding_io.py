@@ -100,8 +100,8 @@ class EmbeddingSet:
 
     Vectors are stored as 32-bit floats; ``matrix`` is made read-only so a
     loaded set can be shared across threads. Tokens are unique, non-empty,
-    contain no whitespace and encode as UTF-8 (both file formats require
-    this).
+    contain no whitespace and encode as UTF-8 (:func:`token_problem`; both
+    file formats require this).
     """
 
     def __init__(self, words: list[str], matrix: np.ndarray):
@@ -122,14 +122,15 @@ class EmbeddingSet:
         if not all(np.isfinite(matrix[i:i + BLOCK_ROWS]).all() for i in blocks):
             raise ValueError("matrix contains non-finite values")
         index = dict(zip(words, range(len(words))))
-        if len(index) != len(words) or not all(
-                writable(words[i:i + BLOCK_ROWS]) for i in blocks):
+        # a block of tokens per _tokens call, on the bytes of their join, in
+        # which a lone surrogate is bytes that no UTF-8 decode accepts
+        if len(index) != len(words) or any(
+                _tokens(" ".join(block).encode("utf-8", "surrogatepass")) != block
+                for block in (words[i:i + BLOCK_ROWS] for i in blocks)):
             seen: set[str] = set()
             for i, w in enumerate(words):
-                if not writable([w]):
-                    if w.split() == [w]:
-                        raise ValueError(f"token at row {i} does not encode as UTF-8: {w!r}")
-                    raise ValueError(f"invalid token at row {i}: {w!r}")
+                if problem := token_problem(w):
+                    raise ValueError(f"token at row {i} {problem}: {w!r}")
                 if w in seen:
                     raise ValueError(f"duplicate token at row {i}: {w!r}")
                 seen.add(w)
@@ -160,19 +161,20 @@ class EmbeddingSet:
             yield self.words[rows], self.matrix[rows]
 
 
-def writable(tokens: list[str]) -> bool:
-    """Whether both file formats can hold every token of ``tokens``: each
-    non-empty, without whitespace and encodable as UTF-8 (a lone surrogate
-    such as ``'\\ud800'`` is not). One join, split and encode checks them
-    all."""
-    joined = " ".join(tokens)
-    try:
-        joined.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    # str.split() drops empty tokens and splits at exactly the characters
+def token_problem(word: str) -> str | None:
+    """What keeps ``word`` from being a token of either file format:
+    ``'is empty or holds whitespace'`` or ``'does not encode as UTF-8'``
+    (a lone surrogate such as ``'\\ud800'``); None if nothing. The one
+    statement of the token rule, which :func:`_tokens` applies to a block."""
+    # str.split() drops an empty token and splits at exactly the characters
     # str.isspace() accepts
-    return joined.split() == tokens
+    if word.split() != [word]:
+        return "is empty or holds whitespace"
+    try:
+        word.encode("utf-8")
+    except UnicodeEncodeError:
+        return "does not encode as UTF-8"
+    return None
 
 
 # Values a header may declare: numpy cannot shape a float32 array of more
@@ -242,21 +244,21 @@ def _token_error(token: bytes) -> str | None:
         word = token.decode("utf-8")
     except UnicodeDecodeError:
         return "token is not valid UTF-8"
-    if word.split() != [word]:
-        return f"whitespace in token {word!r}"
-    return None
+    # a decoded token encodes again, so only whitespace is left to find
+    return f"whitespace in token {word!r}" if token_problem(word) else None
 
 
 def _tokens(joined: bytes) -> list[str] | None:
     """Decode a block's tokens, joined by single spaces; None if any of them
-    is empty, holds whitespace or is not UTF-8 (:func:`_token_error` says
-    which)."""
+    fails :func:`token_problem`'s rule or is not UTF-8 (:func:`_token_error`
+    says which)."""
     try:
         text = joined.decode("utf-8")
     except UnicodeDecodeError:
         return None
     block = text.split(" ")
-    # str.split() drops empty tokens and splits at every whitespace character
+    # token_problem's rule, for every token in one call: str.split() drops
+    # empty tokens and splits at every whitespace character
     return block if text.split() == block else None
 
 

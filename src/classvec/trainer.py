@@ -327,10 +327,9 @@ def init_state(model: MergedModel, cfg: FinetuneConfig) -> TrainState:
 
     The rows, the pretrained or seeded ones ``model`` holds, their index,
     the counts and the corpus come from the vocabulary ``model`` was
-    merged over. The class vectors are uniform on
-    [-0.5/m, +0.5/m), the scheme of the unseen words, from the seed's
-    class-vector stream, row by row; the noise key is the seed's noise
-    stream key.
+    merged over. The class vectors are ``_kernel.seeded_rows`` of the
+    seed's class-vector stream, drawn as the unseen words' rows are; the
+    noise key is the seed's noise stream key.
     """
     vocab = model.vocab
     corpus = vocab.corpus
@@ -341,9 +340,7 @@ def init_state(model: MergedModel, cfg: FinetuneConfig) -> TrainState:
             "corpus tokens; merge() must precede finetune()"
         )
     classes = tuple(corpus.classes)
-    key = _kernel.stream_key(cfg.seed, _kernel.STREAM_CLASSES)
-    counters = np.arange(len(classes) * m, dtype=np.uint64).reshape(len(classes), m)
-    class_vectors = (_kernel.uniforms(key, counters) - 0.5) / m
+    class_vectors = _kernel.seeded_rows(cfg.seed, _kernel.STREAM_CLASSES, len(classes), m)
     total = cfg.epochs * sum(
         len(d.tokens) * len(d.labels) for d in corpus.docs
     )

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _kernel
 from .corpus import LabeledCorpus
-from .embedding_io import BLOCK_ROWS, BlockFile, EmbeddingSet, encode_rows, writable
+from .embedding_io import BLOCK_ROWS, BlockFile, EmbeddingSet, encode_rows, token_problem
 
 
 @dataclass(frozen=True)
@@ -202,13 +202,12 @@ def build_vocab(corpus: LabeledCorpus) -> Vocabulary:
 
 
 def init_unseen(unseen: list[str], dim: int, seed: int) -> np.ndarray:
-    """Seeded uniform rows on [-0.5/dim, +0.5/dim), one per unseen token,
-    from the seed's unseen-row stream, row by row."""
+    """Seeded uniform rows on [-0.5/dim, +0.5/dim), one per unseen token:
+    ``_kernel.seeded_rows`` of the seed's unseen-row stream, as float32."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    key = _kernel.stream_key(seed, _kernel.STREAM_UNSEEN)
-    counters = np.arange(len(unseen) * dim, dtype=np.uint64).reshape(len(unseen), dim)
-    return ((_kernel.uniforms(key, counters) - 0.5) / dim).astype(np.float32)
+    rows = _kernel.seeded_rows(seed, _kernel.STREAM_UNSEEN, len(unseen), dim)
+    return rows.astype(np.float32)
 
 
 def merge(pretrained: EmbeddingSet | BlockFile, vocab: Vocabulary, seed: int
@@ -221,9 +220,9 @@ def merge(pretrained: EmbeddingSet | BlockFile, vocab: Vocabulary, seed: int
     ``blocks()``): an ``EmbeddingSet``, or a ``BlockFile`` that streams
     a file with every check of a load. The model holds no pretrained row
     beyond those of the corpus tokens; the result is deterministic in
-    (pretrained, vocab, seed). A corpus token the source lacks that is
-    empty or holds whitespace is a ``ValueError``: the word2vec formats
-    cannot hold it.
+    (pretrained, vocab, seed). A corpus token the source lacks that
+    ``embedding_io.token_problem`` refuses is a ``ValueError``: the
+    word2vec formats cannot hold it.
     """
     dim = pretrained.dim
     blocks = pretrained.blocks()
@@ -244,11 +243,8 @@ def merge(pretrained: EmbeddingSet | BlockFile, vocab: Vocabulary, seed: int
     unseen = tuple(corpus_tokens[i] for i in missing.tolist())
     # a source's tokens passed a reader's checks; an unseen one must pass
     # the set's too, or the tuned vectors could not be written and read back
-    for i in range(0, len(unseen), BLOCK_ROWS):
-        if not writable(list(unseen[i:i + BLOCK_ROWS])):
-            token = next(t for t in unseen[i:] if not writable([t]))
-            problem = ("is empty or holds whitespace" if token.split() != [token]
-                       else "does not encode as UTF-8")
+    for token in unseen:
+        if problem := token_problem(token):
             raise ValueError(f"corpus token {token!r} {problem}, "
                              "which no embedding file can hold")
     rows[missing] = np.arange(start, start + len(missing))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib.util
 import io
 import json
@@ -11,6 +12,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -256,6 +258,86 @@ class TestFinetuneCommand:
         ])
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
+
+
+class TestOutputPaths:
+    """An output that cannot be written, or whose writing would replace an
+    input or the other output, fails before any file is read, and no file
+    changes."""
+
+    @pytest.fixture()
+    def nothing_read(self, monkeypatch):
+        def read(*args, **kwargs):
+            raise AssertionError("a file was read")
+
+        for name in ("BlockFile", "load_file", "load_tsv", "load_classifier"):
+            monkeypatch.setattr(cli, name, read)
+
+    @pytest.mark.usefixtures("nothing_read")
+    @pytest.mark.parametrize("case", [
+        "missing-directory", "directory", "pretrained", "class-vectors-out",
+        "probe-embeddings", "probe-corpus", "missing-input-first",
+    ])
+    def test_fails_before_any_file_is_read(self, workspace, capsys, case):
+        tmp_path, pre, corpus = workspace
+        (tmp_path / "adir").mkdir()
+        out = str(tmp_path / "tuned.txt")
+        tune = ["finetune", "--pretrained", pre, "--corpus", corpus, "--out"]
+        probe = ["train-clf", "--embeddings", pre, "--corpus", corpus, "--out"]
+        # each path as the user gave it, spelled unlike the input it names
+        missing = str(tmp_path / "missing" / "tuned.txt")
+        again = os.path.join(str(tmp_path), ".", "pretrained.txt")
+        spelled = str(tmp_path / "x" / ".." / "tuned.txt")
+        argv, code, message = {
+            "missing-directory": (
+                tune + [missing], 1, f"error: no directory for output: {missing}"),
+            "directory": (
+                tune + [str(tmp_path / "adir")], 1,
+                f"error: output is a directory: {tmp_path / 'adir'}"),
+            "pretrained": (
+                tune + [again], 2, f"usage error: --out {again} names the file of --pretrained"),
+            "class-vectors-out": (
+                tune + [out, "--export-class-vectors", spelled], 2,
+                f"usage error: --export-class-vectors {spelled} names the file of --out"),
+            "probe-embeddings": (
+                probe + [again], 2,
+                f"usage error: --out {again} names the file of --embeddings"),
+            "probe-corpus": (
+                probe + [os.path.relpath(corpus)], 2,
+                f"usage error: --out {os.path.relpath(corpus)} names the file of --corpus"),
+            "missing-input-first": (
+                ["finetune", "--pretrained", pre, "--corpus", str(tmp_path / "absent.tsv"),
+                 "--out", missing], 1, f"error: no such file: {tmp_path / 'absent.tsv'}"),
+        }[case]
+        inputs = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (code, "", message + "\n")
+        assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == inputs
+
+    @pytest.mark.parametrize("step", ["mkstemp", "replace"])
+    def test_a_failed_write_names_the_output(self, workspace, capsys, monkeypatch, step):
+        # the errors of the temp file and the rename name the output the
+        # user gave, never the temp file, which is gone
+        tmp_path, pre, corpus = workspace
+        out = str(tmp_path / "tuned.txt")
+        real = {"mkstemp": tempfile.mkstemp, "replace": os.replace}[step]
+
+        def fail(*args, **kwargs):
+            if step == "replace":
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), *args)
+            _, tmp = real(*args, **kwargs)
+            os.unlink(tmp)
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), tmp)
+
+        monkeypatch.setattr({"mkstemp": tempfile, "replace": os}[step], step, fail)
+        rc = main(["finetune", "--pretrained", pre, "--corpus", corpus, "--out", out,
+                   "--epochs", "1"])
+        err = capsys.readouterr().err
+        code = errno.EXDEV if step == "replace" else errno.EACCES
+        assert rc == 1
+        assert err == f"error: [Errno {code}] {os.strerror(code)}: {out!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv", "pretrained.txt"]
 
 
 class TestClassifierCommands:

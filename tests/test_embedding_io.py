@@ -92,17 +92,18 @@ class TestEmbeddingSet:
     @pytest.mark.parametrize(
         "bad,row,message",
         [
-            ("w1", 5, "duplicate token at row 5"),
-            ("a b", 3, "invalid token at row 3"),
-            ("a\u00a0b", BLOCK_ROWS + 2, f"invalid token at row {BLOCK_ROWS + 2}"),
-            ("", BLOCK_ROWS, f"invalid token at row {BLOCK_ROWS}"),
-            ("w0", 2 * BLOCK_ROWS + 1, f"duplicate token at row {2 * BLOCK_ROWS + 1}"),
+            ("w1", 5, "duplicate token at row 5: 'w1'"),
+            ("a b", 3, "token at row 3 is empty or holds whitespace: 'a b'"),
+            ("a\u00a0b", BLOCK_ROWS + 2,
+             f"token at row {BLOCK_ROWS + 2} is empty or holds whitespace: 'a\\xa0b'"),
+            ("", BLOCK_ROWS, f"token at row {BLOCK_ROWS} is empty or holds whitespace: ''"),
+            ("w0", 2 * BLOCK_ROWS + 1, f"duplicate token at row {2 * BLOCK_ROWS + 1}: 'w0'"),
         ],
     )
     def test_token_errors_name_the_first_bad_row(self, bad, row, message):
         words = [f"w{i}" for i in range(2 * BLOCK_ROWS + 5)]
         words[row] = bad
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EmbeddingSet(words, np.zeros((len(words), 2)))
 
     @pytest.mark.parametrize("row", [0, BLOCK_ROWS + 2])

@@ -11,12 +11,14 @@ and ``drift`` streaming it, must give what a load of it gives.
 from __future__ import annotations
 
 import io
+import re
+import string
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from classvec.classifier import (  # noqa: E402
     ClassifierFormatError,
@@ -27,9 +29,12 @@ from classvec.classifier import (  # noqa: E402
 from classvec.embedding_io import (  # noqa: E402
     EmbeddingFormatError,
     EmbeddingSet,
+    _token_error,
+    _tokens,
     parse_numerals,
     save_binary,
     save_text,
+    token_problem,
 )
 
 from _constructions import (  # noqa: E402
@@ -184,6 +189,55 @@ class TestBinaryReader:
         raw = data.draw(_mutated(_saved(save_binary, emb)))
         step = data.draw(st.integers(1, 7))
         _assert_matches_reference("bin", reference_load_binary, raw, step)
+
+
+# the characters that str.split() splits at among those drawn, by hand
+_WHITESPACE = (" \t\n\x0b\x1c\x1d\x1e\x1f\x85\xa0"
+               + "".join(map(chr, range(0x2000, 0x200B))) + "\u3000")
+_LONE_SURROGATE = "\ud800"
+
+
+def _reference_problem(word: str) -> str | None:
+    """``token_problem`` a character at a time."""
+    if not word or any(c in _WHITESPACE for c in word):
+        return "is empty or holds whitespace"
+    if any(c == _LONE_SURROGATE for c in word):
+        return "does not encode as UTF-8"
+    return None
+
+
+class TestTokenRule:
+    @pytest.mark.usefixtures("kernel_or_not")
+    # the fixture's kernel state holds for every example
+    @settings(suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(st.lists(
+        st.text(st.sampled_from(string.ascii_letters + _WHITESPACE + _LONE_SURROGATE),
+                max_size=4),
+        min_size=1, max_size=5, unique=True,
+    ))
+    def test_every_statement_of_the_rule_agrees_with_a_reference(self, tokens):
+        problems = [_reference_problem(t) for t in tokens]
+        valid = not any(problems)
+        # a lone surrogate as the bytes that no UTF-8 decode accepts
+        encoded = [t.encode("utf-8", "surrogatepass") for t in tokens]
+        assert [token_problem(t) for t in tokens] == problems
+        assert [_token_error(b) is None for b in encoded] == [p is None for p in problems]
+        assert (_tokens(b" ".join(encoded)) == tokens) == valid
+        # the reader: the kernel's scanner and _tokens, or the Python block
+        text = b"%d 1\n" % len(tokens) + b"".join(b + b" 0.5\n" for b in encoded)
+        try:
+            loaded = load_bytes(text, "text").words
+        except EmbeddingFormatError:
+            loaded = None
+        assert loaded == (tokens if valid else None)
+        if valid:
+            EmbeddingSet(tokens, np.zeros((len(tokens), 1)))
+        else:
+            row = next(i for i, p in enumerate(problems) if p)
+            message = f"token at row {row} {problems[row]}: {tokens[row]!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                EmbeddingSet(tokens, np.zeros((len(tokens), 1)))
 
 
 def _load_classifier_or_error(data: bytes):
